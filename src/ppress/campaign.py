@@ -19,8 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import statistics
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleSearchError, PpressError
+from .errors import ConfigError, DataFormatError, InfeasibleSearchError, PpressError
 from .quality import Application, run_application
 from .reducers import (
     Layout,
@@ -186,27 +188,76 @@ class EvaluationRecord:
 
 
 class RecordStore:
-    """Append-only JSON-lines record log."""
+    """Append-only JSON-lines record log.
+
+    A crash mid-append can leave a torn final line with no newline.  Loading
+    skips it with a warning and the next append cuts it off, so the store
+    stays readable; a corrupt line anywhere else is a data error.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
     def append(self, record: EvaluationRecord) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record.to_dict(), sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        with open(self.path, "a+b") as fh:
+            _end_last_line(fh)
+            fh.write(line.encode("utf-8"))
 
     def load(self) -> list[EvaluationRecord]:
         if not self.path.exists():
             return []
         out = []
         with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
                     out.append(EvaluationRecord.from_dict(json.loads(line)))
+                except (ValueError, TypeError) as exc:
+                    if not line.endswith("\n"):  # only the final line lacks one
+                        warnings.warn(
+                            f"{self.path}:{lineno}: skipped a torn final line ({exc})",
+                            stacklevel=2,
+                        )
+                        break
+                    raise DataFormatError(
+                        f"{self.path}:{lineno}: corrupt record line: {exc}"
+                    ) from exc
         return out
+
+
+def _end_last_line(fh) -> None:
+    """Make an append-mode store end in a newline before the next record.
+
+    An unterminated final line that holds a record gets its newline; one
+    that does not is a torn append and is cut off.
+    """
+    end = fh.seek(0, os.SEEK_END)
+    if end == 0:
+        return
+    fh.seek(end - 1)
+    if fh.read(1) == b"\n":
+        return
+    start = end
+    while start > 0:  # back to the byte after the previous newline
+        block = max(0, start - 4096)
+        fh.seek(block)
+        cut = fh.read(start - block).rfind(b"\n")
+        if cut >= 0:
+            start = block + cut + 1
+            break
+        start = block
+    fh.seek(start)
+    tail = fh.read()
+    try:
+        EvaluationRecord.from_dict(json.loads(tail))
+    except (ValueError, TypeError):
+        warnings.warn(f"{fh.name}: cut off a torn final line", stacklevel=3)
+        fh.truncate(start)
+    else:
+        fh.write(b"\n")
 
 
 def cache_key(

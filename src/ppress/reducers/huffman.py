@@ -21,15 +21,14 @@ _SMALL_LIMIT = 16
 _LARGE_LIMIT = 18
 
 
-def _huffman_lengths(freqs: dict[int, int]) -> dict[int, int]:
-    syms = sorted(freqs)
-    k = len(syms)
+def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
+    k = counts.size
     if k == 1:
-        return {syms[0]: 1}
+        return np.ones(1, dtype=np.int64)
     # merge tree with parent pointers; leaves are 0..k-1, internal nodes
     # get increasing ids so every parent id exceeds its children
     parent = [0] * (2 * k - 1)
-    heap = [(freqs[s], i, i) for i, s in enumerate(syms)]
+    heap = [(f, i, i) for i, f in enumerate(counts.tolist())]
     heapq.heapify(heap)
     next_id = k
     while len(heap) > 1:
@@ -42,35 +41,25 @@ def _huffman_lengths(freqs: dict[int, int]) -> dict[int, int]:
     depth = [0] * (2 * k - 1)
     for node in range(2 * k - 3, -1, -1):
         depth[node] = depth[parent[node]] + 1
-    return {s: depth[i] for i, s in enumerate(syms)}
+    return np.array(depth[:k], dtype=np.int64)
 
 
-def code_lengths(freqs: dict[int, int], limit: int) -> dict[int, int]:
-    """Length-limited Huffman code lengths for the given frequency table."""
-    if (1 << limit) < len(freqs):
+def code_lengths(counts: np.ndarray, limit: int) -> np.ndarray:
+    """Length-limited Huffman code lengths for symbols with these counts.
+
+    counts lists one positive count per symbol in ascending symbol order;
+    ties between equal weights go to the lower symbol.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if (1 << limit) < counts.size:
         raise CodecError(
-            f"{len(freqs)} symbols cannot fit codes of <= {limit} bits"
+            f"{counts.size} symbols cannot fit codes of <= {limit} bits"
         )
-    work = dict(freqs)
     while True:
-        lengths = _huffman_lengths(work)
-        if max(lengths.values()) <= limit:
+        lengths = _huffman_lengths(counts)
+        if lengths.max() <= limit:
             return lengths
-        work = {s: (f + 1) // 2 for s, f in work.items()}
-
-
-def canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
-    """Assign canonical codewords: symbols sorted by (length, symbol)."""
-    order = sorted(lengths.items(), key=lambda kv: (kv[1], kv[0]))
-    codes: dict[int, tuple[int, int]] = {}
-    code = 0
-    prev_len = order[0][1]
-    for sym, length in order:
-        code <<= length - prev_len
-        codes[sym] = (code, length)
-        code += 1
-        prev_len = length
-    return codes
+        counts = (counts + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -81,20 +70,37 @@ class HuffmanTable:
     lengths: np.ndarray  # code length per symbol, same order
 
     @classmethod
-    def from_symbols(cls, stream: np.ndarray) -> "HuffmanTable":
-        syms, counts = np.unique(stream, return_counts=True)
-        limit = _SMALL_LIMIT if syms.size <= (1 << _SMALL_LIMIT) else _LARGE_LIMIT
-        freqs = dict(zip(syms.tolist(), counts.tolist()))
-        lengths = code_lengths(freqs, limit)
-        order = sorted(lengths.items(), key=lambda kv: (kv[1], kv[0]))
-        return cls(
-            np.array([s for s, _ in order], dtype=np.uint32),
-            np.array([l for _, l in order], dtype=np.uint8),
-        )
+    def from_symbols(
+        cls,
+        stream: np.ndarray,
+        histogram: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> "HuffmanTable":
+        """Build the table for a stream.
 
-    def codebook(self) -> dict[int, tuple[int, int]]:
-        lengths = dict(zip(self.symbols.tolist(), self.lengths.tolist()))
-        return canonical_codes(lengths)
+        histogram: (distinct symbols ascending, their counts) of stream,
+        as np.unique returns them, when the caller has them already.
+        """
+        if histogram is None:
+            histogram = np.unique(stream, return_counts=True)
+        syms, counts = histogram
+        limit = _SMALL_LIMIT if syms.size <= (1 << _SMALL_LIMIT) else _LARGE_LIMIT
+        lengths = code_lengths(counts, limit)
+        order = np.lexsort((syms, lengths))
+        return cls(syms[order].astype(np.uint32), lengths[order].astype(np.uint8))
+
+    def codes(self) -> np.ndarray:
+        """Canonical codeword of each symbol, in table order.
+
+        In (length, symbol) order each codeword is the previous one plus
+        one, shifted left by the growth in length: left-justified to the
+        longest length, a codeword sits at the sum of 2^(longest - length)
+        over the codewords before it.
+        """
+        lengths = self.lengths.astype(np.int64)
+        width = int(lengths[-1])
+        left = np.zeros(lengths.size, dtype=np.int64)
+        np.cumsum(1 << (width - lengths[:-1]), out=left[1:])
+        return left >> (width - lengths)
 
     # wire form: u32 count, then per symbol u32 symbol + u8 length
     def to_bytes(self) -> bytes:
@@ -118,67 +124,123 @@ class HuffmanTable:
             raise CodecError("empty Huffman table")
         if not (lens[:-1] <= lens[1:]).all():
             raise CodecError("Huffman table lengths not in canonical order")
+        if lens[0] < 1 or lens[-1] > _LARGE_LIMIT:
+            raise CodecError(f"Huffman code lengths must be 1..{_LARGE_LIMIT} bits")
+        same = lens[:-1] == lens[1:]
+        if (syms[:-1][same] >= syms[1:][same]).any():
+            raise CodecError("Huffman table symbols not in canonical order")
+        # canonical codes must fill the code space exactly, except the
+        # degenerate one-symbol code, which claims half of it
+        width = int(lens[-1])
+        room = int((1 << (width - lens.astype(np.int64))).sum())
+        if room != 1 << width and not (count == 1 and width == 1):
+            raise CodecError("Huffman table does not form a complete code")
         return cls(syms, lens), offset
 
 
-def encode(stream: np.ndarray, table: HuffmanTable) -> tuple[bytes, int]:
-    """Pack a symbol stream with the table's canonical code, MSB first."""
+def encode(
+    stream: np.ndarray, table: HuffmanTable, inverse: np.ndarray | None = None
+) -> tuple[bytes, int]:
+    """Pack a symbol stream with the table's canonical code, MSB first.
+
+    inverse: index of each stream value among the table's symbols in
+    ascending order, as np.unique(stream, return_inverse=True) returns it
+    when the table was built from this stream.
+    """
     if stream.size == 0:
         return b"", 0
-    book = table.codebook()
-    uniq, inverse = np.unique(stream, return_inverse=True)
-    try:
-        pairs = [book[int(s)] for s in uniq]
-    except KeyError as exc:
-        raise CodecError(f"symbol {exc} missing from Huffman table") from None
-    ucodes = np.array([c for c, _ in pairs], dtype=np.uint32)
-    ulens = np.array([l for _, l in pairs], dtype=np.int64)
-    cws = ucodes[inverse]
-    lens = ulens[inverse]
-    total = int(lens.sum())
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    owner = np.repeat(np.arange(stream.size, dtype=np.int64), lens)
-    bitpos = np.arange(total, dtype=np.int64) - starts[owner]
-    bits = (cws[owner] >> (lens[owner] - 1 - bitpos).astype(np.uint32)) & 1
-    return np.packbits(bits.astype(np.uint8)).tobytes(), total
+    order = np.argsort(table.symbols)
+    if inverse is None:
+        ranked = table.symbols[order]
+        inverse = np.searchsorted(ranked, stream)
+        missing = inverse >= ranked.size
+        missing[~missing] = ranked[inverse[~missing]] != stream[~missing]
+        if missing.any():
+            bad = stream[np.flatnonzero(missing)[0]]
+            raise CodecError(f"symbol {bad} missing from Huffman table")
+    codes = table.codes()[order]
+    lengths = table.lengths.astype(np.int64)[order]
+    lens = lengths[inverse]
+    # each codeword left-justified in the top 24 bits of a big-endian word
+    # (codes are at most 18 bits): the first `len` bits of each row, read
+    # row by row, are the packed stream
+    words = (codes[inverse] << (32 - lens)).astype(">u4")
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 4)[:, :3], axis=1)
+    bits = bits[np.arange(24) < lens[:, None]]
+    return np.packbits(bits).tobytes(), int(bits.size)
+
+
+# bits decoded per pass: bounds the decoder's working memory
+_CHUNK = 1 << 15
+
+
+def _lookup(table: HuffmanTable) -> tuple[np.ndarray, np.ndarray, int]:
+    """Flat decode tables indexed by the next `width` bits of the stream."""
+    width = int(table.lengths[-1])
+    if table.symbols.size == 1:
+        # the one-symbol code: every bit decodes to it
+        return np.repeat(table.symbols, 2), np.ones(2, dtype=np.intp), 1
+    spans = 1 << (width - table.lengths.astype(np.int64))
+    return (
+        np.repeat(table.symbols, spans),
+        np.repeat(table.lengths.astype(np.intp), spans),
+        width,
+    )
 
 
 def decode(buf: bytes, n_bits: int, n_symbols: int, table: HuffmanTable) -> np.ndarray:
-    """Decode n_symbols from a packed MSB-first bitstream."""
+    """Decode n_symbols from a packed MSB-first bitstream of n_bits bits.
+
+    The bits are walked one chunk at a time.  Within a chunk every bit
+    position gets the position of the codeword after the one starting
+    there; the codeword starts reachable from the chunk's first one follow
+    by pointer doubling: after k rounds the first 2^k starts are known and
+    the jump table spans 2^k codewords.
+    """
+    if len(buf) != (n_bits + 7) // 8:
+        raise CodecError(
+            f"Huffman payload is {len(buf)} bytes, {n_bits} bits need "
+            f"{(n_bits + 7) // 8}"
+        )
+    if n_symbols > n_bits or (n_symbols == 0) != (n_bits == 0):
+        raise CodecError(f"{n_symbols} symbols cannot take {n_bits} bits")
+    out = np.empty(n_symbols, dtype=np.int64)
     if n_symbols == 0:
-        return np.empty(0, dtype=np.int64)
-    lengths = table.lengths
-    width = int(lengths[-1])
-    tsym = np.zeros(1 << width, dtype=np.int64)
-    tlen = np.zeros(1 << width, dtype=np.int64)
-    book = table.codebook()
-    for sym in table.symbols.tolist():
-        code, length = book[sym]
-        start = code << (width - length)
-        span = 1 << (width - length)
-        tsym[start : start + span] = sym
-        tlen[start : start + span] = length
-    if (tlen == 0).any():
-        # canonical codes fill the table exactly, except the degenerate
-        # one-symbol code which only claims half of it
-        if len(table.symbols) > 1:
-            raise CodecError("Huffman table does not form a complete code")
-        tsym[:] = int(table.symbols[0])
-        tlen[:] = 1
-    data = bytes(buf) + b"\x00\x00\x00\x00"
-    sym_l = tsym.tolist()
-    len_l = tlen.tolist()
-    out = [0] * n_symbols
-    pos = 0
-    mask = (1 << width) - 1
-    for i in range(n_symbols):
-        bp = pos >> 3
-        w = (
-            (data[bp] << 24) | (data[bp + 1] << 16) | (data[bp + 2] << 8) | data[bp + 3]
-        ) >> (32 - width - (pos & 7)) & mask
-        out[i] = sym_l[w]
-        pos += len_l[w]
-    if pos != n_bits:
-        raise CodecError(f"Huffman stream consumed {pos} bits, expected {n_bits}")
-    return np.array(out, dtype=np.int64)
+        return out
+    tsym, tlen, width = _lookup(table)
+    # zero bytes past the end so every window read stays in bounds
+    data = np.frombuffer(bytes(buf) + b"\0\0\0", np.uint8)
+    shifts = 32 - width - np.arange(8, dtype=np.uint32)
+    mask = np.uint32((1 << width) - 1)
+    pos = count = 0
+    while pos < n_bits:
+        end = min(n_bits, pos + _CHUNK)
+        b0, b1 = pos >> 3, ((end - 1) >> 3) + 1
+        d = data[b0 : b1 + 3].astype(np.uint32)
+        words = (d[:-3] << 24) | (d[1:-2] << 16) | (d[2:-1] << 8) | d[3:]
+        windows = ((words[:, None] >> shifts) & mask).ravel()
+        windows = windows[pos - 8 * b0 : end - 8 * b0]
+        size = end - pos
+        # jump[p]: the next codeword start after one at local bit p;
+        # `size` marks leaving the chunk and maps to itself
+        jump = np.empty(size + 1, dtype=np.intp)
+        np.minimum(np.arange(size) + tlen[windows], size, out=jump[:-1])
+        jump[-1] = size
+        starts = np.zeros(1, dtype=np.intp)
+        while starts[-1] < size:
+            starts = np.concatenate((starts, jump[starts]))
+            if starts[-1] < size:
+                jump = jump[jump]
+        starts = starts[: np.searchsorted(starts, size)]
+        if count + starts.size > n_symbols:
+            raise CodecError(f"Huffman stream holds more than {n_symbols} symbols")
+        last = windows[starts[-1]]
+        out[count : count + starts.size] = tsym[windows[starts]]
+        count += starts.size
+        pos += int(starts[-1] + tlen[last])
+    if pos != n_bits or count != n_symbols:
+        raise CodecError(
+            f"Huffman stream decoded {count} symbols in {pos} bits, "
+            f"expected {n_symbols} in {n_bits}"
+        )
+    return out

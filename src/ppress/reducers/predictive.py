@@ -37,6 +37,10 @@ _QHEAD = struct.Struct("<dII")        # step, cap, n_literals
 _BITS = struct.Struct("<Q")           # n_bits
 _RAWHEAD = struct.Struct("<B")        # fixed code width, raw streams only
 
+# values coded per quantizer pass; bounds the work a mispredicted literal wastes
+_MIN_WINDOW = 16
+_MAX_WINDOW = 1 << 16
+
 _F32 = np.dtype("<f4")
 _F64 = np.dtype("<f8")
 
@@ -56,53 +60,78 @@ def quantize(
     Returns (symbols, reconstructed targets, literal positions).  The
     reconstruction is computed exactly as the decoder will compute it, so
     the two are bit-identical by construction.
+
+    Position k is a literal when k == 0, when the value before it is a
+    literal and k is far from it (the first code after a fresh literal
+    would already overflow the alphabet), or when coding it against the
+    latest literal fails: a non-finite or overflowing code, or a
+    reconstruction that breaks the contract.  A literal becomes the anchor
+    the codes after it chain from.  Rather than step through that rule one
+    value at a time, each pass guesses the literals (the far values, the
+    non-finite ones and their successors), codes a whole window against
+    the anchors that guess implies, and keeps everything up to the first
+    position where the rule disagrees with the guess.  That position is
+    decided by the rule too, so each pass keeps at least one value.
     """
     n = target.size
     syms = np.empty(n, dtype=np.int64)
     recon = np.empty(n, dtype=np.float64)
-    # a value this far from its predecessor cannot chain off it: the first
-    # code after a fresh literal would already overflow the alphabet, so such
-    # runs are certain literals and get emitted in bulk instead of probed
-    # one restart at a time
+    if n == 0:
+        return syms, recon, np.empty(0, dtype=np.int64)
     with np.errstate(invalid="ignore", over="ignore"):
         far = np.zeros(n, dtype=bool)
-        if n > 1:
-            far[1:] = np.abs(np.diff(target)) >= step * cap
-    chainable = np.flatnonzero(~far)
-    i = 0
+        far[1:] = np.abs(np.diff(target)) >= step * cap
+    nonfinite = ~np.isfinite(target)
+    guess = far | nonfinite
+    guess[1:] |= nonfinite[:-1]  # a non-finite anchor cannot code its successor
+    guess[0] = True
+    # under the guess: the latest literal before each position, and whether
+    # the run rule alone makes a position a literal
+    prior = np.zeros(n, dtype=np.int64)
+    prior[1:] = np.maximum.accumulate(np.where(guess, np.arange(n), 0))[:-1]
+    forced = far.copy()
+    forced[1:] &= guess[:-1]
+    syms[0] = LIT_SYM
+    recon[0] = target[0]
+    # chain state after position i-1: the latest literal, the previous
+    # code's running sum, and whether position i-1 was itself a literal
+    anchor, prev_s, after_lit = 0, 0.0, True
+    i = 1
+    width = _MAX_WINDOW
     while i < n:
-        k = int(np.searchsorted(chainable, i + 1))
-        run_end = int(chainable[k]) if k < chainable.size else n
-        syms[i:run_end] = LIT_SYM
-        recon[i:run_end] = target[i:run_end]
-        anchor = float(target[run_end - 1])
-        i = run_end
-        prev_s = 0.0
-        width = 16
-        while i < n:
-            j = min(n, i + width)
-            with np.errstate(invalid="ignore", over="ignore"):
-                v = (target[i:j] - anchor) / step
-                s = np.floor(v + 0.5)
-                r = anchor + step * s
-                q = np.diff(s, prepend=prev_s)
-                ok = np.isfinite(v)
-                ok &= np.abs(s) <= 2.0**52  # keep chain sums exact in f64
-                ok &= np.abs(q) < cap
-                ok &= verify(i, j, r)
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                k = int(bad[0])
-                if k:
-                    syms[i : i + k] = q[:k].astype(np.int64) + cap
-                    recon[i : i + k] = r[:k]
-                i += k
-                break
-            syms[i:j] = q.astype(np.int64) + cap
-            recon[i:j] = r
-            prev_s = float(s[-1])
-            i = j
-            width = min(width * 2, 1 << 16)
+        j = min(n, i + width)
+        base = prior[i:j]
+        base = np.where(base >= i, base, anchor)
+        a = target[base]
+        with np.errstate(invalid="ignore", over="ignore"):
+            v = (target[i:j] - a) / step
+            s = np.floor(v + 0.5)
+            r = a + step * s
+            q = s - np.concatenate(([prev_s], np.where(guess[i : j - 1], 0.0, s[:-1])))
+            ok = np.isfinite(v)
+            ok &= np.abs(s) <= 2.0**52  # keep chain sums exact in f64
+            ok &= np.abs(q) < cap
+            ok &= verify(i, j, r)
+        lit = ~ok
+        lit |= forced[i:j]
+        lit[0] = not ok[0] or (after_lit and far[i])
+        miss = np.flatnonzero(lit != guess[i:j])
+        e = j - i if miss.size == 0 else int(miss[0]) + 1
+        lit = lit[:e]
+        codes = np.where(lit, 0.0, q[:e]).astype(np.int64) + cap
+        codes[lit] = LIT_SYM
+        syms[i : i + e] = codes
+        recon[i : i + e] = np.where(lit, target[i : i + e], r[:e])
+        after_lit = bool(lit[-1])
+        anchor = i + e - 1 if after_lit else int(base[e - 1])
+        prev_s = 0.0 if after_lit else float(s[e - 1])
+        i += e
+        # a miss ends the pass early: size the next window to what this
+        # one kept, so dense misses cost little more than the values kept
+        if miss.size:
+            width = max(_MIN_WINDOW, 2 * e)
+        else:
+            width = min(2 * width, _MAX_WINDOW)
     return syms, recon, np.flatnonzero(syms == LIT_SYM)
 
 
@@ -144,8 +173,8 @@ def _pack_fixed(syms: np.ndarray, width: int) -> tuple[bytes, int]:
 
 def _unpack_fixed(buf: bytes, n: int, width: int) -> np.ndarray:
     need = (n * width + 7) // 8
-    if len(buf) < need:
-        raise CodecError("truncated raw symbol stream")
+    if len(buf) != need:
+        raise CodecError(f"raw symbol payload is {len(buf)} bytes, expected {need}")
     bits = np.unpackbits(np.frombuffer(buf, np.uint8, count=need), count=n * width)
     weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
     return bits.reshape(n, width).astype(np.int64) @ weights
@@ -161,15 +190,16 @@ def _pack_symbols(syms: np.ndarray, cap: int) -> tuple[int, bytes]:
     """
     n = syms.size
     raw_width = max(1, int(2 * cap).bit_length())
-    k = int(np.unique(syms).size)
+    uniq, inverse, counts = np.unique(syms, return_inverse=True, return_counts=True)
+    k = int(uniq.size)
     huffman_bits = 40 * k + n * max(1.0, np.log2(max(k, 2)))
     if k > 256 and huffman_bits >= n * raw_width:
         packed, n_bits = _pack_fixed(syms, raw_width)
         return _FLAG_RAWCODES, b"".join(
             (_RAWHEAD.pack(raw_width), _BITS.pack(n_bits), packed)
         )
-    table = huffman.HuffmanTable.from_symbols(syms)
-    packed, n_bits = huffman.encode(syms, table)
+    table = huffman.HuffmanTable.from_symbols(syms, histogram=(uniq, counts))
+    packed, n_bits = huffman.encode(syms, table, inverse=inverse)
     return 0, b"".join((table.to_bytes(), _BITS.pack(n_bits), packed))
 
 
@@ -266,37 +296,49 @@ def encode_verbatim(x: np.ndarray, width: int) -> bytes:
     return _HEAD.pack(_FLAG_VERBATIM, x.size) + body
 
 
+def _section(buf: bytes, off: int, size: int, what: str) -> tuple[bytes, int]:
+    """The `size` bytes of buf at `off`, and the offset after them."""
+    end = off + size
+    if end > len(buf):
+        raise CodecError(f"predictive stream truncated in its {what}")
+    return buf[off:end], end
+
+
 def decode(buf: bytes, width: int) -> np.ndarray:
-    """Decode one stream produced by any of the encoders above."""
-    flags, n = _HEAD.unpack_from(buf, 0)
-    off = _HEAD.size
+    """Decode one stream produced by any of the encoders above.
+
+    Every section is bounds-checked and the stream must end exactly where
+    its last section does; anything else raises CodecError.
+    """
+    head, off = _section(buf, 0, _HEAD.size, "header")
+    flags, n = _HEAD.unpack(head)
+    if flags & ~(_FLAG_VERBATIM | _FLAG_SIGNS | _FLAG_RAWCODES):
+        raise CodecError(f"unknown predictive stream flags {flags:#x}")
     fdt = _F32 if width == 4 else _F64
     if flags & _FLAG_VERBATIM:
-        vals = np.frombuffer(buf, fdt, count=n, offset=off)
-        return vals.astype(np.float64)
-    step, cap, n_lit = _QHEAD.unpack_from(buf, off)
-    off += _QHEAD.size
-    lit_vals = np.frombuffer(buf, fdt, count=n_lit, offset=off).astype(np.float64)
-    off += n_lit * width
+        vals, off = _section(buf, off, n * width, "values")
+        if off != len(buf):
+            raise CodecError(f"{len(buf) - off} bytes after the predictive stream")
+        return np.frombuffer(vals, fdt).astype(np.float64)
+    head, off = _section(buf, off, _QHEAD.size, "quantizer header")
+    step, cap, n_lit = _QHEAD.unpack(head)
+    lits, off = _section(buf, off, n_lit * width, "literals")
+    lit_vals = np.frombuffer(lits, fdt).astype(np.float64)
     neg = None
     if flags & _FLAG_SIGNS:
-        nbytes = (n + 7) // 8
-        neg = np.unpackbits(
-            np.frombuffer(buf, np.uint8, count=nbytes, offset=off), count=n
-        ).astype(bool)
-        off += nbytes
+        mask, off = _section(buf, off, (n + 7) // 8, "sign mask")
+        neg = np.unpackbits(np.frombuffer(mask, np.uint8), count=n).astype(bool)
     if flags & _FLAG_RAWCODES:
-        (raw_width,) = _RAWHEAD.unpack_from(buf, off)
-        off += _RAWHEAD.size
-        (n_bits,) = _BITS.unpack_from(buf, off)
-        off += _BITS.size
-        if n_bits != n * raw_width:
+        head, off = _section(buf, off, _RAWHEAD.size + _BITS.size, "code header")
+        (raw_width,) = _RAWHEAD.unpack_from(head)
+        (n_bits,) = _BITS.unpack_from(head, _RAWHEAD.size)
+        if raw_width != max(1, int(2 * cap).bit_length()) or n_bits != n * raw_width:
             raise CodecError("raw symbol stream length mismatch")
         syms = _unpack_fixed(buf[off:], n, raw_width)
     else:
         table, off = huffman.HuffmanTable.from_bytes(buf, off)
-        (n_bits,) = _BITS.unpack_from(buf, off)
-        off += _BITS.size
+        head, off = _section(buf, off, _BITS.size, "code header")
+        (n_bits,) = _BITS.unpack(head)
         syms = huffman.decode(buf[off:], n_bits, n, table)
 
     if neg is None:

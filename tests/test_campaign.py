@@ -20,7 +20,7 @@ from ppress.campaign import (
     measure_baseline,
     run_campaign,
 )
-from ppress.errors import ConfigError, InfeasibleSearchError
+from ppress.errors import ConfigError, DataFormatError, InfeasibleSearchError
 from ppress.quality import Application, AppKind, MetricName, MetricSpec, run_application
 from ppress.reducers import Method, Mode, ReducerConfig, ReducerKnobs
 from ppress.tabular import from_array
@@ -204,6 +204,41 @@ def test_record_store_appends_and_loads(tmp_path):
     assert loaded == [a, b]
     lines = (tmp_path / "records.jsonl").read_text().strip().splitlines()
     assert len(lines) == 2
+
+
+def test_record_store_skips_torn_final_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    store = RecordStore(path)
+    a = eval_config(linear_pair(n=40), ridge_app(), ReducerConfig(Method.NONE))
+    store.append(a)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"record_id": "' + "a" * 5000)  # a crash mid-append
+    with pytest.warns(UserWarning, match="torn final line"):
+        assert store.load() == [a]
+    # the next append cuts the torn line off; a whole record that merely
+    # lacks its newline is kept
+    with pytest.warns(UserWarning, match="torn final line"):
+        store.append(a)
+    assert store.load() == [a, a]
+    path.write_text(path.read_text().rstrip("\n"))
+    store.append(a)
+    assert store.load() == [a, a, a]
+
+
+def test_record_store_rejects_corrupt_inner_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    store = RecordStore(path)
+    a = eval_config(linear_pair(n=40), ridge_app(), ReducerConfig(Method.NONE))
+    store.append(a)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"record_id": "a"\n')
+    store.append(a)
+    with pytest.raises(DataFormatError, match=":2:"):
+        store.load()
+    # a corrupt final line that did end with a newline is no torn write
+    path.write_text(path.read_text().splitlines(keepends=True)[0] + "[1, 2]\n")
+    with pytest.raises(DataFormatError):
+        store.load()
 
 
 def test_record_dict_round_trip():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppress.errors import CodecError
@@ -36,10 +36,9 @@ def test_kraft_equality_and_prefix_freedom():
     rng = np.random.default_rng(0)
     stream = rng.geometric(0.3, size=2000) + 10
     table = huffman.HuffmanTable.from_symbols(stream.astype(np.int64))
-    book = table.codebook()
-    lengths = [l for _, l in book.values()]
+    lengths = table.lengths.tolist()
     assert sum(2.0 ** -l for l in lengths) == pytest.approx(1.0)
-    words = sorted(format(c, f"0{l}b") for c, l in book.values())
+    words = sorted(format(c, f"0{l}b") for c, l in zip(table.codes().tolist(), lengths))
     for a, b in zip(words, words[1:]):
         assert not b.startswith(a)
 
@@ -60,11 +59,10 @@ def test_optimality_against_entropy():
 
 def test_skewed_lengths_respect_limit():
     # frequencies engineered to produce a very deep unconstrained tree
-    freqs = {i: 2**i for i in range(40)}
-    lengths = huffman.code_lengths(freqs, 16)
-    assert max(lengths.values()) <= 16
-    codes = huffman.canonical_codes(lengths)
-    assert sum(2.0 ** -l for _, l in codes.values()) <= 1.0 + 1e-12
+    counts = 2 ** np.arange(40, dtype=np.int64)
+    lengths = huffman.code_lengths(counts, 16)
+    assert lengths.max() <= 16
+    assert sum(2.0 ** -lengths) <= 1.0 + 1e-12
 
 
 def test_large_alphabet_round_trip():
@@ -97,3 +95,147 @@ def test_truncated_stream_rejected():
 )
 def test_round_trip_property(symbols):
     assert round_trip(symbols).tolist() == symbols
+
+
+def reference_decode(buf, n_bits, n_symbols, table):
+    """Per-symbol decoder: grow each codeword one bit at a time until it
+    matches a canonical code, with the codes assigned one by one."""
+    lookup = {}
+    code, prev = 0, int(table.lengths[0])
+    for sym, length in zip(table.symbols.tolist(), table.lengths.tolist()):
+        code <<= length - prev
+        lookup[(length, code)] = sym
+        code += 1
+        prev = length
+    if len(lookup) == 1:
+        # the one-symbol code claims every bit
+        lookup[(1, 1)] = int(table.symbols[0])
+    bits = np.unpackbits(np.frombuffer(buf, np.uint8)).tolist()
+    out = []
+    pos = 0
+    for _ in range(n_symbols):
+        code = length = 0
+        while (length, code) not in lookup:
+            if pos >= n_bits or length == 18:
+                raise CodecError("no codeword")
+            code = 2 * code + bits[pos]
+            pos += 1
+            length += 1
+        out.append(lookup[(length, code)])
+    if pos != n_bits:
+        raise CodecError("trailing bits")
+    return np.array(out, dtype=np.int64)
+
+
+def decode_outcome(decode, *args):
+    try:
+        return decode(*args).tolist()
+    except CodecError:
+        return "CodecError"
+
+
+@st.composite
+def complete_tables(draw):
+    """A random complete canonical code of 1..18-bit codewords."""
+    lengths = [1, 1]
+    for _ in range(draw(st.integers(0, 40))):
+        k = draw(st.integers(0, len(lengths) - 1))
+        if lengths[k] < 18:
+            lengths[k:k + 1] = [lengths[k] + 1] * 2
+    if draw(st.booleans()) and len(lengths) == 2:
+        lengths = [1]  # the one-symbol code
+    symbols = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(lengths),
+                            max_size=len(lengths), unique=True))
+    order = sorted(zip(lengths, symbols))
+    return huffman.HuffmanTable(
+        np.array([s for _, s in order], dtype=np.uint32),
+        np.array([l for l, _ in order], dtype=np.uint8),
+    )
+
+
+# the deepest code the 18-bit cap allows: one codeword of each length
+# 1..17, then two of length 18
+DEEPEST = huffman.HuffmanTable(
+    np.arange(19, dtype=np.uint32) * 1000,
+    np.array(list(range(1, 18)) + [18, 18], dtype=np.uint8),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@example(table=DEEPEST, seed=0, n=30000, flips=[12345])
+@given(
+    table=complete_tables(),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 200), st.integers(5000, 40000)),
+    flips=st.lists(st.integers(0, 2**31), max_size=3),
+)
+def test_decode_matches_per_symbol_reference(table, seed, n, flips):
+    # long streams span several of the decoder's chunks
+    rng = np.random.default_rng(seed)
+    stream = table.symbols[rng.integers(0, table.symbols.size, size=n)].astype(np.int64)
+    buf, n_bits = huffman.encode(stream, table)
+    wire, _ = huffman.HuffmanTable.from_bytes(table.to_bytes(), 0)
+    out = huffman.decode(buf, n_bits, n, wire)
+    assert np.array_equal(out, stream)
+    assert np.array_equal(reference_decode(buf, n_bits, n, wire), stream)
+    # damaged payloads: both decoders agree, symbol for symbol or on failing
+    bad = bytearray(buf)
+    for f in flips:
+        bad[f % len(bad)] ^= 1 << (f % 8)
+    for args in ((bytes(bad), n_bits, n), (buf, n_bits, n - 1), (buf, n_bits, n + 1)):
+        assert decode_outcome(huffman.decode, *args, wire) == decode_outcome(
+            reference_decode, *args, wire
+        )
+
+
+def test_decode_matches_reference_on_large_alphabet():
+    # more than 2^16 distinct symbols move the length cap to 18 bits
+    rng = np.random.default_rng(3)
+    stream = np.concatenate(
+        (np.arange(70000), rng.geometric(0.05, size=60000))
+    ).astype(np.int64)
+    rng.shuffle(stream)
+    table = huffman.HuffmanTable.from_symbols(stream)
+    assert table.lengths.max() > 16
+    buf, n_bits = huffman.encode(stream, table)
+    assert n_bits > 4 * huffman._CHUNK
+    out = huffman.decode(buf, n_bits, stream.size, table)
+    assert np.array_equal(out, stream)
+    assert np.array_equal(reference_decode(buf, n_bits, stream.size, table), stream)
+
+
+def test_one_symbol_stream_over_several_chunks():
+    n = 3 * huffman._CHUNK + 5
+    stream = np.full(n, 9, dtype=np.int64)
+    table = huffman.HuffmanTable.from_symbols(stream)
+    buf, n_bits = huffman.encode(stream, table)
+    assert n_bits == n
+    assert np.array_equal(huffman.decode(buf, n_bits, n, table), stream)
+
+
+def test_payload_length_must_match_bit_count():
+    stream = np.array([1, 2, 3, 1, 2, 3, 3, 3], dtype=np.int64)
+    table = huffman.HuffmanTable.from_symbols(stream)
+    buf, n_bits = huffman.encode(stream, table)
+    for payload in (buf[:-1], buf + b"\x00"):
+        with pytest.raises(CodecError):
+            huffman.decode(payload, n_bits, stream.size, table)
+
+
+@pytest.mark.parametrize(
+    "symbols, lengths",
+    [
+        ([1, 2, 3], [1, 2, 3]),     # incomplete: leaves a code unused
+        ([1, 2, 3], [1, 1, 2]),     # oversubscribed
+        ([2, 1], [1, 1]),           # symbols out of canonical order
+        ([1, 2], [1, 19]),          # longer than any table allows
+    ],
+)
+def test_malformed_tables_rejected(symbols, lengths):
+    wire = (
+        np.uint32(len(symbols)).tobytes()
+        + np.array(symbols, dtype="<u4").tobytes()
+        + np.array(lengths, dtype=np.uint8).tobytes()
+    )
+    with pytest.raises(CodecError):
+        huffman.HuffmanTable.from_bytes(wire, 0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ppress.errors import CodecError
 from ppress.reducers import huffman, predictive
 
 
@@ -188,3 +189,205 @@ def test_pwrel_contract_property(x, pw):
     nz = x != 0
     assert np.all(np.abs(x[nz] - out[nz]) <= pw * np.abs(x[nz]))
     assert np.all(out[~nz] == 0.0)
+
+
+def reference_quantize(target, verify, step, cap):
+    """Per-value quantizer: the literal rule applied one position at a time.
+
+    Position k is a literal when k == 0, when k-1 is a literal and k is far
+    from it, or when coding k against the latest literal fails.
+    """
+    n = target.size
+    syms = np.empty(n, dtype=np.int64)
+    recon = np.empty(n, dtype=np.float64)
+    anchor = prev_s = 0.0
+    after_lit = False
+    for k in range(n):
+        t = target[k]
+        literal = k == 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            if k and after_lit and abs(t - target[k - 1]) >= step * cap:
+                literal = True
+            elif k:
+                v = (t - anchor) / step
+                s = np.floor(v + 0.5)
+                r = anchor + step * s
+                q = s - prev_s
+                literal = not (
+                    np.isfinite(v)
+                    and abs(s) <= 2.0**52
+                    and abs(q) < cap
+                    and verify(k, k + 1, np.array([r]))[0]
+                )
+        if literal:
+            syms[k], recon[k] = predictive.LIT_SYM, t
+            anchor, prev_s, after_lit = t, 0.0, True
+        else:
+            syms[k], recon[k] = int(q) + cap, r
+            prev_s, after_lit = s, False
+    return syms, recon, np.flatnonzero(syms == predictive.LIT_SYM)
+
+
+def quantize_calls(encode, *args):
+    """The argument tuples an encoder passes to predictive.quantize."""
+    calls = []
+    real = predictive.quantize
+
+    def spy(*a):
+        calls.append(a)
+        return real(*a)
+
+    predictive.quantize = spy
+    try:
+        encode(*args)
+    finally:
+        predictive.quantize = real
+    return calls
+
+
+def assert_quantize_matches_reference(encode, *args):
+    (call,) = quantize_calls(encode, *args)
+    got = predictive.quantize(*call)
+    want = reference_quantize(*call)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+
+@st.composite
+def walks(draw, max_size=150):
+    """Random walks in units of the quantizer step: codes within reach,
+    exact half-step rounding edges, jumps that overflow a small alphabet
+    and far jumps, on an offset where f32 spacing rivals the bound, with
+    NaN, infinities and zeros mixed in."""
+    n = draw(st.integers(1, max_size))
+    moves = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.floats(-3, 3),
+        st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 16.0]),
+        st.floats(-1e5, 1e5),
+    )))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6, -1e9]))
+    special = draw(hnp.arrays(np.int8, n, elements=st.integers(-40, 4)))
+    return moves, offset, special
+
+
+def place(moves, offset, special, unit):
+    x = np.cumsum(moves * unit) + offset
+    hit = special >= 0
+    x[hit] = SPECIALS[special[hit]]
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=walks(),
+    width=st.sampled_from([4, 8]),
+    cap=st.sampled_from([2, 3, 16, 1 << 16]),
+    eb=st.sampled_from([1e-3, 0.05, 2.0]),
+)
+def test_quantize_abs_matches_per_value_reference(case, width, cap, eb):
+    x = place(*case, unit=2 * eb)
+    if width == 4:
+        with np.errstate(over="ignore"):
+            x = x.astype(np.float32)
+    assert_quantize_matches_reference(predictive.encode_abs, x, eb, cap, width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=walks(),
+    width=st.sampled_from([4, 8]),
+    cap=st.sampled_from([2, 3, 16, 1 << 16]),
+    pw=st.sampled_from([1e-7, 1e-4, 0.01, 0.3]),
+)
+def test_quantize_pwrel_matches_per_value_reference(case, width, cap, pw):
+    # log-magnitudes walk in quantizer steps; signs and zeros come along
+    moves, offset, special = case
+    logs = np.cumsum(moves * 2 * np.log1p(pw)) + np.log1p(abs(offset))
+    with np.errstate(over="ignore"):
+        x = np.exp(logs) * np.where(np.arange(moves.size) % 3, 1.0, -1.0)
+    hit = special >= 0
+    x[hit] = SPECIALS[special[hit]]
+    if width == 4:
+        with np.errstate(over="ignore"):
+            x = x.astype(np.float32)
+    assert_quantize_matches_reference(predictive.encode_pwrel, x, pw, cap, width, None)
+
+
+def test_far_value_that_still_chains():
+    # x[2] is far from x[1] (their gap reaches step*cap), yet the codes
+    # round to a jump of cap-1, so it chains: the literal the quantizer
+    # guesses there must be undone
+    eb = 3.648835322115072
+    x = np.array([0.0, eb, 40.137188543265786, 41.0, 80.0])
+    assert abs(x[2] - x[1]) >= 2 * eb * 5
+    assert_quantize_matches_reference(predictive.encode_abs, x, eb, 5, 8)
+    (call,) = quantize_calls(predictive.encode_abs, x, eb, 5, 8)
+    assert predictive.quantize(*call)[2].tolist() == [0, 4]
+
+
+def test_quantize_long_stream_matches_reference():
+    # several full windows, with misses the guess cannot foresee (f32
+    # rounding near the bound) between long runs it gets right
+    rng = np.random.default_rng(7)
+    x = (np.cumsum(rng.normal(size=150_000)) + 3e3).astype(np.float32)
+    x[::997] = np.nan
+    x[5::1201] = 1e30
+    assert_quantize_matches_reference(predictive.encode_abs, x, 1.2e-4, 1 << 16, 4)
+
+
+def test_nan_walk_is_not_slow():
+    # every literal here is predicted, so the quantizer takes whole windows
+    rng = np.random.default_rng(0)
+    x = np.cumsum(rng.normal(size=100_000))
+    x[::10] = np.nan
+    calls = quantize_calls(predictive.encode_abs, x, 1e-3, 1 << 16, 8)
+    passes = []
+    target, verify, step, cap = calls[0]
+    predictive.quantize(
+        target, lambda i, j, r: passes.append(j - i) or verify(i, j, r), step, cap
+    )
+    assert len(passes) <= 3
+
+
+def stream_of(kind):
+    rng = np.random.default_rng(11)
+    walk = np.cumsum(rng.normal(size=3000))
+    if kind == "huffman":
+        buf, _ = predictive.encode_abs(walk, 0.5, 1 << 16, 8)
+    elif kind == "raw":
+        buf, _ = predictive.encode_abs(walk, 1e-4, 1 << 16, 8)
+    elif kind == "pw_rel":
+        buf, _ = predictive.encode_pwrel(walk, 1e-3, 1 << 16, 8, None)
+    else:
+        buf = predictive.encode_verbatim(walk, 8)
+    return buf
+
+
+@pytest.mark.parametrize("kind", ["huffman", "raw", "pw_rel", "verbatim"])
+@pytest.mark.parametrize(
+    "damage",
+    [lambda b: b[: len(b) // 2], lambda b: b[:-3], lambda b: b[:40], lambda b: b + b"junk"],
+    ids=["halved", "minus3", "first40", "junk"],
+)
+def test_damaged_stream_raises_codec_error(kind, damage):
+    buf = stream_of(kind)
+    flags = buf[0]
+    assert bool(flags & predictive._FLAG_RAWCODES) == (kind == "raw")
+    assert bool(flags & predictive._FLAG_SIGNS) == (kind == "pw_rel")
+    predictive.decode(buf, 8)
+    with pytest.raises(CodecError):
+        predictive.decode(damage(buf), 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["huffman", "raw", "pw_rel", "verbatim"]),
+    cut=st.integers(0, 10**6),
+)
+def test_every_truncation_raises_codec_error(kind, cut):
+    buf = stream_of(kind)
+    with pytest.raises(CodecError):
+        predictive.decode(buf[: cut % len(buf)], 8)
