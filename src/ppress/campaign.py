@@ -21,6 +21,7 @@ import json
 import math
 import os
 import statistics
+import tempfile
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +40,7 @@ from .reducers import (
     ReducerConfig,
     ReducerKnobs,
     compress,
+    container,
     decompress,
     error_report,
     retained_rows,
@@ -264,7 +266,11 @@ def cache_key(
     pair: DatasetPair, app: Application, config: ReducerConfig, compress_target: str
 ) -> str:
     h = hashlib.sha256()
-    for part in (pair.id, app.id, str(app.seed), config.canonical_json(), compress_target):
+    parts = (
+        f"v{container.VERSION}", pair.id, app.id, str(app.seed),
+        config.canonical_json(), compress_target,
+    )
+    for part in parts:
         h.update(part.encode())
         h.update(b"\x00")
     return h.hexdigest()[:32]
@@ -272,6 +278,20 @@ def cache_key(
 
 def _cache_path(cache_dir: str | Path, key: str) -> Path:
     return Path(cache_dir) / f"{key}.json"
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory, then rename over path,
+    so a crash leaves the old entry or the new one, never a torn file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 _REPORT_FIELDS = ("max_abs_err", "max_rel_to_range_err", "mse", "psnr_db")
@@ -295,8 +315,13 @@ def eval_config(
     if cache_dir is not None:
         path = _cache_path(cache_dir, key)
         if path.exists():
-            rec = EvaluationRecord.from_dict(json.loads(path.read_text()))
-            return replace(rec, cached=True)
+            try:
+                rec = EvaluationRecord.from_dict(json.loads(path.read_text()))
+            except (ValueError, TypeError):
+                # a torn entry is a miss; the fresh result below replaces it
+                warnings.warn(f"{path}: unreadable cache entry, recomputing", stacklevel=2)
+            else:
+                return replace(rec, cached=True)
 
     parts = {}
     if compress_target in ("train", "both"):
@@ -364,9 +389,7 @@ def eval_config(
         cached=False,
     )
     if cache_dir is not None and ok:
-        path = _cache_path(cache_dir, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(rec.to_dict(), sort_keys=True))
+        _write_atomic(_cache_path(cache_dir, key), json.dumps(rec.to_dict(), sort_keys=True))
     return rec
 
 
@@ -407,7 +430,7 @@ class _Prober:
             for i in range(self.spec.replicates):
                 rec = eval_config(
                     self.pair,
-                    self.app.with_seed(self.app.seed + i),
+                    replace(self.app, seed=self.app.seed + i),
                     config,
                     self.compress_target,
                     self.cache_dir,
@@ -623,7 +646,7 @@ def measure_baseline(
     values = []
     for i in range(spec.replicates):
         rec = eval_config(
-            pair, app.with_seed(app.seed + i), config, compress_target, cache_dir
+            pair, replace(app, seed=app.seed + i), config, compress_target, cache_dir
         )
         records.append(rec)
         if rec.ok:

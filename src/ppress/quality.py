@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 import shlex
-import statistics
 import subprocess
 import tempfile
 import time
@@ -182,12 +181,6 @@ class Application:
         if kind in (AppKind.RIDGE_REGRESSION, AppKind.KNN_CLASSIFIER) and self.target is None:
             raise ConfigError(f"{kind.value} needs a target column")
 
-    def with_seed(self, seed: int) -> "Application":
-        return Application(
-            self.id, self.kind, self.metric, self.target, self.command,
-            seed, self.params, self.timeout_s,
-        )
-
 
 def _split_target(ds: Dataset, target) -> tuple[np.ndarray, np.ndarray]:
     j = ds.column_index(target)
@@ -215,20 +208,61 @@ def _run_ridge(train: Dataset, validation: Dataset, app: Application) -> float:
     return r_squared(pred, yv, definition).value
 
 
+_KNN_BLOCK = 32  # validation rows per distance block: temporaries stay O(block)
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k smallest entries of each row, ties to the leftmost column.
+
+    NaN ranks after +inf and NaNs tie with each other, as in `np.lexsort`.
+    Overwrites d2.
+    """
+    # squared distances are +0.0, positive, +inf or NaN, so the bit patterns
+    # of the non-NaN ones order like the values; NaN goes to the top
+    key = d2.view(np.int64)
+    key[np.isnan(d2)] = np.iinfo(np.int64).max
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
+    below = key < kth
+    tied = key == kth
+    room = k - below.sum(axis=1, keepdims=True)
+    return below | (tied & (np.cumsum(tied, axis=1) <= room))
+
+
+def _knn_predict(
+    xt: np.ndarray, yt: np.ndarray, xv: np.ndarray, k: int, seed: int
+) -> np.ndarray:
+    """Majority label among each validation row's k nearest training rows.
+
+    Distance ties go to the training row that comes first in a permutation
+    drawn from `seed`, vote ties to the smallest label; NaN distances rank
+    last.
+    """
+    # lay the training rows out in permutation order, so the leftmost of
+    # equal distances wins
+    order = np.argsort(np.random.default_rng(seed).permutation(xt.shape[0]))
+    xt = xt[order]
+    labels, cls = np.unique(yt[order], return_inverse=True)
+    n_train, n_labels = xt.shape[0], labels.size
+    pred = np.empty(xv.shape[0])
+    for lo in range(0, xv.shape[0], _KNN_BLOCK):
+        rows = slice(lo, lo + _KNN_BLOCK)
+        d2 = ((xv[rows, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
+        picked = np.flatnonzero(_nearest(d2, k))
+        votes = np.bincount(
+            picked // n_train * n_labels + cls[picked % n_train],
+            minlength=d2.shape[0] * n_labels,
+        ).reshape(-1, n_labels)
+        pred[rows] = labels[np.argmax(votes, axis=1)]  # vote ties: smallest label
+    return pred
+
+
 def _run_knn(train: Dataset, validation: Dataset, app: Application) -> float:
     xt, yt = _split_target(train, app.target)
     xv, yv = _split_target(validation, app.target)
     k = int(app.params.get("k", 5))
     if not 1 <= k <= xt.shape[0]:
         raise ApplicationError(f"k={k} outside [1, {xt.shape[0]}]")
-    # seed only breaks distance ties, via a shuffled secondary sort key
-    tiebreak = np.random.default_rng(app.seed).permutation(xt.shape[0])
-    d2 = ((xv[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
-    pred = np.empty(xv.shape[0])
-    for i in range(xv.shape[0]):
-        order = np.lexsort((tiebreak, d2[i]))[:k]
-        labels, counts = np.unique(yt[order], return_counts=True)
-        pred[i] = labels[np.argmax(counts)]
+    pred = _knn_predict(xt, yt, xv, k, app.seed)
     positive = app.params.get("positive", 1)
     conf = confusion_from_predictions(pred, yv, positive)
     if app.metric.name is MetricName.GMEAN:
@@ -305,15 +339,3 @@ def run_application(
     psi = _RUNNERS[app.kind](train, validation, app)
     return float(psi), time.perf_counter() - t0
 
-
-def lossless_quality(
-    train: Dataset, validation: Dataset, app: Application, replicates: int = 1
-) -> tuple[float, float]:
-    """Baseline quality: median over replicate seeds, plus max-min spread."""
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    values = [
-        run_application(train, validation, app.with_seed(app.seed + i))[0]
-        for i in range(replicates)
-    ]
-    return float(statistics.median(values)), float(max(values) - min(values))

@@ -19,6 +19,7 @@ bits at all.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -254,51 +255,76 @@ def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[
     return b"".join(parts), recon
 
 
+def _section(buf: bytes, off: int, size: int, what: str) -> tuple[bytes, int]:
+    """The `size` bytes of buf at `off`, and the offset after them."""
+    end = off + size
+    if end > len(buf):
+        raise CodecError(f"bit-plane stream truncated in its {what}")
+    return buf[off:end], end
+
+
 def decode(buf: bytes, width: int) -> np.ndarray:
-    flags, n, mode_code, c, n_blocks = _HEAD.unpack_from(buf, 0)
-    off = _HEAD.size
+    """Decode one stream produced by encode().
+
+    Every section is bounds-checked and the stream must end exactly where
+    its payload does; anything else raises CodecError.
+    """
+    head, off = _section(buf, 0, _HEAD.size + 1, "header")
+    flags, n, mode_code, c, n_blocks = _HEAD.unpack_from(head)
+    block = head[-1]
     mode = _CODE_MODE.get(mode_code)
+    if flags:
+        raise CodecError(f"unknown bit-plane stream flags {flags:#x}")
     if mode is None:
         raise CodecError(f"unknown bit-plane mode code {mode_code}")
-    block = int(np.frombuffer(buf, np.uint8, count=1, offset=off)[0])
-    off += 1
-    if block < 2:
+    if block < 2 or block & (block - 1):
         raise CodecError(f"invalid block size {block}")
-    exps = np.frombuffer(buf, "<i2", count=n_blocks, offset=off).astype(np.int64)
-    off += 2 * n_blocks
+    if n_blocks != -(-n // block):
+        raise CodecError(f"{n_blocks} blocks of {block} cannot hold {n} values")
+    exps, off = _section(buf, off, 2 * n_blocks, "exponents")
+    exps = np.frombuffer(exps, "<i2").astype(np.int64)
 
     raw_mask = np.zeros(n_blocks, dtype=bool)
     raw_vals = None
     if mode == "prec":
-        k = int(np.frombuffer(buf, np.uint8, count=1, offset=off)[0])
-        off += 1
-        keep = np.full(n_blocks, k, dtype=np.int64)
+        k, off = _section(buf, off, 1, "plane count")
+        keep = np.full(n_blocks, k[0], dtype=np.int64)
         budget = np.where(exps == _ZERO_EXP, 0, block + block * keep)
     elif mode == "rate":
+        if not 0.0 < c < math.inf:
+            raise CodecError(f"invalid bit-plane rate {c}")
         keep = np.full(n_blocks, TOTAL_PLANES, dtype=np.int64)
-        budget = np.full(n_blocks, int(round(block * c)), dtype=np.int64)
+        per_block = round(block * c)
     else:
-        keep = np.frombuffer(buf, np.uint8, count=n_blocks, offset=off).astype(np.int64)
-        off += n_blocks
-        mask_bytes = (n_blocks + 7) // 8
-        raw_mask = np.unpackbits(
-            np.frombuffer(buf, np.uint8, count=mask_bytes, offset=off), count=n_blocks
-        ).astype(bool)
-        off += mask_bytes
-        fdt = _F32 if width == 4 else _F64
+        keep, off = _section(buf, off, n_blocks, "plane counts")
+        keep = np.frombuffer(keep, np.uint8).astype(np.int64)
+        mask, off = _section(buf, off, (n_blocks + 7) // 8, "raw-block mask")
+        raw_mask = np.unpackbits(np.frombuffer(mask, np.uint8), count=n_blocks).astype(bool)
         n_raw = int(raw_mask.sum())
-        raw_vals = np.frombuffer(buf, fdt, count=n_raw * block, offset=off)
-        raw_vals = raw_vals.astype(np.float64).reshape(n_raw, block)
-        off += n_raw * block * width
+        raw, off = _section(buf, off, n_raw * block * width, "raw blocks")
+        fdt = _F32 if width == 4 else _F64
+        raw_vals = np.frombuffer(raw, fdt).astype(np.float64).reshape(n_raw, block)
         budget = np.where(exps == _ZERO_EXP, 0, block + block * keep)
         budget[raw_mask] = 0
+    if n_blocks and keep.max() > TOTAL_PLANES:
+        raise CodecError(f"more than {TOTAL_PLANES} bit planes in a block")
 
-    (n_bits,) = _BITS.unpack_from(buf, off)
-    off += _BITS.size
-    if int(budget.sum()) != n_bits:
+    head, off = _section(buf, off, _BITS.size, "payload length")
+    (n_bits,) = _BITS.unpack(head)
+    packed, off = _section(buf, off, (n_bits + 7) // 8, "payload")
+    if off != len(buf):
+        raise CodecError(f"{len(buf) - off} bytes after the bit-plane stream")
+    if mode == "rate":  # checked before the budget array can overflow
+        if per_block * n_blocks != n_bits:
+            raise CodecError("bit-plane stream length mismatch")
+        budget = np.full(n_blocks, per_block, dtype=np.int64)
+    elif int(budget.sum()) != n_bits:
         raise CodecError("bit-plane stream length mismatch")
-    packed = np.frombuffer(buf, np.uint8, count=(n_bits + 7) // 8, offset=off)
-    bits = np.unpackbits(packed, count=n_bits) if n_bits else np.empty(0, np.uint8)
+    bits = (
+        np.unpackbits(np.frombuffer(packed, np.uint8), count=n_bits)
+        if n_bits
+        else np.empty(0, np.uint8)
+    )
 
     coeffs = _absorb(bits, keep, budget, block)
     recon = _narrow(_reconstruct(coeffs, exps), width)

@@ -147,3 +147,58 @@ def test_block_sizes_other_than_four():
 def test_acc_contract_property(x, eb):
     _, out = enc_dec(x, "acc", eb)
     assert np.abs(x - out).max() <= eb
+
+
+def walk_stream(mode):
+    rng = np.random.default_rng(12)
+    walk = np.cumsum(rng.normal(size=4000))
+    c = {"acc": 1e-3, "prec": 20, "rate": 12.0}[mode]
+    buf, recon = bitplane.encode(walk, mode, c, 4, 8)
+    assert bitplane.decode(buf, 8).tobytes() == recon.tobytes()
+    return buf
+
+
+@pytest.mark.parametrize("mode", ["acc", "prec", "rate"])
+@pytest.mark.parametrize(
+    "damage",
+    [lambda b: b[: len(b) // 2], lambda b: b[:-3], lambda b: b[:20], lambda b: b + b"junk"],
+    ids=["halved", "minus3", "first20", "junk"],
+)
+def test_damaged_stream_raises_codec_error(mode, damage):
+    with pytest.raises(CodecError):
+        bitplane.decode(damage(walk_stream(mode)), 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(["acc", "prec", "rate"]), cut=st.integers(0, 10**6))
+def test_every_truncation_raises_codec_error(mode, cut):
+    buf = walk_stream(mode)
+    with pytest.raises(CodecError):
+        bitplane.decode(buf[: cut % len(buf)], 8)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("flags", 1), ("mode", 7), ("block", 3), ("n_blocks", 2), ("c", float("nan"))],
+)
+def test_inconsistent_header_raises_codec_error(field, value):
+    buf = walk_stream("rate")
+    flags, n, mode_code, c, n_blocks = bitplane._HEAD.unpack_from(buf)
+    head = {"flags": flags, "n": n, "mode": mode_code, "c": c, "n_blocks": n_blocks}
+    head[field] = value
+    block = value if field == "block" else buf[bitplane._HEAD.size]
+    bad = (
+        bitplane._HEAD.pack(head["flags"], head["n"], head["mode"], head["c"], head["n_blocks"])
+        + bytes([block])
+        + buf[bitplane._HEAD.size + 1 :]
+    )
+    with pytest.raises(CodecError):
+        bitplane.decode(bad, 8)
+
+
+def test_too_many_planes_raises_codec_error():
+    buf = bytearray(walk_stream("prec"))
+    n_blocks = 1000
+    buf[bitplane._HEAD.size + 1 + 2 * n_blocks] = bitplane.TOTAL_PLANES + 1
+    with pytest.raises(CodecError):
+        bitplane.decode(bytes(buf), 8)

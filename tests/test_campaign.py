@@ -1,5 +1,7 @@
+import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,10 +175,37 @@ def test_eval_cache_hit_and_key_sensitivity(tmp_path):
     assert first.content_key() == second.content_key()
     assert first.record_id == second.record_id
 
-    other = eval_config(pair, app.with_seed(1), config, cache_dir=tmp_path)
+    other = eval_config(pair, replace(app, seed=1), config, cache_dir=tmp_path)
     assert not other.cached
     assert other.record_id != first.record_id
     assert cache_key(pair, app, config, "both") != cache_key(pair, app, config, "train")
+
+
+def test_eval_cache_torn_entry_is_a_miss(tmp_path):
+    pair = linear_pair(n=80)
+    app = ridge_app()
+    config = ReducerConfig(Method.EBLC_PRED, Mode.ABS, (1e-4,))
+    first = eval_config(pair, app, config, cache_dir=tmp_path)
+    (entry,) = tmp_path.iterdir()
+    whole = entry.read_text()
+    entry.write_text(whole[: len(whole) // 2])  # as a crash mid-write would leave it
+    with pytest.warns(UserWarning, match="unreadable cache entry"):
+        again = eval_config(pair, app, config, cache_dir=tmp_path)
+    assert not again.cached
+    assert again.content_key() == first.content_key()
+    assert json.loads(entry.read_text())["record_id"] == first.record_id
+    assert eval_config(pair, app, config, cache_dir=tmp_path).cached
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # no temp files left
+
+
+def test_cache_key_covers_container_version(monkeypatch):
+    from ppress.reducers import container
+
+    pair = linear_pair(n=40)
+    config = ReducerConfig(Method.EBLC_PRED, Mode.ABS, (1e-4,))
+    before = cache_key(pair, ridge_app(), config, "both")
+    monkeypatch.setattr(container, "VERSION", container.VERSION + 1)
+    assert cache_key(pair, ridge_app(), config, "both") != before
 
 
 def test_failed_evaluations_are_not_cached(tmp_path):

@@ -3,7 +3,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ppress import quality
 from ppress.errors import ApplicationError, ConfigError
 from ppress.quality import (
     Application,
@@ -14,7 +18,6 @@ from ppress.quality import (
     accuracy,
     confusion_from_predictions,
     g_mean,
-    lossless_quality,
     mse,
     psnr_metric,
     r_squared,
@@ -185,6 +188,72 @@ def test_knn_deterministic_per_seed():
     assert a == b
 
 
+def reference_knn(xt, yt, xv, k, seed):
+    """One validation row at a time: sort by (distance, seeded tiebreak),
+    vote among the first k, ties to the smallest label."""
+    tiebreak = np.random.default_rng(seed).permutation(xt.shape[0])
+    d2 = ((xv[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
+    pred = np.empty(xv.shape[0])
+    for i in range(xv.shape[0]):
+        order = np.lexsort((tiebreak, d2[i]))[:k]
+        labels, counts = np.unique(yt[order], return_counts=True)
+        pred[i] = labels[np.argmax(counts)]
+    return pred
+
+
+# small integers make distance ties common; NaN and +-inf test their ranking
+_FEATURE = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.5]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_knn_matches_reference(data):
+    n_train = data.draw(st.integers(1, 12), label="n_train")
+    n_feat = data.draw(st.integers(1, 3), label="n_feat")
+    n_val = data.draw(st.integers(1, 3 * quality._KNN_BLOCK), label="n_val")
+    xt = data.draw(hnp.arrays(np.float64, (n_train, n_feat), elements=_FEATURE), label="xt")
+    xv = data.draw(hnp.arrays(np.float64, (n_val, n_feat), elements=_FEATURE), label="xv")
+    n_classes = data.draw(st.integers(1, 4), label="n_classes")
+    yt = data.draw(
+        hnp.arrays(np.float64, n_train, elements=st.integers(0, n_classes - 1).map(float)),
+        label="yt",
+    )
+    k = data.draw(st.integers(1, n_train), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    with np.errstate(invalid="ignore"):
+        want = reference_knn(xt, yt, xv, k, seed)
+        got = quality._knn_predict(xt, yt, xv, k, seed)
+    assert np.array_equal(got, want)
+
+
+def test_knn_matches_reference_across_blocks():
+    rng = np.random.default_rng(21)
+    n_val = 5 * quality._KNN_BLOCK // 2
+    xt = rng.integers(-3, 4, size=(200, 4)).astype(float)
+    xv = rng.integers(-3, 4, size=(n_val, 4)).astype(float)
+    yt = rng.integers(0, 3, size=200).astype(float)
+    for k in (1, 2, 7, 50, 200):
+        for seed in (0, 1, 2):
+            want = reference_knn(xt, yt, xv, k, seed)
+            assert np.array_equal(quality._knn_predict(xt, yt, xv, k, seed), want)
+
+
+def test_knn_through_application_matches_reference():
+    ds = cluster_ds(seed=2)
+    val = cluster_ds(seed=3)
+    app = Application(
+        "k", AppKind.KNN_CLASSIFIER, MetricSpec(MetricName.ACCURACY),
+        target="label", params={"k": 4}, seed=9,
+    )
+    x, y = ds.values[:, :2], ds.values[:, 2]
+    pred = reference_knn(x, y, val.values[:, :2], 4, 9)
+    want = float(np.mean(pred == val.values[:, 2]))
+    assert run_application(ds, val, app)[0] == want
+
+
 def test_lowrank_full_rank_is_identity():
     rng = np.random.default_rng(3)
     ds = from_array(rng.normal(size=(50, 4)))
@@ -234,22 +303,6 @@ def test_none_reduction_keeps_quality_exact():
     art, _, _ = compress(ds, ReducerConfig(Method.NONE))
     restored, _, _ = decompress(art, names=ds.names)
     assert run_application(restored, val, app)[0] == run_application(ds, val, app)[0]
-
-
-def test_lossless_quality_deterministic_spread_zero():
-    ds = linear_ds()
-    app = Application("r", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2), target="y")
-    phi, spread = lossless_quality(ds, ds, app, replicates=3)
-    assert spread == 0.0
-    assert phi == pytest.approx(1.0, abs=1e-6)
-
-
-def test_lossless_quality_single_replicate():
-    ds = linear_ds()
-    app = Application("r", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2), target="y")
-    phi, spread = lossless_quality(ds, ds, app, replicates=1)
-    assert spread == 0.0
-    assert phi == run_application(ds, ds, app)[0]
 
 
 def ext_app(command):
