@@ -59,14 +59,22 @@ class MetricResult:
 
 @dataclass(frozen=True)
 class Confusion:
+    """Predictions against truth, with one label taken as positive.
+
+    tn counts exact matches between two other labels; `other` counts the
+    pairs where truth and prediction are different labels, neither of them
+    positive, so a multi-class confusion keeps its mistakes.
+    """
+
     tp: int
     fp: int
     tn: int
     fn: int
+    other: int = 0
 
     @property
     def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
+        return self.tp + self.fp + self.tn + self.fn + self.other
 
 
 def confusion_from_predictions(pred: np.ndarray, truth: np.ndarray, positive=1) -> Confusion:
@@ -76,11 +84,13 @@ def confusion_from_predictions(pred: np.ndarray, truth: np.ndarray, positive=1) 
         raise ApplicationError(f"length mismatch: {pred.shape} vs {truth.shape}")
     p = pred == positive
     t = truth == positive
+    neither = ~p & ~t
     return Confusion(
         tp=int(np.sum(p & t)),
         fp=int(np.sum(p & ~t)),
-        tn=int(np.sum(~p & ~t)),
+        tn=int(np.sum(neither & (pred == truth))),
         fn=int(np.sum(~p & t)),
+        other=int(np.sum(neither & (pred != truth))),
     )
 
 
@@ -117,6 +127,7 @@ def g_mean(conf: Confusion) -> MetricResult:
 
 
 def accuracy(conf: Confusion) -> float:
+    """Share of exact label matches."""
     if conf.total < 1:
         raise ApplicationError("empty confusion matrix")
     return (conf.tp + conf.tn) / conf.total

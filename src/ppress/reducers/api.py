@@ -139,18 +139,33 @@ def compress(dataset: Dataset, config: ReducerConfig) -> tuple[Artifact, float, 
     return artifact, dt, dataset.n_bytes / 1e6 / max(dt, 1e-12)
 
 
+def _values(buf: bytes, dtype: np.dtype, count: int | None) -> np.ndarray:
+    """buf read as `count` values of dtype, or as any whole number of them."""
+    if len(buf) % dtype.itemsize:
+        raise CodecError(f"{len(buf)} stream bytes are not whole {dtype.itemsize}-byte values")
+    if count is not None and len(buf) != count * dtype.itemsize:
+        raise CodecError(f"stream holds {len(buf) // dtype.itemsize} values, expected {count}")
+    return np.frombuffer(buf, dtype)
+
+
 def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.ndarray:
     method = artifact.method
     width = artifact.value_width
-    if method is Method.NONE or method in SAMPLING_METHODS:
-        return np.frombuffer(blob, np_dtype)
+    # values in one stream of a method that keeps every row
+    count = artifact.n_obs * (artifact.n_feat if artifact.layout is Layout.MATRIX else 1)
+    if method in SAMPLING_METHODS:
+        return _values(blob, np_dtype, None)
+    if method is Method.NONE:
+        return _values(blob, np_dtype, count)
     if method is Method.LOSSLESS:
+        if not blob:
+            raise CodecError("empty lossless stream")
         order = blob[0]
-        arr = np.frombuffer(lossless.lossless_decode(blob[1:]), np_dtype)
+        arr = _values(lossless.lossless_decode(blob[1:]), np_dtype, count)
         return delta.inverse_delta(arr, order) if order else arr
     if method is Method.TRUNC:
         narrow = np.dtype("<f4") if int(artifact.c[0]) == 32 else np.dtype("<f2")
-        return np.frombuffer(blob, narrow).astype(np_dtype)
+        return _values(blob, narrow, count).astype(np_dtype)
     if method is Method.EBLC_PRED:
         return predictive.decode(blob, width).astype(np_dtype, copy=False)
     if method is Method.EBLC_BITPLANE:

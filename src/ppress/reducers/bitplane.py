@@ -126,56 +126,99 @@ def _planes_for_bound(eb: float, exps: np.ndarray) -> np.ndarray:
     return np.clip(k, 0, TOTAL_PLANES).astype(np.int64)
 
 
-def _groups(keep: np.ndarray, budget: np.ndarray):
-    """Iterate blocks grouped by (planes kept, bit budget)."""
-    key = keep * (1 << 20) + budget
-    for k in np.unique(key):
-        rows = np.flatnonzero(key == k)
-        yield int(keep[rows[0]]), int(budget[rows[0]]), rows
+# payload cells handled per pass: bounds the coder's working memory
+_CHUNK = 1 << 18
+# 2^(7-k): weights that pack eight 0/1 bytes, one per plane, into one byte
+_BYTE_WEIGHTS = 1 << np.arange(7, -1, -1)
+
+
+def _layout(budget: np.ndarray, block: int) -> tuple[int, int]:
+    """Each block's payload as rows of `block` cells: the sign row, then one
+    row per magnitude plane from plane 55 down, then zero rows.  A block
+    sends its first `budget` cells.
+
+    Returns the rows that hold every budget, a sign row and 8 per byte, and
+    how many bytes of each magnitude they show, starting at the big-endian
+    byte that opens with plane 55.
+    """
+    plane_rows = -(-int(budget.max()) // block) - 1
+    n_bytes = -(-plane_rows // 8)
+    return 1 + 8 * n_bytes, min(n_bytes, 7)
+
+
+def _clear_below(mags: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Zero every magnitude plane below the top `keep` of each block."""
+    shift = (np.uint64(TOTAL_PLANES) - keep.astype(np.uint64))[:, None]
+    return (mags >> shift) << shift
 
 
 def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> tuple[bytes, int]:
-    """Pack sign plane + top `keep` planes per block into its bit budget."""
-    block = coeffs.shape[1]
-    signs = (coeffs < 0).astype(np.uint8)
-    mags = np.abs(coeffs).astype(np.uint64)
+    """Pack sign plane + top `keep` planes per block into its bit budget.
+
+    Blocks follow each other in order; a block's bits are its cells read
+    row by row, cut at its budget.  Whole chunks of blocks are laid out at
+    once, and the bits past the last whole byte carry into the next chunk.
+    """
+    n_blocks, block = coeffs.shape
     total = int(budget.sum())
-    bits = np.zeros(total, dtype=np.uint8)
-    offs = np.concatenate([[0], np.cumsum(budget)[:-1]])
-    for k, b, rows in _groups(keep, budget):
-        if b == 0:
-            continue
-        want = block + block * k
-        planes = [signs[rows]]
-        for p in range(TOTAL_PLANES - 1, TOTAL_PLANES - 1 - k, -1):
-            planes.append(((mags[rows] >> np.uint64(p)) & np.uint64(1)).astype(np.uint8))
-        chunk = np.concatenate(planes, axis=1)
-        use = min(b, want)
-        pos = offs[rows][:, None] + np.arange(use)[None, :]
-        bits[pos.ravel()] = chunk[:, :use].ravel()
-    return np.packbits(bits).tobytes(), total
+    if total == 0:
+        return b"", 0
+    rows, n_bytes = _layout(budget, block)
+    width = rows * block
+    cells = np.arange(width)
+    step = max(1, _CHUNK // width)
+    out = []
+    carry = np.empty(0, np.uint8)
+    for r0 in range(0, n_blocks, step):
+        part = coeffs[r0 : r0 + step]
+        mags = _clear_below(np.abs(part).astype(np.uint64), keep[r0 : r0 + step])
+        # per block: a sign byte (0 or 1), then the magnitudes' bytes from
+        # the one that opens with plane 55, each byte spread over `block`
+        # values; unpacking down the byte axis turns bytes into plane rows
+        # and leaves the sign in the eighth row, just above plane 55
+        spread = np.zeros((part.shape[0], rows // 8 + 1, block), np.uint8)
+        spread[:, 0] = part < 0
+        spread[:, 1 : 1 + n_bytes] = (
+            mags.astype(">u8").view(np.uint8).reshape(*part.shape, 8)[..., 1 : 1 + n_bytes]
+        ).transpose(0, 2, 1)
+        grid = np.unpackbits(spread, axis=1)[:, 7:].reshape(-1, width)
+        bits = np.concatenate((carry, grid[cells < budget[r0 : r0 + step, None]]))
+        whole = bits.size & ~7
+        out.append(np.packbits(bits[:whole]).tobytes())
+        carry = bits[whole:]
+    out.append(np.packbits(carry).tobytes())
+    return b"".join(out), total
 
 
-def _absorb(bits: np.ndarray, keep: np.ndarray, budget: np.ndarray, block: int) -> np.ndarray:
-    """Inverse of _emit: rebuild truncated coefficients."""
-    coeffs = np.zeros((keep.size, block), dtype=np.int64)
-    offs = np.concatenate([[0], np.cumsum(budget)[:-1]])
-    for k, b, rows in _groups(keep, budget):
-        if b == 0:
-            continue
-        want = block + block * k
-        use = min(b, want)
-        pos = offs[rows][:, None] + np.arange(use)[None, :]
-        chunk = np.zeros((rows.size, want), dtype=np.uint8)
-        chunk[:, :use] = bits[pos.ravel()].reshape(rows.size, use)
-        signs = chunk[:, :block].astype(bool)
-        mags = np.zeros((rows.size, block), dtype=np.uint64)
-        for i, p in enumerate(range(TOTAL_PLANES - 1, TOTAL_PLANES - 1 - k, -1)):
-            plane = chunk[:, block * (i + 1) : block * (i + 2)].astype(np.uint64)
-            mags |= plane << np.uint64(p)
-        vals = mags.astype(np.int64)
-        vals[signs] *= -1
-        coeffs[rows] = vals
+def _absorb(payload: np.ndarray, keep: np.ndarray, budget: np.ndarray, block: int) -> np.ndarray:
+    """Inverse of _emit: rebuild truncated coefficients from packed bytes."""
+    n_blocks = keep.size
+    coeffs = np.zeros((n_blocks, block), dtype=np.int64)
+    if n_blocks == 0 or not budget.any():
+        return coeffs
+    rows, n_bytes = _layout(budget, block)
+    width = rows * block
+    cells = np.arange(width)
+    # a row's cells read as whole words; one 0/1 byte per value
+    word = np.dtype(f"u{min(block & -block, 8)}")
+    weights = _BYTE_WEIGHTS.astype(word)
+    step = max(1, _CHUNK // width)
+    offs = np.concatenate(([0], np.cumsum(budget)))
+    for r0 in range(0, n_blocks, step):
+        r1 = min(n_blocks, r0 + step)
+        lo, hi = int(offs[r0]), int(offs[r1])
+        grid = np.zeros((r1 - r0, rows, block), np.uint8)
+        grid.reshape(-1, width)[cells < budget[r0:r1, None]] = np.unpackbits(
+            payload[lo >> 3 : (hi + 7) >> 3]
+        )[lo & 7 : hi - (lo & ~7)]
+        # eight plane rows of 0/1 bytes weighted and summed give the
+        # magnitude byte holding those planes, for every value at once
+        planes = grid[:, 1 : 1 + 8 * n_bytes].view(word)
+        planes = planes.reshape(r1 - r0, n_bytes, 8, block // word.itemsize)
+        be = np.zeros((r1 - r0, block, 8), np.uint8)
+        be[..., 1 : 1 + n_bytes] = (weights @ planes).view(np.uint8).transpose(0, 2, 1)
+        mags = _clear_below(be.view(">u8")[..., 0], keep[r0:r1]).astype(np.int64)
+        coeffs[r0:r1] = np.where(grid[:, 0].astype(bool), -mags, mags)
     return coeffs
 
 
@@ -193,6 +236,7 @@ def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[
     coeffs, exps = _forward(blocks)
     n_blocks = coeffs.shape[0]
     raw_mask = np.zeros(n_blocks, dtype=bool)
+    recon_blocks = None
 
     if mode == "prec":
         if c < 0 or c != int(c):
@@ -209,9 +253,12 @@ def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[
             raise CodecError(f"error bound must be positive, got {c}")
         keep = _planes_for_bound(c, exps)
         keep[exps == _ZERO_EXP] = 0
-        for _ in range(TOTAL_PLANES + 1):
-            recon = _narrow(_reconstruct(_truncate_coeffs(coeffs, keep), exps), width)
-            err = np.abs(blocks - recon).max(axis=1)
+        # every pass that finds a violation gives each violating block one
+        # more plane or stores it raw, so the loop ends, and it ends on a
+        # pass whose reconstruction matches the final plan
+        while True:
+            recon_blocks = _narrow(_reconstruct(_truncate_coeffs(coeffs, keep), exps), width)
+            err = np.abs(blocks - recon_blocks).max(axis=1)
             violated = (err > c) & ~raw_mask
             if not violated.any():
                 break
@@ -241,14 +288,14 @@ def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[
     parts.append(_BITS.pack(n_bits))
     parts.append(payload)
 
-    # reconstruct from the emitted bits so the budget cut lands exactly where
-    # the decoder will see it (rate mode can split a plane mid-block)
-    bits = (
-        np.unpackbits(np.frombuffer(payload, np.uint8), count=n_bits)
-        if n_bits
-        else np.empty(0, np.uint8)
-    )
-    recon_blocks = _narrow(_reconstruct(_absorb(bits, keep, budget, block), exps), width)
+    if mode == "rate":
+        # the budget cut can split a plane mid-block: reconstruct from the
+        # emitted bits so it lands exactly where the decoder will see it
+        trunc = _absorb(np.frombuffer(payload, np.uint8), keep, budget, block)
+    # a prec budget holds every kept plane, so trunc is what the decoder
+    # rebuilds; acc reconstructed it already, in its last pass
+    if recon_blocks is None:
+        recon_blocks = _narrow(_reconstruct(trunc, exps), width)
     if raw_mask.any():
         recon_blocks[raw_mask] = blocks[raw_mask]  # raw blocks replay exactly
     recon = recon_blocks.reshape(-1)[:n]
@@ -320,13 +367,7 @@ def decode(buf: bytes, width: int) -> np.ndarray:
         budget = np.full(n_blocks, per_block, dtype=np.int64)
     elif int(budget.sum()) != n_bits:
         raise CodecError("bit-plane stream length mismatch")
-    bits = (
-        np.unpackbits(np.frombuffer(packed, np.uint8), count=n_bits)
-        if n_bits
-        else np.empty(0, np.uint8)
-    )
-
-    coeffs = _absorb(bits, keep, budget, block)
+    coeffs = _absorb(np.frombuffer(packed, np.uint8), keep, budget, block)
     recon = _narrow(_reconstruct(coeffs, exps), width)
     if raw_vals is not None and raw_mask.any():
         recon[raw_mask] = raw_vals  # stored at full width, replay exactly

@@ -46,6 +46,8 @@ def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
         if not b & 0x80:
             return v, pos
         shift += 7
+        if shift > 63:
+            raise CodecError("varint longer than 64 bits")
 
 
 def _pack_literals(lits: bytes) -> bytes:
@@ -66,6 +68,8 @@ def _unpack_literals(buf: bytes, pos: int) -> tuple[bytes, int]:
     if n_lits == 0:
         return b"", pos
     table, pos = huffman.HuffmanTable.from_bytes(buf, pos)
+    if table.symbols.max() > 255:
+        raise CodecError("literal table holds a symbol that is not a byte")
     n_bits, pos = _read_varint(buf, pos)
     n_bytes = (n_bits + 7) // 8
     syms = huffman.decode(buf[pos : pos + n_bytes], n_bits, n_lits, table)
@@ -160,21 +164,26 @@ def _pprslz_decode(buf: bytes) -> bytes:
     kind = buf[3]
     raw_len, pos = _read_varint(buf, 4)
     if kind == _STORED:
-        data = buf[pos : pos + raw_len]
-        if len(data) != raw_len:
-            raise CodecError("stored stream shorter than declared")
-        return data
+        if len(buf) != pos + raw_len:
+            raise CodecError(f"stored stream holds {len(buf) - pos} bytes, declares {raw_len}")
+        return buf[pos:]
     if kind != _PACKED:
         raise CodecError(f"unknown lossless frame kind {kind}")
     ops_len, pos = _read_varint(buf, pos)
     ops = buf[pos : pos + ops_len]
-    lits, _ = _unpack_literals(buf, pos + ops_len)
+    if len(ops) != ops_len:
+        raise CodecError("lossless token section truncated")
+    lits, end = _unpack_literals(buf, pos + ops_len)
+    if end != len(buf):
+        raise CodecError(f"{len(buf) - end} bytes after the lossless stream")
 
     out = bytearray()
     op = 0
     li = 0
     while True:
         run, op = _read_varint(ops, op)
+        if li + run > len(lits):
+            raise CodecError("literal run past the decoded literals")
         out += lits[li : li + run]
         li += run
         mtok, op = _read_varint(ops, op)
@@ -183,7 +192,11 @@ def _pprslz_decode(buf: bytes) -> bytes:
         dist, op = _read_varint(ops, op)
         if not 0 < dist <= len(out):
             raise CodecError("back-reference outside decoded data")
+        if len(out) + mtok - 1 + _MIN_MATCH > raw_len:
+            raise CodecError("match runs past the declared length")
         _copy_match(out, dist, mtok - 1 + _MIN_MATCH)
+    if op != len(ops) or li != len(lits):
+        raise CodecError("lossless stream holds unused tokens or literals")
     if len(out) != raw_len:
         raise CodecError("decoded length mismatch")
     return bytes(out)

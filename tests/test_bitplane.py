@@ -1,3 +1,6 @@
+import hashlib
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,3 +205,199 @@ def test_too_many_planes_raises_codec_error():
     buf[bitplane._HEAD.size + 1 + 2 * n_blocks] = bitplane.TOTAL_PLANES + 1
     with pytest.raises(CodecError):
         bitplane.decode(bytes(buf), 8)
+
+
+def reference_groups(keep, budget):
+    """Blocks grouped by (planes kept, bit budget)."""
+    key = keep * (1 << 20) + budget
+    for k in np.unique(key):
+        rows = np.flatnonzero(key == k)
+        yield int(keep[rows[0]]), int(budget[rows[0]]), rows
+
+
+def reference_emit(coeffs, keep, budget):
+    """The packing one (planes kept, budget) group and one plane at a time."""
+    block = coeffs.shape[1]
+    signs = (coeffs < 0).astype(np.uint8)
+    mags = np.abs(coeffs).astype(np.uint64)
+    total = int(budget.sum())
+    bits = np.zeros(total, dtype=np.uint8)
+    offs = np.concatenate([[0], np.cumsum(budget)[:-1]])
+    for k, b, rows in reference_groups(keep, budget):
+        if b == 0:
+            continue
+        want = block + block * k
+        planes = [signs[rows]]
+        for p in range(bitplane.TOTAL_PLANES - 1, bitplane.TOTAL_PLANES - 1 - k, -1):
+            planes.append(((mags[rows] >> np.uint64(p)) & np.uint64(1)).astype(np.uint8))
+        chunk = np.concatenate(planes, axis=1)
+        use = min(b, want)
+        pos = offs[rows][:, None] + np.arange(use)[None, :]
+        bits[pos.ravel()] = chunk[:, :use].ravel()
+    return np.packbits(bits).tobytes(), total
+
+
+def reference_absorb(bits, keep, budget, block):
+    """Inverse of reference_emit, from the unpacked bits."""
+    coeffs = np.zeros((keep.size, block), dtype=np.int64)
+    offs = np.concatenate([[0], np.cumsum(budget)[:-1]])
+    for k, b, rows in reference_groups(keep, budget):
+        if b == 0:
+            continue
+        want = block + block * k
+        use = min(b, want)
+        pos = offs[rows][:, None] + np.arange(use)[None, :]
+        chunk = np.zeros((rows.size, want), dtype=np.uint8)
+        chunk[:, :use] = bits[pos.ravel()].reshape(rows.size, use)
+        signs = chunk[:, :block].astype(bool)
+        mags = np.zeros((rows.size, block), dtype=np.uint64)
+        for i, p in enumerate(range(bitplane.TOTAL_PLANES - 1, bitplane.TOTAL_PLANES - 1 - k, -1)):
+            plane = chunk[:, block * (i + 1) : block * (i + 2)].astype(np.uint64)
+            mags |= plane << np.uint64(p)
+        vals = mags.astype(np.int64)
+        vals[signs] *= -1
+        coeffs[rows] = vals
+    return coeffs
+
+
+@st.composite
+def packing_cases(draw):
+    block = draw(st.sampled_from([2, 4, 8, 16]))
+    n_blocks = draw(st.integers(0, 40))
+    coeffs = draw(
+        hnp.arrays(np.int64, (n_blocks, block), elements=st.integers(-(2**56) + 1, 2**56 - 1))
+    )
+    keep = draw(hnp.arrays(np.int64, n_blocks, elements=st.integers(0, bitplane.TOTAL_PLANES)))
+    want = block * (1 + keep)
+    # per block: nothing, a cut inside its planes, exactly its planes, or
+    # more than its planes (zeros past them, as rate mode can ask for)
+    kind = draw(hnp.arrays(np.int64, n_blocks, elements=st.integers(0, 3)))
+    frac = draw(hnp.arrays(np.float64, n_blocks, elements=st.floats(0.0, 1.0)))
+    cut = (frac * want).astype(np.int64)
+    over = want + (frac * 3 * block * bitplane.TOTAL_PLANES).astype(np.int64)
+    budget = np.choose(kind, [np.zeros_like(want), cut, want, over])
+    return coeffs, keep, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=packing_cases(),
+    chunk=st.sampled_from([1, 7, 64, 1000, 1 << 18]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packing_matches_reference(case, chunk, seed):
+    coeffs, keep, budget = case
+    block = coeffs.shape[1]
+    payload, n_bits = reference_emit(coeffs, keep, budget)
+    # random bits, also where a block's budget runs past its kept planes
+    noise = np.random.default_rng(seed).integers(0, 256, len(payload), dtype=np.uint8)
+    with patch.object(bitplane, "_CHUNK", chunk):
+        assert bitplane._emit(coeffs, keep, budget) == (payload, n_bits)
+        for packed in (np.frombuffer(payload, np.uint8), noise):
+            bits = np.unpackbits(packed, count=n_bits)
+            assert np.array_equal(
+                bitplane._absorb(packed, keep, budget, block),
+                reference_absorb(bits, keep, budget, block),
+            )
+
+
+def hash_inputs():
+    rng = np.random.default_rng(2024)
+    walk = np.cumsum(rng.normal(size=60_000))  # 15 000 blocks: several chunks
+    mixed = rng.normal(size=6_001) * 10.0 ** rng.integers(-3, 4, size=6_001)
+    mixed[::31] = 0.0
+    # an exponent spread no plane count can bound: acc stores such blocks raw
+    spread = np.tile([1e300, 1e-300, 1e300, 1e-300, 1.0, 2.0, 3.0, 4.0], 50)
+    return [
+        ("walk-f64", walk, 8),
+        ("walk-f32", walk.astype(np.float32).astype(np.float64), 4),
+        ("mixed-f64", mixed, 8),
+        ("mixed-f32", mixed.astype(np.float32).astype(np.float64), 4),
+        ("spread-f64", spread, 8),
+    ]
+
+
+HASH_CONFIGS = [
+    ("prec", 0, 4),
+    ("prec", 20, 4),
+    ("prec", 56, 2),
+    ("prec", 9, 16),
+    ("rate", 0.75, 4),
+    ("rate", 12.0, 8),
+    ("rate", 60.25, 4),
+    ("acc", 1e-3, 4),
+    ("acc", 1e-9, 2),
+    ("acc", 1e-310, 4),
+]
+
+
+def stream_digests():
+    out = {}
+    for name, x, width in hash_inputs():
+        for mode, c, block in HASH_CONFIGS:
+            buf, recon = bitplane.encode(x, mode, c, block, width)
+            h = hashlib.sha256(buf)
+            h.update(recon.tobytes())
+            h.update(bitplane.decode(buf, width).tobytes())
+            out[f"{name} {mode} {c} {block}"] = h.hexdigest()[:16]
+    return out
+
+
+# sha256 of (stream, encoder reconstruction, decode) per case, from the
+# group-and-plane packing that reference_emit/reference_absorb keep
+STREAM_DIGESTS = {
+    "walk-f64 prec 0 4": "2ce3140caef990fd",
+    "walk-f64 prec 20 4": "b0f5bae508073ed1",
+    "walk-f64 prec 56 2": "3bd989244a84fed0",
+    "walk-f64 prec 9 16": "a4553a4cfd54c1c4",
+    "walk-f64 rate 0.75 4": "9eb4ddd22b4ec64d",
+    "walk-f64 rate 12.0 8": "a22f430416ec331e",
+    "walk-f64 rate 60.25 4": "7a41399619d39694",
+    "walk-f64 acc 0.001 4": "6ec557a7a921a5ce",
+    "walk-f64 acc 1e-09 2": "dbf93f04ea779e0b",
+    "walk-f64 acc 1e-310 4": "f52d7cb9f121d4f2",
+    "walk-f32 prec 0 4": "2ce3140caef990fd",
+    "walk-f32 prec 20 4": "e7e952e7a8cd9287",
+    "walk-f32 prec 56 2": "50040679d3ef4b85",
+    "walk-f32 prec 9 16": "a4553a4cfd54c1c4",
+    "walk-f32 rate 0.75 4": "9eb4ddd22b4ec64d",
+    "walk-f32 rate 12.0 8": "43fe93b30d87eae3",
+    "walk-f32 rate 60.25 4": "ef5b3ecf28666a55",
+    "walk-f32 acc 0.001 4": "a9e8f2f7851ada4a",
+    "walk-f32 acc 1e-09 2": "f76d62e3cc53d257",
+    "walk-f32 acc 1e-310 4": "00898c95c7b991fe",
+    "mixed-f64 prec 0 4": "4b230dbdabffc0b4",
+    "mixed-f64 prec 20 4": "853a01598502ae60",
+    "mixed-f64 prec 56 2": "7a983cd153d61dc8",
+    "mixed-f64 prec 9 16": "7b79f2f1ac75cc29",
+    "mixed-f64 rate 0.75 4": "b8a5ad9fe07599ce",
+    "mixed-f64 rate 12.0 8": "ea5b24a9aba1dc40",
+    "mixed-f64 rate 60.25 4": "e9525c1f3968c7b1",
+    "mixed-f64 acc 0.001 4": "5dabcfecfab6c0a4",
+    "mixed-f64 acc 1e-09 2": "b1fe23a7ed4b7c2d",
+    "mixed-f64 acc 1e-310 4": "c7b221d9e78323bc",
+    "mixed-f32 prec 0 4": "4b230dbdabffc0b4",
+    "mixed-f32 prec 20 4": "100db6924d91df71",
+    "mixed-f32 prec 56 2": "54990023e2f3004d",
+    "mixed-f32 prec 9 16": "7b79f2f1ac75cc29",
+    "mixed-f32 rate 0.75 4": "b8a5ad9fe07599ce",
+    "mixed-f32 rate 12.0 8": "ea5b24a9aba1dc40",
+    "mixed-f32 rate 60.25 4": "3c94fba11f645c5f",
+    "mixed-f32 acc 0.001 4": "c293a9be270e6f31",
+    "mixed-f32 acc 1e-09 2": "e0061c8e2c69bfc5",
+    "mixed-f32 acc 1e-310 4": "bbe65d4670142d58",
+    "spread-f64 prec 0 4": "840b591f14dc1e82",
+    "spread-f64 prec 20 4": "9349df191f459aca",
+    "spread-f64 prec 56 2": "99ab3f6cc85ca42b",
+    "spread-f64 prec 9 16": "11d9391a7f6b61ee",
+    "spread-f64 rate 0.75 4": "fb241268ed1e8385",
+    "spread-f64 rate 12.0 8": "103993fbe35c1668",
+    "spread-f64 rate 60.25 4": "8503ff5faff0acc5",
+    "spread-f64 acc 0.001 4": "0775f84a47711ef1",
+    "spread-f64 acc 1e-09 2": "ef1e18700d1d685e",
+    "spread-f64 acc 1e-310 4": "b438d3a7b5b72980",
+}
+
+
+def test_streams_match_recorded_digests():
+    assert stream_digests() == STREAM_DIGESTS

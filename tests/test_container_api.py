@@ -1,13 +1,14 @@
 """Container round trips and the compress/decompress entry points."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppress.errors import ConfigError, DataFormatError
+from ppress.errors import CodecError, ConfigError, DataFormatError
 from ppress.reducers import (
     Artifact,
     Layout,
@@ -335,3 +336,78 @@ def test_api_round_trip_property(seed, method):
     assert unpack(buf) == art
     if m is Method.LOSSLESS:
         assert out.values.tobytes() == ds.values.tobytes()
+
+
+def walk_ds(n=4000, k=1, dtype="f64"):
+    rng = np.random.default_rng(12)
+    return from_array(np.cumsum(rng.normal(size=(n, k)), axis=0), dtype=dtype)
+
+
+@pytest.mark.parametrize(
+    "config, dtype",
+    [
+        (ReducerConfig(Method.LOSSLESS), "f64"),
+        (ReducerConfig(Method.LOSSLESS, knobs=ReducerKnobs(delta_order=1)), "f32"),
+        (ReducerConfig(Method.TRUNC, c=(32,)), "f64"),
+        (ReducerConfig(Method.TRUNC, c=(16,)), "f32"),
+        (ReducerConfig(Method.NONE), "f64"),
+    ],
+    ids=["lossless", "lossless-delta1-f32", "trunc32", "trunc16", "none"],
+)
+@pytest.mark.parametrize(
+    "damage",
+    [lambda b: b[: len(b) // 2], lambda b: b[:-3], lambda b: b + b"junk", lambda b: b""],
+    ids=["halved", "minus3", "junk", "empty"],
+)
+def test_damaged_stream_raises_codec_error(config, dtype, damage):
+    art, _, _ = compress(walk_ds(dtype=dtype), config)
+    with pytest.raises(CodecError):
+        decompress(replace(art, streams=(damage(art.streams[0]),)))
+
+
+FUZZ_CONFIGS = [
+    ReducerConfig(Method.EBLC_PRED, Mode.REL, (1e-3,)),
+    ReducerConfig(Method.EBLC_PRED, Mode.REL, (1e-6,), Layout.MATRIX),
+    ReducerConfig(Method.EBLC_PRED, Mode.PW_REL, (1e-3,)),
+    ReducerConfig(Method.EBLC_PRED, Mode.ABS, (1e-9,)),
+    ReducerConfig(Method.EBLC_BITPLANE, Mode.ACC, (1e-3,)),
+    ReducerConfig(Method.EBLC_BITPLANE, Mode.PREC, (20,)),
+    ReducerConfig(Method.EBLC_BITPLANE, Mode.RATE, (9.5,), knobs=ReducerKnobs(block_size=8)),
+    ReducerConfig(Method.TRUNC, c=(32,)),
+    ReducerConfig(Method.SAMPLE_NAIVE, c=(3,)),
+    ReducerConfig(Method.SAMPLE_WR, c=(0.5,), layout=Layout.MATRIX),
+    ReducerConfig(Method.SAMPLE_WOR, c=(0.5,)),
+    ReducerConfig(Method.LOSSLESS),
+    ReducerConfig(Method.LOSSLESS, knobs=ReducerKnobs(delta_order=2)),
+    ReducerConfig(Method.NONE),
+]
+_FUZZ_ARTIFACTS = {}
+
+
+def fuzz_artifact(i):
+    if i not in _FUZZ_ARTIFACTS:
+        _FUZZ_ARTIFACTS[i] = compress(walk_ds(n=300, k=2), FUZZ_CONFIGS[i])[0]
+    return _FUZZ_ARTIFACTS[i]
+
+
+@settings(max_examples=400, deadline=None)
+@given(config=st.integers(0, len(FUZZ_CONFIGS) - 1), data=st.data())
+def test_mutated_stream_decodes_or_raises_format_errors(config, data):
+    art = fuzz_artifact(config)
+    j = data.draw(st.integers(0, len(art.streams) - 1), label="stream")
+    blob = art.streams[j]
+    how = data.draw(st.sampled_from(["truncate", "flip", "append"]), label="mutation")
+    if how == "truncate":
+        bad = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    elif how == "flip":
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        bad = bytearray(blob)
+        bad[bit // 8] ^= 0x80 >> (bit % 8)
+        bad = bytes(bad)
+    else:
+        bad = blob + data.draw(st.binary(min_size=1, max_size=16), label="tail")
+    streams = art.streams[:j] + (bad,) + art.streams[j + 1 :]
+    try:
+        decompress(replace(art, streams=streams))
+    except (CodecError, DataFormatError):
+        pass

@@ -99,6 +99,14 @@ def test_accuracy_and_confusion_builder():
     assert accuracy(conf) == pytest.approx(3 / 5)
 
 
+def test_accuracy_counts_confusions_between_negative_labels():
+    assert accuracy(confusion_from_predictions([2.0, 0.0], [0.0, 2.0], 1)) == 0.0
+    conf = confusion_from_predictions([0, 2, 1, 2, 0], [0, 0, 1, 2, 1], 1)
+    assert (conf.tp, conf.fp, conf.tn, conf.fn, conf.other) == (1, 0, 2, 1, 1)
+    assert accuracy(conf) == pytest.approx(3 / 5)
+    assert g_mean(conf).value == pytest.approx(g_mean(Confusion(1, 0, 3, 1)).value)
+
+
 def test_mse_and_psnr():
     assert mse(np.zeros(2), np.ones(2)) == 1.0
     assert mse(np.ones(4), np.ones(4)) == 0.0
