@@ -13,7 +13,7 @@ from .api import (
 from .config import Layout, Method, Mode, ReducerConfig, ReducerKnobs
 from .container import Artifact, pack, unpack
 from .delta import delta_transform, inverse_delta
-from .lossless import lossless_decode, lossless_encode, register_codec, registered_codecs
+from .lossless import lossless_decode, lossless_encode
 from .sampling import sample, sample_indices
 from .truncation import narrow_values, truncate
 
@@ -38,8 +38,6 @@ __all__ = [
     "inverse_delta",
     "lossless_decode",
     "lossless_encode",
-    "register_codec",
-    "registered_codecs",
     "sample",
     "sample_indices",
     "narrow_values",

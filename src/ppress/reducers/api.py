@@ -75,9 +75,7 @@ def _encode_stream(col: np.ndarray, stats: ColumnStats, config: ReducerConfig, w
         return col.tobytes()
     if method is Method.LOSSLESS:
         arr = delta.delta_transform(col, knobs.delta_order) if knobs.delta_order else col
-        return bytes([knobs.delta_order]) + lossless.lossless_encode(
-            arr.tobytes(), knobs.codec, knobs.codec_level
-        )
+        return bytes([knobs.delta_order]) + lossless.lossless_encode(arr.tobytes())
     if method is Method.TRUNC:
         return truncation.narrow_values(col, int(config.c[0])).tobytes()
     if method is Method.EBLC_PRED:

@@ -226,6 +226,15 @@ def _narrow(vals: np.ndarray, width: int) -> np.ndarray:
     return vals.astype(_F32).astype(np.float64) if width == 4 else vals
 
 
+def _rebuild_finite(coeffs: np.ndarray, exps: np.ndarray, width: int) -> np.ndarray:
+    """Reconstructed blocks in the stream's width; CodecError if any overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return _narrow(_reconstruct(coeffs, exps), width)
+    except FloatingPointError:
+        raise CodecError("bit-plane reconstruction overflows the float range") from None
+
+
 def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[bytes, np.ndarray]:
     """Encode one stream; returns (bytes, reconstruction)."""
     if mode not in _MODE_CODE:
@@ -257,7 +266,8 @@ def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[
         # more plane or stores it raw, so the loop ends, and it ends on a
         # pass whose reconstruction matches the final plan
         while True:
-            recon_blocks = _narrow(_reconstruct(_truncate_coeffs(coeffs, keep), exps), width)
+            with np.errstate(over="ignore"):  # an overflowing block violates the bound
+                recon_blocks = _narrow(_reconstruct(_truncate_coeffs(coeffs, keep), exps), width)
             err = np.abs(blocks - recon_blocks).max(axis=1)
             violated = (err > c) & ~raw_mask
             if not violated.any():
@@ -295,7 +305,9 @@ def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[
     # a prec budget holds every kept plane, so trunc is what the decoder
     # rebuilds; acc reconstructed it already, in its last pass
     if recon_blocks is None:
-        recon_blocks = _narrow(_reconstruct(trunc, exps), width)
+        # values within a truncation step of the float maximum can round up
+        # past it; refuse them, since the decoder treats overflow as damage
+        recon_blocks = _rebuild_finite(trunc, exps, width)
     if raw_mask.any():
         recon_blocks[raw_mask] = blocks[raw_mask]  # raw blocks replay exactly
     recon = recon_blocks.reshape(-1)[:n]
@@ -368,7 +380,11 @@ def decode(buf: bytes, width: int) -> np.ndarray:
     elif int(budget.sum()) != n_bits:
         raise CodecError("bit-plane stream length mismatch")
     coeffs = _absorb(np.frombuffer(packed, np.uint8), keep, budget, block)
-    recon = _narrow(_reconstruct(coeffs, exps), width)
+    # the encoder takes only finite values and writes only finite
+    # reconstructions, so overflow or a non-finite raw block means damage
+    recon = _rebuild_finite(coeffs, exps, width)
     if raw_vals is not None and raw_mask.any():
+        if not np.isfinite(raw_vals).all():
+            raise CodecError("non-finite value in a raw bit-plane block")
         recon[raw_mask] = raw_vals  # stored at full width, replay exactly
     return recon.reshape(-1)[:n]

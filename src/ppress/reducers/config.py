@@ -58,8 +58,6 @@ class ReducerKnobs:
     quant_bin_cap: int = 1 << 16  # quantizer codes beyond this become literals
     block_size: int = 4
     pw_rel_zero_floor: float | None = None  # default: smallest normal of the dtype
-    codec: str = "pprslz"
-    codec_level: int = 1
     delta_order: int = 0  # bit-pattern delta passes before lossless coding
     seed: int = 0
 

@@ -341,24 +341,26 @@ def decode(buf: bytes, width: int) -> np.ndarray:
         (n_bits,) = _BITS.unpack(head)
         syms = huffman.decode(buf[off:], n_bits, n, table)
 
-    if neg is None:
-        recon = dequantize(syms, lit_vals, step, cap)
-        lit_pos = np.flatnonzero(syms == LIT_SYM)
-        recon[lit_pos] = lit_vals
-        return _cast_like(recon, width)
-
-    # pointwise-relative: zeros, then the log-domain chain over the rest
-    is_zero = syms == 2 * cap
-    nzpos = np.flatnonzero(~is_zero)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lit_targets = np.log(np.abs(lit_vals))
-    recon_t = dequantize(syms[nzpos], lit_targets, step, cap)
-    recon = np.empty(n, dtype=np.float64)
-    recon[is_zero] = np.where(neg[is_zero], -0.0, 0.0)
-    with np.errstate(over="ignore"):
-        mag = np.exp(recon_t)
-    recon[nzpos] = np.where(neg[nzpos], -mag, mag)
-    recon = _cast_like(recon, width)
-    lit_rows = nzpos[np.flatnonzero(syms[nzpos] == LIT_SYM)]
-    recon[lit_rows] = lit_vals
+    # a damaged step or code run can overflow here; the check below turns
+    # that into a CodecError instead of a NumPy warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if neg is None:
+            # dequantize puts the literals in place, and the cast keeps them
+            recon = _cast_like(dequantize(syms, lit_vals, step, cap), width)
+        else:
+            # pointwise-relative: zeros, then the log-domain chain over the rest
+            is_zero = syms == 2 * cap
+            nzpos = np.flatnonzero(~is_zero)
+            recon_t = dequantize(syms[nzpos], np.log(np.abs(lit_vals)), step, cap)
+            recon = np.empty(n, dtype=np.float64)
+            recon[is_zero] = np.where(neg[is_zero], -0.0, 0.0)
+            mag = np.exp(recon_t)
+            recon[nzpos] = np.where(neg[nzpos], -mag, mag)
+            recon = _cast_like(recon, width)
+            recon[syms == LIT_SYM] = lit_vals
+    # the encoder codes a value only when its reconstruction meets the
+    # bound, so only a literal may be non-finite
+    bad = ~np.isfinite(recon)
+    if bad.any() and (syms[bad] != LIT_SYM).any():
+        raise CodecError("a coded value decodes to a non-finite number")
     return recon

@@ -109,6 +109,20 @@ def test_acc_extreme_exponent_spread_uses_raw_blocks():
     assert np.array_equal(out, x)
 
 
+def test_near_float_max_never_decodes_to_inf():
+    # prec keeps 4 planes here, and the truncated block rebuilds past the
+    # float maximum: encode refuses rather than write a stream whose decode
+    # would be ±inf.  acc meets its bound, full precision is exact.
+    top = np.finfo(np.float64).max
+    x = np.array([top, 0.99 * top, 0.0, -top])
+    with pytest.raises(CodecError, match="overflows"):
+        bitplane.encode(x, "prec", 4, 4, 8)
+    _, out = enc_dec(x, "acc", 1e300)
+    assert np.abs(x - out).max() <= 1e300
+    _, out = enc_dec(x, "prec", 56)
+    assert np.array_equal(out, x)
+
+
 def test_all_zero_column_minimal_stream():
     x = np.zeros(4096)
     buf, out = enc_dec(x, "acc", 1e-6)

@@ -1,6 +1,8 @@
 """Container round trips and the compress/decompress entry points."""
 
 import math
+import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -407,7 +409,58 @@ def test_mutated_stream_decodes_or_raises_format_errors(config, data):
     else:
         bad = blob + data.draw(st.binary(min_size=1, max_size=16), label="tail")
     streams = art.streams[:j] + (bad,) + art.streams[j + 1 :]
-    try:
-        decompress(replace(art, streams=streams))
-    except (CodecError, DataFormatError):
-        pass
+    # an Artifact built in memory skips the container's CRC, so the decoders
+    # see the damage; they must raise, not warn and return ±inf or NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            out, _, _ = decompress(replace(art, streams=streams))
+        except (CodecError, DataFormatError):
+            return
+    if art.method in (Method.EBLC_PRED, Method.EBLC_BITPLANE):
+        assert np.isfinite(out.values).all()  # the walk is finite
+
+
+def overwrite(blob, offset, fmt, value):
+    return blob[:offset] + struct.pack(fmt, value) + blob[offset + struct.calcsize(fmt) :]
+
+
+# case: (config, dtype, NaN literal in the data?, damage).  Each damage
+# rewrites one header field of an in-memory artifact's first stream so that
+# decoding would overflow or turn NaN.  Offsets follow
+# docs/container_format.md: predictive `flags u8, n u64, step f64, ...`,
+# bit-plane `flags u8, n u64, mode u8, c f64, n_blocks u32, block u8, exps`.
+OVERFLOWS = {
+    "pred-rel-step": (FUZZ_CONFIGS[0], "f64", False, lambda b: overwrite(b, 9, "<d", 1e308)),
+    "pred-rel-step-nan": (FUZZ_CONFIGS[0], "f64", False, lambda b: overwrite(b, 9, "<d", math.nan)),
+    "pred-rel-step-beside-nan-literal": (
+        FUZZ_CONFIGS[0], "f64", True, lambda b: overwrite(b, 9, "<d", 1e308)
+    ),
+    "pred-pwrel-step": (FUZZ_CONFIGS[2], "f64", False, lambda b: overwrite(b, 9, "<d", 1e3)),
+    "pred-rel-f32-step": (FUZZ_CONFIGS[0], "f32", False, lambda b: overwrite(b, 9, "<d", 1e300)),
+    "bitplane-acc-exponent": (
+        FUZZ_CONFIGS[4], "f64", False, lambda b: overwrite(b, 23, "<h", 32000)
+    ),
+    "bitplane-prec-exponent": (
+        FUZZ_CONFIGS[5], "f64", False, lambda b: overwrite(b, 23, "<h", 2000)
+    ),
+    "bitplane-rate-f32-exponent": (
+        FUZZ_CONFIGS[6], "f32", False, lambda b: overwrite(b, 23, "<h", 500)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflowing_stream_raises_codec_error(case):
+    config, dtype, nan_literal, damage = OVERFLOWS[case]
+    ds = walk_ds(n=300, k=2, dtype=dtype)
+    if nan_literal:
+        values = ds.values.copy()
+        values[7, 0] = math.nan  # a literal that is non-finite by right
+        ds = from_array(values, allow_nonfinite=True)
+    art, _, _ = compress(ds, config)
+    bad = replace(art, streams=(damage(art.streams[0]),) + art.streams[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CodecError):
+            decompress(bad)

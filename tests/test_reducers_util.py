@@ -1,5 +1,7 @@
 """Delta coding, width truncation, sampling, and the lossless codec slot."""
 
+import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -134,6 +136,7 @@ def test_sample_dataset_keeps_names():
 def test_lossless_empty_round_trip():
     buf = lossless.lossless_encode(b"")
     assert lossless.lossless_decode(buf) == b""
+    assert len(buf) == 9
 
 
 def test_lossless_zero_megabyte_ratio():
@@ -147,7 +150,8 @@ def test_lossless_random_bytes_bounded_expansion():
     data = np.random.default_rng(3).integers(0, 256, 1 << 16, dtype=np.uint8).tobytes()
     buf = lossless.lossless_encode(data)
     assert lossless.lossless_decode(buf) == data
-    assert len(data) / len(buf) >= 0.95
+    assert len(buf) == len(data) + 9  # stored raw behind the frame header
+    assert buf[0] == 0 and buf[9:] == data
 
 
 def test_lossless_text_round_trip_and_gain():
@@ -163,44 +167,84 @@ def test_lossless_overlapping_matches():
     assert lossless.lossless_decode(buf) == data
 
 
-def test_lossless_levels_round_trip():
-    data = np.arange(0, 5000, dtype=np.int64).tobytes()
-    for level in (1, 3, 9):
-        buf = lossless.lossless_encode(data, level=level)
-        assert lossless.lossless_decode(buf) == data
+def frame(kind, length, body):
+    return struct.pack("<BQ", kind, length) + body
 
 
 def test_lossless_unknown_codec_rejected():
-    with pytest.raises(CodecError):
-        lossless.lossless_encode(b"abc", codec="nope")
-    fake = bytes([4]) + b"nope" + b"xx"
-    with pytest.raises(CodecError):
-        lossless.lossless_decode(fake)
-
-
-def test_lossless_registry_pluggable():
-    lossless.register_codec(
-        "zlib",
-        lambda data, level: zlib.compress(data, level),
-        zlib.decompress,
-        replace=True,
-    )
-    data = b"hello world " * 100
-    buf = lossless.lossless_encode(data, codec="zlib", level=6)
-    assert lossless.lossless_decode(buf) == data
-    assert "zlib" in lossless.registered_codecs()
+    # the kind byte names the codec: 0 stored, 1 zlib, nothing else
+    for kind in (2, 7, 255):
+        with pytest.raises(CodecError, match="unknown lossless frame kind"):
+            lossless.lossless_decode(frame(kind, 2, b"xx"))
 
 
 def test_lossless_corrupt_stream_rejected():
-    buf = lossless.lossless_encode(b"some payload that compresses " * 50)
-    with pytest.raises(CodecError):
-        lossless.lossless_decode(buf[: len(buf) // 2])
+    data = b"some payload that compresses " * 50
+    buf = lossless.lossless_encode(data)
+    assert buf[0] == 1
+    body = zlib.compress(data)
+    assert buf == frame(1, len(data), body)
+    damaged = [
+        buf[: len(buf) // 2],
+        buf[:8],
+        b"",
+        buf + b"\0",  # a byte after the zlib stream
+        buf + zlib.compress(b"more"),  # a second zlib stream
+        frame(1, len(data) - 1, body),  # inflates past the declared length
+        frame(1, 0, body),
+        frame(1, len(data) + 1, body),  # inflates short of it
+        frame(1, 1 << 63, body),
+        frame(1, len(data), b""),
+        frame(0, 5, b"abcd"),  # stored body shorter than declared
+        frame(0, 3, b"abcd"),  # and longer
+        frame(0, 1 << 63, b"abcd"),
+    ]
+    damaged += [buf[:cut] for cut in range(9, len(buf))]  # every truncation
+    for bad in damaged:
+        with pytest.raises(CodecError):
+            lossless.lossless_decode(bad)
+    # a flipped bit either raises or sits in the padding after the last
+    # deflate block, which inflate never reads
+    intact = 0
+    for bit in range(8 * len(body)):
+        bad = bytearray(body)
+        bad[bit // 8] ^= 0x80 >> (bit % 8)
+        try:
+            out = lossless.lossless_decode(frame(1, len(data), bytes(bad)))
+        except CodecError:
+            continue
+        assert out == data
+        intact += 1
+    assert intact < 8
+
+
+def test_lossless_inflate_stops_at_declared_length():
+    # a frame that declares 10 bytes is rejected without inflating the
+    # 20 MB its body holds
+    bad = frame(1, 10, zlib.compress(bytes(20_000_000), 9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError, match="does not end"):
+            lossless.lossless_decode(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+random_bytes = st.builds(
+    lambda seed, n: np.random.default_rng(seed).bytes(n),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5000),
+)
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.binary(max_size=3000))
+@given(data=st.binary(max_size=3000) | random_bytes)
 def test_lossless_round_trip_property(data):
-    assert lossless.lossless_decode(lossless.lossless_encode(data)) == data
+    buf = lossless.lossless_encode(data)
+    assert lossless.lossless_decode(buf) == data
+    assert len(buf) <= len(data) + 9
 
 
 @settings(max_examples=30, deadline=None)

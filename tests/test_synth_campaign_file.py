@@ -98,7 +98,7 @@ def campaign_doc(**overrides):
         ],
         "methods": [
             {"method": "none"},
-            {"method": "lossless", "knobs": {"codec_level": 2, "delta_order": 1}},
+            {"method": "lossless", "knobs": {"delta_order": 1}},
             {"method": "trunc", "c": [32]},
             {"method": "eblc_pred", "mode": "rel", "bound": 1e-4},
             {
@@ -140,7 +140,6 @@ def test_load_campaign_file_full(tmp_path):
     assert plan.apps[0].metric.params == {"definition": "pearson"}
     kinds = [type(m) for m in plan.methods]
     assert kinds == [ReducerConfig] * 4 + [SearchDomain]
-    assert plan.methods[1].knobs.codec_level == 2
     assert plan.methods[1].knobs.delta_order == 1
     assert plan.methods[2].c == (32.0,)
     assert plan.methods[3].bound == 1e-4
@@ -191,10 +190,12 @@ def test_campaign_file_rejects_bad_yaml(tmp_path):
 
 
 def test_campaign_file_rejects_unknown_knob(tmp_path):
-    doc = campaign_doc()
-    doc["methods"] = [{"method": "lossless", "knobs": {"not_a_knob": 1}}]
-    with pytest.raises(ConfigError, match="unknown knobs"):
-        load_campaign_file(write_campaign(tmp_path, doc))
+    # `codec` selected the lossless backend before zlib became the only one
+    for knob in ("not_a_knob", "codec"):
+        doc = campaign_doc()
+        doc["methods"] = [{"method": "lossless", "knobs": {knob: 1}}]
+        with pytest.raises(ConfigError, match="unknown knobs"):
+            load_campaign_file(write_campaign(tmp_path, doc))
 
 
 def test_campaign_file_rejects_empty_sections(tmp_path):
