@@ -8,18 +8,14 @@ Plots land in --out-dir as self-contained SVG.
 """
 
 import argparse
-import time
 from pathlib import Path
 
 from ppress.campaign import (
+    BaselineMeasured,
     DatasetPair,
     SearchDomain,
     SearchSpec,
-    candidate_points,
-    eval_config,
-    find_lower,
-    find_upper,
-    measure_baseline,
+    run_campaign,
 )
 from ppress.pareto import (
     front_svg,
@@ -65,34 +61,33 @@ def main() -> None:
     )
     spec = SearchSpec(tau=0.7, n_candidates=12, eta=0.01, max_iters=16)
 
-    phi, _, _ = measure_baseline(pair, app, spec)
-    print(f"baseline quality phi = {phi:.4f}")
-
+    domains = [
+        SearchDomain(Method.EBLC_PRED, Mode.REL, 1e-8, 0.5, scale="log10", layout=layout)
+        for layout in (Layout.BY_COLUMN, Layout.MATRIX)
+    ]
+    phi = 0.0
     volumes = {}
-    for layout in (Layout.BY_COLUMN, Layout.MATRIX):
-        t0 = time.perf_counter()
-        domain = SearchDomain(
-            method=Method.EBLC_PRED,
-            mode=Mode.REL,
-            bound_min=1e-8,
-            bound_max=0.5,
-            scale="log10",
-            layout=layout,
-        )
-        upper = find_upper(domain, pair, app, spec, phi)
-        lower = find_lower(domain, pair, app, spec, phi)
+
+    def show(step) -> None:
+        nonlocal phi
+        if isinstance(step, BaselineMeasured):
+            phi = step.phi
+            print(f"baseline quality phi = {phi:.4f}")
+            return
+        layout = step.domain.layout
+        if step.reason is not None:
+            print(f"{layout.value}: infeasible: {step.reason}")
+            return
+        upper, lower, records = step.upper, step.lower, step.records
         print(
             f"{layout.value}: fidelity boundary u = {upper.bound:.3e}, "
             f"usefulness boundary l = {lower.bound:.3e}"
         )
-        ladder = candidate_points(lower.config, upper.config, spec.n_candidates)
-        records = list(upper.records) + list(lower.records)
-        for config in ladder.points:
-            records.append(eval_config(pair, app, config))
         points = points_from_records(records)
         front = pareto_front(points)
         volumes[layout] = hypervolume2d(front, HV_REF)
-        dt = time.perf_counter() - t0
+        # seconds this layout spent compressing, restoring and scoring
+        dt = sum(r.t_compress + r.t_decompress + r.t_app for r in records)
         print(f"  front size {len(front.points)}, hypervolume {volumes[layout]:.3f}, {dt:.1f}s")
 
         svg_path = args.out_dir / f"front_{layout.value}.svg"
@@ -118,6 +113,7 @@ def main() -> None:
             csv_path.write_text(table.to_csv())
             print(f"  wrote {csv_path}")
 
+    run_campaign(pair, [app], domains, spec, observer=show)
     better = max(volumes, key=volumes.get)
     print(f"larger dominated volume: {better.value}")
 

@@ -388,44 +388,23 @@ class SearchResult:
 ProbeFn = Callable[[float], float]
 
 
-class _Prober:
-    """Evaluates a bound (replicate-median quality) and keeps the records."""
+def _replicate_median(
+    pair: DatasetPair, app: Application, config: ReducerConfig, spec: SearchSpec,
+    compress_target: str, cache_dir: str | Path | None, failure: str,
+) -> tuple[float, float, list[EvaluationRecord]]:
+    """Score config once per replicate seed; returns (median, spread, records).
 
-    def __init__(self, domain, pair, app, spec, compress_target, cache_dir, probe):
-        self.domain = domain
-        self.pair = pair
-        self.app = app
-        self.spec = spec
-        self.compress_target = compress_target
-        self.cache_dir = cache_dir
-        self.probe = probe
-        self.records: list[EvaluationRecord] = []
-        self.probes: list[tuple[float, float]] = []
-
-    def __call__(self, bound: float) -> float:
-        if self.probe is not None:
-            psi = float(self.probe(bound))
-        else:
-            config = self.domain.config(bound)
-            values = []
-            for i in range(self.spec.replicates):
-                rec = eval_config(
-                    self.pair,
-                    replace(self.app, seed=self.app.seed + i),
-                    config,
-                    self.compress_target,
-                    self.cache_dir,
-                )
-                self.records.append(rec)
-                if rec.ok:
-                    values.append(rec.psi)
-            if not values:
-                raise InfeasibleSearchError(
-                    f"all replicates failed at bound {bound:g}"
-                )
-            psi = float(statistics.median(values))
-        self.probes.append((bound, psi))
-        return psi
+    Failed replicates are left out of the median; when every one fails,
+    InfeasibleSearchError(failure) is raised.
+    """
+    records = [
+        eval_config(pair, replace(app, seed=app.seed + i), config, compress_target, cache_dir)
+        for i in range(spec.replicates)
+    ]
+    values = [rec.psi for rec in records if rec.ok]
+    if not values:
+        raise InfeasibleSearchError(failure)
+    return float(statistics.median(values)), float(max(values) - min(values)), records
 
 
 def _midpoint(lo: float, hi: float, scale: str) -> float:
@@ -461,6 +440,49 @@ def _bisect_largest(
     return lo
 
 
+def _edge_search(
+    domain: SearchDomain, pair: DatasetPair | None, app: Application | None,
+    spec: SearchSpec, compress_target: str, cache_dir: str | Path | None,
+    probe: ProbeFn | None, passes: Callable[[float], bool],
+) -> tuple[float | None, tuple[tuple[float, float], ...], tuple[EvaluationRecord, ...]]:
+    """Most-compressing bound whose quality passes, or None; with the probes
+    and records it took.
+
+    Noisy domains are scanned on a grid of 2 * max_iters bounds.  The others
+    probe bound_max, then bound_min, then bisect the single pass/fail edge
+    between them.  Quality is probe(bound) when given, else the replicate
+    median of real evaluations.
+    """
+    probes: list[tuple[float, float]] = []
+    records: list[EvaluationRecord] = []
+
+    def ok_at(bound: float) -> bool:
+        if probe is not None:
+            psi = float(probe(bound))
+        else:
+            psi, _, recs = _replicate_median(
+                pair, app, domain.config(bound), spec, compress_target, cache_dir,
+                f"all replicates failed at bound {bound:g}",
+            )
+            records.extend(recs)
+        probes.append((bound, psi))
+        return passes(psi)
+
+    if domain.noisy:
+        grid = _scan_bounds(domain, 2 * spec.max_iters).tolist()
+        passing = [b for b in grid if ok_at(b)]
+        found = (max if domain.bound_compresses_upward else min)(passing, default=None)
+    elif ok_at(domain.bound_max):
+        found = domain.bound_max
+    elif not ok_at(domain.bound_min):
+        found = None
+    else:
+        found = _bisect_largest(
+            domain.bound_min, domain.bound_max, ok_at, domain.scale, spec.max_iters - 2
+        )
+    return found, tuple(probes), tuple(records)
+
+
 def find_upper(
     domain: SearchDomain,
     pair: DatasetPair | None,
@@ -477,42 +499,15 @@ def find_upper(
     aggressive bound misses that tolerance, it is returned with
     satisfied=False (nothing in the domain is quality-neutral).
     """
-    prober = _Prober(domain, pair, app, spec, compress_target, cache_dir, probe)
     tol = spec.eta * abs(phi)
-
-    def ok_at(bound: float) -> bool:
-        return abs(phi - prober(bound)) <= tol
-
-    if domain.noisy:
-        grid = _scan_bounds(domain, 2 * spec.max_iters)
-        passing = [b for b in grid if ok_at(float(b))]
-        if passing:
-            best = max(passing) if domain.bound_compresses_upward else min(passing)
-            found, satisfied = float(best), True
-        else:
-            gentle = domain.bound_min if domain.bound_compresses_upward else domain.bound_max
-            found, satisfied = float(gentle), False
-    else:
-        if ok_at(domain.bound_max):
-            found, satisfied = domain.bound_max, True
-        elif not ok_at(domain.bound_min):
-            found, satisfied = domain.bound_min, False
-        else:
-            found = _bisect_largest(
-                domain.bound_min,
-                domain.bound_max,
-                ok_at,
-                domain.scale,
-                spec.max_iters - 2,
-            )
-            satisfied = True
-    return SearchResult(
-        config=domain.config(found),
-        bound=found,
-        satisfied=satisfied,
-        probes=tuple(prober.probes),
-        records=tuple(prober.records),
+    found, probes, records = _edge_search(
+        domain, pair, app, spec, compress_target, cache_dir, probe,
+        lambda psi: abs(phi - psi) <= tol,
     )
+    satisfied = found is not None
+    if not satisfied:
+        found = domain.bound_min if domain.bound_compresses_upward else domain.bound_max
+    return SearchResult(domain.config(found), found, satisfied, probes, records)
 
 
 def find_lower(
@@ -533,43 +528,16 @@ def find_lower(
         raise InfeasibleSearchError(
             f"baseline quality {phi:g} does not exceed tau {spec.tau:g}"
         )
-    prober = _Prober(domain, pair, app, spec, compress_target, cache_dir, probe)
-
-    def ok_at(bound: float) -> bool:
-        return prober(bound) > spec.tau
-
-    if domain.noisy:
-        grid = _scan_bounds(domain, 2 * spec.max_iters)
-        passing = [b for b in grid if ok_at(float(b))]
-        if not passing:
-            raise InfeasibleSearchError(
-                "no acceptable configuration: quality at or below tau everywhere"
-            )
-        best = max(passing) if domain.bound_compresses_upward else min(passing)
-        found = float(best)
-    else:
-        if ok_at(domain.bound_max):
-            found = domain.bound_max
-        elif not ok_at(domain.bound_min):
-            raise InfeasibleSearchError(
-                "no acceptable configuration: quality at or below tau "
-                f"even at bound {domain.bound_min:g}"
-            )
-        else:
-            found = _bisect_largest(
-                domain.bound_min,
-                domain.bound_max,
-                ok_at,
-                domain.scale,
-                spec.max_iters - 2,
-            )
-    return SearchResult(
-        config=domain.config(found),
-        bound=found,
-        satisfied=True,
-        probes=tuple(prober.probes),
-        records=tuple(prober.records),
+    found, probes, records = _edge_search(
+        domain, pair, app, spec, compress_target, cache_dir, probe,
+        lambda psi: psi > spec.tau,
     )
+    if found is None:
+        where = "everywhere" if domain.noisy else f"even at bound {domain.bound_min:g}"
+        raise InfeasibleSearchError(
+            f"no acceptable configuration: quality at or below tau {where}"
+        )
+    return SearchResult(domain.config(found), found, True, probes, records)
 
 
 @dataclass(frozen=True)
@@ -622,19 +590,50 @@ def measure_baseline(
     cache_dir: str | Path | None = None,
 ) -> tuple[float, float, list[EvaluationRecord]]:
     """Baseline quality via identity reduction; returns (phi, spread, records)."""
-    config = ReducerConfig(Method.NONE)
-    records = []
-    values = []
-    for i in range(spec.replicates):
-        rec = eval_config(
-            pair, replace(app, seed=app.seed + i), config, compress_target, cache_dir
-        )
-        records.append(rec)
-        if rec.ok:
-            values.append(rec.psi)
-    if not values:
-        raise InfeasibleSearchError("baseline evaluation failed for every replicate")
-    return float(statistics.median(values)), float(max(values) - min(values)), records
+    return _replicate_median(
+        pair, app, ReducerConfig(Method.NONE), spec, compress_target, cache_dir,
+        "baseline evaluation failed for every replicate",
+    )
+
+
+@dataclass(frozen=True)
+class BaselineMeasured:
+    """Campaign step: an application's baseline quality over its replicates."""
+
+    app: Application
+    phi: float
+    spread: float
+    records: tuple[EvaluationRecord, ...]
+
+
+@dataclass(frozen=True)
+class FixedEvaluated:
+    """Campaign step: one fixed configuration, evaluated once (one record)."""
+
+    app: Application
+    config: ReducerConfig
+    records: tuple[EvaluationRecord, ...]
+
+
+@dataclass(frozen=True)
+class DomainSearched:
+    """Campaign step: a domain's two boundary searches and its ladder.
+
+    ``index`` is the domain's position in the campaign's methods.  An
+    infeasible domain has a ``reason`` and keeps what finished before it.
+    """
+
+    app: Application
+    index: int
+    domain: SearchDomain
+    records: tuple[EvaluationRecord, ...]
+    upper: SearchResult | None = None
+    lower: SearchResult | None = None
+    ladder: CandidateSet | None = None
+    reason: str | None = None
+
+
+CampaignStep = BaselineMeasured | FixedEvaluated | DomainSearched
 
 
 def run_campaign(
@@ -646,60 +645,69 @@ def run_campaign(
     compress_target: str = "both",
     cache_dir: str | Path | None = None,
     parallelism: int = 1,
+    observer: Callable[[CampaignStep], None] | None = None,
 ) -> list[EvaluationRecord]:
     """Evaluate every app against every method; returns records in order.
 
     Fixed configurations (no bound to search) are evaluated once per app.
     Search domains get two boundary searches plus the candidate ladder.
     Infeasible searches and failed points are recorded or skipped without
-    aborting the rest of the campaign.
+    aborting the rest of the campaign.  ``observer``, when given, is called
+    with each step once its records are stored; the records of all steps,
+    in order, are the return value.
     """
     if not apps or not methods:
         raise ConfigError("campaign needs at least one application and one method")
     records: list[EvaluationRecord] = []
 
-    def emit(rec: EvaluationRecord) -> None:
-        records.append(rec)
-        if store is not None:
-            store.append(rec)
+    def emit(recs) -> tuple[EvaluationRecord, ...]:
+        start = len(records)
+        for rec in recs:
+            records.append(rec)
+            if store is not None:
+                store.append(rec)
+        return tuple(records[start:])
 
-    def evaluate_ladder(app: Application, configs: Sequence[ReducerConfig]) -> None:
+    def notify(step: CampaignStep) -> None:
+        if observer is not None:
+            observer(step)
+
+    def evaluate_ladder(app: Application, configs: Sequence[ReducerConfig]):
         def one(config: ReducerConfig) -> EvaluationRecord:
             return eval_config(pair, app, config, compress_target, cache_dir)
 
         if parallelism > 1:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                for rec in pool.map(one, configs):
-                    emit(rec)
-        else:
-            for config in configs:
-                emit(one(config))
+                return emit(pool.map(one, configs))
+        return emit(map(one, configs))
 
     for app in apps:
-        phi, _, base_records = measure_baseline(
+        phi, spread, base_records = measure_baseline(
             pair, app, spec, compress_target, cache_dir
         )
-        for rec in base_records:
-            emit(rec)
-        for entry in methods:
+        notify(BaselineMeasured(app, phi, spread, emit(base_records)))
+        for index, entry in enumerate(methods):
             if isinstance(entry, ReducerConfig):
                 if entry.method is Method.NONE:
                     continue  # already measured as the baseline
-                emit(eval_config(pair, app, entry, compress_target, cache_dir))
+                rec = eval_config(pair, app, entry, compress_target, cache_dir)
+                notify(FixedEvaluated(app, entry, emit([rec])))
                 continue
+            done: tuple[EvaluationRecord, ...] = ()
+            upper = None
             try:
                 upper = find_upper(
                     entry, pair, app, spec, phi, compress_target, cache_dir
                 )
-                for rec in upper.records:
-                    emit(rec)
+                done += emit(upper.records)
                 lower = find_lower(
                     entry, pair, app, spec, phi, compress_target, cache_dir
                 )
-                for rec in lower.records:
-                    emit(rec)
-            except InfeasibleSearchError:
+                done += emit(lower.records)
+            except InfeasibleSearchError as exc:
+                notify(DomainSearched(app, index, entry, done, upper, reason=str(exc)))
                 continue
             ladder = candidate_points(lower.config, upper.config, spec.n_candidates)
-            evaluate_ladder(app, ladder.points)
+            done += evaluate_ladder(app, ladder.points)
+            notify(DomainSearched(app, index, entry, done, upper, lower, ladder))
     return records

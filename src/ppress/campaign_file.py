@@ -140,6 +140,13 @@ def load_campaign_file(path: str | Path) -> CampaignPlan:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    try:
+        return _build_plan(doc, path)
+    except (ValueError, TypeError) as exc:  # a bad enum value or number
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _build_plan(doc: dict, path: Path) -> CampaignPlan:
     version = doc.get("version")
     if version != SCHEMA_VERSION:
         raise ConfigError(

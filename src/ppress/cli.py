@@ -15,15 +15,16 @@ import os
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .campaign import (
+    BaselineMeasured,
+    FixedEvaluated,
     RecordStore,
-    candidate_points,
+    SearchDomain,
     eval_config,
-    find_lower,
-    find_upper,
-    measure_baseline,
+    run_campaign,
 )
 from .campaign_file import load_campaign_file
 from .errors import (
@@ -41,7 +42,7 @@ from .pareto import (
     points_from_records,
 )
 from .perfmodel import cores_table
-from .reducers import Method, ReducerConfig
+from .reducers import ReducerConfig
 from .tabular import column_stats, load_csv, load_raw_with_descriptor, range_histogram
 
 _DEFAULT_BANDWIDTHS = "3.75,1.0,0.125"
@@ -159,73 +160,63 @@ def cmd_eval(args) -> int:
 
 # -- search -------------------------------------------------------------------
 
+def _boundary_keys(methods) -> dict[int, str]:
+    """boundaries.json key of each search domain, by its index in methods.
+
+    The key is method:mode:layout; domains that share one (they differ in
+    knobs, range or scale) get `#index` appended, so none overwrites another.
+    """
+    keys = {
+        i: f"{m.method.value}:{m.mode.value}:{m.layout.value}"
+        for i, m in enumerate(methods) if isinstance(m, SearchDomain)
+    }
+    counts = Counter(keys.values())
+    return {i: k if counts[k] == 1 else f"{k}#{i}" for i, k in keys.items()}
+
+
 def cmd_search(args) -> int:
     plan = load_campaign_file(args.campaign)
     store = RecordStore(_resolve_store(args.store, plan.store_path))
     cache = _resolve_cache(args.cache_dir, plan.cache_dir, args.no_cache)
+    keys = _boundary_keys(plan.methods)
     boundaries: dict[str, dict] = {}
-    n_domains = n_infeasible = 0
 
-    for app in plan.apps:
-        phi, spread, base_records = measure_baseline(
-            plan.pair, app, plan.spec, plan.compress_target, cache
-        )
-        for rec in base_records:
-            store.append(rec)
-        _say(f"{app.id}: baseline {app.metric.name.value}={phi:.6g} "
-             f"(spread {spread:.3g} over {plan.spec.replicates} replicate(s))")
-        for entry in plan.methods:
-            if isinstance(entry, ReducerConfig):
-                if entry.method is Method.NONE:
-                    continue
-                rec = eval_config(plan.pair, app, entry, plan.compress_target, cache)
-                store.append(rec)
-                state = f"{rec.metric}={rec.psi:.6g}" if rec.ok else f"FAILED {rec.error}"
-                _say(f"{app.id} {entry.label()}: {state}")
-                continue
-            n_domains += 1
-            key = f"{app.id}/{entry.method.value}:{entry.mode.value}:{entry.layout.value}"
-            try:
-                upper = find_upper(
-                    entry, plan.pair, app, plan.spec, phi,
-                    plan.compress_target, cache,
-                )
-                for rec in upper.records:
-                    store.append(rec)
-                lower = find_lower(
-                    entry, plan.pair, app, plan.spec, phi,
-                    plan.compress_target, cache,
-                )
-                for rec in lower.records:
-                    store.append(rec)
-            except InfeasibleSearchError as exc:
-                n_infeasible += 1
-                boundaries[key] = {"infeasible": True, "reason": str(exc)}
-                _warn(f"{key}: infeasible: {exc}")
-                continue
-            ladder = candidate_points(lower.config, upper.config, plan.spec.n_candidates)
-            for config in ladder.points:
-                store.append(
-                    eval_config(plan.pair, app, config, plan.compress_target, cache)
-                )
-            boundaries[key] = {
-                "infeasible": False,
-                "upper_bound": upper.bound,
-                "upper_quality_neutral": upper.satisfied,
-                "lower_bound": lower.bound,
-                "degenerate": ladder.degenerate,
-                "candidates": [p.bound for p in ladder.points],
-            }
-            bounds_text = ", ".join(f"{p.bound:g}" for p in ladder.points)
-            flag = "" if upper.satisfied else " [no quality-neutral bound]"
-            _say(f"{key}: upper={upper.bound:g}{flag} lower={lower.bound:g} "
-                 f"candidates=[{bounds_text}]")
+    def show(step) -> None:
+        if isinstance(step, BaselineMeasured):
+            _say(f"{step.app.id}: baseline {step.app.metric.name.value}={step.phi:.6g} "
+                 f"(spread {step.spread:.3g} over {plan.spec.replicates} replicate(s))")
+            return
+        if isinstance(step, FixedEvaluated):
+            (rec,) = step.records
+            state = f"{rec.metric}={rec.psi:.6g}" if rec.ok else f"FAILED {rec.error}"
+            _say(f"{step.app.id} {step.config.label()}: {state}")
+            return
+        key = f"{step.app.id}/{keys[step.index]}"
+        if step.reason is not None:
+            boundaries[key] = {"infeasible": True, "reason": step.reason}
+            _warn(f"{key}: infeasible: {step.reason}")
+            return
+        upper, lower, ladder = step.upper, step.lower, step.ladder
+        boundaries[key] = {
+            "infeasible": False,
+            "upper_bound": upper.bound,
+            "upper_quality_neutral": upper.satisfied,
+            "lower_bound": lower.bound,
+            "degenerate": ladder.degenerate,
+            "candidates": [p.bound for p in ladder.points],
+        }
+        bounds_text = ", ".join(f"{p.bound:g}" for p in ladder.points)
+        flag = "" if upper.satisfied else " [no quality-neutral bound]"
+        _say(f"{key}: upper={upper.bound:g}{flag} lower={lower.bound:g} "
+             f"candidates=[{bounds_text}]")
 
+    run_campaign(plan.pair, plan.apps, plan.methods, plan.spec, store,
+                 plan.compress_target, cache, observer=show)
     plan.report_dir.mkdir(parents=True, exist_ok=True)
     bpath = plan.report_dir / "boundaries.json"
     bpath.write_text(json.dumps(boundaries, indent=2, sort_keys=True) + "\n")
     _say(f"wrote {bpath}")
-    if n_domains and n_infeasible == n_domains:
+    if boundaries and all(entry["infeasible"] for entry in boundaries.values()):
         raise InfeasibleSearchError("every search domain was infeasible")
     return 0
 

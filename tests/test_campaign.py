@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppress.campaign import (
+    BaselineMeasured,
     DatasetPair,
+    DomainSearched,
     EvaluationRecord,
+    FixedEvaluated,
     RecordStore,
     SearchDomain,
     SearchSpec,
@@ -500,6 +503,60 @@ def test_run_campaign_survives_infeasible_method(tmp_path):
     )
     assert any(r.config["method"] == "lossless" for r in records)
     assert all(r.ok for r in records)
+
+
+def test_run_campaign_observer_reports_every_step():
+    pair = linear_pair(n=100)
+    apps = [ridge_app(), replace(ridge_app(seed=3), id="ridge3")]
+    spec = SearchSpec(tau=0.5, n_candidates=3, eta=5e-3, max_iters=5)
+    methods = [
+        ReducerConfig(Method.LOSSLESS),
+        pred_domain(1e-8, 1.0),
+        ReducerConfig(Method.NONE),
+        SearchDomain(Method.EBLC_BITPLANE, Mode.ACC, 1e-6, 10.0),
+    ]
+    steps = []
+    records = run_campaign(pair, apps, methods, spec, observer=steps.append)
+    assert [rec for step in steps for rec in step.records] == records
+    plain = run_campaign(pair, apps, methods, spec)
+    assert [r.content_key() for r in plain] == [r.content_key() for r in records]
+
+    assert [type(step) for step in steps] == 2 * [
+        BaselineMeasured, FixedEvaluated, DomainSearched, DomainSearched
+    ]
+    searched = [step for step in steps if isinstance(step, DomainSearched)]
+    assert [(s.app.id, s.index) for s in searched] == [
+        ("ridge", 1), ("ridge", 3), ("ridge3", 1), ("ridge3", 3)
+    ]
+    for step in searched:
+        assert step.reason is None and step.domain is methods[step.index]
+        points = step.ladder.points
+        ladder = step.records[len(step.records) - len(points):]
+        assert step.records == step.upper.records + step.lower.records + ladder
+        assert [r.config["c"][0] for r in ladder] == [p.bound for p in points]
+        assert ladder[0].config["c"][0] == step.lower.bound
+        assert ladder[-1].config["c"][0] == step.upper.bound
+    for step in steps:
+        if isinstance(step, BaselineMeasured):
+            assert step.phi == step.records[0].psi and step.spread == 0.0
+        elif isinstance(step, FixedEvaluated):
+            assert step.config is methods[0]
+            assert [r.config["method"] for r in step.records] == ["lossless"]
+
+
+def test_run_campaign_observer_reports_infeasible_domain():
+    pair = linear_pair(n=80)
+    spec = SearchSpec(tau=2.0, n_candidates=3, max_iters=4)
+    steps = []
+    records = run_campaign(
+        pair, [ridge_app()], [pred_domain(1e-8, 1.0)], spec, observer=steps.append
+    )
+    baseline, searched = steps
+    assert isinstance(searched, DomainSearched)
+    assert "does not exceed tau" in searched.reason
+    assert searched.lower is None and searched.ladder is None
+    assert searched.records == searched.upper.records
+    assert list(baseline.records + searched.records) == records
 
 
 def test_run_campaign_requires_work():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import yaml
 
-from ppress.campaign import RecordStore
+from ppress.campaign import RecordStore, run_campaign
+from ppress.campaign_file import load_campaign_file
 from ppress.cli import main
 
 
@@ -156,6 +157,67 @@ def test_search_infeasible_exit_code(tmp_path):
     boundaries = json.loads((tmp_path / "report" / "boundaries.json").read_text())
     (entry,) = boundaries.values()
     assert entry["infeasible"]
+
+
+def test_search_is_run_campaign(tmp_path):
+    campaign = write_campaign(
+        tmp_path,
+        [
+            {"method": "lossless"},
+            {"method": "eblc_pred", "mode": "rel", "bound_min": 1e-8, "bound_max": 0.5},
+            {"method": "none"},
+            {"method": "eblc_bitplane", "mode": "acc", "bound_min": 1e-6, "bound_max": 10.0},
+        ],
+    )
+    assert main(["search", str(campaign)]) == 0
+    stored = RecordStore(tmp_path / "records.jsonl").load()
+    plan = load_campaign_file(campaign)
+    direct = run_campaign(plan.pair, plan.apps, plan.methods, plan.spec)
+    assert [r.content_key() for r in stored] == [r.content_key() for r in direct]
+
+
+def test_search_keeps_domains_with_the_same_method_apart(tmp_path, capsys):
+    domain = {"method": "eblc_bitplane", "mode": "acc", "bound_min": 1e-6, "bound_max": 10.0}
+    campaign = write_campaign(
+        tmp_path,
+        [
+            {**domain, "knobs": {"block_size": 4}},
+            {**domain, "knobs": {"block_size": 32}},
+        ],
+    )
+    assert main(["search", str(campaign)]) == 0
+    out = capsys.readouterr().out
+    boundaries = json.loads((tmp_path / "report" / "boundaries.json").read_text())
+    keys = ["ridge/eblc_bitplane:acc:by_column#0", "ridge/eblc_bitplane:acc:by_column#1"]
+    assert sorted(boundaries) == keys
+    for key in keys:
+        entry = boundaries[key]
+        assert not entry["infeasible"]
+        assert f"{key}: upper={entry['upper_bound']:g} " in out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["methods"][0].update(method="truncx"),
+        lambda doc: doc["methods"][0].update(mode="relative"),
+        lambda doc: doc["methods"][0].update(layout="diagonal"),
+        lambda doc: doc["apps"][0].update(kind="svm"),
+        lambda doc: doc["search"].update(tau="abc"),
+    ],
+    ids=["method", "mode", "layout", "app_kind", "tau"],
+)
+def test_search_bad_campaign_value_is_config_error(tmp_path, capsys, edit):
+    campaign = write_campaign(
+        tmp_path,
+        [{"method": "eblc_pred", "mode": "rel", "bound_min": 1e-8, "bound_max": 0.5}],
+    )
+    doc = yaml.safe_load(campaign.read_text())
+    edit(doc)
+    campaign.write_text(yaml.safe_dump(doc))
+    assert main(["search", str(campaign)]) == 2
+    assert f"error: {campaign}: " in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
 
 
 def test_pareto_from_store(tmp_path, capsys):
