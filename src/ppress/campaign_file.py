@@ -36,6 +36,12 @@ class CampaignPlan:
     seed: int
 
 
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{where} must be a mapping, not {type(value).__name__}")
+    return value
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required field {key!r}")
@@ -72,8 +78,8 @@ def _load_dataset(section: dict, base: Path) -> Dataset:
 
 
 def _build_pair(section: dict, base: Path, default_seed: int) -> DatasetPair:
-    ds = _load_dataset(section, base)
-    split_cfg = section.get("split", {}) or {}
+    ds = _load_dataset(_mapping(section, "dataset"), base)
+    split_cfg = _mapping(section.get("split", {}) or {}, "dataset.split")
     spec = SplitSpec(
         train_fraction=float(split_cfg.get("train_fraction", 0.5)),
         seed=int(split_cfg.get("seed", default_seed)),
@@ -85,6 +91,7 @@ def _build_pair(section: dict, base: Path, default_seed: int) -> DatasetPair:
 
 def _build_app(entry: dict, default_seed: int, index: int) -> Application:
     where = f"apps[{index}]"
+    entry = _mapping(entry, where)
     metric = entry.get("metric")
     if isinstance(metric, str):
         metric_spec = MetricSpec(metric)
@@ -108,6 +115,7 @@ def _build_app(entry: dict, default_seed: int, index: int) -> Application:
 
 def _build_method(entry: dict, index: int) -> SearchDomain | ReducerConfig:
     where = f"methods[{index}]"
+    entry = _mapping(entry, where)
     method = Method(_require(entry, "method", where))
     mode = Mode(entry.get("mode", "none"))
     layout = Layout(entry.get("layout", "by_column"))
@@ -163,7 +171,7 @@ def _build_plan(doc: dict, path: Path) -> CampaignPlan:
     if not methods_raw:
         raise ConfigError(f"{path}: methods list is empty")
     methods = tuple(_build_method(e, i) for i, e in enumerate(methods_raw))
-    search_raw = _require(doc, "search", str(path))
+    search_raw = _mapping(_require(doc, "search", str(path)), "search")
     spec = SearchSpec(
         tau=float(_require(search_raw, "tau", "search")),
         n_candidates=int(_require(search_raw, "n_candidates", "search")),
@@ -171,7 +179,7 @@ def _build_plan(doc: dict, path: Path) -> CampaignPlan:
         max_iters=int(search_raw.get("max_iters", 30)),
         replicates=int(search_raw.get("replicates", 1)),
     )
-    output = doc.get("output", {}) or {}
+    output = _mapping(doc.get("output", {}) or {}, "output")
     cache_raw = output.get("cache")
     compress_target = doc.get("compress_target", "both")
     if compress_target not in ("train", "validation", "both"):

@@ -220,6 +220,11 @@ def _run_ridge(train: Dataset, validation: Dataset, app: Application) -> float:
 
 
 _KNN_BLOCK = 32  # validation rows per distance block: temporaries stay O(block)
+_SCREEN_SHARE = 4  # refine at most 1/_SCREEN_SHARE of a block's pairs
+_SCREEN_MIN_TRAIN = 64  # below this many training rows the dense block is faster
+_SCREEN_REACH = np.finfo(np.float64).max / 16  # largest (|v| + T)^2 screened
+_UNIT_ROUNDOFF = 2.0**-53
+_UNDERFLOW = 2.0**-1070  # per feature: covers every subnormal rounding
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -239,6 +244,42 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     return below | (tied & (np.cumsum(tied, axis=1) <= room))
 
 
+def _dense_nearest(xb: np.ndarray, xt: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices (row · n_train + column) of each block row's k nearest
+    training rows, from the exact distance of every pair."""
+    d2 = ((xb[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
+    return np.flatnonzero(_nearest(d2, k))
+
+
+def _screened_nearest(xb, xt, m2xt, nt, margin, k: int) -> np.ndarray | None:
+    """What `_dense_nearest` returns, from the exact distances of the screen's
+    candidates only; None when the screen keeps too many of them to pay.
+
+    `m2xt` is -2·xt transposed, `nt` the training rows' squared norms and
+    `margin` each row's screening margin (see `_knn_predict`).
+    """
+    n_train = xt.shape[0]
+    h = xb @ m2xt
+    h += nt  # the ranking key |t|^2 - 2 v.t
+    kth = np.partition(h, k - 1, axis=1)[:, k - 1]
+    keep = h <= (kth + margin)[:, None]
+    if np.count_nonzero(keep) * _SCREEN_SHARE > keep.size:
+        return None
+    r, c = np.divmod(np.flatnonzero(keep), n_train)
+    # the unchanged expression, reduced over the same last axis: the same bits
+    d2 = ((xb[r] - xt[c]) ** 2).sum(axis=1)
+    # one row per block row holding its candidates in ascending column order,
+    # as flatnonzero found them, so ties still go to the leftmost column;
+    # padded with +inf
+    counts = np.bincount(r, minlength=xb.shape[0])
+    start = np.cumsum(counts) - counts
+    width = counts.max()
+    compact = np.full((xb.shape[0], width), np.inf)
+    compact[r, np.arange(r.size) - start[r]] = d2
+    pr, slot = np.divmod(np.flatnonzero(_nearest(compact, k)), width)
+    return pr * n_train + c[start[pr] + slot]
+
+
 def _knn_predict(
     xt: np.ndarray, yt: np.ndarray, xv: np.ndarray, k: int, seed: int
 ) -> np.ndarray:
@@ -247,23 +288,80 @@ def _knn_predict(
     Distance ties go to the training row that comes first in a permutation
     drawn from `seed`, vote ties to the smallest label; NaN distances rank
     last.
+
+    The exact distance of a pair is d = fl(sum_i fl(fl(v_i - t_i)^2)); ranks
+    and ties come from d alone.  Most pairs cannot be among a row's k
+    nearest, so a screen ranks them first by the key h = fl(|t|^2 - 2 v.t),
+    one matrix product per block, and d is computed only for the columns
+    whose h lies within a margin m of the row's k-th smallest h.
+
+    Why no other column can be picked or tied.  Let u = 2^-53,
+    g_j = j·u/(1 - j·u), n the number of features, D = |v - t|^2 the real
+    distance, V = |v|^2, H = h's real value D - V, T >= every |t| and
+    R = (|v| + T)^2, so D <= R.  Rounding error bounds for sums of products
+    hold in any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1), so for any BLAS, blocking
+    or thread count (the conventional GEMM every numpy backend uses, not a
+    Strassen-like one):
+      - |fl(v.t) - v.t| <= g_n |v|.|t| <= g_n |v| T, |fl(|t|^2) - |t|^2|
+        <= g_n T^2, and adding the two rounds once more (u|h|), so
+        |h - H| <= g_{n+1} (T^2 + 2|v| T) + a <= g_{n+2} R + a =: e;
+      - d is a sum of n non-negative products of rounded differences, so
+        |d - D| <= g_{n+2} D + a.
+    a is an absolute term for underflow: each product whose result is
+    subnormal may be off by up to 2^-1075 (subnormal sums and differences
+    are exact), so a <= 3n·2^-1074 for either quantity.  Let hk be the
+    row's k-th smallest h.  Its k columns with h <= hk have
+    D <= hk + e + V, so the k-th smallest d is at most
+    (1 + g)(hk + e + V) + a with g = g_{n+2}.  A column c has
+    d_c >= (1 - g)(h_c - e + V) - a, which exceeds that as soon as
+    h_c - hk > (2g (hk + V) + 2e + 2a) / (1 - g).  As hk + V <= R + e,
+    the right side is below 5g R + 5a for g < 0.01.  The margin is
+    m = 8g R + (n + 2)·2^-1070.  The factor 8 where 5 suffices absorbs the
+    rounding of |v|, T, R and of hk + m; (n + 2)·2^-1070 =
+    16(n + 2)·2^-1074 covers 5a <= 15n·2^-1074.  So every column with
+    h_c > hk + m has a d strictly above the row's k-th smallest d: it is
+    neither picked nor tied, and the candidates hold every column at or
+    below that distance, in their original order.
+
+    A block takes the dense path when R could overflow (R > max/16, which
+    keeps every sum and product above finite, and is also false for any
+    NaN or infinity in its rows or the training rows), and the rest of the
+    call does when one block keeps more than 1/_SCREEN_SHARE of its pairs
+    (heavy ties, as when every training row quantizes alike).  Calls with
+    fewer than _SCREEN_MIN_TRAIN or 4k training rows skip the screen.
     """
     # lay the training rows out in permutation order, so the leftmost of
     # equal distances wins
     order = np.argsort(np.random.default_rng(seed).permutation(xt.shape[0]))
     xt = xt[order]
     labels, cls = np.unique(yt[order], return_inverse=True)
-    n_train, n_labels = xt.shape[0], labels.size
+    (n_train, n_feat), n_labels = xt.shape, labels.size
+    screen = n_train >= max(_SCREEN_MIN_TRAIN, k * _SCREEN_SHARE)
+    if screen:
+        with np.errstate(over="ignore", invalid="ignore"):
+            nt = (xt * xt).sum(axis=1)
+            t_max = np.sqrt(nt.max())
+            m2xt = (-2.0 * xt).T  # exact: scaling by a power of two
+        g = (n_feat + 2) * _UNIT_ROUNDOFF / (1 - (n_feat + 2) * _UNIT_ROUNDOFF)
+        tiny = (n_feat + 2) * _UNDERFLOW
     pred = np.empty(xv.shape[0])
     for lo in range(0, xv.shape[0], _KNN_BLOCK):
-        rows = slice(lo, lo + _KNN_BLOCK)
-        d2 = ((xv[rows, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
-        picked = np.flatnonzero(_nearest(d2, k))
+        xb = xv[lo : lo + _KNN_BLOCK]
+        picked = None
+        if screen:
+            with np.errstate(over="ignore", invalid="ignore"):
+                reach = (np.sqrt((xb * xb).sum(axis=1)) + t_max) ** 2
+            if reach.max() <= _SCREEN_REACH:  # false for NaN as well
+                picked = _screened_nearest(xb, xt, m2xt, nt, 8.0 * g * reach + tiny, k)
+                screen = picked is not None
+        if picked is None:
+            picked = _dense_nearest(xb, xt, k)
         votes = np.bincount(
             picked // n_train * n_labels + cls[picked % n_train],
-            minlength=d2.shape[0] * n_labels,
+            minlength=xb.shape[0] * n_labels,
         ).reshape(-1, n_labels)
-        pred[rows] = labels[np.argmax(votes, axis=1)]  # vote ties: smallest label
+        pred[lo : lo + _KNN_BLOCK] = labels[np.argmax(votes, axis=1)]  # vote ties: smallest label
     return pred
 
 

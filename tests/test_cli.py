@@ -204,8 +204,11 @@ def test_search_keeps_domains_with_the_same_method_apart(tmp_path, capsys):
         lambda doc: doc["methods"][0].update(layout="diagonal"),
         lambda doc: doc["apps"][0].update(kind="svm"),
         lambda doc: doc["search"].update(tau="abc"),
+        lambda doc: doc.update(apps=[5]),
+        lambda doc: doc.update(output=5),
+        lambda doc: doc["dataset"].update(split=5),
     ],
-    ids=["method", "mode", "layout", "app_kind", "tau"],
+    ids=["method", "mode", "layout", "app_kind", "tau", "app_entry", "output", "split"],
 )
 def test_search_bad_campaign_value_is_config_error(tmp_path, capsys, edit):
     campaign = write_campaign(

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -221,7 +223,7 @@ _FEATURE = st.one_of(
 def test_knn_matches_reference(data):
     n_train = data.draw(st.integers(1, 12), label="n_train")
     n_feat = data.draw(st.integers(1, 3), label="n_feat")
-    n_val = data.draw(st.integers(1, 3 * quality._KNN_BLOCK), label="n_val")
+    n_val = data.draw(st.integers(1, 100), label="n_val")
     xt = data.draw(hnp.arrays(np.float64, (n_train, n_feat), elements=_FEATURE), label="xt")
     xv = data.draw(hnp.arrays(np.float64, (n_val, n_feat), elements=_FEATURE), label="xv")
     n_classes = data.draw(st.integers(1, 4), label="n_classes")
@@ -260,6 +262,134 @@ def test_knn_through_application_matches_reference():
     pred = reference_knn(x, y, val.values[:, :2], 4, 9)
     want = float(np.mean(pred == val.values[:, 2]))
     assert run_application(ds, val, app)[0] == want
+
+
+@contextlib.contextmanager
+def spy(name):
+    """Record what every call of `quality.<name>` returns."""
+    real = getattr(quality, name)
+    returned = []
+
+    def wrapper(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    with mock.patch.object(quality, name, wrapper):
+        yield returned
+
+
+def _screen_case(data):
+    """Finite training and validation rows shaped to stress the screen:
+    one-ulp near-ties, a large common offset, magnitudes from subnormal up
+    to just under the overflow guard, and heavy duplicate rows."""
+    k = data.draw(st.integers(1, 8) | st.integers(1, 75), label="k")
+    n_train = data.draw(
+        st.integers(k, 300) | st.integers(max(quality._SCREEN_MIN_TRAIN, 4 * k), 300), label="n_train"
+    )
+    n_feat = data.draw(st.integers(1, 64), label="n_feat")
+    n_val = data.draw(st.integers(1, 2 * quality._KNN_BLOCK + 20), label="n_val")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+    base = data.draw(st.sampled_from(["normal", "integers", "offset"]), label="base")
+    if base == "normal":
+        xt = rng.normal(size=(n_train, n_feat))
+        xv = rng.normal(size=(n_val, n_feat))
+    else:
+        xt = rng.integers(-3, 4, size=(n_train, n_feat)).astype(float)
+        xv = rng.integers(-3, 4, size=(n_val, n_feat)).astype(float)
+        if base == "offset":  # the matrix product cancels badly around 1e8
+            xt += 1e8
+            xv += 1e8
+    pool = data.draw(st.sampled_from([None, None, 1, 5, 20]), label="duplicate_pool")
+    if pool:  # every training row is one of a few
+        xt = xt[rng.integers(0, min(pool, n_train), size=n_train)]
+    if data.draw(st.booleans(), label="near_ties"):
+        # validation rows on top of training rows, and training rows one
+        # ulp apart, so exact distances differ in their last bit or tie
+        on = rng.integers(0, n_train, size=n_val)
+        xv = np.where(rng.random((n_val, 1)) < 0.5, xt[on], xv)
+        toward = np.where(rng.random(xt.shape) < 0.5, -np.inf, np.inf)
+        xt = np.where(rng.random(xt.shape) < 0.3, np.nextafter(xt, toward), xt)
+    scale = data.draw(
+        st.sampled_from(["one", "subnormal", "tiny", "huge", "guard", "spread"]), label="scale"
+    )
+    if scale == "guard":  # (|v| + T)^2 just under the screen's overflow guard
+        reach = np.linalg.norm(xv, axis=1).max() + np.linalg.norm(xt, axis=1).max()
+        factor = math.sqrt(0.9 * quality._SCREEN_REACH) / max(reach, 1.0)
+    elif scale == "spread":  # each feature on its own scale, 1e-320 to 1e140
+        factor = 10.0 ** rng.uniform(-320.0, 140.0, size=n_feat)
+    else:
+        factor = {"one": 1.0, "subnormal": 2.0**-1060, "tiny": 1e-158, "huge": 1e120}[scale]
+    xt, xv = xt * factor, xv * factor
+    labels = data.draw(st.sampled_from(["few", "distinct"]), label="labels")
+    if labels == "distinct":  # the prediction names the nearest rows
+        yt = rng.permutation(n_train).astype(float)
+    else:
+        n_classes = data.draw(st.integers(1, 4), label="n_classes")
+        yt = rng.integers(0, n_classes, size=n_train).astype(float)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    return xt, yt, xv, k, seed
+
+
+def test_knn_screen_matches_reference():
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        xt, yt, xv, k, seed = _screen_case(data)
+        assert np.isfinite(xt).all() and np.isfinite(xv).all()
+        want = reference_knn(xt, yt, xv, k, seed)
+        assert np.array_equal(quality._knn_predict(xt, yt, xv, k, seed), want)
+
+    with spy("_screened_nearest") as screened:
+        check()
+    taken = sum(picked is not None for picked in screened)
+    assert taken >= 20, f"the screen ran on {taken} blocks only"
+
+
+def test_knn_screen_falls_back_on_a_non_finite_row():
+    rng = np.random.default_rng(4)
+    xt = rng.normal(size=(100, 3))
+    yt = rng.integers(0, 3, size=100).astype(float)
+    xv = rng.normal(size=(2 * quality._KNN_BLOCK, 3))
+    xv[5, 1] = math.nan
+    with spy("_screened_nearest") as screened, spy("_dense_nearest") as dense:
+        got = quality._knn_predict(xt, yt, xv, 3, 0)
+    # the block with the NaN row goes dense, the next one is screened
+    assert len(dense) == 1 and len(screened) == 1 and screened[0] is not None
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(got, reference_knn(xt, yt, xv, 3, 0))
+    xt[7, 0] = math.inf  # a non-finite training value: every block goes dense
+    with spy("_screened_nearest") as screened, np.errstate(invalid="ignore"):
+        got = quality._knn_predict(xt, yt, xv, 3, 0)
+        assert not screened
+        assert np.array_equal(got, reference_knn(xt, yt, xv, 3, 0))
+
+
+def test_knn_screen_falls_back_over_the_overflow_guard():
+    rng = np.random.default_rng(5)
+    xt = rng.normal(size=(100, 3))
+    yt = rng.integers(0, 3, size=100).astype(float)
+    xv = rng.normal(size=(quality._KNN_BLOCK, 3))  # one block
+    big = 2.0 * math.sqrt(quality._SCREEN_REACH)  # (|v| + T)^2 over the guard
+    for grown in (xt, xv):  # in the training rows, then in the validation rows
+        saved = grown[3, 2]
+        grown[3, 2] = big
+        with spy("_screened_nearest") as screened, np.errstate(over="ignore", invalid="ignore"):
+            got = quality._knn_predict(xt, yt, xv, 3, 1)
+            assert not screened
+            assert np.array_equal(got, reference_knn(xt, yt, xv, 3, 1))
+        grown[3, 2] = saved
+
+
+def test_knn_screen_falls_back_on_an_all_tied_table():
+    # every training row alike, as at a coarse bit-plane bound
+    xt = np.full((100, 4), 64.0)
+    yt = np.arange(100.0) % 3
+    xv = np.random.default_rng(6).normal(size=(3 * quality._KNN_BLOCK, 4))
+    with spy("_screened_nearest") as screened, spy("_dense_nearest") as dense:
+        got = quality._knn_predict(xt, yt, xv, 5, 2)
+    # one block tries the screen; it keeps every pair, so the call goes dense
+    assert screened == [None] and len(dense) == 3
+    assert np.array_equal(got, reference_knn(xt, yt, xv, 5, 2))
 
 
 def test_lowrank_full_rank_is_identity():
