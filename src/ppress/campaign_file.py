@@ -7,7 +7,7 @@ campaign directory can be moved as a unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -46,15 +46,6 @@ def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required field {key!r}")
     return mapping[key]
-
-
-def _knobs(entry: dict, where: str) -> ReducerKnobs:
-    raw = entry.get("knobs", {}) or {}
-    known = {f.name for f in fields(ReducerKnobs)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{where}: unknown knobs {sorted(unknown)}")
-    return ReducerKnobs(**raw)
 
 
 def _load_dataset(section: dict, base: Path) -> Dataset:
@@ -119,7 +110,7 @@ def _build_method(entry: dict, index: int) -> SearchDomain | ReducerConfig:
     method = Method(_require(entry, "method", where))
     mode = Mode(entry.get("mode", "none"))
     layout = Layout(entry.get("layout", "by_column"))
-    knobs = _knobs(entry, where)
+    knobs = ReducerKnobs.from_dict(entry.get("knobs", {}) or {}, where)
     if "bound_min" in entry or "bound_max" in entry:
         return SearchDomain(
             method=method,

@@ -81,12 +81,17 @@ def _encode_stream(col: np.ndarray, stats: ColumnStats, config: ReducerConfig, w
     if method is Method.EBLC_PRED:
         eb = resolve_bound(config.mode, config.c[0], stats)
         if eb is PER_VALUE:
-            return predictive.encode_pwrel(
+            coded = predictive.encode_pwrel(
                 col, config.c[0], knobs.quant_bin_cap, width, knobs.pw_rel_zero_floor
             )[0]
-        if eb == 0.0:
+        elif eb == 0.0:
             return predictive.encode_verbatim(col, width)
-        return predictive.encode_abs(col, eb, knobs.quant_bin_cap, width)[0]
+        else:
+            coded = predictive.encode_abs(col, eb, knobs.quant_bin_cap, width)[0]
+        # coding that does not pay is stored verbatim, exact and no larger
+        if len(coded) > predictive.VERBATIM_HEAD + col.size * width:
+            return predictive.encode_verbatim(col, width)
+        return coded
     if method is Method.EBLC_BITPLANE:
         return bitplane.encode(col, config.mode.value, config.c[0], knobs.block_size, width)[0]
     raise ConfigError(f"method {method.value} has no stream encoder")

@@ -109,10 +109,7 @@ def _reconstruct(coeffs: np.ndarray, exps: np.ndarray) -> np.ndarray:
 
 
 def _truncate_coeffs(coeffs: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    shift = (np.uint64(TOTAL_PLANES) - keep.astype(np.uint64))[:, None]
-    mags = np.abs(coeffs).astype(np.uint64)
-    mags = (mags >> shift) << shift
-    out = mags.astype(np.int64)
+    out = _clear_below(np.abs(coeffs).astype(np.uint64), keep).astype(np.int64)
     out[coeffs < 0] *= -1
     return out
 

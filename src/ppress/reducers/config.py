@@ -73,6 +73,14 @@ class ReducerKnobs:
         if self.delta_order not in (0, 1, 2):
             raise ConfigError(f"delta_order must be 0, 1 or 2, got {self.delta_order}")
 
+    @classmethod
+    def from_dict(cls, d: dict, where: str = "knobs") -> "ReducerKnobs":
+        """Knobs from a mapping; a key that names no knob is a ConfigError."""
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"{where}: unknown knobs {sorted(unknown)}")
+        return cls(**d)
+
 
 @dataclass(frozen=True)
 class ReducerConfig:
@@ -138,17 +146,12 @@ class ReducerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReducerConfig":
-        knob_fields = {f.name for f in fields(ReducerKnobs)}
-        raw = d.get("knobs", {})
-        unknown = set(raw) - knob_fields
-        if unknown:
-            raise ConfigError(f"unknown knobs: {sorted(unknown)}")
         return cls(
             method=Method(d["method"]),
             mode=Mode(d.get("mode", "none")),
             c=tuple(d.get("c", ())),
             layout=Layout(d.get("layout", "by_column")),
-            knobs=ReducerKnobs(**raw),
+            knobs=ReducerKnobs.from_dict(d.get("knobs", {})),
         )
 
     def canonical_json(self) -> str:

@@ -1,9 +1,9 @@
-"""Canonical Huffman coding over sparse integer alphabets.
+"""Canonical Huffman coding over small sparse integer alphabets.
 
-Code lengths are capped so the decoder can use a flat window-indexed table;
-when the unconstrained Huffman tree is deeper than the cap, symbol
-frequencies are repeatedly halved until it fits (the classic zlib trick,
-slightly suboptimal but always valid).
+A table holds at most MAX_SYMBOLS symbols.  A Huffman tree over k symbols
+is at most k - 1 deep, so no code is longer than MAX_LENGTH bits and the
+decoder's flat window-indexed table never exceeds 2^MAX_LENGTH entries.
+Wider alphabets are the caller's to code some other way.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import numpy as np
 
 from ..errors import CodecError
 
-# 2^16 table entries cover alphabets up to 65536 present symbols; larger
-# alphabets (possible when quant_bin_cap is raised) get an 18-bit cap.
-_SMALL_LIMIT = 16
-_LARGE_LIMIT = 18
+MAX_SYMBOLS = 16
+MAX_LENGTH = MAX_SYMBOLS - 1  # the deepest tree: one leaf per level, two at the bottom
 
 
 def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
@@ -44,24 +42,6 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
     return np.array(depth[:k], dtype=np.int64)
 
 
-def code_lengths(counts: np.ndarray, limit: int) -> np.ndarray:
-    """Length-limited Huffman code lengths for symbols with these counts.
-
-    counts lists one positive count per symbol in ascending symbol order;
-    ties between equal weights go to the lower symbol.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if (1 << limit) < counts.size:
-        raise CodecError(
-            f"{counts.size} symbols cannot fit codes of <= {limit} bits"
-        )
-    while True:
-        lengths = _huffman_lengths(counts)
-        if lengths.max() <= limit:
-            return lengths
-        counts = (counts + 1) // 2
-
-
 @dataclass(frozen=True)
 class HuffmanTable:
     """Canonical code book plus its wire form (symbol, length) pairs."""
@@ -83,8 +63,11 @@ class HuffmanTable:
         if histogram is None:
             histogram = np.unique(stream, return_counts=True)
         syms, counts = histogram
-        limit = _SMALL_LIMIT if syms.size <= (1 << _SMALL_LIMIT) else _LARGE_LIMIT
-        lengths = code_lengths(counts, limit)
+        if syms.size > MAX_SYMBOLS:
+            raise CodecError(
+                f"{syms.size} distinct symbols, a Huffman table holds at most {MAX_SYMBOLS}"
+            )
+        lengths = _huffman_lengths(counts)
         order = np.lexsort((syms, lengths))
         return cls(syms[order].astype(np.uint32), lengths[order].astype(np.uint8))
 
@@ -114,6 +97,8 @@ class HuffmanTable:
         (count,) = np.frombuffer(buf, "<u4", count=1, offset=offset)
         count = int(count)
         offset += 4
+        if count > MAX_SYMBOLS:
+            raise CodecError(f"Huffman table of {count} entries, at most {MAX_SYMBOLS} allowed")
         if len(buf) < offset + 5 * count:
             raise CodecError("truncated Huffman table")
         syms = np.frombuffer(buf, "<u4", count=count, offset=offset).astype(np.uint32)
@@ -124,8 +109,8 @@ class HuffmanTable:
             raise CodecError("empty Huffman table")
         if not (lens[:-1] <= lens[1:]).all():
             raise CodecError("Huffman table lengths not in canonical order")
-        if lens[0] < 1 or lens[-1] > _LARGE_LIMIT:
-            raise CodecError(f"Huffman code lengths must be 1..{_LARGE_LIMIT} bits")
+        if lens[0] < 1 or lens[-1] > MAX_LENGTH:
+            raise CodecError(f"Huffman code lengths must be 1..{MAX_LENGTH} bits")
         same = lens[:-1] == lens[1:]
         if (syms[:-1][same] >= syms[1:][same]).any():
             raise CodecError("Huffman table symbols not in canonical order")
@@ -161,12 +146,12 @@ def encode(
     codes = table.codes()[order]
     lengths = table.lengths.astype(np.int64)[order]
     lens = lengths[inverse]
-    # each codeword left-justified in the top 24 bits of a big-endian word
-    # (codes are at most 18 bits): the first `len` bits of each row, read
-    # row by row, are the packed stream
-    words = (codes[inverse] << (32 - lens)).astype(">u4")
-    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 4)[:, :3], axis=1)
-    bits = bits[np.arange(24) < lens[:, None]]
+    # each codeword left-justified in a big-endian 16-bit word (codes are
+    # at most MAX_LENGTH bits): the first `len` bits of each row, read row
+    # by row, are the packed stream
+    words = (codes[inverse] << (16 - lens)).astype(">u2")
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 2), axis=1)
+    bits = bits[np.arange(16) < lens[:, None]]
     return np.packbits(bits).tobytes(), int(bits.size)
 
 

@@ -8,7 +8,9 @@ rounding, are stored verbatim as literals.  The error contract is therefore
 exact by construction, never just approximate.
 
 The code stream (literal marker, quantizer codes, zero marker) is entropy
-coded with a canonical Huffman table, one table per stream.
+coded per stream: a canonical Huffman table when it uses at most
+huffman.MAX_SYMBOLS distinct symbols, otherwise zigzag codes laid out as
+four byte planes in a lossless (zlib) frame.
 
 Pointwise-relative mode runs the same machinery on log-magnitudes with step
 2*log1p(pw): a reconstruction within log1p(pw) of log|x| lands within a
@@ -24,18 +26,18 @@ from typing import Callable
 import numpy as np
 
 from ..errors import CodecError
-from . import huffman
+from . import huffman, lossless
 
 LIT_SYM = 0  # quantizer codes map to [1, 2*cap-1]; 2*cap marks a zero
 
 _FLAG_VERBATIM = 1
 _FLAG_SIGNS = 2
-_FLAG_RAWCODES = 4
+_FLAG_DEFLATED = 4
 
 _HEAD = struct.Struct("<BQ")          # flags, n_values
+VERBATIM_HEAD = _HEAD.size            # a verbatim stream is this plus the raw values
 _QHEAD = struct.Struct("<dII")        # step, cap, n_literals
 _BITS = struct.Struct("<Q")           # n_bits
-_RAWHEAD = struct.Struct("<B")        # fixed code width, raw streams only
 
 # values coded per quantizer pass; bounds the work a mispredicted literal wastes
 _MIN_WINDOW = 16
@@ -166,41 +168,36 @@ def _cast_like(r: np.ndarray, width: int) -> np.ndarray:
     return r.astype(_F32).astype(np.float64) if width == 4 else r
 
 
-def _pack_fixed(syms: np.ndarray, width: int) -> tuple[bytes, int]:
-    bits = (syms[:, None] >> np.arange(width - 1, -1, -1, dtype=np.int64)) & 1
-    return np.packbits(bits.astype(np.uint8).ravel()).tobytes(), syms.size * width
-
-
-def _unpack_fixed(buf: bytes, n: int, width: int) -> np.ndarray:
-    need = (n * width + 7) // 8
-    if len(buf) != need:
-        raise CodecError(f"raw symbol payload is {len(buf)} bytes, expected {need}")
-    bits = np.unpackbits(np.frombuffer(buf, np.uint8, count=need), count=n * width)
-    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-    return bits.reshape(n, width).astype(np.int64) @ weights
-
-
 def _pack_symbols(syms: np.ndarray, cap: int) -> tuple[int, bytes]:
     """Entropy-code a symbol stream; returns (header flags, tail bytes).
 
-    Canonical Huffman pays for its code table, roughly five bytes per
-    distinct symbol.  Near-incompressible streams, where the alphabet is a
-    sizable share of the stream itself, do better as raw fixed-width codes,
-    which also keeps both directions fully vectorized.
+    Narrow alphabets get a canonical Huffman table.  A wide one would pay
+    about five table bytes per distinct symbol, so its codes are zigzagged
+    around cap (small jumps become small numbers) and their four bytes are
+    split into planes, which zlib deflates far better than the interleaved
+    words.
     """
-    n = syms.size
-    raw_width = max(1, int(2 * cap).bit_length())
+    if 2 * cap > 0xFFFFFFFF:
+        raise CodecError(f"quantizer cap {cap} does not fit 32-bit symbols")
     uniq, inverse, counts = np.unique(syms, return_inverse=True, return_counts=True)
-    k = int(uniq.size)
-    huffman_bits = 40 * k + n * max(1.0, np.log2(max(k, 2)))
-    if k > 256 and huffman_bits >= n * raw_width:
-        packed, n_bits = _pack_fixed(syms, raw_width)
-        return _FLAG_RAWCODES, b"".join(
-            (_RAWHEAD.pack(raw_width), _BITS.pack(n_bits), packed)
-        )
+    if uniq.size > huffman.MAX_SYMBOLS:
+        q = syms - cap
+        zigzag = np.where(q < 0, -2 * q - 1, 2 * q).astype("<u4")
+        planes = zigzag.view(np.uint8).reshape(-1, 4).T
+        return _FLAG_DEFLATED, lossless.lossless_encode(planes.tobytes())
     table = huffman.HuffmanTable.from_symbols(syms, histogram=(uniq, counts))
     packed, n_bits = huffman.encode(syms, table, inverse=inverse)
     return 0, b"".join((table.to_bytes(), _BITS.pack(n_bits), packed))
+
+
+def _unpack_deflated(buf: bytes, n: int, cap: int) -> np.ndarray:
+    """Symbols of a deflated code section; inverse of _pack_symbols' wide form."""
+    planes = lossless.lossless_decode(buf)
+    if len(planes) != 4 * n:
+        raise CodecError(f"deflated codes hold {len(planes)} bytes, {n} symbols need {4 * n}")
+    words = np.frombuffer(planes, np.uint8).reshape(4, n).T.copy().view("<u4")
+    zigzag = words.ravel().astype(np.int64)
+    return cap + np.where(zigzag & 1, -(zigzag + 1) // 2, zigzag // 2)
 
 
 def encode_abs(
@@ -291,7 +288,8 @@ def encode_pwrel(
 
 
 def encode_verbatim(x: np.ndarray, width: int) -> bytes:
-    """Store a stream untouched (zero-range columns under REL/PSNR)."""
+    """Store a stream untouched: zero-range columns under REL/PSNR, and
+    streams whose coded form would be larger."""
     body = np.ascontiguousarray(x).astype(_F32 if width == 4 else _F64).tobytes()
     return _HEAD.pack(_FLAG_VERBATIM, x.size) + body
 
@@ -312,7 +310,7 @@ def decode(buf: bytes, width: int) -> np.ndarray:
     """
     head, off = _section(buf, 0, _HEAD.size, "header")
     flags, n = _HEAD.unpack(head)
-    if flags & ~(_FLAG_VERBATIM | _FLAG_SIGNS | _FLAG_RAWCODES):
+    if flags & ~(_FLAG_VERBATIM | _FLAG_SIGNS | _FLAG_DEFLATED):
         raise CodecError(f"unknown predictive stream flags {flags:#x}")
     fdt = _F32 if width == 4 else _F64
     if flags & _FLAG_VERBATIM:
@@ -328,13 +326,8 @@ def decode(buf: bytes, width: int) -> np.ndarray:
     if flags & _FLAG_SIGNS:
         mask, off = _section(buf, off, (n + 7) // 8, "sign mask")
         neg = np.unpackbits(np.frombuffer(mask, np.uint8), count=n).astype(bool)
-    if flags & _FLAG_RAWCODES:
-        head, off = _section(buf, off, _RAWHEAD.size + _BITS.size, "code header")
-        (raw_width,) = _RAWHEAD.unpack_from(head)
-        (n_bits,) = _BITS.unpack_from(head, _RAWHEAD.size)
-        if raw_width != max(1, int(2 * cap).bit_length()) or n_bits != n * raw_width:
-            raise CodecError("raw symbol stream length mismatch")
-        syms = _unpack_fixed(buf[off:], n, raw_width)
+    if flags & _FLAG_DEFLATED:
+        syms = _unpack_deflated(buf[off:], n, cap)
     else:
         table, off = huffman.HuffmanTable.from_bytes(buf, off)
         head, off = _section(buf, off, _BITS.size, "code header")

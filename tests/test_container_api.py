@@ -1,9 +1,11 @@
 """Container round trips and the compress/decompress entry points."""
 
 import math
+import re
 import struct
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from ppress.reducers import (
     retained_rows,
     unpack,
 )
+from ppress.reducers import container
 from ppress.tabular import ColumnStats, from_array
 
 
@@ -382,6 +385,7 @@ FUZZ_CONFIGS = [
     ReducerConfig(Method.LOSSLESS),
     ReducerConfig(Method.LOSSLESS, knobs=ReducerKnobs(delta_order=2)),
     ReducerConfig(Method.NONE),
+    ReducerConfig(Method.EBLC_PRED, Mode.ABS, (0.5,)),  # narrow codes: a Huffman table
 ]
 _FUZZ_ARTIFACTS = {}
 
@@ -464,3 +468,50 @@ def test_overflowing_stream_raises_codec_error(case):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(CodecError):
             decompress(bad)
+
+
+def rough_ds(n=2000, k=4, dtype="f32"):
+    # heavy-tailed, sign-mixed columns over four decades, some exact zeros
+    rng = np.random.default_rng(5)
+    values = rng.standard_t(df=2.0, size=(n, k)) * 10.0 ** np.linspace(-1, 3, k)
+    values[rng.random(size=values.shape) < 0.02] = 0.0
+    return from_array(values, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize(
+    "mode, bound, layout",
+    [
+        (Mode.REL, 1e-7, Layout.BY_COLUMN),
+        (Mode.REL, 1e-7, Layout.MATRIX),
+        (Mode.REL, 1e-3, Layout.BY_COLUMN),
+        (Mode.PW_REL, 1e-6, Layout.BY_COLUMN),
+        (Mode.PW_REL, 1e-2, Layout.MATRIX),
+        (Mode.ABS, 1e-12, Layout.BY_COLUMN),
+    ],
+)
+def test_no_predictive_stream_exceeds_raw(dtype, mode, bound, layout):
+    ds = rough_ds(dtype=dtype)
+    width = ds.values.dtype.itemsize
+    art, _, _ = compress(ds, ReducerConfig(Method.EBLC_PRED, mode, (bound,), layout))
+    values = ds.n_obs * (ds.n_feat if layout is Layout.MATRIX else 1)
+    assert all(len(s) <= 9 + values * width for s in art.streams)
+    out, _, _ = decompress(unpack(pack(art)))
+    verbatim = [s[0] == 1 for s in art.streams]
+    cols = [out.values.ravel()] if layout is Layout.MATRIX else out.values.T
+    orig = [ds.values.ravel()] if layout is Layout.MATRIX else ds.values.T
+    for stored, got, want in zip(verbatim, cols, orig):
+        if stored:  # the escape keeps values exact
+            assert got.tobytes() == want.tobytes()
+
+
+def test_escape_fires_where_coding_does_not_pay():
+    # a bound far below the f32 spacing leaves nearly every value a literal
+    art, _, _ = compress(rough_ds(), ReducerConfig(Method.EBLC_PRED, Mode.ABS, (1e-12,)))
+    assert all(s[0] == 1 for s in art.streams)
+
+
+def test_container_doc_states_the_current_version():
+    doc = Path(__file__).resolve().parent.parent / "docs" / "container_format.md"
+    stated = re.findall(r"currently (\d+)", doc.read_text())
+    assert stated == [str(container.VERSION)]

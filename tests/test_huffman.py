@@ -34,7 +34,7 @@ def test_single_symbol_alphabet():
 
 def test_kraft_equality_and_prefix_freedom():
     rng = np.random.default_rng(0)
-    stream = rng.geometric(0.3, size=2000) + 10
+    stream = np.minimum(rng.geometric(0.3, size=2000), huffman.MAX_SYMBOLS) + 10
     table = huffman.HuffmanTable.from_symbols(stream.astype(np.int64))
     lengths = table.lengths.tolist()
     assert sum(2.0 ** -l for l in lengths) == pytest.approx(1.0)
@@ -57,18 +57,32 @@ def test_optimality_against_entropy():
     assert n_bits / stream.size >= entropy
 
 
-def test_skewed_lengths_respect_limit():
-    # frequencies engineered to produce a very deep unconstrained tree
-    counts = 2 ** np.arange(40, dtype=np.int64)
-    lengths = huffman.code_lengths(counts, 16)
-    assert lengths.max() <= 16
-    assert sum(2.0 ** -lengths) <= 1.0 + 1e-12
-
-
-def test_large_alphabet_round_trip():
-    rng = np.random.default_rng(2)
-    stream = rng.integers(0, 70000, size=150000).astype(np.int64)
+def test_skewed_counts_give_the_deepest_code():
+    # doubling counts make the deepest tree a full alphabet allows
+    stream = np.repeat(np.arange(huffman.MAX_SYMBOLS), 2 ** np.arange(huffman.MAX_SYMBOLS))
+    table = huffman.HuffmanTable.from_symbols(stream)
+    assert int(table.lengths.max()) == huffman.MAX_LENGTH
     assert np.array_equal(round_trip(stream), stream)
+
+
+def test_seventeenth_symbol_rejected():
+    stream = np.arange(huffman.MAX_SYMBOLS + 1, dtype=np.int64)
+    huffman.HuffmanTable.from_symbols(stream[:-1])
+    with pytest.raises(CodecError, match="at most 16"):
+        huffman.HuffmanTable.from_symbols(stream)
+
+
+def test_table_of_seventeen_entries_rejected():
+    # a complete code, one codeword of each length 1..15 and two of 16,
+    # is one entry and one bit past what any table may hold
+    lengths = list(range(1, huffman.MAX_LENGTH + 1)) + [huffman.MAX_LENGTH + 1] * 2
+    wire = (
+        np.uint32(len(lengths)).tobytes()
+        + np.arange(len(lengths), dtype="<u4").tobytes()
+        + np.array(lengths, dtype=np.uint8).tobytes()
+    )
+    with pytest.raises(CodecError, match="at most 16"):
+        huffman.HuffmanTable.from_bytes(wire, 0)
 
 
 def test_corrupt_table_rejected():
@@ -91,7 +105,9 @@ def test_truncated_stream_rejected():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.integers(0, 300), min_size=1, max_size=500),
+    st.lists(
+        st.integers(0, 2**32 - 1), min_size=1, max_size=huffman.MAX_SYMBOLS, unique=True
+    ).flatmap(lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=1, max_size=500)),
 )
 def test_round_trip_property(symbols):
     assert round_trip(symbols).tolist() == symbols
@@ -116,7 +132,7 @@ def reference_decode(buf, n_bits, n_symbols, table):
     for _ in range(n_symbols):
         code = length = 0
         while (length, code) not in lookup:
-            if pos >= n_bits or length == 18:
+            if pos >= n_bits or length == huffman.MAX_LENGTH:
                 raise CodecError("no codeword")
             code = 2 * code + bits[pos]
             pos += 1
@@ -136,12 +152,11 @@ def decode_outcome(decode, *args):
 
 @st.composite
 def complete_tables(draw):
-    """A random complete canonical code of 1..18-bit codewords."""
+    """A random complete canonical code of at most MAX_SYMBOLS codewords."""
     lengths = [1, 1]
-    for _ in range(draw(st.integers(0, 40))):
+    for _ in range(draw(st.integers(0, huffman.MAX_SYMBOLS - 2))):
         k = draw(st.integers(0, len(lengths) - 1))
-        if lengths[k] < 18:
-            lengths[k:k + 1] = [lengths[k] + 1] * 2
+        lengths[k:k + 1] = [lengths[k] + 1] * 2
     if draw(st.booleans()) and len(lengths) == 2:
         lengths = [1]  # the one-symbol code
     symbols = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(lengths),
@@ -153,11 +168,11 @@ def complete_tables(draw):
     )
 
 
-# the deepest code the 18-bit cap allows: one codeword of each length
-# 1..17, then two of length 18
+# the deepest code a table allows: one codeword of each length 1..14,
+# then two of length 15
 DEEPEST = huffman.HuffmanTable(
-    np.arange(19, dtype=np.uint32) * 1000,
-    np.array(list(range(1, 18)) + [18, 18], dtype=np.uint8),
+    np.arange(huffman.MAX_SYMBOLS, dtype=np.uint32) * 1000,
+    np.array(list(range(1, huffman.MAX_LENGTH)) + [huffman.MAX_LENGTH] * 2, dtype=np.uint8),
 )
 
 
@@ -186,22 +201,6 @@ def test_decode_matches_per_symbol_reference(table, seed, n, flips):
         assert decode_outcome(huffman.decode, *args, wire) == decode_outcome(
             reference_decode, *args, wire
         )
-
-
-def test_decode_matches_reference_on_large_alphabet():
-    # more than 2^16 distinct symbols move the length cap to 18 bits
-    rng = np.random.default_rng(3)
-    stream = np.concatenate(
-        (np.arange(70000), rng.geometric(0.05, size=60000))
-    ).astype(np.int64)
-    rng.shuffle(stream)
-    table = huffman.HuffmanTable.from_symbols(stream)
-    assert table.lengths.max() > 16
-    buf, n_bits = huffman.encode(stream, table)
-    assert n_bits > 4 * huffman._CHUNK
-    out = huffman.decode(buf, n_bits, stream.size, table)
-    assert np.array_equal(out, stream)
-    assert np.array_equal(reference_decode(buf, n_bits, stream.size, table), stream)
 
 
 def test_one_symbol_stream_over_several_chunks():

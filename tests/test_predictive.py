@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ppress.errors import CodecError
-from ppress.reducers import huffman, predictive
+from ppress.reducers import huffman, lossless, predictive
 
 
 def enc_dec_abs(x, eb, cap=1 << 16, width=8):
@@ -357,7 +357,7 @@ def stream_of(kind):
     walk = np.cumsum(rng.normal(size=3000))
     if kind == "huffman":
         buf, _ = predictive.encode_abs(walk, 0.5, 1 << 16, 8)
-    elif kind == "raw":
+    elif kind == "deflated":
         buf, _ = predictive.encode_abs(walk, 1e-4, 1 << 16, 8)
     elif kind == "pw_rel":
         buf, _ = predictive.encode_pwrel(walk, 1e-3, 1 << 16, 8, None)
@@ -366,7 +366,7 @@ def stream_of(kind):
     return buf
 
 
-@pytest.mark.parametrize("kind", ["huffman", "raw", "pw_rel", "verbatim"])
+@pytest.mark.parametrize("kind", ["huffman", "deflated", "pw_rel", "verbatim"])
 @pytest.mark.parametrize(
     "damage",
     [lambda b: b[: len(b) // 2], lambda b: b[:-3], lambda b: b[:40], lambda b: b + b"junk"],
@@ -375,7 +375,8 @@ def stream_of(kind):
 def test_damaged_stream_raises_codec_error(kind, damage):
     buf = stream_of(kind)
     flags = buf[0]
-    assert bool(flags & predictive._FLAG_RAWCODES) == (kind == "raw")
+    # the pw_rel walk's codes span more than 16 symbols, so they deflate too
+    assert bool(flags & predictive._FLAG_DEFLATED) == (kind in ("deflated", "pw_rel"))
     assert bool(flags & predictive._FLAG_SIGNS) == (kind == "pw_rel")
     predictive.decode(buf, 8)
     with pytest.raises(CodecError):
@@ -384,10 +385,131 @@ def test_damaged_stream_raises_codec_error(kind, damage):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["huffman", "raw", "pw_rel", "verbatim"]),
+    kind=st.sampled_from(["huffman", "deflated", "pw_rel", "verbatim"]),
     cut=st.integers(0, 10**6),
 )
 def test_every_truncation_raises_codec_error(kind, cut):
     buf = stream_of(kind)
     with pytest.raises(CodecError):
         predictive.decode(buf[: cut % len(buf)], 8)
+
+
+def coded_symbols(encode, *args):
+    """An encoder's stream and the symbol array it entropy-coded."""
+    seen = []
+    real = predictive._pack_symbols
+
+    def spy(syms, cap):
+        seen.append(syms.copy())
+        return real(syms, cap)
+
+    predictive._pack_symbols = spy
+    try:
+        buf, recon = encode(*args)
+    finally:
+        predictive._pack_symbols = real
+    (syms,) = seen
+    return buf, recon, syms
+
+
+def assert_form_and_round_trip(encode, *args):
+    width = args[3]
+    buf, recon, syms = coded_symbols(encode, *args)
+    wide = np.unique(syms).size > huffman.MAX_SYMBOLS
+    assert bool(buf[0] & predictive._FLAG_DEFLATED) == wide
+    out = predictive.decode(buf, width)
+    assert out.tobytes() == recon.tobytes()
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alphabet=st.integers(1, 30).flatmap(
+        lambda k: st.lists(st.integers(-40, 40), min_size=k, max_size=k, unique=True)
+    ),
+    picks=st.lists(st.integers(0, 29), max_size=300),
+    zeros=st.lists(st.integers(0, 299), max_size=4),
+    cap=st.sampled_from([64, 1 << 16, 1 << 30]),
+    width=st.sampled_from([4, 8]),
+)
+def test_round_trip_on_both_sides_of_the_huffman_line(alphabet, picks, zeros, cap, width):
+    # integer walks at step 1 (abs) and log-walks at the pw_rel step code
+    # exactly the drawn jumps, so a stream's alphabet is the drawn one plus
+    # the literal (and, for pw_rel, the zero symbol 2*cap)
+    jumps = np.array(alphabet + [alphabet[p % len(alphabet)] for p in picks], dtype=np.float64)
+    x = np.cumsum(jumps)
+    if width == 4:
+        x = x.astype(np.float32)
+    out = assert_form_and_round_trip(predictive.encode_abs, x, 0.5, cap, width)
+    assert np.all(np.abs(x.astype(np.float64) - out) <= 0.5)
+
+    pw = 1e-3
+    y = np.exp(np.cumsum(jumps) * 2 * np.log1p(pw)) * np.where(jumps > 0, 1.0, -1.0)
+    y[[z % y.size for z in zeros]] = 0.0
+    if width == 4:
+        y = y.astype(np.float32)
+    out = assert_form_and_round_trip(predictive.encode_pwrel, y, pw, cap, width, None)
+    y = y.astype(np.float64)
+    assert np.all(np.abs(y - out) <= pw * np.abs(y))
+
+
+def deflated_section(buf, width=8):
+    """Offset of a deflated stream's code section, after its literals and signs."""
+    flags, n = predictive._HEAD.unpack_from(buf, 0)
+    assert flags & predictive._FLAG_DEFLATED
+    _, _, n_lit = predictive._QHEAD.unpack_from(buf, predictive._HEAD.size)
+    off = predictive._HEAD.size + predictive._QHEAD.size + n_lit * width
+    return n, off + ((n + 7) // 8 if flags & predictive._FLAG_SIGNS else 0)
+
+
+def test_zero_symbol_at_the_largest_cap_tops_the_code_planes():
+    # pw_rel marks an exact zero with 2*cap; at cap 2^30 it zigzags to
+    # 2^31, the top bit of a 32-bit code
+    pw, cap = 1e-3, 1 << 30
+    x = np.exp(np.cumsum(np.arange(1, 41)) * 2 * np.log1p(pw))
+    x[::7] = 0.0
+    buf, recon, syms = coded_symbols(predictive.encode_pwrel, x, pw, cap, 8, None)
+    assert (syms == 2 * cap).sum() == 6
+    n, off = deflated_section(buf)
+    planes = np.frombuffer(lossless.lossless_decode(buf[off:]), np.uint8).reshape(4, n)
+    codes = planes.T.copy().view("<u4").ravel()
+    assert codes.max() == 1 << 31
+    assert np.array_equal(codes == 1 << 31, x == 0.0)
+    out = predictive.decode(buf, 8)
+    assert out.tobytes() == recon.tobytes()
+    assert np.array_equal(out == 0.0, x == 0.0)
+
+
+def refit_frame(buf, frame):
+    _, off = deflated_section(buf)
+    return buf[:off] + frame
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda planes: lossless.lossless_encode(planes[:-4]),
+        lambda planes: lossless.lossless_encode(planes + b"\0\0\0\0"),
+        lambda planes: lossless.lossless_encode(planes[:-1]),
+        lambda planes: lossless.lossless_encode(planes)[:-6] + b"garbage",
+        lambda planes: lossless.lossless_encode(planes) + b"junk",
+    ],
+    ids=["short", "long", "ragged", "corrupt-zlib", "junk-after-frame"],
+)
+def test_damaged_deflated_section_raises_codec_error(damage):
+    buf = stream_of("deflated")
+    n, off = deflated_section(buf)
+    planes = lossless.lossless_decode(buf[off:])
+    assert len(planes) == 4 * n
+    assert lossless.lossless_encode(planes)[0] == 1  # deflated, not stored
+    assert refit_frame(buf, lossless.lossless_encode(planes)) == buf
+    with pytest.raises(CodecError):
+        predictive.decode(refit_frame(buf, damage(planes)), 8)
+
+
+def test_cap_beyond_32_bit_symbols_rejected():
+    # 2*cap, the pw_rel zero marker, must fit a u32 code
+    x = np.arange(40.0) ** 2
+    with pytest.raises(CodecError, match="32-bit"):
+        predictive.encode_abs(x, 0.5, 1 << 31, 8)
+    predictive.encode_abs(x, 0.5, (1 << 31) - 1, 8)
