@@ -90,7 +90,12 @@ class SearchDomain:
             )
         if self.scale not in ("linear", "log10"):
             raise ConfigError(f"scale must be linear or log10, got {self.scale!r}")
-        self.config(self.bound_min)  # validates method/mode pairing
+        # validates the method/mode pairing and both ends' ranges
+        self.config(self.bound_min)
+        self.config(self.bound_max)
+        if self.mode is Mode.PREC:
+            raise ConfigError("prec takes whole plane counts, which bisection cannot "
+                              "probe; list each as a fixed bound")
 
     def config(self, bound: float) -> ReducerConfig:
         return ReducerConfig(self.method, self.mode, (bound,), self.layout, self.knobs)

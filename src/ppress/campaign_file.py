@@ -141,7 +141,7 @@ def load_campaign_file(path: str | Path) -> CampaignPlan:
         raise ConfigError(f"{path}: top level must be a mapping")
     try:
         return _build_plan(doc, path)
-    except (ValueError, TypeError) as exc:  # a bad enum value or number
+    except (ValueError, TypeError, ConfigError) as exc:  # a bad enum, number or bound
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -149,20 +149,20 @@ def _build_plan(doc: dict, path: Path) -> CampaignPlan:
     version = doc.get("version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
-            f"{path}: schema version {version!r} unsupported (expected {SCHEMA_VERSION})"
+            f"schema version {version!r} unsupported (expected {SCHEMA_VERSION})"
         )
     base = path.parent
     seed = int(doc.get("seed", 0))
-    pair = _build_pair(_require(doc, "dataset", str(path)), base, seed)
-    apps_raw = _require(doc, "apps", str(path))
+    pair = _build_pair(_require(doc, "dataset", "top level"), base, seed)
+    apps_raw = _require(doc, "apps", "top level")
     if not apps_raw:
-        raise ConfigError(f"{path}: apps list is empty")
+        raise ConfigError("apps list is empty")
     apps = tuple(_build_app(e, seed, i) for i, e in enumerate(apps_raw))
-    methods_raw = _require(doc, "methods", str(path))
+    methods_raw = _require(doc, "methods", "top level")
     if not methods_raw:
-        raise ConfigError(f"{path}: methods list is empty")
+        raise ConfigError("methods list is empty")
     methods = tuple(_build_method(e, i) for i, e in enumerate(methods_raw))
-    search_raw = _mapping(_require(doc, "search", str(path)), "search")
+    search_raw = _mapping(_require(doc, "search", "top level"), "search")
     spec = SearchSpec(
         tau=float(_require(search_raw, "tau", "search")),
         n_candidates=int(_require(search_raw, "n_candidates", "search")),
@@ -174,7 +174,7 @@ def _build_plan(doc: dict, path: Path) -> CampaignPlan:
     cache_raw = output.get("cache")
     compress_target = doc.get("compress_target", "both")
     if compress_target not in ("train", "validation", "both"):
-        raise ConfigError(f"{path}: bad compress_target {compress_target!r}")
+        raise ConfigError(f"bad compress_target {compress_target!r}")
     return CampaignPlan(
         pair=pair,
         apps=apps,

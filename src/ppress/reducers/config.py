@@ -108,6 +108,10 @@ class ReducerConfig:
                 )
             if not self.c[0] > 0:
                 raise ConfigError(f"bound must be positive, got {self.c[0]}")
+            if mode is Mode.PW_REL and not self.c[0] < 1:
+                raise ConfigError(f"pw_rel bound must be in (0, 1), got {self.c[0]}")
+            if mode is Mode.PREC and not self.c[0].is_integer():
+                raise ConfigError(f"prec takes a whole number of planes, got {self.c[0]}")
         if method is Method.TRUNC:
             if len(self.c) != 1 or self.c[0] not in (32.0, 16.0):
                 raise ConfigError("trunc takes a single target width of 32 or 16")

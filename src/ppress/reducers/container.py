@@ -21,7 +21,7 @@ from ..errors import DataFormatError
 from .config import Layout, Method, Mode
 
 MAGIC = b"PPRS"
-VERSION = 3
+VERSION = 4
 
 _METHOD_CODE = {
     Method.EBLC_PRED: 1,

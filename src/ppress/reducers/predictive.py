@@ -1,11 +1,13 @@
 """Prediction-based error-bounded column codec.
 
-Each value is predicted by the previous reconstructed value; the prediction
-residual is quantized to an integer code with step 2*eb, so reconstruction
-stays within eb of the input.  Codes whose magnitude reaches quant_bin_cap,
-and values whose reconstruction would violate the bound after floating-point
-rounding, are stored verbatim as literals.  The error contract is therefore
-exact by construction, never just approximate.
+Each value x snaps to grid index s = floor((x - o)/step + 1/2) on one grid
+of spacing step = 2*eb from the stream's first finite value o, and rebuilds
+as o + step*s, within eb of x.  The code is the jump between consecutive
+indices, a previous-value predictor's residual on integers (cuSZ's dual
+quantization), so all codes come from one array pass.  Jumps reaching
+quant_bin_cap, and values whose reconstruction would break the bound after
+floating-point rounding, are stored verbatim as literals, so the error
+contract is exact by construction, never just approximate.
 
 The code stream (literal marker, quantizer codes, zero marker) is entropy
 coded per stream: a canonical Huffman table when it uses at most
@@ -39,108 +41,61 @@ VERBATIM_HEAD = _HEAD.size            # a verbatim stream is this plus the raw v
 _QHEAD = struct.Struct("<dII")        # step, cap, n_literals
 _BITS = struct.Struct("<Q")           # n_bits
 
-# values coded per quantizer pass; bounds the work a mispredicted literal wastes
-_MIN_WINDOW = 16
-_MAX_WINDOW = 1 << 16
-
 _F32 = np.dtype("<f4")
 _F64 = np.dtype("<f8")
 
 
+def _origin(targets: np.ndarray) -> float:
+    """Where the grid starts: the first finite target (0 if none).  It is a
+    literal, as are position 0 and every successor of a non-finite target,
+    so the decoder finds it as the first finite literal target."""
+    finite = np.flatnonzero(np.isfinite(targets))
+    return float(targets[finite[0]]) if finite.size else 0.0
+
+
 def quantize(
     target: np.ndarray,
-    verify: Callable[[int, int, np.ndarray], np.ndarray],
+    verify: Callable[[np.ndarray], np.ndarray],
     step: float,
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize a stream against its own reconstruction.
+    """Quantize a stream on one grid of spacing step, in one array pass.
 
     target: f64 values to quantize (data values, or log-magnitudes).
-    verify(i, j, recon) -> bool mask checking the error contract for the
-    candidate reconstruction of target[i:j] in the original value domain.
+    verify(recon) -> bool mask checking the error contract for every
+    candidate reconstruction in the original value domain.
 
-    Returns (symbols, reconstructed targets, literal positions).  The
-    reconstruction is computed exactly as the decoder will compute it, so
-    the two are bit-identical by construction.
-
-    Position k is a literal when k == 0, when the value before it is a
-    literal and k is far from it (the first code after a fresh literal
-    would already overflow the alphabet), or when coding it against the
-    latest literal fails: a non-finite or overflowing code, or a
-    reconstruction that breaks the contract.  A literal becomes the anchor
-    the codes after it chain from.  Rather than step through that rule one
-    value at a time, each pass guesses the literals (the far values, the
-    non-finite ones and their successors), codes a whole window against
-    the anchors that guess implies, and keeps everything up to the first
-    position where the rule disagrees with the guess.  That position is
-    decided by the rule too, so each pass keeps at least one value.
+    Returns (symbols, reconstructed targets, literal positions).  Target k
+    snaps to grid index s_k = floor((t_k - o)/step + 1/2), o = _origin(target),
+    reconstructs as o + step·s_k and codes the jump s_k - s_(k-1).  It is a
+    literal when k == 0, when s_k or s_(k-1) is non-finite or beyond 2^52
+    (indices stay exact in f64), when the jump reaches cap, or when verify
+    rejects o + step·s_k.  A literal keeps its exact value; the decoder
+    recomputes its grid index with the same expression.
     """
-    n = target.size
-    syms = np.empty(n, dtype=np.int64)
-    recon = np.empty(n, dtype=np.float64)
-    if n == 0:
-        return syms, recon, np.empty(0, dtype=np.int64)
-    with np.errstate(invalid="ignore", over="ignore"):
-        far = np.zeros(n, dtype=bool)
-        far[1:] = np.abs(np.diff(target)) >= step * cap
-    nonfinite = ~np.isfinite(target)
-    guess = far | nonfinite
-    guess[1:] |= nonfinite[:-1]  # a non-finite anchor cannot code its successor
-    guess[0] = True
-    # under the guess: the latest literal before each position, and whether
-    # the run rule alone makes a position a literal
-    prior = np.zeros(n, dtype=np.int64)
-    prior[1:] = np.maximum.accumulate(np.where(guess, np.arange(n), 0))[:-1]
-    forced = far.copy()
-    forced[1:] &= guess[:-1]
-    syms[0] = LIT_SYM
-    recon[0] = target[0]
-    # chain state after position i-1: the latest literal, the previous
-    # code's running sum, and whether position i-1 was itself a literal
-    anchor, prev_s, after_lit = 0, 0.0, True
-    i = 1
-    width = _MAX_WINDOW
-    while i < n:
-        j = min(n, i + width)
-        base = prior[i:j]
-        base = np.where(base >= i, base, anchor)
-        a = target[base]
-        with np.errstate(invalid="ignore", over="ignore"):
-            v = (target[i:j] - a) / step
-            s = np.floor(v + 0.5)
-            r = a + step * s
-            q = s - np.concatenate(([prev_s], np.where(guess[i : j - 1], 0.0, s[:-1])))
-            ok = np.isfinite(v)
-            ok &= np.abs(s) <= 2.0**52  # keep chain sums exact in f64
-            ok &= np.abs(q) < cap
-            ok &= verify(i, j, r)
-        lit = ~ok
-        lit |= forced[i:j]
-        lit[0] = not ok[0] or (after_lit and far[i])
-        miss = np.flatnonzero(lit != guess[i:j])
-        e = j - i if miss.size == 0 else int(miss[0]) + 1
-        lit = lit[:e]
-        codes = np.where(lit, 0.0, q[:e]).astype(np.int64) + cap
-        codes[lit] = LIT_SYM
-        syms[i : i + e] = codes
-        recon[i : i + e] = np.where(lit, target[i : i + e], r[:e])
-        after_lit = bool(lit[-1])
-        anchor = i + e - 1 if after_lit else int(base[e - 1])
-        prev_s = 0.0 if after_lit else float(s[e - 1])
-        i += e
-        # a miss ends the pass early: size the next window to what this
-        # one kept, so dense misses cost little more than the values kept
-        if miss.size:
-            width = max(_MIN_WINDOW, 2 * e)
-        else:
-            width = min(2 * width, _MAX_WINDOW)
-    return syms, recon, np.flatnonzero(syms == LIT_SYM)
+    origin = _origin(target)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.floor((target - origin) / step + 0.5)
+        recon = origin + step * s
+        on_grid = np.abs(s) <= 2.0**52
+        q = np.diff(s, prepend=np.nan)  # position 0 has no index to jump from
+        coded = on_grid & (np.abs(q) < cap) & verify(recon)
+    coded[1:] &= on_grid[:-1]
+    lits = np.flatnonzero(~coded)
+    syms = np.where(coded, q, 0.0).astype(np.int64) + cap
+    syms[lits] = LIT_SYM
+    recon[lits] = target[lits]
+    return syms, recon, lits
 
 
 def dequantize(
     syms: np.ndarray, lit_targets: np.ndarray, step: float, cap: int
 ) -> np.ndarray:
-    """Rebuild reconstructed targets from symbols and literal anchors."""
+    """Rebuild reconstructed targets from symbols and literal targets.
+
+    Each literal's grid index plus the running code sum of its segment
+    gives the grid index of every coded value after it, all in int64.
+    """
     n = syms.size
     lit_pos = np.flatnonzero(syms == LIT_SYM)
     if lit_pos.size != lit_targets.size or (lit_pos.size == 0 and n > 0):
@@ -149,16 +104,18 @@ def dequantize(
         return np.empty(0, dtype=np.float64)
     if lit_pos[0] != 0:
         raise CodecError("symbol stream must open with a literal")
-    # segmented cumsum, all in int64 so every partial total is exact: zero
-    # the literal slots, then rebase each literal so the running total
-    # restarts from zero there instead of accumulating across segments
+    origin = _origin(lit_targets)
+    s_lit = np.floor((lit_targets - origin) / step + 0.5)
+    # an index off the grid anchors no code: the encoder puts a literal next
+    s_lit = np.where(np.abs(s_lit) <= 2.0**52, s_lit, 0.0).astype(np.int64)
+    # segmented cumsum: each literal slot holds the step from the previous
+    # segment's last grid index to its own, so the running total is s_k
     q = syms - cap
     q[lit_pos] = 0
-    seg_sums = np.add.reduceat(q, lit_pos)
-    q[lit_pos[1:]] = -seg_sums[:-1]
-    totals = np.cumsum(q)
-    segment = np.cumsum(syms == LIT_SYM) - 1
-    recon = lit_targets[segment] + step * totals.astype(np.float64)
+    seg_ends = s_lit + np.add.reduceat(q, lit_pos)
+    q[lit_pos] = s_lit
+    q[lit_pos[1:]] -= seg_ends[:-1]
+    recon = origin + step * np.cumsum(q).astype(np.float64)
     recon[lit_pos] = lit_targets
     return recon
 
@@ -166,6 +123,22 @@ def dequantize(
 def _cast_like(r: np.ndarray, width: int) -> np.ndarray:
     # the decoder's final cast to the dataset dtype is part of the contract
     return r.astype(_F32).astype(np.float64) if width == 4 else r
+
+
+def _raw(x: np.ndarray, width: int) -> bytes:
+    """Values as stored on the wire: the dataset dtype, little-endian."""
+    return np.ascontiguousarray(x).astype(_F32 if width == 4 else _F64).tobytes()
+
+
+def _signed_exp(recon_t: np.ndarray, nz: np.ndarray, neg: np.ndarray, width: int) -> np.ndarray:
+    """pw_rel values: exp of the log-magnitudes at positions nz, signed zeros
+    elsewhere, signs from neg, cast like the dataset; encoder and decoder
+    both build their reconstruction here."""
+    recon = np.where(neg, -0.0, 0.0)
+    with np.errstate(over="ignore"):
+        mag = np.exp(recon_t)
+    recon[nz] = np.where(neg[nz], -mag, mag)
+    return _cast_like(recon, width)
 
 
 def _pack_symbols(syms: np.ndarray, cap: int) -> tuple[int, bytes]:
@@ -209,21 +182,16 @@ def encode_abs(
     x64 = np.asarray(x, dtype=np.float64)
     step = 2.0 * eb
 
-    def verify(i: int, j: int, r: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.abs(x64[i:j] - _cast_like(r, width)) <= eb
+    def verify(r: np.ndarray) -> np.ndarray:
+        return np.abs(x64 - _cast_like(r, width)) <= eb
 
     syms, recon, lits = quantize(x64, verify, step, cap)
-    lit_bytes = np.ascontiguousarray(x[lits]).astype(
-        _F32 if width == 4 else _F64
-    ).tobytes()
-    recon[lits] = x64[lits]
     flags, tail = _pack_symbols(syms, cap)
     out = b"".join(
         (
             _HEAD.pack(flags, x64.size),
             _QHEAD.pack(step, cap, len(lits)),
-            lit_bytes,
+            _raw(x[lits], width),
             tail,
         )
     )
@@ -241,45 +209,33 @@ def encode_pwrel(
     if zero_floor is None:
         zero_floor = float(np.finfo(_F32 if width == 4 else _F64).tiny)
     neg = np.signbit(x64)
-    with np.errstate(invalid="ignore"):
-        is_zero = np.abs(x64) < zero_floor
-        is_zero &= ~np.isnan(x64)
-    nz = np.flatnonzero(~is_zero)
+    nz = np.flatnonzero(~(np.abs(x64) < zero_floor))  # NaN is not a zero
     xnz = x64[nz]
     negnz = neg[nz]
     with np.errstate(divide="ignore", invalid="ignore"):
         target = np.log(np.abs(xnz))
     step = 2.0 * float(np.log1p(pw))
 
-    def verify(i: int, j: int, r: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mag = np.exp(r)
-            val = _cast_like(np.where(negnz[i:j], -mag, mag), width)
-            return np.abs(xnz[i:j] - val) <= pw * np.abs(xnz[i:j])
+    def verify(r: np.ndarray) -> np.ndarray:
+        mag = np.exp(r)
+        val = _cast_like(np.where(negnz, -mag, mag), width)
+        return np.abs(xnz - val) <= pw * np.abs(xnz)
 
     syms_nz, recon_t, lits = quantize(target, verify, step, cap)
     syms = np.full(n, 2 * cap, dtype=np.int64)
     syms[nz] = syms_nz
 
-    recon = np.empty(n, dtype=np.float64)
-    recon[is_zero] = np.where(neg[is_zero], -0.0, 0.0)
-    with np.errstate(over="ignore"):
-        mag = np.exp(recon_t)
-    recon[nz] = np.where(negnz, -mag, mag)
+    recon = _signed_exp(recon_t, nz, neg, width)
     lit_rows = nz[lits]
-    recon = _cast_like(recon, width)
     recon[lit_rows] = x64[lit_rows]  # literals are exact even under f32 rounding
 
-    lit_bytes = np.ascontiguousarray(x[lit_rows]).astype(
-        _F32 if width == 4 else _F64
-    ).tobytes()
     sign_bytes = np.packbits(neg).tobytes()
     flags, tail = _pack_symbols(syms, cap)
     out = b"".join(
         (
             _HEAD.pack(_FLAG_SIGNS | flags, n),
             _QHEAD.pack(step, cap, len(lits)),
-            lit_bytes,
+            _raw(x[lit_rows], width),
             sign_bytes,
             tail,
         )
@@ -290,8 +246,7 @@ def encode_pwrel(
 def encode_verbatim(x: np.ndarray, width: int) -> bytes:
     """Store a stream untouched: zero-range columns under REL/PSNR, and
     streams whose coded form would be larger."""
-    body = np.ascontiguousarray(x).astype(_F32 if width == 4 else _F64).tobytes()
-    return _HEAD.pack(_FLAG_VERBATIM, x.size) + body
+    return _HEAD.pack(_FLAG_VERBATIM, x.size) + _raw(x, width)
 
 
 def _section(buf: bytes, off: int, size: int, what: str) -> tuple[bytes, int]:
@@ -341,15 +296,10 @@ def decode(buf: bytes, width: int) -> np.ndarray:
             # dequantize puts the literals in place, and the cast keeps them
             recon = _cast_like(dequantize(syms, lit_vals, step, cap), width)
         else:
-            # pointwise-relative: zeros, then the log-domain chain over the rest
-            is_zero = syms == 2 * cap
-            nzpos = np.flatnonzero(~is_zero)
+            # pointwise-relative: zeros, then the log-domain grid over the rest
+            nzpos = np.flatnonzero(syms != 2 * cap)
             recon_t = dequantize(syms[nzpos], np.log(np.abs(lit_vals)), step, cap)
-            recon = np.empty(n, dtype=np.float64)
-            recon[is_zero] = np.where(neg[is_zero], -0.0, 0.0)
-            mag = np.exp(recon_t)
-            recon[nzpos] = np.where(neg[nzpos], -mag, mag)
-            recon = _cast_like(recon, width)
+            recon = _signed_exp(recon_t, nzpos, neg, width)
             recon[syms == LIT_SYM] = lit_vals
     # the encoder codes a value only when its reconstruction meets the
     # bound, so only a literal may be non-finite

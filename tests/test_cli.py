@@ -207,8 +207,16 @@ def test_search_keeps_domains_with_the_same_method_apart(tmp_path, capsys):
         lambda doc: doc.update(apps=[5]),
         lambda doc: doc.update(output=5),
         lambda doc: doc["dataset"].update(split=5),
+        lambda doc: doc["methods"][0].update(mode="pw_rel", bound_min=1e-3, bound_max=2.0),
+        lambda doc: doc["methods"].append(
+            {"method": "eblc_bitplane", "mode": "prec", "bound": 2.5}
+        ),
+        lambda doc: doc["methods"].append(
+            {"method": "eblc_bitplane", "mode": "prec", "bound_min": 4, "bound_max": 32}
+        ),
     ],
-    ids=["method", "mode", "layout", "app_kind", "tau", "app_entry", "output", "split"],
+    ids=["method", "mode", "layout", "app_kind", "tau", "app_entry", "output", "split",
+         "pw_rel_max", "prec_fraction", "prec_domain"],
 )
 def test_search_bad_campaign_value_is_config_error(tmp_path, capsys, edit):
     campaign = write_campaign(

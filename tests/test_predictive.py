@@ -192,39 +192,40 @@ def test_pwrel_contract_property(x, pw):
 
 
 def reference_quantize(target, verify, step, cap):
-    """Per-value quantizer: the literal rule applied one position at a time.
+    """Per-value quantizer: the grid literal rule, one position at a time.
 
-    Position k is a literal when k == 0, when k-1 is a literal and k is far
-    from it, or when coding k against the latest literal fails.
+    The grid starts at the first finite target o (0 if there is none).
+    Position k snaps to grid index s_k = floor((t_k - o)/step + 1/2) and
+    codes the jump s_k - s_(k-1).  It is a literal when k == 0, when s_k or
+    s_(k-1) is non-finite or beyond 2^52, when the jump reaches cap, or when
+    verify rejects o + step*s_k.  verify is elementwise, so it runs once over
+    every candidate reconstruction.
     """
     n = target.size
+    origin = next((t for t in target if np.isfinite(t)), 0.0)
+    grid = np.empty(n, dtype=np.float64)
+    cand = np.empty(n, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n):
+            grid[k] = np.floor((target[k] - origin) / step + 0.5)
+            cand[k] = origin + step * grid[k]
+        ok = verify(cand)
     syms = np.empty(n, dtype=np.int64)
     recon = np.empty(n, dtype=np.float64)
-    anchor = prev_s = 0.0
-    after_lit = False
     for k in range(n):
-        t = target[k]
-        literal = k == 0
-        with np.errstate(invalid="ignore", over="ignore"):
-            if k and after_lit and abs(t - target[k - 1]) >= step * cap:
-                literal = True
-            elif k:
-                v = (t - anchor) / step
-                s = np.floor(v + 0.5)
-                r = anchor + step * s
-                q = s - prev_s
-                literal = not (
-                    np.isfinite(v)
-                    and abs(s) <= 2.0**52
-                    and abs(q) < cap
-                    and verify(k, k + 1, np.array([r]))[0]
-                )
-        if literal:
-            syms[k], recon[k] = predictive.LIT_SYM, t
-            anchor, prev_s, after_lit = t, 0.0, True
+        s = grid[k]
+        prev = grid[k - 1] if k else np.nan
+        coded = (
+            k > 0
+            and abs(s) <= 2.0**52
+            and abs(prev) <= 2.0**52
+            and abs(s - prev) < cap
+            and ok[k]
+        )
+        if coded:
+            syms[k], recon[k] = int(s - prev) + cap, cand[k]
         else:
-            syms[k], recon[k] = int(q) + cap, r
-            prev_s, after_lit = s, False
+            syms[k], recon[k] = predictive.LIT_SYM, target[k]
     return syms, recon, np.flatnonzero(syms == predictive.LIT_SYM)
 
 
@@ -251,6 +252,8 @@ def assert_quantize_matches_reference(encode, *args):
     want = reference_quantize(*call)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+    buf, recon = encode(*args)
+    assert predictive.decode(buf, args[3]).tobytes() == recon.tobytes()
 
 
 SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
@@ -260,21 +263,26 @@ SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
 def walks(draw, max_size=150):
     """Random walks in units of the quantizer step: codes within reach,
     exact half-step rounding edges, jumps that overflow a small alphabet
-    and far jumps, on an offset where f32 spacing rivals the bound, with
-    NaN, infinities and zeros mixed in."""
+    and far jumps, on an offset where f32 spacing rivals the bound or (None)
+    with every value after the first near grid index 2^52, where int64 and
+    f64 part, with NaN, infinities and zeros mixed in."""
     n = draw(st.integers(1, max_size))
     moves = draw(hnp.arrays(np.float64, n, elements=st.one_of(
         st.floats(-3, 3),
         st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 16.0]),
         st.floats(-1e5, 1e5),
     )))
-    offset = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6, -1e9]))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6, -1e9, None]))
     special = draw(hnp.arrays(np.int8, n, elements=st.integers(-40, 4)))
     return moves, offset, special
 
 
 def place(moves, offset, special, unit):
-    x = np.cumsum(moves * unit) + offset
+    x = np.cumsum(moves * unit)
+    if offset is None:
+        x[1:] += 2.0**52 * unit
+    else:
+        x += offset
     hit = special >= 0
     x[hit] = SPECIALS[special[hit]]
     return x
@@ -303,8 +311,11 @@ def test_quantize_abs_matches_per_value_reference(case, width, cap, eb):
     pw=st.sampled_from([1e-7, 1e-4, 0.01, 0.3]),
 )
 def test_quantize_pwrel_matches_per_value_reference(case, width, cap, pw):
-    # log-magnitudes walk in quantizer steps; signs and zeros come along
+    # log-magnitudes walk in quantizer steps; signs and zeros come along.
+    # They never reach 2^52 steps (that needs log|x| > 709), so the grid
+    # edge offset starts them at 1
     moves, offset, special = case
+    offset = offset or 0.0
     logs = np.cumsum(moves * 2 * np.log1p(pw)) + np.log1p(abs(offset))
     with np.errstate(over="ignore"):
         x = np.exp(logs) * np.where(np.arange(moves.size) % 3, 1.0, -1.0)
@@ -316,21 +327,9 @@ def test_quantize_pwrel_matches_per_value_reference(case, width, cap, pw):
     assert_quantize_matches_reference(predictive.encode_pwrel, x, pw, cap, width, None)
 
 
-def test_far_value_that_still_chains():
-    # x[2] is far from x[1] (their gap reaches step*cap), yet the codes
-    # round to a jump of cap-1, so it chains: the literal the quantizer
-    # guesses there must be undone
-    eb = 3.648835322115072
-    x = np.array([0.0, eb, 40.137188543265786, 41.0, 80.0])
-    assert abs(x[2] - x[1]) >= 2 * eb * 5
-    assert_quantize_matches_reference(predictive.encode_abs, x, eb, 5, 8)
-    (call,) = quantize_calls(predictive.encode_abs, x, eb, 5, 8)
-    assert predictive.quantize(*call)[2].tolist() == [0, 4]
-
-
 def test_quantize_long_stream_matches_reference():
-    # several full windows, with misses the guess cannot foresee (f32
-    # rounding near the bound) between long runs it gets right
+    # a long stream with f32 rounding misses near the bound, NaN literals
+    # and values far off the grid between long coded runs
     rng = np.random.default_rng(7)
     x = (np.cumsum(rng.normal(size=150_000)) + 3e3).astype(np.float32)
     x[::997] = np.nan
@@ -338,18 +337,54 @@ def test_quantize_long_stream_matches_reference():
     assert_quantize_matches_reference(predictive.encode_abs, x, 1.2e-4, 1 << 16, 4)
 
 
-def test_nan_walk_is_not_slow():
-    # every literal here is predicted, so the quantizer takes whole windows
-    rng = np.random.default_rng(0)
-    x = np.cumsum(rng.normal(size=100_000))
-    x[::10] = np.nan
-    calls = quantize_calls(predictive.encode_abs, x, 1e-3, 1 << 16, 8)
-    passes = []
-    target, verify, step, cap = calls[0]
-    predictive.quantize(
-        target, lambda i, j, r: passes.append(j - i) or verify(i, j, r), step, cap
-    )
-    assert len(passes) <= 3
+def test_bound_miss_literal_does_not_reanchor():
+    # f32 rounding makes x[1]'s grid point miss the bound, so x[1] is a
+    # literal; x[2] still codes its jump from x[1]'s grid index (-16 minus -13),
+    # not from the literal's exact value (which would give -2)
+    x = np.array([999.9992065429688, 999.9978637695312, 999.9976196289062], np.float32)
+    eb = 5e-5
+    (call,) = quantize_calls(predictive.encode_abs, x, eb, 1 << 16, 4)
+    syms, _, lits = predictive.quantize(*call)
+    assert lits.tolist() == [0, 1]
+    assert syms[2] - (1 << 16) == -3
+    buf, recon = predictive.encode_abs(x, eb, 1 << 16, 4)
+    out = predictive.decode(buf, 4)
+    assert out.tobytes() == recon.tobytes()
+    assert out[1] == x[1]
+    assert np.all(np.abs(x.astype(np.float64) - out) <= eb)
+
+
+def test_value_past_the_grid_edge_is_a_literal_and_so_is_its_successor():
+    # 1e20 / 1.0 is beyond 2^52 grid steps, so its index cannot anchor a
+    # chain; 1.0 after it is a literal too, and 2.0 codes again.  The same
+    # holds for 2^52 - 1 after 2^52 + 2, although their jump is small
+    x = np.array([0.0, 1e20, 1.0, 2.0, 2.0**52 + 2, 2.0**52 - 1, 2.0**52 - 2])
+    (call,) = quantize_calls(predictive.encode_abs, x, 0.5, 1 << 16, 8)
+    assert predictive.quantize(*call)[2].tolist() == [0, 1, 2, 4, 5]
+    _, out = enc_dec_abs(x, 0.5)
+    assert np.array_equal(out, x)
+
+
+def hand_stream(syms, lits, step, cap):
+    """An abs-mode f64 stream holding exactly the given symbols and literals."""
+    syms = np.asarray(syms, dtype=np.int64)
+    flags, tail = predictive._pack_symbols(syms, cap)
+    return b"".join((
+        predictive._HEAD.pack(flags, syms.size),
+        predictive._QHEAD.pack(step, cap, len(lits)),
+        np.asarray(lits, "<f8").tobytes(),
+        tail,
+    ))
+
+
+def test_literal_on_a_half_step_decodes_with_floor():
+    # literals 2.75 and -1.25 on the grid from 0.25 at step 1, each followed
+    # by a +1 jump.  floor((t - 0.25)/step + 1/2) puts them on indices 3 and
+    # -1, so the jumps land on 4.25 and 0.25; round-half-even would give
+    # 3.25 and -0.75, and re-anchoring at the literal 3.75 and -0.25
+    cap, lit = 1 << 16, predictive.LIT_SYM
+    buf = hand_stream([lit, lit, cap + 1, lit, cap + 1], [0.25, 2.75, -1.25], 1.0, cap)
+    assert predictive.decode(buf, 8).tolist() == [0.25, 2.75, 4.25, -1.25, 0.25]
 
 
 def stream_of(kind):
