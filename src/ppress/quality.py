@@ -244,10 +244,26 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     return below | (tied & (np.cumsum(tied, axis=1) <= room))
 
 
-def _dense_nearest(xb: np.ndarray, xt: np.ndarray, k: int) -> np.ndarray:
+def _distinct_rows(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The byte-distinct rows of xt, and the index of each row among them.
+
+    Rows compare as bytes, so -0.0 and 0.0, or two NaN payloads, stay apart.
+    """
+    rows = np.ascontiguousarray(xt)
+    void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
+    return rows[first], inverse.ravel()
+
+
+def _dense_nearest(xb: np.ndarray, xu: np.ndarray, inverse: np.ndarray, k: int) -> np.ndarray:
     """Flat indices (row · n_train + column) of each block row's k nearest
-    training rows, from the exact distance of every pair."""
-    d2 = ((xb[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
+    training rows, from the exact distance of every pair.
+
+    The distance is computed once per distinct training row (xu, with
+    `inverse` mapping each training row to its own) and gathered: the
+    expression depends on the row's values alone, so the bits are the same.
+    """
+    d2 = ((xb[:, None, :] - xu[None, :, :]) ** 2).sum(axis=2)[:, inverse]
     return np.flatnonzero(_nearest(d2, k))
 
 
@@ -329,7 +345,9 @@ def _knn_predict(
     NaN or infinity in its rows or the training rows), and the rest of the
     call does when one block keeps more than 1/_SCREEN_SHARE of its pairs
     (heavy ties, as when every training row quantizes alike).  Calls with
-    fewer than _SCREEN_MIN_TRAIN or 4k training rows skip the screen.
+    fewer than _SCREEN_MIN_TRAIN or 4k training rows skip the screen.  The
+    dense path computes d once per byte-distinct training row, found once
+    per call.
     """
     # lay the training rows out in permutation order, so the leftmost of
     # equal distances wins
@@ -345,6 +363,7 @@ def _knn_predict(
             m2xt = (-2.0 * xt).T  # exact: scaling by a power of two
         g = (n_feat + 2) * _UNIT_ROUNDOFF / (1 - (n_feat + 2) * _UNIT_ROUNDOFF)
         tiny = (n_feat + 2) * _UNDERFLOW
+    distinct = None  # the training rows' distinct rows, once a block goes dense
     pred = np.empty(xv.shape[0])
     for lo in range(0, xv.shape[0], _KNN_BLOCK):
         xb = xv[lo : lo + _KNN_BLOCK]
@@ -356,7 +375,8 @@ def _knn_predict(
                 picked = _screened_nearest(xb, xt, m2xt, nt, 8.0 * g * reach + tiny, k)
                 screen = picked is not None
         if picked is None:
-            picked = _dense_nearest(xb, xt, k)
+            distinct = distinct or _distinct_rows(xt)
+            picked = _dense_nearest(xb, *distinct, k)
         votes = np.bincount(
             picked // n_train * n_labels + cls[picked % n_train],
             minlength=xb.shape[0] * n_labels,

@@ -37,12 +37,6 @@ class _PerValue:
 
 PER_VALUE = _PerValue()
 
-_SAMPLE_SCHEME = {
-    Method.SAMPLE_NAIVE: "naive",
-    Method.SAMPLE_WR: "wr",
-    Method.SAMPLE_WOR: "wor",
-}
-
 
 def resolve_bound(mode: Mode, c_value: float, stats: ColumnStats | None = None):
     """Turn a mode-relative bound into an absolute one in data units.
@@ -68,33 +62,32 @@ def resolve_bound(mode: Mode, c_value: float, stats: ColumnStats | None = None):
     raise ConfigError(f"mode {mode.value} does not define an absolute bound")
 
 
-def _encode_stream(col: np.ndarray, stats: ColumnStats, config: ReducerConfig, width: int) -> bytes:
+def _encode_stream(col: np.ndarray, config: ReducerConfig, width: int) -> bytes:
     knobs = config.knobs
     method = config.method
-    if method is Method.NONE:
+    if method is Method.NONE or method in SAMPLING_METHODS:
         return col.tobytes()
     if method is Method.LOSSLESS:
         arr = delta.delta_transform(col, knobs.delta_order) if knobs.delta_order else col
         return bytes([knobs.delta_order]) + lossless.lossless_encode(arr.tobytes())
     if method is Method.TRUNC:
         return truncation.narrow_values(col, int(config.c[0])).tobytes()
-    if method is Method.EBLC_PRED:
-        eb = resolve_bound(config.mode, config.c[0], stats)
-        if eb is PER_VALUE:
-            coded = predictive.encode_pwrel(
-                col, config.c[0], knobs.quant_bin_cap, width, knobs.pw_rel_zero_floor
-            )[0]
-        elif eb == 0.0:
-            return predictive.encode_verbatim(col, width)
-        else:
-            coded = predictive.encode_abs(col, eb, knobs.quant_bin_cap, width)[0]
-        # coding that does not pay is stored verbatim, exact and no larger
-        if len(coded) > predictive.VERBATIM_HEAD + col.size * width:
-            return predictive.encode_verbatim(col, width)
-        return coded
     if method is Method.EBLC_BITPLANE:
         return bitplane.encode(col, config.mode.value, config.c[0], knobs.block_size, width)[0]
     raise ConfigError(f"method {method.value} has no stream encoder")
+
+
+def _encode_predictive(dataset: Dataset, config: ReducerConfig, width: int) -> bytes:
+    """The predictive method's one stream: a block of the table's columns,
+    or (matrix layout) of one column holding every value in row order."""
+    matrix = config.layout is Layout.MATRIX
+    block = dataset.values.reshape(-1, 1) if matrix else dataset.values
+    c, cap = config.c[0], config.knobs.quant_bin_cap
+    if config.mode is Mode.PW_REL:
+        return predictive.encode_pwrel(block, c, cap, width, config.knobs.pw_rel_zero_floor)[0]
+    stats = [global_stats(dataset)] if matrix else column_stats(dataset)
+    eb = [resolve_bound(config.mode, c, s) for s in stats]
+    return predictive.encode_abs(block, eb, cap, width)[0]
 
 
 def compress(dataset: Dataset, config: ReducerConfig) -> tuple[Artifact, float, float]:
@@ -107,36 +100,21 @@ def compress(dataset: Dataset, config: ReducerConfig) -> tuple[Artifact, float, 
             f"truncation to {int(config.c[0])} bits needs wider input than {dataset.dtype}"
         )
 
+    values = dataset.values
     if config.method in SAMPLING_METHODS:
-        idx = sampling.sample_indices(
-            dataset.n_obs, _SAMPLE_SCHEME[config.method], config.c[0], config.knobs.seed
-        )
-        kept = dataset.values[idx]
-        if config.layout is Layout.MATRIX:
-            streams = [np.ascontiguousarray(kept).tobytes()]
-        else:
-            streams = [np.ascontiguousarray(kept[:, j]).tobytes() for j in range(dataset.n_feat)]
+        scheme = config.method.value.removeprefix("sample_")
+        kept = sampling.sample_indices(dataset.n_obs, scheme, config.c[0], config.knobs.seed)
+        values = values[kept]
+    if config.method is Method.EBLC_PRED:
+        streams = [_encode_predictive(dataset, config, width)]
     elif config.layout is Layout.MATRIX:
-        flat = dataset.values.ravel()
-        streams = [_encode_stream(flat, global_stats(dataset), config, width)]
+        streams = [_encode_stream(values.ravel(), config, width)]
     else:
-        stats = column_stats(dataset)
-        streams = [
-            _encode_stream(
-                np.ascontiguousarray(dataset.values[:, j]), stats[j], config, width
-            )
-            for j in range(dataset.n_feat)
-        ]
+        streams = [_encode_stream(np.ascontiguousarray(col), config, width) for col in values.T]
 
     artifact = Artifact(
-        method=config.method,
-        mode=config.mode,
-        c=config.c,
-        layout=config.layout,
-        dtype=dataset.dtype,
-        n_obs=dataset.n_obs,
-        n_feat=dataset.n_feat,
-        streams=tuple(streams),
+        method=config.method, mode=config.mode, c=config.c, layout=config.layout,
+        dtype=dataset.dtype, n_obs=dataset.n_obs, n_feat=dataset.n_feat, streams=tuple(streams),
     )
     dt = time.perf_counter() - t0
     return artifact, dt, dataset.n_bytes / 1e6 / max(dt, 1e-12)
@@ -189,24 +167,19 @@ def decompress(
             raise DataFormatError("matrix stream size is not a multiple of n_feat")
         values = flat.reshape(-1, artifact.n_feat)
     else:
+        if artifact.method is Method.EBLC_PRED and len(cols) == 1:
+            # one block stream holds every column, one after another
+            cols = np.array_split(cols[0], artifact.n_feat)
         if len(cols) != artifact.n_feat:
-            raise DataFormatError(
-                f"{len(cols)} streams for {artifact.n_feat} columns"
-            )
+            raise DataFormatError(f"{len(cols)} streams for {artifact.n_feat} columns")
         sizes = {c.size for c in cols}
         if len(sizes) != 1:
             raise DataFormatError("columns decoded to different lengths")
         values = np.column_stack(cols)
     if artifact.method not in SAMPLING_METHODS and values.shape[0] != artifact.n_obs:
-        raise DataFormatError(
-            f"decoded {values.shape[0]} rows, header says {artifact.n_obs}"
-        )
-    ds = Dataset(
-        values,
-        tuple(names) if names is not None else default_names(artifact.n_feat),
-        artifact.dtype,
-        allow_nonfinite=True,
-    )
+        raise DataFormatError(f"decoded {values.shape[0]} rows, header says {artifact.n_obs}")
+    names = tuple(names) if names is not None else default_names(artifact.n_feat)
+    ds = Dataset(values, names, artifact.dtype, allow_nonfinite=True)
     dt = time.perf_counter() - t0
     return ds, dt, ds.n_bytes / 1e6 / max(dt, 1e-12)
 

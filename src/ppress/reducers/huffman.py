@@ -147,6 +147,28 @@ def encode(stream: np.ndarray, table: HuffmanTable) -> tuple[bytes, int]:
     return np.packbits(bits).tobytes(), int(bits.size)
 
 
+def section_bytes(table: HuffmanTable, n_bits: int) -> int:
+    """Size of the section `pack` writes for a payload of n_bits bits."""
+    return len(table.to_bytes()) + 1 + (n_bits + 7) // 8
+
+
+def pack(stream: np.ndarray, table: HuffmanTable) -> bytes:
+    """A Huffman section that runs to the end of its buffer: the table, one
+    byte counting the unused low bits of the payload's last byte, the payload."""
+    payload, n_bits = encode(stream, table)
+    return table.to_bytes() + bytes([-n_bits % 8]) + payload
+
+
+def unpack(buf: bytes, offset: int, n_symbols: int) -> np.ndarray:
+    """The n_symbols of the section `pack` wrote at buf[offset:]."""
+    table, offset = HuffmanTable.from_bytes(buf, offset)
+    pad = buf[offset] if offset < len(buf) else 8
+    n_bits = 8 * (len(buf) - offset - 1) - pad
+    if pad > 7 or n_bits < 0:
+        raise CodecError(f"Huffman section cannot end {pad} bits short")
+    return decode(buf[offset + 1 :], n_bits, n_symbols, table)
+
+
 # bits decoded per pass: bounds the decoder's working memory
 _CHUNK = 1 << 15
 

@@ -1,23 +1,23 @@
-"""Prediction-based error-bounded column codec.
+"""Prediction-based error-bounded codec over a block of columns.
 
-Each value x snaps to grid index s = floor((x - o)/step + 1/2) on one grid
-of spacing step = 2*eb from the stream's first finite value o, and rebuilds
-as o + step*s, within eb of x.  The code is the jump between consecutive
-indices, a previous-value predictor's residual on integers (cuSZ's dual
-quantization), so all codes come from one array pass.  Jumps reaching
-quant_bin_cap, and values whose reconstruction would break the bound after
-floating-point rounding, are stored verbatim as literals, so the error
-contract is exact by construction, never just approximate.
-
-The code stream (literal marker, quantizer codes, zero marker) is entropy
-coded per stream: a canonical Huffman table when it uses at most
-huffman.MAX_SYMBOLS distinct symbols, otherwise zigzag codes laid out as
-four byte planes in a lossless (zlib) frame.
+A block is n_cols columns of n_rows values (the matrix layout: one column
+of every value), quantized, coded and stored as one stream.  Each column
+snaps its values x to grid indices s = floor((x - o)/step + 1/2) of spacing
+step = 2*eb from its first finite value o, rebuilds them as o + step*s and
+codes the jump between consecutive indices (cuSZ's dual quantization).  A
+column's first value, jumps reaching quant_bin_cap, and values whose
+rebuilt form breaks the bound after rounding are literals, stored exactly,
+so the error contract holds by construction.  All coded columns' symbols
+share one code: a canonical Huffman table of at most huffman.MAX_SYMBOLS
+symbols, or zigzag codes in four byte planes in one zlib frame, whichever
+is smaller.  A column whose literals (plus, under a Huffman table, its
+codes) cost more than its raw values, as any column under a zero bound, is
+stored raw, and so is a block whose coding does not pay: a stream never
+exceeds the raw values plus its 9-byte header.
 
 Pointwise-relative mode runs the same machinery on log-magnitudes with step
-2*log1p(pw): a reconstruction within log1p(pw) of log|x| lands within a
-factor (1+pw) of x.  Signs travel as a separate bitmask and exact zeros (or
-magnitudes below the zero floor) get a dedicated symbol.
+2*log1p(pw), so a value rebuilds within a factor (1+pw) of itself; signs
+travel as one bitmask, zeros (magnitudes below the zero floor) as 2*cap.
 """
 
 from __future__ import annotations
@@ -32,53 +32,51 @@ from . import huffman, lossless
 
 LIT_SYM = 0  # quantizer codes map to [1, 2*cap-1]; 2*cap marks a zero
 
-_FLAG_VERBATIM = 1
+_FLAG_VERBATIM = 1  # the whole block, raw
 _FLAG_SIGNS = 2
 _FLAG_DEFLATED = 4
 
-_HEAD = struct.Struct("<BQ")          # flags, n_values
-VERBATIM_HEAD = _HEAD.size            # a verbatim stream is this plus the raw values
-_QHEAD = struct.Struct("<dII")        # step, cap, n_literals
-_BITS = struct.Struct("<Q")           # n_bits
+_HEAD = struct.Struct("<BII")  # flags, n_rows, n_cols
+_CAP = struct.Struct("<I")
+_COLUMN = np.dtype([("step", "<f8"), ("n_lit", "<u4")])  # per column; step 0: verbatim
+_U32 = 0xFFFFFFFF
 
 _F32 = np.dtype("<f4")
 _F64 = np.dtype("<f8")
 
 
-def _origin(targets: np.ndarray) -> float:
-    """Where the grid starts: the first finite target (0 if none).  It is a
-    literal, as are position 0 and every successor of a non-finite target,
-    so the decoder finds it as the first finite literal target."""
-    finite = np.flatnonzero(np.isfinite(targets))
-    return float(targets[finite[0]]) if finite.size else 0.0
+def _firsts(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The first finite value of each range values[start:end], 0 if none."""
+    finite = np.append(np.flatnonzero(np.isfinite(values)), values.size)
+    pos = finite[np.searchsorted(finite, starts)]
+    return np.where(pos < ends, np.append(values, 0.0)[pos], 0.0)
 
 
 def quantize(
-    target: np.ndarray,
-    verify: Callable[[np.ndarray], np.ndarray],
-    step: float,
-    cap: int,
+    target: np.ndarray, verify: Callable[[np.ndarray], np.ndarray], step, cap: int, lengths
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize a stream on one grid of spacing step, in one array pass.
+    """Quantize streams laid end to end, each on its own grid, in one array pass.
 
-    target: f64 values to quantize (data values, or log-magnitudes).
-    verify(recon) -> bool mask checking the error contract for every
-    candidate reconstruction in the original value domain.
-
-    Returns (symbols, reconstructed targets, literal positions).  Target k
-    snaps to grid index s_k = floor((t_k - o)/step + 1/2), o = _origin(target),
-    reconstructs as o + step·s_k and codes the jump s_k - s_(k-1).  It is a
-    literal when k == 0, when s_k or s_(k-1) is non-finite or beyond 2^52
-    (indices stay exact in f64), when the jump reaches cap, or when verify
-    rejects o + step·s_k.  A literal keeps its exact value; the decoder
-    recomputes its grid index with the same expression.
+    target: f64 values (data, or log-magnitudes) of streams `lengths` long;
+    step: the grid spacing, one or one per stream; verify(recon): the error
+    contract of each candidate reconstruction.  Returns (symbols, recon,
+    literal positions).  Target k snaps to s_k = floor((t_k - o)/step + 1/2),
+    o its stream's first finite target (0 if none), rebuilds as o + step·s_k
+    and codes s_k - s_(k-1).  It is a literal, kept exact, when it opens its
+    stream, when s_k or s_(k-1) is non-finite or beyond 2^52 (where f64
+    indices stop being exact), when the jump reaches cap, or when verify
+    rejects o + step·s_k.
     """
-    origin = _origin(target)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    origin = np.repeat(_firsts(target, starts, ends), lengths)
+    step = np.repeat(np.broadcast_to(step, ends.shape), lengths)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.floor((target - origin) / step + 0.5)
         recon = origin + step * s
         on_grid = np.abs(s) <= 2.0**52
-        q = np.diff(s, prepend=np.nan)  # position 0 has no index to jump from
+        q = np.diff(s, prepend=np.nan)
+        q[starts[starts < ends]] = np.nan  # no stream jumps from the one before
         coded = on_grid & (np.abs(q) < cap) & verify(recon)
     coded[1:] &= on_grid[:-1]
     lits = np.flatnonzero(~coded)
@@ -88,24 +86,21 @@ def quantize(
     return syms, recon, lits
 
 
-def dequantize(
-    syms: np.ndarray, lit_targets: np.ndarray, step: float, cap: int
-) -> np.ndarray:
-    """Rebuild reconstructed targets from symbols and literal targets.
-
-    Each literal's grid index plus the running code sum of its segment
-    gives the grid index of every coded value after it, all in int64.
-    """
-    n = syms.size
+def dequantize(syms: np.ndarray, lit_targets: np.ndarray, step, cap: int, lengths) -> np.ndarray:
+    """Rebuild reconstructed targets from symbols and literal targets, with
+    streams and steps as in quantize: each literal's grid index plus the
+    running code sum (int64) after it; every stream opens with a literal."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
     lit_pos = np.flatnonzero(syms == LIT_SYM)
-    if lit_pos.size != lit_targets.size or (lit_pos.size == 0 and n > 0):
+    if lit_pos.size != lit_targets.size:
         raise CodecError("literal count does not match symbol stream")
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    if lit_pos[0] != 0:
-        raise CodecError("symbol stream must open with a literal")
-    origin = _origin(lit_targets)
-    s_lit = np.floor((lit_targets - origin) / step + 0.5)
+    if (syms[starts[starts < ends]] != LIT_SYM).any():
+        raise CodecError("a column does not open with a literal")
+    step = np.broadcast_to(step, ends.shape)
+    origin = _firsts(lit_targets, np.searchsorted(lit_pos, starts), np.searchsorted(lit_pos, ends))
+    stream = np.searchsorted(ends, lit_pos, side="right")
+    s_lit = np.floor((lit_targets - origin[stream]) / step[stream] + 0.5)
     # an index off the grid anchors no code: the encoder puts a literal next
     s_lit = np.where(np.abs(s_lit) <= 2.0**52, s_lit, 0.0).astype(np.int64)
     # segmented cumsum: each literal slot holds the step from the previous
@@ -115,7 +110,7 @@ def dequantize(
     seg_ends = s_lit + np.add.reduceat(q, lit_pos)
     q[lit_pos] = s_lit
     q[lit_pos[1:]] -= seg_ends[:-1]
-    recon = origin + step * np.cumsum(q).astype(np.float64)
+    recon = np.repeat(origin, lengths) + np.repeat(step, lengths) * np.cumsum(q).astype(float)
     recon[lit_pos] = lit_targets
     return recon
 
@@ -130,10 +125,15 @@ def _raw(x: np.ndarray, width: int) -> bytes:
     return np.ascontiguousarray(x).astype(_F32 if width == 4 else _F64).tobytes()
 
 
+def _columns(x: np.ndarray) -> np.ndarray:
+    """A block as (n_cols, n_rows) f64, one column per row; 1-D x is one column."""
+    x = np.asarray(x)
+    return np.ascontiguousarray(x[None, :] if x.ndim == 1 else x.T, dtype=np.float64)
+
+
 def _signed_exp(recon_t: np.ndarray, nz: np.ndarray, neg: np.ndarray, width: int) -> np.ndarray:
-    """pw_rel values: exp of the log-magnitudes at positions nz, signed zeros
-    elsewhere, signs from neg, cast like the dataset; encoder and decoder
-    both build their reconstruction here."""
+    """pw_rel values, as encoder and decoder both build them: exp of the
+    log-magnitudes at positions nz, signed zeros elsewhere, cast like the data."""
     recon = np.where(neg, -0.0, 0.0)
     with np.errstate(over="ignore"):
         mag = np.exp(recon_t)
@@ -141,77 +141,100 @@ def _signed_exp(recon_t: np.ndarray, nz: np.ndarray, neg: np.ndarray, width: int
     return _cast_like(recon, width)
 
 
-def _pack_symbols(syms: np.ndarray, cap: int) -> tuple[int, bytes]:
-    """Entropy-code a symbol stream; returns (header flags, tail bytes).
+def _planes(syms: np.ndarray, cap: int) -> bytes:
+    """Symbols as u32 zigzag codes around cap, split into four byte planes."""
+    q = syms - cap
+    zigzag = np.where(q < 0, -2 * q - 1, 2 * q).astype("<u4")
+    return zigzag.view(np.uint8).reshape(-1, 4).T.tobytes()
 
-    Narrow alphabets get a canonical Huffman table.  A wide one would pay
-    about five table bytes per distinct symbol, so its codes are zigzagged
-    around cap (small jumps become small numbers) and their four bytes are
-    split into planes, which zlib deflates about a fifth smaller than the
-    interleaved words on rough tables.
+
+def _code(syms: np.ndarray, lit_bits: np.ndarray, raw_bits: int, cap: int):
+    """Entropy-code the columns of syms (one per row) whose coding pays.
+
+    A column pays when its literal (and sign) bits, plus its code bits under
+    a Huffman table, stay below raw_bits; columns that do not pay leave, and
+    the rest are costed again.  Deflated codes are not costed per column:
+    _write's check on the whole stream bounds them.  Returns (flag, section
+    bytes, mask of the coded columns).
     """
-    if 2 * cap > 0xFFFFFFFF:
-        raise CodecError(f"quantizer cap {cap} does not fit 32-bit symbols")
-    uniq, counts = np.unique(syms, return_counts=True)
-    if uniq.size > huffman.MAX_SYMBOLS:
-        q = syms - cap
-        zigzag = np.where(q < 0, -2 * q - 1, 2 * q).astype("<u4")
-        planes = zigzag.view(np.uint8).reshape(-1, 4).T
-        return _FLAG_DEFLATED, lossless.lossless_encode(planes.tobytes())
-    table = huffman.HuffmanTable.from_symbols(syms, histogram=(uniq, counts))
-    packed, n_bits = huffman.encode(syms, table)
-    return 0, b"".join((table.to_bytes(), _BITS.pack(n_bits), packed))
+    keep = lit_bits < raw_bits
+    table = None
+    while keep.any():
+        uniq, counts = np.unique(syms[keep], return_counts=True)
+        if uniq.size > huffman.MAX_SYMBOLS:
+            break
+        table = huffman.HuffmanTable.from_symbols(None, histogram=(uniq, counts))
+        lengths = np.empty(uniq.size, dtype=np.int64)
+        lengths[np.searchsorted(uniq, table.symbols)] = table.lengths
+        bits = np.zeros(keep.size)
+        bits[keep] = lengths[np.searchsorted(uniq, syms[keep])].sum(axis=1)
+        over = keep & (lit_bits + bits > raw_bits)
+        if not over.any():
+            break
+        keep &= ~over
+    if not keep.any():
+        return 0, b"", keep
+    coded = syms[keep].ravel()
+    frame = lossless.lossless_encode(_planes(coded, cap))
+    if table is not None and huffman.section_bytes(table, int(bits.sum())) <= len(frame):
+        return 0, huffman.pack(coded, table), keep
+    return _FLAG_DEFLATED, frame, keep
 
 
-def _unpack_deflated(buf: bytes, n: int, cap: int) -> np.ndarray:
-    """Symbols of a deflated code section; inverse of _pack_symbols' wide form."""
-    planes = lossless.lossless_decode(buf)
-    if len(planes) != 4 * n:
-        raise CodecError(f"deflated codes hold {len(planes)} bytes, {n} symbols need {4 * n}")
-    words = np.frombuffer(planes, np.uint8).reshape(4, n).T.copy().view("<u4")
-    zigzag = words.ravel().astype(np.int64)
-    return cap + np.where(zigzag & 1, -(zigzag + 1) // 2, zigzag // 2)
+def _write(cols, step, syms, recon, cap: int, width: int, neg=None) -> tuple[bytes, np.ndarray]:
+    """A block's stream (header, column table, literals, [signs], codes) and
+    its decoded values, from the block cols (n_cols, n_rows) and each
+    column's step, symbols, reconstructions and (pw_rel) signs."""
+    n_cols, n = cols.shape
+    if 2 * cap > _U32 or max(n, n_cols) > _U32:
+        raise CodecError(f"cap {cap} or a {n}x{n_cols} block does not fit 32-bit fields")
+    syms = syms.reshape(cols.shape)
+    is_lit = syms == LIT_SYM
+    lit_bits = 8 * width * is_lit.sum(axis=1) + (0 if neg is None else n)
+    flag, section, coded = _code(syms, lit_bits, 8 * width * n, cap)
+    table = np.zeros(n_cols, _COLUMN)
+    table["step"] = np.where(coded, step, 0.0)
+    table["n_lit"] = np.where(coded, is_lit.sum(axis=1), n)
+    signs = b"" if neg is None else np.packbits(neg.reshape(cols.shape)[coded]).tobytes()
+    head = _HEAD.pack(flag | (0 if neg is None else _FLAG_SIGNS), n, n_cols) + _CAP.pack(cap)
+    literals = _raw(cols[is_lit | ~coded[:, None]], width)
+    stream = b"".join((head, table.tobytes(), literals, signs, section))
+    if len(stream) > _HEAD.size + cols.size * width:
+        return encode_verbatim(cols.T, width), cols.ravel()
+    return stream, np.where(coded[:, None], recon.reshape(cols.shape), cols).ravel()
 
 
-def encode_abs(
-    x: np.ndarray, eb: float, cap: int, width: int
-) -> tuple[bytes, np.ndarray]:
-    """Encode one stream under an absolute bound; returns (bytes, recon)."""
-    if eb <= 0:
-        raise CodecError(f"absolute bound must be positive, got {eb}")
-    x64 = np.asarray(x, dtype=np.float64)
-    step = 2.0 * eb
+def encode_abs(x: np.ndarray, eb, cap: int, width: int) -> tuple[bytes, np.ndarray]:
+    """Encode a block (1-D x: one column) under an absolute bound, one or one
+    per column; returns (bytes, the decoded values column after column)."""
+    cols = _columns(x)
+    eb = np.broadcast_to(np.asarray(eb, dtype=np.float64), cols.shape[:1])
+    if (eb < 0).any():
+        raise CodecError(f"absolute bound must not be negative, got {eb.min()}")
+    target = cols.ravel()
+    bound = np.repeat(eb, cols.shape[1])
 
     def verify(r: np.ndarray) -> np.ndarray:
-        return np.abs(x64 - _cast_like(r, width)) <= eb
+        return np.abs(target - _cast_like(r, width)) <= bound
 
-    syms, recon, lits = quantize(x64, verify, step, cap)
-    flags, tail = _pack_symbols(syms, cap)
-    out = b"".join(
-        (
-            _HEAD.pack(flags, x64.size),
-            _QHEAD.pack(step, cap, len(lits)),
-            _raw(x[lits], width),
-            tail,
-        )
-    )
-    return out, _cast_like(recon, width)
+    syms, recon, _ = quantize(target, verify, 2.0 * eb, cap, np.full(eb.size, cols.shape[1]))
+    return _write(cols, 2.0 * eb, syms, _cast_like(recon, width), cap, width)
 
 
 def encode_pwrel(
     x: np.ndarray, pw: float, cap: int, width: int, zero_floor: float | None
 ) -> tuple[bytes, np.ndarray]:
-    """Encode one stream under a pointwise-relative bound."""
+    """Encode a block (1-D x: one column) under a pointwise-relative bound."""
     if not 0 < pw < 1:
         raise CodecError(f"pointwise-relative bound must be in (0, 1), got {pw}")
-    x64 = np.asarray(x, dtype=np.float64)
-    n = x64.size
+    cols = _columns(x)
+    xf = cols.ravel()
     if zero_floor is None:
         zero_floor = float(np.finfo(_F32 if width == 4 else _F64).tiny)
-    neg = np.signbit(x64)
-    nz = np.flatnonzero(~(np.abs(x64) < zero_floor))  # NaN is not a zero
-    xnz = x64[nz]
-    negnz = neg[nz]
+    neg = np.signbit(xf)
+    nonzero = ~(np.abs(cols) < zero_floor)  # NaN is not a zero
+    nz = np.flatnonzero(nonzero)
+    xnz, negnz = xf[nz], neg[nz]
     with np.errstate(divide="ignore", invalid="ignore"):
         target = np.log(np.abs(xnz))
     step = 2.0 * float(np.log1p(pw))
@@ -221,32 +244,19 @@ def encode_pwrel(
         val = _cast_like(np.where(negnz, -mag, mag), width)
         return np.abs(xnz - val) <= pw * np.abs(xnz)
 
-    syms_nz, recon_t, lits = quantize(target, verify, step, cap)
-    syms = np.full(n, 2 * cap, dtype=np.int64)
+    syms_nz, recon_t, lits = quantize(target, verify, step, cap, nonzero.sum(axis=1))
+    syms = np.full(xf.size, 2 * cap, dtype=np.int64)
     syms[nz] = syms_nz
-
     recon = _signed_exp(recon_t, nz, neg, width)
     lit_rows = nz[lits]
-    recon[lit_rows] = x64[lit_rows]  # literals are exact even under f32 rounding
-
-    sign_bytes = np.packbits(neg).tobytes()
-    flags, tail = _pack_symbols(syms, cap)
-    out = b"".join(
-        (
-            _HEAD.pack(_FLAG_SIGNS | flags, n),
-            _QHEAD.pack(step, cap, len(lits)),
-            _raw(x[lit_rows], width),
-            sign_bytes,
-            tail,
-        )
-    )
-    return out, recon
+    recon[lit_rows] = xf[lit_rows]  # literals are exact even under f32 rounding
+    return _write(cols, step, syms, recon, cap, width, neg)
 
 
 def encode_verbatim(x: np.ndarray, width: int) -> bytes:
-    """Store a stream untouched: zero-range columns under REL/PSNR, and
-    streams whose coded form would be larger."""
-    return _HEAD.pack(_FLAG_VERBATIM, x.size) + _raw(x, width)
+    """Store a block (1-D x: one column) raw, column after column."""
+    cols = _columns(x)
+    return _HEAD.pack(_FLAG_VERBATIM, cols.shape[1], cols.shape[0]) + _raw(cols, width)
 
 
 def _section(buf: bytes, off: int, size: int, what: str) -> tuple[bytes, int]:
@@ -258,52 +268,69 @@ def _section(buf: bytes, off: int, size: int, what: str) -> tuple[bytes, int]:
 
 
 def decode(buf: bytes, width: int) -> np.ndarray:
-    """Decode one stream produced by any of the encoders above.
-
-    Every section is bounds-checked and the stream must end exactly where
-    its last section does; anything else raises CodecError.
-    """
+    """The values of a block stream, column after column.  Every section is
+    bounds-checked and the stream must end where its last section does;
+    anything else raises CodecError."""
     head, off = _section(buf, 0, _HEAD.size, "header")
-    flags, n = _HEAD.unpack(head)
-    if flags & ~(_FLAG_VERBATIM | _FLAG_SIGNS | _FLAG_DEFLATED):
+    flags, n, n_cols = _HEAD.unpack(head)
+    raw = flags == _FLAG_VERBATIM
+    if raw:
+        vals, off = _section(buf, off, n * n_cols * width, "values")
+    elif flags & ~(_FLAG_SIGNS | _FLAG_DEFLATED):
         raise CodecError(f"unknown predictive stream flags {flags:#x}")
-    fdt = _F32 if width == 4 else _F64
-    if flags & _FLAG_VERBATIM:
-        vals, off = _section(buf, off, n * width, "values")
+    else:
+        head, off = _section(buf, off, _CAP.size + _COLUMN.itemsize * n_cols, "column table")
+        (cap,) = _CAP.unpack_from(head)
+        table = np.frombuffer(head, _COLUMN, offset=_CAP.size)
+        step, n_lit = table["step"], table["n_lit"].astype(np.int64)
+        coded = step != 0
+        bad = ~np.isfinite(step) | (step < 0) | (n_lit > n) | (~coded & (n_lit != n))
+        if bad.any():
+            raise CodecError(f"column {np.argmax(bad)}'s step or literal count is out of range")
+        vals, off = _section(buf, off, int(n_lit.sum()) * width, "literals")
+    vals = np.frombuffer(vals, _F32 if width == 4 else _F64).astype(np.float64)
+    count = 0 if raw else int(coded.sum()) * n
+    if count == 0:
         if off != len(buf):
             raise CodecError(f"{len(buf) - off} bytes after the predictive stream")
-        return np.frombuffer(vals, fdt).astype(np.float64)
-    head, off = _section(buf, off, _QHEAD.size, "quantizer header")
-    step, cap, n_lit = _QHEAD.unpack(head)
-    lits, off = _section(buf, off, n_lit * width, "literals")
-    lit_vals = np.frombuffer(lits, fdt).astype(np.float64)
+        return vals
+    if not 1 <= cap <= _U32 // 2:
+        raise CodecError(f"quantizer cap {cap} out of range")
     neg = None
     if flags & _FLAG_SIGNS:
-        mask, off = _section(buf, off, (n + 7) // 8, "sign mask")
-        neg = np.unpackbits(np.frombuffer(mask, np.uint8), count=n).astype(bool)
-    if flags & _FLAG_DEFLATED:
-        syms = _unpack_deflated(buf[off:], n, cap)
+        mask, off = _section(buf, off, (count + 7) // 8, "sign mask")
+        neg = np.unpackbits(np.frombuffer(mask, np.uint8), count=count).astype(bool)
+    if flags & _FLAG_DEFLATED:  # the code section runs to the end of the stream
+        planes = lossless.lossless_decode(buf[off:])
+        if len(planes) != 4 * count:
+            raise CodecError(f"deflated codes hold {len(planes)} bytes, not 4 per {count} symbols")
+        zigzag = np.frombuffer(planes, np.uint8).reshape(4, count).T.copy().view("<u4").ravel()
+        syms = cap + np.where(zigzag & 1, -(zigzag.astype(np.int64) + 1) // 2, zigzag // 2)
     else:
-        table, off = huffman.HuffmanTable.from_bytes(buf, off)
-        head, off = _section(buf, off, _BITS.size, "code header")
-        (n_bits,) = _BITS.unpack(head)
-        syms = huffman.decode(buf[off:], n_bits, n, table)
+        syms = huffman.unpack(buf, off, count)
+    is_lit = syms == LIT_SYM
+    if (is_lit.reshape(-1, n).sum(axis=1) != n_lit[coded]).any():
+        raise CodecError("literal symbols do not match the column table")
+    verbatim = np.repeat(~coded, n_lit)
+    lit_vals = vals[~verbatim]
 
-    # a damaged step or code run can overflow here; the check below turns
-    # that into a CodecError instead of a NumPy warning
+    # a damaged step or code run can overflow; the check below raises then
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if neg is None:
-            # dequantize puts the literals in place, and the cast keeps them
-            recon = _cast_like(dequantize(syms, lit_vals, step, cap), width)
+            lengths = np.full(count // n, n)
+            recon = _cast_like(dequantize(syms, lit_vals, step[coded], cap, lengths), width)
         else:
-            # pointwise-relative: zeros, then the log-domain grid over the rest
-            nzpos = np.flatnonzero(syms != 2 * cap)
-            recon_t = dequantize(syms[nzpos], np.log(np.abs(lit_vals)), step, cap)
-            recon = _signed_exp(recon_t, nzpos, neg, width)
-            recon[syms == LIT_SYM] = lit_vals
+            nonzero = syms != 2 * cap
+            lengths = nonzero.reshape(-1, n).sum(axis=1)
+            nz = np.flatnonzero(nonzero)
+            recon_t = dequantize(syms[nz], np.log(np.abs(lit_vals)), step[coded], cap, lengths)
+            recon = _signed_exp(recon_t, nz, neg, width)
+            recon[is_lit] = lit_vals
     # the encoder codes a value only when its reconstruction meets the
     # bound, so only a literal may be non-finite
-    bad = ~np.isfinite(recon)
-    if bad.any() and (syms[bad] != LIT_SYM).any():
+    if (~np.isfinite(recon) & ~is_lit).any():
         raise CodecError("a coded value decodes to a non-finite number")
-    return recon
+    out = np.empty((n_cols, n))
+    out[~coded] = vals[verbatim].reshape(-1, n)
+    out[coded] = recon.reshape(-1, n)
+    return out.ravel()

@@ -288,29 +288,36 @@ def column_stats(ds: Dataset) -> list[ColumnStats]:
     """Per-column min/max/range/mean/variance, all in data units.
 
     min, max and range stay in the dataset dtype; mean and variance are
-    accumulated in f64.
+    accumulated in f64.  A finite table takes one reduction per statistic
+    over its columns laid out as rows, which sums each column pairwise just
+    as a reduction over that column alone does; a table holding non-finite
+    values reduces each column's finite values on their own.
     """
-    out = []
-    for j in range(ds.n_feat):
-        col = ds.column(j)
-        finite = col[np.isfinite(col)] if ds.allow_nonfinite else col
-        if finite.size == 0:
-            out.append(ColumnStats(ds.names[j], np.nan, np.nan, np.nan, np.nan, np.nan))
-            continue
-        lo = finite.min()
-        hi = finite.max()
-        rng = (hi - lo).astype(finite.dtype)
-        out.append(
-            ColumnStats(
-                ds.names[j],
-                float(lo),
-                float(hi),
-                float(rng),
-                float(finite.mean(dtype=np.float64)),
-                float(finite.var(dtype=np.float64)),
-            )
+    cols = np.ascontiguousarray(ds.values.T)
+    if not ds.allow_nonfinite or np.isfinite(cols).all():
+        parts = zip(
+            cols.min(axis=1),
+            cols.max(axis=1),
+            cols.mean(axis=1, dtype=np.float64),
+            cols.var(axis=1, dtype=np.float64),
         )
-    return out
+    else:
+        parts = (_finite_stats(col[np.isfinite(col)]) for col in cols)
+    return [
+        ColumnStats(name, float(lo), float(hi), float(hi - lo), float(mean), float(var))
+        for name, (lo, hi, mean, var) in zip(ds.names, parts)
+    ]
+
+
+def _finite_stats(finite: np.ndarray) -> tuple:
+    if finite.size == 0:
+        return (np.nan,) * 4
+    return (
+        finite.min(),
+        finite.max(),
+        finite.mean(dtype=np.float64),
+        finite.var(dtype=np.float64),
+    )
 
 
 def global_stats(ds: Dataset) -> ColumnStats:

@@ -30,7 +30,7 @@ from ppress.reducers import (
     retained_rows,
     unpack,
 )
-from ppress.reducers import container
+from ppress.reducers import container, predictive
 from ppress.tabular import ColumnStats, from_array
 
 
@@ -386,6 +386,8 @@ FUZZ_CONFIGS = [
     ReducerConfig(Method.LOSSLESS, knobs=ReducerKnobs(delta_order=2)),
     ReducerConfig(Method.NONE),
     ReducerConfig(Method.EBLC_PRED, Mode.ABS, (0.5,)),  # narrow codes: a Huffman table
+    ReducerConfig(Method.EBLC_PRED, Mode.REL, (0.1,)),  # a block under one Huffman table
+    ReducerConfig(Method.EBLC_PRED, Mode.PW_REL, (0.1,)),
 ]
 _FUZZ_ARTIFACTS = {}
 
@@ -432,16 +434,17 @@ def overwrite(blob, offset, fmt, value):
 # case: (config, dtype, NaN literal in the data?, damage).  Each damage
 # rewrites one header field of an in-memory artifact's first stream so that
 # decoding would overflow or turn NaN.  Offsets follow
-# docs/container_format.md: predictive `flags u8, n u64, step f64, ...`,
+# docs/container_format.md: predictive `flags u8, n_rows u32, n_cols u32,
+# cap u32`, then the first column's `step f64`,
 # bit-plane `flags u8, n u64, mode u8, c f64, n_blocks u32, block u8, exps`.
 OVERFLOWS = {
-    "pred-rel-step": (FUZZ_CONFIGS[0], "f64", False, lambda b: overwrite(b, 9, "<d", 1e308)),
-    "pred-rel-step-nan": (FUZZ_CONFIGS[0], "f64", False, lambda b: overwrite(b, 9, "<d", math.nan)),
+    "pred-rel-step": (FUZZ_CONFIGS[0], "f64", False, lambda b: overwrite(b, 13, "<d", 1e308)),
+    "pred-rel-step-nan": (FUZZ_CONFIGS[0], "f64", False, lambda b: overwrite(b, 13, "<d", math.nan)),
     "pred-rel-step-beside-nan-literal": (
-        FUZZ_CONFIGS[0], "f64", True, lambda b: overwrite(b, 9, "<d", 1e308)
+        FUZZ_CONFIGS[0], "f64", True, lambda b: overwrite(b, 13, "<d", 1e308)
     ),
-    "pred-pwrel-step": (FUZZ_CONFIGS[2], "f64", False, lambda b: overwrite(b, 9, "<d", 1e3)),
-    "pred-rel-f32-step": (FUZZ_CONFIGS[0], "f32", False, lambda b: overwrite(b, 9, "<d", 1e300)),
+    "pred-pwrel-step": (FUZZ_CONFIGS[2], "f64", False, lambda b: overwrite(b, 13, "<d", 1e3)),
+    "pred-rel-f32-step": (FUZZ_CONFIGS[0], "f32", False, lambda b: overwrite(b, 13, "<d", 1e300)),
     "bitplane-acc-exponent": (
         FUZZ_CONFIGS[4], "f64", False, lambda b: overwrite(b, 23, "<h", 32000)
     ),
@@ -478,6 +481,15 @@ def rough_ds(n=2000, k=4, dtype="f32"):
     return from_array(values, dtype=dtype)
 
 
+def verbatim_columns(blob, n_cols):
+    """Which columns of a predictive block stream are stored verbatim."""
+    if blob[0] & predictive._FLAG_VERBATIM:
+        return [True] * n_cols
+    offset = predictive._HEAD.size + predictive._CAP.size
+    table = np.frombuffer(blob, predictive._COLUMN, count=n_cols, offset=offset)
+    return (table["step"] == 0).tolist()
+
+
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 @pytest.mark.parametrize(
     "mode, bound, layout",
@@ -492,15 +504,14 @@ def rough_ds(n=2000, k=4, dtype="f32"):
 )
 def test_no_predictive_stream_exceeds_raw(dtype, mode, bound, layout):
     ds = rough_ds(dtype=dtype)
-    width = ds.values.dtype.itemsize
+    k = ds.n_feat if layout is Layout.BY_COLUMN else 1
     art, _, _ = compress(ds, ReducerConfig(Method.EBLC_PRED, mode, (bound,), layout))
-    values = ds.n_obs * (ds.n_feat if layout is Layout.MATRIX else 1)
-    assert all(len(s) <= 9 + values * width for s in art.streams)
+    (blob,) = art.streams
+    assert len(blob) <= predictive._HEAD.size + ds.values.nbytes
     out, _, _ = decompress(unpack(pack(art)))
-    verbatim = [s[0] == 1 for s in art.streams]
     cols = [out.values.ravel()] if layout is Layout.MATRIX else out.values.T
     orig = [ds.values.ravel()] if layout is Layout.MATRIX else ds.values.T
-    for stored, got, want in zip(verbatim, cols, orig):
+    for stored, got, want in zip(verbatim_columns(blob, k), cols, orig):
         if stored:  # the escape keeps values exact
             assert got.tobytes() == want.tobytes()
 
@@ -508,7 +519,18 @@ def test_no_predictive_stream_exceeds_raw(dtype, mode, bound, layout):
 def test_escape_fires_where_coding_does_not_pay():
     # a bound far below the f32 spacing leaves nearly every value a literal
     art, _, _ = compress(rough_ds(), ReducerConfig(Method.EBLC_PRED, Mode.ABS, (1e-12,)))
-    assert all(s[0] == 1 for s in art.streams)
+    assert verbatim_columns(art.streams[0], 4) == [True] * 4
+    # a column of literals (every other value NaN, so every value is one)
+    # goes verbatim inside a block whose other columns code; so does the
+    # zero-range column
+    rng = np.random.default_rng(3)
+    walk = np.cumsum(rng.normal(size=2000))
+    holes = np.where(np.arange(2000) % 2, rng.normal(size=2000), np.nan)
+    values = np.column_stack([walk, holes, np.full(2000, 2.5), walk[::-1]])
+    ds = from_array(values, allow_nonfinite=True)
+    art, out = round_trip(ds, ReducerConfig(Method.EBLC_PRED, Mode.REL, (1e-3,)))
+    assert verbatim_columns(art.streams[0], 4) == [False, True, True, False]
+    assert out.values[:, 1:3].tobytes() == ds.values[:, 1:3].tobytes()
 
 
 def test_container_doc_states_the_current_version():

@@ -1,3 +1,7 @@
+import math
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,19 +19,10 @@ def enc_dec_abs(x, eb, cap=1 << 16, width=8):
     return buf, out
 
 
-def extract_symbols(buf, width=8):
-    # parse a quantized stream far enough to recover the raw symbol array
-    flags, n = predictive._HEAD.unpack_from(buf, 0)
-    off = predictive._HEAD.size
-    assert not flags & predictive._FLAG_VERBATIM
-    step, cap, n_lit = predictive._QHEAD.unpack_from(buf, off)
-    off += predictive._QHEAD.size + n_lit * width
-    if flags & predictive._FLAG_SIGNS:
-        off += (n + 7) // 8
-    table, off = huffman.HuffmanTable.from_bytes(buf, off)
-    (n_bits,) = predictive._BITS.unpack_from(buf, off)
-    off += predictive._BITS.size
-    return huffman.decode(buf[off:], n_bits, n, table), cap
+def extract_symbols(x, eb, cap=1 << 16, width=8):
+    # the symbols encode_abs quantizes x to, before any verbatim escape
+    (call,) = quantize_calls(predictive.encode_abs, x, eb, cap, width)
+    return predictive.quantize(*call)[0], cap
 
 
 def test_ramp_codes_and_drift():
@@ -35,7 +30,7 @@ def test_ramp_codes_and_drift():
     # quantizes to code 1 with step 1.2; drift stays within the bound
     x = np.array([0.0, 1.0, 2.0, 3.0])
     buf, out = enc_dec_abs(x, 0.6)
-    syms, cap = extract_symbols(buf)
+    syms, cap = extract_symbols(x, 0.6)
     assert syms[0] == predictive.LIT_SYM
     assert (syms[1:] - cap).tolist() == [1, 1, 1]
     assert np.all(np.abs(x - out) <= 0.6)
@@ -45,7 +40,7 @@ def test_ramp_codes_and_drift():
 def test_constant_column_codes():
     x = np.full(4, 5.0)
     buf, out = enc_dec_abs(x, 0.1)
-    syms, cap = extract_symbols(buf)
+    syms, cap = extract_symbols(x, 0.1)
     assert syms[0] == predictive.LIT_SYM
     assert (syms[1:] - cap).tolist() == [0, 0, 0]
     assert np.array_equal(out, x)
@@ -64,7 +59,7 @@ def test_alternating_extremes_fall_back_to_literals():
     x[0::2] = 1e9
     x[1::2] = -1e9
     buf, out = enc_dec_abs(x, 1e-9)
-    syms, _ = extract_symbols(buf)
+    syms, _ = extract_symbols(x, 1e-9)
     assert np.all(syms == predictive.LIT_SYM)
     assert np.array_equal(out, x)  # literals are exact
     assert len(buf) <= 1.05 * x.nbytes
@@ -112,12 +107,14 @@ def test_pwrel_contract_and_zeros():
 
 
 def test_pwrel_subnormals_collapse_to_zero():
-    x = np.array([1.0, 5e-324, -3e-310, 2.0])
+    # repeated, so that coding pays and the stream is not stored verbatim
+    x = np.tile([1.0, 5e-324, -3e-310, 2.0], 64)
     buf, recon = predictive.encode_pwrel(x, 1e-2, 1 << 16, 8, None)
     out = predictive.decode(buf, 8)
-    assert out[1] == 0.0 and out[2] == 0.0
-    assert np.signbit(out[2])
-    assert abs(out[0] - 1.0) <= 1e-2 and abs(out[3] - 2.0) <= 2e-2
+    assert not buf[0] & predictive._FLAG_VERBATIM
+    assert np.all(out[1::4] == 0.0) and np.all(out[2::4] == 0.0)
+    assert np.signbit(out[2::4]).all()
+    assert np.all(np.abs(out[0::4] - 1.0) <= 1e-2) and np.all(np.abs(out[3::4] - 2.0) <= 2e-2)
 
 
 def test_pwrel_all_zero_column():
@@ -247,11 +244,22 @@ def quantize_calls(encode, *args):
 
 
 def assert_quantize_matches_reference(encode, *args):
+    # each stream of the block quantizes as reference_quantize does it alone
     (call,) = quantize_calls(encode, *args)
-    got = predictive.quantize(*call)
-    want = reference_quantize(*call)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
+    target, verify, step, cap, lengths = call
+    syms, recon, lits = predictive.quantize(*call)
+    ends = np.cumsum(lengths)
+    for lo, hi, st in zip(ends - lengths, ends, np.broadcast_to(step, lengths.shape)):
+
+        def alone(r, lo=lo, hi=hi):  # verify checks the whole block at once
+            full = recon.copy()
+            full[lo:hi] = r
+            return verify(full)[lo:hi]
+
+        want = reference_quantize(target[lo:hi], alone, st, cap)
+        got = (syms[lo:hi], recon[lo:hi], lits[(lits >= lo) & (lits < hi)] - lo)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
     buf, recon = encode(*args)
     assert predictive.decode(buf, args[3]).tobytes() == recon.tobytes()
 
@@ -366,14 +374,19 @@ def test_value_past_the_grid_edge_is_a_literal_and_so_is_its_successor():
 
 
 def hand_stream(syms, lits, step, cap):
-    """An abs-mode f64 stream holding exactly the given symbols and literals."""
+    """An abs-mode f64 one-column stream holding exactly the given symbols
+    and literals, Huffman coded."""
     syms = np.asarray(syms, dtype=np.int64)
-    flags, tail = predictive._pack_symbols(syms, cap)
+    table = huffman.HuffmanTable.from_symbols(syms)
+    packed, n_bits = huffman.encode(syms, table)
     return b"".join((
-        predictive._HEAD.pack(flags, syms.size),
-        predictive._QHEAD.pack(step, cap, len(lits)),
+        predictive._HEAD.pack(0, syms.size, 1),
+        predictive._CAP.pack(cap),
+        np.array([(step, len(lits))], predictive._COLUMN).tobytes(),
         np.asarray(lits, "<f8").tobytes(),
-        tail,
+        table.to_bytes(),
+        bytes([-n_bits % 8]),
+        packed,
     ))
 
 
@@ -429,31 +442,58 @@ def test_every_truncation_raises_codec_error(kind, cut):
         predictive.decode(buf[: cut % len(buf)], 8)
 
 
+def sections(buf, width=8):
+    """(flags, symbol count, cap, offset of the code section) of a coded
+    block stream, read as docs/container_format.md lays it out."""
+    flags, n, k = predictive._HEAD.unpack_from(buf, 0)
+    assert not flags & predictive._FLAG_VERBATIM
+    off = predictive._HEAD.size
+    (cap,) = predictive._CAP.unpack_from(buf, off)
+    table = np.frombuffer(buf, predictive._COLUMN, count=k, offset=off + predictive._CAP.size)
+    off += predictive._CAP.size + table.nbytes + int(table["n_lit"].sum()) * width
+    count = n * int(np.count_nonzero(table["step"]))
+    if flags & predictive._FLAG_SIGNS:
+        off += (count + 7) // 8
+    return flags, count, cap, off
+
+
 def coded_symbols(encode, *args):
-    """An encoder's stream and the symbol array it entropy-coded."""
+    """An encoder's stream and the symbols it offered the entropy coder."""
     seen = []
-    real = predictive._pack_symbols
+    real = predictive._code
 
-    def spy(syms, cap):
-        seen.append(syms.copy())
-        return real(syms, cap)
+    def spy(syms, *rest):
+        seen.append(syms.ravel().copy())
+        return real(syms, *rest)
 
-    predictive._pack_symbols = spy
+    predictive._code = spy
     try:
         buf, recon = encode(*args)
     finally:
-        predictive._pack_symbols = real
+        predictive._code = real
     (syms,) = seen
     return buf, recon, syms
 
 
 def assert_form_and_round_trip(encode, *args):
+    # a coded one-column stream holds the smaller code form: deflated when
+    # wider than a Huffman table, the Huffman form when it is no larger
     width = args[3]
     buf, recon, syms = coded_symbols(encode, *args)
-    wide = np.unique(syms).size > huffman.MAX_SYMBOLS
-    assert bool(buf[0] & predictive._FLAG_DEFLATED) == wide
     out = predictive.decode(buf, width)
     assert out.tobytes() == recon.tobytes()
+    if buf[0] & predictive._FLAG_VERBATIM:
+        return out
+    flags, _, cap, off = sections(buf, width)
+    frame = lossless.lossless_encode(predictive._planes(syms, cap))
+    if np.unique(syms).size > huffman.MAX_SYMBOLS:
+        assert flags & predictive._FLAG_DEFLATED and buf[off:] == frame
+        return out
+    table = huffman.HuffmanTable.from_symbols(syms)
+    n_bits = huffman.encode(syms, table)[1]
+    huffman_size = len(table.to_bytes()) + 1 + (n_bits + 7) // 8
+    assert len(buf) - off == min(huffman_size, len(frame))
+    assert bool(flags & predictive._FLAG_DEFLATED) == (len(frame) < huffman_size)
     return out
 
 
@@ -489,12 +529,10 @@ def test_round_trip_on_both_sides_of_the_huffman_line(alphabet, picks, zeros, ca
 
 
 def deflated_section(buf, width=8):
-    """Offset of a deflated stream's code section, after its literals and signs."""
-    flags, n = predictive._HEAD.unpack_from(buf, 0)
+    """Symbol count and offset of a deflated stream's code section."""
+    flags, count, _, off = sections(buf, width)
     assert flags & predictive._FLAG_DEFLATED
-    _, _, n_lit = predictive._QHEAD.unpack_from(buf, predictive._HEAD.size)
-    off = predictive._HEAD.size + predictive._QHEAD.size + n_lit * width
-    return n, off + ((n + 7) // 8 if flags & predictive._FLAG_SIGNS else 0)
+    return count, off
 
 
 def test_zero_symbol_at_the_largest_cap_tops_the_code_planes():
@@ -548,3 +586,206 @@ def test_cap_beyond_32_bit_symbols_rejected():
     with pytest.raises(CodecError, match="32-bit"):
         predictive.encode_abs(x, 0.5, 1 << 31, 8)
     predictive.encode_abs(x, 0.5, (1 << 31) - 1, 8)
+
+
+def cast_like(r, width):
+    return r.astype(np.float32).astype(np.float64) if width == 4 else r
+
+
+def reference_column(x, mode, bound, cap, width):
+    """What one column decodes to when reference_quantize codes it alone."""
+    x = x.astype(np.float64)
+    if mode == "abs":
+        def verify(r):
+            return np.abs(x - cast_like(r, width)) <= bound
+
+        return cast_like(reference_quantize(x, verify, 2.0 * bound, cap)[1], width)
+    tiny = np.finfo(np.float32 if width == 4 else np.float64).tiny
+    nz = np.flatnonzero(~(np.abs(x) < tiny))
+    neg = np.signbit(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        target = np.log(np.abs(x[nz]))
+
+    def signed(r):
+        with np.errstate(over="ignore"):
+            mag = np.exp(r)
+        return cast_like(np.where(neg[nz], -mag, mag), width)
+
+    def verify(r):
+        return np.abs(x[nz] - signed(r)) <= bound * np.abs(x[nz])
+
+    syms, recon_t, lits = reference_quantize(target, verify, 2.0 * np.log1p(bound), cap)
+    out = np.where(neg, -0.0, 0.0)
+    out[nz] = signed(recon_t)
+    out[nz[lits]] = x[nz[lits]]
+    return out
+
+
+@st.composite
+def blocks(draw):
+    """A block of 1-20 columns, each a walk with specials, a zero-range
+    column, a column of literals only, or (pw_rel) a column of zeros."""
+    n_cols = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 80))
+    width = draw(st.sampled_from([4, 8]))
+    mode = draw(st.sampled_from(["abs", "pw_rel"]))
+    cap = draw(st.sampled_from([3, 16, 1 << 16]))
+    pw = draw(st.sampled_from([1e-4, 0.01, 0.3]))
+    cols, bounds = [], []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from(["walk", "walk", "constant", "literals", "zeros"]))
+        eb = draw(st.sampled_from([1e-3, 0.05, 2.0]))
+        if kind == "walk":
+            moves = draw(hnp.arrays(np.float64, n, elements=st.floats(-40, 40)))
+            special = draw(hnp.arrays(np.int8, n, elements=st.integers(-40, 4)))
+            col = place(moves, 1.0, special, 2 * eb)
+        elif kind == "constant":
+            col, eb = np.full(n, draw(st.sampled_from([2.5, 0.0, -1e9]))), 0.0
+        elif kind == "literals":  # NaN at every other value: all literals
+            col = np.where(np.arange(n) % 2, np.arange(n) + 1.0, np.nan)
+        else:
+            col = np.zeros(n)
+            col[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, 3.0, -1e-3]))
+        cols.append(col)
+        bounds.append(eb)
+    x = np.column_stack(cols)
+    if width == 4:
+        with np.errstate(over="ignore"):
+            x = x.astype(np.float32)
+    return x, mode, (bounds if mode == "abs" else pw), cap, width
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=blocks())
+def test_block_columns_decode_as_each_column_alone(case):
+    x, mode, bound, cap, width = case
+    if mode == "abs":
+        buf, recon = predictive.encode_abs(x, bound, cap, width)
+    else:
+        buf, recon = predictive.encode_pwrel(x, bound, cap, width, None)
+    out = predictive.decode(buf, width)
+    assert out.tobytes() == recon.tobytes()
+    n, k = x.shape
+    if buf[0] & predictive._FLAG_VERBATIM:
+        verbatim = [True] * k
+    else:
+        offset = predictive._HEAD.size + predictive._CAP.size
+        steps = np.frombuffer(buf, predictive._COLUMN, count=k, offset=offset)["step"]
+        verbatim = steps == 0
+    for j in range(k):
+        col = x[:, j].astype(np.float64)
+        eb = bound[j] if mode == "abs" else bound
+        if verbatim[j]:
+            want = col
+        else:
+            assert eb > 0
+            want = reference_column(x[:, j], mode, eb, cap, width)
+        assert out[j * n : (j + 1) * n].tobytes() == want.tobytes()
+        if mode == "abs" and eb == 0:
+            assert verbatim[j]
+
+
+def block_stream(form):
+    """A three-column stream in the given form, every column coded."""
+    rng = np.random.default_rng(17)
+    x = np.cumsum(rng.normal(size=(400, 3)), axis=0)
+    if form == "huffman":
+        buf, _ = predictive.encode_abs(x, 0.5, 1 << 16, 8)
+    elif form == "deflated":
+        buf, _ = predictive.encode_abs(x, 1e-4, 1 << 16, 8)
+    else:
+        buf, _ = predictive.encode_pwrel(x, 1e-3, 1 << 16, 8, None)
+    return buf
+
+
+def patch(buf, offset, fmt, value):
+    return buf[:offset] + struct.pack(fmt, value) + buf[offset + struct.calcsize(fmt) :]
+
+
+def code_offset(buf):
+    return sections(buf)[3]
+
+
+# every field of the block header and column table, each damaged so the
+# decoder must notice: (offset or offset function, format, value)
+HEADER_DAMAGE = {
+    "flags-unknown": (0, "<B", 8),
+    "flags-verbatim": (0, "<B", 1),
+    "flags-deflated-toggled": (0, "<B", None),
+    "n_rows-longer": (1, "<I", 401),
+    "n_rows-shorter": (1, "<I", 399),
+    "n_rows-zero": (1, "<I", 0),
+    "n_cols-more": (5, "<I", 4),
+    "n_cols-fewer": (5, "<I", 2),
+    "n_cols-huge": (5, "<I", 0xFFFFFFFF),
+    "cap-zero": (9, "<I", 0),
+    "cap-too-wide": (9, "<I", 1 << 31),
+    "step-negative": (13, "<d", -0.5),
+    "step-nan": (13, "<d", math.nan),
+    "step-inf": (13, "<d", math.inf),
+    "step-zero-on-a-coded-column": (25, "<d", 0.0),
+    "n_lit-more": (21, "<I", None),
+    "n_lit-fewer": (45, "<I", None),
+    "n_lit-past-the-column": (21, "<I", 401),
+}
+
+
+@pytest.mark.parametrize("form", ["huffman", "deflated", "pw_rel"])
+@pytest.mark.parametrize("field", sorted(HEADER_DAMAGE))
+def test_damaged_block_header_raises_codec_error(form, field):
+    buf = block_stream(form)
+    flags = buf[0]
+    assert bool(flags & predictive._FLAG_DEFLATED) == (form != "huffman")
+    assert bool(flags & predictive._FLAG_SIGNS) == (form == "pw_rel")
+    table = np.frombuffer(buf, predictive._COLUMN, count=3, offset=13)
+    assert (table["step"] > 0).all()  # every column coded
+    offset, fmt, value = HEADER_DAMAGE[field]
+    if field == "flags-deflated-toggled":
+        value = flags ^ predictive._FLAG_DEFLATED
+    elif field.startswith("n_lit-"):
+        column = (offset - 21) // 12
+        value = value or int(table["n_lit"][column]) + (1 if field == "n_lit-more" else -1)
+    bad = patch(buf, offset, fmt, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CodecError):
+            predictive.decode(bad, 8)
+
+
+SECTION_DAMAGE = [
+    (form, damage)
+    for form in ("huffman", "deflated", "pw_rel")
+    for damage in ("code-cut", "code-junk")
+    + (("pad-byte-8", "pad-byte-shifted", "huffman-count") if form == "huffman" else ())
+    + (("signs-cut",) if form == "pw_rel" else ())
+]
+
+
+@pytest.mark.parametrize("form, damage", SECTION_DAMAGE)
+def test_damaged_block_sections_raise_codec_error(form, damage):
+    buf = block_stream(form)
+    off = code_offset(buf)
+    if damage == "huffman-count":
+        bad = patch(buf, off, "<I", 17)
+    elif damage.startswith("pad"):
+        pad_at = huffman.HuffmanTable.from_bytes(buf, off)[1]
+        bad = patch(buf, pad_at, "<B", 8 if damage == "pad-byte-8" else (buf[pad_at] + 1) % 8)
+    elif damage == "signs-cut":
+        bad = buf[: off - 1]
+    elif damage == "code-cut":
+        bad = buf[: off + (len(buf) - off) // 2]
+    else:
+        bad = buf + b"\x00junk"
+    with pytest.raises(CodecError):
+        predictive.decode(bad, 8)
+
+
+def test_whole_block_verbatim_stream_layout():
+    x = np.arange(12.0).reshape(4, 3)
+    buf = predictive.encode_verbatim(x, 4)
+    assert buf[: predictive._HEAD.size] == predictive._HEAD.pack(predictive._FLAG_VERBATIM, 4, 3)
+    assert buf[predictive._HEAD.size :] == x.T.astype("<f4").tobytes()
+    assert predictive.decode(buf, 4).tolist() == x.T.ravel().tolist()
+    for bad in (buf[:-1], buf + b"\0", patch(buf, 5, "<I", 4)):
+        with pytest.raises(CodecError):
+            predictive.decode(bad, 4)

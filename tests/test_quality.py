@@ -25,7 +25,7 @@ from ppress.quality import (
     r_squared,
     run_application,
 )
-from ppress.reducers import Method, ReducerConfig, compress, decompress
+from ppress.reducers import Method, Mode, ReducerConfig, compress, decompress
 from ppress.tabular import from_array
 
 
@@ -476,3 +476,28 @@ def test_external_app_missing_metric_line(tmp_path):
     ds = from_array(np.ones((4, 1)))
     with pytest.raises(ApplicationError):
         run_application(ds, ds, ext_app(f"{sys.executable} {script} {{train}} {{validation}} {{seed}}"))
+
+
+def test_knn_dense_path_on_a_bitplane_quantized_table_matches_reference():
+    # bit-plane acc 64 collapses the training rows to a few distinct ones,
+    # so the screen keeps every pair and the call goes dense
+    rng = np.random.default_rng(8)
+    xt = rng.normal(size=(300, 4)) * 3.0
+    xv = rng.normal(size=(3 * quality._KNN_BLOCK, 4)) * 3.0
+    yt = rng.integers(0, 3, size=300).astype(float)
+    art, _, _ = compress(from_array(xt), ReducerConfig(Method.EBLC_BITPLANE, Mode.ACC, (64.0,)))
+    xq = decompress(art)[0].values
+    distinct = quality._distinct_rows(xq)[0]
+    assert distinct.shape[0] < 10
+    with spy("_screened_nearest") as screened, spy("_dense_nearest") as dense:
+        got = quality._knn_predict(xq, yt, xv, 5, 4)
+    assert screened == [None] and len(dense) == 3
+    assert np.array_equal(got, reference_knn(xq, yt, xv, 5, 4))
+
+
+def test_distinct_rows_keep_signed_zeros_and_nan_payloads_apart():
+    nan2 = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), np.float64)[0]
+    xt = np.array([[0.0, 1.0], [-0.0, 1.0], [np.nan, 2.0], [nan2, 2.0], [0.0, 1.0]])
+    rows, inverse = quality._distinct_rows(xt)
+    assert rows.shape[0] == 4
+    assert rows[inverse].tobytes() == xt.tobytes()

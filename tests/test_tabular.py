@@ -220,3 +220,42 @@ def test_split_partition_property(n, frac, seed, shuffled):
     assert val.n_obs == n - n_train
     merged = sorted(train.values.ravel().tolist() + val.values.ravel().tolist())
     assert merged == list(range(n))
+
+
+def loop_column_stats(ds):
+    """The per-column reductions column_stats is held to, one column at a time."""
+    out = []
+    for j in range(ds.n_feat):
+        col = ds.column(j)
+        finite = col[np.isfinite(col)]
+        if finite.size == 0:
+            out.append((np.nan,) * 5)
+            continue
+        lo, hi = finite.min(), finite.max()
+        out.append((lo, hi, hi - lo, finite.mean(dtype=np.float64), finite.var(dtype=np.float64)))
+    return [tuple(float(v) for v in row) for row in out]
+
+
+def stats_bits(stats):
+    return [np.array([s.min, s.max, s.range, s.mean, s.variance]).tobytes() for s in stats]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    k=st.integers(1, 12),
+    dtype=st.sampled_from(["f32", "f64"]),
+    seed=st.integers(0, 2**32 - 1),
+    holes=st.sampled_from(["none", "some", "all-nan-column"]),
+)
+def test_column_stats_match_the_per_column_loop_bit_for_bit(n, k, dtype, seed, holes):
+    rng = np.random.default_rng(seed)
+    arr = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-6, 6, size=k) + rng.normal(size=k)
+    if holes != "none":
+        hit = rng.random(size=arr.shape) < 0.1
+        arr[hit] = rng.choice([np.nan, np.inf, -np.inf], size=int(hit.sum()))
+        if holes == "all-nan-column":
+            arr[:, rng.integers(k)] = np.nan
+    ds = tabular.from_array(arr, dtype=dtype, allow_nonfinite=holes != "none")
+    want = [np.array(row).tobytes() for row in loop_column_stats(ds)]
+    assert stats_bits(tabular.column_stats(ds)) == want
