@@ -162,10 +162,10 @@ def pack(stream: np.ndarray, table: HuffmanTable) -> bytes:
 def unpack(buf: bytes, offset: int, n_symbols: int) -> np.ndarray:
     """The n_symbols of the section `pack` wrote at buf[offset:]."""
     table, offset = HuffmanTable.from_bytes(buf, offset)
-    pad = buf[offset] if offset < len(buf) else 8
-    n_bits = 8 * (len(buf) - offset - 1) - pad
-    if pad > 7 or n_bits < 0:
-        raise CodecError(f"Huffman section cannot end {pad} bits short")
+    if offset >= len(buf) or buf[offset] > 7:
+        raise CodecError("Huffman section lacks a pad byte of 0 to 7")
+    # an empty payload with pad bits gives a negative count, which decode rejects
+    n_bits = 8 * (len(buf) - offset - 1) - buf[offset]
     return decode(buf[offset + 1 :], n_bits, n_symbols, table)
 
 

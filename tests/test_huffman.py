@@ -238,3 +238,17 @@ def test_malformed_tables_rejected(symbols, lengths):
     )
     with pytest.raises(CodecError):
         huffman.HuffmanTable.from_bytes(wire, 0)
+
+
+@pytest.mark.parametrize("stream", [[5] * 9, [0, 0, 0, 1, 1, 2, 7, 0, 0, 2], list(range(16)) * 3])
+def test_section_round_trip_and_size(stream):
+    stream = np.asarray(stream, dtype=np.int64)
+    table = huffman.HuffmanTable.from_symbols(stream)
+    n_bits = huffman.encode(stream, table)[1]
+    section = huffman.pack(stream, table)
+    assert len(section) == huffman.section_bytes(table, n_bits)
+    assert huffman.unpack(b"head" + section, 4, stream.size).tolist() == stream.tolist()
+    head = len(table.to_bytes())
+    for bad in (section[:head], section[:head] + bytes([8]) + section[head + 1 :], section + b"\0"):
+        with pytest.raises(CodecError):
+            huffman.unpack(bad, 0, stream.size)

@@ -727,6 +727,7 @@ HEADER_DAMAGE = {
     "n_lit-more": (21, "<I", None),
     "n_lit-fewer": (45, "<I", None),
     "n_lit-past-the-column": (21, "<I", 401),
+    "n_lit-moved-between-columns": (21, "<I", None),
 }
 
 
@@ -744,8 +745,10 @@ def test_damaged_block_header_raises_codec_error(form, field):
         value = flags ^ predictive._FLAG_DEFLATED
     elif field.startswith("n_lit-"):
         column = (offset - 21) // 12
-        value = value or int(table["n_lit"][column]) + (1 if field == "n_lit-more" else -1)
+        value = value or int(table["n_lit"][column]) + (-1 if field == "n_lit-fewer" else 1)
     bad = patch(buf, offset, fmt, value)
+    if field == "n_lit-moved-between-columns":  # the literal section keeps its size
+        bad = patch(bad, 33, "<I", int(table["n_lit"][1]) - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(CodecError):
@@ -778,6 +781,32 @@ def test_damaged_block_sections_raise_codec_error(form, damage):
         bad = buf + b"\x00junk"
     with pytest.raises(CodecError):
         predictive.decode(bad, 8)
+
+
+def test_huffman_escape_drops_a_column_its_codes_push_past_raw():
+    # twelve walks make the literal marker rare, so it gets a long code; a
+    # column of 40 literals per coded value stays below raw on its literals
+    # alone, but not with their codes, and goes verbatim inside the block
+    rng = np.random.default_rng(5)
+    walks = np.cumsum(rng.integers(-2, 3, size=(2050, 12)), axis=0).astype(np.float64)
+    heavy = np.tile(np.append(np.where(np.arange(40) % 2, 1.0, np.nan), 1.0), 50)
+    x = np.column_stack([walks, heavy])
+    buf, recon = predictive.encode_abs(x, 0.5, 1 << 16, 8)
+    assert not buf[0] & predictive._FLAG_DEFLATED
+    steps = np.frombuffer(buf, predictive._COLUMN, count=13, offset=13)["step"]
+    assert (steps[:12] > 0).all() and steps[12] == 0
+    assert predictive.decode(buf, 8).tobytes() == recon.tobytes()
+    assert recon[12 * 2050 :].tobytes() == heavy.tobytes()
+
+
+def test_narrow_codes_deflate_when_that_is_smaller():
+    # one repeated jump: a Huffman table spends a bit per value, deflate
+    # far less, so the block is deflated although 16 symbols would fit
+    x = np.arange(8000.0)
+    buf, recon = predictive.encode_abs(x, 0.25, 1 << 16, 8)
+    assert buf[0] & predictive._FLAG_DEFLATED
+    assert len(buf) < 8000 // 8
+    assert predictive.decode(buf, 8).tobytes() == recon.tobytes()
 
 
 def test_whole_block_verbatim_stream_layout():
