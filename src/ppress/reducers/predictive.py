@@ -127,8 +127,7 @@ def _raw(x: np.ndarray, width: int) -> bytes:
 
 def _columns(x: np.ndarray) -> np.ndarray:
     """A block as (n_cols, n_rows) f64, one column per row; 1-D x is one column."""
-    x = np.asarray(x)
-    return np.ascontiguousarray(x[None, :] if x.ndim == 1 else x.T, dtype=np.float64)
+    return np.ascontiguousarray(np.atleast_2d(np.asarray(x).T), dtype=np.float64)
 
 
 def _signed_exp(recon_t: np.ndarray, nz: np.ndarray, neg: np.ndarray, width: int) -> np.ndarray:
@@ -288,7 +287,8 @@ def decode(buf: bytes, width: int) -> np.ndarray:
         if bad.any():
             raise CodecError(f"column {np.argmax(bad)}'s step or literal count is out of range")
         vals, off = _section(buf, off, int(n_lit.sum()) * width, "literals")
-    vals = np.frombuffer(vals, _F32 if width == 4 else _F64).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is a value like any other
+        vals = np.frombuffer(vals, _F32 if width == 4 else _F64).astype(np.float64)
     count = 0 if raw else int(coded.sum()) * n
     if count == 0:
         if off != len(buf):

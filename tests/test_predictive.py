@@ -818,3 +818,17 @@ def test_whole_block_verbatim_stream_layout():
     for bad in (buf[:-1], buf + b"\0", patch(buf, 5, "<I", 4)):
         with pytest.raises(CodecError):
             predictive.decode(bad, 4)
+
+
+def test_signalling_nan_literal_decodes_without_a_warning():
+    # a stored f32 literal may hold any bit pattern, a signalling NaN too;
+    # widening it must not raise NumPy's invalid-value warning
+    x = np.cumsum(np.random.default_rng(9).normal(size=(300, 2)), axis=0).astype(np.float32)
+    buf, _ = predictive.encode_abs(x, 0.05, 1 << 16, 4)
+    assert not buf[0] & predictive._FLAG_VERBATIM
+    first_literal = predictive._HEAD.size + predictive._CAP.size + 2 * predictive._COLUMN.itemsize
+    bad = patch(buf, first_literal, "<I", 0x7F800001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = predictive.decode(bad, 4)
+    assert np.isnan(out[0]) and np.isfinite(out[1:300]).all()
