@@ -131,7 +131,6 @@ def _values(buf: bytes, dtype: np.dtype, count: int | None) -> np.ndarray:
 
 def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.ndarray:
     method = artifact.method
-    width = artifact.value_width
     # values in one stream of a method that keeps every row
     count = artifact.n_obs * (artifact.n_feat if artifact.layout is Layout.MATRIX else 1)
     if method in SAMPLING_METHODS:
@@ -146,11 +145,12 @@ def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.nd
         return delta.inverse_delta(arr, order) if order else arr
     if method is Method.TRUNC:
         narrow = np.dtype("<f4") if int(artifact.c[0]) == 32 else np.dtype("<f2")
-        return _values(blob, narrow, count).astype(np_dtype)
+        with np.errstate(invalid="ignore"):  # a signalling NaN widens like any value
+            return _values(blob, narrow, count).astype(np_dtype)
     if method is Method.EBLC_PRED:
-        return predictive.decode(blob, width).astype(np_dtype, copy=False)
+        return predictive.decode(blob, artifact.value_width).astype(np_dtype, copy=False)
     if method is Method.EBLC_BITPLANE:
-        return bitplane.decode(blob, width).astype(np_dtype, copy=False)
+        return bitplane.decode(blob, artifact.value_width).astype(np_dtype, copy=False)
     raise DataFormatError(f"method {method.value} has no stream decoder")
 
 

@@ -537,3 +537,14 @@ def test_container_doc_states_the_current_version():
     doc = Path(__file__).resolve().parent.parent / "docs" / "container_format.md"
     stated = re.findall(r"currently (\d+)", doc.read_text())
     assert stated == [str(container.VERSION)]
+
+
+def test_truncated_signalling_nan_decodes_without_a_warning():
+    # a damaged (or stored) f32 signalling NaN must widen quietly; the
+    # all-method fuzz treats NumPy's invalid-value warning as a failure
+    art, _, _ = compress(walk_ds(n=300, k=2), ReducerConfig(Method.TRUNC, c=(32,)))
+    bad = art.streams[0][:8] + struct.pack("<I", 0x7F800001) + art.streams[0][12:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, _, _ = decompress(replace(art, streams=(bad,) + art.streams[1:]))
+    assert np.isnan(out.values[2, 0]) and np.isfinite(out.values[3:, 0]).all()
