@@ -7,6 +7,11 @@ above the acceptance threshold), then evaluates an arithmetic ladder of
 candidate bounds between them.  Every evaluation lands in an append-only
 line-delimited store and an optional content-addressed cache.
 
+A campaign runs each distinct evaluation once: evaluation is deterministic in
+its cache key, so a configuration it has already scored comes back from an
+in-memory table of its ``ok`` records, marked cached like a hit in the cache
+directory, whether or not there is one.
+
 Codec quality degrades monotonically as the bound grows, so boundary
 searches bisect.  Sampling is noisy and non-monotone; those domains are
 probed on a uniform grid instead.  For fraction-based sampling a *smaller*
@@ -45,7 +50,7 @@ from .reducers import (
     error_report,
     retained_rows,
 )
-from .reducers.config import SAMPLING_METHODS
+from .reducers.config import SAMPLING_METHODS, canonical_json
 from .tabular import Dataset
 
 _FRACTION_METHODS = {Method.SAMPLE_WR, Method.SAMPLE_WOR}
@@ -175,6 +180,10 @@ class EvaluationRecord:
         return json.dumps(d, sort_keys=True)
 
 
+# cache key -> the first ok record of that evaluation in one campaign
+Memo = dict[str, EvaluationRecord]
+
+
 class RecordStore:
     """Append-only JSON-lines record log.
 
@@ -249,12 +258,15 @@ def _end_last_line(fh) -> None:
 
 
 def cache_key(
-    pair: DatasetPair, app: Application, config: ReducerConfig, compress_target: str
+    pair: DatasetPair, app: Application, config: ReducerConfig | dict, compress_target: str
 ) -> str:
+    """Content address of one evaluation; config may be given as its to_dict()."""
+    if isinstance(config, ReducerConfig):
+        config = config.to_dict()
     h = hashlib.sha256()
     parts = (
         f"v{container.VERSION}", pair.id, app.id, str(app.seed),
-        config.canonical_json(), compress_target,
+        canonical_json(config), compress_target,
     )
     for part in parts:
         h.update(part.encode())
@@ -289,15 +301,21 @@ def eval_config(
     config: ReducerConfig,
     compress_target: str = "both",
     cache_dir: str | Path | None = None,
+    memo: Memo | None = None,
 ) -> EvaluationRecord:
     """Compress, restore, run the application, and summarize the point.
 
     Codec and application failures come back as a failed record instead of
-    raising, so a campaign can keep going.
+    raising, so a campaign can keep going.  ``memo`` maps cache keys to the
+    ``ok`` records already computed or loaded; it is read before the cache
+    directory and filled from both.
     """
     if compress_target not in ("train", "validation", "both"):
         raise ConfigError(f"bad compress_target {compress_target!r}")
-    key = cache_key(pair, app, config, compress_target)
+    config_dict = config.to_dict()
+    key = cache_key(pair, app, config_dict, compress_target)
+    if memo is not None and key in memo:
+        return replace(memo[key], cached=True)
     if cache_dir is not None:
         path = _cache_path(cache_dir, key)
         if path.exists():
@@ -307,6 +325,8 @@ def eval_config(
                 # a torn entry is a miss; the fresh result below replaces it
                 warnings.warn(f"{path}: unreadable cache entry, recomputing", stacklevel=2)
             else:
+                if memo is not None:
+                    memo[key] = rec
                 return replace(rec, cached=True)
 
     parts = {}
@@ -356,7 +376,7 @@ def eval_config(
         record_id=key,
         dataset_id=pair.id,
         app_id=app.id,
-        config=config.to_dict(),
+        config=config_dict,
         compress_target=compress_target,
         seed=app.seed,
         ok=ok,
@@ -374,7 +394,9 @@ def eval_config(
         timestamp=time.time(),
         cached=False,
     )
-    if cache_dir is not None and ok:
+    if ok and memo is not None:
+        memo[key] = rec
+    if ok and cache_dir is not None:
         _write_atomic(_cache_path(cache_dir, key), json.dumps(rec.to_dict(), sort_keys=True))
     return rec
 
@@ -396,6 +418,7 @@ ProbeFn = Callable[[float], float]
 def _replicate_median(
     pair: DatasetPair, app: Application, config: ReducerConfig, spec: SearchSpec,
     compress_target: str, cache_dir: str | Path | None, failure: str,
+    memo: Memo | None,
 ) -> tuple[float, float, list[EvaluationRecord]]:
     """Score config once per replicate seed; returns (median, spread, records).
 
@@ -403,7 +426,9 @@ def _replicate_median(
     InfeasibleSearchError(failure) is raised.
     """
     records = [
-        eval_config(pair, replace(app, seed=app.seed + i), config, compress_target, cache_dir)
+        eval_config(
+            pair, replace(app, seed=app.seed + i), config, compress_target, cache_dir, memo
+        )
         for i in range(spec.replicates)
     ]
     values = [rec.psi for rec in records if rec.ok]
@@ -449,6 +474,7 @@ def _edge_search(
     domain: SearchDomain, pair: DatasetPair | None, app: Application | None,
     spec: SearchSpec, compress_target: str, cache_dir: str | Path | None,
     probe: ProbeFn | None, passes: Callable[[float], bool],
+    memo: Memo | None,
 ) -> tuple[float | None, tuple[tuple[float, float], ...], tuple[EvaluationRecord, ...]]:
     """Most-compressing bound whose quality passes, or None; with the probes
     and records it took.
@@ -467,7 +493,7 @@ def _edge_search(
         else:
             psi, _, recs = _replicate_median(
                 pair, app, domain.config(bound), spec, compress_target, cache_dir,
-                f"all replicates failed at bound {bound:g}",
+                f"all replicates failed at bound {bound:g}", memo,
             )
             records.extend(recs)
         probes.append((bound, psi))
@@ -497,6 +523,7 @@ def find_upper(
     compress_target: str = "both",
     cache_dir: str | Path | None = None,
     probe: ProbeFn | None = None,
+    memo: Memo | None = None,
 ) -> SearchResult:
     """Most-compressing bound whose quality still matches the baseline.
 
@@ -507,7 +534,7 @@ def find_upper(
     tol = spec.eta * abs(phi)
     found, probes, records = _edge_search(
         domain, pair, app, spec, compress_target, cache_dir, probe,
-        lambda psi: abs(phi - psi) <= tol,
+        lambda psi: abs(phi - psi) <= tol, memo,
     )
     satisfied = found is not None
     if not satisfied:
@@ -524,6 +551,7 @@ def find_lower(
     compress_target: str = "both",
     cache_dir: str | Path | None = None,
     probe: ProbeFn | None = None,
+    memo: Memo | None = None,
 ) -> SearchResult:
     """Most-compressing bound whose quality stays above the threshold tau.
 
@@ -535,7 +563,7 @@ def find_lower(
         )
     found, probes, records = _edge_search(
         domain, pair, app, spec, compress_target, cache_dir, probe,
-        lambda psi: psi > spec.tau,
+        lambda psi: psi > spec.tau, memo,
     )
     if found is None:
         where = "everywhere" if domain.noisy else f"even at bound {domain.bound_min:g}"
@@ -593,11 +621,12 @@ def measure_baseline(
     spec: SearchSpec,
     compress_target: str = "both",
     cache_dir: str | Path | None = None,
+    memo: Memo | None = None,
 ) -> tuple[float, float, list[EvaluationRecord]]:
     """Baseline quality via identity reduction; returns (phi, spread, records)."""
     return _replicate_median(
         pair, app, ReducerConfig(Method.NONE), spec, compress_target, cache_dir,
-        "baseline evaluation failed for every replicate",
+        "baseline evaluation failed for every replicate", memo,
     )
 
 
@@ -659,11 +688,13 @@ def run_campaign(
     Infeasible searches and failed points are recorded or skipped without
     aborting the rest of the campaign.  ``observer``, when given, is called
     with each step once its records are stored; the records of all steps,
-    in order, are the return value.
+    in order, are the return value.  A configuration the campaign has
+    already evaluated comes back as a cached copy of its first record.
     """
     if not apps or not methods:
         raise ConfigError("campaign needs at least one application and one method")
     records: list[EvaluationRecord] = []
+    memo: Memo = {}
 
     def emit(recs) -> tuple[EvaluationRecord, ...]:
         start = len(records)
@@ -679,7 +710,7 @@ def run_campaign(
 
     def evaluate_ladder(app: Application, configs: Sequence[ReducerConfig]):
         def one(config: ReducerConfig) -> EvaluationRecord:
-            return eval_config(pair, app, config, compress_target, cache_dir)
+            return eval_config(pair, app, config, compress_target, cache_dir, memo)
 
         if parallelism > 1:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
@@ -688,25 +719,25 @@ def run_campaign(
 
     for app in apps:
         phi, spread, base_records = measure_baseline(
-            pair, app, spec, compress_target, cache_dir
+            pair, app, spec, compress_target, cache_dir, memo
         )
         notify(BaselineMeasured(app, phi, spread, emit(base_records)))
         for index, entry in enumerate(methods):
             if isinstance(entry, ReducerConfig):
                 if entry.method is Method.NONE:
                     continue  # already measured as the baseline
-                rec = eval_config(pair, app, entry, compress_target, cache_dir)
+                rec = eval_config(pair, app, entry, compress_target, cache_dir, memo)
                 notify(FixedEvaluated(app, entry, emit([rec])))
                 continue
             done: tuple[EvaluationRecord, ...] = ()
             upper = None
             try:
                 upper = find_upper(
-                    entry, pair, app, spec, phi, compress_target, cache_dir
+                    entry, pair, app, spec, phi, compress_target, cache_dir, memo=memo
                 )
                 done += emit(upper.records)
                 lower = find_lower(
-                    entry, pair, app, spec, phi, compress_target, cache_dir
+                    entry, pair, app, spec, phi, compress_target, cache_dir, memo=memo
                 )
                 done += emit(lower.records)
             except InfeasibleSearchError as exc:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from ..errors import ConfigError
@@ -141,12 +141,10 @@ class ReducerConfig:
         return ":".join(parts)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["method"] = self.method.value
-        d["mode"] = self.mode.value
-        d["layout"] = self.layout.value
-        d["c"] = list(self.c)
-        return d
+        # built field by field: dataclasses.asdict deep-copies every value
+        knobs = {f.name: getattr(self.knobs, f.name) for f in fields(ReducerKnobs)}
+        return {"method": self.method.value, "mode": self.mode.value,
+                "c": list(self.c), "layout": self.layout.value, "knobs": knobs}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReducerConfig":
@@ -158,5 +156,7 @@ class ReducerConfig:
             knobs=ReducerKnobs.from_dict(d.get("knobs", {})),
         )
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+def canonical_json(config: dict) -> str:
+    """The byte-stable form of a ReducerConfig.to_dict() that cache keys hash."""
+    return json.dumps(config, sort_keys=True, separators=(",", ":"))

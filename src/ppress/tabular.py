@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -93,6 +95,15 @@ class Dataset:
     def with_values(self, values: np.ndarray) -> "Dataset":
         """Same names/dtype, new value matrix (used by reducers)."""
         return Dataset(values, self.names, self.dtype, allow_nonfinite=True)
+
+    # the values never change, so their statistics are computed once
+    @cached_property
+    def _column_stats(self) -> tuple["ColumnStats", ...]:
+        return _compute_column_stats(self)
+
+    @cached_property
+    def _global_stats(self) -> "ColumnStats":
+        return _compute_global_stats(self)
 
     def column_index(self, name_or_index: str | int) -> int:
         if isinstance(name_or_index, int):
@@ -284,15 +295,20 @@ class ColumnStats:
         return self.range == 0.0
 
 
-def column_stats(ds: Dataset) -> list[ColumnStats]:
+def column_stats(ds: Dataset) -> tuple[ColumnStats, ...]:
     """Per-column min/max/range/mean/variance, all in data units.
 
     min, max and range stay in the dataset dtype; mean and variance are
     accumulated in f64.  A finite table takes one reduction per statistic
     over its columns laid out as rows, which sums each column pairwise just
     as a reduction over that column alone does; a table holding non-finite
-    values reduces each column's finite values on their own.
+    values reduces each column's finite values on their own.  Computed on
+    the first call for a dataset; later calls return the same tuple.
     """
+    return ds._column_stats
+
+
+def _compute_column_stats(ds: Dataset) -> tuple[ColumnStats, ...]:
     cols = np.ascontiguousarray(ds.values.T)
     if not ds.allow_nonfinite or np.isfinite(cols).all():
         parts = zip(
@@ -303,10 +319,10 @@ def column_stats(ds: Dataset) -> list[ColumnStats]:
         )
     else:
         parts = (_finite_stats(col[np.isfinite(col)]) for col in cols)
-    return [
+    return tuple(
         ColumnStats(name, float(lo), float(hi), float(hi - lo), float(mean), float(var))
         for name, (lo, hi, mean, var) in zip(ds.names, parts)
-    ]
+    )
 
 
 def _finite_stats(finite: np.ndarray) -> tuple:
@@ -321,7 +337,12 @@ def _finite_stats(finite: np.ndarray) -> tuple:
 
 
 def global_stats(ds: Dataset) -> ColumnStats:
-    """Stats over the whole matrix, used by the matrix reducer layout."""
+    """Stats over the whole matrix, used by the matrix reducer layout;
+    computed on the first call for a dataset."""
+    return ds._global_stats
+
+
+def _compute_global_stats(ds: Dataset) -> ColumnStats:
     v = ds.values
     finite = v[np.isfinite(v)] if ds.allow_nonfinite else v.ravel()
     lo = finite.min()
@@ -345,7 +366,7 @@ class RangeHistogram:
 
 
 def range_histogram(
-    stats: list[ColumnStats], n_bins: int = 10, scale: str = "linear"
+    stats: Sequence[ColumnStats], n_bins: int = 10, scale: str = "linear"
 ) -> RangeHistogram:
     """Distribution of per-column ranges with an explicit zero bin.
 

@@ -1,13 +1,15 @@
 import json
 import math
 import sys
-from dataclasses import replace
+from collections import Counter
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppress.campaign as campaign
 from ppress.campaign import (
     BaselineMeasured,
     DatasetPair,
@@ -27,7 +29,8 @@ from ppress.campaign import (
 )
 from ppress.errors import ConfigError, DataFormatError, InfeasibleSearchError
 from ppress.quality import Application, AppKind, MetricName, MetricSpec, run_application
-from ppress.reducers import Method, Mode, ReducerConfig, ReducerKnobs
+from ppress.reducers import Layout, Method, Mode, ReducerConfig, ReducerKnobs
+from ppress.reducers.config import _MODES_FOR, canonical_json
 from ppress.tabular import from_array
 
 
@@ -209,6 +212,32 @@ def test_cache_key_covers_container_version(monkeypatch):
     before = cache_key(pair, ridge_app(), config, "both")
     monkeypatch.setattr(container, "VERSION", container.VERSION + 1)
     assert cache_key(pair, ridge_app(), config, "both") != before
+
+
+BOUND_FOR = {Mode.PREC: 8.0, Method.TRUNC: 16.0, Method.SAMPLE_NAIVE: 2.0}
+
+
+@pytest.mark.parametrize("knobs", [
+    ReducerKnobs(),
+    ReducerKnobs(quant_bin_cap=77, block_size=16, pw_rel_zero_floor=1e-30,
+                 delta_order=2, seed=9),
+])
+@pytest.mark.parametrize("layout", list(Layout))
+def test_config_json_is_the_asdict_json(knobs, layout):
+    # cache keys hash this string, so it must stay byte for byte what
+    # json.dumps of dataclasses.asdict wrote
+    for method, modes in _MODES_FOR.items():
+        for mode in modes:
+            bound = BOUND_FOR.get(mode, BOUND_FOR.get(method, 0.5))
+            c = () if method in (Method.LOSSLESS, Method.NONE) else (bound,)
+            config = ReducerConfig(method, mode, c, layout, knobs)
+            want = asdict(config)
+            want.update(method=method.value, mode=mode.value, c=list(c), layout=layout.value)
+            assert config.to_dict() == want
+            assert canonical_json(config.to_dict()) == json.dumps(
+                want, sort_keys=True, separators=(",", ":")
+            )
+            assert ReducerConfig.from_dict(config.to_dict()) == config
 
 
 def test_failed_evaluations_are_not_cached(tmp_path):
@@ -565,3 +594,116 @@ def test_run_campaign_requires_work():
         run_campaign(pair, [], [pred_domain()], SearchSpec(tau=0.5, n_candidates=3))
     with pytest.raises(ConfigError):
         run_campaign(pair, [ridge_app()], [], SearchSpec(tau=0.5, n_candidates=3))
+
+
+def spy_compress(monkeypatch):
+    """Record (dataset id, config) of every compress call the campaign makes."""
+    calls = []
+    real = campaign.compress
+
+    def spy(ds, config):
+        calls.append((ds.id, config))
+        return real(ds, config)
+
+    monkeypatch.setattr(campaign, "compress", spy)
+    return calls
+
+
+def without_memo(monkeypatch):
+    """Make the campaign's evaluations ignore its in-run memo."""
+    real = campaign.eval_config
+
+    def plain(pair, app, config, compress_target="both", cache_dir=None, memo=None):
+        return real(pair, app, config, compress_target, cache_dir)
+
+    monkeypatch.setattr(campaign, "eval_config", plain)
+
+
+def searched(steps):
+    return [
+        (s.upper.bound, s.upper.probes, s.lower.bound, s.lower.probes,
+         [p.bound for p in s.ladder.points])
+        for s in steps if isinstance(s, DomainSearched)
+    ]
+
+
+@pytest.mark.parametrize("replicates", [1, 2])
+def test_run_campaign_evaluates_each_configuration_once(monkeypatch, replicates):
+    pair = linear_pair(n=100)
+    app = ridge_app()
+    spec = SearchSpec(tau=0.5, n_candidates=4, eta=5e-3, max_iters=6, replicates=replicates)
+    methods = [pred_domain(1e-8, 1.0), ReducerConfig(Method.LOSSLESS)]
+
+    calls = spy_compress(monkeypatch)
+    steps = []
+    records = run_campaign(pair, [app], methods, spec, observer=steps.append)
+    # one evaluation, of both parts, per distinct record; each seed its own
+    distinct = {r.record_id: r for r in records}.values()
+    assert Counter(calls) == Counter(
+        (part.id, ReducerConfig.from_dict(r.config))
+        for r in distinct for part in (pair.train, pair.validation)
+    )
+    assert [(r.seed, r.cached) for r in records[:replicates]] == [
+        (seed, False) for seed in range(replicates)
+    ]
+    ids = [r.record_id for r in records]
+    assert all(r.ok for r in records)
+    first = {}
+    for i, rec in enumerate(records):
+        assert rec.cached == (rec.record_id in first)
+        first.setdefault(rec.record_id, i)
+    assert sum(r.cached for r in records) == len(ids) - len(set(ids)) > 0
+
+    # repeats are copies of the first evaluation; fresh ones agree with it
+    for rec in records:
+        orig = records[first[rec.record_id]]
+        assert replace(rec, cached=False) == orig
+        again = eval_config(pair, replace(app, seed=rec.seed), ReducerConfig.from_dict(rec.config))
+        assert again.content_key() == rec.content_key()
+
+    without_memo(monkeypatch)
+    plain_steps = []
+    plain = run_campaign(pair, [app], methods, spec, observer=plain_steps.append)
+    assert [r.record_id for r in plain] == ids
+    assert [r.content_key() for r in plain] == [r.content_key() for r in records]
+    assert not any(r.cached for r in plain)
+    assert searched(plain_steps) == searched(steps)
+
+
+def test_run_campaign_retries_failed_configurations(monkeypatch):
+    pair = linear_pair(n=60)
+    f32 = DatasetPair(
+        from_array(pair.train.values, pair.train.names, "f32"),
+        from_array(pair.validation.values, pair.validation.names, "f32"),
+    )
+    too_wide = ReducerConfig(Method.TRUNC, c=(32.0,))  # f32 cannot narrow to 32 bits
+    lossless = ReducerConfig(Method.LOSSLESS)
+    calls = spy_compress(monkeypatch)
+    records = run_campaign(
+        f32, [ridge_app()], [too_wide, lossless, too_wide, lossless],
+        SearchSpec(tau=0.5, n_candidates=3),
+    )
+    assert [(r.ok, r.cached) for r in records] == [
+        (True, False), (False, False), (True, False), (False, False), (True, True)
+    ]
+    assert [config for _, config in calls].count(too_wide) == 2
+
+    memo = {}
+    first = eval_config(f32, ridge_app(), too_wide, memo=memo)
+    assert not first.ok and memo == {}
+    assert not eval_config(f32, ridge_app(), too_wide, memo=memo).cached
+
+
+def test_parallel_ladder_shares_the_memo_safely():
+    pair = linear_pair(n=80)
+    spec = SearchSpec(tau=0.5, n_candidates=12, eta=5e-3, max_iters=5)
+    methods = [pred_domain(1e-8, 1.0)]
+    seq = run_campaign(pair, [ridge_app()], methods, spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        par = run_campaign(pair, [ridge_app()], methods, spec, parallelism=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(r.record_id, r.cached) for r in par] == [(r.record_id, r.cached) for r in seq]
+    assert [r.content_key() for r in par] == [r.content_key() for r in seq]

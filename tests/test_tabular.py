@@ -259,3 +259,27 @@ def test_column_stats_match_the_per_column_loop_bit_for_bit(n, k, dtype, seed, h
     ds = tabular.from_array(arr, dtype=dtype, allow_nonfinite=holes != "none")
     want = [np.array(row).tobytes() for row in loop_column_stats(ds)]
     assert stats_bits(tabular.column_stats(ds)) == want
+
+
+def test_stats_are_computed_once_per_dataset(monkeypatch):
+    ds = tabular.from_array(np.arange(12.0).reshape(4, 3))
+    calls = []
+    for name in ("_compute_column_stats", "_compute_global_stats"):
+        real = getattr(tabular, name)
+        monkeypatch.setattr(tabular, name, lambda d, real=real: calls.append(d) or real(d))
+    cols, whole = tabular.column_stats(ds), tabular.global_stats(ds)
+    assert tabular.column_stats(ds) == cols and tabular.global_stats(ds) == whole
+    assert calls == [ds, ds]
+
+    with pytest.raises(TypeError):
+        cols[0] = cols[1]
+    with pytest.raises(AttributeError):
+        cols[0].min = -1.0
+    with pytest.raises(AttributeError):
+        whole.max = -1.0
+    assert tabular.column_stats(ds)[0].min == 0.0 and tabular.global_stats(ds).max == 11.0
+
+    doubled = ds.with_values(2.0 * ds.values)
+    assert [s.max for s in tabular.column_stats(doubled)] == [18.0, 20.0, 22.0]
+    assert tabular.global_stats(ds.select_rows(np.array([0]))).max == 2.0
+    assert len(calls) == 4
