@@ -17,9 +17,11 @@ _STORED, _ZLIB = 0, 1
 _LEVEL = zlib.Z_DEFAULT_COMPRESSION
 
 
-def lossless_encode(data: bytes) -> bytes:
-    """Frame `data`, deflated unless that would not make it smaller."""
-    body = zlib.compress(data, _LEVEL)
+def lossless_encode(data: bytes, strategy: int = zlib.Z_DEFAULT_STRATEGY) -> bytes:
+    """Frame `data`, deflated with zlib's `strategy` unless that would not
+    make it smaller."""
+    deflater = zlib.compressobj(_LEVEL, zlib.DEFLATED, zlib.MAX_WBITS, 8, strategy)
+    body = deflater.compress(data) + deflater.flush()
     if len(body) < len(data):
         return _HEAD.pack(_ZLIB, len(data)) + body
     return _HEAD.pack(_STORED, len(data)) + data

@@ -8,27 +8,30 @@ codes the jump between consecutive indices (cuSZ's dual quantization).  A
 column's first value, jumps reaching quant_bin_cap, and values whose
 rebuilt form breaks the bound after rounding are literals, stored exactly,
 so the error contract holds by construction.  All coded columns' symbols
-share one code: a canonical Huffman table of at most huffman.MAX_SYMBOLS
-symbols, or zigzag codes in four byte planes in one zlib frame, whichever
-is smaller.  A column whose literals (plus, under a Huffman table, its
-codes) cost more than its raw values, as any column under a zero bound, is
-stored raw, and so is a block whose coding does not pay: a stream never
-exceeds the raw values plus its 9-byte header.
+share one code section: each symbol becomes a code (0 a literal, 2q+1 a
+jump q >= 0, -2q a jump q < 0), written as the fewest little-endian byte
+planes that hold the largest code, in one zlib frame; one-byte codes keep
+the smaller of the default and the Huffman-only deflate strategy.  A column
+whose literals cost at least its raw values, as any column under a zero
+bound, is stored raw, and so is a block whose coding does not pay: a stream
+never exceeds the raw values plus its 9-byte header.
 
 Pointwise-relative mode runs the same machinery on log-magnitudes with step
 2*log1p(pw), so a value rebuilds within a factor (1+pw) of itself; signs
-travel as one bitmask, zeros (magnitudes below the zero floor) as 2*cap.
+travel as one bitmask, zeros (magnitudes below the zero floor) as the
+symbol 2*cap, the code 2*cap+1.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import Callable
 
 import numpy as np
 
 from ..errors import CodecError
-from . import huffman, lossless
+from . import lossless
 
 LIT_SYM = 0  # quantizer codes map to [1, 2*cap-1]; 2*cap marks a zero
 
@@ -141,42 +144,33 @@ def _signed_exp(recon_t: np.ndarray, nz: np.ndarray, neg: np.ndarray, width: int
 
 
 def _planes(syms: np.ndarray, cap: int) -> bytes:
-    """Symbols as u32 zigzag codes around cap, split into four byte planes."""
+    """Symbols as codes around cap (0 a literal, 2q+1 a jump q >= 0, -2q a
+    jump q < 0), split into as few little-endian byte planes as the largest
+    code needs."""
     q = syms - cap
-    zigzag = np.where(q < 0, -2 * q - 1, 2 * q).astype("<u4")
-    return zigzag.view(np.uint8).reshape(-1, 4).T.tobytes()
+    codes = np.where(syms == LIT_SYM, 0, np.where(q < 0, -2 * q, 2 * q + 1)).astype("<u4")
+    n_planes = max(1, (int(codes.max()).bit_length() + 7) // 8)
+    return codes.view(np.uint8).reshape(-1, 4)[:, :n_planes].T.tobytes()
 
 
 def _code(syms: np.ndarray, lit_bits: np.ndarray, raw_bits: int, cap: int):
-    """Entropy-code the columns of syms (one per row) whose coding pays.
-
-    A column pays when its literal (and sign) bits, plus its code bits under
-    a Huffman table, stay below raw_bits; columns that do not pay leave, and
-    the rest are costed again.  Deflated codes are not costed per column:
-    _write's check on the whole stream bounds them.  Returns (flag, section
-    bytes, mask of the coded columns).
+    """Deflate the codes of the columns of syms (one per row) whose literal
+    (and sign) bits stay below raw_bits.  The codes are not costed per
+    column: deflate codes the columns together, and _write's check on the
+    whole stream bounds them.  Returns (flag, section bytes, mask of the
+    coded columns).
     """
     keep = lit_bits < raw_bits
-    table = None
-    while keep.any():
-        uniq, counts = np.unique(syms[keep], return_counts=True)
-        if uniq.size > huffman.MAX_SYMBOLS:
-            break
-        table = huffman.HuffmanTable.from_symbols(None, histogram=(uniq, counts))
-        lengths = np.empty(uniq.size, dtype=np.int64)
-        lengths[np.searchsorted(uniq, table.symbols)] = table.lengths
-        bits = np.zeros(keep.size)
-        bits[keep] = lengths[np.searchsorted(uniq, syms[keep])].sum(axis=1)
-        over = keep & (lit_bits + bits > raw_bits)
-        if not over.any():
-            break
-        keep &= ~over
     if not keep.any():
         return 0, b"", keep
     coded = syms[keep].ravel()
-    frame = lossless.lossless_encode(_planes(coded, cap))
-    if table is not None and huffman.section_bytes(table, int(bits.sum())) <= len(frame):
-        return 0, huffman.pack(coded, table), keep
+    planes = _planes(coded, cap)
+    frame = lossless.lossless_encode(planes)
+    if len(planes) == coded.size:  # one byte per code
+        # order-0 coding beats LZ matching on memoryless jumps
+        order0 = lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY)
+        if len(order0) < len(frame):
+            frame = order0
     return _FLAG_DEFLATED, frame, keep
 
 
@@ -300,14 +294,22 @@ def decode(buf: bytes, width: int) -> np.ndarray:
     if flags & _FLAG_SIGNS:
         mask, off = _section(buf, off, (count + 7) // 8, "sign mask")
         neg = np.unpackbits(np.frombuffer(mask, np.uint8), count=count).astype(bool)
-    if flags & _FLAG_DEFLATED:  # the code section runs to the end of the stream
-        planes = lossless.lossless_decode(buf[off:])
-        if len(planes) != 4 * count:
-            raise CodecError(f"deflated codes hold {len(planes)} bytes, not 4 per {count} symbols")
-        zigzag = np.frombuffer(planes, np.uint8).reshape(4, count).T.copy().view("<u4").ravel()
-        syms = cap + np.where(zigzag & 1, -(zigzag.astype(np.int64) + 1) // 2, zigzag // 2)
-    else:
-        syms = huffman.unpack(buf, off, count)
+    if not flags & _FLAG_DEFLATED:
+        raise CodecError("a block that codes a column does not deflate its codes")
+    planes = lossless.lossless_decode(buf[off:])  # runs to the end of the stream
+    n_planes, rest = divmod(len(planes), count)
+    if rest or not 1 <= n_planes <= 4:
+        raise CodecError(f"deflated codes hold {len(planes)} bytes, not 1-4 per {count} symbols")
+    codes = np.zeros((count, 4), np.uint8)
+    codes[:, :n_planes] = np.frombuffer(planes, np.uint8).reshape(n_planes, count).T
+    codes = codes.view("<u4").ravel().astype(np.int64)
+    # codes past the jumps' 2*cap - 1: only pw_rel's zero marker 2*cap + 1
+    beyond = codes >= 2 * cap
+    if neg is not None:
+        beyond &= codes != 2 * cap + 1
+    if beyond.any():
+        raise CodecError(f"code {codes[np.argmax(beyond)]} is beyond what cap {cap} allows")
+    syms = np.where(codes == 0, LIT_SYM, cap + np.where(codes & 1, codes >> 1, -(codes >> 1)))
     is_lit = syms == LIT_SYM
     if (is_lit.reshape(-1, n).sum(axis=1) != n_lit[coded]).any():
         raise CodecError("literal symbols do not match the column table")

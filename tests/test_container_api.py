@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import warnings
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from ppress.reducers import (
     retained_rows,
     unpack,
 )
-from ppress.reducers import container, predictive
+from ppress.reducers import container, lossless, predictive
 from ppress.tabular import ColumnStats, from_array
 
 
@@ -140,6 +141,17 @@ def test_lossless_smooth_data_compresses():
     art, out = round_trip(ds, cfg)
     assert out.values.tobytes() == ds.values.tobytes()
     assert compression_ratio(art) > 2.0
+
+
+def test_lossless_method_frame_is_plain_zlib():
+    # a lossless stream is its order byte, the frame header and exactly
+    # what zlib.compress writes for the column's bytes
+    ds = walk_ds(n=3000, k=2)
+    art, _, _ = compress(ds, ReducerConfig(Method.LOSSLESS))
+    assert len(art.streams) == 2
+    for j, stream in enumerate(art.streams):
+        data = ds.values[:, j].astype("<f8").tobytes()
+        assert stream == b"\0" + lossless._HEAD.pack(1, len(data)) + zlib.compress(data)
 
 
 def test_trunc_32_halves_storage():

@@ -1,6 +1,7 @@
 import math
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ppress.errors import CodecError
-from ppress.reducers import huffman, lossless, predictive
+from ppress.reducers import lossless, predictive
 
 
 def enc_dec_abs(x, eb, cap=1 << 16, width=8):
@@ -373,21 +374,38 @@ def test_value_past_the_grid_edge_is_a_literal_and_so_is_its_successor():
     assert np.array_equal(out, x)
 
 
-def hand_stream(syms, lits, step, cap):
-    """An abs-mode f64 one-column stream holding exactly the given symbols
-    and literals, Huffman coded."""
-    syms = np.asarray(syms, dtype=np.int64)
-    table = huffman.HuffmanTable.from_symbols(syms)
-    packed, n_bits = huffman.encode(syms, table)
+def reference_codes(syms, cap):
+    """The code of each symbol, one at a time: 0 for a literal, 2q + 1 for a
+    jump q >= 0, -2q for a jump q < 0 (q = symbol - cap)."""
+    codes = []
+    for sym in np.asarray(syms).tolist():
+        q = sym - cap
+        codes.append(0 if sym == predictive.LIT_SYM else 2 * q + 1 if q >= 0 else -2 * q)
+    return codes
+
+
+def reference_planes(codes, width=None):
+    """Codes as little-endian byte planes, as few as the largest code needs."""
+    width = width or max(1, (max(codes).bit_length() + 7) // 8)
+    return bytes((c >> 8 * i) & 0xFF for i in range(width) for c in codes)
+
+
+def code_stream(codes, lits, step, cap, width=None, flags=predictive._FLAG_DEFLATED):
+    """An abs-mode f64 one-column stream holding exactly the given codes and
+    literals, deflated in `width` byte planes (default: as few as fit)."""
     return b"".join((
-        predictive._HEAD.pack(0, syms.size, 1),
+        predictive._HEAD.pack(flags, len(codes), 1),
         predictive._CAP.pack(cap),
         np.array([(step, len(lits))], predictive._COLUMN).tobytes(),
         np.asarray(lits, "<f8").tobytes(),
-        table.to_bytes(),
-        bytes([-n_bits % 8]),
-        packed,
+        lossless.lossless_encode(reference_planes(codes, width)),
     ))
+
+
+def hand_stream(syms, lits, step, cap):
+    """An abs-mode f64 one-column stream holding exactly the given symbols
+    and literals."""
+    return code_stream(reference_codes(syms, cap), lits, step, cap)
 
 
 def test_literal_on_a_half_step_decodes_with_floor():
@@ -400,10 +418,22 @@ def test_literal_on_a_half_step_decodes_with_floor():
     assert predictive.decode(buf, 8).tolist() == [0.25, 2.75, 4.25, -1.25, 0.25]
 
 
+def code_form(buf, width=8):
+    """How a coded stream's code section was deflated: "huffman" for zlib's
+    Huffman-only strategy, "deflated" for the default one."""
+    flags, _, _, off = sections(buf, width)
+    assert flags & predictive._FLAG_DEFLATED
+    planes = lossless.lossless_decode(buf[off:])
+    if buf[off:] == lossless.lossless_encode(planes):
+        return "deflated"
+    assert buf[off:] == lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY)
+    return "huffman"
+
+
 def stream_of(kind):
     rng = np.random.default_rng(11)
     walk = np.cumsum(rng.normal(size=3000))
-    if kind == "huffman":
+    if kind == "huffman":  # one-byte codes: Huffman-only deflate wins
         buf, _ = predictive.encode_abs(walk, 0.5, 1 << 16, 8)
     elif kind == "deflated":
         buf, _ = predictive.encode_abs(walk, 1e-4, 1 << 16, 8)
@@ -423,8 +453,9 @@ def stream_of(kind):
 def test_damaged_stream_raises_codec_error(kind, damage):
     buf = stream_of(kind)
     flags = buf[0]
-    # the pw_rel walk's codes span more than 16 symbols, so they deflate too
-    assert bool(flags & predictive._FLAG_DEFLATED) == (kind in ("deflated", "pw_rel"))
+    assert bool(flags & predictive._FLAG_VERBATIM) == (kind == "verbatim")
+    if kind in ("huffman", "deflated"):
+        assert code_form(buf) == kind
     assert bool(flags & predictive._FLAG_SIGNS) == (kind == "pw_rel")
     predictive.decode(buf, 8)
     with pytest.raises(CodecError):
@@ -476,8 +507,9 @@ def coded_symbols(encode, *args):
 
 
 def assert_form_and_round_trip(encode, *args):
-    # a coded one-column stream holds the smaller code form: deflated when
-    # wider than a Huffman table, the Huffman form when it is no larger
+    # a coded one-column stream deflates its codes in as few byte planes as
+    # the largest needs; one-byte codes keep the smaller of the default and
+    # the Huffman-only frame, the default on a tie
     width = args[3]
     buf, recon, syms = coded_symbols(encode, *args)
     out = predictive.decode(buf, width)
@@ -485,22 +517,23 @@ def assert_form_and_round_trip(encode, *args):
     if buf[0] & predictive._FLAG_VERBATIM:
         return out
     flags, _, cap, off = sections(buf, width)
-    frame = lossless.lossless_encode(predictive._planes(syms, cap))
-    if np.unique(syms).size > huffman.MAX_SYMBOLS:
-        assert flags & predictive._FLAG_DEFLATED and buf[off:] == frame
-        return out
-    table = huffman.HuffmanTable.from_symbols(syms)
-    n_bits = huffman.encode(syms, table)[1]
-    huffman_size = len(table.to_bytes()) + 1 + (n_bits + 7) // 8
-    assert len(buf) - off == min(huffman_size, len(frame))
-    assert bool(flags & predictive._FLAG_DEFLATED) == (len(frame) < huffman_size)
+    assert flags & predictive._FLAG_DEFLATED
+    planes = reference_planes(reference_codes(syms, cap))
+    assert predictive._planes(syms, cap) == planes
+    frame = lossless.lossless_encode(planes)
+    if len(planes) == syms.size:
+        frame = min(frame, lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY), key=len)
+    assert buf[off:] == frame
     return out
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     alphabet=st.integers(1, 30).flatmap(
-        lambda k: st.lists(st.integers(-40, 40), min_size=k, max_size=k, unique=True)
+        lambda k: st.lists(
+            st.one_of(st.integers(-8, 8), st.integers(-130, 130)),
+            min_size=k, max_size=k, unique=True,
+        )
     ),
     picks=st.lists(st.integers(0, 29), max_size=300),
     zeros=st.lists(st.integers(0, 299), max_size=4),
@@ -510,7 +543,9 @@ def assert_form_and_round_trip(encode, *args):
 def test_round_trip_on_both_sides_of_the_huffman_line(alphabet, picks, zeros, cap, width):
     # integer walks at step 1 (abs) and log-walks at the pw_rel step code
     # exactly the drawn jumps, so a stream's alphabet is the drawn one plus
-    # the literal (and, for pw_rel, the zero symbol 2*cap)
+    # the literal (and, for pw_rel, the zero symbol 2*cap).  Jumps 127 and
+    # -128 have the codes 255 and 256, so the codes straddle the line between
+    # one byte plane (where Huffman-only deflate is tried) and two
     jumps = np.array(alphabet + [alphabet[p % len(alphabet)] for p in picks], dtype=np.float64)
     x = np.cumsum(jumps)
     if width == 4:
@@ -536,8 +571,8 @@ def deflated_section(buf, width=8):
 
 
 def test_zero_symbol_at_the_largest_cap_tops_the_code_planes():
-    # pw_rel marks an exact zero with 2*cap; at cap 2^30 it zigzags to
-    # 2^31, the top bit of a 32-bit code
+    # pw_rel marks an exact zero with the symbol 2*cap, the code 2*cap + 1;
+    # at cap 2^30 that is 2^31 + 1, which sets the top bit of a 32-bit code
     pw, cap = 1e-3, 1 << 30
     x = np.exp(np.cumsum(np.arange(1, 41)) * 2 * np.log1p(pw))
     x[::7] = 0.0
@@ -546,8 +581,8 @@ def test_zero_symbol_at_the_largest_cap_tops_the_code_planes():
     n, off = deflated_section(buf)
     planes = np.frombuffer(lossless.lossless_decode(buf[off:]), np.uint8).reshape(4, n)
     codes = planes.T.copy().view("<u4").ravel()
-    assert codes.max() == 1 << 31
-    assert np.array_equal(codes == 1 << 31, x == 0.0)
+    assert codes.max() == (1 << 31) + 1
+    assert np.array_equal(codes == (1 << 31) + 1, x == 0.0)
     out = predictive.decode(buf, 8)
     assert out.tobytes() == recon.tobytes()
     assert np.array_equal(out == 0.0, x == 0.0)
@@ -573,7 +608,7 @@ def test_damaged_deflated_section_raises_codec_error(damage):
     buf = stream_of("deflated")
     n, off = deflated_section(buf)
     planes = lossless.lossless_decode(buf[off:])
-    assert len(planes) == 4 * n
+    assert len(planes) == 2 * n  # the walk's codes take two byte planes
     assert lossless.lossless_encode(planes)[0] == 1  # deflated, not stored
     assert refit_frame(buf, lossless.lossless_encode(planes)) == buf
     with pytest.raises(CodecError):
@@ -689,7 +724,7 @@ def block_stream(form):
     """A three-column stream in the given form, every column coded."""
     rng = np.random.default_rng(17)
     x = np.cumsum(rng.normal(size=(400, 3)), axis=0)
-    if form == "huffman":
+    if form == "huffman":  # one-byte codes: Huffman-only deflate wins
         buf, _ = predictive.encode_abs(x, 0.5, 1 << 16, 8)
     elif form == "deflated":
         buf, _ = predictive.encode_abs(x, 1e-4, 1 << 16, 8)
@@ -736,7 +771,8 @@ HEADER_DAMAGE = {
 def test_damaged_block_header_raises_codec_error(form, field):
     buf = block_stream(form)
     flags = buf[0]
-    assert bool(flags & predictive._FLAG_DEFLATED) == (form != "huffman")
+    if form != "pw_rel":
+        assert code_form(buf) == form
     assert bool(flags & predictive._FLAG_SIGNS) == (form == "pw_rel")
     table = np.frombuffer(buf, predictive._COLUMN, count=3, offset=13)
     assert (table["step"] > 0).all()  # every column coded
@@ -759,7 +795,7 @@ SECTION_DAMAGE = [
     (form, damage)
     for form in ("huffman", "deflated", "pw_rel")
     for damage in ("code-cut", "code-junk")
-    + (("pad-byte-8", "pad-byte-shifted", "huffman-count") if form == "huffman" else ())
+    + (("huffman-count",) if form == "huffman" else ())
     + (("signs-cut",) if form == "pw_rel" else ())
 ]
 
@@ -769,10 +805,12 @@ def test_damaged_block_sections_raise_codec_error(form, damage):
     buf = block_stream(form)
     off = code_offset(buf)
     if damage == "huffman-count":
-        bad = patch(buf, off, "<I", 17)
-    elif damage.startswith("pad"):
-        pad_at = huffman.HuffmanTable.from_bytes(buf, off)[1]
-        bad = patch(buf, pad_at, "<B", 8 if damage == "pad-byte-8" else (buf[pad_at] + 1) % 8)
+        # the first deflate block after the frame and zlib headers is a
+        # dynamic Huffman block (BTYPE 2); its 5-bit HLIT claims 257 + 31
+        # literal/length codes, more than the 286 that deflate has
+        deflate_at = off + lossless._HEAD.size + 2
+        assert buf[deflate_at] >> 1 & 3 == 2
+        bad = patch(buf, deflate_at, "<B", buf[deflate_at] | 31 << 3)
     elif damage == "signs-cut":
         bad = buf[: off - 1]
     elif damage == "code-cut":
@@ -783,30 +821,70 @@ def test_damaged_block_sections_raise_codec_error(form, damage):
         predictive.decode(bad, 8)
 
 
-def test_huffman_escape_drops_a_column_its_codes_push_past_raw():
-    # twelve walks make the literal marker rare, so it gets a long code; a
-    # column of 40 literals per coded value stays below raw on its literals
-    # alone, but not with their codes, and goes verbatim inside the block
-    rng = np.random.default_rng(5)
-    walks = np.cumsum(rng.integers(-2, 3, size=(2050, 12)), axis=0).astype(np.float64)
-    heavy = np.tile(np.append(np.where(np.arange(40) % 2, 1.0, np.nan), 1.0), 50)
-    x = np.column_stack([walks, heavy])
-    buf, recon = predictive.encode_abs(x, 0.5, 1 << 16, 8)
-    assert not buf[0] & predictive._FLAG_DEFLATED
-    steps = np.frombuffer(buf, predictive._COLUMN, count=13, offset=13)["step"]
-    assert (steps[:12] > 0).all() and steps[12] == 0
-    assert predictive.decode(buf, 8).tobytes() == recon.tobytes()
-    assert recon[12 * 2050 :].tobytes() == heavy.tobytes()
-
-
 def test_narrow_codes_deflate_when_that_is_smaller():
-    # one repeated jump: a Huffman table spends a bit per value, deflate
-    # far less, so the block is deflated although 16 symbols would fit
+    # one repeated jump: Huffman-only coding spends a bit per value, LZ
+    # matching far less, so the default frame wins although the codes fit
+    # one byte
     x = np.arange(8000.0)
     buf, recon = predictive.encode_abs(x, 0.25, 1 << 16, 8)
-    assert buf[0] & predictive._FLAG_DEFLATED
+    assert code_form(buf) == "deflated"
     assert len(buf) < 8000 // 8
     assert predictive.decode(buf, 8).tobytes() == recon.tobytes()
+
+
+@pytest.mark.parametrize(
+    "jump, code, planes",
+    [(127, 255, 1), (-128, 256, 2), (32767, 65535, 2), (-32768, 65536, 3),
+     ((1 << 23) - 1, (1 << 24) - 1, 3), (-(1 << 23), 1 << 24, 4)],
+)
+def test_code_width_follows_the_largest_code(jump, code, planes):
+    # one far jump in a unit walk sets how many byte planes every code takes
+    x = np.cumsum(np.insert(np.ones(1999), 1000, jump))
+    buf, recon = predictive.encode_abs(x, 0.5, 1 << 30, 8)
+    n, off = deflated_section(buf)
+    codes = lossless.lossless_decode(buf[off:])
+    assert len(codes) == planes * n
+    want = reference_codes(extract_symbols(x, 0.5, 1 << 30)[0], 1 << 30)
+    assert max(want) == code and reference_planes(want) == codes
+    assert predictive.decode(buf, 8).tobytes() == recon.tobytes() == x.tobytes()
+
+
+def test_wider_planes_than_needed_decode_alike():
+    # the decoder takes the plane count from the frame's size, so codes
+    # written wider than they need decode to the same values
+    cap, lit = 1 << 16, predictive.LIT_SYM
+    codes = reference_codes([lit, cap + 1, cap - 2, cap, lit], cap)
+    want = predictive.decode(code_stream(codes, [0.5, 9.0], 1.0, cap), 8)
+    assert want.tolist() == [0.5, 1.5, -0.5, -0.5, 9.0]
+    for width in (2, 3, 4):
+        assert predictive.decode(code_stream(codes, [0.5, 9.0], 1.0, cap, width), 8).tolist() == \
+            want.tolist()
+
+
+@pytest.mark.parametrize(
+    "extra, flags",
+    [
+        (32, predictive._FLAG_DEFLATED),  # 2*cap: the literal's symbol, as a jump
+        (33, predictive._FLAG_DEFLATED),  # 2*cap + 1: a zero outside pw_rel
+        (34, predictive._FLAG_DEFLATED | predictive._FLAG_SIGNS),
+        (0xFFFFFFFF, predictive._FLAG_DEFLATED | predictive._FLAG_SIGNS),
+        (3, 0),  # a valid code without flag 4
+    ],
+    ids=["literal-alias", "zero-outside-pw_rel", "past-the-zero", "u32-max", "no-flag-4"],
+)
+def test_code_the_encoder_cannot_write_raises_codec_error(extra, flags):
+    # at cap 16 codes run from 0 to 31, plus 33 for a pw_rel zero; a block
+    # that codes a column always sets flag 4
+    cap = 16
+    signs = b"\0" if flags & predictive._FLAG_SIGNS else b""
+    good = code_stream([0, 3, 2 * cap - 1, 2 * cap - 2], [1.0], 1.0, cap)
+    assert predictive.decode(good, 8).tolist() == [1.0, 2.0, 17.0, 2.0]
+    bad = code_stream([0, 3, extra, 1], [1.0], 1.0, cap, flags=flags)
+    if signs:
+        off = len(bad) - len(lossless.lossless_encode(reference_planes([0, 3, extra, 1])))
+        bad = bad[:off] + signs + bad[off:]
+    with pytest.raises(CodecError):
+        predictive.decode(bad, 8)
 
 
 def test_whole_block_verbatim_stream_layout():
