@@ -18,8 +18,7 @@ _LEVEL = zlib.Z_DEFAULT_COMPRESSION
 
 
 def lossless_encode(data: bytes, strategy: int = zlib.Z_DEFAULT_STRATEGY) -> bytes:
-    """Frame `data`, deflated with zlib's `strategy` unless that would not
-    make it smaller."""
+    """Frame `data`, deflated (zlib `strategy`) unless that would not make it smaller."""
     deflater = zlib.compressobj(_LEVEL, zlib.DEFLATED, zlib.MAX_WBITS, 8, strategy)
     body = deflater.compress(data) + deflater.flush()
     if len(body) < len(data):

@@ -18,8 +18,7 @@ never exceeds the raw values plus its 9-byte header.
 
 Pointwise-relative mode runs the same machinery on log-magnitudes with step
 2*log1p(pw), so a value rebuilds within a factor (1+pw) of itself; signs
-travel as one bitmask, zeros (magnitudes below the zero floor) as the
-symbol 2*cap, the code 2*cap+1.
+travel as one bitmask, zeros (magnitudes below the zero floor) as 2*cap.
 """
 
 from __future__ import annotations
@@ -166,11 +165,8 @@ def _code(syms: np.ndarray, lit_bits: np.ndarray, raw_bits: int, cap: int):
     coded = syms[keep].ravel()
     planes = _planes(coded, cap)
     frame = lossless.lossless_encode(planes)
-    if len(planes) == coded.size:  # one byte per code
-        # order-0 coding beats LZ matching on memoryless jumps
-        order0 = lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY)
-        if len(order0) < len(frame):
-            frame = order0
+    if len(planes) == coded.size:  # one-byte codes: order-0 coding may beat LZ matching
+        frame = min(frame, lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY), key=len)
     return _FLAG_DEFLATED, frame, keep
 
 
@@ -303,10 +299,8 @@ def decode(buf: bytes, width: int) -> np.ndarray:
     codes = np.zeros((count, 4), np.uint8)
     codes[:, :n_planes] = np.frombuffer(planes, np.uint8).reshape(n_planes, count).T
     codes = codes.view("<u4").ravel().astype(np.int64)
-    # codes past the jumps' 2*cap - 1: only pw_rel's zero marker 2*cap + 1
-    beyond = codes >= 2 * cap
-    if neg is not None:
-        beyond &= codes != 2 * cap + 1
+    # past the jumps' 2*cap - 1 the encoder writes only pw_rel's zero, 2*cap + 1
+    beyond = (codes >= 2 * cap) & ((codes != 2 * cap + 1) | (neg is None))
     if beyond.any():
         raise CodecError(f"code {codes[np.argmax(beyond)]} is beyond what cap {cap} allows")
     syms = np.where(codes == 0, LIT_SYM, cap + np.where(codes & 1, codes >> 1, -(codes >> 1)))
