@@ -73,7 +73,7 @@ def _encode_stream(col: np.ndarray, config: ReducerConfig, width: int) -> bytes:
     if method is Method.TRUNC:
         return truncation.narrow_values(col, int(config.c[0])).tobytes()
     if method is Method.EBLC_BITPLANE:
-        return bitplane.encode(col, config.mode.value, config.c[0], knobs.block_size, width)[0]
+        return bitplane.encode(col, config.mode.value, config.c[0], width)[0]
     raise ConfigError(f"method {method.value} has no stream encoder")
 
 
@@ -82,12 +82,12 @@ def _encode_predictive(dataset: Dataset, config: ReducerConfig, width: int) -> b
     or (matrix layout) of one column holding every value in row order."""
     matrix = config.layout is Layout.MATRIX
     block = dataset.values.reshape(-1, 1) if matrix else dataset.values
-    c, cap = config.c[0], config.knobs.quant_bin_cap
+    c = config.c[0]
     if config.mode is Mode.PW_REL:
-        return predictive.encode_pwrel(block, c, cap, width, config.knobs.pw_rel_zero_floor)[0]
+        return predictive.encode_pwrel(block, c, width)[0]
     stats = [global_stats(dataset)] if matrix else column_stats(dataset)
     eb = [resolve_bound(config.mode, c, s) for s in stats]
-    return predictive.encode_abs(block, eb, cap, width)[0]
+    return predictive.encode_abs(block, eb, width)[0]
 
 
 def compress(dataset: Dataset, config: ReducerConfig) -> tuple[Artifact, float, float]:
@@ -98,6 +98,10 @@ def compress(dataset: Dataset, config: ReducerConfig) -> tuple[Artifact, float, 
     if config.method is Method.TRUNC and int(config.c[0]) >= 8 * width:
         raise ConfigError(
             f"truncation to {int(config.c[0])} bits needs wider input than {dataset.dtype}"
+        )
+    if config.mode is Mode.RATE and config.c[0] > 8 * width:
+        raise ConfigError(
+            f"bit-plane rate {config.c[0]:g} exceeds the {8 * width}-bit width of {dataset.dtype}"
         )
 
     values = dataset.values

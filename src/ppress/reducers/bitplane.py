@@ -1,7 +1,7 @@
 """Block bit-plane codec with exponent alignment and integer lifting.
 
-Values are grouped into fixed-size blocks (power of two, default 4).  Each
-block is aligned to a common fixed-point scale chosen from its largest
+Values are grouped into blocks of 4 (ZFP's 1-D block).  Each block is
+aligned to a common fixed-point scale chosen from its largest
 exponent, decorrelated with a reversible integer Haar lifting cascade, and
 emitted as sign-magnitude bit planes, most significant first.
 
@@ -29,6 +29,7 @@ from ..errors import CodecError
 _ALIGN_BITS = 54  # aligned integers fit |i| <= 2^54
 TOTAL_PLANES = 56  # two extra planes absorb lifting growth
 _ZERO_EXP = -(1 << 15)  # sentinel exponent for all-zero blocks
+_BLOCK = 4  # values per block
 
 _HEAD = struct.Struct("<BQBdI")  # flags, n_values, mode_code, c, n_blocks
 _BITS = struct.Struct("<Q")
@@ -41,14 +42,12 @@ _F32 = np.dtype("<f4")
 _F64 = np.dtype("<f8")
 
 
-def _to_blocks(x: np.ndarray, block: int) -> np.ndarray:
+def _to_blocks(x: np.ndarray) -> np.ndarray:
     """Pad with edge replication to a whole number of blocks."""
-    n = x.size
-    n_blocks = (n + block - 1) // block
-    if n_blocks * block != n:
-        pad = np.full(n_blocks * block - n, x[-1], dtype=np.float64)
-        x = np.concatenate([x, pad])
-    return x.reshape(n_blocks, block)
+    pad = -x.size % _BLOCK
+    if pad:
+        x = np.concatenate([x, np.full(pad, x[-1])])
+    return x.reshape(-1, _BLOCK)
 
 
 def _lift(ints: np.ndarray) -> np.ndarray:
@@ -129,8 +128,8 @@ _CHUNK = 1 << 18
 _BYTE_WEIGHTS = 1 << np.arange(7, -1, -1)
 
 
-def _layout(budget: np.ndarray, block: int) -> tuple[int, int]:
-    """Each block's payload as rows of `block` cells: the sign row, then one
+def _layout(budget: np.ndarray) -> tuple[int, int]:
+    """Each block's payload as rows of _BLOCK cells: the sign row, then one
     row per magnitude plane from plane 55 down, then zero rows.  A block
     sends its first `budget` cells.
 
@@ -138,7 +137,7 @@ def _layout(budget: np.ndarray, block: int) -> tuple[int, int]:
     how many bytes of each magnitude they show, starting at the big-endian
     byte that opens with plane 55.
     """
-    plane_rows = -(-int(budget.max()) // block) - 1
+    plane_rows = -(-int(budget.max()) // _BLOCK) - 1
     n_bytes = -(-plane_rows // 8)
     return 1 + 8 * n_bytes, min(n_bytes, 7)
 
@@ -156,12 +155,12 @@ def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> tuple[byt
     row by row, cut at its budget.  Whole chunks of blocks are laid out at
     once, and the bits past the last whole byte carry into the next chunk.
     """
-    n_blocks, block = coeffs.shape
+    n_blocks = coeffs.shape[0]
     total = int(budget.sum())
     if total == 0:
         return b"", 0
-    rows, n_bytes = _layout(budget, block)
-    width = rows * block
+    rows, n_bytes = _layout(budget)
+    width = rows * _BLOCK
     cells = np.arange(width)
     step = max(1, _CHUNK // width)
     out = []
@@ -170,10 +169,10 @@ def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> tuple[byt
         part = coeffs[r0 : r0 + step]
         mags = _clear_below(np.abs(part).astype(np.uint64), keep[r0 : r0 + step])
         # per block: a sign byte (0 or 1), then the magnitudes' bytes from
-        # the one that opens with plane 55, each byte spread over `block`
+        # the one that opens with plane 55, each byte spread over the block's
         # values; unpacking down the byte axis turns bytes into plane rows
         # and leaves the sign in the eighth row, just above plane 55
-        spread = np.zeros((part.shape[0], rows // 8 + 1, block), np.uint8)
+        spread = np.zeros((part.shape[0], rows // 8 + 1, _BLOCK), np.uint8)
         spread[:, 0] = part < 0
         spread[:, 1 : 1 + n_bytes] = (
             mags.astype(">u8").view(np.uint8).reshape(*part.shape, 8)[..., 1 : 1 + n_bytes]
@@ -187,32 +186,30 @@ def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> tuple[byt
     return b"".join(out), total
 
 
-def _absorb(payload: np.ndarray, keep: np.ndarray, budget: np.ndarray, block: int) -> np.ndarray:
+def _absorb(payload: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> np.ndarray:
     """Inverse of _emit: rebuild truncated coefficients from packed bytes."""
     n_blocks = keep.size
-    coeffs = np.zeros((n_blocks, block), dtype=np.int64)
+    coeffs = np.zeros((n_blocks, _BLOCK), dtype=np.int64)
     if n_blocks == 0 or not budget.any():
         return coeffs
-    rows, n_bytes = _layout(budget, block)
-    width = rows * block
+    rows, n_bytes = _layout(budget)
+    width = rows * _BLOCK
     cells = np.arange(width)
-    # a row's cells read as whole words; one 0/1 byte per value
-    word = np.dtype(f"u{min(block & -block, 8)}")
-    weights = _BYTE_WEIGHTS.astype(word)
+    # a row's four cells read as one word; one 0/1 byte per value
+    weights = _BYTE_WEIGHTS.astype(np.uint32)
     step = max(1, _CHUNK // width)
     offs = np.concatenate(([0], np.cumsum(budget)))
     for r0 in range(0, n_blocks, step):
         r1 = min(n_blocks, r0 + step)
         lo, hi = int(offs[r0]), int(offs[r1])
-        grid = np.zeros((r1 - r0, rows, block), np.uint8)
+        grid = np.zeros((r1 - r0, rows, _BLOCK), np.uint8)
         grid.reshape(-1, width)[cells < budget[r0:r1, None]] = np.unpackbits(
             payload[lo >> 3 : (hi + 7) >> 3]
         )[lo & 7 : hi - (lo & ~7)]
         # eight plane rows of 0/1 bytes weighted and summed give the
         # magnitude byte holding those planes, for every value at once
-        planes = grid[:, 1 : 1 + 8 * n_bytes].view(word)
-        planes = planes.reshape(r1 - r0, n_bytes, 8, block // word.itemsize)
-        be = np.zeros((r1 - r0, block, 8), np.uint8)
+        planes = grid[:, 1 : 1 + 8 * n_bytes].view(np.uint32).reshape(r1 - r0, n_bytes, 8, 1)
+        be = np.zeros((r1 - r0, _BLOCK, 8), np.uint8)
         be[..., 1 : 1 + n_bytes] = (weights @ planes).view(np.uint8).transpose(0, 2, 1)
         mags = _clear_below(be.view(">u8")[..., 0], keep[r0:r1]).astype(np.int64)
         coeffs[r0:r1] = np.where(grid[:, 0].astype(bool), -mags, mags)
@@ -232,13 +229,13 @@ def _rebuild_finite(coeffs: np.ndarray, exps: np.ndarray, width: int) -> np.ndar
         raise CodecError("bit-plane reconstruction overflows the float range") from None
 
 
-def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[bytes, np.ndarray]:
+def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.ndarray]:
     """Encode one stream; returns (bytes, reconstruction)."""
     if mode not in _MODE_CODE:
         raise CodecError(f"unknown bit-plane mode {mode!r}")
     x64 = np.asarray(x, dtype=np.float64)
     n = x64.size
-    blocks = _to_blocks(x64, block)
+    blocks = _to_blocks(x64)
     coeffs, exps = _forward(blocks)
     n_blocks = coeffs.shape[0]
     raw_mask = np.zeros(n_blocks, dtype=bool)
@@ -248,12 +245,12 @@ def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[
         if c < 0 or c != int(c):
             raise CodecError(f"plane count must be a non-negative integer, got {c}")
         keep = np.full(n_blocks, min(int(c), TOTAL_PLANES), dtype=np.int64)
-        budget = np.where(exps == _ZERO_EXP, 0, block + block * keep)
+        budget = np.where(exps == _ZERO_EXP, 0, _BLOCK * (1 + keep))
     elif mode == "rate":
         if c <= 0:
             raise CodecError(f"rate must be positive, got {c}")
         keep = np.full(n_blocks, TOTAL_PLANES, dtype=np.int64)
-        budget = np.full(n_blocks, int(round(block * c)), dtype=np.int64)
+        budget = np.full(n_blocks, int(round(_BLOCK * c)), dtype=np.int64)
     else:  # acc
         if c <= 0:
             raise CodecError(f"error bound must be positive, got {c}")
@@ -272,7 +269,7 @@ def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[
             grow = violated & (keep < TOTAL_PLANES)
             keep[grow] += 1
             raw_mask |= violated & ~grow
-        budget = np.where(exps == _ZERO_EXP, 0, block + block * keep)
+        budget = np.where(exps == _ZERO_EXP, 0, _BLOCK * (1 + keep))
         budget[raw_mask] = 0
 
     trunc = _truncate_coeffs(coeffs, keep)
@@ -282,7 +279,6 @@ def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[
 
     parts = [
         _HEAD.pack(0, n, _MODE_CODE[mode], float(c), n_blocks),
-        np.uint8(block).tobytes(),
         exps.astype("<i2").tobytes(),
     ]
     if mode == "prec":
@@ -298,7 +294,7 @@ def encode(x: np.ndarray, mode: str, c: float, block: int, width: int) -> tuple[
     if mode == "rate":
         # the budget cut can split a plane mid-block: reconstruct from the
         # emitted bits so it lands exactly where the decoder will see it
-        trunc = _absorb(np.frombuffer(payload, np.uint8), keep, budget, block)
+        trunc = _absorb(np.frombuffer(payload, np.uint8), keep, budget)
     # a prec budget holds every kept plane, so trunc is what the decoder
     # rebuilds; acc reconstructed it already, in its last pass
     if recon_blocks is None:
@@ -325,18 +321,15 @@ def decode(buf: bytes, width: int) -> np.ndarray:
     Every section is bounds-checked and the stream must end exactly where
     its payload does; anything else raises CodecError.
     """
-    head, off = _section(buf, 0, _HEAD.size + 1, "header")
-    flags, n, mode_code, c, n_blocks = _HEAD.unpack_from(head)
-    block = head[-1]
+    head, off = _section(buf, 0, _HEAD.size, "header")
+    flags, n, mode_code, c, n_blocks = _HEAD.unpack(head)
     mode = _CODE_MODE.get(mode_code)
     if flags:
         raise CodecError(f"unknown bit-plane stream flags {flags:#x}")
     if mode is None:
         raise CodecError(f"unknown bit-plane mode code {mode_code}")
-    if block < 2 or block & (block - 1):
-        raise CodecError(f"invalid block size {block}")
-    if n_blocks != -(-n // block):
-        raise CodecError(f"{n_blocks} blocks of {block} cannot hold {n} values")
+    if n_blocks != -(-n // _BLOCK):
+        raise CodecError(f"{n_blocks} blocks of {_BLOCK} cannot hold {n} values")
     exps, off = _section(buf, off, 2 * n_blocks, "exponents")
     exps = np.frombuffer(exps, "<i2").astype(np.int64)
 
@@ -345,22 +338,22 @@ def decode(buf: bytes, width: int) -> np.ndarray:
     if mode == "prec":
         k, off = _section(buf, off, 1, "plane count")
         keep = np.full(n_blocks, k[0], dtype=np.int64)
-        budget = np.where(exps == _ZERO_EXP, 0, block + block * keep)
+        budget = np.where(exps == _ZERO_EXP, 0, _BLOCK * (1 + keep))
     elif mode == "rate":
         if not 0.0 < c < math.inf:
             raise CodecError(f"invalid bit-plane rate {c}")
         keep = np.full(n_blocks, TOTAL_PLANES, dtype=np.int64)
-        per_block = round(block * c)
+        per_block = round(_BLOCK * c)
     else:
         keep, off = _section(buf, off, n_blocks, "plane counts")
         keep = np.frombuffer(keep, np.uint8).astype(np.int64)
         mask, off = _section(buf, off, (n_blocks + 7) // 8, "raw-block mask")
         raw_mask = np.unpackbits(np.frombuffer(mask, np.uint8), count=n_blocks).astype(bool)
         n_raw = int(raw_mask.sum())
-        raw, off = _section(buf, off, n_raw * block * width, "raw blocks")
+        raw, off = _section(buf, off, n_raw * _BLOCK * width, "raw blocks")
         fdt = _F32 if width == 4 else _F64
-        raw_vals = np.frombuffer(raw, fdt).astype(np.float64).reshape(n_raw, block)
-        budget = np.where(exps == _ZERO_EXP, 0, block + block * keep)
+        raw_vals = np.frombuffer(raw, fdt).astype(np.float64).reshape(n_raw, _BLOCK)
+        budget = np.where(exps == _ZERO_EXP, 0, _BLOCK * (1 + keep))
         budget[raw_mask] = 0
     if n_blocks and keep.max() > TOTAL_PLANES:
         raise CodecError(f"more than {TOTAL_PLANES} bit planes in a block")
@@ -376,7 +369,7 @@ def decode(buf: bytes, width: int) -> np.ndarray:
         budget = np.full(n_blocks, per_block, dtype=np.int64)
     elif int(budget.sum()) != n_bits:
         raise CodecError("bit-plane stream length mismatch")
-    coeffs = _absorb(np.frombuffer(packed, np.uint8), keep, budget, block)
+    coeffs = _absorb(np.frombuffer(packed, np.uint8), keep, budget)
     # the encoder takes only finite values and writes only finite
     # reconstructions, so overflow or a non-finite raw block means damage
     recon = _rebuild_finite(coeffs, exps, width)

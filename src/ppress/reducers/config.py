@@ -55,21 +55,10 @@ BOUNDED_METHODS = {Method.EBLC_PRED, Method.EBLC_BITPLANE}
 class ReducerKnobs:
     """Fixed parameters, held constant while the bound is searched."""
 
-    quant_bin_cap: int = 1 << 16  # quantizer codes beyond this become literals
-    block_size: int = 4
-    pw_rel_zero_floor: float | None = None  # default: smallest normal of the dtype
     delta_order: int = 0  # bit-pattern delta passes before lossless coding
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.quant_bin_cap < 2 or self.quant_bin_cap > (1 << 30):
-            raise ConfigError(f"quant_bin_cap out of range: {self.quant_bin_cap}")
-        if (
-            self.block_size < 2
-            or self.block_size > 128
-            or self.block_size & (self.block_size - 1)
-        ):
-            raise ConfigError("block_size must be a power of two in [2, 128]")
         if self.delta_order not in (0, 1, 2):
             raise ConfigError(f"delta_order must be 0, 1 or 2, got {self.delta_order}")
 
@@ -119,8 +108,8 @@ class ReducerConfig:
             raise ConfigError(f"method {method.value} takes no bound values")
         if method is Method.SAMPLE_NAIVE:
             stride = self.c[0]
-            if stride != int(stride) or stride < 1:
-                raise ConfigError(f"naive sampling stride must be an integer >= 1")
+            if not (stride >= 1 and stride.is_integer()):
+                raise ConfigError(f"naive sampling stride must be an integer >= 1, got {stride}")
         elif method in (Method.SAMPLE_WR, Method.SAMPLE_WOR):
             if not 0 < self.c[0] <= 1:
                 raise ConfigError(f"sampling fraction must be in (0, 1], got {self.c[0]}")

@@ -21,7 +21,7 @@ from ..errors import DataFormatError
 from .config import Layout, Method, Mode
 
 MAGIC = b"PPRS"
-VERSION = 6
+VERSION = 7
 
 _METHOD_CODE = {
     Method.EBLC_PRED: 1,

@@ -5,20 +5,23 @@ of every value), quantized, coded and stored as one stream.  Each column
 snaps its values x to grid indices s = floor((x - o)/step + 1/2) of spacing
 step = 2*eb from its first finite value o, rebuilds them as o + step*s and
 codes the jump between consecutive indices (cuSZ's dual quantization).  A
-column's first value, jumps reaching quant_bin_cap, and values whose
-rebuilt form breaks the bound after rounding are literals, stored exactly,
-so the error contract holds by construction.  All coded columns' symbols
-share one code section: each symbol becomes a code (0 a literal, 2q+1 a
-jump q >= 0, -2q a jump q < 0), written as the fewest little-endian byte
-planes that hold the largest code, in one zlib frame; one-byte codes keep
-the smaller of the default and the Huffman-only deflate strategy.  A column
-whose literals cost at least its raw values, as any column under a zero
-bound, is stored raw, and so is a block whose coding does not pay: a stream
-never exceeds the raw values plus its 9-byte header.
+column's first value, jumps of JUMP_LIMIT (2^30) grid steps or more, and
+values whose rebuilt form breaks the bound after rounding are literals,
+stored exactly, so the error contract holds by construction.  Each value
+becomes a code (0 a literal, 2q+1 a jump q >= 0, -2q a jump q < 0), so
+every code fits four byte planes.  All coded columns share one code
+section: the codes as the fewest little-endian byte planes that hold the
+largest, in one zlib frame; one-byte codes keep the smaller of the default
+and the Huffman-only deflate strategy.  A column whose literals cost at
+least its raw values, as any column under a zero bound, is stored raw, and
+so is a block whose coding does not pay: a stream never exceeds the raw
+values plus its 9-byte header.
 
 Pointwise-relative mode runs the same machinery on log-magnitudes with step
-2*log1p(pw), so a value rebuilds within a factor (1+pw) of itself; signs
-travel as one bitmask, zeros (magnitudes below the zero floor) as 2*cap.
+2*log1p(pw), so a value rebuilds within a factor (1+pw) of itself.  Signs
+travel as one bitmask.  In a block with zeros (magnitudes below the dtype's
+smallest normal) a zero takes the code 1 and every jump code moves up by
+one to make room.
 """
 
 from __future__ import annotations
@@ -32,14 +35,16 @@ import numpy as np
 from ..errors import CodecError
 from . import lossless
 
-LIT_SYM = 0  # quantizer codes map to [1, 2*cap-1]; 2*cap marks a zero
+LITERAL = 0  # a literal's code; a jump q codes as 2q+1 (q >= 0) or -2q (q < 0)
+ZERO = 1  # under _FLAG_ZEROS: an exact zero; every jump code is one higher
+JUMP_LIMIT = 1 << 30  # jumps this long or longer are literals
 
 _FLAG_VERBATIM = 1  # the whole block, raw
 _FLAG_SIGNS = 2
 _FLAG_DEFLATED = 4
+_FLAG_ZEROS = 8  # pw_rel, with _FLAG_SIGNS: the block codes zeros as ZERO
 
 _HEAD = struct.Struct("<BII")  # flags, n_rows, n_cols
-_CAP = struct.Struct("<I")
 _COLUMN = np.dtype([("step", "<f8"), ("n_lit", "<u4")])  # per column; step 0: verbatim
 _U32 = 0xFFFFFFFF
 
@@ -55,19 +60,19 @@ def _firsts(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndar
 
 
 def quantize(
-    target: np.ndarray, verify: Callable[[np.ndarray], np.ndarray], step, cap: int, lengths
+    target: np.ndarray, verify: Callable[[np.ndarray], np.ndarray], step, lengths
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantize streams laid end to end, each on its own grid, in one array pass.
 
     target: f64 values (data, or log-magnitudes) of streams `lengths` long;
     step: the grid spacing, one or one per stream; verify(recon): the error
-    contract of each candidate reconstruction.  Returns (symbols, recon,
+    contract of each candidate reconstruction.  Returns (codes, recon,
     literal positions).  Target k snaps to s_k = floor((t_k - o)/step + 1/2),
     o its stream's first finite target (0 if none), rebuilds as o + step·s_k
     and codes s_k - s_(k-1).  It is a literal, kept exact, when it opens its
     stream, when s_k or s_(k-1) is non-finite or beyond 2^52 (where f64
-    indices stop being exact), when the jump reaches cap, or when verify
-    rejects o + step·s_k.
+    indices stop being exact), when the jump reaches JUMP_LIMIT, or when
+    verify rejects o + step·s_k.
     """
     ends = np.cumsum(lengths)
     starts = ends - lengths
@@ -79,25 +84,26 @@ def quantize(
         on_grid = np.abs(s) <= 2.0**52
         q = np.diff(s, prepend=np.nan)
         q[starts[starts < ends]] = np.nan  # no stream jumps from the one before
-        coded = on_grid & (np.abs(q) < cap) & verify(recon)
+        coded = on_grid & (np.abs(q) < JUMP_LIMIT) & verify(recon)
     coded[1:] &= on_grid[:-1]
     lits = np.flatnonzero(~coded)
-    syms = np.where(coded, q, 0.0).astype(np.int64) + cap
-    syms[lits] = LIT_SYM
+    q = np.where(coded, q, 0.0).astype(np.int64)
+    codes = np.where(q < 0, -2 * q, 2 * q + 1)
+    codes[lits] = LITERAL
     recon[lits] = target[lits]
-    return syms, recon, lits
+    return codes, recon, lits
 
 
-def dequantize(syms: np.ndarray, lit_targets: np.ndarray, step, cap: int, lengths) -> np.ndarray:
-    """Rebuild reconstructed targets from symbols and literal targets, with
+def dequantize(codes: np.ndarray, lit_targets: np.ndarray, step, lengths) -> np.ndarray:
+    """Rebuild reconstructed targets from codes and literal targets, with
     streams and steps as in quantize: each literal's grid index plus the
-    running code sum (int64) after it; every stream opens with a literal."""
+    running jump sum (int64) after it; every stream opens with a literal."""
     ends = np.cumsum(lengths)
     starts = ends - lengths
-    lit_pos = np.flatnonzero(syms == LIT_SYM)
+    lit_pos = np.flatnonzero(codes == LITERAL)
     if lit_pos.size != lit_targets.size:
-        raise CodecError("literal count does not match symbol stream")
-    if (syms[starts[starts < ends]] != LIT_SYM).any():
+        raise CodecError("literal count does not match code stream")
+    if (codes[starts[starts < ends]] != LITERAL).any():
         raise CodecError("a column does not open with a literal")
     step = np.broadcast_to(step, ends.shape)
     origin = _firsts(lit_targets, np.searchsorted(lit_pos, starts), np.searchsorted(lit_pos, ends))
@@ -107,8 +113,7 @@ def dequantize(syms: np.ndarray, lit_targets: np.ndarray, step, cap: int, length
     s_lit = np.where(np.abs(s_lit) <= 2.0**52, s_lit, 0.0).astype(np.int64)
     # segmented cumsum: each literal slot holds the step from the previous
     # segment's last grid index to its own, so the running total is s_k
-    q = syms - cap
-    q[lit_pos] = 0
+    q = np.where(codes & 1, codes >> 1, -(codes >> 1))  # a literal's 0 reads as 0
     seg_ends = s_lit + np.add.reduceat(q, lit_pos)
     q[lit_pos] = s_lit
     q[lit_pos[1:]] -= seg_ends[:-1]
@@ -142,18 +147,14 @@ def _signed_exp(recon_t: np.ndarray, nz: np.ndarray, neg: np.ndarray, width: int
     return _cast_like(recon, width)
 
 
-def _planes(syms: np.ndarray, cap: int) -> bytes:
-    """Symbols as codes around cap (0 a literal, 2q+1 a jump q >= 0, -2q a
-    jump q < 0), split into as few little-endian byte planes as the largest
-    code needs."""
-    q = syms - cap
-    codes = np.where(syms == LIT_SYM, 0, np.where(q < 0, -2 * q, 2 * q + 1)).astype("<u4")
+def _planes(codes: np.ndarray) -> bytes:
+    """Codes split into as few little-endian byte planes as the largest needs."""
     n_planes = max(1, (int(codes.max()).bit_length() + 7) // 8)
-    return codes.view(np.uint8).reshape(-1, 4)[:, :n_planes].T.tobytes()
+    return codes.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :n_planes].T.tobytes()
 
 
-def _code(syms: np.ndarray, lit_bits: np.ndarray, raw_bits: int, cap: int):
-    """Deflate the codes of the columns of syms (one per row) whose literal
+def _code(codes: np.ndarray, lit_bits: np.ndarray, raw_bits: int):
+    """Deflate the codes of the columns of codes (one per row) whose literal
     (and sign) bits stay below raw_bits.  The codes are not costed per
     column: deflate codes the columns together, and _write's check on the
     whole stream bounds them.  Returns (flag, section bytes, mask of the
@@ -162,30 +163,30 @@ def _code(syms: np.ndarray, lit_bits: np.ndarray, raw_bits: int, cap: int):
     keep = lit_bits < raw_bits
     if not keep.any():
         return 0, b"", keep
-    coded = syms[keep].ravel()
-    planes = _planes(coded, cap)
+    coded = codes[keep].ravel()
+    planes = _planes(coded)
     frame = lossless.lossless_encode(planes)
     if len(planes) == coded.size:  # one-byte codes: order-0 coding may beat LZ matching
         frame = min(frame, lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY), key=len)
     return _FLAG_DEFLATED, frame, keep
 
 
-def _write(cols, step, syms, recon, cap: int, width: int, neg=None) -> tuple[bytes, np.ndarray]:
+def _write(cols, step, codes, recon, width: int, neg=None, flags=0) -> tuple[bytes, np.ndarray]:
     """A block's stream (header, column table, literals, [signs], codes) and
     its decoded values, from the block cols (n_cols, n_rows) and each
-    column's step, symbols, reconstructions and (pw_rel) signs."""
+    column's step, codes, reconstructions and (pw_rel) signs and flags."""
     n_cols, n = cols.shape
-    if 2 * cap > _U32 or max(n, n_cols) > _U32:
-        raise CodecError(f"cap {cap} or a {n}x{n_cols} block does not fit 32-bit fields")
-    syms = syms.reshape(cols.shape)
-    is_lit = syms == LIT_SYM
+    if max(n, n_cols) > _U32:
+        raise CodecError(f"a {n}x{n_cols} block does not fit 32-bit fields")
+    codes = codes.reshape(cols.shape)
+    is_lit = codes == LITERAL
     lit_bits = 8 * width * is_lit.sum(axis=1) + (0 if neg is None else n)
-    flag, section, coded = _code(syms, lit_bits, 8 * width * n, cap)
+    flag, section, coded = _code(codes, lit_bits, 8 * width * n)
     table = np.zeros(n_cols, _COLUMN)
     table["step"] = np.where(coded, step, 0.0)
     table["n_lit"] = np.where(coded, is_lit.sum(axis=1), n)
     signs = b"" if neg is None else np.packbits(neg.reshape(cols.shape)[coded]).tobytes()
-    head = _HEAD.pack(flag | (0 if neg is None else _FLAG_SIGNS), n, n_cols) + _CAP.pack(cap)
+    head = _HEAD.pack(flag | flags, n, n_cols)
     literals = _raw(cols[is_lit | ~coded[:, None]], width)
     stream = b"".join((head, table.tobytes(), literals, signs, section))
     if len(stream) > _HEAD.size + cols.size * width:
@@ -193,7 +194,7 @@ def _write(cols, step, syms, recon, cap: int, width: int, neg=None) -> tuple[byt
     return stream, np.where(coded[:, None], recon.reshape(cols.shape), cols).ravel()
 
 
-def encode_abs(x: np.ndarray, eb, cap: int, width: int) -> tuple[bytes, np.ndarray]:
+def encode_abs(x: np.ndarray, eb, width: int) -> tuple[bytes, np.ndarray]:
     """Encode a block (1-D x: one column) under an absolute bound, one or one
     per column; returns (bytes, the decoded values column after column)."""
     cols = _columns(x)
@@ -206,22 +207,19 @@ def encode_abs(x: np.ndarray, eb, cap: int, width: int) -> tuple[bytes, np.ndarr
     def verify(r: np.ndarray) -> np.ndarray:
         return np.abs(target - _cast_like(r, width)) <= bound
 
-    syms, recon, _ = quantize(target, verify, 2.0 * eb, cap, np.full(eb.size, cols.shape[1]))
-    return _write(cols, 2.0 * eb, syms, _cast_like(recon, width), cap, width)
+    codes, recon, _ = quantize(target, verify, 2.0 * eb, np.full(eb.size, cols.shape[1]))
+    return _write(cols, 2.0 * eb, codes, _cast_like(recon, width), width)
 
 
-def encode_pwrel(
-    x: np.ndarray, pw: float, cap: int, width: int, zero_floor: float | None
-) -> tuple[bytes, np.ndarray]:
+def encode_pwrel(x: np.ndarray, pw: float, width: int) -> tuple[bytes, np.ndarray]:
     """Encode a block (1-D x: one column) under a pointwise-relative bound."""
     if not 0 < pw < 1:
         raise CodecError(f"pointwise-relative bound must be in (0, 1), got {pw}")
     cols = _columns(x)
     xf = cols.ravel()
-    if zero_floor is None:
-        zero_floor = float(np.finfo(_F32 if width == 4 else _F64).tiny)
     neg = np.signbit(xf)
-    nonzero = ~(np.abs(cols) < zero_floor)  # NaN is not a zero
+    # below the smallest normal is a zero; NaN is not
+    nonzero = ~(np.abs(cols) < np.finfo(_F32 if width == 4 else _F64).tiny)
     nz = np.flatnonzero(nonzero)
     xnz, negnz = xf[nz], neg[nz]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -233,13 +231,14 @@ def encode_pwrel(
         val = _cast_like(np.where(negnz, -mag, mag), width)
         return np.abs(xnz - val) <= pw * np.abs(xnz)
 
-    syms_nz, recon_t, lits = quantize(target, verify, step, cap, nonzero.sum(axis=1))
-    syms = np.full(xf.size, 2 * cap, dtype=np.int64)
-    syms[nz] = syms_nz
+    codes_nz, recon_t, lits = quantize(target, verify, step, nonzero.sum(axis=1))
+    shift = int(nz.size < xf.size)  # make room for ZERO only where it is used
+    codes = np.full(xf.size, ZERO, dtype=np.int64)
+    codes[nz] = codes_nz + shift * (codes_nz != LITERAL)
     recon = _signed_exp(recon_t, nz, neg, width)
     lit_rows = nz[lits]
     recon[lit_rows] = xf[lit_rows]  # literals are exact even under f32 rounding
-    return _write(cols, step, syms, recon, cap, width, neg)
+    return _write(cols, step, codes, recon, width, neg, _FLAG_SIGNS | _FLAG_ZEROS * shift)
 
 
 def encode_verbatim(x: np.ndarray, width: int) -> bytes:
@@ -262,15 +261,15 @@ def decode(buf: bytes, width: int) -> np.ndarray:
     anything else raises CodecError."""
     head, off = _section(buf, 0, _HEAD.size, "header")
     flags, n, n_cols = _HEAD.unpack(head)
+    known = _FLAG_SIGNS | _FLAG_DEFLATED | (_FLAG_ZEROS if flags & _FLAG_SIGNS else 0)
     raw = flags == _FLAG_VERBATIM
     if raw:
         vals, off = _section(buf, off, n * n_cols * width, "values")
-    elif flags & ~(_FLAG_SIGNS | _FLAG_DEFLATED):
+    elif flags & ~known:
         raise CodecError(f"unknown predictive stream flags {flags:#x}")
     else:
-        head, off = _section(buf, off, _CAP.size + _COLUMN.itemsize * n_cols, "column table")
-        (cap,) = _CAP.unpack_from(head)
-        table = np.frombuffer(head, _COLUMN, offset=_CAP.size)
+        head, off = _section(buf, off, _COLUMN.itemsize * n_cols, "column table")
+        table = np.frombuffer(head, _COLUMN)
         step, n_lit = table["step"], table["n_lit"].astype(np.int64)
         coded = step != 0
         bad = ~np.isfinite(step) | (step < 0) | (n_lit > n) | (~coded & (n_lit != n))
@@ -284,8 +283,6 @@ def decode(buf: bytes, width: int) -> np.ndarray:
         if off != len(buf):
             raise CodecError(f"{len(buf) - off} bytes after the predictive stream")
         return vals
-    if not 1 <= cap <= _U32 // 2:
-        raise CodecError(f"quantizer cap {cap} out of range")
     neg = None
     if flags & _FLAG_SIGNS:
         mask, off = _section(buf, off, (count + 7) // 8, "sign mask")
@@ -295,18 +292,18 @@ def decode(buf: bytes, width: int) -> np.ndarray:
     planes = lossless.lossless_decode(buf[off:])  # runs to the end of the stream
     n_planes, rest = divmod(len(planes), count)
     if rest or not 1 <= n_planes <= 4:
-        raise CodecError(f"deflated codes hold {len(planes)} bytes, not 1-4 per {count} symbols")
+        raise CodecError(f"deflated codes hold {len(planes)} bytes, not 1-4 per {count} codes")
     codes = np.zeros((count, 4), np.uint8)
     codes[:, :n_planes] = np.frombuffer(planes, np.uint8).reshape(n_planes, count).T
     codes = codes.view("<u4").ravel().astype(np.int64)
-    # past the jumps' 2*cap - 1 the encoder writes only pw_rel's zero, 2*cap + 1
-    beyond = (codes >= 2 * cap) & ((codes != 2 * cap + 1) | (neg is None))
-    if beyond.any():
-        raise CodecError(f"code {codes[np.argmax(beyond)]} is beyond what cap {cap} allows")
-    syms = np.where(codes == 0, LIT_SYM, cap + np.where(codes & 1, codes >> 1, -(codes >> 1)))
-    is_lit = syms == LIT_SYM
+    # the longest jump codes as 2*JUMP_LIMIT - 1, one higher with zeros
+    shift = 1 if flags & _FLAG_ZEROS else 0
+    top = 2 * JUMP_LIMIT - 1 + shift
+    if codes.max() > top:
+        raise CodecError(f"code {codes.max()} is beyond the largest the encoder writes, {top}")
+    is_lit = codes == LITERAL
     if (is_lit.reshape(-1, n).sum(axis=1) != n_lit[coded]).any():
-        raise CodecError("literal symbols do not match the column table")
+        raise CodecError("literal codes do not match the column table")
     verbatim = np.repeat(~coded, n_lit)
     lit_vals = vals[~verbatim]
 
@@ -314,12 +311,13 @@ def decode(buf: bytes, width: int) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if neg is None:
             lengths = np.full(count // n, n)
-            recon = _cast_like(dequantize(syms, lit_vals, step[coded], cap, lengths), width)
+            recon = _cast_like(dequantize(codes, lit_vals, step[coded], lengths), width)
         else:
-            nonzero = syms != 2 * cap
+            nonzero = codes != ZERO if shift else np.ones(count, bool)
             lengths = nonzero.reshape(-1, n).sum(axis=1)
             nz = np.flatnonzero(nonzero)
-            recon_t = dequantize(syms[nz], np.log(np.abs(lit_vals)), step[coded], cap, lengths)
+            jumps = codes[nz] - shift * (codes[nz] != LITERAL)
+            recon_t = dequantize(jumps, np.log(np.abs(lit_vals)), step[coded], lengths)
             recon = _signed_exp(recon_t, nz, neg, width)
             recon[is_lit] = lit_vals
     # the encoder codes a value only when its reconstruction meets the

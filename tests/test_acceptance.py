@@ -153,11 +153,9 @@ def test_criterion_2_lossless_round_trips_bit_exact():
 def test_criterion_3_psnr_matches_quantization_model():
     rng = np.random.default_rng(42)
     ds = from_array(rng.uniform(0.0, 1.0, size=65536))
-    # deep bounds need a deep quantizer before the exact-literal fallback kicks in
-    knobs = ReducerKnobs(quant_bin_cap=1 << 27)
     published = {1e-8: 164.7, 1e-7: 144.7, 1e-6: 124.7}
     for r, reference_db in published.items():
-        cfg = ReducerConfig(Method.EBLC_PRED, Mode.REL, (r,), knobs=knobs)
+        cfg = ReducerConfig(Method.EBLC_PRED, Mode.REL, (r,))
         artifact, _, _ = compress(ds, cfg)
         restored, _, _ = decompress(artifact)
         psnr = error_report(ds, restored).psnr_db

@@ -11,8 +11,8 @@ from ppress.errors import CodecError
 from ppress.reducers import bitplane
 
 
-def enc_dec(x, mode, c, block=4, width=8):
-    buf, recon = bitplane.encode(x, mode, c, block, width)
+def enc_dec(x, mode, c, width=8):
+    buf, recon = bitplane.encode(x, mode, c, width)
     out = bitplane.decode(buf, width)
     assert out.tobytes() == recon.tobytes(), "decode must match encoder reconstruction"
     return buf, out
@@ -64,12 +64,12 @@ def test_rate_stream_size_independent_of_content():
     b = rng.uniform(-1e-3, 1e-3, size=4099)
     b[:100] = 0.0  # zero blocks must not shrink the stream in rate mode
     for c in (3, 8.63, 16):
-        buf_a, _ = bitplane.encode(a, "rate", c, 4, 8)
-        buf_b, _ = bitplane.encode(b, "rate", c, 4, 8)
+        buf_a, _ = bitplane.encode(a, "rate", c, 8)
+        buf_b, _ = bitplane.encode(b, "rate", c, 8)
         assert len(buf_a) == len(buf_b)
         n_blocks = (4099 + 3) // 4
         plane_bits = n_blocks * int(round(4 * c))
-        header = bitplane._HEAD.size + 1 + 2 * n_blocks + bitplane._BITS.size
+        header = bitplane._HEAD.size + 2 * n_blocks + bitplane._BITS.size
         assert len(buf_a) == header + (plane_bits + 7) // 8
 
 
@@ -96,7 +96,7 @@ def test_acc_bound_holds_f32():
     rng = np.random.default_rng(7)
     x = (rng.normal(size=1024) * 50).astype(np.float32)
     for eb in (1e-1, 1e-3):
-        buf, recon = bitplane.encode(x, "acc", eb, 4, 4)
+        buf, recon = bitplane.encode(x, "acc", eb, 4)
         out = bitplane.decode(buf, 4)
         assert out.tobytes() == recon.tobytes()
         assert np.abs(x.astype(np.float64) - out).max() <= eb
@@ -116,7 +116,7 @@ def test_near_float_max_never_decodes_to_inf():
     top = np.finfo(np.float64).max
     x = np.array([top, 0.99 * top, 0.0, -top])
     with pytest.raises(CodecError, match="overflows"):
-        bitplane.encode(x, "prec", 4, 4, 8)
+        bitplane.encode(x, "prec", 4, 8)
     _, out = enc_dec(x, "acc", 1e300)
     assert np.abs(x - out).max() <= 1e300
     _, out = enc_dec(x, "prec", 56)
@@ -141,15 +141,7 @@ def test_partial_final_block():
 
 def test_nonfinite_rejected():
     with pytest.raises(CodecError):
-        bitplane.encode(np.array([1.0, np.inf, 2.0, 3.0]), "acc", 1e-3, 4, 8)
-
-
-def test_block_sizes_other_than_four():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=777)
-    for block in (2, 8, 16):
-        _, out = enc_dec(x, "acc", 1e-4, block=block)
-        assert np.abs(x - out).max() <= 1e-4
+        bitplane.encode(np.array([1.0, np.inf, 2.0, 3.0]), "acc", 1e-3, 8)
 
 
 @settings(max_examples=50, deadline=None)
@@ -170,7 +162,7 @@ def walk_stream(mode):
     rng = np.random.default_rng(12)
     walk = np.cumsum(rng.normal(size=4000))
     c = {"acc": 1e-3, "prec": 20, "rate": 12.0}[mode]
-    buf, recon = bitplane.encode(walk, mode, c, 4, 8)
+    buf, recon = bitplane.encode(walk, mode, c, 8)
     assert bitplane.decode(buf, 8).tobytes() == recon.tobytes()
     return buf
 
@@ -196,18 +188,16 @@ def test_every_truncation_raises_codec_error(mode, cut):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("flags", 1), ("mode", 7), ("block", 3), ("n_blocks", 2), ("c", float("nan"))],
+    [("flags", 1), ("mode", 7), ("n_blocks", 2), ("c", float("nan"))],
 )
 def test_inconsistent_header_raises_codec_error(field, value):
     buf = walk_stream("rate")
     flags, n, mode_code, c, n_blocks = bitplane._HEAD.unpack_from(buf)
     head = {"flags": flags, "n": n, "mode": mode_code, "c": c, "n_blocks": n_blocks}
     head[field] = value
-    block = value if field == "block" else buf[bitplane._HEAD.size]
     bad = (
         bitplane._HEAD.pack(head["flags"], head["n"], head["mode"], head["c"], head["n_blocks"])
-        + bytes([block])
-        + buf[bitplane._HEAD.size + 1 :]
+        + buf[bitplane._HEAD.size :]
     )
     with pytest.raises(CodecError):
         bitplane.decode(bad, 8)
@@ -216,7 +206,7 @@ def test_inconsistent_header_raises_codec_error(field, value):
 def test_too_many_planes_raises_codec_error():
     buf = bytearray(walk_stream("prec"))
     n_blocks = 1000
-    buf[bitplane._HEAD.size + 1 + 2 * n_blocks] = bitplane.TOTAL_PLANES + 1
+    buf[bitplane._HEAD.size + 2 * n_blocks] = bitplane.TOTAL_PLANES + 1
     with pytest.raises(CodecError):
         bitplane.decode(bytes(buf), 8)
 
@@ -251,8 +241,9 @@ def reference_emit(coeffs, keep, budget):
     return np.packbits(bits).tobytes(), total
 
 
-def reference_absorb(bits, keep, budget, block):
+def reference_absorb(bits, keep, budget):
     """Inverse of reference_emit, from the unpacked bits."""
+    block = bitplane._BLOCK
     coeffs = np.zeros((keep.size, block), dtype=np.int64)
     offs = np.concatenate([[0], np.cumsum(budget)[:-1]])
     for k, b, rows in reference_groups(keep, budget):
@@ -276,7 +267,7 @@ def reference_absorb(bits, keep, budget, block):
 
 @st.composite
 def packing_cases(draw):
-    block = draw(st.sampled_from([2, 4, 8, 16]))
+    block = bitplane._BLOCK
     n_blocks = draw(st.integers(0, 40))
     coeffs = draw(
         hnp.arrays(np.int64, (n_blocks, block), elements=st.integers(-(2**56) + 1, 2**56 - 1))
@@ -301,7 +292,6 @@ def packing_cases(draw):
 )
 def test_packing_matches_reference(case, chunk, seed):
     coeffs, keep, budget = case
-    block = coeffs.shape[1]
     payload, n_bits = reference_emit(coeffs, keep, budget)
     # random bits, also where a block's budget runs past its kept planes
     noise = np.random.default_rng(seed).integers(0, 256, len(payload), dtype=np.uint8)
@@ -310,8 +300,8 @@ def test_packing_matches_reference(case, chunk, seed):
         for packed in (np.frombuffer(payload, np.uint8), noise):
             bits = np.unpackbits(packed, count=n_bits)
             assert np.array_equal(
-                bitplane._absorb(packed, keep, budget, block),
-                reference_absorb(bits, keep, budget, block),
+                bitplane._absorb(packed, keep, budget),
+                reference_absorb(bits, keep, budget),
             )
 
 
@@ -332,84 +322,86 @@ def hash_inputs():
 
 
 HASH_CONFIGS = [
-    ("prec", 0, 4),
-    ("prec", 20, 4),
-    ("prec", 56, 2),
-    ("prec", 9, 16),
-    ("rate", 0.75, 4),
-    ("rate", 12.0, 8),
-    ("rate", 60.25, 4),
-    ("acc", 1e-3, 4),
-    ("acc", 1e-9, 2),
-    ("acc", 1e-310, 4),
+    ("prec", 0),
+    ("prec", 9),
+    ("prec", 20),
+    ("prec", 56),
+    ("rate", 0.75),
+    ("rate", 12.0),
+    ("rate", 60.25),
+    ("acc", 1e-3),
+    ("acc", 1e-9),
+    ("acc", 1e-310),
 ]
 
 
 def stream_digests():
     out = {}
     for name, x, width in hash_inputs():
-        for mode, c, block in HASH_CONFIGS:
-            buf, recon = bitplane.encode(x, mode, c, block, width)
+        for mode, c in HASH_CONFIGS:
+            buf, recon = bitplane.encode(x, mode, c, width)
             h = hashlib.sha256(buf)
             h.update(recon.tobytes())
             h.update(bitplane.decode(buf, width).tobytes())
-            out[f"{name} {mode} {c} {block}"] = h.hexdigest()[:16]
+            out[f"{name} {mode} {c}"] = h.hexdigest()[:16]
     return out
 
 
 # sha256 of (stream, encoder reconstruction, decode) per case, from the
-# group-and-plane packing that reference_emit/reference_absorb keep
+# group-and-plane packing that reference_emit/reference_absorb keep.  Each
+# stream is the container-version-6 stream at block size 4 without its
+# block-size byte, with the same reconstruction
 STREAM_DIGESTS = {
-    "walk-f64 prec 0 4": "2ce3140caef990fd",
-    "walk-f64 prec 20 4": "b0f5bae508073ed1",
-    "walk-f64 prec 56 2": "3bd989244a84fed0",
-    "walk-f64 prec 9 16": "a4553a4cfd54c1c4",
-    "walk-f64 rate 0.75 4": "9eb4ddd22b4ec64d",
-    "walk-f64 rate 12.0 8": "a22f430416ec331e",
-    "walk-f64 rate 60.25 4": "7a41399619d39694",
-    "walk-f64 acc 0.001 4": "6ec557a7a921a5ce",
-    "walk-f64 acc 1e-09 2": "dbf93f04ea779e0b",
-    "walk-f64 acc 1e-310 4": "f52d7cb9f121d4f2",
-    "walk-f32 prec 0 4": "2ce3140caef990fd",
-    "walk-f32 prec 20 4": "e7e952e7a8cd9287",
-    "walk-f32 prec 56 2": "50040679d3ef4b85",
-    "walk-f32 prec 9 16": "a4553a4cfd54c1c4",
-    "walk-f32 rate 0.75 4": "9eb4ddd22b4ec64d",
-    "walk-f32 rate 12.0 8": "43fe93b30d87eae3",
-    "walk-f32 rate 60.25 4": "ef5b3ecf28666a55",
-    "walk-f32 acc 0.001 4": "a9e8f2f7851ada4a",
-    "walk-f32 acc 1e-09 2": "f76d62e3cc53d257",
-    "walk-f32 acc 1e-310 4": "00898c95c7b991fe",
-    "mixed-f64 prec 0 4": "4b230dbdabffc0b4",
-    "mixed-f64 prec 20 4": "853a01598502ae60",
-    "mixed-f64 prec 56 2": "7a983cd153d61dc8",
-    "mixed-f64 prec 9 16": "7b79f2f1ac75cc29",
-    "mixed-f64 rate 0.75 4": "b8a5ad9fe07599ce",
-    "mixed-f64 rate 12.0 8": "ea5b24a9aba1dc40",
-    "mixed-f64 rate 60.25 4": "e9525c1f3968c7b1",
-    "mixed-f64 acc 0.001 4": "5dabcfecfab6c0a4",
-    "mixed-f64 acc 1e-09 2": "b1fe23a7ed4b7c2d",
-    "mixed-f64 acc 1e-310 4": "c7b221d9e78323bc",
-    "mixed-f32 prec 0 4": "4b230dbdabffc0b4",
-    "mixed-f32 prec 20 4": "100db6924d91df71",
-    "mixed-f32 prec 56 2": "54990023e2f3004d",
-    "mixed-f32 prec 9 16": "7b79f2f1ac75cc29",
-    "mixed-f32 rate 0.75 4": "b8a5ad9fe07599ce",
-    "mixed-f32 rate 12.0 8": "ea5b24a9aba1dc40",
-    "mixed-f32 rate 60.25 4": "3c94fba11f645c5f",
-    "mixed-f32 acc 0.001 4": "c293a9be270e6f31",
-    "mixed-f32 acc 1e-09 2": "e0061c8e2c69bfc5",
-    "mixed-f32 acc 1e-310 4": "bbe65d4670142d58",
-    "spread-f64 prec 0 4": "840b591f14dc1e82",
-    "spread-f64 prec 20 4": "9349df191f459aca",
-    "spread-f64 prec 56 2": "99ab3f6cc85ca42b",
-    "spread-f64 prec 9 16": "11d9391a7f6b61ee",
-    "spread-f64 rate 0.75 4": "fb241268ed1e8385",
-    "spread-f64 rate 12.0 8": "103993fbe35c1668",
-    "spread-f64 rate 60.25 4": "8503ff5faff0acc5",
-    "spread-f64 acc 0.001 4": "0775f84a47711ef1",
-    "spread-f64 acc 1e-09 2": "ef1e18700d1d685e",
-    "spread-f64 acc 1e-310 4": "b438d3a7b5b72980",
+    "walk-f64 prec 0": "958c2b9e718496c7",
+    "walk-f64 prec 9": "f3171e9196005ff7",
+    "walk-f64 prec 20": "f62e1d7cd407893f",
+    "walk-f64 prec 56": "b18952a31fd35198",
+    "walk-f64 rate 0.75": "23ac7405ee9f5820",
+    "walk-f64 rate 12.0": "e4e3db280b834203",
+    "walk-f64 rate 60.25": "59cc27300d5515e8",
+    "walk-f64 acc 0.001": "f1fd5cd6d66b6e4d",
+    "walk-f64 acc 1e-09": "82e3206d59ab3075",
+    "walk-f64 acc 1e-310": "846a095b4f7c9030",
+    "walk-f32 prec 0": "958c2b9e718496c7",
+    "walk-f32 prec 9": "f3171e9196005ff7",
+    "walk-f32 prec 20": "197d1e2df0e5c12d",
+    "walk-f32 prec 56": "42f7404a32458260",
+    "walk-f32 rate 0.75": "23ac7405ee9f5820",
+    "walk-f32 rate 12.0": "1ef7c95aadc7cd02",
+    "walk-f32 rate 60.25": "6265f16422d47dc8",
+    "walk-f32 acc 0.001": "b22105ed6a84a241",
+    "walk-f32 acc 1e-09": "e7f8f045847c1bdc",
+    "walk-f32 acc 1e-310": "dcd3edf7bd96e2f6",
+    "mixed-f64 prec 0": "7cf1b2fa88f118b4",
+    "mixed-f64 prec 9": "a838cc1d0dce0d3d",
+    "mixed-f64 prec 20": "e65621ec96367482",
+    "mixed-f64 prec 56": "c16a9a2fc913f0b2",
+    "mixed-f64 rate 0.75": "d0ea12b229615e5c",
+    "mixed-f64 rate 12.0": "9a8757b4b6c94a9d",
+    "mixed-f64 rate 60.25": "61252ca22c8bc0f1",
+    "mixed-f64 acc 0.001": "14db8a22d0bc8394",
+    "mixed-f64 acc 1e-09": "fc93c005798bbc12",
+    "mixed-f64 acc 1e-310": "7c63225a1da14542",
+    "mixed-f32 prec 0": "7cf1b2fa88f118b4",
+    "mixed-f32 prec 9": "a838cc1d0dce0d3d",
+    "mixed-f32 prec 20": "b2a06aa41a940192",
+    "mixed-f32 prec 56": "abb32403a4145513",
+    "mixed-f32 rate 0.75": "d0ea12b229615e5c",
+    "mixed-f32 rate 12.0": "9a8757b4b6c94a9d",
+    "mixed-f32 rate 60.25": "5519106aac9f90c8",
+    "mixed-f32 acc 0.001": "37710de1511c4023",
+    "mixed-f32 acc 1e-09": "e8bc5ed821a81380",
+    "mixed-f32 acc 1e-310": "075e91c074d2c8a4",
+    "spread-f64 prec 0": "3007906dbb5bdd93",
+    "spread-f64 prec 9": "4a7d783d6492ca6f",
+    "spread-f64 prec 20": "546925c1351b8f27",
+    "spread-f64 prec 56": "8b6fcd8dd2e27cfd",
+    "spread-f64 rate 0.75": "3a5d74cc866cb922",
+    "spread-f64 rate 12.0": "5158d98a1539a491",
+    "spread-f64 rate 60.25": "f794b7c9a9614194",
+    "spread-f64 acc 0.001": "4e9d30c5ba784eda",
+    "spread-f64 acc 1e-09": "59cf45974e2d20e7",
+    "spread-f64 acc 1e-310": "251bebfc994da972",
 }
 
 

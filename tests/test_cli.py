@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -177,12 +178,12 @@ def test_search_is_run_campaign(tmp_path):
 
 
 def test_search_keeps_domains_with_the_same_method_apart(tmp_path, capsys):
-    domain = {"method": "eblc_bitplane", "mode": "acc", "bound_min": 1e-6, "bound_max": 10.0}
+    domain = {"method": "eblc_bitplane", "mode": "acc"}
     campaign = write_campaign(
         tmp_path,
         [
-            {**domain, "knobs": {"block_size": 4}},
-            {**domain, "knobs": {"block_size": 32}},
+            {**domain, "bound_min": 1e-6, "bound_max": 10.0},
+            {**domain, "bound_min": 1e-5, "bound_max": 1.0},
         ],
     )
     assert main(["search", str(campaign)]) == 0
@@ -214,9 +215,10 @@ def test_search_keeps_domains_with_the_same_method_apart(tmp_path, capsys):
         lambda doc: doc["methods"].append(
             {"method": "eblc_bitplane", "mode": "prec", "bound_min": 4, "bound_max": 32}
         ),
+        lambda doc: doc["methods"].append({"method": "sample_naive", "bound": math.inf}),
     ],
     ids=["method", "mode", "layout", "app_kind", "tau", "app_entry", "output", "split",
-         "pw_rel_max", "prec_fraction", "prec_domain"],
+         "pw_rel_max", "prec_fraction", "prec_domain", "naive_stride_inf"],
 )
 def test_search_bad_campaign_value_is_config_error(tmp_path, capsys, edit):
     campaign = write_campaign(

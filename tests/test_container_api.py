@@ -5,7 +5,7 @@ import re
 import struct
 import warnings
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +173,18 @@ def test_trunc_same_width_rejected():
     ds = rand_ds(dtype="f32")
     with pytest.raises(ConfigError):
         compress(ds, ReducerConfig(Method.TRUNC, c=(32,)))
+
+
+@pytest.mark.parametrize("dtype, rate", [("f64", 64.5), ("f64", 1e6), ("f64", math.inf),
+                                         ("f32", 32.5), ("f32", 1e30)])
+def test_bitplane_rate_above_the_value_width_rejected(dtype, rate):
+    # a rate past the value's bits stores more than the raw values
+    ds = walk_ds(n=200, dtype=dtype)
+    with pytest.raises(ConfigError, match="rate"):
+        compress(ds, ReducerConfig(Method.EBLC_BITPLANE, Mode.RATE, (rate,)))
+    width = int(dtype[1:])
+    art, out = round_trip(ds, ReducerConfig(Method.EBLC_BITPLANE, Mode.RATE, (width,)))
+    assert np.abs(out.values - ds.values).max() < 1e-6
 
 
 def test_sampling_naive_rows_and_ratio():
@@ -389,7 +401,7 @@ FUZZ_CONFIGS = [
     ReducerConfig(Method.EBLC_PRED, Mode.ABS, (1e-9,)),
     ReducerConfig(Method.EBLC_BITPLANE, Mode.ACC, (1e-3,)),
     ReducerConfig(Method.EBLC_BITPLANE, Mode.PREC, (20,)),
-    ReducerConfig(Method.EBLC_BITPLANE, Mode.RATE, (9.5,), knobs=ReducerKnobs(block_size=8)),
+    ReducerConfig(Method.EBLC_BITPLANE, Mode.RATE, (9.5,)),
     ReducerConfig(Method.TRUNC, c=(32,)),
     ReducerConfig(Method.SAMPLE_NAIVE, c=(3,)),
     ReducerConfig(Method.SAMPLE_WR, c=(0.5,), layout=Layout.MATRIX),
@@ -397,8 +409,9 @@ FUZZ_CONFIGS = [
     ReducerConfig(Method.LOSSLESS),
     ReducerConfig(Method.LOSSLESS, knobs=ReducerKnobs(delta_order=2)),
     ReducerConfig(Method.NONE),
-    ReducerConfig(Method.EBLC_PRED, Mode.ABS, (0.5,)),  # narrow codes: a Huffman table
-    ReducerConfig(Method.EBLC_PRED, Mode.REL, (0.1,)),  # a block under one Huffman table
+    # one-byte codes, deflated with zlib's Huffman-only strategy
+    ReducerConfig(Method.EBLC_PRED, Mode.ABS, (0.5,)),
+    ReducerConfig(Method.EBLC_PRED, Mode.REL, (0.1,)),
     ReducerConfig(Method.EBLC_PRED, Mode.PW_REL, (0.1,)),
 ]
 _FUZZ_ARTIFACTS = {}
@@ -446,25 +459,25 @@ def overwrite(blob, offset, fmt, value):
 # case: (config, dtype, NaN literal in the data?, damage).  Each damage
 # rewrites one header field of an in-memory artifact's first stream so that
 # decoding would overflow or turn NaN.  Offsets follow
-# docs/container_format.md: predictive `flags u8, n_rows u32, n_cols u32,
-# cap u32`, then the first column's `step f64`,
-# bit-plane `flags u8, n u64, mode u8, c f64, n_blocks u32, block u8, exps`.
+# docs/container_format.md: predictive `flags u8, n_rows u32, n_cols u32`,
+# then the first column's `step f64`,
+# bit-plane `flags u8, n u64, mode u8, c f64, n_blocks u32, exps`.
 OVERFLOWS = {
-    "pred-rel-step": (FUZZ_CONFIGS[0], "f64", False, lambda b: overwrite(b, 13, "<d", 1e308)),
-    "pred-rel-step-nan": (FUZZ_CONFIGS[0], "f64", False, lambda b: overwrite(b, 13, "<d", math.nan)),
+    "pred-rel-step": (FUZZ_CONFIGS[0], "f64", False, lambda b: overwrite(b, 9, "<d", 1e308)),
+    "pred-rel-step-nan": (FUZZ_CONFIGS[0], "f64", False, lambda b: overwrite(b, 9, "<d", math.nan)),
     "pred-rel-step-beside-nan-literal": (
-        FUZZ_CONFIGS[0], "f64", True, lambda b: overwrite(b, 13, "<d", 1e308)
+        FUZZ_CONFIGS[0], "f64", True, lambda b: overwrite(b, 9, "<d", 1e308)
     ),
-    "pred-pwrel-step": (FUZZ_CONFIGS[2], "f64", False, lambda b: overwrite(b, 13, "<d", 1e3)),
-    "pred-rel-f32-step": (FUZZ_CONFIGS[0], "f32", False, lambda b: overwrite(b, 13, "<d", 1e300)),
+    "pred-pwrel-step": (FUZZ_CONFIGS[2], "f64", False, lambda b: overwrite(b, 9, "<d", 1e3)),
+    "pred-rel-f32-step": (FUZZ_CONFIGS[0], "f32", False, lambda b: overwrite(b, 9, "<d", 1e300)),
     "bitplane-acc-exponent": (
-        FUZZ_CONFIGS[4], "f64", False, lambda b: overwrite(b, 23, "<h", 32000)
+        FUZZ_CONFIGS[4], "f64", False, lambda b: overwrite(b, 22, "<h", 32000)
     ),
     "bitplane-prec-exponent": (
-        FUZZ_CONFIGS[5], "f64", False, lambda b: overwrite(b, 23, "<h", 2000)
+        FUZZ_CONFIGS[5], "f64", False, lambda b: overwrite(b, 22, "<h", 2000)
     ),
     "bitplane-rate-f32-exponent": (
-        FUZZ_CONFIGS[6], "f32", False, lambda b: overwrite(b, 23, "<h", 500)
+        FUZZ_CONFIGS[6], "f32", False, lambda b: overwrite(b, 22, "<h", 500)
     ),
 }
 
@@ -497,8 +510,7 @@ def verbatim_columns(blob, n_cols):
     """Which columns of a predictive block stream are stored verbatim."""
     if blob[0] & predictive._FLAG_VERBATIM:
         return [True] * n_cols
-    offset = predictive._HEAD.size + predictive._CAP.size
-    table = np.frombuffer(blob, predictive._COLUMN, count=n_cols, offset=offset)
+    table = np.frombuffer(blob, predictive._COLUMN, count=n_cols, offset=predictive._HEAD.size)
     return (table["step"] == 0).tolist()
 
 
@@ -549,6 +561,13 @@ def test_container_doc_states_the_current_version():
     doc = Path(__file__).resolve().parent.parent / "docs" / "container_format.md"
     stated = re.findall(r"currently (\d+)", doc.read_text())
     assert stated == [str(container.VERSION)]
+
+
+def test_campaign_doc_lists_exactly_the_knobs():
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "campaign_schema.md").read_text()
+    table = doc[doc.index("| knob "):].split("\n\n")[0]
+    listed = re.findall(r"^\| `(\w+)` ", table, re.MULTILINE)
+    assert listed == [f.name for f in fields(ReducerKnobs)]
 
 
 def test_truncated_signalling_nan_decodes_without_a_warning():

@@ -13,27 +13,27 @@ from ppress.errors import CodecError
 from ppress.reducers import lossless, predictive
 
 
-def enc_dec_abs(x, eb, cap=1 << 16, width=8):
-    buf, recon = predictive.encode_abs(x, eb, cap, width)
+def enc_dec_abs(x, eb, width=8):
+    buf, recon = predictive.encode_abs(x, eb, width)
     out = predictive.decode(buf, width)
     assert out.tobytes() == recon.tobytes(), "decode must match encoder reconstruction"
     return buf, out
 
 
-def extract_symbols(x, eb, cap=1 << 16, width=8):
-    # the symbols encode_abs quantizes x to, before any verbatim escape
-    (call,) = quantize_calls(predictive.encode_abs, x, eb, cap, width)
-    return predictive.quantize(*call)[0], cap
+def extract_codes(x, eb, width=8):
+    # the codes encode_abs quantizes x to, before any verbatim escape
+    (call,) = quantize_calls(predictive.encode_abs, x, eb, width)
+    return predictive.quantize(*call)[0]
 
 
 def test_ramp_codes_and_drift():
     # hand-simulated recurrence: first value verbatim, then each unit step
-    # quantizes to code 1 with step 1.2; drift stays within the bound
+    # quantizes to a jump of 1 (code 3) with step 1.2; drift stays within
+    # the bound
     x = np.array([0.0, 1.0, 2.0, 3.0])
     buf, out = enc_dec_abs(x, 0.6)
-    syms, cap = extract_symbols(x, 0.6)
-    assert syms[0] == predictive.LIT_SYM
-    assert (syms[1:] - cap).tolist() == [1, 1, 1]
+    codes = extract_codes(x, 0.6)
+    assert codes.tolist() == [predictive.LITERAL, 3, 3, 3]
     assert np.all(np.abs(x - out) <= 0.6)
     assert out[0] == 0.0
 
@@ -41,9 +41,8 @@ def test_ramp_codes_and_drift():
 def test_constant_column_codes():
     x = np.full(4, 5.0)
     buf, out = enc_dec_abs(x, 0.1)
-    syms, cap = extract_symbols(x, 0.1)
-    assert syms[0] == predictive.LIT_SYM
-    assert (syms[1:] - cap).tolist() == [0, 0, 0]
+    codes = extract_codes(x, 0.1)
+    assert codes.tolist() == [predictive.LITERAL, 1, 1, 1]  # jumps of 0
     assert np.array_equal(out, x)
 
 
@@ -60,8 +59,7 @@ def test_alternating_extremes_fall_back_to_literals():
     x[0::2] = 1e9
     x[1::2] = -1e9
     buf, out = enc_dec_abs(x, 1e-9)
-    syms, _ = extract_symbols(x, 1e-9)
-    assert np.all(syms == predictive.LIT_SYM)
+    assert np.all(extract_codes(x, 1e-9) == predictive.LITERAL)
     assert np.array_equal(out, x)  # literals are exact
     assert len(buf) <= 1.05 * x.nbytes
 
@@ -84,7 +82,7 @@ def test_f32_contract_checked_after_narrowing():
     rng = np.random.default_rng(1)
     x = (rng.normal(size=512) * 100).astype(np.float32)
     eb = 1e-3
-    buf, recon = predictive.encode_abs(x, eb, 1 << 16, 4)
+    buf, recon = predictive.encode_abs(x, eb, 4)
     out = predictive.decode(buf, 4)
     assert out.tobytes() == recon.tobytes()
     narrowed = out.astype(np.float32)
@@ -98,7 +96,7 @@ def test_pwrel_contract_and_zeros():
     x = mags * signs
     x[::17] = 0.0
     for pw in [1e-1, 1e-3, 1e-6]:
-        buf, recon = predictive.encode_pwrel(x, pw, 1 << 16, 8, None)
+        buf, recon = predictive.encode_pwrel(x, pw, 8)
         out = predictive.decode(buf, 8)
         assert out.tobytes() == recon.tobytes()
         nz = x != 0
@@ -110,7 +108,7 @@ def test_pwrel_contract_and_zeros():
 def test_pwrel_subnormals_collapse_to_zero():
     # repeated, so that coding pays and the stream is not stored verbatim
     x = np.tile([1.0, 5e-324, -3e-310, 2.0], 64)
-    buf, recon = predictive.encode_pwrel(x, 1e-2, 1 << 16, 8, None)
+    buf, recon = predictive.encode_pwrel(x, 1e-2, 8)
     out = predictive.decode(buf, 8)
     assert not buf[0] & predictive._FLAG_VERBATIM
     assert np.all(out[1::4] == 0.0) and np.all(out[2::4] == 0.0)
@@ -120,7 +118,7 @@ def test_pwrel_subnormals_collapse_to_zero():
 
 def test_pwrel_all_zero_column():
     x = np.zeros(64)
-    buf, recon = predictive.encode_pwrel(x, 1e-3, 1 << 16, 8, None)
+    buf, recon = predictive.encode_pwrel(x, 1e-3, 8)
     out = predictive.decode(buf, 8)
     assert np.array_equal(out, x)
 
@@ -148,7 +146,7 @@ def test_quantization_error_distribution_matches_uniform_model():
     rng = np.random.default_rng(4)
     x = rng.uniform(size=32768)
     eb = 1e-4
-    _, out = enc_dec_abs(x, eb, cap=1 << 27)
+    _, out = enc_dec_abs(x, eb)
     mse = np.mean((x - out) ** 2)
     assert mse == pytest.approx(eb**2 / 3, rel=0.05)
 
@@ -181,7 +179,7 @@ def test_abs_contract_property(x, eb):
     pw=st.floats(1e-9, 0.5),
 )
 def test_pwrel_contract_property(x, pw):
-    buf, recon = predictive.encode_pwrel(x, pw, 1 << 16, 8, None)
+    buf, recon = predictive.encode_pwrel(x, pw, 8)
     out = predictive.decode(buf, 8)
     assert out.tobytes() == recon.tobytes()
     nz = x != 0
@@ -189,15 +187,16 @@ def test_pwrel_contract_property(x, pw):
     assert np.all(out[~nz] == 0.0)
 
 
-def reference_quantize(target, verify, step, cap):
+def reference_quantize(target, verify, step):
     """Per-value quantizer: the grid literal rule, one position at a time.
 
     The grid starts at the first finite target o (0 if there is none).
     Position k snaps to grid index s_k = floor((t_k - o)/step + 1/2) and
     codes the jump s_k - s_(k-1).  It is a literal when k == 0, when s_k or
-    s_(k-1) is non-finite or beyond 2^52, when the jump reaches cap, or when
-    verify rejects o + step*s_k.  verify is elementwise, so it runs once over
-    every candidate reconstruction.
+    s_(k-1) is non-finite or beyond 2^52, when the jump reaches 2^30, or when
+    verify rejects o + step*s_k.  A literal codes as 0, a jump q >= 0 as
+    2q + 1 and a jump q < 0 as -2q.  verify is elementwise, so it runs once
+    over every candidate reconstruction.
     """
     n = target.size
     origin = next((t for t in target if np.isfinite(t)), 0.0)
@@ -208,7 +207,7 @@ def reference_quantize(target, verify, step, cap):
             grid[k] = np.floor((target[k] - origin) / step + 0.5)
             cand[k] = origin + step * grid[k]
         ok = verify(cand)
-    syms = np.empty(n, dtype=np.int64)
+    codes = np.empty(n, dtype=np.int64)
     recon = np.empty(n, dtype=np.float64)
     for k in range(n):
         s = grid[k]
@@ -217,14 +216,15 @@ def reference_quantize(target, verify, step, cap):
             k > 0
             and abs(s) <= 2.0**52
             and abs(prev) <= 2.0**52
-            and abs(s - prev) < cap
+            and abs(s - prev) < 2**30
             and ok[k]
         )
         if coded:
-            syms[k], recon[k] = int(s - prev) + cap, cand[k]
+            q = int(s - prev)
+            codes[k], recon[k] = 2 * q + 1 if q >= 0 else -2 * q, cand[k]
         else:
-            syms[k], recon[k] = predictive.LIT_SYM, target[k]
-    return syms, recon, np.flatnonzero(syms == predictive.LIT_SYM)
+            codes[k], recon[k] = 0, target[k]
+    return codes, recon, np.flatnonzero(codes == 0)
 
 
 def quantize_calls(encode, *args):
@@ -247,8 +247,8 @@ def quantize_calls(encode, *args):
 def assert_quantize_matches_reference(encode, *args):
     # each stream of the block quantizes as reference_quantize does it alone
     (call,) = quantize_calls(encode, *args)
-    target, verify, step, cap, lengths = call
-    syms, recon, lits = predictive.quantize(*call)
+    target, verify, step, lengths = call
+    codes, recon, lits = predictive.quantize(*call)
     ends = np.cumsum(lengths)
     for lo, hi, st in zip(ends - lengths, ends, np.broadcast_to(step, lengths.shape)):
 
@@ -257,12 +257,12 @@ def assert_quantize_matches_reference(encode, *args):
             full[lo:hi] = r
             return verify(full)[lo:hi]
 
-        want = reference_quantize(target[lo:hi], alone, st, cap)
-        got = (syms[lo:hi], recon[lo:hi], lits[(lits >= lo) & (lits < hi)] - lo)
+        want = reference_quantize(target[lo:hi], alone, st)
+        got = (codes[lo:hi], recon[lo:hi], lits[(lits >= lo) & (lits < hi)] - lo)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
     buf, recon = encode(*args)
-    assert predictive.decode(buf, args[3]).tobytes() == recon.tobytes()
+    assert predictive.decode(buf, args[2]).tobytes() == recon.tobytes()
 
 
 SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
@@ -271,14 +271,15 @@ SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
 @st.composite
 def walks(draw, max_size=150):
     """Random walks in units of the quantizer step: codes within reach,
-    exact half-step rounding edges, jumps that overflow a small alphabet
-    and far jumps, on an offset where f32 spacing rivals the bound or (None)
-    with every value after the first near grid index 2^52, where int64 and
-    f64 part, with NaN, infinities and zeros mixed in."""
+    exact half-step rounding edges, far jumps and jumps on either side of
+    the 2^30 jump limit, on an offset where f32 spacing rivals the bound or
+    (None) with every value after the first near grid index 2^52, where
+    int64 and f64 part, with NaN, infinities and zeros mixed in."""
     n = draw(st.integers(1, max_size))
     moves = draw(hnp.arrays(np.float64, n, elements=st.one_of(
         st.floats(-3, 3),
-        st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 16.0]),
+        st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 16.0,
+                         2.0**30 - 1, 2.0**30, -(2.0**30) + 1, -(2.0**30)]),
         st.floats(-1e5, 1e5),
     )))
     offset = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6, -1e9, None]))
@@ -301,25 +302,23 @@ def place(moves, offset, special, unit):
 @given(
     case=walks(),
     width=st.sampled_from([4, 8]),
-    cap=st.sampled_from([2, 3, 16, 1 << 16]),
     eb=st.sampled_from([1e-3, 0.05, 2.0]),
 )
-def test_quantize_abs_matches_per_value_reference(case, width, cap, eb):
+def test_quantize_abs_matches_per_value_reference(case, width, eb):
     x = place(*case, unit=2 * eb)
     if width == 4:
         with np.errstate(over="ignore"):
             x = x.astype(np.float32)
-    assert_quantize_matches_reference(predictive.encode_abs, x, eb, cap, width)
+    assert_quantize_matches_reference(predictive.encode_abs, x, eb, width)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     case=walks(),
     width=st.sampled_from([4, 8]),
-    cap=st.sampled_from([2, 3, 16, 1 << 16]),
     pw=st.sampled_from([1e-7, 1e-4, 0.01, 0.3]),
 )
-def test_quantize_pwrel_matches_per_value_reference(case, width, cap, pw):
+def test_quantize_pwrel_matches_per_value_reference(case, width, pw):
     # log-magnitudes walk in quantizer steps; signs and zeros come along.
     # They never reach 2^52 steps (that needs log|x| > 709), so the grid
     # edge offset starts them at 1
@@ -333,7 +332,7 @@ def test_quantize_pwrel_matches_per_value_reference(case, width, cap, pw):
     if width == 4:
         with np.errstate(over="ignore"):
             x = x.astype(np.float32)
-    assert_quantize_matches_reference(predictive.encode_pwrel, x, pw, cap, width, None)
+    assert_quantize_matches_reference(predictive.encode_pwrel, x, pw, width)
 
 
 def test_quantize_long_stream_matches_reference():
@@ -343,20 +342,20 @@ def test_quantize_long_stream_matches_reference():
     x = (np.cumsum(rng.normal(size=150_000)) + 3e3).astype(np.float32)
     x[::997] = np.nan
     x[5::1201] = 1e30
-    assert_quantize_matches_reference(predictive.encode_abs, x, 1.2e-4, 1 << 16, 4)
+    assert_quantize_matches_reference(predictive.encode_abs, x, 1.2e-4, 4)
 
 
 def test_bound_miss_literal_does_not_reanchor():
     # f32 rounding makes x[1]'s grid point miss the bound, so x[1] is a
-    # literal; x[2] still codes its jump from x[1]'s grid index (-16 minus -13),
-    # not from the literal's exact value (which would give -2)
+    # literal; x[2] still codes its jump from x[1]'s grid index (-16 minus -13,
+    # the code 6), not from the literal's exact value (which would give -2)
     x = np.array([999.9992065429688, 999.9978637695312, 999.9976196289062], np.float32)
     eb = 5e-5
-    (call,) = quantize_calls(predictive.encode_abs, x, eb, 1 << 16, 4)
-    syms, _, lits = predictive.quantize(*call)
+    (call,) = quantize_calls(predictive.encode_abs, x, eb, 4)
+    codes, _, lits = predictive.quantize(*call)
     assert lits.tolist() == [0, 1]
-    assert syms[2] - (1 << 16) == -3
-    buf, recon = predictive.encode_abs(x, eb, 1 << 16, 4)
+    assert codes[2] == 6
+    buf, recon = predictive.encode_abs(x, eb, 4)
     out = predictive.decode(buf, 4)
     assert out.tobytes() == recon.tobytes()
     assert out[1] == x[1]
@@ -368,20 +367,16 @@ def test_value_past_the_grid_edge_is_a_literal_and_so_is_its_successor():
     # chain; 1.0 after it is a literal too, and 2.0 codes again.  The same
     # holds for 2^52 - 1 after 2^52 + 2, although their jump is small
     x = np.array([0.0, 1e20, 1.0, 2.0, 2.0**52 + 2, 2.0**52 - 1, 2.0**52 - 2])
-    (call,) = quantize_calls(predictive.encode_abs, x, 0.5, 1 << 16, 8)
+    (call,) = quantize_calls(predictive.encode_abs, x, 0.5, 8)
     assert predictive.quantize(*call)[2].tolist() == [0, 1, 2, 4, 5]
     _, out = enc_dec_abs(x, 0.5)
     assert np.array_equal(out, x)
 
 
-def reference_codes(syms, cap):
-    """The code of each symbol, one at a time: 0 for a literal, 2q + 1 for a
-    jump q >= 0, -2q for a jump q < 0 (q = symbol - cap)."""
-    codes = []
-    for sym in np.asarray(syms).tolist():
-        q = sym - cap
-        codes.append(0 if sym == predictive.LIT_SYM else 2 * q + 1 if q >= 0 else -2 * q)
-    return codes
+def reference_codes(jumps):
+    """The code of each jump, one at a time: 0 for a literal (None), 2q + 1
+    for a jump q >= 0, -2q for a jump q < 0."""
+    return [0 if q is None else 2 * q + 1 if q >= 0 else -2 * q for q in jumps]
 
 
 def reference_planes(codes, width=None):
@@ -390,22 +385,23 @@ def reference_planes(codes, width=None):
     return bytes((c >> 8 * i) & 0xFF for i in range(width) for c in codes)
 
 
-def code_stream(codes, lits, step, cap, width=None, flags=predictive._FLAG_DEFLATED):
-    """An abs-mode f64 one-column stream holding exactly the given codes and
-    literals, deflated in `width` byte planes (default: as few as fit)."""
+def code_stream(codes, lits, step, width=None, flags=predictive._FLAG_DEFLATED, signs=False):
+    """An f64 one-column stream holding exactly the given codes and literals,
+    deflated in `width` byte planes (default: as few as fit); with signs, a
+    pw_rel stream of positive values."""
     return b"".join((
-        predictive._HEAD.pack(flags, len(codes), 1),
-        predictive._CAP.pack(cap),
+        predictive._HEAD.pack(flags | (predictive._FLAG_SIGNS if signs else 0), len(codes), 1),
         np.array([(step, len(lits))], predictive._COLUMN).tobytes(),
         np.asarray(lits, "<f8").tobytes(),
+        bytes((len(codes) + 7) // 8) if signs else b"",
         lossless.lossless_encode(reference_planes(codes, width)),
     ))
 
 
-def hand_stream(syms, lits, step, cap):
-    """An abs-mode f64 one-column stream holding exactly the given symbols
-    and literals."""
-    return code_stream(reference_codes(syms, cap), lits, step, cap)
+def hand_stream(jumps, lits, step):
+    """An abs-mode f64 one-column stream holding exactly the given jumps
+    (None: a literal) and literals."""
+    return code_stream(reference_codes(jumps), lits, step)
 
 
 def test_literal_on_a_half_step_decodes_with_floor():
@@ -413,15 +409,14 @@ def test_literal_on_a_half_step_decodes_with_floor():
     # by a +1 jump.  floor((t - 0.25)/step + 1/2) puts them on indices 3 and
     # -1, so the jumps land on 4.25 and 0.25; round-half-even would give
     # 3.25 and -0.75, and re-anchoring at the literal 3.75 and -0.25
-    cap, lit = 1 << 16, predictive.LIT_SYM
-    buf = hand_stream([lit, lit, cap + 1, lit, cap + 1], [0.25, 2.75, -1.25], 1.0, cap)
+    buf = hand_stream([None, None, 1, None, 1], [0.25, 2.75, -1.25], 1.0)
     assert predictive.decode(buf, 8).tolist() == [0.25, 2.75, 4.25, -1.25, 0.25]
 
 
 def code_form(buf, width=8):
     """How a coded stream's code section was deflated: "huffman" for zlib's
     Huffman-only strategy, "deflated" for the default one."""
-    flags, _, _, off = sections(buf, width)
+    flags, _, off = sections(buf, width)
     assert flags & predictive._FLAG_DEFLATED
     planes = lossless.lossless_decode(buf[off:])
     if buf[off:] == lossless.lossless_encode(planes):
@@ -434,11 +429,11 @@ def stream_of(kind):
     rng = np.random.default_rng(11)
     walk = np.cumsum(rng.normal(size=3000))
     if kind == "huffman":  # one-byte codes: Huffman-only deflate wins
-        buf, _ = predictive.encode_abs(walk, 0.5, 1 << 16, 8)
+        buf, _ = predictive.encode_abs(walk, 0.5, 8)
     elif kind == "deflated":
-        buf, _ = predictive.encode_abs(walk, 1e-4, 1 << 16, 8)
+        buf, _ = predictive.encode_abs(walk, 1e-4, 8)
     elif kind == "pw_rel":
-        buf, _ = predictive.encode_pwrel(walk, 1e-3, 1 << 16, 8, None)
+        buf, _ = predictive.encode_pwrel(walk, 1e-3, 8)
     else:
         buf = predictive.encode_verbatim(walk, 8)
     return buf
@@ -474,54 +469,53 @@ def test_every_truncation_raises_codec_error(kind, cut):
 
 
 def sections(buf, width=8):
-    """(flags, symbol count, cap, offset of the code section) of a coded
-    block stream, read as docs/container_format.md lays it out."""
+    """(flags, code count, offset of the code section) of a coded block
+    stream, read as docs/container_format.md lays it out."""
     flags, n, k = predictive._HEAD.unpack_from(buf, 0)
     assert not flags & predictive._FLAG_VERBATIM
     off = predictive._HEAD.size
-    (cap,) = predictive._CAP.unpack_from(buf, off)
-    table = np.frombuffer(buf, predictive._COLUMN, count=k, offset=off + predictive._CAP.size)
-    off += predictive._CAP.size + table.nbytes + int(table["n_lit"].sum()) * width
+    table = np.frombuffer(buf, predictive._COLUMN, count=k, offset=off)
+    off += table.nbytes + int(table["n_lit"].sum()) * width
     count = n * int(np.count_nonzero(table["step"]))
     if flags & predictive._FLAG_SIGNS:
         off += (count + 7) // 8
-    return flags, count, cap, off
+    return flags, count, off
 
 
-def coded_symbols(encode, *args):
-    """An encoder's stream and the symbols it offered the entropy coder."""
+def coded_codes(encode, *args):
+    """An encoder's stream and the codes it offered the code section."""
     seen = []
     real = predictive._code
 
-    def spy(syms, *rest):
-        seen.append(syms.ravel().copy())
-        return real(syms, *rest)
+    def spy(codes, *rest):
+        seen.append(codes.ravel().copy())
+        return real(codes, *rest)
 
     predictive._code = spy
     try:
         buf, recon = encode(*args)
     finally:
         predictive._code = real
-    (syms,) = seen
-    return buf, recon, syms
+    (codes,) = seen
+    return buf, recon, codes
 
 
 def assert_form_and_round_trip(encode, *args):
     # a coded one-column stream deflates its codes in as few byte planes as
     # the largest needs; one-byte codes keep the smaller of the default and
     # the Huffman-only frame, the default on a tie
-    width = args[3]
-    buf, recon, syms = coded_symbols(encode, *args)
+    width = args[2]
+    buf, recon, codes = coded_codes(encode, *args)
     out = predictive.decode(buf, width)
     assert out.tobytes() == recon.tobytes()
     if buf[0] & predictive._FLAG_VERBATIM:
         return out
-    flags, _, cap, off = sections(buf, width)
+    flags, _, off = sections(buf, width)
     assert flags & predictive._FLAG_DEFLATED
-    planes = reference_planes(reference_codes(syms, cap))
-    assert predictive._planes(syms, cap) == planes
+    planes = reference_planes(codes.tolist())
+    assert predictive._planes(codes) == planes
     frame = lossless.lossless_encode(planes)
-    if len(planes) == syms.size:
+    if len(planes) == codes.size:
         frame = min(frame, lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY), key=len)
     assert buf[off:] == frame
     return out
@@ -537,20 +531,20 @@ def assert_form_and_round_trip(encode, *args):
     ),
     picks=st.lists(st.integers(0, 29), max_size=300),
     zeros=st.lists(st.integers(0, 299), max_size=4),
-    cap=st.sampled_from([64, 1 << 16, 1 << 30]),
     width=st.sampled_from([4, 8]),
 )
-def test_round_trip_on_both_sides_of_the_huffman_line(alphabet, picks, zeros, cap, width):
+def test_round_trip_on_both_sides_of_the_huffman_line(alphabet, picks, zeros, width):
     # integer walks at step 1 (abs) and log-walks at the pw_rel step code
     # exactly the drawn jumps, so a stream's alphabet is the drawn one plus
-    # the literal (and, for pw_rel, the zero symbol 2*cap).  Jumps 127 and
-    # -128 have the codes 255 and 256, so the codes straddle the line between
-    # one byte plane (where Huffman-only deflate is tried) and two
+    # the literal (and, for pw_rel, the zero code 1).  Jumps 127 and -128
+    # have the codes 255 and 256 (256 and 257 under pw_rel), so the codes
+    # straddle the line between one byte plane (where Huffman-only deflate
+    # is tried) and two
     jumps = np.array(alphabet + [alphabet[p % len(alphabet)] for p in picks], dtype=np.float64)
     x = np.cumsum(jumps)
     if width == 4:
         x = x.astype(np.float32)
-    out = assert_form_and_round_trip(predictive.encode_abs, x, 0.5, cap, width)
+    out = assert_form_and_round_trip(predictive.encode_abs, x, 0.5, width)
     assert np.all(np.abs(x.astype(np.float64) - out) <= 0.5)
 
     pw = 1e-3
@@ -558,31 +552,33 @@ def test_round_trip_on_both_sides_of_the_huffman_line(alphabet, picks, zeros, ca
     y[[z % y.size for z in zeros]] = 0.0
     if width == 4:
         y = y.astype(np.float32)
-    out = assert_form_and_round_trip(predictive.encode_pwrel, y, pw, cap, width, None)
+    out = assert_form_and_round_trip(predictive.encode_pwrel, y, pw, width)
     y = y.astype(np.float64)
     assert np.all(np.abs(y - out) <= pw * np.abs(y))
 
 
 def deflated_section(buf, width=8):
-    """Symbol count and offset of a deflated stream's code section."""
-    flags, count, _, off = sections(buf, width)
+    """Code count and offset of a deflated stream's code section."""
+    flags, count, off = sections(buf, width)
     assert flags & predictive._FLAG_DEFLATED
     return count, off
 
 
-def test_zero_symbol_at_the_largest_cap_tops_the_code_planes():
-    # pw_rel marks an exact zero with the symbol 2*cap, the code 2*cap + 1;
-    # at cap 2^30 that is 2^31 + 1, which sets the top bit of a 32-bit code
-    pw, cap = 1e-3, 1 << 30
-    x = np.exp(np.cumsum(np.arange(1, 41)) * 2 * np.log1p(pw))
+def test_pwrel_zeros_beside_short_jumps_take_one_byte_plane():
+    # a pw_rel block with zeros (flag 8) codes a zero as 1 and its jumps
+    # one higher, so zeros among jumps of a few steps keep every code below
+    # 256; without zeros its codes are the jumps' codes under abs
+    pw = 1e-3
+    x = np.exp(np.cumsum(np.tile([1, -2, 3, 5], 100)) * 2 * np.log1p(pw))
+    buf, _, plain = coded_codes(predictive.encode_pwrel, x, pw, 8)
+    assert buf[0] == predictive._FLAG_SIGNS | predictive._FLAG_DEFLATED
+    assert plain.tolist() == reference_codes([None] + ([1, -2, 3, 5] * 100)[1:])
     x[::7] = 0.0
-    buf, recon, syms = coded_symbols(predictive.encode_pwrel, x, pw, cap, 8, None)
-    assert (syms == 2 * cap).sum() == 6
+    buf, recon, codes = coded_codes(predictive.encode_pwrel, x, pw, 8)
+    assert buf[0] & predictive._FLAG_ZEROS
+    assert np.array_equal(codes == predictive.ZERO, x == 0.0)
     n, off = deflated_section(buf)
-    planes = np.frombuffer(lossless.lossless_decode(buf[off:]), np.uint8).reshape(4, n)
-    codes = planes.T.copy().view("<u4").ravel()
-    assert codes.max() == (1 << 31) + 1
-    assert np.array_equal(codes == (1 << 31) + 1, x == 0.0)
+    assert len(lossless.lossless_decode(buf[off:])) == n
     out = predictive.decode(buf, 8)
     assert out.tobytes() == recon.tobytes()
     assert np.array_equal(out == 0.0, x == 0.0)
@@ -615,26 +611,36 @@ def test_damaged_deflated_section_raises_codec_error(damage):
         predictive.decode(refit_frame(buf, damage(planes)), 8)
 
 
-def test_cap_beyond_32_bit_symbols_rejected():
-    # 2*cap, the pw_rel zero marker, must fit a u32 code
-    x = np.arange(40.0) ** 2
-    with pytest.raises(CodecError, match="32-bit"):
-        predictive.encode_abs(x, 0.5, 1 << 31, 8)
-    predictive.encode_abs(x, 0.5, (1 << 31) - 1, 8)
+def test_jumps_below_the_limit_code_and_longer_ones_are_literals():
+    # on a unit grid the jumps 2^30 - 1 and -(2^30 - 1) take the largest
+    # codes, 2^31 - 1 and 2^31 - 2, in four byte planes; jumps of 2^30
+    # either way are literals
+    limit = predictive.JUMP_LIMIT
+    at = [500, 1000, 1500, 1700]
+    moves = np.ones(2000)
+    moves[at] = [limit - 1, limit, -limit, 1 - limit]
+    x = np.cumsum(moves)
+    codes = extract_codes(x, 0.5)
+    assert codes[at].tolist() == [2 * limit - 1, 0, 0, 2 * limit - 2]
+    assert np.flatnonzero(codes == predictive.LITERAL).tolist() == [0, 1000, 1500]
+    buf, out = enc_dec_abs(x, 0.5)
+    n, off = deflated_section(buf)
+    assert len(lossless.lossless_decode(buf[off:])) == 4 * n
+    assert out.tobytes() == x.tobytes()
 
 
 def cast_like(r, width):
     return r.astype(np.float32).astype(np.float64) if width == 4 else r
 
 
-def reference_column(x, mode, bound, cap, width):
+def reference_column(x, mode, bound, width):
     """What one column decodes to when reference_quantize codes it alone."""
     x = x.astype(np.float64)
     if mode == "abs":
         def verify(r):
             return np.abs(x - cast_like(r, width)) <= bound
 
-        return cast_like(reference_quantize(x, verify, 2.0 * bound, cap)[1], width)
+        return cast_like(reference_quantize(x, verify, 2.0 * bound)[1], width)
     tiny = np.finfo(np.float32 if width == 4 else np.float64).tiny
     nz = np.flatnonzero(~(np.abs(x) < tiny))
     neg = np.signbit(x)
@@ -649,7 +655,7 @@ def reference_column(x, mode, bound, cap, width):
     def verify(r):
         return np.abs(x[nz] - signed(r)) <= bound * np.abs(x[nz])
 
-    syms, recon_t, lits = reference_quantize(target, verify, 2.0 * np.log1p(bound), cap)
+    _, recon_t, lits = reference_quantize(target, verify, 2.0 * np.log1p(bound))
     out = np.where(neg, -0.0, 0.0)
     out[nz] = signed(recon_t)
     out[nz[lits]] = x[nz[lits]]
@@ -664,7 +670,6 @@ def blocks(draw):
     n = draw(st.integers(1, 80))
     width = draw(st.sampled_from([4, 8]))
     mode = draw(st.sampled_from(["abs", "pw_rel"]))
-    cap = draw(st.sampled_from([3, 16, 1 << 16]))
     pw = draw(st.sampled_from([1e-4, 0.01, 0.3]))
     cols, bounds = [], []
     for _ in range(n_cols):
@@ -687,26 +692,25 @@ def blocks(draw):
     if width == 4:
         with np.errstate(over="ignore"):
             x = x.astype(np.float32)
-    return x, mode, (bounds if mode == "abs" else pw), cap, width
+    return x, mode, (bounds if mode == "abs" else pw), width
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=blocks())
 def test_block_columns_decode_as_each_column_alone(case):
-    x, mode, bound, cap, width = case
+    x, mode, bound, width = case
     if mode == "abs":
-        buf, recon = predictive.encode_abs(x, bound, cap, width)
+        buf, recon = predictive.encode_abs(x, bound, width)
     else:
-        buf, recon = predictive.encode_pwrel(x, bound, cap, width, None)
+        buf, recon = predictive.encode_pwrel(x, bound, width)
     out = predictive.decode(buf, width)
     assert out.tobytes() == recon.tobytes()
     n, k = x.shape
     if buf[0] & predictive._FLAG_VERBATIM:
         verbatim = [True] * k
     else:
-        offset = predictive._HEAD.size + predictive._CAP.size
-        steps = np.frombuffer(buf, predictive._COLUMN, count=k, offset=offset)["step"]
-        verbatim = steps == 0
+        table = np.frombuffer(buf, predictive._COLUMN, count=k, offset=predictive._HEAD.size)
+        verbatim = table["step"] == 0
     for j in range(k):
         col = x[:, j].astype(np.float64)
         eb = bound[j] if mode == "abs" else bound
@@ -714,7 +718,7 @@ def test_block_columns_decode_as_each_column_alone(case):
             want = col
         else:
             assert eb > 0
-            want = reference_column(x[:, j], mode, eb, cap, width)
+            want = reference_column(x[:, j], mode, eb, width)
         assert out[j * n : (j + 1) * n].tobytes() == want.tobytes()
         if mode == "abs" and eb == 0:
             assert verbatim[j]
@@ -725,11 +729,11 @@ def block_stream(form):
     rng = np.random.default_rng(17)
     x = np.cumsum(rng.normal(size=(400, 3)), axis=0)
     if form == "huffman":  # one-byte codes: Huffman-only deflate wins
-        buf, _ = predictive.encode_abs(x, 0.5, 1 << 16, 8)
+        buf, _ = predictive.encode_abs(x, 0.5, 8)
     elif form == "deflated":
-        buf, _ = predictive.encode_abs(x, 1e-4, 1 << 16, 8)
+        buf, _ = predictive.encode_abs(x, 1e-4, 8)
     else:
-        buf, _ = predictive.encode_pwrel(x, 1e-3, 1 << 16, 8, None)
+        buf, _ = predictive.encode_pwrel(x, 1e-3, 8)
     return buf
 
 
@@ -738,7 +742,7 @@ def patch(buf, offset, fmt, value):
 
 
 def code_offset(buf):
-    return sections(buf)[3]
+    return sections(buf)[2]
 
 
 # every field of the block header and column table, each damaged so the
@@ -747,22 +751,21 @@ HEADER_DAMAGE = {
     "flags-unknown": (0, "<B", 8),
     "flags-verbatim": (0, "<B", 1),
     "flags-deflated-toggled": (0, "<B", None),
+    "flags-zeros-without-signs": (0, "<B", 12),
     "n_rows-longer": (1, "<I", 401),
     "n_rows-shorter": (1, "<I", 399),
     "n_rows-zero": (1, "<I", 0),
     "n_cols-more": (5, "<I", 4),
     "n_cols-fewer": (5, "<I", 2),
     "n_cols-huge": (5, "<I", 0xFFFFFFFF),
-    "cap-zero": (9, "<I", 0),
-    "cap-too-wide": (9, "<I", 1 << 31),
-    "step-negative": (13, "<d", -0.5),
-    "step-nan": (13, "<d", math.nan),
-    "step-inf": (13, "<d", math.inf),
-    "step-zero-on-a-coded-column": (25, "<d", 0.0),
-    "n_lit-more": (21, "<I", None),
-    "n_lit-fewer": (45, "<I", None),
-    "n_lit-past-the-column": (21, "<I", 401),
-    "n_lit-moved-between-columns": (21, "<I", None),
+    "step-negative": (9, "<d", -0.5),
+    "step-nan": (9, "<d", math.nan),
+    "step-inf": (9, "<d", math.inf),
+    "step-zero-on-a-coded-column": (21, "<d", 0.0),
+    "n_lit-more": (17, "<I", None),
+    "n_lit-fewer": (41, "<I", None),
+    "n_lit-past-the-column": (17, "<I", 401),
+    "n_lit-moved-between-columns": (17, "<I", None),
 }
 
 
@@ -774,17 +777,17 @@ def test_damaged_block_header_raises_codec_error(form, field):
     if form != "pw_rel":
         assert code_form(buf) == form
     assert bool(flags & predictive._FLAG_SIGNS) == (form == "pw_rel")
-    table = np.frombuffer(buf, predictive._COLUMN, count=3, offset=13)
+    table = np.frombuffer(buf, predictive._COLUMN, count=3, offset=9)
     assert (table["step"] > 0).all()  # every column coded
     offset, fmt, value = HEADER_DAMAGE[field]
     if field == "flags-deflated-toggled":
         value = flags ^ predictive._FLAG_DEFLATED
     elif field.startswith("n_lit-"):
-        column = (offset - 21) // 12
+        column = (offset - 17) // 12
         value = value or int(table["n_lit"][column]) + (-1 if field == "n_lit-fewer" else 1)
     bad = patch(buf, offset, fmt, value)
     if field == "n_lit-moved-between-columns":  # the literal section keeps its size
-        bad = patch(bad, 33, "<I", int(table["n_lit"][1]) - 1)
+        bad = patch(bad, 29, "<I", int(table["n_lit"][1]) - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(CodecError):
@@ -826,7 +829,7 @@ def test_narrow_codes_deflate_when_that_is_smaller():
     # matching far less, so the default frame wins although the codes fit
     # one byte
     x = np.arange(8000.0)
-    buf, recon = predictive.encode_abs(x, 0.25, 1 << 16, 8)
+    buf, recon = predictive.encode_abs(x, 0.25, 8)
     assert code_form(buf) == "deflated"
     assert len(buf) < 8000 // 8
     assert predictive.decode(buf, 8).tobytes() == recon.tobytes()
@@ -840,11 +843,11 @@ def test_narrow_codes_deflate_when_that_is_smaller():
 def test_code_width_follows_the_largest_code(jump, code, planes):
     # one far jump in a unit walk sets how many byte planes every code takes
     x = np.cumsum(np.insert(np.ones(1999), 1000, jump))
-    buf, recon = predictive.encode_abs(x, 0.5, 1 << 30, 8)
+    buf, recon = predictive.encode_abs(x, 0.5, 8)
     n, off = deflated_section(buf)
     codes = lossless.lossless_decode(buf[off:])
     assert len(codes) == planes * n
-    want = reference_codes(extract_symbols(x, 0.5, 1 << 30)[0], 1 << 30)
+    want = extract_codes(x, 0.5).tolist()
     assert max(want) == code and reference_planes(want) == codes
     assert predictive.decode(buf, 8).tobytes() == recon.tobytes() == x.tobytes()
 
@@ -852,37 +855,48 @@ def test_code_width_follows_the_largest_code(jump, code, planes):
 def test_wider_planes_than_needed_decode_alike():
     # the decoder takes the plane count from the frame's size, so codes
     # written wider than they need decode to the same values
-    cap, lit = 1 << 16, predictive.LIT_SYM
-    codes = reference_codes([lit, cap + 1, cap - 2, cap, lit], cap)
-    want = predictive.decode(code_stream(codes, [0.5, 9.0], 1.0, cap), 8)
+    codes = reference_codes([None, 1, -2, 0, None])
+    want = predictive.decode(code_stream(codes, [0.5, 9.0], 1.0), 8)
     assert want.tolist() == [0.5, 1.5, -0.5, -0.5, 9.0]
     for width in (2, 3, 4):
-        assert predictive.decode(code_stream(codes, [0.5, 9.0], 1.0, cap, width), 8).tolist() == \
+        assert predictive.decode(code_stream(codes, [0.5, 9.0], 1.0, width), 8).tolist() == \
             want.tolist()
 
 
+# the code of the longest jump, 2^30 - 1 steps; one higher in a pw_rel
+# block with zeros
+TOP = 2 * predictive.JUMP_LIMIT - 1
+WITH_ZEROS = predictive._FLAG_DEFLATED | predictive._FLAG_ZEROS
+
+
+def test_the_longest_jumps_decode():
+    # 1 is a jump of 0, except in a pw_rel block with zeros, where it is a
+    # zero and 2 is a jump of 0
+    limit = predictive.JUMP_LIMIT
+    out = predictive.decode(code_stream([0, 3, TOP, 1], [1.0], 1.0), 8)
+    assert out.tolist() == [1.0, 2.0, 1.0 + limit, 1.0 + limit]
+    out = predictive.decode(code_stream([0, 2, TOP, 1], [1.0], 1e-10, signs=True), 8)
+    assert out[0] == 1.0 and out[1] == pytest.approx(1.0 - 1e-10, abs=1e-15)
+    assert out[2] == out[3] == pytest.approx(math.exp((limit - 2) * 1e-10))
+    zeros = code_stream([0, 2, TOP + 1, 1], [1.0], 1e-10, flags=WITH_ZEROS, signs=True)
+    out = predictive.decode(zeros, 8)
+    assert out[:2].tolist() == [1.0, 1.0] and out[3] == 0.0
+    assert out[2] == pytest.approx(math.exp((limit - 1) * 1e-10))
+
+
 @pytest.mark.parametrize(
-    "extra, flags",
+    "extra, signs, flags",
     [
-        (32, predictive._FLAG_DEFLATED),  # 2*cap: the literal's symbol, as a jump
-        (33, predictive._FLAG_DEFLATED),  # 2*cap + 1: a zero outside pw_rel
-        (34, predictive._FLAG_DEFLATED | predictive._FLAG_SIGNS),
-        (0xFFFFFFFF, predictive._FLAG_DEFLATED | predictive._FLAG_SIGNS),
-        (3, 0),  # a valid code without flag 4
+        (TOP + 1, True, predictive._FLAG_DEFLATED),  # the longest jump with zeros, without
+        (TOP + 2, True, WITH_ZEROS),
+        (0xFFFFFFFF, True, WITH_ZEROS),
+        (3, False, 0),  # a valid code without flag 4
     ],
-    ids=["literal-alias", "zero-outside-pw_rel", "past-the-zero", "u32-max", "no-flag-4"],
+    ids=["past-the-top", "past-the-top-with-zeros", "u32-max", "no-flag-4"],
 )
-def test_code_the_encoder_cannot_write_raises_codec_error(extra, flags):
-    # at cap 16 codes run from 0 to 31, plus 33 for a pw_rel zero; a block
-    # that codes a column always sets flag 4
-    cap = 16
-    signs = b"\0" if flags & predictive._FLAG_SIGNS else b""
-    good = code_stream([0, 3, 2 * cap - 1, 2 * cap - 2], [1.0], 1.0, cap)
-    assert predictive.decode(good, 8).tolist() == [1.0, 2.0, 17.0, 2.0]
-    bad = code_stream([0, 3, extra, 1], [1.0], 1.0, cap, flags=flags)
-    if signs:
-        off = len(bad) - len(lossless.lossless_encode(reference_planes([0, 3, extra, 1])))
-        bad = bad[:off] + signs + bad[off:]
+def test_code_the_encoder_cannot_write_raises_codec_error(extra, signs, flags):
+    # a block that codes a column always sets flag 4
+    bad = code_stream([0, 3, extra, 1], [1.0], 1e-10, flags=flags, signs=signs)
     with pytest.raises(CodecError):
         predictive.decode(bad, 8)
 
@@ -902,9 +916,9 @@ def test_signalling_nan_literal_decodes_without_a_warning():
     # a stored f32 literal may hold any bit pattern, a signalling NaN too;
     # widening it must not raise NumPy's invalid-value warning
     x = np.cumsum(np.random.default_rng(9).normal(size=(300, 2)), axis=0).astype(np.float32)
-    buf, _ = predictive.encode_abs(x, 0.05, 1 << 16, 4)
+    buf, _ = predictive.encode_abs(x, 0.05, 4)
     assert not buf[0] & predictive._FLAG_VERBATIM
-    first_literal = predictive._HEAD.size + predictive._CAP.size + 2 * predictive._COLUMN.itemsize
+    first_literal = predictive._HEAD.size + 2 * predictive._COLUMN.itemsize
     bad = patch(buf, first_literal, "<I", 0x7F800001)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -190,8 +190,9 @@ def test_campaign_file_rejects_bad_yaml(tmp_path):
 
 
 def test_campaign_file_rejects_unknown_knob(tmp_path):
-    # `codec` selected the lossless backend before zlib became the only one
-    for knob in ("not_a_knob", "codec"):
+    # `codec` selected the lossless backend before zlib became the only one;
+    # the last three became constants of the format
+    for knob in ("not_a_knob", "codec", "quant_bin_cap", "block_size", "pw_rel_zero_floor"):
         doc = campaign_doc()
         doc["methods"] = [{"method": "lossless", "knobs": {knob: 1}}]
         with pytest.raises(ConfigError, match="unknown knobs"):
