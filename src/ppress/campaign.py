@@ -693,6 +693,13 @@ def run_campaign(
     """
     if not apps or not methods:
         raise ConfigError("campaign needs at least one application and one method")
+    bits = 8 * min(pair.train.values.itemsize, pair.validation.values.itemsize)
+    for entry in methods:
+        if isinstance(entry, SearchDomain) and entry.mode is Mode.RATE and entry.bound_max > bits:
+            raise ConfigError(
+                f"bit-plane rate domain reaches {entry.bound_max:g}, past the {bits}-bit "
+                "values of the dataset"
+            )
     records: list[EvaluationRecord] = []
     memo: Memo = {}
 

@@ -1,4 +1,9 @@
-"""Top-level reduce/restore entry points over the container format."""
+"""Top-level reduce/restore entry points over the container format.
+
+Every artifact holds one stream over the whole table.  The layout sets only
+the order of its values: `by_column` column after column, `matrix` row after
+row.
+"""
 
 from __future__ import annotations
 
@@ -62,18 +67,20 @@ def resolve_bound(mode: Mode, c_value: float, stats: ColumnStats | None = None):
     raise ConfigError(f"mode {mode.value} does not define an absolute bound")
 
 
-def _encode_stream(col: np.ndarray, config: ReducerConfig, width: int) -> bytes:
+def _encode_stream(flat: np.ndarray, config: ReducerConfig, width: int) -> bytes:
+    """The stream of every method but the predictive one: `flat` holds the
+    table's values in the layout's order."""
     knobs = config.knobs
     method = config.method
     if method is Method.NONE or method in SAMPLING_METHODS:
-        return col.tobytes()
+        return flat.tobytes()
     if method is Method.LOSSLESS:
-        arr = delta.delta_transform(col, knobs.delta_order) if knobs.delta_order else col
+        arr = delta.delta_transform(flat, knobs.delta_order) if knobs.delta_order else flat
         return bytes([knobs.delta_order]) + lossless.lossless_encode(arr.tobytes())
     if method is Method.TRUNC:
-        return truncation.narrow_values(col, int(config.c[0])).tobytes()
+        return truncation.narrow_values(flat, int(config.c[0])).tobytes()
     if method is Method.EBLC_BITPLANE:
-        return bitplane.encode(col, config.mode.value, config.c[0], width)[0]
+        return bitplane.encode(flat, config.mode.value, config.c[0], width)[0]
     raise ConfigError(f"method {method.value} has no stream encoder")
 
 
@@ -110,15 +117,14 @@ def compress(dataset: Dataset, config: ReducerConfig) -> tuple[Artifact, float, 
         kept = sampling.sample_indices(dataset.n_obs, scheme, config.c[0], config.knobs.seed)
         values = values[kept]
     if config.method is Method.EBLC_PRED:
-        streams = [_encode_predictive(dataset, config, width)]
-    elif config.layout is Layout.MATRIX:
-        streams = [_encode_stream(values.ravel(), config, width)]
+        stream = _encode_predictive(dataset, config, width)
     else:
-        streams = [_encode_stream(np.ascontiguousarray(col), config, width) for col in values.T]
+        order = "C" if config.layout is Layout.MATRIX else "F"
+        stream = _encode_stream(values.ravel(order=order), config, width)
 
     artifact = Artifact(
         method=config.method, mode=config.mode, c=config.c, layout=config.layout,
-        dtype=dataset.dtype, n_obs=dataset.n_obs, n_feat=dataset.n_feat, streams=tuple(streams),
+        dtype=dataset.dtype, n_obs=dataset.n_obs, n_feat=dataset.n_feat, stream=stream,
     )
     dt = time.perf_counter() - t0
     return artifact, dt, dataset.n_bytes / 1e6 / max(dt, 1e-12)
@@ -135,8 +141,7 @@ def _values(buf: bytes, dtype: np.dtype, count: int | None) -> np.ndarray:
 
 def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.ndarray:
     method = artifact.method
-    # values in one stream of a method that keeps every row
-    count = artifact.n_obs * (artifact.n_feat if artifact.layout is Layout.MATRIX else 1)
+    count = artifact.n_obs * artifact.n_feat  # values of a method that keeps every row
     if method in SAMPLING_METHODS:
         return _values(blob, np_dtype, None)
     if method is Method.NONE:
@@ -164,22 +169,13 @@ def decompress(
     """Restore a dataset from an artifact; returns (dataset, seconds, MB/s)."""
     t0 = time.perf_counter()
     np_dtype = np.dtype(DTYPES[artifact.dtype])
-    cols = [_decode_stream(blob, artifact, np_dtype) for blob in artifact.streams]
+    flat = _decode_stream(artifact.stream, artifact, np_dtype)
+    if not artifact.n_feat or flat.size % artifact.n_feat:
+        raise DataFormatError(f"{flat.size} values are not whole rows of {artifact.n_feat}")
     if artifact.layout is Layout.MATRIX:
-        flat = cols[0]
-        if flat.size % artifact.n_feat:
-            raise DataFormatError("matrix stream size is not a multiple of n_feat")
         values = flat.reshape(-1, artifact.n_feat)
     else:
-        if artifact.method is Method.EBLC_PRED and len(cols) == 1:
-            # one block stream holds every column, one after another
-            cols = np.array_split(cols[0], artifact.n_feat)
-        if len(cols) != artifact.n_feat:
-            raise DataFormatError(f"{len(cols)} streams for {artifact.n_feat} columns")
-        sizes = {c.size for c in cols}
-        if len(sizes) != 1:
-            raise DataFormatError("columns decoded to different lengths")
-        values = np.column_stack(cols)
+        values = flat.reshape(artifact.n_feat, -1).T
     if artifact.method not in SAMPLING_METHODS and values.shape[0] != artifact.n_obs:
         raise DataFormatError(f"decoded {values.shape[0]} rows, header says {artifact.n_obs}")
     names = tuple(names) if names is not None else default_names(artifact.n_feat)
@@ -190,12 +186,8 @@ def decompress(
 
 def retained_rows(artifact: Artifact) -> int:
     """Rows present in the artifact (smaller than n_obs for sampling)."""
-    if not artifact.streams:
-        return 0
-    per_value = artifact.value_width
     if artifact.method in SAMPLING_METHODS:
-        n = len(artifact.streams[0]) // per_value
-        return n // artifact.n_feat if artifact.layout is Layout.MATRIX else n
+        return len(artifact.stream) // (artifact.value_width * artifact.n_feat)
     return artifact.n_obs
 
 

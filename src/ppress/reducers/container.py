@@ -4,10 +4,9 @@ Byte layout (all integers little-endian), in order:
 
   magic "PPRS" | version u16 | method u8 | mode u8 | n_bound u8 |
   bound f64 x n_bound | layout u8 | dtype-width u8 | n_obs u64 | n_feat u32 |
-  stream_count u32 | per-stream table (offset u64, length u64, crc32 u32) |
-  stream bytes
+  stream length u64 | stream crc32 u32 | stream bytes
 
-Offsets are absolute from the start of the container.  Everything a decoder
+The one stream runs to the end of the container.  Everything a decoder
 needs is in the container; no side channel.
 """
 
@@ -21,7 +20,7 @@ from ..errors import DataFormatError
 from .config import Layout, Method, Mode
 
 MAGIC = b"PPRS"
-VERSION = 7
+VERSION = 8
 
 _METHOD_CODE = {
     Method.EBLC_PRED: 1,
@@ -54,8 +53,8 @@ _WIDTH_DTYPE = {4: "f32", 8: "f64"}
 _DTYPE_WIDTH = {v: k for k, v in _WIDTH_DTYPE.items()}
 
 _FIXED = struct.Struct("<4sHBBB")  # magic, version, method, mode, n_bound
-_SHAPE = struct.Struct("<BBQII")  # layout, dtype width, n_obs, n_feat, n_streams
-_ENTRY = struct.Struct("<QQI")  # offset, length, crc32
+_SHAPE = struct.Struct("<BBQI")  # layout, dtype width, n_obs, n_feat
+_ENTRY = struct.Struct("<QI")  # stream length, crc32
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class Artifact:
     dtype: str
     n_obs: int
     n_feat: int
-    streams: tuple[bytes, ...]
+    stream: bytes
 
     @property
     def value_width(self) -> int:
@@ -81,11 +80,11 @@ class Artifact:
 
     @property
     def header_bytes(self) -> int:
-        return _FIXED.size + 8 * len(self.c) + _SHAPE.size + _ENTRY.size * len(self.streams)
+        return _FIXED.size + 8 * len(self.c) + _SHAPE.size + _ENTRY.size
 
     @property
     def comp_bytes(self) -> int:
-        return self.header_bytes + sum(len(s) for s in self.streams)
+        return self.header_bytes + len(self.stream)
 
 
 def pack(artifact: Artifact) -> bytes:
@@ -103,14 +102,10 @@ def pack(artifact: Artifact) -> bytes:
             artifact.value_width,
             artifact.n_obs,
             artifact.n_feat,
-            len(artifact.streams),
         ),
+        _ENTRY.pack(len(artifact.stream), zlib.crc32(artifact.stream)),
+        artifact.stream,
     ]
-    offset = artifact.header_bytes
-    for s in artifact.streams:
-        parts.append(_ENTRY.pack(offset, len(s), zlib.crc32(s)))
-        offset += len(s)
-    parts.extend(artifact.streams)
     out = b"".join(parts)
     if len(out) != artifact.comp_bytes:
         raise AssertionError("container size accounting is wrong")
@@ -126,12 +121,14 @@ def unpack(buf: bytes) -> Artifact:
     if version != VERSION:
         raise DataFormatError(f"unsupported container version {version}")
     off = _FIXED.size
-    if len(buf) < off + 8 * n_bound + _SHAPE.size:
+    if len(buf) < off + 8 * n_bound + _SHAPE.size + _ENTRY.size:
         raise DataFormatError("container header truncated")
     c = struct.unpack_from(f"<{n_bound}d", buf, off)
     off += 8 * n_bound
-    layout_code, width, n_obs, n_feat, n_streams = _SHAPE.unpack_from(buf, off)
+    layout_code, width, n_obs, n_feat = _SHAPE.unpack_from(buf, off)
     off += _SHAPE.size
+    length, crc = _ENTRY.unpack_from(buf, off)
+    off += _ENTRY.size
 
     method = _CODE_METHOD.get(method_code)
     mode = _CODE_MODE.get(mode_code)
@@ -140,17 +137,13 @@ def unpack(buf: bytes) -> Artifact:
     if method is None or mode is None or layout is None or dtype is None:
         raise DataFormatError("container header has unknown enum codes")
 
-    if len(buf) < off + _ENTRY.size * n_streams:
-        raise DataFormatError("container stream table truncated")
-    streams = []
-    for i in range(n_streams):
-        s_off, s_len, crc = _ENTRY.unpack_from(buf, off + _ENTRY.size * i)
-        blob = buf[s_off : s_off + s_len]
-        if len(blob) != s_len:
-            raise DataFormatError(f"stream {i} extends past end of container")
-        if zlib.crc32(blob) != crc:
-            raise DataFormatError(f"stream {i} failed its checksum")
-        streams.append(blob)
+    stream = buf[off:]
+    if len(stream) != length:
+        raise DataFormatError(
+            f"stream declares {length} bytes, but {len(stream)} follow the header"
+        )
+    if zlib.crc32(stream) != crc:
+        raise DataFormatError("stream failed its checksum")
     return Artifact(
         method=method,
         mode=mode,
@@ -159,5 +152,5 @@ def unpack(buf: bytes) -> Artifact:
         dtype=dtype,
         n_obs=n_obs,
         n_feat=n_feat,
-        streams=tuple(streams),
+        stream=stream,
     )

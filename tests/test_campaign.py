@@ -533,6 +533,29 @@ def test_run_campaign_survives_infeasible_method(tmp_path):
     assert all(r.ok for r in records)
 
 
+def test_run_campaign_rejects_a_rate_domain_past_the_value_width():
+    # a rate above the value width is a ConfigError before any evaluation,
+    # not a domain given up as infeasible at its first probe
+    pair = linear_pair(n=80)
+    spec = SearchSpec(tau=0.5, n_candidates=3, max_iters=4)
+    domain = SearchDomain(Method.EBLC_BITPLANE, Mode.RATE, 1, 100, scale="linear")
+    seen = []
+    with pytest.raises(ConfigError, match="rate"):
+        run_campaign(pair, [ridge_app()], [domain], spec, observer=seen.append)
+    assert seen == []
+
+
+def test_run_campaign_searches_a_rate_domain_up_to_the_value_width():
+    pair = linear_pair(n=80)
+    spec = SearchSpec(tau=0.5, n_candidates=3, max_iters=4)
+    domain = SearchDomain(Method.EBLC_BITPLANE, Mode.RATE, 1, 64, scale="linear")
+    steps = []
+    records = run_campaign(pair, [ridge_app()], [domain], spec, observer=steps.append)
+    (searched,) = [s for s in steps if isinstance(s, DomainSearched)]
+    assert searched.reason is None and searched.ladder is not None
+    assert all(r.ok for r in records)
+
+
 def test_run_campaign_observer_reports_every_step():
     pair = linear_pair(n=100)
     apps = [ridge_app(), replace(ridge_app(seed=3), id="ridge3")]

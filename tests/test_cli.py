@@ -233,6 +233,17 @@ def test_search_bad_campaign_value_is_config_error(tmp_path, capsys, edit):
     assert not (tmp_path / "records.jsonl").exists()
 
 
+def test_search_rate_domain_past_the_value_width_is_config_error(tmp_path, capsys):
+    campaign = write_campaign(
+        tmp_path,
+        [{"method": "eblc_bitplane", "mode": "rate", "bound_min": 1, "bound_max": 100,
+          "scale": "linear"}],
+    )
+    assert main(["search", str(campaign)]) == 2
+    assert "past the 64-bit values" in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 def test_pareto_from_store(tmp_path, capsys):
     campaign = write_campaign(
         tmp_path,

@@ -31,7 +31,7 @@ from ppress.reducers import (
     retained_rows,
     unpack,
 )
-from ppress.reducers import container, lossless, predictive
+from ppress.reducers import bitplane, container, lossless, predictive
 from ppress.tabular import ColumnStats, from_array
 
 
@@ -87,7 +87,7 @@ def test_container_round_trip_bytes():
         dtype="f64",
         n_obs=7,
         n_feat=2,
-        streams=(b"alpha", b"bee"),
+        stream=b"alphabee",
     )
     buf = pack(art)
     assert buf[:4] == b"PPRS"
@@ -104,9 +104,10 @@ def test_container_rejects_corruption():
         dtype="f32",
         n_obs=1,
         n_feat=1,
-        streams=(b"0123456789",),
+        stream=b"0123456789",
     )
-    buf = bytearray(pack(art))
+    good = pack(art)
+    buf = bytearray(good)
     buf[-3] ^= 0xFF
     with pytest.raises(DataFormatError):
         unpack(bytes(buf))
@@ -114,6 +115,14 @@ def test_container_rejects_corruption():
         unpack(b"XXXX" + bytes(buf[4:]))
     with pytest.raises(DataFormatError):
         unpack(bytes(buf[: len(buf) // 2]))
+    # the stream runs to the end of the container: no bytes may follow it
+    with pytest.raises(DataFormatError, match="follow the header"):
+        unpack(good + b"garbage")
+    # a buffer cut inside the stream's length and checksum entry
+    entry = container._FIXED.size + container._SHAPE.size
+    for cut in (entry, entry + 5, entry + container._ENTRY.size - 1):
+        with pytest.raises(DataFormatError, match="header truncated"):
+            unpack(good[:cut])
 
 
 def test_none_method_is_identity_with_header_overhead():
@@ -145,13 +154,11 @@ def test_lossless_smooth_data_compresses():
 
 def test_lossless_method_frame_is_plain_zlib():
     # a lossless stream is its order byte, the frame header and exactly
-    # what zlib.compress writes for the column's bytes
+    # what zlib.compress writes for the table's bytes, column after column
     ds = walk_ds(n=3000, k=2)
     art, _, _ = compress(ds, ReducerConfig(Method.LOSSLESS))
-    assert len(art.streams) == 2
-    for j, stream in enumerate(art.streams):
-        data = ds.values[:, j].astype("<f8").tobytes()
-        assert stream == b"\0" + lossless._HEAD.pack(1, len(data)) + zlib.compress(data)
+    data = ds.values.ravel(order="F").astype("<f8").tobytes()
+    assert art.stream == b"\0" + lossless._HEAD.pack(1, len(data)) + zlib.compress(data)
 
 
 def test_trunc_32_halves_storage():
@@ -296,10 +303,43 @@ def test_eblc_bitplane_prec_full_makes_near_lossless():
 def test_matrix_layout_single_stream_global_bound():
     ds = rand_ds(seed=31)
     cfg = ReducerConfig(Method.EBLC_PRED, Mode.REL, c=(1e-3,), layout=Layout.MATRIX)
-    art, out = round_trip(ds, cfg)
-    assert len(art.streams) == 1
+    _, out = round_trip(ds, cfg)
     grange = ds.values.max() - ds.values.min()
     assert error_report(ds, out).max_abs_err <= 1e-3 * grange
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ReducerConfig(Method.NONE),
+        ReducerConfig(Method.LOSSLESS),
+        ReducerConfig(Method.TRUNC, c=(32,)),
+        ReducerConfig(Method.SAMPLE_WOR, c=(0.3,), knobs=ReducerKnobs(seed=4)),
+    ],
+    ids=["none", "lossless", "trunc", "sample_wor"],
+)
+def test_layout_only_orders_the_values(config):
+    # by_column writes column after column, matrix row after row; both
+    # decode to the same table
+    ds = rand_ds(n=301, seed=41)
+    by_column, out_column = round_trip(ds, config)
+    matrix, out_matrix = round_trip(ds, replace(config, layout=Layout.MATRIX))
+    assert out_column.values.tobytes() == out_matrix.values.tobytes()
+    assert retained_rows(by_column) == retained_rows(matrix) == out_column.n_obs
+    if config.method is Method.NONE:
+        assert by_column.stream == ds.values.T.tobytes()
+        assert matrix.stream == ds.values.tobytes()
+
+
+def test_bitplane_acc_blocks_across_column_boundaries_meet_the_bound():
+    # at 999 rows the 4-value blocks of a by-column stream straddle each
+    # column boundary, mixing columns 5·10^4 apart in scale; acc checks
+    # every block, so the bound still holds
+    ds = rand_ds(n=999, seed=43)
+    for bound in (1e-2, 1e-4, 1e-6, 1e-9):
+        art, out = round_trip(ds, ReducerConfig(Method.EBLC_BITPLANE, Mode.ACC, (bound,)))
+        assert bitplane._HEAD.unpack_from(art.stream)[1] == 999 * 3  # one stream of values
+        assert error_report(ds, out).max_abs_err <= bound
 
 
 def test_f32_datasets_round_trip():
@@ -391,7 +431,7 @@ def walk_ds(n=4000, k=1, dtype="f64"):
 def test_damaged_stream_raises_codec_error(config, dtype, damage):
     art, _, _ = compress(walk_ds(dtype=dtype), config)
     with pytest.raises(CodecError):
-        decompress(replace(art, streams=(damage(art.streams[0]),)))
+        decompress(replace(art, stream=damage(art.stream)))
 
 
 FUZZ_CONFIGS = [
@@ -427,8 +467,7 @@ def fuzz_artifact(i):
 @given(config=st.integers(0, len(FUZZ_CONFIGS) - 1), data=st.data())
 def test_mutated_stream_decodes_or_raises_format_errors(config, data):
     art = fuzz_artifact(config)
-    j = data.draw(st.integers(0, len(art.streams) - 1), label="stream")
-    blob = art.streams[j]
+    blob = art.stream
     how = data.draw(st.sampled_from(["truncate", "flip", "append"]), label="mutation")
     if how == "truncate":
         bad = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
@@ -439,13 +478,12 @@ def test_mutated_stream_decodes_or_raises_format_errors(config, data):
         bad = bytes(bad)
     else:
         bad = blob + data.draw(st.binary(min_size=1, max_size=16), label="tail")
-    streams = art.streams[:j] + (bad,) + art.streams[j + 1 :]
     # an Artifact built in memory skips the container's CRC, so the decoders
     # see the damage; they must raise, not warn and return ±inf or NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            out, _, _ = decompress(replace(art, streams=streams))
+            out, _, _ = decompress(replace(art, stream=bad))
         except (CodecError, DataFormatError):
             return
     if art.method in (Method.EBLC_PRED, Method.EBLC_BITPLANE):
@@ -457,7 +495,7 @@ def overwrite(blob, offset, fmt, value):
 
 
 # case: (config, dtype, NaN literal in the data?, damage).  Each damage
-# rewrites one header field of an in-memory artifact's first stream so that
+# rewrites one header field of an in-memory artifact's stream so that
 # decoding would overflow or turn NaN.  Offsets follow
 # docs/container_format.md: predictive `flags u8, n_rows u32, n_cols u32`,
 # then the first column's `step f64`,
@@ -491,7 +529,7 @@ def test_overflowing_stream_raises_codec_error(case):
         values[7, 0] = math.nan  # a literal that is non-finite by right
         ds = from_array(values, allow_nonfinite=True)
     art, _, _ = compress(ds, config)
-    bad = replace(art, streams=(damage(art.streams[0]),) + art.streams[1:])
+    bad = replace(art, stream=damage(art.stream))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(CodecError):
@@ -530,7 +568,7 @@ def test_no_predictive_stream_exceeds_raw(dtype, mode, bound, layout):
     ds = rough_ds(dtype=dtype)
     k = ds.n_feat if layout is Layout.BY_COLUMN else 1
     art, _, _ = compress(ds, ReducerConfig(Method.EBLC_PRED, mode, (bound,), layout))
-    (blob,) = art.streams
+    blob = art.stream
     assert len(blob) <= predictive._HEAD.size + ds.values.nbytes
     out, _, _ = decompress(unpack(pack(art)))
     cols = [out.values.ravel()] if layout is Layout.MATRIX else out.values.T
@@ -543,7 +581,7 @@ def test_no_predictive_stream_exceeds_raw(dtype, mode, bound, layout):
 def test_escape_fires_where_coding_does_not_pay():
     # a bound far below the f32 spacing leaves nearly every value a literal
     art, _, _ = compress(rough_ds(), ReducerConfig(Method.EBLC_PRED, Mode.ABS, (1e-12,)))
-    assert verbatim_columns(art.streams[0], 4) == [True] * 4
+    assert verbatim_columns(art.stream, 4) == [True] * 4
     # a column of literals (every other value NaN, so every value is one)
     # goes verbatim inside a block whose other columns code; so does the
     # zero-range column
@@ -553,7 +591,7 @@ def test_escape_fires_where_coding_does_not_pay():
     values = np.column_stack([walk, holes, np.full(2000, 2.5), walk[::-1]])
     ds = from_array(values, allow_nonfinite=True)
     art, out = round_trip(ds, ReducerConfig(Method.EBLC_PRED, Mode.REL, (1e-3,)))
-    assert verbatim_columns(art.streams[0], 4) == [False, True, True, False]
+    assert verbatim_columns(art.stream, 4) == [False, True, True, False]
     assert out.values[:, 1:3].tobytes() == ds.values[:, 1:3].tobytes()
 
 
@@ -574,8 +612,8 @@ def test_truncated_signalling_nan_decodes_without_a_warning():
     # a damaged (or stored) f32 signalling NaN must widen quietly; the
     # all-method fuzz treats NumPy's invalid-value warning as a failure
     art, _, _ = compress(walk_ds(n=300, k=2), ReducerConfig(Method.TRUNC, c=(32,)))
-    bad = art.streams[0][:8] + struct.pack("<I", 0x7F800001) + art.streams[0][12:]
+    bad = art.stream[:8] + struct.pack("<I", 0x7F800001) + art.stream[12:]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out, _, _ = decompress(replace(art, streams=(bad,) + art.streams[1:]))
+        out, _, _ = decompress(replace(art, stream=bad))
     assert np.isnan(out.values[2, 0]) and np.isfinite(out.values[3:, 0]).all()
