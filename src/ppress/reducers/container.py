@@ -53,8 +53,7 @@ _WIDTH_DTYPE = {4: "f32", 8: "f64"}
 _DTYPE_WIDTH = {v: k for k, v in _WIDTH_DTYPE.items()}
 
 _FIXED = struct.Struct("<4sHBBB")  # magic, version, method, mode, n_bound
-_SHAPE = struct.Struct("<BBQI")  # layout, dtype width, n_obs, n_feat
-_ENTRY = struct.Struct("<QI")  # stream length, crc32
+_SHAPE = struct.Struct("<BBQIQI")  # layout, dtype width, n_obs, n_feat, stream length, crc32
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class Artifact:
 
     @property
     def header_bytes(self) -> int:
-        return _FIXED.size + 8 * len(self.c) + _SHAPE.size + _ENTRY.size
+        return _FIXED.size + 8 * len(self.c) + _SHAPE.size
 
     @property
     def comp_bytes(self) -> int:
@@ -102,8 +101,9 @@ def pack(artifact: Artifact) -> bytes:
             artifact.value_width,
             artifact.n_obs,
             artifact.n_feat,
+            len(artifact.stream),
+            zlib.crc32(artifact.stream),
         ),
-        _ENTRY.pack(len(artifact.stream), zlib.crc32(artifact.stream)),
         artifact.stream,
     ]
     out = b"".join(parts)
@@ -121,14 +121,12 @@ def unpack(buf: bytes) -> Artifact:
     if version != VERSION:
         raise DataFormatError(f"unsupported container version {version}")
     off = _FIXED.size
-    if len(buf) < off + 8 * n_bound + _SHAPE.size + _ENTRY.size:
+    if len(buf) < off + 8 * n_bound + _SHAPE.size:
         raise DataFormatError("container header truncated")
     c = struct.unpack_from(f"<{n_bound}d", buf, off)
     off += 8 * n_bound
-    layout_code, width, n_obs, n_feat = _SHAPE.unpack_from(buf, off)
+    layout_code, width, n_obs, n_feat, length, crc = _SHAPE.unpack_from(buf, off)
     off += _SHAPE.size
-    length, crc = _ENTRY.unpack_from(buf, off)
-    off += _ENTRY.size
 
     method = _CODE_METHOD.get(method_code)
     mode = _CODE_MODE.get(mode_code)

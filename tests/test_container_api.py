@@ -118,11 +118,11 @@ def test_container_rejects_corruption():
     # the stream runs to the end of the container: no bytes may follow it
     with pytest.raises(DataFormatError, match="follow the header"):
         unpack(good + b"garbage")
-    # a buffer cut inside the stream's length and checksum entry
-    entry = container._FIXED.size + container._SHAPE.size
-    for cut in (entry, entry + 5, entry + container._ENTRY.size - 1):
+    # a buffer cut inside the stream's length and checksum (the 12 bytes
+    # before the stream)
+    for cut in (1, 7, 12):
         with pytest.raises(DataFormatError, match="header truncated"):
-            unpack(good[:cut])
+            unpack(good[: len(good) - len(art.stream) - cut])
 
 
 def test_none_method_is_identity_with_header_overhead():
@@ -329,6 +329,13 @@ def test_layout_only_orders_the_values(config):
     if config.method is Method.NONE:
         assert by_column.stream == ds.values.T.tobytes()
         assert matrix.stream == ds.values.tobytes()
+
+
+@pytest.mark.parametrize("layout", list(Layout))
+def test_artifact_without_columns_is_a_format_error(layout):
+    art = Artifact(Method.NONE, Mode.NONE, (), layout, "f64", n_obs=3, n_feat=0, stream=b"")
+    with pytest.raises(DataFormatError, match="whole rows"):
+        decompress(unpack(pack(art)))
 
 
 def test_bitplane_acc_blocks_across_column_boundaries_meet_the_bound():
