@@ -170,7 +170,7 @@ def decompress(
     t0 = time.perf_counter()
     np_dtype = np.dtype(DTYPES[artifact.dtype])
     flat = _decode_stream(artifact.stream, artifact, np_dtype)
-    if not artifact.n_feat or flat.size % artifact.n_feat:
+    if flat.size % artifact.n_feat:
         raise DataFormatError(f"{flat.size} values are not whole rows of {artifact.n_feat}")
     if artifact.layout is Layout.MATRIX:
         values = flat.reshape(-1, artifact.n_feat)

@@ -134,6 +134,8 @@ def unpack(buf: bytes) -> Artifact:
     dtype = _WIDTH_DTYPE.get(width)
     if method is None or mode is None or layout is None or dtype is None:
         raise DataFormatError("container header has unknown enum codes")
+    if n_feat == 0:
+        raise DataFormatError("container declares no columns")
 
     stream = buf[off:]
     if len(stream) != length:

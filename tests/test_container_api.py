@@ -331,11 +331,11 @@ def test_layout_only_orders_the_values(config):
         assert matrix.stream == ds.values.tobytes()
 
 
-@pytest.mark.parametrize("layout", list(Layout))
-def test_artifact_without_columns_is_a_format_error(layout):
-    art = Artifact(Method.NONE, Mode.NONE, (), layout, "f64", n_obs=3, n_feat=0, stream=b"")
-    with pytest.raises(DataFormatError, match="whole rows"):
-        decompress(unpack(pack(art)))
+@pytest.mark.parametrize("method", [Method.NONE, Method.SAMPLE_WOR])
+def test_container_without_columns_is_a_format_error(method):
+    art = Artifact(method, Mode.NONE, (), Layout.BY_COLUMN, "f64", n_obs=3, n_feat=0, stream=b"")
+    with pytest.raises(DataFormatError, match="no columns"):
+        unpack(pack(art))
 
 
 def test_bitplane_acc_blocks_across_column_boundaries_meet_the_bound():
