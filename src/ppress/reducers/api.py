@@ -159,7 +159,8 @@ def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.nd
     if method is Method.EBLC_PRED:
         return predictive.decode(blob, artifact.value_width).astype(np_dtype, copy=False)
     if method is Method.EBLC_BITPLANE:
-        return bitplane.decode(blob, artifact.value_width).astype(np_dtype, copy=False)
+        mode, c, width = artifact.mode.value, artifact.c[0], artifact.value_width
+        return bitplane.decode(blob, mode, c, count, width).astype(np_dtype, copy=False)
     raise DataFormatError(f"method {method.value} has no stream decoder")
 
 

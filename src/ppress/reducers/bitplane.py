@@ -9,18 +9,20 @@ Three truncation policies:
   prec  keep a fixed number of planes everywhere,
   rate  spend exactly c bits per value per block (stream size is a pure
         function of shape, never of content),
-  acc   choose planes per block so the reconstruction error stays within an
-        absolute bound; blocks that cannot meet the bound even with every
-        plane (extreme exponent spread) are stored raw.
+  acc   keep the planes that the block exponent and the absolute bound call
+        for (ZFP's fixed-accuracy mode); a block that breaks the bound at
+        that count is stored raw.
 
-All-zero blocks carry a sentinel exponent and, outside rate mode, no plane
-bits at all.
+A stream holds only what the decoder cannot derive: the mode, the bound and
+the value count come from the container, and every block's plane count and
+bit budget follow from them and the block exponents.  All-zero blocks carry
+a sentinel exponent and, outside rate mode, no plane bits at all.  A stream
+whose coding would be larger than the raw values stores the values instead.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
@@ -31,12 +33,7 @@ TOTAL_PLANES = 56  # two extra planes absorb lifting growth
 _ZERO_EXP = -(1 << 15)  # sentinel exponent for all-zero blocks
 _BLOCK = 4  # values per block
 
-_HEAD = struct.Struct("<BQBdI")  # flags, n_values, mode_code, c, n_blocks
-_BITS = struct.Struct("<Q")
-
-_MODE_PREC, _MODE_ACC, _MODE_RATE = 0, 1, 2
-_MODE_CODE = {"prec": _MODE_PREC, "acc": _MODE_ACC, "rate": _MODE_RATE}
-_CODE_MODE = {v: k for k, v in _MODE_CODE.items()}
+_CODED, _STORED = 0, 1  # the stream's kind byte
 
 _F32 = np.dtype("<f4")
 _F64 = np.dtype("<f8")
@@ -113,13 +110,45 @@ def _truncate_coeffs(coeffs: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def _planes_for_bound(eb: float, exps: np.ndarray) -> np.ndarray:
-    """First guess at planes per block; encode() verifies and adjusts."""
-    e = exps.astype(np.float64)
-    # dropped planes cost < (4 * 2^(TOTAL_PLANES - k) + 3) * 2^(e - ALIGN_BITS)
-    budget = np.log2(eb) - (e - _ALIGN_BITS)
-    k = np.ceil(TOTAL_PLANES + 2.0 - budget)
-    return np.clip(k, 0, TOTAL_PLANES).astype(np.int64)
+def _check(mode: str, c: float, width: int) -> None:
+    """CodecError unless c is a bound that mode can take at this width."""
+    if mode == "prec":
+        if not (0 <= c < math.inf and float(c).is_integer()):
+            raise CodecError(f"plane count must be a non-negative integer, got {c}")
+    elif mode == "acc":
+        if not 0 < c < math.inf:
+            raise CodecError(f"error bound must be positive and finite, got {c}")
+    elif mode == "rate":
+        # a rate past the value width would always be stored raw
+        if not 0 < c <= 8 * width:
+            raise CodecError(f"rate must be in (0, {8 * width}], got {c}")
+    else:
+        raise CodecError(f"unknown bit-plane mode {mode!r}")
+
+
+def _keep(mode: str, c: float, exps: np.ndarray) -> np.ndarray:
+    """Magnitude planes each block keeps, from the bound and the block
+    exponents alone: the encoder and the decoder both call this."""
+    if mode == "prec":
+        return np.full(exps.size, min(int(c), TOTAL_PLANES), dtype=np.int64)
+    if mode == "rate":
+        return np.full(exps.size, TOTAL_PLANES, dtype=np.int64)
+    # acc: dropping the planes below the top k costs about 2^(e - k + 4),
+    # and k = e - p + 5 makes that 2^(p - 1) <= c.  Integer arithmetic, so
+    # no two machines disagree; np.minimum/np.maximum beat np.clip here
+    p = math.frexp(c)[1]
+    k = exps.astype(np.int64) - (p - 5)
+    return np.minimum(np.maximum(k, 0), TOTAL_PLANES)
+
+
+def _budget(mode: str, c: float, exps: np.ndarray, keep: np.ndarray,
+            raw_mask: np.ndarray) -> np.ndarray:
+    """Payload bits of each block: rate spends round(4c) everywhere; prec and
+    acc send the sign and every kept plane, and nothing for all-zero or raw
+    blocks."""
+    if mode == "rate":
+        return np.full(exps.size, round(_BLOCK * c), dtype=np.int64)
+    return np.where((exps == _ZERO_EXP) | raw_mask, 0, _BLOCK * (1 + keep))
 
 
 # payload cells handled per pass: bounds the coder's working memory
@@ -148,7 +177,7 @@ def _clear_below(mags: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return (mags >> shift) << shift
 
 
-def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> tuple[bytes, int]:
+def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> bytes:
     """Pack sign plane + top `keep` planes per block into its bit budget.
 
     Blocks follow each other in order; a block's bits are its cells read
@@ -156,9 +185,8 @@ def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> tuple[byt
     once, and the bits past the last whole byte carry into the next chunk.
     """
     n_blocks = coeffs.shape[0]
-    total = int(budget.sum())
-    if total == 0:
-        return b"", 0
+    if not budget.any():
+        return b""
     rows, n_bytes = _layout(budget)
     width = rows * _BLOCK
     cells = np.arange(width)
@@ -183,7 +211,7 @@ def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> tuple[byt
         out.append(np.packbits(bits[:whole]).tobytes())
         carry = bits[whole:]
     out.append(np.packbits(carry).tobytes())
-    return b"".join(out), total
+    return b"".join(out)
 
 
 def _absorb(payload: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> np.ndarray:
@@ -231,150 +259,99 @@ def _rebuild_finite(coeffs: np.ndarray, exps: np.ndarray, width: int) -> np.ndar
 
 def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.ndarray]:
     """Encode one stream; returns (bytes, reconstruction)."""
-    if mode not in _MODE_CODE:
-        raise CodecError(f"unknown bit-plane mode {mode!r}")
+    _check(mode, c, width)
     x64 = np.asarray(x, dtype=np.float64)
     n = x64.size
+    fdt = _F32 if width == 4 else _F64
     blocks = _to_blocks(x64)
     coeffs, exps = _forward(blocks)
-    n_blocks = coeffs.shape[0]
-    raw_mask = np.zeros(n_blocks, dtype=bool)
-    recon_blocks = None
-
-    if mode == "prec":
-        if c < 0 or c != int(c):
-            raise CodecError(f"plane count must be a non-negative integer, got {c}")
-        keep = np.full(n_blocks, min(int(c), TOTAL_PLANES), dtype=np.int64)
-        budget = np.where(exps == _ZERO_EXP, 0, _BLOCK * (1 + keep))
-    elif mode == "rate":
-        if c <= 0:
-            raise CodecError(f"rate must be positive, got {c}")
-        keep = np.full(n_blocks, TOTAL_PLANES, dtype=np.int64)
-        budget = np.full(n_blocks, int(round(_BLOCK * c)), dtype=np.int64)
-    else:  # acc
-        if c <= 0:
-            raise CodecError(f"error bound must be positive, got {c}")
-        keep = _planes_for_bound(c, exps)
-        keep[exps == _ZERO_EXP] = 0
-        # every pass that finds a violation gives each violating block one
-        # more plane or stores it raw, so the loop ends, and it ends on a
-        # pass whose reconstruction matches the final plan
-        while True:
-            with np.errstate(over="ignore"):  # an overflowing block violates the bound
-                recon_blocks = _narrow(_reconstruct(_truncate_coeffs(coeffs, keep), exps), width)
-            err = np.abs(blocks - recon_blocks).max(axis=1)
-            violated = (err > c) & ~raw_mask
-            if not violated.any():
-                break
-            grow = violated & (keep < TOTAL_PLANES)
-            keep[grow] += 1
-            raw_mask |= violated & ~grow
-        budget = np.where(exps == _ZERO_EXP, 0, _BLOCK * (1 + keep))
-        budget[raw_mask] = 0
-
+    keep = _keep(mode, c, exps)
     trunc = _truncate_coeffs(coeffs, keep)
-    if raw_mask.any():
+    raw_mask = np.zeros(exps.size, dtype=bool)
+    parts = [bytes([_CODED]), exps.astype("<i2").tobytes()]
+    recon_blocks = None
+    if mode == "acc":
+        # one verify pass: a block that breaks the bound at its derived
+        # plane count is stored raw
+        with np.errstate(over="ignore"):  # an overflowing block breaks the bound
+            recon_blocks = _narrow(_reconstruct(trunc, exps), width)
+        raw_mask = np.abs(blocks - recon_blocks).max(axis=1) > c
         trunc[raw_mask] = 0
-    payload, n_bits = _emit(trunc, keep, budget)
-
-    parts = [
-        _HEAD.pack(0, n, _MODE_CODE[mode], float(c), n_blocks),
-        exps.astype("<i2").tobytes(),
-    ]
-    if mode == "prec":
-        parts.append(np.uint8(int(keep[0]) if n_blocks else 0).tobytes())
-    elif mode == "acc":
-        parts.append(keep.astype(np.uint8).tobytes())
+        recon_blocks[raw_mask] = blocks[raw_mask]  # raw blocks replay exactly
         parts.append(np.packbits(raw_mask).tobytes())
-        fdt = _F32 if width == 4 else _F64
-        parts.append(np.ascontiguousarray(blocks[raw_mask]).astype(fdt).tobytes())
-    parts.append(_BITS.pack(n_bits))
-    parts.append(payload)
+        parts.append(blocks[raw_mask].astype(fdt).tobytes())
+    budget = _budget(mode, c, exps, keep, raw_mask)
 
+    coded = sum(map(len, parts)) + (int(budget.sum()) + 7) // 8
+    if coded > 1 + n * width:
+        # in rate mode the coded size, and so this choice, is a function of
+        # the shape alone
+        stored = x64.astype(fdt).tobytes()
+        return bytes([_STORED]) + stored, np.frombuffer(stored, fdt).astype(np.float64)
+
+    payload = _emit(trunc, keep, budget)
     if mode == "rate":
         # the budget cut can split a plane mid-block: reconstruct from the
         # emitted bits so it lands exactly where the decoder will see it
         trunc = _absorb(np.frombuffer(payload, np.uint8), keep, budget)
     # a prec budget holds every kept plane, so trunc is what the decoder
-    # rebuilds; acc reconstructed it already, in its last pass
+    # rebuilds; acc reconstructed it already, in its verify pass
     if recon_blocks is None:
         # values within a truncation step of the float maximum can round up
         # past it; refuse them, since the decoder treats overflow as damage
         recon_blocks = _rebuild_finite(trunc, exps, width)
-    if raw_mask.any():
-        recon_blocks[raw_mask] = blocks[raw_mask]  # raw blocks replay exactly
-    recon = recon_blocks.reshape(-1)[:n]
-    return b"".join(parts), recon
+    return b"".join(parts) + payload, recon_blocks.reshape(-1)[:n]
 
 
-def _section(buf: bytes, off: int, size: int, what: str) -> tuple[bytes, int]:
-    """The `size` bytes of buf at `off`, and the offset after them."""
+def _section(buf: bytes, off: int, size: int, what: str, last: bool = False) -> tuple[bytes, int]:
+    """The `size` bytes of buf at `off`, and the offset after them; the
+    `last` section must end the stream."""
     end = off + size
     if end > len(buf):
         raise CodecError(f"bit-plane stream truncated in its {what}")
+    if last and end != len(buf):
+        raise CodecError(f"{len(buf) - end} bytes after the bit-plane stream")
     return buf[off:end], end
 
 
-def decode(buf: bytes, width: int) -> np.ndarray:
-    """Decode one stream produced by encode().
+def _finite(vals: np.ndarray, what: str) -> np.ndarray:
+    # the encoder takes only finite values
+    if not np.isfinite(vals).all():
+        raise CodecError(f"non-finite value in {what}")
+    return vals
+
+
+def decode(buf: bytes, mode: str, c: float, n: int, width: int) -> np.ndarray:
+    """Decode one stream of n values produced by encode(x, mode, c, width).
 
     Every section is bounds-checked and the stream must end exactly where
     its payload does; anything else raises CodecError.
     """
-    head, off = _section(buf, 0, _HEAD.size, "header")
-    flags, n, mode_code, c, n_blocks = _HEAD.unpack(head)
-    mode = _CODE_MODE.get(mode_code)
-    if flags:
-        raise CodecError(f"unknown bit-plane stream flags {flags:#x}")
-    if mode is None:
-        raise CodecError(f"unknown bit-plane mode code {mode_code}")
-    if n_blocks != -(-n // _BLOCK):
-        raise CodecError(f"{n_blocks} blocks of {_BLOCK} cannot hold {n} values")
+    _check(mode, c, width)
+    fdt = _F32 if width == 4 else _F64
+    kind, off = _section(buf, 0, 1, "kind byte")
+    if kind[0] == _STORED:
+        vals, _ = _section(buf, off, n * width, "stored values", last=True)
+        return _finite(np.frombuffer(vals, fdt).astype(np.float64), "a stored bit-plane stream")
+    if kind[0] != _CODED:
+        raise CodecError(f"unknown bit-plane stream kind {kind[0]}")
+    n_blocks = -(-n // _BLOCK)
     exps, off = _section(buf, off, 2 * n_blocks, "exponents")
     exps = np.frombuffer(exps, "<i2").astype(np.int64)
+    keep = _keep(mode, c, exps)
 
     raw_mask = np.zeros(n_blocks, dtype=bool)
-    raw_vals = None
-    if mode == "prec":
-        k, off = _section(buf, off, 1, "plane count")
-        keep = np.full(n_blocks, k[0], dtype=np.int64)
-        budget = np.where(exps == _ZERO_EXP, 0, _BLOCK * (1 + keep))
-    elif mode == "rate":
-        if not 0.0 < c < math.inf:
-            raise CodecError(f"invalid bit-plane rate {c}")
-        keep = np.full(n_blocks, TOTAL_PLANES, dtype=np.int64)
-        per_block = round(_BLOCK * c)
-    else:
-        keep, off = _section(buf, off, n_blocks, "plane counts")
-        keep = np.frombuffer(keep, np.uint8).astype(np.int64)
+    if mode == "acc":
         mask, off = _section(buf, off, (n_blocks + 7) // 8, "raw-block mask")
         raw_mask = np.unpackbits(np.frombuffer(mask, np.uint8), count=n_blocks).astype(bool)
         n_raw = int(raw_mask.sum())
         raw, off = _section(buf, off, n_raw * _BLOCK * width, "raw blocks")
-        fdt = _F32 if width == 4 else _F64
-        raw_vals = np.frombuffer(raw, fdt).astype(np.float64).reshape(n_raw, _BLOCK)
-        budget = np.where(exps == _ZERO_EXP, 0, _BLOCK * (1 + keep))
-        budget[raw_mask] = 0
-    if n_blocks and keep.max() > TOTAL_PLANES:
-        raise CodecError(f"more than {TOTAL_PLANES} bit planes in a block")
-
-    head, off = _section(buf, off, _BITS.size, "payload length")
-    (n_bits,) = _BITS.unpack(head)
-    packed, off = _section(buf, off, (n_bits + 7) // 8, "payload")
-    if off != len(buf):
-        raise CodecError(f"{len(buf) - off} bytes after the bit-plane stream")
-    if mode == "rate":  # checked before the budget array can overflow
-        if per_block * n_blocks != n_bits:
-            raise CodecError("bit-plane stream length mismatch")
-        budget = np.full(n_blocks, per_block, dtype=np.int64)
-    elif int(budget.sum()) != n_bits:
-        raise CodecError("bit-plane stream length mismatch")
+        raw_vals = _finite(np.frombuffer(raw, fdt).astype(np.float64), "a raw bit-plane block")
+    budget = _budget(mode, c, exps, keep, raw_mask)
+    packed, _ = _section(buf, off, (int(budget.sum()) + 7) // 8, "payload", last=True)
     coeffs = _absorb(np.frombuffer(packed, np.uint8), keep, budget)
-    # the encoder takes only finite values and writes only finite
-    # reconstructions, so overflow or a non-finite raw block means damage
+    # the encoder writes only finite reconstructions, so overflow means damage
     recon = _rebuild_finite(coeffs, exps, width)
-    if raw_vals is not None and raw_mask.any():
-        if not np.isfinite(raw_vals).all():
-            raise CodecError("non-finite value in a raw bit-plane block")
-        recon[raw_mask] = raw_vals  # stored at full width, replay exactly
+    if raw_mask.any():
+        recon[raw_mask] = raw_vals.reshape(-1, _BLOCK)  # stored at full width, replay exactly
     return recon.reshape(-1)[:n]

@@ -16,11 +16,11 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from ..errors import DataFormatError
-from .config import Layout, Method, Mode
+from ..errors import ConfigError, DataFormatError
+from .config import Layout, Method, Mode, ReducerConfig
 
 MAGIC = b"PPRS"
-VERSION = 8
+VERSION = 9
 
 _METHOD_CODE = {
     Method.EBLC_PRED: 1,
@@ -136,6 +136,10 @@ def unpack(buf: bytes) -> Artifact:
         raise DataFormatError("container header has unknown enum codes")
     if n_feat == 0:
         raise DataFormatError("container declares no columns")
+    try:  # the decoders take the bound as the method accepts it
+        ReducerConfig(method, mode, c, layout)
+    except ConfigError as exc:
+        raise DataFormatError(f"container header: {exc}") from None
 
     stream = buf[off:]
     if len(stream) != length:

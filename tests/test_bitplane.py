@@ -13,7 +13,7 @@ from ppress.reducers import bitplane
 
 def enc_dec(x, mode, c, width=8):
     buf, recon = bitplane.encode(x, mode, c, width)
-    out = bitplane.decode(buf, width)
+    out = bitplane.decode(buf, mode, c, np.size(x), width)
     assert out.tobytes() == recon.tobytes(), "decode must match encoder reconstruction"
     return buf, out
 
@@ -69,7 +69,7 @@ def test_rate_stream_size_independent_of_content():
         assert len(buf_a) == len(buf_b)
         n_blocks = (4099 + 3) // 4
         plane_bits = n_blocks * int(round(4 * c))
-        header = bitplane._HEAD.size + 2 * n_blocks + bitplane._BITS.size
+        header = 1 + 2 * n_blocks  # kind byte, exponents
         assert len(buf_a) == header + (plane_bits + 7) // 8
 
 
@@ -97,15 +97,26 @@ def test_acc_bound_holds_f32():
     x = (rng.normal(size=1024) * 50).astype(np.float32)
     for eb in (1e-1, 1e-3):
         buf, recon = bitplane.encode(x, "acc", eb, 4)
-        out = bitplane.decode(buf, 4)
+        out = bitplane.decode(buf, "acc", eb, x.size, 4)
         assert out.tobytes() == recon.tobytes()
         assert np.abs(x.astype(np.float64) - out).max() <= eb
 
 
 def test_acc_extreme_exponent_spread_uses_raw_blocks():
-    # alignment alone cannot hit this bound, so blocks are stored verbatim
+    # no plane count can keep 1.0 beside 1e300 within 1e-3, so that block is
+    # stored verbatim inside a coded stream
+    x = np.concatenate([[1e300, 1.0, -1e300, 2.0], np.linspace(0.0, 1.0, 400)])
+    buf, out = enc_dec(x, "acc", 1e-3)
+    assert buf[0] == bitplane._CODED
+    raw_mask = np.unpackbits(np.frombuffer(buf, np.uint8, count=13, offset=1 + 2 * 101))
+    assert raw_mask.tolist() == [1] + [0] * 103
+    assert np.array_equal(out[:4], x[:4])
+    assert np.abs(x - out).max() <= 1e-3
+    # alignment alone cannot hit this bound anywhere, so the stream stores
+    # the values
     x = np.array([1e300, 1e-300, 1e300, 1e-300, 1.0, 2.0, 3.0, 4.0])
-    _, out = enc_dec(x, "acc", 1e-310)
+    buf, out = enc_dec(x, "acc", 1e-310)
+    assert buf[0] == bitplane._STORED
     assert np.array_equal(out, x)
 
 
@@ -139,6 +150,38 @@ def test_partial_final_block():
     assert np.abs(x - out).max() <= 1e-6
 
 
+def raw_size_inputs(width):
+    """A walk, a scaled-normal table and a rough table in the width, column
+    after column, one of them with a block of zeros, and no values at all."""
+    rng = np.random.default_rng(61)
+    walk = np.cumsum(rng.normal(size=3001))
+    normal = rng.normal(size=(500, 3)) * [1e-3, 1.0, 1e4]
+    rough = rng.standard_t(df=2.0, size=(400, 4)) * 10.0 ** np.arange(-1, 3)
+    rough[rng.random(size=rough.shape) < 0.02] = 0.0
+    rough[100:108, 2] = 0.0
+    dt = np.float32 if width == 4 else np.float64
+    tables = [walk, normal.ravel(order="F"), rough.ravel(order="F"), np.empty(0)]
+    return [t.astype(dt).astype(np.float64) for t in tables]
+
+
+@pytest.mark.parametrize("width", [4, 8])
+@pytest.mark.parametrize(
+    "mode, c",
+    [("prec", 0), ("prec", 20), ("prec", 32), ("prec", 56),
+     ("acc", 1e-20), ("acc", 1e-12), ("acc", 1e-7), ("acc", 1e-3),
+     ("rate", 0.75), ("rate", 12.0), ("rate", None)],
+)
+def test_no_stream_exceeds_raw_by_more_than_its_kind_byte(mode, c, width):
+    c = 8 * width if c is None else c
+    for x in raw_size_inputs(width):
+        buf, out = enc_dec(x, mode, c, width)
+        assert len(buf) <= x.size * width + 1
+        if buf[0] == bitplane._STORED:
+            assert out.tobytes() == x.tobytes()
+        if mode == "acc":
+            assert np.abs(x - out).max(initial=0.0) <= c
+
+
 def test_nonfinite_rejected():
     with pytest.raises(CodecError):
         bitplane.encode(np.array([1.0, np.inf, 2.0, 3.0]), "acc", 1e-3, 8)
@@ -158,13 +201,20 @@ def test_acc_contract_property(x, eb):
     assert np.abs(x - out).max() <= eb
 
 
+WALK_BOUND = {"acc": 1e-3, "prec": 20, "rate": 12.0}
+
+
 def walk_stream(mode):
     rng = np.random.default_rng(12)
     walk = np.cumsum(rng.normal(size=4000))
-    c = {"acc": 1e-3, "prec": 20, "rate": 12.0}[mode]
-    buf, recon = bitplane.encode(walk, mode, c, 8)
-    assert bitplane.decode(buf, 8).tobytes() == recon.tobytes()
+    buf, recon = bitplane.encode(walk, mode, WALK_BOUND[mode], 8)
+    assert buf[0] == bitplane._CODED
+    assert walk_decode(buf, mode).tobytes() == recon.tobytes()
     return buf
+
+
+def walk_decode(buf, mode, c=None, n=4000):
+    return bitplane.decode(buf, mode, WALK_BOUND[mode] if c is None else c, n, 8)
 
 
 @pytest.mark.parametrize("mode", ["acc", "prec", "rate"])
@@ -175,7 +225,7 @@ def walk_stream(mode):
 )
 def test_damaged_stream_raises_codec_error(mode, damage):
     with pytest.raises(CodecError):
-        bitplane.decode(damage(walk_stream(mode)), 8)
+        walk_decode(damage(walk_stream(mode)), mode)
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,32 +233,37 @@ def test_damaged_stream_raises_codec_error(mode, damage):
 def test_every_truncation_raises_codec_error(mode, cut):
     buf = walk_stream(mode)
     with pytest.raises(CodecError):
-        bitplane.decode(buf[: cut % len(buf)], 8)
+        walk_decode(buf[: cut % len(buf)], mode)
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("flags", 1), ("mode", 7), ("n_blocks", 2), ("c", float("nan"))],
+    "mode, c, n",
+    [
+        ("rel", 1e-3, 4000),
+        ("acc", float("nan"), 4000),
+        ("acc", float("inf"), 4000),
+        ("acc", 0.0, 4000),
+        ("acc", -1.0, 4000),
+        ("prec", 2.5, 4000),
+        ("rate", 64.5, 4000),
+        ("acc", None, 3996),
+        ("prec", None, 4004),
+        ("rate", None, 4100),
+    ],
 )
-def test_inconsistent_header_raises_codec_error(field, value):
-    buf = walk_stream("rate")
-    flags, n, mode_code, c, n_blocks = bitplane._HEAD.unpack_from(buf)
-    head = {"flags": flags, "n": n, "mode": mode_code, "c": c, "n_blocks": n_blocks}
-    head[field] = value
-    bad = (
-        bitplane._HEAD.pack(head["flags"], head["n"], head["mode"], head["c"], head["n_blocks"])
-        + buf[bitplane._HEAD.size :]
-    )
+def test_decode_arguments_the_stream_contradicts_raise_codec_error(mode, c, n):
+    # the stream stores no mode, bound or value count: the container's
+    # must be ones the mode takes, and they set every section's size
+    buf = walk_stream("acc" if mode == "rel" else mode)
     with pytest.raises(CodecError):
-        bitplane.decode(bad, 8)
+        walk_decode(buf, mode, c if c is not None else WALK_BOUND[mode], n)
 
 
-def test_too_many_planes_raises_codec_error():
-    buf = bytearray(walk_stream("prec"))
-    n_blocks = 1000
-    buf[bitplane._HEAD.size + 2 * n_blocks] = bitplane.TOTAL_PLANES + 1
-    with pytest.raises(CodecError):
-        bitplane.decode(bytes(buf), 8)
+@pytest.mark.parametrize("mode", ["acc", "prec", "rate"])
+def test_unknown_stream_kind_raises_codec_error(mode):
+    buf = walk_stream(mode)
+    with pytest.raises(CodecError, match="kind"):
+        walk_decode(b"\x02" + buf[1:], mode)
 
 
 def reference_groups(keep, budget):
@@ -296,7 +351,7 @@ def test_packing_matches_reference(case, chunk, seed):
     # random bits, also where a block's budget runs past its kept planes
     noise = np.random.default_rng(seed).integers(0, 256, len(payload), dtype=np.uint8)
     with patch.object(bitplane, "_CHUNK", chunk):
-        assert bitplane._emit(coeffs, keep, budget) == (payload, n_bits)
+        assert bitplane._emit(coeffs, keep, budget) == payload
         for packed in (np.frombuffer(payload, np.uint8), noise):
             bits = np.unpackbits(packed, count=n_bits)
             assert np.array_equal(
@@ -328,6 +383,7 @@ HASH_CONFIGS = [
     ("prec", 56),
     ("rate", 0.75),
     ("rate", 12.0),
+    ("rate", 58.5),
     ("rate", 60.25),
     ("acc", 1e-3),
     ("acc", 1e-9),
@@ -339,69 +395,73 @@ def stream_digests():
     out = {}
     for name, x, width in hash_inputs():
         for mode, c in HASH_CONFIGS:
+            if mode == "rate" and c > 8 * width:
+                continue  # a rate past the value width is refused
             buf, recon = bitplane.encode(x, mode, c, width)
             h = hashlib.sha256(buf)
             h.update(recon.tobytes())
-            h.update(bitplane.decode(buf, width).tobytes())
+            h.update(bitplane.decode(buf, mode, c, x.size, width).tobytes())
             out[f"{name} {mode} {c}"] = h.hexdigest()[:16]
     return out
 
 
 # sha256 of (stream, encoder reconstruction, decode) per case, from the
 # group-and-plane packing that reference_emit/reference_absorb keep.  Each
-# stream is the container-version-6 stream at block size 4 without its
-# block-size byte, with the same reconstruction
+# is the container-version-9 stream: a coded one reconstructs bit for bit as
+# its version-8 stream did, and the rest (version-8 streams longer than the
+# raw values) store the values
 STREAM_DIGESTS = {
-    "walk-f64 prec 0": "958c2b9e718496c7",
-    "walk-f64 prec 9": "f3171e9196005ff7",
-    "walk-f64 prec 20": "f62e1d7cd407893f",
-    "walk-f64 prec 56": "b18952a31fd35198",
-    "walk-f64 rate 0.75": "23ac7405ee9f5820",
-    "walk-f64 rate 12.0": "e4e3db280b834203",
-    "walk-f64 rate 60.25": "59cc27300d5515e8",
-    "walk-f64 acc 0.001": "f1fd5cd6d66b6e4d",
-    "walk-f64 acc 1e-09": "82e3206d59ab3075",
-    "walk-f64 acc 1e-310": "846a095b4f7c9030",
-    "walk-f32 prec 0": "958c2b9e718496c7",
-    "walk-f32 prec 9": "f3171e9196005ff7",
-    "walk-f32 prec 20": "197d1e2df0e5c12d",
-    "walk-f32 prec 56": "42f7404a32458260",
-    "walk-f32 rate 0.75": "23ac7405ee9f5820",
-    "walk-f32 rate 12.0": "1ef7c95aadc7cd02",
-    "walk-f32 rate 60.25": "6265f16422d47dc8",
-    "walk-f32 acc 0.001": "b22105ed6a84a241",
-    "walk-f32 acc 1e-09": "e7f8f045847c1bdc",
-    "walk-f32 acc 1e-310": "dcd3edf7bd96e2f6",
-    "mixed-f64 prec 0": "7cf1b2fa88f118b4",
-    "mixed-f64 prec 9": "a838cc1d0dce0d3d",
-    "mixed-f64 prec 20": "e65621ec96367482",
-    "mixed-f64 prec 56": "c16a9a2fc913f0b2",
-    "mixed-f64 rate 0.75": "d0ea12b229615e5c",
-    "mixed-f64 rate 12.0": "9a8757b4b6c94a9d",
-    "mixed-f64 rate 60.25": "61252ca22c8bc0f1",
-    "mixed-f64 acc 0.001": "14db8a22d0bc8394",
-    "mixed-f64 acc 1e-09": "fc93c005798bbc12",
-    "mixed-f64 acc 1e-310": "7c63225a1da14542",
-    "mixed-f32 prec 0": "7cf1b2fa88f118b4",
-    "mixed-f32 prec 9": "a838cc1d0dce0d3d",
-    "mixed-f32 prec 20": "b2a06aa41a940192",
-    "mixed-f32 prec 56": "abb32403a4145513",
-    "mixed-f32 rate 0.75": "d0ea12b229615e5c",
-    "mixed-f32 rate 12.0": "9a8757b4b6c94a9d",
-    "mixed-f32 rate 60.25": "5519106aac9f90c8",
-    "mixed-f32 acc 0.001": "37710de1511c4023",
-    "mixed-f32 acc 1e-09": "e8bc5ed821a81380",
-    "mixed-f32 acc 1e-310": "075e91c074d2c8a4",
-    "spread-f64 prec 0": "3007906dbb5bdd93",
-    "spread-f64 prec 9": "4a7d783d6492ca6f",
-    "spread-f64 prec 20": "546925c1351b8f27",
-    "spread-f64 prec 56": "8b6fcd8dd2e27cfd",
-    "spread-f64 rate 0.75": "3a5d74cc866cb922",
-    "spread-f64 rate 12.0": "5158d98a1539a491",
-    "spread-f64 rate 60.25": "f794b7c9a9614194",
-    "spread-f64 acc 0.001": "4e9d30c5ba784eda",
-    "spread-f64 acc 1e-09": "59cf45974e2d20e7",
-    "spread-f64 acc 1e-310": "251bebfc994da972",
+    "walk-f64 prec 0": "27fd2a5ed3a4127e",
+    "walk-f64 prec 9": "209de2f78becb657",
+    "walk-f64 prec 20": "02f41c76d14d7eba",
+    "walk-f64 prec 56": "53742d29800d9a58",
+    "walk-f64 rate 0.75": "4b192e4087d9c9c9",
+    "walk-f64 rate 12.0": "b1921c256f8b58d0",
+    "walk-f64 rate 58.5": "f81b869b2ab872a5",
+    "walk-f64 rate 60.25": "71e7603ee36d222d",
+    "walk-f64 acc 0.001": "ca5b72c00d9e8ff1",
+    "walk-f64 acc 1e-09": "078601a030c663d1",
+    "walk-f64 acc 1e-310": "3ddc6ee2fd72ab3e",
+    "walk-f32 prec 0": "27fd2a5ed3a4127e",
+    "walk-f32 prec 9": "209de2f78becb657",
+    "walk-f32 prec 20": "53ac1a4bfa989395",
+    "walk-f32 prec 56": "26f114410189277d",
+    "walk-f32 rate 0.75": "4b192e4087d9c9c9",
+    "walk-f32 rate 12.0": "68e9720538258522",
+    "walk-f32 acc 0.001": "64448a31945c5e82",
+    "walk-f32 acc 1e-09": "26f114410189277d",
+    "walk-f32 acc 1e-310": "26f114410189277d",
+    "mixed-f64 prec 0": "a8d4cc952a8b8877",
+    "mixed-f64 prec 9": "7b40c20e24e36268",
+    "mixed-f64 prec 20": "97b244c24c34a5e8",
+    "mixed-f64 prec 56": "8a7b28408ee50d26",
+    "mixed-f64 rate 0.75": "4accd48bee7d7412",
+    "mixed-f64 rate 12.0": "ef0586c980371286",
+    "mixed-f64 rate 58.5": "09f72729c4a6cd73",
+    "mixed-f64 rate 60.25": "97635f4b86935154",
+    "mixed-f64 acc 0.001": "ef698e30c2f1a1a8",
+    "mixed-f64 acc 1e-09": "7fa66b04930973ae",
+    "mixed-f64 acc 1e-310": "97635f4b86935154",
+    "mixed-f32 prec 0": "a8d4cc952a8b8877",
+    "mixed-f32 prec 9": "7b40c20e24e36268",
+    "mixed-f32 prec 20": "7c7875c74ccf30ce",
+    "mixed-f32 prec 56": "36fcbd02b6a7eade",
+    "mixed-f32 rate 0.75": "4accd48bee7d7412",
+    "mixed-f32 rate 12.0": "ef0586c980371286",
+    "mixed-f32 acc 0.001": "52112b42276a049b",
+    "mixed-f32 acc 1e-09": "36fcbd02b6a7eade",
+    "mixed-f32 acc 1e-310": "36fcbd02b6a7eade",
+    "spread-f64 prec 0": "b976920c15bbc82d",
+    "spread-f64 prec 9": "ae800000234afea5",
+    "spread-f64 prec 20": "98de6531797135a9",
+    "spread-f64 prec 56": "d957e29cf2dcba96",
+    "spread-f64 rate 0.75": "3d097d3f976fe968",
+    "spread-f64 rate 12.0": "e855ebb2c87215b8",
+    "spread-f64 rate 58.5": "d4d676d9598f9a06",
+    "spread-f64 rate 60.25": "45712c4c1c22643d",
+    "spread-f64 acc 0.001": "e02dace70b3353b4",
+    "spread-f64 acc 1e-09": "be28261833ef0f1a",
+    "spread-f64 acc 1e-310": "45712c4c1c22643d",
 }
 
 
