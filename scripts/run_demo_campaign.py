@@ -94,9 +94,10 @@ def main() -> None:
         svg_path.write_text(front_svg(points, [front]))
         print(f"  wrote {svg_path}")
 
+        # the campaign's quality-neutral test: |phi - psi| <= eta * |phi|
         best = max(
             (r for r in records if r.ok and r.ratio and r.psi is not None
-             and phi - r.psi <= spec.eta * abs(phi)),
+             and abs(phi - r.psi) <= spec.eta * abs(phi)),
             key=lambda r: r.ratio,
             default=None,
         )

@@ -7,10 +7,17 @@ above the acceptance threshold), then evaluates an arithmetic ladder of
 candidate bounds between them.  Every evaluation lands in an append-only
 line-delimited store and an optional content-addressed cache.
 
+Boundary searches read quality only through a probe, a function from bound
+to quality.  The campaign gives both searches of a domain one probe, which
+scores each bound once (the median over the replicate seeds) and records its
+evaluations as they run, so the lower search re-reads the bounds the upper
+search tried without evaluating or recording them again.
+
 A campaign runs each distinct evaluation once: evaluation is deterministic in
-its cache key, so a configuration it has already scored comes back from an
-in-memory table of its ``ok`` records, marked cached like a hit in the cache
-directory, whether or not there is one.
+its cache key, so a configuration it has already scored (a ladder end point
+that was a boundary probe, a configuration two domains share) comes back from
+an in-memory table of its ``ok`` records, marked cached like a hit in the
+cache directory, whether or not there is one.
 
 Codec quality degrades monotonically as the bound grows, so boundary
 searches bisect.  Sampling is noisy and non-monotone; those domains are
@@ -21,6 +28,7 @@ that inversion.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -409,32 +417,22 @@ class SearchResult:
     bound: float
     satisfied: bool
     probes: tuple[tuple[float, float], ...]
-    records: tuple[EvaluationRecord, ...]
 
 
+# quality (psi) of the domain's configuration at a bound
 ProbeFn = Callable[[float], float]
 
 
-def _replicate_median(
-    pair: DatasetPair, app: Application, config: ReducerConfig, spec: SearchSpec,
-    compress_target: str, cache_dir: str | Path | None, failure: str,
-    memo: Memo | None,
-) -> tuple[float, float, list[EvaluationRecord]]:
-    """Score config once per replicate seed; returns (median, spread, records).
+def _replicate_median(records: Sequence[EvaluationRecord], failure: str) -> tuple[float, float]:
+    """(median, spread) of the ok replicates' quality.
 
-    Failed replicates are left out of the median; when every one fails,
+    Failed replicates are left out; when every one failed,
     InfeasibleSearchError(failure) is raised.
     """
-    records = [
-        eval_config(
-            pair, replace(app, seed=app.seed + i), config, compress_target, cache_dir, memo
-        )
-        for i in range(spec.replicates)
-    ]
     values = [rec.psi for rec in records if rec.ok]
     if not values:
         raise InfeasibleSearchError(failure)
-    return float(statistics.median(values)), float(max(values) - min(values)), records
+    return float(statistics.median(values)), float(max(values) - min(values))
 
 
 def _midpoint(lo: float, hi: float, scale: str) -> float:
@@ -471,31 +469,19 @@ def _bisect_largest(
 
 
 def _edge_search(
-    domain: SearchDomain, pair: DatasetPair | None, app: Application | None,
-    spec: SearchSpec, compress_target: str, cache_dir: str | Path | None,
-    probe: ProbeFn | None, passes: Callable[[float], bool],
-    memo: Memo | None,
-) -> tuple[float | None, tuple[tuple[float, float], ...], tuple[EvaluationRecord, ...]]:
-    """Most-compressing bound whose quality passes, or None; with the probes
-    and records it took.
+    domain: SearchDomain, spec: SearchSpec, probe: ProbeFn, passes: Callable[[float], bool]
+) -> tuple[float | None, tuple[tuple[float, float], ...]]:
+    """Most-compressing bound whose quality passes, or None; with the
+    (bound, quality) probes it took.
 
     Noisy domains are scanned on a grid of 2 * max_iters bounds.  The others
     probe bound_max, then bound_min, then bisect the single pass/fail edge
-    between them.  Quality is probe(bound) when given, else the replicate
-    median of real evaluations.
+    between them.
     """
     probes: list[tuple[float, float]] = []
-    records: list[EvaluationRecord] = []
 
     def ok_at(bound: float) -> bool:
-        if probe is not None:
-            psi = float(probe(bound))
-        else:
-            psi, _, recs = _replicate_median(
-                pair, app, domain.config(bound), spec, compress_target, cache_dir,
-                f"all replicates failed at bound {bound:g}", memo,
-            )
-            records.extend(recs)
+        psi = float(probe(bound))
         probes.append((bound, psi))
         return passes(psi)
 
@@ -511,20 +497,10 @@ def _edge_search(
         found = _bisect_largest(
             domain.bound_min, domain.bound_max, ok_at, domain.scale, spec.max_iters - 2
         )
-    return found, tuple(probes), tuple(records)
+    return found, tuple(probes)
 
 
-def find_upper(
-    domain: SearchDomain,
-    pair: DatasetPair | None,
-    app: Application | None,
-    spec: SearchSpec,
-    phi: float,
-    compress_target: str = "both",
-    cache_dir: str | Path | None = None,
-    probe: ProbeFn | None = None,
-    memo: Memo | None = None,
-) -> SearchResult:
+def find_upper(domain: SearchDomain, spec: SearchSpec, phi: float, probe: ProbeFn) -> SearchResult:
     """Most-compressing bound whose quality still matches the baseline.
 
     "Matches" means |phi - psi| <= eta * |phi|.  When even the least
@@ -532,27 +508,14 @@ def find_upper(
     satisfied=False (nothing in the domain is quality-neutral).
     """
     tol = spec.eta * abs(phi)
-    found, probes, records = _edge_search(
-        domain, pair, app, spec, compress_target, cache_dir, probe,
-        lambda psi: abs(phi - psi) <= tol, memo,
-    )
+    found, probes = _edge_search(domain, spec, probe, lambda psi: abs(phi - psi) <= tol)
     satisfied = found is not None
     if not satisfied:
         found = domain.bound_min if domain.bound_compresses_upward else domain.bound_max
-    return SearchResult(domain.config(found), found, satisfied, probes, records)
+    return SearchResult(domain.config(found), found, satisfied, probes)
 
 
-def find_lower(
-    domain: SearchDomain,
-    pair: DatasetPair | None,
-    app: Application | None,
-    spec: SearchSpec,
-    phi: float,
-    compress_target: str = "both",
-    cache_dir: str | Path | None = None,
-    probe: ProbeFn | None = None,
-    memo: Memo | None = None,
-) -> SearchResult:
+def find_lower(domain: SearchDomain, spec: SearchSpec, phi: float, probe: ProbeFn) -> SearchResult:
     """Most-compressing bound whose quality stays above the threshold tau.
 
     Raises InfeasibleSearchError when no bound in the domain qualifies.
@@ -561,16 +524,13 @@ def find_lower(
         raise InfeasibleSearchError(
             f"baseline quality {phi:g} does not exceed tau {spec.tau:g}"
         )
-    found, probes, records = _edge_search(
-        domain, pair, app, spec, compress_target, cache_dir, probe,
-        lambda psi: psi > spec.tau, memo,
-    )
+    found, probes = _edge_search(domain, spec, probe, lambda psi: psi > spec.tau)
     if found is None:
         where = "everywhere" if domain.noisy else f"even at bound {domain.bound_min:g}"
         raise InfeasibleSearchError(
             f"no acceptable configuration: quality at or below tau {where}"
         )
-    return SearchResult(domain.config(found), found, True, probes, records)
+    return SearchResult(domain.config(found), found, True, probes)
 
 
 @dataclass(frozen=True)
@@ -615,21 +575,6 @@ def candidate_points(
     return CandidateSet(lower, upper, points, degenerate=False)
 
 
-def measure_baseline(
-    pair: DatasetPair,
-    app: Application,
-    spec: SearchSpec,
-    compress_target: str = "both",
-    cache_dir: str | Path | None = None,
-    memo: Memo | None = None,
-) -> tuple[float, float, list[EvaluationRecord]]:
-    """Baseline quality via identity reduction; returns (phi, spread, records)."""
-    return _replicate_median(
-        pair, app, ReducerConfig(Method.NONE), spec, compress_target, cache_dir,
-        "baseline evaluation failed for every replicate", memo,
-    )
-
-
 @dataclass(frozen=True)
 class BaselineMeasured:
     """Campaign step: an application's baseline quality over its replicates."""
@@ -653,8 +598,11 @@ class FixedEvaluated:
 class DomainSearched:
     """Campaign step: a domain's two boundary searches and its ladder.
 
-    ``index`` is the domain's position in the campaign's methods.  An
-    infeasible domain has a ``reason`` and keeps what finished before it.
+    ``index`` is the domain's position in the campaign's methods.
+    ``records`` holds one record per replicate of each bound the searches
+    probed, in probe order, then the ladder's.  An infeasible domain has a
+    ``reason``, the search that finished before it, and every record it
+    evaluated.
     """
 
     app: Application
@@ -715,6 +663,25 @@ def run_campaign(
         if observer is not None:
             observer(step)
 
+    def score(
+        app: Application, config: ReducerConfig, failure: str
+    ) -> tuple[float, float, tuple[EvaluationRecord, ...]]:
+        """(median, spread, records) of config over the replicate seeds; the
+        records are stored before a failure is raised."""
+        recs = emit(
+            eval_config(pair, replace(app, seed=app.seed + i), config, compress_target,
+                        cache_dir, memo)
+            for i in range(spec.replicates)
+        )
+        return *_replicate_median(recs, failure), recs
+
+    def domain_probe(app: Application, domain: SearchDomain) -> ProbeFn:
+        """Quality at a bound, scored once for both searches of the domain."""
+        @functools.cache
+        def probe(bound: float) -> float:
+            return score(app, domain.config(bound), f"all replicates failed at bound {bound:g}")[0]
+        return probe
+
     def evaluate_ladder(app: Application, configs: Sequence[ReducerConfig]):
         def one(config: ReducerConfig) -> EvaluationRecord:
             return eval_config(pair, app, config, compress_target, cache_dir, memo)
@@ -725,10 +692,10 @@ def run_campaign(
         return emit(map(one, configs))
 
     for app in apps:
-        phi, spread, base_records = measure_baseline(
-            pair, app, spec, compress_target, cache_dir, memo
+        phi, spread, base = score(
+            app, ReducerConfig(Method.NONE), "baseline evaluation failed for every replicate"
         )
-        notify(BaselineMeasured(app, phi, spread, emit(base_records)))
+        notify(BaselineMeasured(app, phi, spread, base))
         for index, entry in enumerate(methods):
             if isinstance(entry, ReducerConfig):
                 if entry.method is Method.NONE:
@@ -736,21 +703,17 @@ def run_campaign(
                 rec = eval_config(pair, app, entry, compress_target, cache_dir, memo)
                 notify(FixedEvaluated(app, entry, emit([rec])))
                 continue
-            done: tuple[EvaluationRecord, ...] = ()
+            start = len(records)
+            probe = domain_probe(app, entry)
             upper = None
             try:
-                upper = find_upper(
-                    entry, pair, app, spec, phi, compress_target, cache_dir, memo=memo
-                )
-                done += emit(upper.records)
-                lower = find_lower(
-                    entry, pair, app, spec, phi, compress_target, cache_dir, memo=memo
-                )
-                done += emit(lower.records)
+                upper = find_upper(entry, spec, phi, probe)
+                lower = find_lower(entry, spec, phi, probe)
             except InfeasibleSearchError as exc:
+                done = tuple(records[start:])
                 notify(DomainSearched(app, index, entry, done, upper, reason=str(exc)))
                 continue
             ladder = candidate_points(lower.config, upper.config, spec.n_candidates)
-            done += evaluate_ladder(app, ladder.points)
-            notify(DomainSearched(app, index, entry, done, upper, lower, ladder))
+            evaluate_ladder(app, ladder.points)
+            notify(DomainSearched(app, index, entry, tuple(records[start:]), upper, lower, ladder))
     return records

@@ -14,8 +14,8 @@ from .config import Layout, Method, Mode, ReducerConfig, ReducerKnobs
 from .container import Artifact, pack, unpack
 from .delta import delta_transform, inverse_delta
 from .lossless import lossless_decode, lossless_encode
-from .sampling import sample, sample_indices
-from .truncation import narrow_values, truncate
+from .sampling import sample_indices
+from .truncation import narrow_values
 
 __all__ = [
     "PER_VALUE",
@@ -38,8 +38,6 @@ __all__ = [
     "inverse_delta",
     "lossless_decode",
     "lossless_encode",
-    "sample",
     "sample_indices",
     "narrow_values",
-    "truncate",
 ]

@@ -99,7 +99,6 @@ def _encode_predictive(dataset: Dataset, config: ReducerConfig, width: int) -> b
 
 def compress(dataset: Dataset, config: ReducerConfig) -> tuple[Artifact, float, float]:
     """Reduce a dataset; returns (artifact, seconds, MB/s over input bytes)."""
-    config = config if isinstance(config, ReducerConfig) else ReducerConfig(**config)
     t0 = time.perf_counter()
     width = dataset.values.dtype.itemsize
     if config.method is Method.TRUNC and int(config.c[0]) >= 8 * width:
@@ -157,7 +156,7 @@ def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.nd
         with np.errstate(invalid="ignore"):  # a signalling NaN widens like any value
             return _values(blob, narrow, count).astype(np_dtype)
     if method is Method.EBLC_PRED:
-        return predictive.decode(blob, artifact.value_width).astype(np_dtype, copy=False)
+        return predictive.decode(blob, artifact.value_width, count).astype(np_dtype, copy=False)
     if method is Method.EBLC_BITPLANE:
         mode, c, width = artifact.mode.value, artifact.c[0], artifact.value_width
         return bitplane.decode(blob, mode, c, count, width).astype(np_dtype, copy=False)
@@ -177,8 +176,6 @@ def decompress(
         values = flat.reshape(-1, artifact.n_feat)
     else:
         values = flat.reshape(artifact.n_feat, -1).T
-    if artifact.method not in SAMPLING_METHODS and values.shape[0] != artifact.n_obs:
-        raise DataFormatError(f"decoded {values.shape[0]} rows, header says {artifact.n_obs}")
     names = tuple(names) if names is not None else default_names(artifact.n_feat)
     ds = Dataset(values, names, artifact.dtype, allow_nonfinite=True)
     dt = time.perf_counter() - t0

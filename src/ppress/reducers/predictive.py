@@ -255,12 +255,14 @@ def _section(buf: bytes, off: int, size: int, what: str) -> tuple[bytes, int]:
     return buf[off:end], end
 
 
-def decode(buf: bytes, width: int) -> np.ndarray:
-    """The values of a block stream, column after column.  Every section is
-    bounds-checked and the stream must end where its last section does;
-    anything else raises CodecError."""
+def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
+    """The `n_values` values of a block stream, column after column.  A header
+    of another shape, a section out of bounds, or bytes after the last
+    section raise CodecError."""
     head, off = _section(buf, 0, _HEAD.size, "header")
     flags, n, n_cols = _HEAD.unpack(head)
+    if n * n_cols != n_values:
+        raise CodecError(f"predictive stream declares {n}x{n_cols} values, not {n_values}")
     known = _FLAG_SIGNS | _FLAG_DEFLATED | (_FLAG_ZEROS if flags & _FLAG_SIGNS else 0)
     raw = flags == _FLAG_VERBATIM
     if raw:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ..tabular import Dataset
 
 
 def sample_indices(n_obs: int, scheme: str, param: float, seed: int) -> np.ndarray:
@@ -31,6 +30,3 @@ def sample_indices(n_obs: int, scheme: str, param: float, seed: int) -> np.ndarr
     idx.sort()
     return idx
 
-
-def sample(dataset: Dataset, scheme: str, param: float, seed: int = 0) -> Dataset:
-    return dataset.select_rows(sample_indices(dataset.n_obs, scheme, param, seed))

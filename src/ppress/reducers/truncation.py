@@ -1,11 +1,10 @@
-"""Width truncation: round values to a narrower IEEE format, then widen back."""
+"""Width truncation: round values to a narrower IEEE format."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import CodecError, ConfigError
-from ..tabular import Dataset
 
 _NARROW = {32: np.dtype("<f4"), 16: np.dtype("<f2")}
 
@@ -24,15 +23,3 @@ def narrow_values(values: np.ndarray, target_width: int) -> np.ndarray:
         )
     return out
 
-
-def truncate(dataset: Dataset, target_width: int) -> Dataset:
-    """Quantize to the target format while keeping the dataset dtype."""
-    src_bits = {"f64": 64, "f32": 32}[dataset.dtype]
-    if target_width not in _NARROW:
-        raise ConfigError(f"truncation width must be 32 or 16, got {target_width}")
-    if target_width >= src_bits:
-        raise ConfigError(
-            f"truncation to {target_width} bits needs wider input than {dataset.dtype}"
-        )
-    narrowed = narrow_values(dataset.values, target_width)
-    return dataset.with_values(narrowed.astype(dataset.values.dtype))

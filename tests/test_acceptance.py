@@ -12,14 +12,14 @@ import time
 import numpy as np
 
 from ppress.campaign import (
+    BaselineMeasured,
     DatasetPair,
     SearchDomain,
     SearchSpec,
     candidate_points,
-    eval_config,
     find_lower,
     find_upper,
-    measure_baseline,
+    run_campaign,
 )
 from ppress.pareto import ObjectivePoint, hypervolume2d, pareto_front, points_from_records
 from ppress.perfmodel import (
@@ -275,8 +275,8 @@ def test_criterion_7_boundary_search_on_analytic_curve():
 
     search = SearchSpec(tau=tau, n_candidates=9, eta=tolerance, max_iters=20)
     domain = SearchDomain(Method.EBLC_PRED, Mode.REL, bound_min, bound_max, scale="log10")
-    upper = find_upper(domain, None, None, search, phi, probe=quality)
-    lower = find_lower(domain, None, None, search, phi, probe=quality)
+    upper = find_upper(domain, search, phi, quality)
+    lower = find_lower(domain, search, phi, quality)
 
     span = math.log10(bound_max) - math.log10(bound_min)
     step = span / 2.0 ** (search.max_iters - 2)
@@ -318,19 +318,25 @@ def test_criterion_8_desk_scale_campaign():
         "ridge", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2), target="c9", seed=7
     )
     search = SearchSpec(tau=0.7, n_candidates=12, eta=0.01, max_iters=16)
-    phi, _, _ = measure_baseline(pair, app, search, "both", None)
+    domains = [
+        SearchDomain(Method.EBLC_PRED, Mode.REL, 1e-8, 0.5, scale="log10", layout=layout)
+        for layout in (Layout.BY_COLUMN, Layout.MATRIX)
+    ]
+    steps = []
+    run_campaign(pair, [app], domains, search, observer=steps.append)
+    baseline, *searched = steps
+    assert isinstance(baseline, BaselineMeasured)
+    phi = baseline.phi
     assert phi > 0.9
 
     volumes = {}
     best_tolerated_ratio = 0.0
-    for layout in (Layout.BY_COLUMN, Layout.MATRIX):
-        domain = SearchDomain(
-            Method.EBLC_PRED, Mode.REL, 1e-8, 0.5, scale="log10", layout=layout
-        )
-        upper = find_upper(domain, pair, app, search, phi)
-        lower = find_lower(domain, pair, app, search, phi)
-        ladder = candidate_points(lower.config, upper.config, search.n_candidates)
-        records = [eval_config(pair, app, cfg) for cfg in ladder.points]
+    for step in searched:
+        assert step.reason is None
+        layout = step.domain.layout
+        # the step's records end with its ladder's, one per candidate
+        records = step.records[len(step.records) - len(step.ladder.points):]
+        assert [r.config["c"][0] for r in records] == [p.bound for p in step.ladder.points]
         front = pareto_front(points_from_records(records))
         volumes[layout] = hypervolume2d(front, (0.5, 0.0))
         if layout is Layout.BY_COLUMN:

@@ -1,5 +1,6 @@
 import json
 import math
+import statistics
 import sys
 from collections import Counter
 from dataclasses import asdict, replace
@@ -24,7 +25,6 @@ from ppress.campaign import (
     eval_config,
     find_lower,
     find_upper,
-    measure_baseline,
     run_campaign,
 )
 from ppress.errors import ConfigError, DataFormatError, InfeasibleSearchError
@@ -312,7 +312,7 @@ def test_find_upper_locates_quality_edge():
     spec = SearchSpec(tau=0.5, n_candidates=4, eta=1e-3, max_iters=30)
     phi, edge, drop = 0.95, 1e-3, 0.4
     probe = curve(edge, phi, drop)
-    res = find_upper(domain, None, None, spec, phi, probe=probe)
+    res = find_upper(domain, spec, phi, probe)
     assert res.satisfied
     assert abs(phi - probe(res.bound)) <= spec.eta * phi
     # true tolerance crossing in log10 space, bracketed to bisection resolution
@@ -326,7 +326,7 @@ def test_find_upper_locates_quality_edge():
 def test_find_upper_whole_domain_tolerant():
     domain = pred_domain(1e-6, 1.0)
     spec = SearchSpec(tau=0.5, n_candidates=4)
-    res = find_upper(domain, None, None, spec, 0.95, probe=lambda b: 0.95)
+    res = find_upper(domain, spec, 0.95, lambda b: 0.95)
     assert res.satisfied
     assert res.bound == 1.0
     assert len(res.probes) == 1
@@ -335,7 +335,7 @@ def test_find_upper_whole_domain_tolerant():
 def test_find_upper_nothing_tolerant_is_flagged():
     domain = pred_domain(1e-6, 1.0)
     spec = SearchSpec(tau=0.5, n_candidates=4)
-    res = find_upper(domain, None, None, spec, 0.95, probe=lambda b: 0.5)
+    res = find_upper(domain, spec, 0.95, lambda b: 0.5)
     assert not res.satisfied
     assert res.bound == 1e-6
     assert len(res.probes) == 2
@@ -344,7 +344,7 @@ def test_find_upper_nothing_tolerant_is_flagged():
 def test_find_upper_respects_probe_budget():
     domain = pred_domain(1e-6, 1.0)
     spec = SearchSpec(tau=0.5, n_candidates=4, max_iters=5)
-    res = find_upper(domain, None, None, spec, 0.95, probe=curve(1e-3))
+    res = find_upper(domain, spec, 0.95, curve(1e-3))
     assert len(res.probes) <= 5
 
 
@@ -353,7 +353,7 @@ def test_find_lower_locates_threshold_crossing():
     spec = SearchSpec(tau=0.7, n_candidates=4, max_iters=30)
     phi, edge, drop = 0.95, 1e-4, 0.2
     probe = curve(edge, phi, drop)
-    res = find_lower(domain, None, None, spec, phi, probe=probe)
+    res = find_lower(domain, spec, phi, probe)
     assert probe(res.bound) > spec.tau
     crossing = math.log10(edge) + (phi - spec.tau) / drop
     width = 6.0 / 2 ** (spec.max_iters - 2)
@@ -364,7 +364,7 @@ def test_find_lower_locates_threshold_crossing():
 def test_find_lower_whole_domain_acceptable():
     domain = pred_domain(1e-6, 1.0)
     spec = SearchSpec(tau=0.5, n_candidates=4)
-    res = find_lower(domain, None, None, spec, 0.95, probe=lambda b: 0.9)
+    res = find_lower(domain, spec, 0.95, lambda b: 0.9)
     assert res.bound == 1.0
     assert len(res.probes) == 1
 
@@ -373,14 +373,14 @@ def test_find_lower_infeasible_domain():
     domain = pred_domain(1e-6, 1.0)
     spec = SearchSpec(tau=0.9, n_candidates=4)
     with pytest.raises(InfeasibleSearchError):
-        find_lower(domain, None, None, spec, 0.95, probe=lambda b: 0.5)
+        find_lower(domain, spec, 0.95, lambda b: 0.5)
 
 
 def test_find_lower_infeasible_baseline():
     domain = pred_domain(1e-6, 1.0)
     spec = SearchSpec(tau=0.99, n_candidates=4)
     with pytest.raises(InfeasibleSearchError):
-        find_lower(domain, None, None, spec, 0.95, probe=lambda b: 0.95)
+        find_lower(domain, spec, 0.95, lambda b: 0.95)
 
 
 def test_sampling_searches_scan_instead_of_bisecting():
@@ -391,14 +391,14 @@ def test_sampling_searches_scan_instead_of_bisecting():
     def probe(fraction):
         return phi if fraction >= 0.5 else 0.6
 
-    res = find_upper(domain, None, None, spec, phi, probe=probe)
+    res = find_upper(domain, spec, phi, probe)
     grid = np.linspace(0.1, 0.9, 2 * spec.max_iters)
     expected = min(g for g in grid if g >= 0.5)
     # smaller fraction = more compression, so the scan keeps the smallest pass
     assert res.bound == pytest.approx(float(expected))
     assert len(res.probes) == 2 * spec.max_iters
 
-    lower = find_lower(domain, None, None, spec, phi, probe=lambda f: 0.5 + 0.5 * f)
+    lower = find_lower(domain, spec, phi, lambda f: 0.5 + 0.5 * f)
     expected_low = min(g for g in grid if 0.5 + 0.5 * g > spec.tau)
     assert lower.bound == pytest.approx(float(expected_low))
 
@@ -406,7 +406,7 @@ def test_sampling_searches_scan_instead_of_bisecting():
 def test_sampling_upper_flagged_when_scan_finds_nothing():
     domain = SearchDomain(Method.SAMPLE_WOR, Mode.NONE, 0.1, 0.9, scale="linear")
     spec = SearchSpec(tau=0.7, n_candidates=4, max_iters=6)
-    res = find_upper(domain, None, None, spec, 0.95, probe=lambda f: 0.1)
+    res = find_upper(domain, spec, 0.95, lambda f: 0.1)
     assert not res.satisfied
     assert res.bound == 0.9  # least aggressive fraction
 
@@ -453,31 +453,73 @@ def test_candidate_points_property(lo, hi, n):
     assert all(bounds[i] >= bounds[i + 1] for i in range(n - 1))
 
 
-def test_measure_baseline_replicates():
+def test_baseline_replicates():
     pair = linear_pair(n=80)
     spec = SearchSpec(tau=0.5, n_candidates=3, replicates=3)
-    phi, spread, records = measure_baseline(pair, ridge_app(), spec)
-    assert len(records) == 3
-    assert [r.seed for r in records] == [0, 1, 2]
-    assert spread == 0.0  # ridge is deterministic given the seed-free data
-    assert phi == records[0].psi
+    steps = []
+    run_campaign(pair, [ridge_app()], [ReducerConfig(Method.NONE)], spec,
+                 observer=steps.append)
+    (step,) = steps
+    assert isinstance(step, BaselineMeasured)
+    assert len(step.records) == 3
+    assert [r.seed for r in step.records] == [0, 1, 2]
+    assert step.spread == 0.0  # ridge is deterministic given the seed-free data
+    assert step.phi == step.records[0].psi
 
 
-def test_find_upper_on_real_evaluations(tmp_path):
+def search_records(step):
+    """The records a DomainSearched step's two searches evaluated."""
+    n_ladder = len(step.ladder.points) if step.ladder is not None else 0
+    return step.records[:len(step.records) - n_ladder]
+
+
+def test_searches_on_real_evaluations(tmp_path):
     pair = linear_pair(n=120)
-    app = ridge_app()
-    spec = SearchSpec(tau=0.5, n_candidates=3, eta=1e-3, max_iters=6)
-    phi, _, _ = measure_baseline(pair, app, spec)
-    domain = pred_domain(1e-8, 1.0)
-    res = find_upper(domain, pair, app, spec, phi, cache_dir=tmp_path)
-    assert res.satisfied
-    assert len(res.records) == len(res.probes)
-    last_bound, last_psi = res.probes[-1][0], None
-    for b, q in res.probes:
-        if b == res.bound:
-            last_psi = q
-    assert last_psi is not None
-    assert abs(phi - last_psi) <= spec.eta * abs(phi)
+    spec = SearchSpec(tau=0.9, n_candidates=3, eta=1e-3, max_iters=6, replicates=2)
+    steps = []
+    run_campaign(pair, [ridge_app()], [pred_domain(1e-8, 1.0)], spec,
+                 cache_dir=tmp_path, observer=steps.append)
+    baseline, step = steps
+    phi, upper, lower = baseline.phi, step.upper, step.lower
+    assert upper.satisfied
+    psi = dict(upper.probes)[upper.bound]
+    assert abs(phi - psi) <= spec.eta * abs(phi)
+    assert dict(lower.probes)[lower.bound] > spec.tau
+
+    # each probed bound is evaluated and recorded once per replicate seed, in
+    # probe order, though the lower search probes bounds the upper one tried
+    shared = {b for b, _ in upper.probes} & {b for b, _ in lower.probes}
+    assert [b for b, _ in lower.probes[:2]] == [1.0, 1e-8] and len(shared) >= 2
+    bounds = list(dict.fromkeys(b for b, _ in upper.probes + lower.probes))
+    recs = search_records(step)
+    assert [(r.config["c"][0], r.seed) for r in recs] == [
+        (b, seed) for b in bounds for seed in range(spec.replicates)
+    ]
+    assert len({r.record_id for r in recs}) == len(recs)
+    assert not any(r.cached for r in recs)
+    # a probe's quality is its replicates' median
+    for b, q in upper.probes + lower.probes:
+        assert q == statistics.median(r.psi for r in recs if r.config["c"][0] == b)
+
+
+def test_a_bound_that_fails_every_replicate_keeps_its_records(tmp_path):
+    # a fraction of 0.001 keeps no row of 40: every replicate fails at the
+    # scan's first bound, and the search gives the domain up
+    pair = linear_pair(n=80)
+    spec = SearchSpec(tau=0.5, n_candidates=3, max_iters=4, replicates=2)
+    domain = SearchDomain(Method.SAMPLE_WOR, Mode.NONE, 0.001, 0.9, scale="linear")
+    store = RecordStore(tmp_path / "records.jsonl")
+    steps = []
+    records = run_campaign(pair, [ridge_app()], [domain, ReducerConfig(Method.LOSSLESS)],
+                           spec, store=store, observer=steps.append)
+    baseline, searched, fixed = steps
+    assert searched.reason == "all replicates failed at bound 0.001"
+    assert searched.upper is None and searched.ladder is None
+    assert [(r.ok, r.seed, r.config["c"][0]) for r in searched.records] == [
+        (False, 0, 0.001), (False, 1, 0.001)
+    ]
+    assert list(baseline.records + searched.records + fixed.records) == records
+    assert store.load() == records
 
 
 def test_run_campaign_end_to_end(tmp_path):
@@ -583,7 +625,14 @@ def test_run_campaign_observer_reports_every_step():
         assert step.reason is None and step.domain is methods[step.index]
         points = step.ladder.points
         ladder = step.records[len(step.records) - len(points):]
-        assert step.records == step.upper.records + step.lower.records + ladder
+        # the search records, one per bound either search probed, then the ladder
+        probed = step.upper.probes + step.lower.probes
+        assert [r.config["c"][0] for r in search_records(step)] == list(
+            dict.fromkeys(b for b, _ in probed)
+        )
+        ids = [r.record_id for r in search_records(step)]
+        assert len(set(ids)) == len(ids)
+        assert {b for b, _ in step.lower.probes} & {b for b, _ in step.upper.probes}
         assert [r.config["c"][0] for r in ladder] == [p.bound for p in points]
         assert ladder[0].config["c"][0] == step.lower.bound
         assert ladder[-1].config["c"][0] == step.upper.bound
@@ -606,7 +655,7 @@ def test_run_campaign_observer_reports_infeasible_domain():
     assert isinstance(searched, DomainSearched)
     assert "does not exceed tau" in searched.reason
     assert searched.lower is None and searched.ladder is None
-    assert searched.records == searched.upper.records
+    assert [r.config["c"][0] for r in searched.records] == [b for b, _ in searched.upper.probes]
     assert list(baseline.records + searched.records) == records
 
 

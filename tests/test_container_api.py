@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 import zlib
 from dataclasses import fields, replace
@@ -93,6 +94,30 @@ def test_container_round_trip_bytes():
     assert buf[:4] == b"PPRS"
     assert len(buf) == art.comp_bytes
     assert unpack(buf) == art
+
+
+def test_predictive_stream_of_another_shape_is_rejected_before_decoding():
+    # a 9.8 KB container of a 1x1 table whose stream declares 10^7 rows of
+    # one deflated code each: the decoder must refuse it from the header,
+    # not inflate and dequantize ten million codes first
+    n = 10**7
+    stream = b"".join((
+        predictive._HEAD.pack(predictive._FLAG_DEFLATED, n, 1),
+        np.array([(1.0, 1)], predictive._COLUMN).tobytes(),
+        np.array([0.0], "<f8").tobytes(),
+        lossless.lossless_encode(b"\0" + b"\1" * (n - 1)),
+    ))
+    art = Artifact(Method.EBLC_PRED, Mode.ABS, (0.5,), Layout.BY_COLUMN, "f64", 1, 1, stream)
+    blob = pack(art)
+    assert len(blob) < 10_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError, match="declares 10000000x1 values, not 1"):
+            decompress(unpack(blob))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_container_rejects_corruption():

@@ -15,7 +15,7 @@ from ppress.reducers import lossless, predictive
 
 def enc_dec_abs(x, eb, width=8):
     buf, recon = predictive.encode_abs(x, eb, width)
-    out = predictive.decode(buf, width)
+    out = predictive.decode(buf, width, np.size(x))
     assert out.tobytes() == recon.tobytes(), "decode must match encoder reconstruction"
     return buf, out
 
@@ -83,7 +83,7 @@ def test_f32_contract_checked_after_narrowing():
     x = (rng.normal(size=512) * 100).astype(np.float32)
     eb = 1e-3
     buf, recon = predictive.encode_abs(x, eb, 4)
-    out = predictive.decode(buf, 4)
+    out = predictive.decode(buf, 4, x.size)
     assert out.tobytes() == recon.tobytes()
     narrowed = out.astype(np.float32)
     assert np.max(np.abs(x.astype(np.float64) - narrowed.astype(np.float64))) <= eb
@@ -97,7 +97,7 @@ def test_pwrel_contract_and_zeros():
     x[::17] = 0.0
     for pw in [1e-1, 1e-3, 1e-6]:
         buf, recon = predictive.encode_pwrel(x, pw, 8)
-        out = predictive.decode(buf, 8)
+        out = predictive.decode(buf, 8, x.size)
         assert out.tobytes() == recon.tobytes()
         nz = x != 0
         assert np.all(np.abs(x[nz] - out[nz]) <= pw * np.abs(x[nz]))
@@ -109,7 +109,7 @@ def test_pwrel_subnormals_collapse_to_zero():
     # repeated, so that coding pays and the stream is not stored verbatim
     x = np.tile([1.0, 5e-324, -3e-310, 2.0], 64)
     buf, recon = predictive.encode_pwrel(x, 1e-2, 8)
-    out = predictive.decode(buf, 8)
+    out = predictive.decode(buf, 8, x.size)
     assert not buf[0] & predictive._FLAG_VERBATIM
     assert np.all(out[1::4] == 0.0) and np.all(out[2::4] == 0.0)
     assert np.signbit(out[2::4]).all()
@@ -119,14 +119,14 @@ def test_pwrel_subnormals_collapse_to_zero():
 def test_pwrel_all_zero_column():
     x = np.zeros(64)
     buf, recon = predictive.encode_pwrel(x, 1e-3, 8)
-    out = predictive.decode(buf, 8)
+    out = predictive.decode(buf, 8, x.size)
     assert np.array_equal(out, x)
 
 
 def test_verbatim_stream_round_trip():
     x = np.array([1.5, -2.5, 3.5])
     buf = predictive.encode_verbatim(x, 8)
-    out = predictive.decode(buf, 8)
+    out = predictive.decode(buf, 8, x.size)
     assert np.array_equal(out, x)
 
 
@@ -180,7 +180,7 @@ def test_abs_contract_property(x, eb):
 )
 def test_pwrel_contract_property(x, pw):
     buf, recon = predictive.encode_pwrel(x, pw, 8)
-    out = predictive.decode(buf, 8)
+    out = predictive.decode(buf, 8, x.size)
     assert out.tobytes() == recon.tobytes()
     nz = x != 0
     assert np.all(np.abs(x[nz] - out[nz]) <= pw * np.abs(x[nz]))
@@ -262,7 +262,7 @@ def assert_quantize_matches_reference(encode, *args):
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
     buf, recon = encode(*args)
-    assert predictive.decode(buf, args[2]).tobytes() == recon.tobytes()
+    assert predictive.decode(buf, args[2], np.size(args[0])).tobytes() == recon.tobytes()
 
 
 SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
@@ -356,7 +356,7 @@ def test_bound_miss_literal_does_not_reanchor():
     assert lits.tolist() == [0, 1]
     assert codes[2] == 6
     buf, recon = predictive.encode_abs(x, eb, 4)
-    out = predictive.decode(buf, 4)
+    out = predictive.decode(buf, 4, x.size)
     assert out.tobytes() == recon.tobytes()
     assert out[1] == x[1]
     assert np.all(np.abs(x.astype(np.float64) - out) <= eb)
@@ -410,7 +410,7 @@ def test_literal_on_a_half_step_decodes_with_floor():
     # -1, so the jumps land on 4.25 and 0.25; round-half-even would give
     # 3.25 and -0.75, and re-anchoring at the literal 3.75 and -0.25
     buf = hand_stream([None, None, 1, None, 1], [0.25, 2.75, -1.25], 1.0)
-    assert predictive.decode(buf, 8).tolist() == [0.25, 2.75, 4.25, -1.25, 0.25]
+    assert predictive.decode(buf, 8, 5).tolist() == [0.25, 2.75, 4.25, -1.25, 0.25]
 
 
 def code_form(buf, width=8):
@@ -425,9 +425,12 @@ def code_form(buf, width=8):
     return "huffman"
 
 
+WALK = 3000  # values in each stream_of stream
+
+
 def stream_of(kind):
     rng = np.random.default_rng(11)
-    walk = np.cumsum(rng.normal(size=3000))
+    walk = np.cumsum(rng.normal(size=WALK))
     if kind == "huffman":  # one-byte codes: Huffman-only deflate wins
         buf, _ = predictive.encode_abs(walk, 0.5, 8)
     elif kind == "deflated":
@@ -452,9 +455,9 @@ def test_damaged_stream_raises_codec_error(kind, damage):
     if kind in ("huffman", "deflated"):
         assert code_form(buf) == kind
     assert bool(flags & predictive._FLAG_SIGNS) == (kind == "pw_rel")
-    predictive.decode(buf, 8)
+    predictive.decode(buf, 8, WALK)
     with pytest.raises(CodecError):
-        predictive.decode(damage(buf), 8)
+        predictive.decode(damage(buf), 8, WALK)
 
 
 @settings(max_examples=60, deadline=None)
@@ -465,7 +468,7 @@ def test_damaged_stream_raises_codec_error(kind, damage):
 def test_every_truncation_raises_codec_error(kind, cut):
     buf = stream_of(kind)
     with pytest.raises(CodecError):
-        predictive.decode(buf[: cut % len(buf)], 8)
+        predictive.decode(buf[: cut % len(buf)], 8, WALK)
 
 
 def sections(buf, width=8):
@@ -506,7 +509,7 @@ def assert_form_and_round_trip(encode, *args):
     # the Huffman-only frame, the default on a tie
     width = args[2]
     buf, recon, codes = coded_codes(encode, *args)
-    out = predictive.decode(buf, width)
+    out = predictive.decode(buf, width, np.size(args[0]))
     assert out.tobytes() == recon.tobytes()
     if buf[0] & predictive._FLAG_VERBATIM:
         return out
@@ -579,7 +582,7 @@ def test_pwrel_zeros_beside_short_jumps_take_one_byte_plane():
     assert np.array_equal(codes == predictive.ZERO, x == 0.0)
     n, off = deflated_section(buf)
     assert len(lossless.lossless_decode(buf[off:])) == n
-    out = predictive.decode(buf, 8)
+    out = predictive.decode(buf, 8, x.size)
     assert out.tobytes() == recon.tobytes()
     assert np.array_equal(out == 0.0, x == 0.0)
 
@@ -608,7 +611,7 @@ def test_damaged_deflated_section_raises_codec_error(damage):
     assert lossless.lossless_encode(planes)[0] == 1  # deflated, not stored
     assert refit_frame(buf, lossless.lossless_encode(planes)) == buf
     with pytest.raises(CodecError):
-        predictive.decode(refit_frame(buf, damage(planes)), 8)
+        predictive.decode(refit_frame(buf, damage(planes)), 8, WALK)
 
 
 def test_jumps_below_the_limit_code_and_longer_ones_are_literals():
@@ -703,7 +706,7 @@ def test_block_columns_decode_as_each_column_alone(case):
         buf, recon = predictive.encode_abs(x, bound, width)
     else:
         buf, recon = predictive.encode_pwrel(x, bound, width)
-    out = predictive.decode(buf, width)
+    out = predictive.decode(buf, width, x.size)
     assert out.tobytes() == recon.tobytes()
     n, k = x.shape
     if buf[0] & predictive._FLAG_VERBATIM:
@@ -735,6 +738,12 @@ def block_stream(form):
     else:
         buf, _ = predictive.encode_pwrel(x, 1e-3, 8)
     return buf
+
+
+def declared(buf):
+    """The value count a block stream's header declares, n_rows x n_cols."""
+    _, n, n_cols = predictive._HEAD.unpack_from(buf)
+    return n * n_cols
 
 
 def patch(buf, offset, fmt, value):
@@ -791,7 +800,17 @@ def test_damaged_block_header_raises_codec_error(form, field):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(CodecError):
-            predictive.decode(bad, 8)
+            # the count the damaged header declares, so the checks behind the
+            # shape check are the ones that must catch it
+            predictive.decode(bad, 8, declared(bad))
+
+
+@pytest.mark.parametrize("count", [0, 400, 1199, 1201, 3 * 401])
+def test_header_of_another_shape_raises_codec_error(count):
+    buf = block_stream("deflated")
+    assert declared(buf) == 1200
+    with pytest.raises(CodecError, match="declares 400x3 values"):
+        predictive.decode(buf, 8, count)
 
 
 SECTION_DAMAGE = [
@@ -821,7 +840,7 @@ def test_damaged_block_sections_raise_codec_error(form, damage):
     else:
         bad = buf + b"\x00junk"
     with pytest.raises(CodecError):
-        predictive.decode(bad, 8)
+        predictive.decode(bad, 8, 1200)
 
 
 def test_narrow_codes_deflate_when_that_is_smaller():
@@ -832,7 +851,7 @@ def test_narrow_codes_deflate_when_that_is_smaller():
     buf, recon = predictive.encode_abs(x, 0.25, 8)
     assert code_form(buf) == "deflated"
     assert len(buf) < 8000 // 8
-    assert predictive.decode(buf, 8).tobytes() == recon.tobytes()
+    assert predictive.decode(buf, 8, x.size).tobytes() == recon.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -849,18 +868,18 @@ def test_code_width_follows_the_largest_code(jump, code, planes):
     assert len(codes) == planes * n
     want = extract_codes(x, 0.5).tolist()
     assert max(want) == code and reference_planes(want) == codes
-    assert predictive.decode(buf, 8).tobytes() == recon.tobytes() == x.tobytes()
+    assert predictive.decode(buf, 8, x.size).tobytes() == recon.tobytes() == x.tobytes()
 
 
 def test_wider_planes_than_needed_decode_alike():
     # the decoder takes the plane count from the frame's size, so codes
     # written wider than they need decode to the same values
     codes = reference_codes([None, 1, -2, 0, None])
-    want = predictive.decode(code_stream(codes, [0.5, 9.0], 1.0), 8)
+    want = predictive.decode(code_stream(codes, [0.5, 9.0], 1.0), 8, len(codes))
     assert want.tolist() == [0.5, 1.5, -0.5, -0.5, 9.0]
     for width in (2, 3, 4):
-        assert predictive.decode(code_stream(codes, [0.5, 9.0], 1.0, width), 8).tolist() == \
-            want.tolist()
+        wide = code_stream(codes, [0.5, 9.0], 1.0, width)
+        assert predictive.decode(wide, 8, len(codes)).tolist() == want.tolist()
 
 
 # the code of the longest jump, 2^30 - 1 steps; one higher in a pw_rel
@@ -873,13 +892,13 @@ def test_the_longest_jumps_decode():
     # 1 is a jump of 0, except in a pw_rel block with zeros, where it is a
     # zero and 2 is a jump of 0
     limit = predictive.JUMP_LIMIT
-    out = predictive.decode(code_stream([0, 3, TOP, 1], [1.0], 1.0), 8)
+    out = predictive.decode(code_stream([0, 3, TOP, 1], [1.0], 1.0), 8, 4)
     assert out.tolist() == [1.0, 2.0, 1.0 + limit, 1.0 + limit]
-    out = predictive.decode(code_stream([0, 2, TOP, 1], [1.0], 1e-10, signs=True), 8)
+    out = predictive.decode(code_stream([0, 2, TOP, 1], [1.0], 1e-10, signs=True), 8, 4)
     assert out[0] == 1.0 and out[1] == pytest.approx(1.0 - 1e-10, abs=1e-15)
     assert out[2] == out[3] == pytest.approx(math.exp((limit - 2) * 1e-10))
     zeros = code_stream([0, 2, TOP + 1, 1], [1.0], 1e-10, flags=WITH_ZEROS, signs=True)
-    out = predictive.decode(zeros, 8)
+    out = predictive.decode(zeros, 8, 4)
     assert out[:2].tolist() == [1.0, 1.0] and out[3] == 0.0
     assert out[2] == pytest.approx(math.exp((limit - 1) * 1e-10))
 
@@ -898,7 +917,7 @@ def test_code_the_encoder_cannot_write_raises_codec_error(extra, signs, flags):
     # a block that codes a column always sets flag 4
     bad = code_stream([0, 3, extra, 1], [1.0], 1e-10, flags=flags, signs=signs)
     with pytest.raises(CodecError):
-        predictive.decode(bad, 8)
+        predictive.decode(bad, 8, 4)
 
 
 def test_whole_block_verbatim_stream_layout():
@@ -906,10 +925,10 @@ def test_whole_block_verbatim_stream_layout():
     buf = predictive.encode_verbatim(x, 4)
     assert buf[: predictive._HEAD.size] == predictive._HEAD.pack(predictive._FLAG_VERBATIM, 4, 3)
     assert buf[predictive._HEAD.size :] == x.T.astype("<f4").tobytes()
-    assert predictive.decode(buf, 4).tolist() == x.T.ravel().tolist()
+    assert predictive.decode(buf, 4, x.size).tolist() == x.T.ravel().tolist()
     for bad in (buf[:-1], buf + b"\0", patch(buf, 5, "<I", 4)):
         with pytest.raises(CodecError):
-            predictive.decode(bad, 4)
+            predictive.decode(bad, 4, x.size)
 
 
 def test_signalling_nan_literal_decodes_without_a_warning():
@@ -922,5 +941,5 @@ def test_signalling_nan_literal_decodes_without_a_warning():
     bad = patch(buf, first_literal, "<I", 0x7F800001)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out = predictive.decode(bad, 4)
+        out = predictive.decode(bad, 4, x.size)
     assert np.isnan(out[0]) and np.isfinite(out[1:300]).all()

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ppress.reducers.truncation as truncate_mod
 from ppress.errors import CodecError, ConfigError
-from ppress.reducers import delta, lossless, sampling
+from ppress.reducers import Method, ReducerConfig, compress, decompress, delta, lossless, sampling
 from ppress.tabular import Dataset, from_array
 
 
@@ -58,16 +57,22 @@ def test_delta_round_trip_property(data, order):
     assert back.tobytes() == x.tobytes()
 
 
+def truncated(ds, width):
+    """ds through a `trunc` artifact of the given width and back."""
+    artifact, _, _ = compress(ds, ReducerConfig(Method.TRUNC, c=(float(width),)))
+    return decompress(artifact, names=ds.names)[0]
+
+
 def test_truncate_exact_values_survive():
     ds = from_array(np.array([[1.0], [0.5], [-2.0]]))
-    out = truncate_mod.truncate(ds, 32)
+    out = truncated(ds, 32)
     assert out.dtype == "f64"
     assert np.array_equal(out.values, ds.values)
 
 
 def test_truncate_rounds_to_nearest_f32():
     ds = from_array(np.array([[0.1]]))
-    out = truncate_mod.truncate(ds, 32)
+    out = truncated(ds, 32)
     assert out.values[0, 0] == float(np.float32(0.1))
     assert out.values[0, 0] != 0.1
 
@@ -75,14 +80,14 @@ def test_truncate_rounds_to_nearest_f32():
 def test_truncate_overflow_is_error():
     ds = from_array(np.array([[1e39]]))
     with pytest.raises(CodecError):
-        truncate_mod.truncate(ds, 32)
+        truncated(ds, 32)
     with pytest.raises(CodecError):
-        truncate_mod.truncate(from_array(np.array([[70000.0]])), 16)
+        truncated(from_array(np.array([[70000.0]])), 16)
 
 
 def test_truncate_width16_from_f32():
     ds = from_array(np.array([[1.25], [3.5]], dtype=np.float32), dtype="f32")
-    out = truncate_mod.truncate(ds, 16)
+    out = truncated(ds, 16)
     assert out.dtype == "f32"
     assert np.array_equal(out.values, ds.values)  # exactly representable in f16
 
@@ -90,7 +95,7 @@ def test_truncate_width16_from_f32():
 def test_truncate_rejects_same_width():
     ds = from_array(np.array([[1.0]], dtype=np.float32), dtype="f32")
     with pytest.raises(ConfigError):
-        truncate_mod.truncate(ds, 32)
+        truncated(ds, 32)
 
 
 def test_naive_stride_identity_and_every_other():
@@ -128,7 +133,8 @@ def test_sampling_empty_output_rejected():
 
 def test_sample_dataset_keeps_names():
     ds = from_array(np.arange(20.0).reshape(10, 2), names=["u", "v"])
-    out = sampling.sample(ds, "naive", 5)
+    artifact, _, _ = compress(ds, ReducerConfig(Method.SAMPLE_NAIVE, c=(5.0,)))
+    out, _, _ = decompress(artifact, names=ds.names)
     assert out.names == ("u", "v")
     assert out.values.tolist() == [[0.0, 1.0], [10.0, 11.0]]
 
