@@ -71,6 +71,9 @@ def main() -> None:
     def show(step) -> None:
         nonlocal phi
         if isinstance(step, BaselineMeasured):
+            if step.reason is not None:
+                print(f"baseline failed: {step.reason}")
+                return
             phi = step.phi
             print(f"baseline quality phi = {phi:.4f}")
             return

@@ -20,10 +20,15 @@ an in-memory table of its ``ok`` records, marked cached like a hit in the
 cache directory, whether or not there is one.
 
 Codec quality degrades monotonically as the bound grows, so boundary
-searches bisect.  Sampling is noisy and non-monotone; those domains are
-probed on a uniform grid instead.  For fraction-based sampling a *smaller*
-bound value means more compression, and boundary selection accounts for
-that inversion.
+searches bisect.  A bisection stops early once the compression ratios at the
+two ends of its bracket agree within ``SearchSpec.ratio_tol``: it returns the
+passing end, whose ratio then falls short of the full-budget answer's by at
+most that tolerance, and its probes are a prefix of the full-budget ones.
+The campaign's probe keeps each bound's ratio for this; a search given no
+ratio lookup spends its whole budget.  Sampling is noisy and non-monotone;
+those domains are probed on a uniform grid instead.  For fraction-based
+sampling a *smaller* bound value means more compression, and boundary
+selection accounts for that inversion.
 """
 
 from __future__ import annotations
@@ -126,13 +131,21 @@ class SearchDomain:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """User budget and thresholds for one campaign."""
+    """User budget and thresholds for one campaign.
+
+    ``max_iters`` caps the probes of one boundary search.  A bisection stops
+    before that once both ends of its bracket are probed and
+    ratio(hi) / ratio(lo) - 1 <= ``ratio_tol``, so where the ratio grows
+    with the bound it gives up at most ``ratio_tol`` of it; 0 spends the
+    whole budget.
+    """
 
     tau: float
     n_candidates: int
     eta: float = 1e-3
     max_iters: int = 30
     replicates: int = 1
+    ratio_tol: float = 0.01
 
     def __post_init__(self) -> None:
         if self.n_candidates < 2:
@@ -141,6 +154,8 @@ class SearchSpec:
             raise ConfigError(f"eta must be positive, got {self.eta}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not 0 <= self.ratio_tol < 1:
+            raise ConfigError(f"ratio_tol must be in [0, 1), got {self.ratio_tol}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
 
@@ -421,6 +436,8 @@ class SearchResult:
 
 # quality (psi) of the domain's configuration at a bound
 ProbeFn = Callable[[float], float]
+# compression ratio of the domain's configuration at a bound already probed
+RatioFn = Callable[[float], float]
 
 
 def _replicate_median(records: Sequence[EvaluationRecord], failure: str) -> tuple[float, float]:
@@ -450,14 +467,26 @@ def _scan_bounds(domain: SearchDomain, count: int) -> np.ndarray:
 
 
 def _bisect_largest(
-    lo: float, hi: float, ok_at: Callable[[float], bool], scale: str, budget: int
+    lo: float,
+    hi: float,
+    ok_at: Callable[[float], bool],
+    scale: str,
+    budget: int,
+    ratio_at: RatioFn | None,
+    ratio_tol: float,
 ) -> float:
     """Largest x in [lo, hi] passing ok_at, assuming a single pass/fail edge.
 
-    Caller guarantees ok_at(lo) is true and ok_at(hi) false; budget counts
-    further probes.
+    Caller guarantees ok_at(lo) is true and ok_at(hi) false, both already
+    probed; budget counts further probes.  Given ratio_at and a positive
+    ratio_tol, it stops as soon as ratio_at(hi) / ratio_at(lo) - 1 <=
+    ratio_tol: every bound left in the bracket compresses at most that much
+    better than lo (for a ratio that grows with the bound), so returning lo
+    gives up at most ratio_tol against the full budget's answer.
     """
     for _ in range(budget):
+        if ratio_tol > 0 and ratio_at is not None and ratio_at(hi) / ratio_at(lo) - 1 <= ratio_tol:
+            break  # the ratio no longer moves across the bracket
         mid = _midpoint(lo, hi, scale)
         if mid <= lo or mid >= hi:
             break  # interval exhausted at float resolution
@@ -469,14 +498,19 @@ def _bisect_largest(
 
 
 def _edge_search(
-    domain: SearchDomain, spec: SearchSpec, probe: ProbeFn, passes: Callable[[float], bool]
+    domain: SearchDomain,
+    spec: SearchSpec,
+    probe: ProbeFn,
+    passes: Callable[[float], bool],
+    ratio_at: RatioFn | None,
 ) -> tuple[float | None, tuple[tuple[float, float], ...]]:
     """Most-compressing bound whose quality passes, or None; with the
     (bound, quality) probes it took.
 
     Noisy domains are scanned on a grid of 2 * max_iters bounds.  The others
     probe bound_max, then bound_min, then bisect the single pass/fail edge
-    between them.
+    between them, until the budget is spent or, given ratio_at, the bracket's
+    ratios agree within spec.ratio_tol.
     """
     probes: list[tuple[float, float]] = []
 
@@ -495,36 +529,48 @@ def _edge_search(
         found = None
     else:
         found = _bisect_largest(
-            domain.bound_min, domain.bound_max, ok_at, domain.scale, spec.max_iters - 2
+            domain.bound_min, domain.bound_max, ok_at, domain.scale, spec.max_iters - 2,
+            ratio_at, spec.ratio_tol,
         )
     return found, tuple(probes)
 
 
-def find_upper(domain: SearchDomain, spec: SearchSpec, phi: float, probe: ProbeFn) -> SearchResult:
+def find_upper(
+    domain: SearchDomain, spec: SearchSpec, phi: float, probe: ProbeFn,
+    *, ratio_at: RatioFn | None = None,
+) -> SearchResult:
     """Most-compressing bound whose quality still matches the baseline.
 
     "Matches" means |phi - psi| <= eta * |phi|.  When even the least
     aggressive bound misses that tolerance, it is returned with
     satisfied=False (nothing in the domain is quality-neutral).
+    ``ratio_at``, the ratio at a bound the probe has scored, lets a
+    bisection stop early (see SearchSpec.ratio_tol).
     """
     tol = spec.eta * abs(phi)
-    found, probes = _edge_search(domain, spec, probe, lambda psi: abs(phi - psi) <= tol)
+    found, probes = _edge_search(
+        domain, spec, probe, lambda psi: abs(phi - psi) <= tol, ratio_at
+    )
     satisfied = found is not None
     if not satisfied:
         found = domain.bound_min if domain.bound_compresses_upward else domain.bound_max
     return SearchResult(domain.config(found), found, satisfied, probes)
 
 
-def find_lower(domain: SearchDomain, spec: SearchSpec, phi: float, probe: ProbeFn) -> SearchResult:
+def find_lower(
+    domain: SearchDomain, spec: SearchSpec, phi: float, probe: ProbeFn,
+    *, ratio_at: RatioFn | None = None,
+) -> SearchResult:
     """Most-compressing bound whose quality stays above the threshold tau.
 
     Raises InfeasibleSearchError when no bound in the domain qualifies.
+    ``ratio_at`` works as in find_upper.
     """
     if not phi > spec.tau:
         raise InfeasibleSearchError(
             f"baseline quality {phi:g} does not exceed tau {spec.tau:g}"
         )
-    found, probes = _edge_search(domain, spec, probe, lambda psi: psi > spec.tau)
+    found, probes = _edge_search(domain, spec, probe, lambda psi: psi > spec.tau, ratio_at)
     if found is None:
         where = "everywhere" if domain.noisy else f"even at bound {domain.bound_min:g}"
         raise InfeasibleSearchError(
@@ -577,12 +623,18 @@ def candidate_points(
 
 @dataclass(frozen=True)
 class BaselineMeasured:
-    """Campaign step: an application's baseline quality over its replicates."""
+    """Campaign step: an application's baseline quality over its replicates.
+
+    When every replicate failed, ``phi`` and ``spread`` are None and
+    ``reason`` says why; each of the application's domains is then reported
+    infeasible with that reason.
+    """
 
     app: Application
-    phi: float
-    spread: float
+    phi: float | None
+    spread: float | None
     records: tuple[EvaluationRecord, ...]
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -634,10 +686,12 @@ def run_campaign(
     Fixed configurations (no bound to search) are evaluated once per app.
     Search domains get two boundary searches plus the candidate ladder.
     Infeasible searches and failed points are recorded or skipped without
-    aborting the rest of the campaign.  ``observer``, when given, is called
-    with each step once its records are stored; the records of all steps,
-    in order, are the return value.  A configuration the campaign has
-    already evaluated comes back as a cached copy of its first record.
+    aborting the rest of the campaign; an application whose baseline fails
+    for every replicate has each of its domains reported infeasible.
+    ``observer``, when given, is called with each step once its records are
+    stored; the records of all steps, in order, are the return value.  A
+    configuration the campaign has already evaluated comes back as a cached
+    copy of its first record.
     """
     if not apps or not methods:
         raise ConfigError("campaign needs at least one application and one method")
@@ -675,12 +729,20 @@ def run_campaign(
         )
         return *_replicate_median(recs, failure), recs
 
-    def domain_probe(app: Application, domain: SearchDomain) -> ProbeFn:
-        """Quality at a bound, scored once for both searches of the domain."""
+    def domain_probe(app: Application, domain: SearchDomain) -> tuple[ProbeFn, RatioFn]:
+        """Quality at a bound, scored once for both searches of the domain,
+        and the ratio at a bound it scored (every replicate of a codec
+        writes the same bytes, so any ok record's)."""
+        ratios: dict[float, float] = {}
+
         @functools.cache
         def probe(bound: float) -> float:
-            return score(app, domain.config(bound), f"all replicates failed at bound {bound:g}")[0]
-        return probe
+            psi, _, recs = score(
+                app, domain.config(bound), f"all replicates failed at bound {bound:g}"
+            )
+            ratios[bound] = next(rec.ratio for rec in recs if rec.ok)
+            return psi
+        return probe, ratios.__getitem__
 
     def evaluate_ladder(app: Application, configs: Sequence[ReducerConfig]):
         def one(config: ReducerConfig) -> EvaluationRecord:
@@ -692,10 +754,16 @@ def run_campaign(
         return emit(map(one, configs))
 
     for app in apps:
-        phi, spread, base = score(
-            app, ReducerConfig(Method.NONE), "baseline evaluation failed for every replicate"
-        )
-        notify(BaselineMeasured(app, phi, spread, base))
+        start = len(records)
+        try:
+            phi, spread, base = score(
+                app, ReducerConfig(Method.NONE), "baseline evaluation failed for every replicate"
+            )
+            failed = None
+        except InfeasibleSearchError as exc:
+            phi = spread = None
+            base, failed = tuple(records[start:]), str(exc)
+        notify(BaselineMeasured(app, phi, spread, base, failed))
         for index, entry in enumerate(methods):
             if isinstance(entry, ReducerConfig):
                 if entry.method is Method.NONE:
@@ -703,12 +771,15 @@ def run_campaign(
                 rec = eval_config(pair, app, entry, compress_target, cache_dir, memo)
                 notify(FixedEvaluated(app, entry, emit([rec])))
                 continue
+            if failed is not None:  # no baseline to search against
+                notify(DomainSearched(app, index, entry, (), reason=failed))
+                continue
             start = len(records)
-            probe = domain_probe(app, entry)
+            probe, ratio_at = domain_probe(app, entry)
             upper = None
             try:
-                upper = find_upper(entry, spec, phi, probe)
-                lower = find_lower(entry, spec, phi, probe)
+                upper = find_upper(entry, spec, phi, probe, ratio_at=ratio_at)
+                lower = find_lower(entry, spec, phi, probe, ratio_at=ratio_at)
             except InfeasibleSearchError as exc:
                 done = tuple(records[start:])
                 notify(DomainSearched(app, index, entry, done, upper, reason=str(exc)))

@@ -183,6 +183,9 @@ def cmd_search(args) -> int:
 
     def show(step) -> None:
         if isinstance(step, BaselineMeasured):
+            if step.reason is not None:
+                _warn(f"{step.app.id}: baseline failed: {step.reason}")
+                return
             _say(f"{step.app.id}: baseline {step.app.metric.name.value}={step.phi:.6g} "
                  f"(spread {step.spread:.3g} over {plan.spec.replicates} replicate(s))")
             return
@@ -197,11 +200,14 @@ def cmd_search(args) -> int:
             _warn(f"{key}: infeasible: {step.reason}")
             return
         upper, lower, ladder = step.upper, step.lower, step.ladder
+        ratio = {rec.config["c"][0]: rec.ratio for rec in step.records if rec.ok}
         boundaries[key] = {
             "infeasible": False,
             "upper_bound": upper.bound,
             "upper_quality_neutral": upper.satisfied,
+            "upper_probes": [[b, psi, ratio[b]] for b, psi in upper.probes],
             "lower_bound": lower.bound,
+            "lower_probes": [[b, psi, ratio[b]] for b, psi in lower.probes],
             "degenerate": ladder.degenerate,
             "candidates": [p.bound for p in ladder.points],
         }

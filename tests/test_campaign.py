@@ -105,8 +105,13 @@ def test_spec_validation():
         SearchSpec(tau=0.5, n_candidates=4, max_iters=0)
     with pytest.raises(ConfigError):
         SearchSpec(tau=0.5, n_candidates=4, replicates=0)
+    for bad in (-0.01, 1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="ratio_tol"):
+            SearchSpec(tau=0.5, n_candidates=4, ratio_tol=bad)
+    assert SearchSpec(tau=0.5, n_candidates=4, ratio_tol=0.0).ratio_tol == 0.0
     s = SearchSpec(tau=0.5, n_candidates=4)
     assert s.eta == 1e-3 and s.max_iters == 30 and s.replicates == 1
+    assert s.ratio_tol == 0.01
 
 
 def test_eval_identity_matches_direct_run():
@@ -346,6 +351,56 @@ def test_find_upper_respects_probe_budget():
     spec = SearchSpec(tau=0.5, n_candidates=4, max_iters=5)
     res = find_upper(domain, spec, 0.95, curve(1e-3))
     assert len(res.probes) <= 5
+
+
+def ratio_curve(bound):
+    # compression ratio that grows with the bound: 2 at 1e-6, 8 at 1.0
+    return 2.0 + math.log10(bound / 1e-6)
+
+
+@pytest.mark.parametrize("search", [find_upper, find_lower])
+@pytest.mark.parametrize("ratio_tol", [0.01, 0.05])
+def test_bisection_stops_once_the_bracket_ratios_agree(search, ratio_tol):
+    domain = pred_domain(1e-6, 1.0)
+    spec = SearchSpec(tau=0.7, n_candidates=4, eta=1e-3, max_iters=30, ratio_tol=ratio_tol)
+    phi, probe = 0.95, curve(1e-3, 0.95, 0.2)
+    asked = []
+
+    def ratio_at(bound):
+        asked.append(bound)
+        return ratio_curve(bound)
+
+    full = search(domain, replace(spec, ratio_tol=0.0), phi, probe, ratio_at=ratio_at)
+    assert len(full.probes) == spec.max_iters
+    asked.clear()
+    res = search(domain, spec, phi, probe, ratio_at=ratio_at)
+    # only bounds the search has already probed are looked up
+    assert set(asked) <= {b for b, _ in res.probes}
+    assert res.probes == full.probes[:len(res.probes)]
+
+    # replay the full bisection: it stops at the first bracket whose ratios agree
+    def ok(q):
+        return abs(phi - q) <= spec.eta * phi if search is find_upper else q > spec.tau
+
+    lo, hi = domain.bound_min, domain.bound_max
+    for stop, (b, q) in enumerate(full.probes[2:], start=2):
+        if ratio_curve(hi) / ratio_curve(lo) - 1 <= ratio_tol:
+            break
+        lo, hi = (b, hi) if ok(q) else (lo, b)
+    else:
+        pytest.fail("the bracket's ratios never agreed")
+    assert 2 < stop < spec.max_iters and len(res.probes) == stop
+    # it returns the passing end, which gives up at most ratio_tol of ratio
+    assert res.bound == lo
+    assert ratio_curve(res.bound) >= ratio_curve(full.bound) / (1 + ratio_tol)
+
+
+@pytest.mark.parametrize("search", [find_upper, find_lower])
+def test_bisection_without_a_ratio_lookup_spends_the_whole_budget(search):
+    domain = pred_domain(1e-6, 1.0)
+    spec = SearchSpec(tau=0.7, n_candidates=4, eta=1e-3, max_iters=12, ratio_tol=0.5)
+    res = search(domain, spec, 0.95, curve(1e-3, 0.95, 0.2))
+    assert len(res.probes) == spec.max_iters
 
 
 def test_find_lower_locates_threshold_crossing():
@@ -657,6 +712,50 @@ def test_run_campaign_observer_reports_infeasible_domain():
     assert searched.lower is None and searched.ladder is None
     assert [r.config["c"][0] for r in searched.records] == [b for b, _ in searched.upper.probes]
     assert list(baseline.records + searched.records) == records
+
+
+def test_run_campaign_stops_each_bisection_on_a_prefix_of_the_full_budget():
+    pair = linear_pair(n=100)
+    spec = SearchSpec(tau=0.5, n_candidates=4, eta=5e-3, max_iters=12)
+    methods = [pred_domain(1e-8, 1.0), SearchDomain(Method.EBLC_BITPLANE, Mode.ACC, 1e-6, 10.0)]
+    stopped, full = [], []
+    run_campaign(pair, [ridge_app()], methods, spec, observer=stopped.append)
+    run_campaign(pair, [ridge_app()], methods, replace(spec, ratio_tol=0.0), observer=full.append)
+    shorter = 0
+    for s, f in zip(stopped[1:], full[1:]):
+        for a, b in ((s.upper.probes, f.upper.probes), (s.lower.probes, f.lower.probes)):
+            assert a == b[:len(a)]
+            shorter += len(a) < len(b)
+        # each probe is the same evaluation as at the full budget
+        full_ids = {r.record_id for r in search_records(f)}
+        assert {r.record_id for r in search_records(s)} <= full_ids
+    assert shorter > 0
+
+
+def test_a_failed_baseline_does_not_stop_the_other_applications():
+    pair = linear_pair(n=100)
+    broken = replace(ridge_app(), id="broken", target="nope")
+    spec = SearchSpec(tau=0.5, n_candidates=3, eta=5e-3, max_iters=6)
+    methods = [pred_domain(1e-8, 1.0), ReducerConfig(Method.LOSSLESS)]
+    steps = []
+    records = run_campaign(pair, [broken, ridge_app()], methods, spec, observer=steps.append)
+    assert [rec for step in steps for rec in step.records] == records
+    base, searched, fixed, *rest = steps
+    assert isinstance(base, BaselineMeasured) and base.app is broken
+    assert base.phi is None and base.spread is None
+    assert base.reason == "baseline evaluation failed for every replicate"
+    assert [r.ok for r in base.records] == [False]
+    assert isinstance(searched, DomainSearched) and searched.reason == base.reason
+    assert searched.records == () and searched.upper is None and searched.ladder is None
+    assert isinstance(fixed, FixedEvaluated) and not fixed.records[0].ok
+    # the second application is measured and searched as on its own
+    alone = []
+    run_campaign(pair, [ridge_app()], methods, spec, observer=alone.append)
+    assert [type(step) for step in rest] == [BaselineMeasured, DomainSearched, FixedEvaluated]
+    assert rest[1].reason is None and rest[1].ladder is not None
+    assert [r.content_key() for step in rest for r in step.records] == [
+        r.content_key() for step in alone for r in step.records
+    ]
 
 
 def test_run_campaign_requires_work():

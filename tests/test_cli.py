@@ -146,6 +146,13 @@ def test_search_end_to_end(tmp_path, capsys):
     assert entry["candidates"][0] >= entry["candidates"][-1]
     assert entry["upper_bound"] == entry["candidates"][-1]
     assert entry["lower_bound"] == entry["candidates"][0]
+    # each search's probes, as [bound, quality, ratio] from the stored records
+    scored = {r.config["c"][0]: [r.psi, r.ratio] for r in records if r.config["c"]}
+    for side in ("upper", "lower"):
+        probes = entry[f"{side}_probes"]
+        assert [p[1:] for p in probes] == [scored[p[0]] for p in probes]
+        assert entry[f"{side}_bound"] in [p[0] for p in probes]
+    assert [p[0] for p in entry["upper_probes"][:2]] == [0.5, 1e-8]
 
 
 def test_search_infeasible_exit_code(tmp_path):
@@ -158,6 +165,29 @@ def test_search_infeasible_exit_code(tmp_path):
     boundaries = json.loads((tmp_path / "report" / "boundaries.json").read_text())
     (entry,) = boundaries.values()
     assert entry["infeasible"]
+
+
+def test_search_reports_the_domains_of_a_failed_baseline_infeasible(tmp_path, capsys):
+    campaign = write_campaign(
+        tmp_path,
+        [{"method": "eblc_pred", "mode": "rel", "bound_min": 1e-8, "bound_max": 0.5}],
+    )
+    doc = yaml.safe_load(campaign.read_text())
+    broken = {"id": "broken", "kind": "ridge_regression", "metric": "r2", "target": "nope"}
+    doc["apps"].insert(0, broken)
+    campaign.write_text(yaml.safe_dump(doc))
+    assert main(["search", str(campaign)]) == 0
+    assert "broken: baseline failed" in capsys.readouterr().err
+    boundaries = json.loads((tmp_path / "report" / "boundaries.json").read_text())
+    assert boundaries["broken/eblc_pred:rel:by_column"] == {
+        "infeasible": True, "reason": "baseline evaluation failed for every replicate"
+    }
+    assert not boundaries["ridge/eblc_pred:rel:by_column"]["infeasible"]
+
+    # with only the broken application every entry is infeasible
+    doc["apps"] = [broken]
+    campaign.write_text(yaml.safe_dump(doc))
+    assert main(["search", str(campaign)]) == 4
 
 
 def test_search_is_run_campaign(tmp_path):
