@@ -34,7 +34,6 @@ search:
   n_candidates: 8
   eta: 0.01
   max_iters: 14
-  ratio_tol: 0.01
 output:
   store: records.jsonl
   cache: cache

@@ -21,11 +21,11 @@ cache directory, whether or not there is one.
 
 Codec quality degrades monotonically as the bound grows, so boundary
 searches bisect.  A bisection stops early once the compression ratios at the
-two ends of its bracket agree within ``SearchSpec.ratio_tol``: it returns the
+two ends of its bracket agree within 1% (``_RATIO_TOL``): it returns the
 passing end, whose ratio then falls short of the full-budget answer's by at
-most that tolerance, and its probes are a prefix of the full-budget ones.
-The campaign's probe keeps each bound's ratio for this; a search given no
-ratio lookup spends its whole budget.  Sampling is noisy and non-monotone;
+most that much, and its probes are a prefix of the full-budget ones.  The
+campaign's probe keeps each bound's ratio for this; a search given no ratio
+lookup spends its whole budget.  Sampling is noisy and non-monotone;
 those domains are probed on a uniform grid instead.  For fraction-based
 sampling a *smaller* bound value means more compression, and boundary
 selection accounts for that inversion.
@@ -67,6 +67,9 @@ from .reducers.config import SAMPLING_METHODS, canonical_json
 from .tabular import Dataset
 
 _FRACTION_METHODS = {Method.SAMPLE_WR, Method.SAMPLE_WOR}
+
+# a bisection whose bracket ends' ratios agree this closely stops
+_RATIO_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,8 @@ class SearchDomain:
 class SearchSpec:
     """User budget and thresholds for one campaign.
 
-    ``max_iters`` caps the probes of one boundary search.  A bisection stops
-    before that once both ends of its bracket are probed and
-    ratio(hi) / ratio(lo) - 1 <= ``ratio_tol``, so where the ratio grows
-    with the bound it gives up at most ``ratio_tol`` of it; 0 spends the
-    whole budget.
+    ``max_iters`` caps the probes of one boundary search; a bisection stops
+    before that once its bracket's ratios agree (see _bisect_largest).
     """
 
     tau: float
@@ -145,7 +145,6 @@ class SearchSpec:
     eta: float = 1e-3
     max_iters: int = 30
     replicates: int = 1
-    ratio_tol: float = 0.01
 
     def __post_init__(self) -> None:
         if self.n_candidates < 2:
@@ -154,8 +153,6 @@ class SearchSpec:
             raise ConfigError(f"eta must be positive, got {self.eta}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 <= self.ratio_tol < 1:
-            raise ConfigError(f"ratio_tol must be in [0, 1), got {self.ratio_tol}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
 
@@ -473,19 +470,18 @@ def _bisect_largest(
     scale: str,
     budget: int,
     ratio_at: RatioFn | None,
-    ratio_tol: float,
 ) -> float:
     """Largest x in [lo, hi] passing ok_at, assuming a single pass/fail edge.
 
     Caller guarantees ok_at(lo) is true and ok_at(hi) false, both already
-    probed; budget counts further probes.  Given ratio_at and a positive
-    ratio_tol, it stops as soon as ratio_at(hi) / ratio_at(lo) - 1 <=
-    ratio_tol: every bound left in the bracket compresses at most that much
-    better than lo (for a ratio that grows with the bound), so returning lo
-    gives up at most ratio_tol against the full budget's answer.
+    probed; budget counts further probes.  Given ratio_at, it stops as soon
+    as ratio_at(hi) / ratio_at(lo) - 1 <= _RATIO_TOL: every bound left in the
+    bracket compresses at most that much better than lo (for a ratio that
+    grows with the bound), so returning lo gives up at most _RATIO_TOL
+    against the full budget's answer.
     """
     for _ in range(budget):
-        if ratio_tol > 0 and ratio_at is not None and ratio_at(hi) / ratio_at(lo) - 1 <= ratio_tol:
+        if ratio_at is not None and ratio_at(hi) / ratio_at(lo) - 1 <= _RATIO_TOL:
             break  # the ratio no longer moves across the bracket
         mid = _midpoint(lo, hi, scale)
         if mid <= lo or mid >= hi:
@@ -510,7 +506,7 @@ def _edge_search(
     Noisy domains are scanned on a grid of 2 * max_iters bounds.  The others
     probe bound_max, then bound_min, then bisect the single pass/fail edge
     between them, until the budget is spent or, given ratio_at, the bracket's
-    ratios agree within spec.ratio_tol.
+    ratios agree.
     """
     probes: list[tuple[float, float]] = []
 
@@ -530,7 +526,7 @@ def _edge_search(
     else:
         found = _bisect_largest(
             domain.bound_min, domain.bound_max, ok_at, domain.scale, spec.max_iters - 2,
-            ratio_at, spec.ratio_tol,
+            ratio_at,
         )
     return found, tuple(probes)
 
@@ -545,7 +541,7 @@ def find_upper(
     aggressive bound misses that tolerance, it is returned with
     satisfied=False (nothing in the domain is quality-neutral).
     ``ratio_at``, the ratio at a bound the probe has scored, lets a
-    bisection stop early (see SearchSpec.ratio_tol).
+    bisection stop early (see _bisect_largest).
     """
     tol = spec.eta * abs(phi)
     found, probes = _edge_search(
@@ -652,8 +648,9 @@ class DomainSearched:
 
     ``index`` is the domain's position in the campaign's methods.
     ``records`` holds one record per replicate of each bound the searches
-    probed, in probe order, then the ladder's.  An infeasible domain has a
-    ``reason``, the search that finished before it, and every record it
+    probed, in probe order, then the ladder's.  ``ratios`` maps each bound
+    the searches probed to its compression ratio.  An infeasible domain has
+    a ``reason``, the search that finished before it, and every record it
     evaluated.
     """
 
@@ -665,6 +662,12 @@ class DomainSearched:
     lower: SearchResult | None = None
     ladder: CandidateSet | None = None
     reason: str | None = None
+    ratios: dict[float, float] = field(default_factory=dict, compare=False)
+
+    def trace(self, search: SearchResult) -> list[tuple[float, float, float]]:
+        """(bound, quality, ratio) of each probe of ``search``, this step's
+        upper or lower search."""
+        return [(bound, psi, self.ratios[bound]) for bound, psi in search.probes]
 
 
 CampaignStep = BaselineMeasured | FixedEvaluated | DomainSearched
@@ -729,10 +732,10 @@ def run_campaign(
         )
         return *_replicate_median(recs, failure), recs
 
-    def domain_probe(app: Application, domain: SearchDomain) -> tuple[ProbeFn, RatioFn]:
+    def domain_probe(app: Application, domain: SearchDomain) -> tuple[ProbeFn, dict[float, float]]:
         """Quality at a bound, scored once for both searches of the domain,
-        and the ratio at a bound it scored (every replicate of a codec
-        writes the same bytes, so any ok record's)."""
+        and the ratio of each bound it has scored (every replicate of a
+        codec writes the same bytes, so any ok record's)."""
         ratios: dict[float, float] = {}
 
         @functools.cache
@@ -742,7 +745,7 @@ def run_campaign(
             )
             ratios[bound] = next(rec.ratio for rec in recs if rec.ok)
             return psi
-        return probe, ratios.__getitem__
+        return probe, ratios
 
     def evaluate_ladder(app: Application, configs: Sequence[ReducerConfig]):
         def one(config: ReducerConfig) -> EvaluationRecord:
@@ -775,16 +778,23 @@ def run_campaign(
                 notify(DomainSearched(app, index, entry, (), reason=failed))
                 continue
             start = len(records)
-            probe, ratio_at = domain_probe(app, entry)
+            probe, ratios = domain_probe(app, entry)
             upper = None
             try:
-                upper = find_upper(entry, spec, phi, probe, ratio_at=ratio_at)
-                lower = find_lower(entry, spec, phi, probe, ratio_at=ratio_at)
+                upper = find_upper(entry, spec, phi, probe, ratio_at=ratios.__getitem__)
+                lower = find_lower(entry, spec, phi, probe, ratio_at=ratios.__getitem__)
+                if not entry.noisy and lower.bound == upper.bound:
+                    # both bisections walk one bracket until their edges part,
+                    # so a ratio stop there gives them one bound; the rest of
+                    # the budget, over the probes already scored, may split it
+                    lower = find_lower(entry, spec, phi, probe)
             except InfeasibleSearchError as exc:
                 done = tuple(records[start:])
-                notify(DomainSearched(app, index, entry, done, upper, reason=str(exc)))
+                notify(DomainSearched(app, index, entry, done, upper, reason=str(exc),
+                                      ratios=ratios))
                 continue
             ladder = candidate_points(lower.config, upper.config, spec.n_candidates)
             evaluate_ladder(app, ladder.points)
-            notify(DomainSearched(app, index, entry, tuple(records[start:]), upper, lower, ladder))
+            notify(DomainSearched(app, index, entry, tuple(records[start:]), upper, lower, ladder,
+                                  ratios=ratios))
     return records

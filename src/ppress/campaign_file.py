@@ -169,7 +169,6 @@ def _build_plan(doc: dict, path: Path) -> CampaignPlan:
         eta=float(search_raw.get("eta", 1e-3)),
         max_iters=int(search_raw.get("max_iters", 30)),
         replicates=int(search_raw.get("replicates", 1)),
-        ratio_tol=float(search_raw.get("ratio_tol", 0.01)),
     )
     output = _mapping(doc.get("output", {}) or {}, "output")
     cache_raw = output.get("cache")

@@ -200,14 +200,13 @@ def cmd_search(args) -> int:
             _warn(f"{key}: infeasible: {step.reason}")
             return
         upper, lower, ladder = step.upper, step.lower, step.ladder
-        ratio = {rec.config["c"][0]: rec.ratio for rec in step.records if rec.ok}
         boundaries[key] = {
             "infeasible": False,
             "upper_bound": upper.bound,
             "upper_quality_neutral": upper.satisfied,
-            "upper_probes": [[b, psi, ratio[b]] for b, psi in upper.probes],
+            "upper_probes": step.trace(upper),
             "lower_bound": lower.bound,
-            "lower_probes": [[b, psi, ratio[b]] for b, psi in lower.probes],
+            "lower_probes": step.trace(lower),
             "degenerate": ladder.degenerate,
             "candidates": [p.bound for p in ladder.points],
         }

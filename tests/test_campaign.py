@@ -105,13 +105,8 @@ def test_spec_validation():
         SearchSpec(tau=0.5, n_candidates=4, max_iters=0)
     with pytest.raises(ConfigError):
         SearchSpec(tau=0.5, n_candidates=4, replicates=0)
-    for bad in (-0.01, 1.0, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="ratio_tol"):
-            SearchSpec(tau=0.5, n_candidates=4, ratio_tol=bad)
-    assert SearchSpec(tau=0.5, n_candidates=4, ratio_tol=0.0).ratio_tol == 0.0
     s = SearchSpec(tau=0.5, n_candidates=4)
     assert s.eta == 1e-3 and s.max_iters == 30 and s.replicates == 1
-    assert s.ratio_tol == 0.01
 
 
 def test_eval_identity_matches_direct_run():
@@ -359,20 +354,19 @@ def ratio_curve(bound):
 
 
 @pytest.mark.parametrize("search", [find_upper, find_lower])
-@pytest.mark.parametrize("ratio_tol", [0.01, 0.05])
-def test_bisection_stops_once_the_bracket_ratios_agree(search, ratio_tol):
+def test_bisection_stops_once_the_bracket_ratios_agree(search):
     domain = pred_domain(1e-6, 1.0)
-    spec = SearchSpec(tau=0.7, n_candidates=4, eta=1e-3, max_iters=30, ratio_tol=ratio_tol)
+    spec = SearchSpec(tau=0.7, n_candidates=4, eta=1e-3, max_iters=30)
     phi, probe = 0.95, curve(1e-3, 0.95, 0.2)
+    ratio_tol = campaign._RATIO_TOL
     asked = []
 
     def ratio_at(bound):
         asked.append(bound)
         return ratio_curve(bound)
 
-    full = search(domain, replace(spec, ratio_tol=0.0), phi, probe, ratio_at=ratio_at)
+    full = search(domain, spec, phi, probe)
     assert len(full.probes) == spec.max_iters
-    asked.clear()
     res = search(domain, spec, phi, probe, ratio_at=ratio_at)
     # only bounds the search has already probed are looked up
     assert set(asked) <= {b for b, _ in res.probes}
@@ -398,7 +392,7 @@ def test_bisection_stops_once_the_bracket_ratios_agree(search, ratio_tol):
 @pytest.mark.parametrize("search", [find_upper, find_lower])
 def test_bisection_without_a_ratio_lookup_spends_the_whole_budget(search):
     domain = pred_domain(1e-6, 1.0)
-    spec = SearchSpec(tau=0.7, n_candidates=4, eta=1e-3, max_iters=12, ratio_tol=0.5)
+    spec = SearchSpec(tau=0.7, n_candidates=4, eta=1e-3, max_iters=12)
     res = search(domain, spec, 0.95, curve(1e-3, 0.95, 0.2))
     assert len(res.probes) == spec.max_iters
 
@@ -714,13 +708,14 @@ def test_run_campaign_observer_reports_infeasible_domain():
     assert list(baseline.records + searched.records) == records
 
 
-def test_run_campaign_stops_each_bisection_on_a_prefix_of_the_full_budget():
+def test_run_campaign_stops_each_bisection_on_a_prefix_of_the_full_budget(monkeypatch):
     pair = linear_pair(n=100)
     spec = SearchSpec(tau=0.5, n_candidates=4, eta=5e-3, max_iters=12)
     methods = [pred_domain(1e-8, 1.0), SearchDomain(Method.EBLC_BITPLANE, Mode.ACC, 1e-6, 10.0)]
     stopped, full = [], []
     run_campaign(pair, [ridge_app()], methods, spec, observer=stopped.append)
-    run_campaign(pair, [ridge_app()], methods, replace(spec, ratio_tol=0.0), observer=full.append)
+    monkeypatch.setattr(campaign, "_RATIO_TOL", -math.inf)  # never stop early
+    run_campaign(pair, [ridge_app()], methods, spec, observer=full.append)
     shorter = 0
     for s, f in zip(stopped[1:], full[1:]):
         for a, b in ((s.upper.probes, f.upper.probes), (s.lower.probes, f.lower.probes)):
@@ -730,6 +725,48 @@ def test_run_campaign_stops_each_bisection_on_a_prefix_of_the_full_budget():
         full_ids = {r.record_id for r in search_records(f)}
         assert {r.record_id for r in search_records(s)} <= full_ids
     assert shorter > 0
+
+
+def test_boundaries_that_stop_on_one_bracket_are_split_by_the_whole_budget(monkeypatch):
+    # quality holds phi up to 1e-2 and stays above tau up to 1e-1, but the
+    # ratio stops growing at 1e-3, so both bisections stop on the bracket
+    # [1e-3, 1] they share, before their edges part
+    phi, tau = 0.9, 0.5
+    spec = SearchSpec(tau=tau, n_candidates=4, eta=1e-3, max_iters=20)
+    domain = pred_domain(1e-6, 1.0)
+
+    def quality(bound):
+        return phi if bound <= 1e-2 else 0.8 if bound <= 1e-1 else 0.2
+
+    def ratio(bound):
+        return min(2.0 + math.log10(bound / 1e-6), 5.0)
+
+    upper = find_upper(domain, spec, phi, quality, ratio_at=ratio)
+    assert len(upper.probes) == 3 and upper.bound == pytest.approx(1e-3)
+    assert find_lower(domain, spec, phi, quality, ratio_at=ratio).bound == upper.bound
+
+    pair = linear_pair(n=40)
+    real = eval_config(pair, ridge_app(), ReducerConfig(Method.NONE))
+
+    def synthetic(pair, app, config, *args):
+        bound = config.bound if config.c else 0.0
+        return replace(real, record_id=config.label(), config=config.to_dict(),
+                       psi=quality(bound), ratio=ratio(bound) if bound else 1.0)
+
+    monkeypatch.setattr(campaign, "eval_config", synthetic)
+    steps = []
+    run_campaign(pair, [ridge_app()], [domain], spec, observer=steps.append)
+    _, searched = steps
+    # the lower search ran again on its whole budget and left the upper bound
+    assert searched.upper == upper
+    assert searched.lower == find_lower(domain, spec, phi, quality)
+    assert 1e-2 < searched.lower.bound <= 1e-1
+    assert not searched.ladder.degenerate
+    assert len(searched.ladder.points) == spec.n_candidates
+    # the second run re-read the bounds the first had scored
+    labels = [r.record_id for r in search_records(searched)]
+    assert len(labels) == len(set(labels))
+    assert searched.trace(searched.lower) == [(b, q, ratio(b)) for b, q in searched.lower.probes]
 
 
 def test_a_failed_baseline_does_not_stop_the_other_applications():

@@ -147,7 +147,6 @@ def test_load_campaign_file_full(tmp_path):
     assert domain.bound_min == 1e-8 and domain.bound_max == 1e-1
     assert plan.spec.tau == 0.7 and plan.spec.n_candidates == 8
     assert plan.spec.max_iters == 30  # default fills in
-    assert plan.spec.ratio_tol == 0.01
     assert plan.store_path == tmp_path / "out" / "records.jsonl"
     assert plan.cache_dir == tmp_path / "out" / "cache"
     assert plan.report_dir == tmp_path / "report"
@@ -207,13 +206,4 @@ def test_campaign_file_rejects_empty_sections(tmp_path):
         load_campaign_file(write_campaign(tmp_path, campaign_doc(methods=[])))
     doc = campaign_doc(compress_target="sideways")
     with pytest.raises(ConfigError, match="compress_target"):
-        load_campaign_file(write_campaign(tmp_path, doc))
-
-
-def test_campaign_file_reads_ratio_tol(tmp_path):
-    doc = campaign_doc()
-    doc["search"]["ratio_tol"] = 0.05
-    assert load_campaign_file(write_campaign(tmp_path, doc)).spec.ratio_tol == 0.05
-    doc["search"]["ratio_tol"] = 1.5
-    with pytest.raises(ConfigError, match="ratio_tol"):
         load_campaign_file(write_campaign(tmp_path, doc))
