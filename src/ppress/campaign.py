@@ -441,11 +441,12 @@ def _replicate_median(records: Sequence[EvaluationRecord], failure: str) -> tupl
     """(median, spread) of the ok replicates' quality.
 
     Failed replicates are left out; when every one failed,
-    InfeasibleSearchError(failure) is raised.
+    InfeasibleSearchError is raised with `failure` and the first
+    replicate's error, as in "failure (DataFormatError: ...)".
     """
     values = [rec.psi for rec in records if rec.ok]
     if not values:
-        raise InfeasibleSearchError(failure)
+        raise InfeasibleSearchError(f"{failure} ({records[0].error})")
     return float(statistics.median(values)), float(max(values) - min(values))
 
 

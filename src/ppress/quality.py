@@ -219,7 +219,8 @@ def _run_ridge(train: Dataset, validation: Dataset, app: Application) -> float:
     return r_squared(pred, yv, definition).value
 
 
-_KNN_BLOCK = 32  # validation rows per distance block: temporaries stay O(block)
+_KNN_BLOCK = 32  # fewest rows per block, and the dense path's chunk of rows
+_SCREEN_CELLS = 1 << 16  # (validation, training) row pairs per screened block
 _SCREEN_SHARE = 4  # refine at most 1/_SCREEN_SHARE of a block's pairs
 _SCREEN_MIN_TRAIN = 64  # below this many training rows the dense block is faster
 _SCREEN_REACH = np.finfo(np.float64).max / 16  # largest (|v| + T)^2 screened
@@ -255,6 +256,11 @@ def _distinct_rows(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inverse.ravel()
 
 
+def _block_rows(n_train: int) -> int:
+    """Validation rows per block: about _SCREEN_CELLS pairs, at least _KNN_BLOCK."""
+    return max(_KNN_BLOCK, _SCREEN_CELLS // n_train)
+
+
 def _dense_nearest(xb: np.ndarray, xu: np.ndarray, inverse: np.ndarray, k: int) -> np.ndarray:
     """Flat indices (row · n_train + column) of each block row's k nearest
     training rows, from the exact distance of every pair.
@@ -262,9 +268,15 @@ def _dense_nearest(xb: np.ndarray, xu: np.ndarray, inverse: np.ndarray, k: int) 
     The distance is computed once per distinct training row (xu, with
     `inverse` mapping each training row to its own) and gathered: the
     expression depends on the row's values alone, so the bits are the same.
+    Its temporaries grow with rows × distinct rows × features, so the block
+    is worked through _KNN_BLOCK rows at a time.
     """
-    d2 = ((xb[:, None, :] - xu[None, :, :]) ** 2).sum(axis=2)[:, inverse]
-    return np.flatnonzero(_nearest(d2, k))
+    n_train = inverse.size
+    picked = []
+    for lo in range(0, xb.shape[0], _KNN_BLOCK):
+        d2 = ((xb[lo : lo + _KNN_BLOCK, None, :] - xu[None, :, :]) ** 2).sum(axis=2)[:, inverse]
+        picked.append(np.flatnonzero(_nearest(d2, k)) + lo * n_train)
+    return np.concatenate(picked)
 
 
 def _screened_nearest(xb, xt, m2xt, nt, margin, k: int) -> np.ndarray | None:
@@ -340,14 +352,18 @@ def _knn_predict(
     neither picked nor tied, and the candidates hold every column at or
     below that distance, in their original order.
 
-    A block takes the dense path when R could overflow (R > max/16, which
-    keeps every sum and product above finite, and is also false for any
-    NaN or infinity in its rows or the training rows), and the rest of the
-    call does when one block keeps more than 1/_SCREEN_SHARE of its pairs
+    A block holds about _SCREEN_CELLS pairs (`_block_rows`): the screen's
+    cost is then its arithmetic, not a fixed cost per NumPy call.  A block
+    takes the dense path when R could overflow (R > max/16, which keeps
+    every sum and product above finite, and is also false for any NaN or
+    infinity in its rows or the training rows), so one non-finite
+    validation row sends its whole block, up to the whole validation set
+    of a small training set, to the dense path.  The rest of the call goes
+    dense when one block keeps more than 1/_SCREEN_SHARE of its pairs
     (heavy ties, as when every training row quantizes alike).  Calls with
     fewer than _SCREEN_MIN_TRAIN or 4k training rows skip the screen.  The
     dense path computes d once per byte-distinct training row, found once
-    per call.
+    per call, _KNN_BLOCK validation rows at a time.
     """
     # lay the training rows out in permutation order, so the leftmost of
     # equal distances wins
@@ -365,8 +381,9 @@ def _knn_predict(
         tiny = (n_feat + 2) * _UNDERFLOW
     distinct = None  # the training rows' distinct rows, once a block goes dense
     pred = np.empty(xv.shape[0])
-    for lo in range(0, xv.shape[0], _KNN_BLOCK):
-        xb = xv[lo : lo + _KNN_BLOCK]
+    rows = _block_rows(n_train)
+    for lo in range(0, xv.shape[0], rows):
+        xb = xv[lo : lo + rows]
         picked = None
         if screen:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -381,7 +398,7 @@ def _knn_predict(
             picked // n_train * n_labels + cls[picked % n_train],
             minlength=xb.shape[0] * n_labels,
         ).reshape(-1, n_labels)
-        pred[lo : lo + _KNN_BLOCK] = labels[np.argmax(votes, axis=1)]  # vote ties: smallest label
+        pred[lo : lo + rows] = labels[np.argmax(votes, axis=1)]  # vote ties: smallest label
     return pred
 
 

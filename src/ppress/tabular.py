@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -37,7 +37,6 @@ class Dataset:
     names: tuple[str, ...]
     dtype: str = "f64"
     allow_nonfinite: bool = False
-    id: str = field(init=False)
 
     def __post_init__(self) -> None:
         v = self.values
@@ -64,13 +63,19 @@ class Dataset:
             )
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @cached_property
+    def id(self) -> str:
+        """SHA-256 of the dtype, shape and value bytes; hashed on first use,
+        so the many tables a search restores and never names cost nothing."""
+        v = self.values
         h = hashlib.sha256()
         h.update(b"ppress-dataset-v1")
         h.update(self.dtype.encode())
         h.update(np.int64(v.shape[0]).tobytes())
         h.update(np.int64(v.shape[1]).tobytes())
         h.update(v.astype(DTYPES[self.dtype], copy=False).tobytes())
-        object.__setattr__(self, "id", h.hexdigest())
+        return h.hexdigest()
 
     @property
     def n_obs(self) -> int:

@@ -562,7 +562,10 @@ def test_a_bound_that_fails_every_replicate_keeps_its_records(tmp_path):
     records = run_campaign(pair, [ridge_app()], [domain, ReducerConfig(Method.LOSSLESS)],
                            spec, store=store, observer=steps.append)
     baseline, searched, fixed = steps
-    assert searched.reason == "all replicates failed at bound 0.001"
+    assert searched.reason == (
+        "all replicates failed at bound 0.001"
+        " (ConfigError: fraction 0.001 of 40 rows rounds to an empty sample)"
+    )
     assert searched.upper is None and searched.ladder is None
     assert [(r.ok, r.seed, r.config["c"][0]) for r in searched.records] == [
         (False, 0, 0.001), (False, 1, 0.001)
@@ -780,7 +783,10 @@ def test_a_failed_baseline_does_not_stop_the_other_applications():
     base, searched, fixed, *rest = steps
     assert isinstance(base, BaselineMeasured) and base.app is broken
     assert base.phi is None and base.spread is None
-    assert base.reason == "baseline evaluation failed for every replicate"
+    assert base.reason == (
+        "baseline evaluation failed for every replicate"
+        " (DataFormatError: no column named 'nope')"
+    )
     assert [r.ok for r in base.records] == [False]
     assert isinstance(searched, DomainSearched) and searched.reason == base.reason
     assert searched.records == () and searched.upper is None and searched.ladder is None

@@ -177,10 +177,13 @@ def test_search_reports_the_domains_of_a_failed_baseline_infeasible(tmp_path, ca
     doc["apps"].insert(0, broken)
     campaign.write_text(yaml.safe_dump(doc))
     assert main(["search", str(campaign)]) == 0
-    assert "broken: baseline failed" in capsys.readouterr().err
+    cause = "(DataFormatError: no column named 'nope')"
+    assert f"broken: baseline failed: baseline evaluation failed for every replicate {cause}" \
+        in capsys.readouterr().err
     boundaries = json.loads((tmp_path / "report" / "boundaries.json").read_text())
+    # the cause reaches the report, not only the stored records
     assert boundaries["broken/eblc_pred:rel:by_column"] == {
-        "infeasible": True, "reason": "baseline evaluation failed for every replicate"
+        "infeasible": True, "reason": f"baseline evaluation failed for every replicate {cause}"
     }
     assert not boundaries["ridge/eblc_pred:rel:by_column"]["infeasible"]
 

@@ -241,7 +241,7 @@ def test_knn_matches_reference(data):
 
 def test_knn_matches_reference_across_blocks():
     rng = np.random.default_rng(21)
-    n_val = 5 * quality._KNN_BLOCK // 2
+    n_val = 5 * quality._block_rows(200) // 2
     xt = rng.integers(-3, 4, size=(200, 4)).astype(float)
     xv = rng.integers(-3, 4, size=(n_val, 4)).astype(float)
     yt = rng.integers(0, 3, size=200).astype(float)
@@ -287,7 +287,10 @@ def _screen_case(data):
         st.integers(k, 300) | st.integers(max(quality._SCREEN_MIN_TRAIN, 4 * k), 300), label="n_train"
     )
     n_feat = data.draw(st.integers(1, 64), label="n_feat")
-    n_val = data.draw(st.integers(1, 2 * quality._KNN_BLOCK + 20), label="n_val")
+    # up to three blocks; a training set too small to screen is sized as the
+    # smallest screened one, whose blocks span many dense chunks
+    rows = quality._block_rows(max(n_train, quality._SCREEN_MIN_TRAIN))
+    n_val = data.draw(st.integers(1, 2 * rows + 20), label="n_val")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
     base = data.draw(st.sampled_from(["normal", "integers", "offset"]), label="base")
     if base == "normal":
@@ -349,7 +352,7 @@ def test_knn_screen_falls_back_on_a_non_finite_row():
     rng = np.random.default_rng(4)
     xt = rng.normal(size=(100, 3))
     yt = rng.integers(0, 3, size=100).astype(float)
-    xv = rng.normal(size=(2 * quality._KNN_BLOCK, 3))
+    xv = rng.normal(size=(2 * quality._block_rows(100), 3))
     xv[5, 1] = math.nan
     with spy("_screened_nearest") as screened, spy("_dense_nearest") as dense:
         got = quality._knn_predict(xt, yt, xv, 3, 0)
@@ -384,12 +387,43 @@ def test_knn_screen_falls_back_on_an_all_tied_table():
     # every training row alike, as at a coarse bit-plane bound
     xt = np.full((100, 4), 64.0)
     yt = np.arange(100.0) % 3
-    xv = np.random.default_rng(6).normal(size=(3 * quality._KNN_BLOCK, 4))
+    xv = np.random.default_rng(6).normal(size=(3 * quality._block_rows(100), 4))
     with spy("_screened_nearest") as screened, spy("_dense_nearest") as dense:
         got = quality._knn_predict(xt, yt, xv, 5, 2)
     # one block tries the screen; it keeps every pair, so the call goes dense
     assert screened == [None] and len(dense) == 3
     assert np.array_equal(got, reference_knn(xt, yt, xv, 5, 2))
+
+
+def test_knn_screen_falls_back_mid_call_to_dense_chunks():
+    # 60 of 100 training rows alike: the first block, away from them, is
+    # screened; the second, on them, keeps too many pairs, so it and the
+    # third go dense, _KNN_BLOCK rows at a time
+    rng = np.random.default_rng(7)
+    xt = np.vstack([rng.normal(size=(40, 3)), np.full((60, 3), 50.0)])
+    yt = rng.integers(0, 3, size=100).astype(float)
+    rows = quality._block_rows(100)
+    assert rows > quality._KNN_BLOCK
+    xv = rng.normal(size=(3 * rows, 3))
+    xv[rows : 2 * rows] = 50.0
+    shapes = []
+    real = quality._nearest
+
+    def nearest(d2, k):
+        shapes.append(d2.shape[0])
+        return real(d2, k)
+
+    with (
+        spy("_screened_nearest") as screened,
+        spy("_dense_nearest") as dense,
+        mock.patch.object(quality, "_nearest", nearest),
+    ):
+        got = quality._knn_predict(xt, yt, xv, 5, 3)
+    assert len(screened) == 2 and screened[0] is not None and screened[1] is None
+    assert len(dense) == 2
+    chunks = [min(quality._KNN_BLOCK, rows - lo) for lo in range(0, rows, quality._KNN_BLOCK)]
+    assert shapes == [rows] + 2 * chunks
+    assert np.array_equal(got, reference_knn(xt, yt, xv, 5, 3))
 
 
 def test_lowrank_full_rank_is_identity():
@@ -483,7 +517,7 @@ def test_knn_dense_path_on_a_bitplane_quantized_table_matches_reference():
     # so the screen keeps every pair and the call goes dense
     rng = np.random.default_rng(8)
     xt = rng.normal(size=(300, 4)) * 3.0
-    xv = rng.normal(size=(3 * quality._KNN_BLOCK, 4)) * 3.0
+    xv = rng.normal(size=(3 * quality._block_rows(300), 4)) * 3.0
     yt = rng.integers(0, 3, size=300).astype(float)
     art, _, _ = compress(from_array(xt), ReducerConfig(Method.EBLC_BITPLANE, Mode.ACC, (64.0,)))
     xq = decompress(art)[0].values
