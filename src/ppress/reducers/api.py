@@ -212,19 +212,20 @@ class ErrorReport:
 
 
 def error_report(original: Dataset, restored: Dataset) -> ErrorReport:
+    """Errors of `restored` against `original` in f64.  Ranges are the
+    original's float64 max − min, per column and over the table (for PSNR),
+    NaN propagating, computed once per original and cached on it."""
     if original.values.shape != restored.values.shape:
         raise DataFormatError(
             f"shape mismatch: {original.values.shape} vs {restored.values.shape}"
         )
-    x = original.values.astype(np.float64)
-    y = restored.values.astype(np.float64)
-    err = np.abs(x - y)
+    x, ranges, grange = original._error_reference
+    diff = x - restored.values.astype(np.float64, copy=False)
+    err = np.abs(diff)
     col_max = err.max(axis=0)
-    ranges = x.max(axis=0) - x.min(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         col_rel = np.where(col_max == 0.0, 0.0, col_max / ranges)
-    mse = float(np.mean((x - y) ** 2))
-    grange = float(x.max() - x.min())
+    mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0.0:
         psnr = math.inf
     elif grange == 0.0:

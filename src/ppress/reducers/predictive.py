@@ -54,9 +54,11 @@ _F64 = np.dtype("<f8")
 
 def _firsts(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The first finite value of each range values[start:end], 0 if none."""
-    finite = np.append(np.flatnonzero(np.isfinite(values)), values.size)
-    pos = finite[np.searchsorted(finite, starts)]
-    return np.where(pos < ends, np.append(values, 0.0)[pos], 0.0)
+    finite = np.flatnonzero(np.isfinite(values))
+    lo, hi = np.searchsorted(finite, starts), np.searchsorted(finite, ends)
+    firsts = np.zeros(starts.shape)
+    firsts[lo < hi] = values[finite[lo[lo < hi]]]
+    return firsts
 
 
 def quantize(
@@ -69,26 +71,29 @@ def quantize(
     contract of each candidate reconstruction.  Returns (codes, recon,
     literal positions).  Target k snaps to s_k = floor((t_k - o)/step + 1/2),
     o its stream's first finite target (0 if none), rebuilds as o + step·s_k
-    and codes s_k - s_(k-1).  It is a literal, kept exact, when it opens its
-    stream, when s_k or s_(k-1) is non-finite or beyond 2^52 (where f64
-    indices stop being exact), when the jump reaches JUMP_LIMIT, or when
-    verify rejects o + step·s_k.
+    and codes the jump q = s_k - s_(k-1) as ((q << 1) ^ (q >> 63)) + 1 in
+    int64, that is 2q+1 (q >= 0) or -2q (q < 0).  It is a literal (code 0),
+    kept exact, when it opens its stream, when s_k or s_(k-1) is non-finite
+    or beyond 2^52 (where f64 indices stop being exact), when the jump
+    reaches JUMP_LIMIT, or when verify rejects o + step·s_k.
     """
     ends = np.cumsum(lengths)
     starts = ends - lengths
     origin = np.repeat(_firsts(target, starts, ends), lengths)
-    step = np.repeat(np.broadcast_to(step, ends.shape), lengths)
+    step = np.repeat(np.full(ends.shape, step), lengths)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.floor((target - origin) / step + 0.5)
         recon = origin + step * s
         on_grid = np.abs(s) <= 2.0**52
-        q = np.diff(s, prepend=np.nan)
+        q = np.empty_like(s)
+        np.subtract(s[1:], s[:-1], out=q[1:])
         q[starts[starts < ends]] = np.nan  # no stream jumps from the one before
         coded = on_grid & (np.abs(q) < JUMP_LIMIT) & verify(recon)
     coded[1:] &= on_grid[:-1]
     lits = np.flatnonzero(~coded)
-    q = np.where(coded, q, 0.0).astype(np.int64)
-    codes = np.where(q < 0, -2 * q, 2 * q + 1)
+    q[lits] = 0.0
+    q = q.astype(np.int64)
+    codes = ((q << 1) ^ (q >> 63)) + 1
     codes[lits] = LITERAL
     recon[lits] = target[lits]
     return codes, recon, lits
@@ -97,7 +102,9 @@ def quantize(
 def dequantize(codes: np.ndarray, lit_targets: np.ndarray, step, lengths) -> np.ndarray:
     """Rebuild reconstructed targets from codes and literal targets, with
     streams and steps as in quantize: each literal's grid index plus the
-    running jump sum (int64) after it; every stream opens with a literal."""
+    running jump sum (int64) after it; every stream opens with a literal.
+    A code c reads as the jump ((c >> 1) ^ ((c & 1) - 1)) + (1 - (c & 1)):
+    c>>1 for an odd c, -(c>>1) for an even one and 0 for a literal."""
     ends = np.cumsum(lengths)
     starts = ends - lengths
     lit_pos = np.flatnonzero(codes == LITERAL)
@@ -105,7 +112,7 @@ def dequantize(codes: np.ndarray, lit_targets: np.ndarray, step, lengths) -> np.
         raise CodecError("literal count does not match code stream")
     if (codes[starts[starts < ends]] != LITERAL).any():
         raise CodecError("a column does not open with a literal")
-    step = np.broadcast_to(step, ends.shape)
+    step = np.full(ends.shape, step)
     origin = _firsts(lit_targets, np.searchsorted(lit_pos, starts), np.searchsorted(lit_pos, ends))
     stream = np.searchsorted(ends, lit_pos, side="right")
     s_lit = np.floor((lit_targets - origin[stream]) / step[stream] + 0.5)
@@ -113,7 +120,8 @@ def dequantize(codes: np.ndarray, lit_targets: np.ndarray, step, lengths) -> np.
     s_lit = np.where(np.abs(s_lit) <= 2.0**52, s_lit, 0.0).astype(np.int64)
     # segmented cumsum: each literal slot holds the step from the previous
     # segment's last grid index to its own, so the running total is s_k
-    q = np.where(codes & 1, codes >> 1, -(codes >> 1))  # a literal's 0 reads as 0
+    m = (codes & 1) - 1  # ((c >> 1) ^ m) - m is the form above
+    q = ((codes >> 1) ^ m) - m
     seg_ends = s_lit + np.add.reduceat(q, lit_pos)
     q[lit_pos] = s_lit
     q[lit_pos[1:]] -= seg_ends[:-1]
@@ -129,7 +137,7 @@ def _cast_like(r: np.ndarray, width: int) -> np.ndarray:
 
 def _raw(x: np.ndarray, width: int) -> bytes:
     """Values as stored on the wire: the dataset dtype, little-endian."""
-    return np.ascontiguousarray(x).astype(_F32 if width == 4 else _F64).tobytes()
+    return np.ascontiguousarray(x).astype(_F32 if width == 4 else _F64, copy=False).tobytes()
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -180,11 +188,12 @@ def _write(cols, step, codes, recon, width: int, neg=None, flags=0) -> tuple[byt
         raise CodecError(f"a {n}x{n_cols} block does not fit 32-bit fields")
     codes = codes.reshape(cols.shape)
     is_lit = codes == LITERAL
-    lit_bits = 8 * width * is_lit.sum(axis=1) + (0 if neg is None else n)
+    n_lit = is_lit.sum(axis=1)
+    lit_bits = 8 * width * n_lit + (0 if neg is None else n)
     flag, section, coded = _code(codes, lit_bits, 8 * width * n)
     table = np.zeros(n_cols, _COLUMN)
     table["step"] = np.where(coded, step, 0.0)
-    table["n_lit"] = np.where(coded, is_lit.sum(axis=1), n)
+    table["n_lit"] = np.where(coded, n_lit, n)
     signs = b"" if neg is None else np.packbits(neg.reshape(cols.shape)[coded]).tobytes()
     head = _HEAD.pack(flag | flags, n, n_cols)
     literals = _raw(cols[is_lit | ~coded[:, None]], width)
@@ -198,16 +207,15 @@ def encode_abs(x: np.ndarray, eb, width: int) -> tuple[bytes, np.ndarray]:
     """Encode a block (1-D x: one column) under an absolute bound, one or one
     per column; returns (bytes, the decoded values column after column)."""
     cols = _columns(x)
-    eb = np.broadcast_to(np.asarray(eb, dtype=np.float64), cols.shape[:1])
+    eb = np.full(cols.shape[:1], eb, dtype=np.float64)
     if (eb < 0).any():
         raise CodecError(f"absolute bound must not be negative, got {eb.min()}")
-    target = cols.ravel()
-    bound = np.repeat(eb, cols.shape[1])
+    bound = eb[:, None]  # each column's bound, broadcast over its values
 
     def verify(r: np.ndarray) -> np.ndarray:
-        return np.abs(target - _cast_like(r, width)) <= bound
+        return (np.abs(cols - _cast_like(r, width).reshape(cols.shape)) <= bound).ravel()
 
-    codes, recon, _ = quantize(target, verify, 2.0 * eb, np.full(eb.size, cols.shape[1]))
+    codes, recon, _ = quantize(cols.ravel(), verify, 2.0 * eb, np.full(eb.size, cols.shape[1]))
     return _write(cols, 2.0 * eb, codes, _cast_like(recon, width), width)
 
 
@@ -295,9 +303,9 @@ def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
     n_planes, rest = divmod(len(planes), count)
     if rest or not 1 <= n_planes <= 4:
         raise CodecError(f"deflated codes hold {len(planes)} bytes, not 1-4 per {count} codes")
-    codes = np.zeros((count, 4), np.uint8)
-    codes[:, :n_planes] = np.frombuffer(planes, np.uint8).reshape(n_planes, count).T
-    codes = codes.view("<u4").ravel().astype(np.int64)
+    codes = 0  # int64 codes from their byte planes, the most significant first
+    for plane in np.frombuffer(planes, np.uint8).reshape(n_planes, count)[::-1]:
+        codes = codes << 8 | plane.astype(np.int64)
     # the longest jump codes as 2*JUMP_LIMIT - 1, one higher with zeros
     shift = 1 if flags & _FLAG_ZEROS else 0
     top = 2 * JUMP_LIMIT - 1 + shift
@@ -324,7 +332,7 @@ def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
             recon[is_lit] = lit_vals
     # the encoder codes a value only when its reconstruction meets the
     # bound, so only a literal may be non-finite
-    if (~np.isfinite(recon) & ~is_lit).any():
+    if not (np.isfinite(recon) | is_lit).all():
         raise CodecError("a coded value decodes to a non-finite number")
     out = np.empty((n_cols, n))
     out[~coded] = vals[verbatim].reshape(-1, n)

@@ -110,6 +110,10 @@ class Dataset:
     def _global_stats(self) -> "ColumnStats":
         return _compute_global_stats(self)
 
+    @cached_property
+    def _error_reference(self) -> tuple[np.ndarray, np.ndarray, float]:
+        return _compute_error_reference(self)
+
     def column_index(self, name_or_index: str | int) -> int:
         if isinstance(name_or_index, int):
             if not 0 <= name_or_index < self.n_feat:
@@ -345,6 +349,12 @@ def global_stats(ds: Dataset) -> ColumnStats:
     """Stats over the whole matrix, used by the matrix reducer layout;
     computed on the first call for a dataset."""
     return ds._global_stats
+
+
+def _compute_error_reference(ds: Dataset) -> tuple[np.ndarray, np.ndarray, float]:
+    """Values as f64, each column's max − min and the table's, NaN propagating."""
+    x = ds.values.astype(np.float64, copy=False)
+    return x, x.max(axis=0) - x.min(axis=0), float(x.max() - x.min())
 
 
 def _compute_global_stats(ds: Dataset) -> ColumnStats:

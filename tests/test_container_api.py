@@ -409,6 +409,120 @@ def test_error_report_fields():
     assert rep2.psnr_db == math.inf and rep2.mse == 0.0
 
 
+def formula_report(original, restored):
+    """Each ErrorReport field, from the formula error_report keeps: f64
+    differences, ranges as the original's max − min with NaN propagating."""
+    x = original.values.astype(np.float64)
+    y = restored.values.astype(np.float64)
+    err = np.abs(x - y)
+    col_max = err.max(axis=0)
+    ranges = x.max(axis=0) - x.min(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        col_rel = np.where(col_max == 0.0, 0.0, col_max / ranges)
+    mse = float(np.mean((x - y) ** 2))
+    grange = float(x.max() - x.min())
+    if mse == 0.0:
+        psnr = math.inf
+    elif grange == 0.0:
+        psnr = -math.inf
+    else:
+        psnr = 10.0 * math.log10(grange * grange / mse)
+    return {
+        "max_abs_err": float(col_max.max()),
+        "max_rel_to_range_err": float(col_rel.max()),
+        "mse": mse,
+        "psnr_db": psnr,
+        "column_max_abs_err": tuple(float(v) for v in col_max),
+        "column_max_rel_to_range_err": tuple(float(v) for v in col_rel),
+    }
+
+
+def same_floats(a, b):
+    # bit for bit, any NaN matching any NaN
+    a, b = np.atleast_1d(np.asarray(a, np.float64)), np.atleast_1d(np.asarray(b, np.float64))
+    return a.shape == b.shape and all(
+        (math.isnan(u) and math.isnan(v)) or struct.pack("<d", u) == struct.pack("<d", v)
+        for u, v in zip(a.tolist(), b.tolist())
+    )
+
+
+def report_cases():
+    rng = np.random.default_rng(20)
+    smooth = np.cumsum(rng.normal(size=(200, 3)), axis=0) * [1.0, 1e3, 1e-3]
+    f32 = from_array(smooth, dtype="f32")
+    f32_out = from_array(smooth * (1 + 1e-4), dtype="f32")
+    bad = smooth.copy()
+    bad[5, 0], bad[6, 1], bad[7, 2] = np.nan, np.inf, -np.inf
+    flat = np.column_stack([np.full(200, 3.25), np.full(200, -1.5), smooth[:, 0]])
+    flat_out = flat.copy()
+    flat_out[10, 1] += 0.25  # error in a zero-range column: relative error inf
+    flat_out[:, 2] += 1e-3
+    const = np.full((50, 2), 7.0)
+    nan_orig = smooth.copy()
+    nan_orig[3, 1] = np.nan
+    pred = ReducerConfig(Method.EBLC_PRED, Mode.REL, c=(1e-3,))
+    return {
+        "f32": (f32, f32_out),
+        "f32-lossy-pred": (f32, round_trip(f32, pred)[1]),
+        "restored-nan-and-inf": (from_array(smooth), from_array(bad, allow_nonfinite=True)),
+        "zero-range-columns": (from_array(flat), from_array(flat_out)),
+        "constant-table": (from_array(const), from_array(const + [[0.0, 0.5]])),
+        "exact-restore": (from_array(smooth), from_array(smooth.copy())),
+        "original-with-nan": (
+            from_array(nan_orig, allow_nonfinite=True),
+            from_array(nan_orig + 1e-6, allow_nonfinite=True),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(report_cases()))
+def test_error_report_edge_cases_match_the_formula(case):
+    original, restored = report_cases()[case]
+    rep = error_report(original, restored)
+    want = formula_report(original, restored)
+    for name, value in want.items():
+        assert same_floats(getattr(rep, name), value), name
+
+
+def test_error_report_edge_case_values():
+    cases = report_cases()
+    rep = error_report(*cases["zero-range-columns"])
+    assert rep.column_max_abs_err[:2] == (0.0, 0.25)
+    assert rep.column_max_rel_to_range_err[:2] == (0.0, math.inf)
+    rep = error_report(*cases["constant-table"])
+    assert rep.mse == 0.125 and rep.psnr_db == -math.inf
+    assert rep.column_max_rel_to_range_err == (0.0, math.inf)
+    rep = error_report(*cases["exact-restore"])
+    assert rep.psnr_db == math.inf and rep.mse == 0.0 and rep.max_abs_err == 0.0
+    rep = error_report(*cases["restored-nan-and-inf"])
+    assert math.isnan(rep.column_max_abs_err[0])
+    assert rep.column_max_abs_err[1:] == (math.inf, math.inf)
+    assert math.isnan(rep.mse) and math.isnan(rep.psnr_db)
+    rep = error_report(*cases["original-with-nan"])
+    assert math.isnan(rep.column_max_rel_to_range_err[1])
+
+
+def test_error_report_computes_the_reference_once_per_original(monkeypatch):
+    from ppress import tabular
+
+    calls = []
+    real = tabular._compute_error_reference
+
+    def counted(ds):
+        calls.append(ds)
+        return real(ds)
+
+    monkeypatch.setattr(tabular, "_compute_error_reference", counted)
+    ds = rand_ds(seed=3)
+    first = error_report(ds, from_array(ds.values + 1e-3))
+    again = error_report(ds, from_array(ds.values + 1e-3))
+    error_report(ds, ds)
+    assert calls == [ds] and first == again
+    other = rand_ds(seed=3)
+    error_report(other, ds)
+    assert calls == [ds, other]  # a new original, even with equal values, is computed anew
+
+
 def test_error_report_shape_mismatch():
     with pytest.raises(DataFormatError):
         error_report(rand_ds(n=8), rand_ds(n=9))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import warnings
@@ -943,3 +944,144 @@ def test_signalling_nan_literal_decodes_without_a_warning():
         warnings.simplefilter("error", RuntimeWarning)
         out = predictive.decode(bad, 4, x.size)
     assert np.isnan(out[0]) and np.isfinite(out[1:300]).all()
+
+
+GOLDEN_BOUNDS = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
+
+
+def golden_inputs():
+    """(name, encoder, block, per-column bound scale) per golden case."""
+    rng = np.random.default_rng(2020)
+    walk = np.cumsum(rng.normal(size=3000))
+    walk[[100, 1500]] = np.nan
+    walk[[2000, 2001]] = [np.inf, -np.inf]
+    block = np.cumsum(rng.normal(size=(400, 16)), axis=0) * 10.0 ** np.arange(-4, 4, 0.5)
+    scale = 10.0 ** np.arange(-4, 4, 0.5)
+    scale[5] = 0.0  # a zero bound: that column is stored raw
+    noise = rng.normal(size=(64, 3)) * 1e12  # jumps past the limit: the whole block raw
+    mags = 10.0 ** rng.uniform(-5, 5, size=(500, 4)) * rng.choice([-1.0, 1.0], size=(500, 4))
+    mags[::13, 0] = 0.0
+    mags[::29, 1] = -0.0
+    mags[::7, 2] = 0.0
+    mags[[7, 11, 19], [0, 1, 2]] = [np.nan, np.inf, -np.inf]  # column 3 has no zero
+    tame = np.cumsum(np.abs(rng.normal(size=2000))) + 1.0
+    tame[::17] = -tame[::17]
+    return [
+        ("abs-one-column", predictive.encode_abs, walk, 1.0),
+        ("abs-16-columns", predictive.encode_abs, block, scale),
+        ("abs-verbatim-block", predictive.encode_abs, noise, 1.0),
+        ("pwrel-ragged-block", predictive.encode_pwrel, mags, None),
+        ("pwrel-one-column", predictive.encode_pwrel, tame, None),
+    ]
+
+
+def predictive_digests():
+    out = {}
+    for name, encode, x, scale in golden_inputs():
+        for width in (4, 8):
+            xw = x.astype(np.float32).astype(np.float64) if width == 4 else x
+            for c in GOLDEN_BOUNDS:
+                buf, recon = encode(xw, c if scale is None else c * scale, width)
+                h = hashlib.sha256(buf)
+                h.update(recon.tobytes())
+                h.update(predictive.decode(buf, width, xw.size).tobytes())
+                out[f"{name} f{8 * width} {c:g}"] = h.hexdigest()[:16]
+    return out
+
+
+# sha256 of (stream, encoder reconstruction, decode) per case, from the
+# container-version-9 predictive format
+PREDICTIVE_DIGESTS = {
+    "abs-one-column f32 1e-07": "2d98038bb03666c7",
+    "abs-one-column f32 1e-06": "650e6c92ab66ed39",
+    "abs-one-column f32 1e-05": "74dded6144ff0cc7",
+    "abs-one-column f32 0.0001": "1ccea5447154899f",
+    "abs-one-column f32 0.001": "465aa8f187038470",
+    "abs-one-column f32 0.01": "664a256ba62024fe",
+    "abs-one-column f32 0.1": "461d7b987fefe502",
+    "abs-one-column f64 1e-07": "d0c2f4a85de07022",
+    "abs-one-column f64 1e-06": "4c69c68ba980c3d9",
+    "abs-one-column f64 1e-05": "0d173c098bcc5bdd",
+    "abs-one-column f64 0.0001": "f2574292eb67d48b",
+    "abs-one-column f64 0.001": "c8dad35d9bd8199a",
+    "abs-one-column f64 0.01": "2901b6663b7b978e",
+    "abs-one-column f64 0.1": "4e4c25732f613f78",
+    "abs-16-columns f32 1e-07": "bc7dc012f2d1632b",
+    "abs-16-columns f32 1e-06": "d6e61ea216ab84af",
+    "abs-16-columns f32 1e-05": "d495ccaeed4ce51e",
+    "abs-16-columns f32 0.0001": "0ffdc4be56690700",
+    "abs-16-columns f32 0.001": "a290e688aa2fd633",
+    "abs-16-columns f32 0.01": "ab99d40ff90d96e5",
+    "abs-16-columns f32 0.1": "ed05c5b3b69b49f4",
+    "abs-16-columns f64 1e-07": "4d60161be3cc24b8",
+    "abs-16-columns f64 1e-06": "e7e150badf8816c2",
+    "abs-16-columns f64 1e-05": "555b68b16b96c309",
+    "abs-16-columns f64 0.0001": "0d3006aed52f01e3",
+    "abs-16-columns f64 0.001": "b802c130eb792035",
+    "abs-16-columns f64 0.01": "e031db8cc6abd14b",
+    "abs-16-columns f64 0.1": "a7f44e8ab68598d8",
+    "abs-verbatim-block f32 1e-07": "58b92a1caf22ff30",
+    "abs-verbatim-block f32 1e-06": "58b92a1caf22ff30",
+    "abs-verbatim-block f32 1e-05": "58b92a1caf22ff30",
+    "abs-verbatim-block f32 0.0001": "58b92a1caf22ff30",
+    "abs-verbatim-block f32 0.001": "58b92a1caf22ff30",
+    "abs-verbatim-block f32 0.01": "58b92a1caf22ff30",
+    "abs-verbatim-block f32 0.1": "58b92a1caf22ff30",
+    "abs-verbatim-block f64 1e-07": "54c3de7c406301c7",
+    "abs-verbatim-block f64 1e-06": "54c3de7c406301c7",
+    "abs-verbatim-block f64 1e-05": "54c3de7c406301c7",
+    "abs-verbatim-block f64 0.0001": "54c3de7c406301c7",
+    "abs-verbatim-block f64 0.001": "54c3de7c406301c7",
+    "abs-verbatim-block f64 0.01": "54c3de7c406301c7",
+    "abs-verbatim-block f64 0.1": "54c3de7c406301c7",
+    "pwrel-ragged-block f32 1e-07": "a15f53d65d357d40",
+    "pwrel-ragged-block f32 1e-06": "a6b1cc1a89ce3e29",
+    "pwrel-ragged-block f32 1e-05": "31d18cfe5b83b6d4",
+    "pwrel-ragged-block f32 0.0001": "004df6b1719ea067",
+    "pwrel-ragged-block f32 0.001": "85f7b73df3dfe64b",
+    "pwrel-ragged-block f32 0.01": "c9550a7645fd2851",
+    "pwrel-ragged-block f32 0.1": "3d0a1ce53c3f6910",
+    "pwrel-ragged-block f64 1e-07": "dd9f5aee5be6e8ea",
+    "pwrel-ragged-block f64 1e-06": "fded37e8c77b09cd",
+    "pwrel-ragged-block f64 1e-05": "8bae8e27c8496894",
+    "pwrel-ragged-block f64 0.0001": "ce90c7ac0296f4cf",
+    "pwrel-ragged-block f64 0.001": "90036750613dd3c8",
+    "pwrel-ragged-block f64 0.01": "382d02174dd65e30",
+    "pwrel-ragged-block f64 0.1": "681844b023a816b2",
+    "pwrel-one-column f32 1e-07": "c101c40588c32a98",
+    "pwrel-one-column f32 1e-06": "e54d65da5a2780dc",
+    "pwrel-one-column f32 1e-05": "201d6899825da9d5",
+    "pwrel-one-column f32 0.0001": "17539be656cc643f",
+    "pwrel-one-column f32 0.001": "3f8accbb298459dc",
+    "pwrel-one-column f32 0.01": "e94178f2ab389dfa",
+    "pwrel-one-column f32 0.1": "e88da894a1f93ede",
+    "pwrel-one-column f64 1e-07": "e8770923bc8f8cf9",
+    "pwrel-one-column f64 1e-06": "3a2c7c0fb123be05",
+    "pwrel-one-column f64 1e-05": "46f35f401547074a",
+    "pwrel-one-column f64 0.0001": "9df33d5ef557253f",
+    "pwrel-one-column f64 0.001": "cd41fd0a58ef49a0",
+    "pwrel-one-column f64 0.01": "1a71821251b6cb32",
+    "pwrel-one-column f64 0.1": "ec6868d44cb758ac",
+}
+
+
+def test_predictive_streams_match_golden_digests():
+    assert predictive_digests() == PREDICTIVE_DIGESTS
+
+
+def test_golden_inputs_reach_the_verbatim_paths():
+    # the golden cases cover a raw column inside a coded block and a raw block
+    cases = {name: (encode, x, scale) for name, encode, x, scale in golden_inputs()}
+    encode, x, scale = cases["abs-16-columns"]
+    buf, _ = encode(x, 1e-3 * scale, 8)
+    n_cols = x.shape[1]
+    table = np.frombuffer(
+        buf[predictive._HEAD.size : predictive._HEAD.size + n_cols * predictive._COLUMN.itemsize],
+        predictive._COLUMN,
+    )
+    assert not buf[0] & predictive._FLAG_VERBATIM
+    assert (table["step"] == 0).tolist() == [j == 5 for j in range(n_cols)]
+    encode, x, scale = cases["abs-verbatim-block"]
+    assert predictive.encode_abs(x, 1e-3, 8)[0][0] == predictive._FLAG_VERBATIM
+    encode, x, _ = cases["pwrel-ragged-block"]
+    assert predictive.encode_pwrel(x, 1e-3, 8)[0][0] & predictive._FLAG_ZEROS
