@@ -210,7 +210,7 @@ def encode_abs(x: np.ndarray, eb, width: int) -> tuple[bytes, np.ndarray]:
     eb = np.full(cols.shape[:1], eb, dtype=np.float64)
     if (eb < 0).any():
         raise CodecError(f"absolute bound must not be negative, got {eb.min()}")
-    bound = eb[:, None]  # each column's bound, broadcast over its values
+    bound = eb[:, None]
 
     def verify(r: np.ndarray) -> np.ndarray:
         return (np.abs(cols - _cast_like(r, width).reshape(cols.shape)) <= bound).ravel()
