@@ -280,12 +280,21 @@ def _end_last_line(fh) -> None:
 def cache_key(
     pair: DatasetPair, app: Application, config: ReducerConfig | dict, compress_target: str
 ) -> str:
-    """Content address of one evaluation; config may be given as its to_dict()."""
+    """Content address of one evaluation; config may be given as its to_dict().
+
+    The application enters as its whole definition but its timeout: a
+    timeout can only turn a result into a failure, and failures are not kept.
+    """
     if isinstance(config, ReducerConfig):
         config = config.to_dict()
+    app_def = {
+        "id": app.id, "kind": app.kind.value,
+        "metric": {"name": app.metric.name.value, "params": app.metric.params},
+        "target": app.target, "command": app.command, "seed": app.seed, "params": app.params,
+    }
     h = hashlib.sha256()
     parts = (
-        f"v{container.VERSION}", pair.id, app.id, str(app.seed),
+        f"v{container.VERSION}", pair.id, canonical_json(app_def),
         canonical_json(config), compress_target,
     )
     for part in parts:
@@ -310,9 +319,6 @@ def _write_atomic(path: Path, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-_REPORT_FIELDS = ("max_abs_err", "max_rel_to_range_err", "mse", "psnr_db")
 
 
 def eval_config(
@@ -380,10 +386,8 @@ def eval_config(
             orig = sum(a.orig_bytes for a in artifacts.values())
             comp = sum(a.comp_bytes for a in artifacts.values())
             ratio = orig / comp
-            report = {}
-            for name, ds in parts.items():
-                rep = error_report(ds, restored[name])
-                report[name] = {f: getattr(rep, f) for f in _REPORT_FIELDS}
+            report = {name: dict(vars(error_report(ds, restored[name])))
+                      for name, ds in parts.items()}
         total_bytes = sum(ds.n_bytes for ds in parts.values())
         c_mbps = total_bytes / 1e6 / max(t_comp, 1e-12)
         d_mbps = total_bytes / 1e6 / max(t_dec, 1e-12)
@@ -674,6 +678,15 @@ class DomainSearched:
 CampaignStep = BaselineMeasured | FixedEvaluated | DomainSearched
 
 
+def require_distinct_app_ids(apps: Sequence[Application]) -> None:
+    """Raise ConfigError when two applications share an id, which names the
+    stored records of each."""
+    ids = [app.id for app in apps]
+    shared = sorted({i for i in ids if ids.count(i) > 1})
+    if shared:
+        raise ConfigError(f"application ids must be distinct; repeated: {', '.join(shared)}")
+
+
 def run_campaign(
     pair: DatasetPair,
     apps: Sequence[Application],
@@ -699,6 +712,7 @@ def run_campaign(
     """
     if not apps or not methods:
         raise ConfigError("campaign needs at least one application and one method")
+    require_distinct_app_ids(apps)
     bits = 8 * min(pair.train.values.itemsize, pair.validation.values.itemsize)
     for entry in methods:
         if isinstance(entry, SearchDomain) and entry.mode is Mode.RATE and entry.bound_max > bits:

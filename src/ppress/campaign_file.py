@@ -12,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from .campaign import DatasetPair, SearchDomain, SearchSpec
+from .campaign import DatasetPair, SearchDomain, SearchSpec, require_distinct_app_ids
 from .errors import ConfigError
 from .quality import Application, AppKind, MetricSpec
 from .reducers import Layout, Method, Mode, ReducerConfig, ReducerKnobs
@@ -158,6 +158,7 @@ def _build_plan(doc: dict, path: Path) -> CampaignPlan:
     if not apps_raw:
         raise ConfigError("apps list is empty")
     apps = tuple(_build_app(e, seed, i) for i, e in enumerate(apps_raw))
+    require_distinct_app_ids(apps)
     methods_raw = _require(doc, "methods", "top level")
     if not methods_raw:
         raise ConfigError("methods list is empty")

@@ -235,6 +235,14 @@ def _records_by_app(records):
     return dict(sorted(groups.items()))
 
 
+def _write_scatter(out: Path, app_id: str, points, front, fronts) -> str:
+    """Write an application's objective scatter with its global and
+    per-method fronts under out; returns the file name."""
+    name = f"scatter_{app_id}.svg"
+    (out / name).write_text(front_svg(points, [front, *fronts.values()]))
+    return name
+
+
 def cmd_pareto(args) -> int:
     records = _load_records(_resolve_store(args.store, None))
     out = Path(args.out_dir)
@@ -255,8 +263,7 @@ def cmd_pareto(args) -> int:
         for text in method_lines:
             merged.extend(text.strip().splitlines()[1:])
         (out / f"front_methods_{app_id}.csv").write_text("\n".join(merged) + "\n")
-        svg = front_svg(points, [front, *fronts.values()])
-        (out / f"scatter_{app_id}.svg").write_text(svg)
+        _write_scatter(out, app_id, points, front, fronts)
         _say(f"{app_id}: global front has {len(front.points)} of {len(points)} points")
         beaten = dominated_methods(points)
         if beaten:
@@ -359,16 +366,18 @@ def _boundary_lines(report_dir: Path | None) -> list[str]:
     return lines
 
 
-def _front_lines(records) -> list[str]:
+def _front_lines(records, out: Path) -> list[str]:
+    """The report's front tables; writes the scatter each one links under out."""
     lines = []
     for app_id, recs in _records_by_app(records).items():
         points = points_from_records(recs)
         if not points:
             continue
         front = pareto_front(points)
+        scatter = _write_scatter(out, app_id, points, front, per_method_fronts(points))
         lines.append(f"### {app_id}")
         lines.append("")
-        lines.append(f"![objective scatter](scatter_{app_id}.svg)")
+        lines.append(f"![objective scatter]({scatter})")
         lines.append("")
         lines.append("| method | bound | ratio | quality | record |")
         lines.append("|---|---|---|---|---|")
@@ -419,7 +428,7 @@ def cmd_report(args) -> int:
         "",
         "## Pareto fronts",
         "",
-        *_front_lines(records),
+        *_front_lines(records, out),
         "",
         "## Core requirements by link bandwidth (GB/s)",
         "",

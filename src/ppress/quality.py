@@ -49,15 +49,6 @@ class MetricSpec:
 
 
 @dataclass(frozen=True)
-class MetricResult:
-    value: float
-    degenerate: bool = False
-
-    def __float__(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
 class Confusion:
     """Predictions against truth, with one label taken as positive.
 
@@ -94,8 +85,9 @@ def confusion_from_predictions(pred: np.ndarray, truth: np.ndarray, positive=1) 
     )
 
 
-def r_squared(pred: np.ndarray, truth: np.ndarray, definition: str = "pearson") -> MetricResult:
-    """Squared Pearson correlation (or coefficient of determination)."""
+def r_squared(pred: np.ndarray, truth: np.ndarray, definition: str = "pearson") -> float:
+    """Squared Pearson correlation (or coefficient of determination); 0.0
+    when the predictions or the truth are constant."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
@@ -107,23 +99,24 @@ def r_squared(pred: np.ndarray, truth: np.ndarray, definition: str = "pearson") 
     vp = float(dp @ dp)
     vt = float(dt @ dt)
     if vp == 0.0 or vt == 0.0:
-        return MetricResult(0.0, degenerate=True)
+        return 0.0
     if definition == "pearson":
         r = float(dp @ dt) / math.sqrt(vp * vt)
-        return MetricResult(min(r * r, 1.0))
+        return min(r * r, 1.0)
     if definition == "cod":
         ss_res = float(np.sum((truth - pred) ** 2))
-        return MetricResult(1.0 - ss_res / vt)
+        return 1.0 - ss_res / vt
     raise ConfigError(f"unknown r_squared definition {definition!r}")
 
 
-def g_mean(conf: Confusion) -> MetricResult:
-    """Geometric mean of precision and recall."""
+def g_mean(conf: Confusion) -> float:
+    """Geometric mean of precision and recall; 0.0 when no label or no
+    prediction is positive."""
     if conf.tp + conf.fn < 1 or conf.tp + conf.fp < 1:
-        return MetricResult(0.0, degenerate=True)
+        return 0.0
     precision = conf.tp / (conf.tp + conf.fp)
     recall = conf.tp / (conf.tp + conf.fn)
-    return MetricResult(math.sqrt(precision * recall))
+    return math.sqrt(precision * recall)
 
 
 def accuracy(conf: Confusion) -> float:
@@ -216,7 +209,7 @@ def _run_ridge(train: Dataset, validation: Dataset, app: Application) -> float:
         raise ApplicationError(f"ridge normal equations are singular: {exc}") from exc
     pred = xv1 @ beta
     definition = app.metric.params.get("definition", "pearson")
-    return r_squared(pred, yv, definition).value
+    return r_squared(pred, yv, definition)
 
 
 _KNN_BLOCK = 32  # fewest rows per block, and the dense path's chunk of rows
@@ -412,7 +405,7 @@ def _run_knn(train: Dataset, validation: Dataset, app: Application) -> float:
     positive = app.params.get("positive", 1)
     conf = confusion_from_predictions(pred, yv, positive)
     if app.metric.name is MetricName.GMEAN:
-        return g_mean(conf).value
+        return g_mean(conf)
     return accuracy(conf)
 
 

@@ -1,13 +1,11 @@
 """Dataset reducers: error-bounded codecs, truncation, sampling, lossless."""
 
 from .api import (
-    PER_VALUE,
     ErrorReport,
     compress,
     compression_ratio,
     decompress,
     error_report,
-    resolve_bound,
     retained_rows,
 )
 from .config import Layout, Method, Mode, ReducerConfig, ReducerKnobs
@@ -18,13 +16,11 @@ from .sampling import sample_indices
 from .truncation import narrow_values
 
 __all__ = [
-    "PER_VALUE",
     "ErrorReport",
     "compress",
     "compression_ratio",
     "decompress",
     "error_report",
-    "resolve_bound",
     "retained_rows",
     "Layout",
     "Method",

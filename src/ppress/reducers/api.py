@@ -14,18 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CodecError, ConfigError, DataFormatError
-from ..tabular import DTYPES, ColumnStats, Dataset, column_stats, default_names, global_stats
+from ..tabular import DTYPES, Dataset, column_stats, default_names, global_stats
 from . import bitplane, delta, lossless, predictive, sampling, truncation
 from .config import SAMPLING_METHODS, Layout, Method, Mode, ReducerConfig
 from .container import Artifact, pack, unpack
 
 __all__ = [
-    "PER_VALUE",
     "ErrorReport",
     "Artifact",
     "pack",
     "unpack",
-    "resolve_bound",
     "compress",
     "decompress",
     "error_report",
@@ -33,38 +31,15 @@ __all__ = [
 ]
 
 
-class _PerValue:
-    """Sentinel: the bound is relative to each value, not a single number."""
-
-    def __repr__(self) -> str:
-        return "PER_VALUE"
-
-
-PER_VALUE = _PerValue()
-
-
-def resolve_bound(mode: Mode, c_value: float, stats: ColumnStats | None = None):
-    """Turn a mode-relative bound into an absolute one in data units.
-
-    Returns 0.0 for a REL/PSNR bound on a zero-range column (the caller
-    stores such columns verbatim) and PER_VALUE for PW_REL.
-    """
-    if not c_value > 0:
-        raise ConfigError(f"bound must be positive, got {c_value}")
-    mode = Mode(mode)
+def _abs_bounds(mode: Mode, c: float, ranges: np.ndarray) -> np.ndarray:
+    """Each column's absolute bound in data units under an abs, rel or psnr
+    bound c; a zero-range column gets 0 under rel and psnr (the coder
+    stores it verbatim), and a NaN range gives a NaN bound."""
     if mode is Mode.ABS:
-        return float(c_value)
-    if mode is Mode.PW_REL:
-        return PER_VALUE
-    if mode in (Mode.REL, Mode.PSNR):
-        if stats is None:
-            raise ConfigError(f"{mode.value} bound needs column statistics")
-        if stats.range == 0:
-            return 0.0
-        if mode is Mode.REL:
-            return float(c_value * stats.range)
-        return float(math.sqrt(3.0) * stats.range * 10.0 ** (-c_value / 20.0))
-    raise ConfigError(f"mode {mode.value} does not define an absolute bound")
+        return np.full(ranges.shape, c)
+    if mode is Mode.REL:
+        return c * ranges
+    return math.sqrt(3.0) * ranges * 10.0 ** (-c / 20.0)
 
 
 def _encode_stream(flat: np.ndarray, config: ReducerConfig, width: int) -> bytes:
@@ -93,8 +68,8 @@ def _encode_predictive(dataset: Dataset, config: ReducerConfig, width: int) -> b
     if config.mode is Mode.PW_REL:
         return predictive.encode_pwrel(block, c, width)[0]
     stats = [global_stats(dataset)] if matrix else column_stats(dataset)
-    eb = [resolve_bound(config.mode, c, s) for s in stats]
-    return predictive.encode_abs(block, eb, width)[0]
+    ranges = np.array([s.range for s in stats])
+    return predictive.encode_abs(block, _abs_bounds(config.mode, c, ranges), width)[0]
 
 
 def compress(dataset: Dataset, config: ReducerConfig) -> tuple[Artifact, float, float]:
@@ -207,8 +182,6 @@ class ErrorReport:
     max_rel_to_range_err: float
     mse: float
     psnr_db: float
-    column_max_abs_err: tuple[float, ...]
-    column_max_rel_to_range_err: tuple[float, ...]
 
 
 def error_report(original: Dataset, restored: Dataset) -> ErrorReport:
@@ -237,6 +210,4 @@ def error_report(original: Dataset, restored: Dataset) -> ErrorReport:
         max_rel_to_range_err=float(col_rel.max()),
         mse=mse,
         psnr_db=psnr,
-        column_max_abs_err=tuple(float(v) for v in col_max),
-        column_max_rel_to_range_err=tuple(float(v) for v in col_rel),
     )

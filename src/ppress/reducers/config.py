@@ -146,6 +146,7 @@ class ReducerConfig:
         )
 
 
-def canonical_json(config: dict) -> str:
-    """The byte-stable form of a ReducerConfig.to_dict() that cache keys hash."""
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
+def canonical_json(doc: dict) -> str:
+    """The byte-stable form of a ReducerConfig.to_dict() or an application
+    definition that cache keys hash."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -214,6 +214,61 @@ def test_cache_key_covers_container_version(monkeypatch):
     assert cache_key(pair, ridge_app(), config, "both") != before
 
 
+
+def ten_column_pair(n=200, seed=31):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.normal(size=(n, 10)), axis=0)
+    x[:, 2] = x[:, :2] @ [1.0, -0.5] + 0.5 * rng.normal(size=n)
+    x[:, 9] = x[:, 3:6] @ [0.3, 0.2, -0.7] + 2.0 * rng.normal(size=n)
+    half = n // 2
+    return DatasetPair(from_array(x[:half]), from_array(x[half:]))
+
+
+def test_an_app_with_another_target_is_not_served_the_cached_result(tmp_path):
+    # two apps that share an id but predict different columns
+    pair = ten_column_pair()
+    config = ReducerConfig(Method.EBLC_PRED, Mode.REL, (1e-3,))
+    c2 = Application("ridge", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2), target="c2")
+    c9 = replace(c2, target="c9")
+    first = eval_config(pair, c2, config, cache_dir=tmp_path)
+    fresh = eval_config(pair, c9, config)
+    served = eval_config(pair, c9, config, cache_dir=tmp_path)
+    assert first.psi != fresh.psi
+    assert not served.cached and served.psi == fresh.psi
+    assert eval_config(pair, c9, config, cache_dir=tmp_path).cached
+
+
+def test_cache_key_hashes_the_whole_application():
+    pair = linear_pair(n=40)
+    config = ReducerConfig(Method.EBLC_PRED, Mode.ABS, (1e-4,))
+    app = Application(
+        "app", AppKind.EXTERNAL, MetricSpec(MetricName.R2), target="y",
+        command="run {train} {validation} {seed}", params={"k": 1},
+    )
+    key = cache_key(pair, app, config, "both")
+    variants = [
+        replace(app, id="other"),
+        replace(app, kind=AppKind.RIDGE_REGRESSION, command=None),
+        replace(app, metric=MetricSpec(MetricName.ACCURACY)),
+        replace(app, metric=MetricSpec(MetricName.R2, {"definition": "cod"})),
+        replace(app, target="a"),
+        replace(app, command="run {validation} {train} {seed}"),
+        replace(app, seed=1),
+        replace(app, params={"k": 2}),
+    ]
+    keys = {cache_key(pair, v, config, "both") for v in variants}
+    assert len(keys) == len(variants) and key not in keys
+    # a timeout can only turn a result into a failure, and failures are not cached
+    assert cache_key(pair, replace(app, timeout_s=1.0), config, "both") == key
+
+
+def test_run_campaign_rejects_apps_that_share_an_id():
+    pair = ten_column_pair()
+    c2 = Application("ridge", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2), target="c2")
+    with pytest.raises(ConfigError, match="ridge"):
+        run_campaign(pair, [c2, replace(c2, target="c9")], [ReducerConfig(Method.NONE)],
+                     SearchSpec(tau=0.5, n_candidates=3))
+
 BOUND_FOR = {Mode.PREC: 8.0, Method.TRUNC: 16.0, Method.SAMPLE_NAIVE: 2.0}
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -395,6 +396,19 @@ def test_report_sections_and_determinism(tmp_path, capsys):
     ]
     assert len(front_rows_in_report) == len(csv_rows) - 1
 
+
+
+def test_report_alone_writes_every_file_it_links(tmp_path):
+    campaign = write_campaign(
+        tmp_path, [{"method": "none"}, {"method": "eblc_pred", "mode": "rel", "bound": 1e-3}]
+    )
+    assert main(["eval", str(campaign)]) == 0
+    out = tmp_path / "fresh"
+    assert main(["report", "--store", str(tmp_path / "records.jsonl"),
+                 "--out-dir", str(out)]) == 0
+    links = re.findall(r"\]\(([^)]+)\)", (out / "report.md").read_text())
+    assert links == ["scatter_ridge.svg"]
+    assert all((out / link).is_file() for link in links)
 
 def test_report_without_store_or_env(tmp_path, monkeypatch):
     monkeypatch.delenv("PPRESS_STORE", raising=False)

@@ -1,6 +1,9 @@
 """Container round trips and the compress/decompress entry points."""
 
+import hashlib
+import importlib
 import math
+import pkgutil
 import re
 import struct
 import tracemalloc
@@ -14,13 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppress
 from ppress.errors import CodecError, ConfigError, DataFormatError
 from ppress.reducers import (
     Artifact,
     Layout,
     Method,
     Mode,
-    PER_VALUE,
     ReducerConfig,
     ReducerKnobs,
     compress,
@@ -28,18 +31,12 @@ from ppress.reducers import (
     decompress,
     error_report,
     pack,
-    resolve_bound,
     retained_rows,
     unpack,
 )
 from ppress.reducers import bitplane, container, lossless, predictive
-from ppress.tabular import ColumnStats, from_array
-
-
-def stats(lo, hi):
-    return ColumnStats(
-        name="x", min=lo, max=hi, range=hi - lo, mean=0.0, variance=1.0
-    )
+from ppress.reducers.api import _abs_bounds
+from ppress.tabular import from_array
 
 
 def rand_ds(n=512, k=3, seed=0, dtype="f64"):
@@ -56,27 +53,120 @@ def round_trip(ds, config):
     return art, out
 
 
-def test_resolve_bound_rel():
-    assert resolve_bound(Mode.REL, 1e-2, stats(0.0, 10.0)) == pytest.approx(0.1)
+API_BOUNDS = {"abs": (1e-4, 1e-2), "rel": (1e-6, 1e-3, 1e-1), "psnr": (30.0, 80.0, 140.0)}
 
 
-def test_resolve_bound_abs():
-    assert resolve_bound(Mode.ABS, 0.5) == 0.5
+def api_tables():
+    """f64, f32 and non-finite tables, each with a zero-range column; the
+    non-finite one also has a column with no finite value (a NaN range)."""
+    rng = np.random.default_rng(2121)
+    walk = np.cumsum(rng.normal(size=(600, 5)), axis=0) * [1e-3, 1.0, 0.0, 1e2, 1e5]
+    walk[:, 2] = 4.5
+    bad = np.column_stack([walk, np.full(600, np.nan)])
+    bad[[10, 300], 0] = np.nan
+    bad[50, 1], bad[51, 3] = np.inf, -np.inf
+    bad[7, 2] = np.nan  # column 2 keeps a zero range over its finite values
+    bad[::5, 5] = np.inf
+    return {
+        "f64": from_array(walk),
+        "f32": from_array(walk, dtype="f32"),
+        "nonfinite": from_array(bad, allow_nonfinite=True),
+    }
 
 
-def test_resolve_bound_psnr():
+def api_digests():
+    out = {}
+    for name, ds in api_tables().items():
+        for mode, bounds in API_BOUNDS.items():
+            for layout in Layout:
+                for c in bounds:
+                    config = ReducerConfig(Method.EBLC_PRED, mode, c=(c,), layout=layout)
+                    stream = compress(ds, config)[0].stream
+                    out[f"{name} {mode} {layout.value} {c:g}"] = (
+                        hashlib.sha256(stream).hexdigest()[:16]
+                    )
+    return out
+
+
+# sha256 of the predictive stream compress writes per case: pins how the
+# mode's bound becomes each column's absolute bound, from the
+# container-version-9 format
+API_DIGESTS = {
+    "f64 abs by_column 0.0001": "11ac7902e01678e8",
+    "f64 abs by_column 0.01": "725f6765293b8e66",
+    "f64 abs matrix 0.0001": "d57c658191126c07",
+    "f64 abs matrix 0.01": "6e79a390d9d0bcf5",
+    "f64 rel by_column 1e-06": "12995fed9405f49c",
+    "f64 rel by_column 0.001": "14fb9061905c3528",
+    "f64 rel by_column 0.1": "9725f4477f0eb2d7",
+    "f64 rel matrix 1e-06": "b7fc7cb974cfcb4d",
+    "f64 rel matrix 0.001": "808bcab7ad1560d4",
+    "f64 rel matrix 0.1": "a6da19d7859db862",
+    "f64 psnr by_column 30": "0f90f9fbe6faf140",
+    "f64 psnr by_column 80": "e6abf5454bcbd7bb",
+    "f64 psnr by_column 140": "af0f3b77956d13a4",
+    "f64 psnr matrix 30": "646364c45503747f",
+    "f64 psnr matrix 80": "61a5be8b3b002183",
+    "f64 psnr matrix 140": "53900ce0aec7baa6",
+    "f32 abs by_column 0.0001": "bb80a5a68fb57173",
+    "f32 abs by_column 0.01": "eba6d834c626002d",
+    "f32 abs matrix 0.0001": "fcd75344bfb7fca6",
+    "f32 abs matrix 0.01": "88af9a4a8dde157f",
+    "f32 rel by_column 1e-06": "ff84567eb34cf6fc",
+    "f32 rel by_column 0.001": "d617598f0400fd51",
+    "f32 rel by_column 0.1": "84b80e39ed0f7911",
+    "f32 rel matrix 1e-06": "784653db43e29b25",
+    "f32 rel matrix 0.001": "b81931436c23c60a",
+    "f32 rel matrix 0.1": "47b139dbaf2d389e",
+    "f32 psnr by_column 30": "7fc32bc2739d8c26",
+    "f32 psnr by_column 80": "9fb33f317460febb",
+    "f32 psnr by_column 140": "cc099c127e8c6f2e",
+    "f32 psnr matrix 30": "7e3914b8dc161ee6",
+    "f32 psnr matrix 80": "fa533357b604632e",
+    "f32 psnr matrix 140": "86dce758f89f5d95",
+    "nonfinite abs by_column 0.0001": "fe79ed402c38e415",
+    "nonfinite abs by_column 0.01": "9d36cebc271568ec",
+    "nonfinite abs matrix 0.0001": "7a401f7024389c03",
+    "nonfinite abs matrix 0.01": "4efc938d6f8609ef",
+    "nonfinite rel by_column 1e-06": "0e4503d6a1fd254b",
+    "nonfinite rel by_column 0.001": "7cf1a4954a11370e",
+    "nonfinite rel by_column 0.1": "65612c7e330d797e",
+    "nonfinite rel matrix 1e-06": "119172e747758271",
+    "nonfinite rel matrix 0.001": "5e5cde2aaa774e70",
+    "nonfinite rel matrix 0.1": "75f654e60e41297c",
+    "nonfinite psnr by_column 30": "adf0de6f76037653",
+    "nonfinite psnr by_column 80": "cc4ba5a013d476ed",
+    "nonfinite psnr by_column 140": "bb4bd2049ae1f4d6",
+    "nonfinite psnr matrix 30": "769ce018d9a1ce0a",
+    "nonfinite psnr matrix 80": "ab45405c954652ac",
+    "nonfinite psnr matrix 140": "3ad858fd3975cb6d",
+}
+
+
+def test_predictive_api_streams_match_golden_digests():
+    assert api_digests() == API_DIGESTS
+
+
+@pytest.mark.parametrize("mode, c, ranges, want, rtol", [
+    pytest.param(Mode.REL, 1e-2, [10.0], [0.1], 1e-6, id="rel"),
+    pytest.param(Mode.ABS, 0.5, [10.0, 0.0, np.nan], [0.5, 0.5, 0.5], 0.0, id="abs"),
     # eb = sqrt(3) * range * 10^(-psnr/20); at range 1 this pairs 164.77 dB
     # with an absolute bound of 1e-8
-    eb = resolve_bound(Mode.PSNR, 164.77, stats(0.0, 1.0))
-    assert eb == pytest.approx(1e-8, rel=1e-3)
+    pytest.param(Mode.PSNR, 164.77, [1.0, 0.0, np.nan], [1e-8, 0.0, np.nan], 1e-3, id="psnr"),
+    # 0 stores the column verbatim; a column with no finite value has a NaN range
+    pytest.param(Mode.REL, 0.1, [0.0, np.nan], [0.0, np.nan], 0.0,
+                 id="zero_range_flags_verbatim"),
+])
+def test_abs_bounds(mode, c, ranges, want, rtol):
+    got = _abs_bounds(mode, c, np.array(ranges))
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
 
-def test_resolve_bound_pw_rel_sentinel():
-    assert resolve_bound(Mode.PW_REL, 0.01) is PER_VALUE
-
-
-def test_resolve_bound_zero_range_flags_verbatim():
-    assert resolve_bound(Mode.REL, 0.1, stats(2.0, 2.0)) == 0.0
+def test_every_exported_name_resolves():
+    for info in pkgutil.walk_packages(ppress.__path__, "ppress."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.{name}"
 
 
 def test_container_round_trip_bytes():
@@ -432,8 +522,6 @@ def formula_report(original, restored):
         "max_rel_to_range_err": float(col_rel.max()),
         "mse": mse,
         "psnr_db": psnr,
-        "column_max_abs_err": tuple(float(v) for v in col_max),
-        "column_max_rel_to_range_err": tuple(float(v) for v in col_rel),
     }
 
 
@@ -487,19 +575,18 @@ def test_error_report_edge_cases_match_the_formula(case):
 def test_error_report_edge_case_values():
     cases = report_cases()
     rep = error_report(*cases["zero-range-columns"])
-    assert rep.column_max_abs_err[:2] == (0.0, 0.25)
-    assert rep.column_max_rel_to_range_err[:2] == (0.0, math.inf)
+    # error in a zero-range column is infinitely large relative to its range
+    assert rep.max_abs_err == 0.25 and rep.max_rel_to_range_err == math.inf
     rep = error_report(*cases["constant-table"])
     assert rep.mse == 0.125 and rep.psnr_db == -math.inf
-    assert rep.column_max_rel_to_range_err == (0.0, math.inf)
+    assert rep.max_rel_to_range_err == math.inf
     rep = error_report(*cases["exact-restore"])
     assert rep.psnr_db == math.inf and rep.mse == 0.0 and rep.max_abs_err == 0.0
     rep = error_report(*cases["restored-nan-and-inf"])
-    assert math.isnan(rep.column_max_abs_err[0])
-    assert rep.column_max_abs_err[1:] == (math.inf, math.inf)
+    assert math.isnan(rep.max_abs_err) and math.isnan(rep.max_rel_to_range_err)
     assert math.isnan(rep.mse) and math.isnan(rep.psnr_db)
     rep = error_report(*cases["original-with-nan"])
-    assert math.isnan(rep.column_max_rel_to_range_err[1])
+    assert math.isnan(rep.max_rel_to_range_err)
 
 
 def test_error_report_computes_the_reference_once_per_original(monkeypatch):

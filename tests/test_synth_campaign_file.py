@@ -207,3 +207,10 @@ def test_campaign_file_rejects_empty_sections(tmp_path):
     doc = campaign_doc(compress_target="sideways")
     with pytest.raises(ConfigError, match="compress_target"):
         load_campaign_file(write_campaign(tmp_path, doc))
+
+
+def test_campaign_file_rejects_apps_that_share_an_id(tmp_path):
+    app = campaign_doc()["apps"][0]
+    doc = campaign_doc(apps=[app, {**app, "target": "a"}])
+    with pytest.raises(ConfigError, match="ridge"):
+        load_campaign_file(write_campaign(tmp_path, doc))
