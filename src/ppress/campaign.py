@@ -58,10 +58,10 @@ from .reducers import (
     ReducerConfig,
     ReducerKnobs,
     compress,
+    compression_ratio,
     container,
     decompress,
     error_report,
-    retained_rows,
 )
 from .reducers.config import SAMPLING_METHODS, canonical_json
 from .tabular import Dataset
@@ -378,14 +378,8 @@ def eval_config(
             out, dt, _ = decompress(art, names=ds.names)
             t_dec += dt
             restored[name] = out
-        if config.method in SAMPLING_METHODS:
-            orig = sum(a.n_obs for a in artifacts.values())
-            kept = sum(retained_rows(a) for a in artifacts.values())
-            ratio = orig / kept
-        else:
-            orig = sum(a.orig_bytes for a in artifacts.values())
-            comp = sum(a.comp_bytes for a in artifacts.values())
-            ratio = orig / comp
+        ratio = compression_ratio(*artifacts.values())
+        if config.method not in SAMPLING_METHODS:
             report = {name: dict(vars(error_report(ds, restored[name])))
                       for name, ds in parts.items()}
         total_bytes = sum(ds.n_bytes for ds in parts.values())

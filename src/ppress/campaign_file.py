@@ -33,12 +33,32 @@ class CampaignPlan:
     cache_dir: Path | None
     report_dir: Path
     compress_target: str
-    seed: int
 
 
-def _mapping(value, where: str) -> dict:
+# the keys each section accepts, as docs/campaign_schema.md lists them
+SECTION_KEYS = {
+    "top level": ("version", "dataset", "apps", "methods", "search", "output",
+                  "compress_target", "seed"),
+    "dataset": ("path", "format", "header", "dtype", "split"),
+    "dataset.split": ("train_fraction", "seed", "shuffled"),
+    "apps": ("id", "kind", "metric", "target", "command", "seed", "params", "timeout_s"),
+    "apps.metric": ("name", "params"),
+    "methods": ("method", "mode", "layout", "bound", "c", "bound_min", "bound_max",
+                "scale", "knobs"),
+    "search": ("tau", "n_candidates", "eta", "max_iters", "replicates"),
+    "output": ("store", "cache", "report_dir"),
+}
+
+
+def _mapping(value, section: str, where: str | None = None) -> dict:
+    """value, if it is a mapping that holds only keys of `section`; errors
+    name `where` (the section itself by default)."""
+    where = where or section
     if not isinstance(value, dict):
         raise TypeError(f"{where} must be a mapping, not {type(value).__name__}")
+    unknown = set(value) - set(SECTION_KEYS[section])
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     return value
 
 
@@ -61,6 +81,8 @@ def _load_dataset(section: dict, base: Path) -> Dataset:
             dtype=section.get("dtype", "f64"),
         )
     if fmt == "raw":
+        if "header" in section or "dtype" in section:
+            raise ConfigError(f"{where}: header and dtype are for csv; a raw .desc sets them")
         desc = Path(str(path) + ".desc")
         if not desc.exists():
             raise ConfigError(f"{where}: descriptor {desc} does not exist")
@@ -82,11 +104,12 @@ def _build_pair(section: dict, base: Path, default_seed: int) -> DatasetPair:
 
 def _build_app(entry: dict, default_seed: int, index: int) -> Application:
     where = f"apps[{index}]"
-    entry = _mapping(entry, where)
+    entry = _mapping(entry, "apps", where)
     metric = entry.get("metric")
     if isinstance(metric, str):
         metric_spec = MetricSpec(metric)
     elif isinstance(metric, dict):
+        metric = _mapping(metric, "apps.metric", f"{where}.metric")
         metric_spec = MetricSpec(
             _require(metric, "name", f"{where}.metric"), metric.get("params", {}) or {}
         )
@@ -106,12 +129,17 @@ def _build_app(entry: dict, default_seed: int, index: int) -> Application:
 
 def _build_method(entry: dict, index: int) -> SearchDomain | ReducerConfig:
     where = f"methods[{index}]"
-    entry = _mapping(entry, where)
+    entry = _mapping(entry, "methods", where)
     method = Method(_require(entry, "method", where))
     mode = Mode(entry.get("mode", "none"))
     layout = Layout(entry.get("layout", "by_column"))
     knobs = ReducerKnobs.from_dict(entry.get("knobs", {}) or {}, where)
-    if "bound_min" in entry or "bound_max" in entry:
+    domain = "bound_min" in entry or "bound_max" in entry
+    if ("bound" in entry) + ("c" in entry) + domain > 1:
+        raise ConfigError(f"{where}: set only one of bound, c, or bound_min/bound_max")
+    if "scale" in entry and not domain:
+        raise ConfigError(f"{where}: scale applies only to a bound_min/bound_max domain")
+    if domain:
         return SearchDomain(
             method=method,
             mode=mode,
@@ -137,10 +165,8 @@ def load_campaign_file(path: str | Path) -> CampaignPlan:
         doc = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
     try:
-        return _build_plan(doc, path)
+        return _build_plan(_mapping(doc, "top level"), path)
     except (ValueError, TypeError, ConfigError) as exc:  # a bad enum, number or bound
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -185,5 +211,4 @@ def _build_plan(doc: dict, path: Path) -> CampaignPlan:
         cache_dir=(base / cache_raw) if cache_raw else None,
         report_dir=base / output.get("report_dir", "report"),
         compress_target=compress_target,
-        seed=seed,
     )

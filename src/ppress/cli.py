@@ -34,6 +34,7 @@ from .errors import (
     PpressError,
 )
 from .pareto import (
+    Front,
     dominated_methods,
     front_csv,
     front_svg,
@@ -86,6 +87,18 @@ def _load_records(store_path: Path):
     return records
 
 
+def _modelled(records) -> list:
+    """The ok records that carry a ratio and a decompression bandwidth."""
+    return [r for r in records if r.ok and r.ratio is not None and r.decompress_mbps is not None]
+
+
+def _campaign(args):
+    """eval's and search's campaign file, record store and cache directory."""
+    plan = load_campaign_file(args.campaign)
+    store = RecordStore(_resolve_store(args.store, plan.store_path))
+    return plan, store, _resolve_cache(args.cache_dir, plan.cache_dir, args.no_cache)
+
+
 def _load_any_dataset(args):
     if args.format == "csv":
         return load_csv(args.dataset, header=not args.no_header, dtype=args.dtype)
@@ -130,9 +143,7 @@ def cmd_stats(args) -> int:
 # -- eval ---------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    plan = load_campaign_file(args.campaign)
-    store = RecordStore(_resolve_store(args.store, plan.store_path))
-    cache = _resolve_cache(args.cache_dir, plan.cache_dir, args.no_cache)
+    plan, store, cache = _campaign(args)
     explicit = [m for m in plan.methods if isinstance(m, ReducerConfig)]
     skipped = len(plan.methods) - len(explicit)
     if skipped:
@@ -175,9 +186,7 @@ def _boundary_keys(methods) -> dict[int, str]:
 
 
 def cmd_search(args) -> int:
-    plan = load_campaign_file(args.campaign)
-    store = RecordStore(_resolve_store(args.store, plan.store_path))
-    cache = _resolve_cache(args.cache_dir, plan.cache_dir, args.no_cache)
+    plan, store, cache = _campaign(args)
     keys = _boundary_keys(plan.methods)
     boundaries: dict[str, dict] = {}
 
@@ -257,12 +266,10 @@ def cmd_pareto(args) -> int:
         front = pareto_front(points, scope="global")
         fronts = per_method_fronts(points)
         (out / f"front_global_{app_id}.csv").write_text(front_csv(front))
-        method_lines = [front_csv(f) for f in fronts.values()]
-        header, *_ = method_lines[0].splitlines()
-        merged = [header]
-        for text in method_lines:
-            merged.extend(text.strip().splitlines()[1:])
-        (out / f"front_methods_{app_id}.csv").write_text("\n".join(merged) + "\n")
+        method_points = tuple(p for f in fronts.values() for p in f.points)
+        (out / f"front_methods_{app_id}.csv").write_text(
+            front_csv(Front(method_points, scope="per_method"))
+        )
         _write_scatter(out, app_id, points, front, fronts)
         _say(f"{app_id}: global front has {len(front.points)} of {len(points)} points")
         beaten = dominated_methods(points)
@@ -312,11 +319,7 @@ def cmd_speedup(args) -> int:
     if args.csv:
         entries = _speedup_entries_from_csv(Path(args.csv))
     else:
-        records = _load_records(_resolve_store(args.store, None))
-        entries = [
-            r for r in records
-            if r.ok and r.ratio is not None and r.decompress_mbps is not None
-        ]
+        entries = _modelled(_load_records(_resolve_store(args.store, None)))
         if not entries:
             raise DataFormatError("no successful records with bandwidth data")
     table = cores_table(entries, bandwidths)
@@ -395,11 +398,7 @@ def _front_lines(records, out: Path) -> list[str]:
 
 
 def _cores_lines(records, bandwidths) -> list[str]:
-    usable = [
-        r for r in records
-        if r.ok and r.ratio is not None and r.decompress_mbps is not None
-        and r.ratio > 1.0
-    ]
+    usable = [r for r in _modelled(records) if r.ratio > 1.0]
     if not usable:
         return ["(no records with compression to model)"]
     table = cores_table(usable, bandwidths)
@@ -460,19 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("eval", help="evaluate the campaign's explicit configs")
-    p.add_argument("campaign")
-    p.add_argument("--store")
-    p.add_argument("--cache-dir")
-    p.add_argument("--no-cache", action="store_true")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("search", help="boundary searches plus candidate ladders")
-    p.add_argument("campaign")
-    p.add_argument("--store")
-    p.add_argument("--cache-dir")
-    p.add_argument("--no-cache", action="store_true")
-    p.set_defaults(func=cmd_search)
+    campaign = argparse.ArgumentParser(add_help=False)  # the flags of eval and search
+    campaign.add_argument("campaign")
+    campaign.add_argument("--store")
+    campaign.add_argument("--cache-dir")
+    campaign.add_argument("--no-cache", action="store_true")
+    for name, func, text in (
+        ("eval", cmd_eval, "evaluate the campaign's explicit configs"),
+        ("search", cmd_search, "boundary searches plus candidate ladders"),
+    ):
+        sub.add_parser(name, parents=[campaign], help=text).set_defaults(func=func)
 
     p = sub.add_parser("pareto", help="fronts and scatter plots from a store")
     p.add_argument("--store")

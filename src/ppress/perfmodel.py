@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigError, InfeasibleSearchError
+from .reducers.config import ReducerConfig
 
 _GB = 1e9
 
@@ -92,42 +93,26 @@ class CoresTable:
     bandwidths_gbps: tuple[float, ...]
     rows: tuple[CoreRow, ...]
 
+    def _cells(self, no_psnr: str) -> list[list[str]]:
+        """Each row's cells, with `no_psnr` where a row has no PSNR."""
+        return [
+            [row.label, no_psnr if row.psnr_db is None else f"{row.psnr_db:.2f}",
+             f"{row.ratio:g}", f"{row.decompress_gbps:g}",
+             *("infeasible" if c is None else str(c) for c in row.cores)]
+            for row in self.rows
+        ]
+
     def to_csv(self) -> str:
         head = ["label", "psnr_db", "ratio", "decompress_gbps"]
         head += [f"cores_at_{b:g}GBps" for b in self.bandwidths_gbps]
-        lines = [",".join(head)]
-        for row in self.rows:
-            cells = [
-                row.label,
-                "" if row.psnr_db is None else f"{row.psnr_db:.2f}",
-                f"{row.ratio:g}",
-                f"{row.decompress_gbps:g}",
-            ]
-            cells += ["infeasible" if c is None else str(c) for c in row.cores]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(cells) + "\n" for cells in [head, *self._cells("")])
 
     def to_text(self) -> str:
         head = ["label", "psnr(dB)", "ratio", "b_c(GB/s)"]
         head += [f"{b:g} GB/s" for b in self.bandwidths_gbps]
-        body = []
-        for row in self.rows:
-            cells = [
-                row.label,
-                "-" if row.psnr_db is None else f"{row.psnr_db:.2f}",
-                f"{row.ratio:g}",
-                f"{row.decompress_gbps:g}",
-            ]
-            cells += ["infeasible" if c is None else str(c) for c in row.cores]
-            body.append(cells)
-        widths = [
-            max(len(head[i]), *(len(r[i]) for r in body)) if body else len(head[i])
-            for i in range(len(head))
-        ]
-        fmt = "  ".join(f"{{:>{w}}}" for w in widths)
-        lines = [fmt.format(*head)]
-        lines += [fmt.format(*cells) for cells in body]
-        return "\n".join(lines) + "\n"
+        lines = [head, *self._cells("-")]
+        fmt = "  ".join(f"{{:>{max(map(len, column))}}}" for column in zip(*lines))
+        return "".join(fmt.format(*cells) + "\n" for cells in lines)
 
 
 def _row_psnr(report: dict | None) -> float | None:
@@ -146,8 +131,9 @@ def cores_table(
 ) -> CoresTable:
     """Core requirements per configuration per link bandwidth.
 
-    Entries are either evaluation records (ratio and decompression bandwidth
-    taken from their fields) or plain (label, ratio, decompress_gbps) tuples.
+    Entries are either evaluation records (labelled by their configuration,
+    ratio and decompression bandwidth taken from their fields) or plain
+    (label, ratio, decompress_gbps) tuples.
     """
     if not entries:
         raise ConfigError("cores table needs at least one entry")
@@ -162,8 +148,7 @@ def cores_table(
             label, ratio, gbps = entry
             psnr = None
         else:
-            bounds = entry.config.get("c") or []
-            label = f"{bounds[0]:g}" if bounds else entry.config.get("method", "?")
+            label = ReducerConfig.from_dict(entry.config).label()
             ratio = entry.ratio
             gbps = entry.decompress_mbps / 1000.0
             psnr = _row_psnr(entry.report)

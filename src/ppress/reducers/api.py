@@ -127,9 +127,8 @@ def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.nd
         arr = _values(lossless.lossless_decode(blob[1:]), np_dtype, count)
         return delta.inverse_delta(arr, order) if order else arr
     if method is Method.TRUNC:
-        narrow = np.dtype("<f4") if int(artifact.c[0]) == 32 else np.dtype("<f2")
         with np.errstate(invalid="ignore"):  # a signalling NaN widens like any value
-            return _values(blob, narrow, count).astype(np_dtype)
+            return _values(blob, truncation.NARROW[int(artifact.c[0])], count).astype(np_dtype)
     if method is Method.EBLC_PRED:
         return predictive.decode(blob, artifact.value_width, count).astype(np_dtype, copy=False)
     if method is Method.EBLC_BITPLANE:
@@ -143,7 +142,7 @@ def decompress(
 ) -> tuple[Dataset, float, float]:
     """Restore a dataset from an artifact; returns (dataset, seconds, MB/s)."""
     t0 = time.perf_counter()
-    np_dtype = np.dtype(DTYPES[artifact.dtype])
+    np_dtype = DTYPES[artifact.dtype]
     flat = _decode_stream(artifact.stream, artifact, np_dtype)
     if flat.size % artifact.n_feat:
         raise DataFormatError(f"{flat.size} values are not whole rows of {artifact.n_feat}")
@@ -164,14 +163,15 @@ def retained_rows(artifact: Artifact) -> int:
     return artifact.n_obs
 
 
-def compression_ratio(artifact: Artifact) -> float:
-    """orig/comp byte ratio; for sampling, original rows over kept rows."""
-    if artifact.method in SAMPLING_METHODS:
-        kept = retained_rows(artifact)
+def compression_ratio(*artifacts: Artifact) -> float:
+    """Original over compressed size of every artifact (every compressed part)
+    together: original over kept rows for sampling, else over container bytes."""
+    if artifacts[0].method in SAMPLING_METHODS:
+        kept = sum(map(retained_rows, artifacts))
         if kept == 0:
             raise DataFormatError("sampling artifact holds no rows")
-        return artifact.n_obs / kept
-    return artifact.orig_bytes / artifact.comp_bytes
+        return sum(a.n_obs for a in artifacts) / kept
+    return sum(a.orig_bytes for a in artifacts) / sum(a.comp_bytes for a in artifacts)
 
 
 @dataclass(frozen=True)

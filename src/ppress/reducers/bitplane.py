@@ -27,6 +27,8 @@ import math
 import numpy as np
 
 from ..errors import CodecError
+from ..tabular import WIDTH_DTYPES, round_to_width
+from .lossless import section
 
 _ALIGN_BITS = 54  # aligned integers fit |i| <= 2^54
 TOTAL_PLANES = 56  # two extra planes absorb lifting growth
@@ -34,9 +36,6 @@ _ZERO_EXP = -(1 << 15)  # sentinel exponent for all-zero blocks
 _BLOCK = 4  # values per block
 
 _CODED, _STORED = 0, 1  # the stream's kind byte
-
-_F32 = np.dtype("<f4")
-_F64 = np.dtype("<f8")
 
 
 def _to_blocks(x: np.ndarray) -> np.ndarray:
@@ -244,15 +243,11 @@ def _absorb(payload: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> np.nda
     return coeffs
 
 
-def _narrow(vals: np.ndarray, width: int) -> np.ndarray:
-    return vals.astype(_F32).astype(np.float64) if width == 4 else vals
-
-
 def _rebuild_finite(coeffs: np.ndarray, exps: np.ndarray, width: int) -> np.ndarray:
     """Reconstructed blocks in the stream's width; CodecError if any overflows."""
     try:
         with np.errstate(over="raise"):
-            return _narrow(_reconstruct(coeffs, exps), width)
+            return round_to_width(_reconstruct(coeffs, exps), width)
     except FloatingPointError:
         raise CodecError("bit-plane reconstruction overflows the float range") from None
 
@@ -262,7 +257,7 @@ def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.nd
     _check(mode, c, width)
     x64 = np.asarray(x, dtype=np.float64)
     n = x64.size
-    fdt = _F32 if width == 4 else _F64
+    fdt = WIDTH_DTYPES[width]
     blocks = _to_blocks(x64)
     coeffs, exps = _forward(blocks)
     keep = _keep(mode, c, exps)
@@ -274,7 +269,7 @@ def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.nd
         # one verify pass: a block that breaks the bound at its derived
         # plane count is stored raw
         with np.errstate(over="ignore"):  # an overflowing block breaks the bound
-            recon_blocks = _narrow(_reconstruct(trunc, exps), width)
+            recon_blocks = round_to_width(_reconstruct(trunc, exps), width)
         raw_mask = np.abs(blocks - recon_blocks).max(axis=1) > c
         trunc[raw_mask] = 0
         recon_blocks[raw_mask] = blocks[raw_mask]  # raw blocks replay exactly
@@ -303,17 +298,6 @@ def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.nd
     return b"".join(parts) + payload, recon_blocks.reshape(-1)[:n]
 
 
-def _section(buf: bytes, off: int, size: int, what: str, last: bool = False) -> tuple[bytes, int]:
-    """The `size` bytes of buf at `off`, and the offset after them; the
-    `last` section must end the stream."""
-    end = off + size
-    if end > len(buf):
-        raise CodecError(f"bit-plane stream truncated in its {what}")
-    if last and end != len(buf):
-        raise CodecError(f"{len(buf) - end} bytes after the bit-plane stream")
-    return buf[off:end], end
-
-
 def _finite(vals: np.ndarray, what: str) -> np.ndarray:
     # the encoder takes only finite values
     if not np.isfinite(vals).all():
@@ -328,27 +312,27 @@ def decode(buf: bytes, mode: str, c: float, n: int, width: int) -> np.ndarray:
     its payload does; anything else raises CodecError.
     """
     _check(mode, c, width)
-    fdt = _F32 if width == 4 else _F64
-    kind, off = _section(buf, 0, 1, "kind byte")
+    fdt = WIDTH_DTYPES[width]
+    kind, off = section(buf, 0, 1, "kind byte")
     if kind[0] == _STORED:
-        vals, _ = _section(buf, off, n * width, "stored values", last=True)
+        vals, _ = section(buf, off, n * width, "stored values", last=True)
         return _finite(np.frombuffer(vals, fdt).astype(np.float64), "a stored bit-plane stream")
     if kind[0] != _CODED:
         raise CodecError(f"unknown bit-plane stream kind {kind[0]}")
     n_blocks = -(-n // _BLOCK)
-    exps, off = _section(buf, off, 2 * n_blocks, "exponents")
+    exps, off = section(buf, off, 2 * n_blocks, "exponents")
     exps = np.frombuffer(exps, "<i2").astype(np.int64)
     keep = _keep(mode, c, exps)
 
     raw_mask = np.zeros(n_blocks, dtype=bool)
     if mode == "acc":
-        mask, off = _section(buf, off, (n_blocks + 7) // 8, "raw-block mask")
+        mask, off = section(buf, off, (n_blocks + 7) // 8, "raw-block mask")
         raw_mask = np.unpackbits(np.frombuffer(mask, np.uint8), count=n_blocks).astype(bool)
         n_raw = int(raw_mask.sum())
-        raw, off = _section(buf, off, n_raw * _BLOCK * width, "raw blocks")
+        raw, off = section(buf, off, n_raw * _BLOCK * width, "raw blocks")
         raw_vals = _finite(np.frombuffer(raw, fdt).astype(np.float64), "a raw bit-plane block")
     budget = _budget(mode, c, exps, keep, raw_mask)
-    packed, _ = _section(buf, off, (int(budget.sum()) + 7) // 8, "payload", last=True)
+    packed, _ = section(buf, off, (int(budget.sum()) + 7) // 8, "payload", last=True)
     coeffs = _absorb(np.frombuffer(packed, np.uint8), keep, budget)
     # the encoder writes only finite reconstructions, so overflow means damage
     recon = _rebuild_finite(coeffs, exps, width)

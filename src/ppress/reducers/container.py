@@ -17,6 +17,7 @@ import zlib
 from dataclasses import dataclass
 
 from ..errors import ConfigError, DataFormatError
+from ..tabular import DTYPES
 from .config import Layout, Method, Mode, ReducerConfig
 
 MAGIC = b"PPRS"
@@ -49,9 +50,6 @@ _CODE_MODE = {v: k for k, v in _MODE_CODE.items()}
 _LAYOUT_CODE = {Layout.BY_COLUMN: 0, Layout.MATRIX: 1}
 _CODE_LAYOUT = {v: k for k, v in _LAYOUT_CODE.items()}
 
-_WIDTH_DTYPE = {4: "f32", 8: "f64"}
-_DTYPE_WIDTH = {v: k for k, v in _WIDTH_DTYPE.items()}
-
 _FIXED = struct.Struct("<4sHBBB")  # magic, version, method, mode, n_bound
 _SHAPE = struct.Struct("<BBQIQI")  # layout, dtype width, n_obs, n_feat, stream length, crc32
 
@@ -71,7 +69,7 @@ class Artifact:
 
     @property
     def value_width(self) -> int:
-        return _DTYPE_WIDTH[self.dtype]
+        return DTYPES[self.dtype].itemsize
 
     @property
     def orig_bytes(self) -> int:
@@ -131,7 +129,7 @@ def unpack(buf: bytes) -> Artifact:
     method = _CODE_METHOD.get(method_code)
     mode = _CODE_MODE.get(mode_code)
     layout = _CODE_LAYOUT.get(layout_code)
-    dtype = _WIDTH_DTYPE.get(width)
+    dtype = next((name for name, dt in DTYPES.items() if dt.itemsize == width), None)
     if method is None or mode is None or layout is None or dtype is None:
         raise DataFormatError("container header has unknown enum codes")
     if n_feat == 0:

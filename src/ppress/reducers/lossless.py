@@ -1,4 +1,5 @@
-"""Byte-level lossless coding: zlib with a stored-raw escape.
+"""Byte-level lossless coding: zlib with a stored-raw escape, and the
+bounds-checked section reader of every codec stream.
 
 A frame is `u8 kind` (0 = stored, 1 = zlib), `u64` decoded length, then
 the body.  The encoder stores the data raw whenever zlib would not make it
@@ -28,21 +29,17 @@ def lossless_encode(data: bytes, strategy: int = zlib.Z_DEFAULT_STRATEGY) -> byt
 
 def lossless_decode(buf: bytes) -> bytes:
     """Inverse of lossless_encode; a malformed frame raises CodecError."""
-    if len(buf) < _HEAD.size:
-        raise CodecError(f"lossless frame of {len(buf)} bytes is shorter than its header")
-    kind, length = _HEAD.unpack_from(buf)
-    body = buf[_HEAD.size :]
+    head, off = section(buf, 0, _HEAD.size, "lossless frame header")
+    kind, length = _HEAD.unpack(head)
     if kind == _STORED:
-        if len(body) != length:
-            raise CodecError(f"stored frame holds {len(body)} bytes, declares {length}")
-        return body
+        return section(buf, off, length, "stored frame body", last=True)[0]
     if kind != _ZLIB:
         raise CodecError(f"unknown lossless frame kind {kind}")
     inflater = zlib.decompressobj()
     try:
         # inflate at most one byte past the declared length, so a damaged
         # frame cannot make the output grow without bound
-        out = inflater.decompress(body, length + 1)
+        out = inflater.decompress(buf[off:], length + 1)
     except (zlib.error, OverflowError) as exc:
         raise CodecError(f"damaged zlib body: {exc}") from None
     if not inflater.eof or inflater.unused_data:
@@ -50,3 +47,14 @@ def lossless_decode(buf: bytes) -> bytes:
     if len(out) != length:
         raise CodecError(f"zlib body inflates to {len(out)} bytes, declares {length}")
     return out
+
+
+def section(buf: bytes, off: int, size: int, what: str, last: bool = False) -> tuple[bytes, int]:
+    """The `size` bytes of a stream buf at `off`, and the offset after them;
+    CodecError if buf is shorter, or if the `last` section does not end it."""
+    end = off + size
+    if end > len(buf):
+        raise CodecError(f"stream truncated in its {what}")
+    if last and end != len(buf):
+        raise CodecError(f"{len(buf) - end} bytes after the stream's {what}")
+    return buf[off:end], end

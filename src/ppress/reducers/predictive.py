@@ -33,7 +33,9 @@ from typing import Callable
 import numpy as np
 
 from ..errors import CodecError
+from ..tabular import WIDTH_DTYPES, round_to_width
 from . import lossless
+from .lossless import section
 
 LITERAL = 0  # a literal's code; a jump q codes as 2q+1 (q >= 0) or -2q (q < 0)
 ZERO = 1  # under _FLAG_ZEROS: an exact zero; every jump code is one higher
@@ -47,9 +49,6 @@ _FLAG_ZEROS = 8  # pw_rel, with _FLAG_SIGNS: the block codes zeros as ZERO
 _HEAD = struct.Struct("<BII")  # flags, n_rows, n_cols
 _COLUMN = np.dtype([("step", "<f8"), ("n_lit", "<u4")])  # per column; step 0: verbatim
 _U32 = 0xFFFFFFFF
-
-_F32 = np.dtype("<f4")
-_F64 = np.dtype("<f8")
 
 
 def _firsts(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -130,14 +129,9 @@ def dequantize(codes: np.ndarray, lit_targets: np.ndarray, step, lengths) -> np.
     return recon
 
 
-def _cast_like(r: np.ndarray, width: int) -> np.ndarray:
-    # the decoder's final cast to the dataset dtype is part of the contract
-    return r.astype(_F32).astype(np.float64) if width == 4 else r
-
-
 def _raw(x: np.ndarray, width: int) -> bytes:
     """Values as stored on the wire: the dataset dtype, little-endian."""
-    return np.ascontiguousarray(x).astype(_F32 if width == 4 else _F64, copy=False).tobytes()
+    return np.ascontiguousarray(x).astype(WIDTH_DTYPES[width], copy=False).tobytes()
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -152,7 +146,7 @@ def _signed_exp(recon_t: np.ndarray, nz: np.ndarray, neg: np.ndarray, width: int
     with np.errstate(over="ignore"):
         mag = np.exp(recon_t)
     recon[nz] = np.where(neg[nz], -mag, mag)
-    return _cast_like(recon, width)
+    return round_to_width(recon, width)
 
 
 def _planes(codes: np.ndarray) -> bytes:
@@ -212,11 +206,12 @@ def encode_abs(x: np.ndarray, eb, width: int) -> tuple[bytes, np.ndarray]:
         raise CodecError(f"absolute bound must not be negative, got {eb.min()}")
     bound = eb[:, None]
 
+    # the decoder's final cast to the dataset dtype is part of the contract
     def verify(r: np.ndarray) -> np.ndarray:
-        return (np.abs(cols - _cast_like(r, width).reshape(cols.shape)) <= bound).ravel()
+        return (np.abs(cols - round_to_width(r, width).reshape(cols.shape)) <= bound).ravel()
 
     codes, recon, _ = quantize(cols.ravel(), verify, 2.0 * eb, np.full(eb.size, cols.shape[1]))
-    return _write(cols, 2.0 * eb, codes, _cast_like(recon, width), width)
+    return _write(cols, 2.0 * eb, codes, round_to_width(recon, width), width)
 
 
 def encode_pwrel(x: np.ndarray, pw: float, width: int) -> tuple[bytes, np.ndarray]:
@@ -227,7 +222,7 @@ def encode_pwrel(x: np.ndarray, pw: float, width: int) -> tuple[bytes, np.ndarra
     xf = cols.ravel()
     neg = np.signbit(xf)
     # below the smallest normal is a zero; NaN is not
-    nonzero = ~(np.abs(cols) < np.finfo(_F32 if width == 4 else _F64).tiny)
+    nonzero = ~(np.abs(cols) < np.finfo(WIDTH_DTYPES[width]).tiny)
     nz = np.flatnonzero(nonzero)
     xnz, negnz = xf[nz], neg[nz]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -236,7 +231,7 @@ def encode_pwrel(x: np.ndarray, pw: float, width: int) -> tuple[bytes, np.ndarra
 
     def verify(r: np.ndarray) -> np.ndarray:
         mag = np.exp(r)
-        val = _cast_like(np.where(negnz, -mag, mag), width)
+        val = round_to_width(np.where(negnz, -mag, mag), width)
         return np.abs(xnz - val) <= pw * np.abs(xnz)
 
     codes_nz, recon_t, lits = quantize(target, verify, step, nonzero.sum(axis=1))
@@ -255,47 +250,37 @@ def encode_verbatim(x: np.ndarray, width: int) -> bytes:
     return _HEAD.pack(_FLAG_VERBATIM, cols.shape[1], cols.shape[0]) + _raw(cols, width)
 
 
-def _section(buf: bytes, off: int, size: int, what: str) -> tuple[bytes, int]:
-    """The `size` bytes of buf at `off`, and the offset after them."""
-    end = off + size
-    if end > len(buf):
-        raise CodecError(f"predictive stream truncated in its {what}")
-    return buf[off:end], end
-
-
 def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
     """The `n_values` values of a block stream, column after column.  A header
     of another shape, a section out of bounds, or bytes after the last
     section raise CodecError."""
-    head, off = _section(buf, 0, _HEAD.size, "header")
+    head, off = section(buf, 0, _HEAD.size, "header")
     flags, n, n_cols = _HEAD.unpack(head)
     if n * n_cols != n_values:
         raise CodecError(f"predictive stream declares {n}x{n_cols} values, not {n_values}")
     known = _FLAG_SIGNS | _FLAG_DEFLATED | (_FLAG_ZEROS if flags & _FLAG_SIGNS else 0)
-    raw = flags == _FLAG_VERBATIM
-    if raw:
-        vals, off = _section(buf, off, n * n_cols * width, "values")
+    if flags == _FLAG_VERBATIM:
+        count = 0
+        vals, off = section(buf, off, n * n_cols * width, "values", last=True)
     elif flags & ~known:
         raise CodecError(f"unknown predictive stream flags {flags:#x}")
     else:
-        head, off = _section(buf, off, _COLUMN.itemsize * n_cols, "column table")
+        head, off = section(buf, off, _COLUMN.itemsize * n_cols, "column table")
         table = np.frombuffer(head, _COLUMN)
         step, n_lit = table["step"], table["n_lit"].astype(np.int64)
         coded = step != 0
         bad = ~np.isfinite(step) | (step < 0) | (n_lit > n) | (~coded & (n_lit != n))
         if bad.any():
             raise CodecError(f"column {np.argmax(bad)}'s step or literal count is out of range")
-        vals, off = _section(buf, off, int(n_lit.sum()) * width, "literals")
+        count = int(coded.sum()) * n  # coded values; with none, the literals end the stream
+        vals, off = section(buf, off, int(n_lit.sum()) * width, "literals", last=count == 0)
     with np.errstate(invalid="ignore"):  # a signalling NaN is a value like any other
-        vals = np.frombuffer(vals, _F32 if width == 4 else _F64).astype(np.float64)
-    count = 0 if raw else int(coded.sum()) * n
+        vals = np.frombuffer(vals, WIDTH_DTYPES[width]).astype(np.float64)
     if count == 0:
-        if off != len(buf):
-            raise CodecError(f"{len(buf) - off} bytes after the predictive stream")
         return vals
     neg = None
     if flags & _FLAG_SIGNS:
-        mask, off = _section(buf, off, (count + 7) // 8, "sign mask")
+        mask, off = section(buf, off, (count + 7) // 8, "sign mask")
         neg = np.unpackbits(np.frombuffer(mask, np.uint8), count=count).astype(bool)
     if not flags & _FLAG_DEFLATED:
         raise CodecError("a block that codes a column does not deflate its codes")
@@ -321,7 +306,7 @@ def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if neg is None:
             lengths = np.full(count // n, n)
-            recon = _cast_like(dequantize(codes, lit_vals, step[coded], lengths), width)
+            recon = round_to_width(dequantize(codes, lit_vals, step[coded], lengths), width)
         else:
             nonzero = codes != ZERO if shift else np.ones(count, bool)
             lengths = nonzero.reshape(-1, n).sum(axis=1)

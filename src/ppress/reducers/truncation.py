@@ -6,15 +6,16 @@ import numpy as np
 
 from ..errors import CodecError, ConfigError
 
-_NARROW = {32: np.dtype("<f4"), 16: np.dtype("<f2")}
+# the dtype of each truncation width in bits
+NARROW = {32: np.dtype("<f4"), 16: np.dtype("<f2")}
 
 
 def narrow_values(values: np.ndarray, target_width: int) -> np.ndarray:
     """Round-to-nearest-even cast; finite values that overflow are an error."""
-    if target_width not in _NARROW:
+    if target_width not in NARROW:
         raise ConfigError(f"truncation width must be 32 or 16, got {target_width}")
     with np.errstate(over="ignore"):
-        out = values.astype(_NARROW[target_width])
+        out = values.astype(NARROW[target_width])
     overflow = np.isfinite(values) & ~np.isfinite(out)
     if overflow.any():
         i = int(np.flatnonzero(overflow.ravel())[0])

@@ -20,13 +20,20 @@ import numpy as np
 from .errors import DataFormatError
 
 DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-_WIDTH = {"f32": 4, "f64": 8}
+# the one wire format of each value width in bytes, as codecs store values
+WIDTH_DTYPES = {dt.itemsize: dt for dt in DTYPES.values()}
 
 
 def dtype_width(dtype: str) -> int:
-    if dtype not in _WIDTH:
+    if dtype not in DTYPES:
         raise DataFormatError(f"unknown dtype {dtype!r} (expected 'f32' or 'f64')")
-    return _WIDTH[dtype]
+    return DTYPES[dtype].itemsize
+
+
+def round_to_width(values: np.ndarray, width: int) -> np.ndarray:
+    """f64 values rounded to the dtype of `width` bytes and back to f64;
+    width 8 returns `values` itself, uncopied."""
+    return values if width == 8 else values.astype(WIDTH_DTYPES[width]).astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +94,7 @@ class Dataset:
 
     @property
     def n_bytes(self) -> int:
-        return self.n_obs * self.n_feat * _WIDTH[self.dtype]
+        return self.values.nbytes
 
     def column(self, j: int) -> np.ndarray:
         return self.values[:, j]
@@ -164,7 +171,7 @@ def load_csv(
         for i, row in enumerate(reader):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if i == 0 and header:
+            if header and names is None:  # the first non-blank row
                 names = tuple(cell.strip() for cell in row)
                 n_cols = len(names)
                 continue
@@ -230,25 +237,16 @@ def load_raw(
     )
 
 
-def save_raw(ds: Dataset, path: str | Path, order: str = "row_major") -> None:
-    if order == "row_major":
-        buf = ds.values.tobytes(order="C")
-    elif order == "col_major":
-        buf = ds.values.tobytes(order="F")
-    else:
-        raise DataFormatError(f"unknown order {order!r}")
-    Path(path).write_bytes(buf)
+def save_raw(ds: Dataset, path: str | Path) -> None:
+    """Write the values row after row, packed little-endian."""
+    Path(path).write_bytes(ds.values.tobytes())
 
 
-def write_descriptor(ds: Dataset, path: str | Path, order: str = "row_major") -> None:
-    """Sidecar text file so a raw matrix is self-describing on disk."""
-    text = (
-        f"dtype={ds.dtype}\n"
-        f"n_obs={ds.n_obs}\n"
-        f"n_feat={ds.n_feat}\n"
-        f"order={order}\n"
+def write_descriptor(ds: Dataset, path: str | Path) -> None:
+    """Sidecar text file so a row-major raw matrix is self-describing on disk."""
+    Path(path).write_text(
+        f"dtype={ds.dtype}\nn_obs={ds.n_obs}\nn_feat={ds.n_feat}\norder=row_major\n"
     )
-    Path(path).write_text(text)
 
 
 def read_descriptor(path: str | Path) -> dict[str, str]:
@@ -281,11 +279,9 @@ def load_raw_with_descriptor(
     )
 
 
-def save_raw_with_descriptor(
-    ds: Dataset, path: str | Path, order: str = "row_major"
-) -> None:
-    save_raw(ds, path, order)
-    write_descriptor(ds, str(path) + ".desc", order)
+def save_raw_with_descriptor(ds: Dataset, path: str | Path) -> None:
+    save_raw(ds, path)
+    write_descriptor(ds, str(path) + ".desc")
 
 
 # -- statistics --------------------------------------------------------------

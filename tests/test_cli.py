@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 import yaml
 
-from ppress.campaign import RecordStore, run_campaign
+from ppress.campaign import EvaluationRecord, RecordStore, run_campaign
 from ppress.campaign_file import load_campaign_file
 from ppress.cli import main
+from ppress.reducers import Method, Mode, ReducerConfig
 
 
 def write_dataset_csv(path, n=240, seed=3):
@@ -300,6 +302,81 @@ def test_pareto_from_store(tmp_path, capsys):
     assert svg.startswith("<svg") and "circle" in svg
 
 
+# (method, mode, bound, ratio, r2) of a fixed store: two methods, each with
+# a front of its own, and one bit-plane point that the global front drops
+GOLDEN_POINTS = [
+    ("eblc_pred", "rel", 1e-4, 3.5, 0.99),
+    ("eblc_pred", "rel", 1e-3, 6.25, 0.97),
+    ("eblc_pred", "rel", 1e-2, 12.0, 0.8),
+    ("eblc_bitplane", "acc", 1e-3, 5.0, 0.985),
+    ("eblc_bitplane", "acc", 1e-2, 9.0, 0.75),
+]
+
+
+def write_golden_store(path):
+    store = RecordStore(path)
+    for i, (method, mode, bound, ratio, psi) in enumerate(GOLDEN_POINTS):
+        store.append(EvaluationRecord(
+            record_id=hashlib.sha256(str(i).encode()).hexdigest(), dataset_id="d" * 64,
+            app_id="ridge", config=ReducerConfig(Method(method), Mode(mode), (bound,)).to_dict(),
+            compress_target="both", seed=0, ok=True, error=None, ratio=ratio,
+            compress_mbps=100.0, decompress_mbps=250.0 * (i + 1), psi=psi, metric="r2",
+            direction="higher_better", report={"train": {"psnr_db": 90.0 - 10 * i}},
+            t_compress=0.0, t_decompress=0.0, t_app=0.0, timestamp=0.0,
+        ))
+    return path
+
+
+R = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(len(GOLDEN_POINTS))]
+
+
+def test_pareto_outputs_match_golden_bytes(tmp_path):
+    store = write_golden_store(tmp_path / "records.jsonl")
+    out = tmp_path / "fronts"
+    assert main(["pareto", "--store", str(store), "--out-dir", str(out)]) == 0
+    assert (out / "front_global_ridge.csv").read_text() == (
+        "method,bound,cr,q,record_id\n"
+        f"eblc_pred,0.0001,3.5,0.99,{R[0]}\n"
+        f"eblc_bitplane,0.001,5.0,0.985,{R[3]}\n"
+        f"eblc_pred,0.001,6.25,0.97,{R[1]}\n"
+        f"eblc_pred,0.01,12.0,0.8,{R[2]}\n"
+    )
+    assert (out / "front_methods_ridge.csv").read_text() == (
+        "method,bound,cr,q,record_id\n"
+        f"eblc_bitplane,0.001,5.0,0.985,{R[3]}\n"
+        f"eblc_bitplane,0.01,9.0,0.75,{R[4]}\n"
+        f"eblc_pred,0.0001,3.5,0.99,{R[0]}\n"
+        f"eblc_pred,0.001,6.25,0.97,{R[1]}\n"
+        f"eblc_pred,0.01,12.0,0.8,{R[2]}\n"
+    )
+    svg = (out / "scatter_ridge.svg").read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == (
+        "783cde0711271c8a2c2aa63f5ca53614c7bb6d2562ff6717097189c2ee441450"
+    )
+
+
+@pytest.mark.parametrize("command", ["eval", "search"])
+def test_campaign_command_help_matches_golden(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    pad = " " * len(f"usage: ppress {command} ")
+    assert capsys.readouterr().out == (
+        f"usage: ppress {command} [-h] [--store STORE] [--cache-dir CACHE_DIR] [--no-cache]\n"
+        f"{pad}campaign\n"
+        "\n"
+        "positional arguments:\n"
+        "  campaign\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --store STORE\n"
+        "  --cache-dir CACHE_DIR\n"
+        "  --no-cache\n"
+    )
+
+
 def test_pareto_empty_store_is_data_error(tmp_path):
     assert main(["pareto", "--store", str(tmp_path / "none.jsonl")]) == 3
 
@@ -350,6 +427,18 @@ def test_speedup_from_store(tmp_path, capsys):
     code = main(["speedup", "--store", str(tmp_path / "records.jsonl")])
     assert code == 0
     assert "ratio" in capsys.readouterr().out
+
+
+def test_speedup_from_store_labels_rows_by_configuration(tmp_path, capsys):
+    # eblc_pred rel 1e-3 and eblc_bitplane acc 1e-3 share a bound, not a row label
+    store = write_golden_store(tmp_path / "records.jsonl")
+    assert main(["speedup", "--store", str(store), "--out", str(tmp_path / "cores.csv")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "cores.csv")))
+    assert [r["label"] for r in rows] == [
+        ReducerConfig(Method(m), Mode(mode), (bound,)).label()
+        for m, mode, bound, _, _ in GOLDEN_POINTS
+    ]
+    assert rows[1]["label"] == "eblc_pred:rel:0.001:by_column"
 
 
 def test_report_sections_and_determinism(tmp_path, capsys):

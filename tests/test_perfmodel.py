@@ -16,6 +16,7 @@ from ppress.perfmodel import (
     time_compressed,
     time_uncompressed,
 )
+from ppress.reducers import Method, Mode, ReducerConfig
 
 
 def scenario(size=4e9, b_n=1e9, b_c=0.2e9, s_p=4, ratio=10.0):
@@ -173,14 +174,14 @@ def test_cores_table_validation():
 
 def test_cores_table_accepts_records():
     class FakeRecord:
-        config = {"method": "eblc_pred", "c": [1e-4]}
+        config = ReducerConfig(Method.EBLC_PRED, Mode.REL, (1e-4,)).to_dict()
         ratio = 100.0
         decompress_mbps = 1440.0
         report = {"train": {"psnr_db": 80.0}, "validation": {"psnr_db": 75.5}}
 
     table = cores_table([FakeRecord()], [3.75, 1.0])
     row = table.rows[0]
-    assert row.label == "0.0001"
+    assert row.label == "eblc_pred:rel:0.0001:by_column"
     assert row.decompress_gbps == pytest.approx(1.44)
     assert row.psnr_db == 75.5  # worst part governs
     assert row.cores[0] == min_cores(100.0, 1.44e9, 3.75e9)
@@ -194,3 +195,20 @@ def test_cores_table_csv_and_text_shape():
     text = table.to_text().strip().splitlines()
     assert len(text) == 3
     assert text[0].split()[-2:] == ["1", "GB/s"] or "GB/s" in text[0]
+
+
+def test_cores_table_csv_and_text_match_golden():
+    table = cores_table([("a", 10.0, 1.0), ("bb", 2.0, 0.5), ("flat", 1.0, 3.0)],
+                        [3.75, 1.0, 0.125])
+    assert table.to_csv() == (
+        "label,psnr_db,ratio,decompress_gbps,cores_at_3.75GBps,cores_at_1GBps,cores_at_0.125GBps\n"
+        "a,,10,1,5,2,1\n"
+        "bb,,2,0.5,16,5,1\n"
+        "flat,,1,3,infeasible,infeasible,infeasible\n"
+    )
+    assert table.to_text() == (
+        "label  psnr(dB)  ratio  b_c(GB/s)   3.75 GB/s      1 GB/s  0.125 GB/s\n"
+        "    a         -     10          1           5           2           1\n"
+        "   bb         -      2        0.5          16           5           1\n"
+        " flat         -      1          3  infeasible  infeasible  infeasible\n"
+    )

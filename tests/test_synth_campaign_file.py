@@ -1,9 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
 from ppress.campaign import SearchDomain
-from ppress.campaign_file import load_campaign_file
+from ppress.campaign_file import SECTION_KEYS, load_campaign_file
 from ppress.errors import ConfigError
 from ppress.reducers import Method, Mode, ReducerConfig
 from ppress.synth import make_cluster_labels, make_latent_tabular
@@ -133,7 +136,6 @@ def write_campaign(tmp_path, doc):
 
 def test_load_campaign_file_full(tmp_path):
     plan = load_campaign_file(write_campaign(tmp_path, campaign_doc()))
-    assert plan.seed == 7
     assert plan.pair.train.n_obs == 40 and plan.pair.validation.n_obs == 40
     assert [a.id for a in plan.apps] == ["ridge"]
     assert plan.apps[0].seed == 7  # the global seed flows into apps
@@ -214,3 +216,71 @@ def test_campaign_file_rejects_apps_that_share_an_id(tmp_path):
     doc = campaign_doc(apps=[app, {**app, "target": "a"}])
     with pytest.raises(ConfigError, match="ridge"):
         load_campaign_file(write_campaign(tmp_path, doc))
+
+
+@pytest.mark.parametrize("entry", [
+    {"bound": 0.1, "bound_min": 1e-6, "bound_max": 0.5},
+    {"bound": 0.1, "c": [0.2]},
+    {"c": [0.2], "bound_max": 0.5},
+])
+def test_campaign_file_rejects_a_method_with_two_bound_forms(tmp_path, entry):
+    doc = campaign_doc(methods=[{"method": "eblc_pred", "mode": "rel", **entry}])
+    with pytest.raises(ConfigError, match="methods\\[0\\]: .*only one of"):
+        load_campaign_file(write_campaign(tmp_path, doc))
+
+
+def test_campaign_file_rejects_settings_its_entry_does_not_use(tmp_path):
+    doc = campaign_doc(methods=[{"method": "eblc_pred", "mode": "rel", "bound": 0.1,
+                                 "scale": "linear"}])
+    with pytest.raises(ConfigError, match="scale applies only"):
+        load_campaign_file(write_campaign(tmp_path, doc))
+    save_raw_with_descriptor(make_latent_tabular(n_obs=60, n_feat=4, rank=2, seed=3),
+                             tmp_path / "data.bin")
+    doc = campaign_doc(dataset={"path": "data.bin", "format": "raw", "dtype": "f32"})
+    with pytest.raises(ConfigError, match="are for csv"):
+        load_campaign_file(write_campaign(tmp_path, doc))
+
+
+def test_campaign_file_rejects_a_misspelt_key_in_every_section(tmp_path):
+    def edit(section, doc):
+        if section == "top level":
+            return doc
+        if section == "dataset.split":
+            return doc["dataset"]["split"]
+        if section == "apps.metric":
+            return doc["apps"][0]["metric"]
+        if section in ("apps", "methods"):
+            return doc[section][0]
+        return doc[section]
+
+    for section, typo in [
+        ("top level", "serach"), ("dataset", "formt"), ("dataset.split", "sed"),
+        ("apps", "tagret"), ("apps.metric", "parms"), ("methods", "layuot"),
+        ("search", "n_candiates"), ("output", "stor"),
+    ]:
+        doc = campaign_doc()
+        edit(section, doc)[typo] = "matrix"
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{typo}'\\]"):
+            load_campaign_file(write_campaign(tmp_path, doc))
+
+
+def test_campaign_doc_lists_exactly_the_accepted_keys():
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "campaign_schema.md").read_text()
+    sections = {part.split("\n", 1)[0].strip("` "): part for part in doc.split("\n## ")[1:]}
+
+    def example(name):  # the section's YAML example, as a list of entries
+        block = sections[name].split("```yaml\n", 1)[1].split("```", 1)[0]
+        value = yaml.safe_load(block)[name]
+        return value if isinstance(value, list) else [value]
+
+    def keys(entries):
+        return {key for entry in entries for key in entry}
+
+    listed = {
+        "top level": set(re.findall(r"^\| `(\w+)` ", sections["Top-level fields"], re.MULTILINE)),
+        **{name: keys(example(name))
+           for name in ("dataset", "apps", "methods", "search", "output")},
+        "dataset.split": keys(d["split"] for d in example("dataset")),
+        "apps.metric": keys(a["metric"] for a in example("apps") if isinstance(a["metric"], dict)),
+    }
+    assert listed == {name: set(accepted) for name, accepted in SECTION_KEYS.items()}

@@ -17,6 +17,14 @@ def test_load_csv_with_header(tmp_path):
     assert ds.column(1).tolist() == [2.0, 4.0, 6.0]
 
 
+def test_load_csv_header_is_the_first_non_blank_line(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("\nc0,c1\n1,2\n")
+    ds = tabular.load_csv(p, header=True)
+    assert ds.names == ("c0", "c1")
+    assert ds.values.tolist() == [[1.0, 2.0]]
+
+
 def test_load_csv_without_header(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1,2\n3,4\n")
@@ -67,9 +75,8 @@ def test_raw_round_trip_bit_exact_f32(tmp_path):
 
 def test_raw_col_major_round_trip(tmp_path):
     arr = np.arange(12, dtype=np.float64).reshape(4, 3)
-    ds = tabular.from_array(arr)
     p = tmp_path / "d.raw"
-    tabular.save_raw(ds, p, order="col_major")
+    p.write_bytes(arr.tobytes(order="F"))  # the writers are row-major only
     back = tabular.load_raw(p, 4, 3, "f64", order="col_major")
     assert np.array_equal(back.values, arr)
     # the file itself is column-major: first 4 values are column 0
@@ -91,6 +98,16 @@ def test_descriptor_round_trip(tmp_path):
     back = tabular.load_raw_with_descriptor(p)
     assert back.values.tobytes() == ds.values.tobytes()
     assert back.n_obs == 3 and back.n_feat == 2
+
+
+def test_save_raw_with_descriptor_matches_golden_bytes(tmp_path):
+    ds = tabular.from_array(np.arange(6.0).reshape(3, 2) / 7, dtype="f32")
+    p = tmp_path / "d.raw"
+    tabular.save_raw_with_descriptor(ds, p)
+    assert p.read_bytes().hex() == "000000002549123e2549923eb76ddb3e2549123f6edb363f"
+    assert (tmp_path / "d.raw.desc").read_text() == (
+        "dtype=f32\nn_obs=3\nn_feat=2\norder=row_major\n"
+    )
 
 
 def test_dataset_id_sensitive_to_values_and_dtype():
