@@ -97,9 +97,12 @@ def main() -> None:
         svg_path.write_text(front_svg(points, [front]))
         print(f"  wrote {svg_path}")
 
-        # the campaign's quality-neutral test: |phi - psi| <= eta * |phi|
+        # the campaign's quality-neutral test: |phi - psi| <= eta * |phi|;
+        # among decoded records only, since a search probe has no decode time
+        # (the ladder decodes its ends again)
         best = max(
             (r for r in records if r.ok and r.ratio and r.psi is not None
+             and r.decompress_mbps is not None
              and abs(phi - r.psi) <= spec.eta * abs(phi)),
             key=lambda r: r.ratio,
             default=None,

@@ -19,6 +19,14 @@ that was a boundary probe, a configuration two domains share) comes back from
 an in-memory table of its ``ok`` records, marked cached like a hit in the
 cache directory, whether or not there is one.
 
+Search probes score the predictive and bit-plane codecs on the
+reconstruction their encoders return, which the decoders rebuild byte for
+byte, and skip decoding; their records carry no decode timing.  The ladder,
+whose records feed the core-count model, decodes every point.  Its ends were
+probes, so the campaign keeps the streams of its current domain's undecoded
+probes and a ladder end decodes its probe's stream; the application does not
+run again.
+
 Codec quality degrades monotonically as the bound grows, so boundary
 searches bisect.  A bisection stops early once the compression ratios at the
 two ends of its bracket agree within 1% (``_RATIO_TOL``): it returns the
@@ -62,6 +70,7 @@ from .reducers import (
     container,
     decompress,
     error_report,
+    reconstruction,
 )
 from .reducers.config import SAMPLING_METHODS, canonical_json
 from .tabular import Dataset
@@ -202,6 +211,8 @@ class EvaluationRecord:
 
 # cache key -> the first ok record of that evaluation in one campaign
 Memo = dict[str, EvaluationRecord]
+# cache key of an ok record scored without decoding -> its parts' artifacts
+Undecoded = dict[str, dict[str, container.Artifact]]
 
 
 class RecordStore:
@@ -307,6 +318,10 @@ def _cache_path(cache_dir: str | Path, key: str) -> Path:
     return Path(cache_dir) / f"{key}.json"
 
 
+def _write_cache_entry(cache_dir: str | Path, key: str, rec: EvaluationRecord) -> None:
+    _write_atomic(_cache_path(cache_dir, key), json.dumps(rec.to_dict(), sort_keys=True))
+
+
 def _write_atomic(path: Path, text: str) -> None:
     """Write through a temp file in the same directory, then rename over path,
     so a crash leaves the old entry or the new one, never a torn file."""
@@ -328,6 +343,9 @@ def eval_config(
     compress_target: str = "both",
     cache_dir: str | Path | None = None,
     memo: Memo | None = None,
+    *,
+    decode: bool = True,
+    undecoded: Undecoded | None = None,
 ) -> EvaluationRecord:
     """Compress, restore, run the application, and summarize the point.
 
@@ -335,31 +353,43 @@ def eval_config(
     raising, so a campaign can keep going.  ``memo`` maps cache keys to the
     ``ok`` records already computed or loaded; it is read before the cache
     directory and filled from both.
+
+    With ``decode=False`` a part whose encoder kept its reconstruction (the
+    predictive and bit-plane codecs) is scored on that, which decompress
+    rebuilds byte for byte, so the record has no decode timing:
+    ``decompress_mbps`` None and ``t_decompress`` 0; ``undecoded``, when
+    given, keeps such a record's artifacts.  With ``decode=True`` a hit on
+    such a record is served as a cached copy of it with a decode timing of
+    its own, which replaces it in the memo and the cache directory: its
+    artifacts in ``undecoded`` are decoded and dropped, or, when it has
+    none there, its parts are compressed and decoded again.  The
+    application does not run again.
     """
     if compress_target not in ("train", "validation", "both"):
         raise ConfigError(f"bad compress_target {compress_target!r}")
     config_dict = config.to_dict()
     key = cache_key(pair, app, config_dict, compress_target)
-    if memo is not None and key in memo:
-        return replace(memo[key], cached=True)
-    if cache_dir is not None:
+    hit = memo.get(key) if memo is not None else None
+    if hit is None and cache_dir is not None:
         path = _cache_path(cache_dir, key)
         if path.exists():
             try:
-                rec = EvaluationRecord.from_dict(json.loads(path.read_text()))
+                hit = EvaluationRecord.from_dict(json.loads(path.read_text()))
             except (ValueError, TypeError):
                 # a torn entry is a miss; the fresh result below replaces it
                 warnings.warn(f"{path}: unreadable cache entry, recomputing", stacklevel=2)
             else:
                 if memo is not None:
-                    memo[key] = rec
-                return replace(rec, cached=True)
+                    memo[key] = hit
+    if hit is not None and (hit.decompress_mbps is not None or not decode):
+        return replace(hit, cached=True)
 
     parts = {}
     if compress_target in ("train", "both"):
         parts["train"] = pair.train
     if compress_target in ("validation", "both"):
         parts["validation"] = pair.validation
+    total_bytes = sum(ds.n_bytes for ds in parts.values())
 
     t_comp = t_dec = t_app = 0.0
     ratio = None
@@ -367,24 +397,41 @@ def eval_config(
     psi = None
     report: dict | None = None
     ok = True
+    decoded = False
     err_msg = None
     try:
+        if hit is not None:  # only the decode timing is missing
+            kept = undecoded.pop(key, None) if undecoded is not None else None
+            for name, ds in parts.items():
+                art = kept[name] if kept is not None else compress(ds, config)[0]
+                t_dec += decompress(art, names=ds.names)[1]
+            rec = replace(hit, decompress_mbps=total_bytes / 1e6 / max(t_dec, 1e-12),
+                          t_decompress=t_dec)
+            if memo is not None:
+                memo[key] = rec
+            if cache_dir is not None:
+                _write_cache_entry(cache_dir, key, rec)
+            return replace(rec, cached=True)
         restored = {"train": pair.train, "validation": pair.validation}
         artifacts = {}
         for name, ds in parts.items():
             art, dt, _ = compress(ds, config)
-            artifacts[name] = art
             t_comp += dt
-            out, dt, _ = decompress(art, names=ds.names)
-            t_dec += dt
+            out = None if decode else reconstruction(art, ds.names)
+            # the artifact outlives this loop without the encoder's values
+            artifacts[name] = art = replace(art, restored=None)
+            if out is None:
+                out, dt, _ = decompress(art, names=ds.names)
+                t_dec += dt
+                decoded = True
             restored[name] = out
         ratio = compression_ratio(*artifacts.values())
         if config.method not in SAMPLING_METHODS:
             report = {name: dict(vars(error_report(ds, restored[name])))
                       for name, ds in parts.items()}
-        total_bytes = sum(ds.n_bytes for ds in parts.values())
         c_mbps = total_bytes / 1e6 / max(t_comp, 1e-12)
-        d_mbps = total_bytes / 1e6 / max(t_dec, 1e-12)
+        if decoded:
+            d_mbps = total_bytes / 1e6 / max(t_dec, 1e-12)
         psi, t_app = run_application(restored["train"], restored["validation"], app)
     except PpressError as exc:
         ok = False
@@ -414,8 +461,10 @@ def eval_config(
     )
     if ok and memo is not None:
         memo[key] = rec
+    if ok and not decoded and undecoded is not None:
+        undecoded[key] = artifacts
     if ok and cache_dir is not None:
-        _write_atomic(_cache_path(cache_dir, key), json.dumps(rec.to_dict(), sort_keys=True))
+        _write_cache_entry(cache_dir, key, rec)
     return rec
 
 
@@ -702,7 +751,9 @@ def run_campaign(
     ``observer``, when given, is called with each step once its records are
     stored; the records of all steps, in order, are the return value.  A
     configuration the campaign has already evaluated comes back as a cached
-    copy of its first record.
+    copy of its first record; a ladder point that was a search probe, which
+    the search scored without decoding, decodes that probe's stream for its
+    timing.
     """
     if not apps or not methods:
         raise ConfigError("campaign needs at least one application and one method")
@@ -716,6 +767,8 @@ def run_campaign(
             )
     records: list[EvaluationRecord] = []
     memo: Memo = {}
+    # the current domain's undecoded probes, for its ladder ends to decode
+    undecoded: Undecoded = {}
 
     def emit(recs) -> tuple[EvaluationRecord, ...]:
         start = len(records)
@@ -733,10 +786,13 @@ def run_campaign(
         app: Application, config: ReducerConfig, failure: str
     ) -> tuple[float, float, tuple[EvaluationRecord, ...]]:
         """(median, spread, records) of config over the replicate seeds; the
-        records are stored before a failure is raised."""
+        records are stored before a failure is raised.  A codec that keeps
+        its reconstruction is scored on it, not decoded (see eval_config)."""
         recs = emit(
             eval_config(pair, replace(app, seed=app.seed + i), config, compress_target,
-                        cache_dir, memo)
+                        cache_dir, memo, decode=False,
+                        # the ladder evaluates the first replicate's seed
+                        undecoded=undecoded if i == 0 else None)
             for i in range(spec.replicates)
         )
         return *_replicate_median(recs, failure), recs
@@ -758,7 +814,8 @@ def run_campaign(
 
     def evaluate_ladder(app: Application, configs: Sequence[ReducerConfig]):
         def one(config: ReducerConfig) -> EvaluationRecord:
-            return eval_config(pair, app, config, compress_target, cache_dir, memo)
+            return eval_config(pair, app, config, compress_target, cache_dir, memo,
+                               undecoded=undecoded)
 
         if parallelism > 1:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
@@ -787,6 +844,7 @@ def run_campaign(
                 notify(DomainSearched(app, index, entry, (), reason=failed))
                 continue
             start = len(records)
+            undecoded.clear()
             probe, ratios = domain_probe(app, entry)
             upper = None
             try:

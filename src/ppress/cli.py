@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import statistics
@@ -296,7 +297,8 @@ def _parse_bandwidths(text: str) -> list[float]:
 def _speedup_entries_from_csv(path: Path):
     entries = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        # the header is the first non-blank line, as for load_csv
+        reader = csv.DictReader(itertools.dropwhile(lambda line: not line.strip(), fh))
         need = {"label", "ratio", "decompress_gbps"}
         if reader.fieldnames is None or not need <= set(reader.fieldnames):
             raise DataFormatError(

@@ -11,6 +11,7 @@ how hardware is usually quoted.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,14 +127,31 @@ def _row_psnr(report: dict | None) -> float | None:
     return min(values) if values else None
 
 
+def _record_rows(records) -> list[tuple]:
+    """(label, ratio, GB/s, PSNR) of each configuration, knobs included, that
+    the records score on one dataset pair and compress target.  A
+    deterministic codec gives all of them one ratio and error report; the
+    bandwidth is their median."""
+    groups: dict[tuple[ReducerConfig, str, str], list] = {}
+    for rec in records:
+        key = (ReducerConfig.from_dict(rec.config), rec.dataset_id, rec.compress_target)
+        groups.setdefault(key, []).append(rec)
+    rows = []
+    for (config, _, _), recs in groups.items():
+        mbps = [rec.decompress_mbps for rec in recs]
+        gbps = None if None in mbps else statistics.median(mbps) / 1000.0
+        rows.append((config.label(), recs[0].ratio, gbps, _row_psnr(recs[0].report)))
+    return rows
+
+
 def cores_table(
     entries: Sequence, bandwidths_gbps: Sequence[float]
 ) -> CoresTable:
     """Core requirements per configuration per link bandwidth.
 
-    Entries are either evaluation records (labelled by their configuration,
-    ratio and decompression bandwidth taken from their fields) or plain
-    (label, ratio, decompress_gbps) tuples.
+    Entries are either evaluation records, one row per configuration,
+    dataset pair and compress target (see _record_rows), or plain (label,
+    ratio, decompress_gbps) tuples, one row each.
     """
     if not entries:
         raise ConfigError("cores table needs at least one entry")
@@ -142,16 +160,12 @@ def cores_table(
     for b in bandwidths_gbps:
         if not b > 0:
             raise ConfigError(f"bandwidth must be positive, got {b}")
+    if isinstance(entries[0], tuple):
+        entries = [(*entry, None) for entry in entries]
+    else:
+        entries = _record_rows(entries)
     rows = []
-    for entry in entries:
-        if isinstance(entry, tuple):
-            label, ratio, gbps = entry
-            psnr = None
-        else:
-            label = ReducerConfig.from_dict(entry.config).label()
-            ratio = entry.ratio
-            gbps = entry.decompress_mbps / 1000.0
-            psnr = _row_psnr(entry.report)
+    for label, ratio, gbps, psnr in entries:
         if ratio is None or gbps is None:
             raise ConfigError(f"entry {label!r} carries no ratio or bandwidth")
         cores = []

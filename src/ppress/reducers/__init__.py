@@ -6,6 +6,7 @@ from .api import (
     compression_ratio,
     decompress,
     error_report,
+    reconstruction,
     retained_rows,
 )
 from .config import Layout, Method, Mode, ReducerConfig, ReducerKnobs
@@ -21,6 +22,7 @@ __all__ = [
     "compression_ratio",
     "decompress",
     "error_report",
+    "reconstruction",
     "retained_rows",
     "Layout",
     "Method",

@@ -26,6 +26,7 @@ __all__ = [
     "unpack",
     "compress",
     "decompress",
+    "reconstruction",
     "error_report",
     "compression_ratio",
 ]
@@ -42,34 +43,40 @@ def _abs_bounds(mode: Mode, c: float, ranges: np.ndarray) -> np.ndarray:
     return math.sqrt(3.0) * ranges * 10.0 ** (-c / 20.0)
 
 
-def _encode_stream(flat: np.ndarray, config: ReducerConfig, width: int) -> bytes:
+# a stream and the encoder's reconstruction of the values it holds, or None
+Encoded = tuple[bytes, np.ndarray | None]
+
+
+def _encode_stream(flat: np.ndarray, config: ReducerConfig, width: int) -> Encoded:
     """The stream of every method but the predictive one: `flat` holds the
-    table's values in the layout's order."""
+    table's values in the layout's order.  Only the bit-plane coder keeps
+    its reconstruction: `none` and sampling decode to a view of the stream,
+    and no search probes lossless or truncation."""
     knobs = config.knobs
     method = config.method
     if method is Method.NONE or method in SAMPLING_METHODS:
-        return flat.tobytes()
+        return flat.tobytes(), None
     if method is Method.LOSSLESS:
         arr = delta.delta_transform(flat, knobs.delta_order) if knobs.delta_order else flat
-        return bytes([knobs.delta_order]) + lossless.lossless_encode(arr.tobytes())
+        return bytes([knobs.delta_order]) + lossless.lossless_encode(arr.tobytes()), None
     if method is Method.TRUNC:
-        return truncation.narrow_values(flat, int(config.c[0])).tobytes()
+        return truncation.narrow_values(flat, int(config.c[0])).tobytes(), None
     if method is Method.EBLC_BITPLANE:
-        return bitplane.encode(flat, config.mode.value, config.c[0], width)[0]
+        return bitplane.encode(flat, config.mode.value, config.c[0], width)
     raise ConfigError(f"method {method.value} has no stream encoder")
 
 
-def _encode_predictive(dataset: Dataset, config: ReducerConfig, width: int) -> bytes:
+def _encode_predictive(dataset: Dataset, config: ReducerConfig, width: int) -> Encoded:
     """The predictive method's one stream: a block of the table's columns,
     or (matrix layout) of one column holding every value in row order."""
     matrix = config.layout is Layout.MATRIX
     block = dataset.values.reshape(-1, 1) if matrix else dataset.values
     c = config.c[0]
     if config.mode is Mode.PW_REL:
-        return predictive.encode_pwrel(block, c, width)[0]
+        return predictive.encode_pwrel(block, c, width)
     stats = [global_stats(dataset)] if matrix else column_stats(dataset)
     ranges = np.array([s.range for s in stats])
-    return predictive.encode_abs(block, _abs_bounds(config.mode, c, ranges), width)[0]
+    return predictive.encode_abs(block, _abs_bounds(config.mode, c, ranges), width)
 
 
 def compress(dataset: Dataset, config: ReducerConfig) -> tuple[Artifact, float, float]:
@@ -91,14 +98,15 @@ def compress(dataset: Dataset, config: ReducerConfig) -> tuple[Artifact, float, 
         kept = sampling.sample_indices(dataset.n_obs, scheme, config.c[0], config.knobs.seed)
         values = values[kept]
     if config.method is Method.EBLC_PRED:
-        stream = _encode_predictive(dataset, config, width)
+        stream, restored = _encode_predictive(dataset, config, width)
     else:
         order = "C" if config.layout is Layout.MATRIX else "F"
-        stream = _encode_stream(values.ravel(order=order), config, width)
+        stream, restored = _encode_stream(values.ravel(order=order), config, width)
 
     artifact = Artifact(
         method=config.method, mode=config.mode, c=config.c, layout=config.layout,
         dtype=dataset.dtype, n_obs=dataset.n_obs, n_feat=dataset.n_feat, stream=stream,
+        restored=restored,
     )
     dt = time.perf_counter() - t0
     return artifact, dt, dataset.n_bytes / 1e6 / max(dt, 1e-12)
@@ -137,13 +145,8 @@ def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.nd
     raise DataFormatError(f"method {method.value} has no stream decoder")
 
 
-def decompress(
-    artifact: Artifact, names: tuple[str, ...] | None = None
-) -> tuple[Dataset, float, float]:
-    """Restore a dataset from an artifact; returns (dataset, seconds, MB/s)."""
-    t0 = time.perf_counter()
-    np_dtype = DTYPES[artifact.dtype]
-    flat = _decode_stream(artifact.stream, artifact, np_dtype)
+def _table(flat: np.ndarray, artifact: Artifact, names: tuple[str, ...] | None) -> Dataset:
+    """The artifact's table from its values in the stream's order."""
     if flat.size % artifact.n_feat:
         raise DataFormatError(f"{flat.size} values are not whole rows of {artifact.n_feat}")
     if artifact.layout is Layout.MATRIX:
@@ -151,9 +154,27 @@ def decompress(
     else:
         values = flat.reshape(artifact.n_feat, -1).T
     names = tuple(names) if names is not None else default_names(artifact.n_feat)
-    ds = Dataset(values, names, artifact.dtype, allow_nonfinite=True)
+    return Dataset(values, names, artifact.dtype, allow_nonfinite=True)
+
+
+def decompress(
+    artifact: Artifact, names: tuple[str, ...] | None = None
+) -> tuple[Dataset, float, float]:
+    """Restore a dataset from an artifact; returns (dataset, seconds, MB/s)."""
+    t0 = time.perf_counter()
+    np_dtype = DTYPES[artifact.dtype]
+    ds = _table(_decode_stream(artifact.stream, artifact, np_dtype), artifact, names)
     dt = time.perf_counter() - t0
     return ds, dt, ds.n_bytes / 1e6 / max(dt, 1e-12)
+
+
+def reconstruction(artifact: Artifact, names: tuple[str, ...] | None = None) -> Dataset | None:
+    """The table decompress would restore, built from the encoder's
+    reconstruction without decoding; None when the artifact keeps none."""
+    if artifact.restored is None:
+        return None
+    flat = artifact.restored.astype(DTYPES[artifact.dtype], copy=False)
+    return _table(flat, artifact, names)
 
 
 def retained_rows(artifact: Artifact) -> int:

@@ -121,12 +121,18 @@ class ReducerConfig:
         return self.c[0]
 
     def label(self) -> str:
+        """method:mode:bounds:layout, then each knob that is not at its default
+        as name=value; a part with nothing to say is left out."""
         parts = [self.method.value]
         if self.mode is not Mode.NONE:
             parts.append(self.mode.value)
         if self.c:
             parts.append("/".join(format(x, "g") for x in self.c))
         parts.append(self.layout.value)
+        for f in fields(ReducerKnobs):
+            value = getattr(self.knobs, f.name)
+            if value != f.default:
+                parts.append(f"{f.name}={value}")
         return ":".join(parts)
 
     def to_dict(self) -> dict:

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..errors import ConfigError, DataFormatError
 from ..tabular import DTYPES
@@ -56,7 +58,13 @@ _SHAPE = struct.Struct("<BBQIQI")  # layout, dtype width, n_obs, n_feat, stream 
 
 @dataclass(frozen=True)
 class Artifact:
-    """A reduced dataset plus the header needed to restore it."""
+    """A reduced dataset plus the header needed to restore it.
+
+    ``restored`` is the encoder's reconstruction of the table's values in
+    the stream's order (float64), which the decoder rebuilds exactly; only
+    the predictive and bit-plane encoders leave one.  It is not part of the
+    container: pack drops it and unpack leaves it None.
+    """
 
     method: Method
     mode: Mode
@@ -66,6 +74,7 @@ class Artifact:
     n_obs: int
     n_feat: int
     stream: bytes
+    restored: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def value_width(self) -> int:

@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppress.campaign as campaign
@@ -29,9 +29,19 @@ from ppress.campaign import (
 )
 from ppress.errors import ConfigError, DataFormatError, InfeasibleSearchError
 from ppress.quality import Application, AppKind, MetricName, MetricSpec, run_application
-from ppress.reducers import Layout, Method, Mode, ReducerConfig, ReducerKnobs
+from ppress.reducers import (
+    Layout,
+    Method,
+    Mode,
+    ReducerConfig,
+    ReducerKnobs,
+    bitplane,
+    compress,
+    decompress,
+    error_report,
+)
 from ppress.reducers.config import _MODES_FOR, canonical_json
-from ppress.tabular import from_array
+from ppress.tabular import DTYPES, Dataset, from_array
 
 
 def linear_pair(n=160, seed=5):
@@ -806,7 +816,7 @@ def test_boundaries_that_stop_on_one_bracket_are_split_by_the_whole_budget(monke
     pair = linear_pair(n=40)
     real = eval_config(pair, ridge_app(), ReducerConfig(Method.NONE))
 
-    def synthetic(pair, app, config, *args):
+    def synthetic(pair, app, config, *args, decode=True, undecoded=None):
         bound = config.bound if config.c else 0.0
         return replace(real, record_id=config.label(), config=config.to_dict(),
                        psi=quality(bound), ratio=ratio(bound) if bound else 1.0)
@@ -877,12 +887,27 @@ def spy_compress(monkeypatch):
     return calls
 
 
+def spy_application(monkeypatch):
+    """Record the seed of every application run the campaign makes."""
+    runs = []
+    real = campaign.run_application
+
+    def spy(train, validation, app):
+        runs.append(app.seed)
+        return real(train, validation, app)
+
+    monkeypatch.setattr(campaign, "run_application", spy)
+    return runs
+
+
 def without_memo(monkeypatch):
-    """Make the campaign's evaluations ignore its in-run memo."""
+    """Make the campaign's evaluations ignore its in-run memo and the
+    artifacts it keeps for the ladder."""
     real = campaign.eval_config
 
-    def plain(pair, app, config, compress_target="both", cache_dir=None, memo=None):
-        return real(pair, app, config, compress_target, cache_dir)
+    def plain(pair, app, config, compress_target="both", cache_dir=None, memo=None, *,
+              decode=True, undecoded=None):
+        return real(pair, app, config, compress_target, cache_dir, decode=decode)
 
     monkeypatch.setattr(campaign, "eval_config", plain)
 
@@ -903,14 +928,21 @@ def test_run_campaign_evaluates_each_configuration_once(monkeypatch, replicates)
     methods = [pred_domain(1e-8, 1.0), ReducerConfig(Method.LOSSLESS)]
 
     calls = spy_compress(monkeypatch)
+    runs = spy_application(monkeypatch)
     steps = []
     records = run_campaign(pair, [app], methods, spec, observer=steps.append)
-    # one evaluation, of both parts, per distinct record; each seed its own
+    # one evaluation, of both parts, per distinct record; each seed its own.
+    # A ladder end decodes its probe's stream rather than compressing again.
     distinct = {r.record_id: r for r in records}.values()
     assert Counter(calls) == Counter(
         (part.id, ReducerConfig.from_dict(r.config))
         for r in distinct for part in (pair.train, pair.validation)
     )
+    # one application run per distinct record, in the order of their first
+    # records
+    fresh = [r for r in records if not r.cached]
+    assert len({r.record_id for r in records}) == len(fresh) == len(runs)
+    assert runs == [r.seed for r in fresh]
     assert [(r.seed, r.cached) for r in records[:replicates]] == [
         (seed, False) for seed in range(replicates)
     ]
@@ -922,10 +954,12 @@ def test_run_campaign_evaluates_each_configuration_once(monkeypatch, replicates)
         first.setdefault(rec.record_id, i)
     assert sum(r.cached for r in records) == len(ids) - len(set(ids)) > 0
 
-    # repeats are copies of the first evaluation; fresh ones agree with it
+    # repeats are copies of the first evaluation, but for a decode timing of
+    # their own where that one scored a probe undecoded; fresh ones agree with it
     for rec in records:
         orig = records[first[rec.record_id]]
-        assert replace(rec, cached=False) == orig
+        assert replace(rec, cached=False, decompress_mbps=orig.decompress_mbps,
+                       t_decompress=orig.t_decompress) == orig
         again = eval_config(pair, replace(app, seed=rec.seed), ReducerConfig.from_dict(rec.config))
         assert again.content_key() == rec.content_key()
 
@@ -962,11 +996,14 @@ def test_run_campaign_retries_failed_configurations(monkeypatch):
     assert not eval_config(f32, ridge_app(), too_wide, memo=memo).cached
 
 
-def test_parallel_ladder_shares_the_memo_safely():
+def test_parallel_ladder_shares_the_memo_safely(monkeypatch):
     pair = linear_pair(n=80)
     spec = SearchSpec(tau=0.5, n_candidates=12, eta=5e-3, max_iters=5)
     methods = [pred_domain(1e-8, 1.0)]
+    calls = spy_compress(monkeypatch)
     seq = run_campaign(pair, [ridge_app()], methods, spec)
+    seq_calls = list(calls)
+    calls.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
@@ -975,3 +1012,176 @@ def test_parallel_ladder_shares_the_memo_safely():
         sys.setswitchinterval(interval)
     assert [(r.record_id, r.cached) for r in par] == [(r.record_id, r.cached) for r in seq]
     assert [r.content_key() for r in par] == [r.content_key() for r in seq]
+    # the ladder ends, served from the memo, decode their probes' kept
+    # streams under threads as in sequence
+    assert Counter(calls) == Counter(seq_calls)
+    ends = [r for r in par if r.cached]
+    assert ends and all(r.decompress_mbps > 0 for r in ends)
+
+
+# (method, mode, bound) a search may probe without decoding; a rate bound of
+# None is the value width, where the bit-plane stream is stored raw
+UNDECODED = [
+    *((Method.EBLC_PRED, mode, c) for mode, c in (
+        (Mode.ABS, 1e-3), (Mode.REL, 1e-4), (Mode.REL, 0.2), (Mode.PSNR, 40.0),
+        (Mode.PW_REL, 1e-2),
+    )),
+    (Method.EBLC_BITPLANE, Mode.ACC, 1e-3),
+    (Method.EBLC_BITPLANE, Mode.PREC, 12.0),
+    (Method.EBLC_BITPLANE, Mode.RATE, 6.0),
+    (Method.EBLC_BITPLANE, Mode.RATE, None),
+]
+
+
+def special_pair(seed, dtype, nonfinite, spread, n=60):
+    """A ridge pair in dtype whose feature columns hold signed zeros and,
+    given nonfinite, infinities and NaNs of both signs, quiet and
+    signalling, with assorted payloads; given spread, one value of 1e30
+    beside ones near 1, which no bit-plane count keeps within a small
+    bound."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3)) * np.array([1.0, 300.0, 1e-3])
+    y = x @ np.array([2.0, -0.01, 500.0]) + 0.05 * rng.normal(size=n)
+    arr = np.column_stack([x, y]).astype(DTYPES[dtype])
+    rows = rng.permutation(n)
+    arr[rows[:3], 0] = 0.0
+    arr[rows[3:6], 1] = -0.0
+    if spread:
+        arr[rows[12], 0] = -1e30
+    if nonfinite:
+        arr[rows[6], 2] = np.inf
+        arr[rows[7], 0] = -np.inf
+        bits = arr.view(f"<u{arr.itemsize}")
+        top = 8 * arr.itemsize - 1
+        mantissa = 23 if dtype == "f32" else 52
+        exp = ((1 << (top - mantissa)) - 1) << mantissa
+        quiet = 1 << (mantissa - 1)
+        nans = (exp | 1, exp | quiet | 0x2B, (1 << top) | exp | quiet, (1 << top) | exp | 0x155)
+        for row, col, nan in zip(rows[8:12], (0, 1, 2, 1), nans):
+            bits[row, col] = np.array(nan, dtype=bits.dtype)
+    names = ("a", "b", "c", "y")
+    half = n // 2
+    return DatasetPair(Dataset(arr[:half], names, dtype, allow_nonfinite=True),
+                       Dataset(arr[half:], names, dtype, allow_nonfinite=True))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf arithmetic
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from(UNDECODED),
+    dtype=st.sampled_from(["f32", "f64"]),
+    layout=st.sampled_from(list(Layout)),
+    nonfinite=st.booleans(),
+    spread=st.booleans(),
+)
+# a bit-plane acc stream that stores a block raw
+@example(seed=1, case=UNDECODED[5], dtype="f32", layout=Layout.BY_COLUMN, nonfinite=False,
+         spread=True)
+def test_an_undecoded_evaluation_scores_the_decoded_table(
+    seed, case, dtype, layout, nonfinite, spread
+):
+    method, mode, c = case
+    # the bit-plane coder takes finite values only
+    pair = special_pair(seed, dtype, nonfinite and method is Method.EBLC_PRED, spread)
+    width = pair.train.values.itemsize
+    config = ReducerConfig(method, mode, (8.0 * width if c is None else c,), layout)
+    scored = []
+
+    def spy(train, validation, app):
+        scored.append({"train": train, "validation": validation})
+        return run_application(train, validation, app)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(campaign, "run_application", spy)
+        rec = eval_config(pair, ridge_app(), config, decode=False)
+    decoded = eval_config(pair, ridge_app(), config)
+    assert (rec.decompress_mbps, rec.t_decompress) == (None, 0.0)
+    assert decoded.decompress_mbps > 0
+    # ratio, psi, error report, and a failure's message, NaN included
+    assert rec.content_key() == decoded.content_key()
+    (tables,) = scored
+    for name, part in (("train", pair.train), ("validation", pair.validation)):
+        art, _, _ = compress(part, config)
+        if c is None:
+            assert art.stream[0] == bitplane._STORED
+        expected, _, _ = decompress(art, names=part.names)
+        table = tables[name]
+        assert (table.dtype, table.names) == (expected.dtype, expected.names)
+        assert table.values.dtype == expected.values.dtype
+        assert table.values.shape == expected.values.shape
+        assert table.values.tobytes() == expected.values.tobytes()
+        assert json.dumps(rec.report[name]) == json.dumps(vars(error_report(part, expected)))
+
+
+def test_undecoded_evaluations_restore_nothing_else():
+    # a method whose encoder keeps no reconstruction is decoded all the same
+    pair = linear_pair(n=60)
+    for config in (ReducerConfig(Method.NONE), ReducerConfig(Method.LOSSLESS),
+                   ReducerConfig(Method.TRUNC, c=(32.0,)),
+                   ReducerConfig(Method.SAMPLE_WOR, c=(0.5,))):
+        art, _, _ = compress(pair.train, config)
+        assert art.restored is None
+        rec = eval_config(pair, ridge_app(), config, decode=False)
+        assert rec.ok and rec.decompress_mbps > 0 and rec.t_decompress > 0
+
+
+def undecoded(rec):
+    return rec.config["method"] in ("eblc_pred", "eblc_bitplane")
+
+
+@pytest.mark.parametrize("cache", [False, True])
+def test_probes_skip_decoding_and_the_ladder_decodes_every_point(tmp_path, monkeypatch, cache):
+    pair = linear_pair(n=100)
+    spec = SearchSpec(tau=0.5, n_candidates=4, eta=5e-3, max_iters=6)
+    methods = [
+        pred_domain(1e-8, 1.0),
+        SearchDomain(Method.EBLC_BITPLANE, Mode.ACC, 1e-6, 10.0),
+        SearchDomain(Method.SAMPLE_WOR, Mode.NONE, 0.2, 1.0, scale="linear"),
+        ReducerConfig(Method.LOSSLESS),
+    ]
+    cache_dir = tmp_path / "cache" if cache else None
+    calls = spy_compress(monkeypatch)
+    steps = []
+    records = run_campaign(pair, [ridge_app()], methods, spec, cache_dir=cache_dir,
+                           observer=steps.append)
+    assert all(r.ok for r in records)
+    # each ladder end decodes its probe's stream: no part is compressed twice
+    assert len(calls) == len(set(calls)) == 2 * len({r.record_id for r in records})
+    domains = [s for s in steps if isinstance(s, DomainSearched)]
+    assert len(domains) == 3 and all(s.ladder is not None for s in domains)
+    for step in domains:
+        probes = search_records(step)
+        ladder = step.records[len(probes):]
+        for rec in probes:
+            if undecoded(rec):
+                assert (rec.decompress_mbps, rec.t_decompress) == (None, 0.0)
+            else:
+                assert rec.decompress_mbps > 0
+        assert all(rec.decompress_mbps > 0 and rec.t_decompress > 0 for rec in ladder)
+        # the ends were probes: cached copies of their records, application
+        # and all, with a decode timing of their own
+        probed = {rec.record_id: rec for rec in probes}
+        for end in (ladder[0], ladder[-1]):
+            probe = probed[end.record_id]
+            assert end.cached and end.psi == probe.psi
+            assert end.content_key() == probe.content_key()
+            assert (end.t_app, end.timestamp) == (probe.t_app, probe.timestamp)
+    others = [r for r in records if r.config["method"] in ("none", "lossless")]
+    assert len(others) == 2 and all(r.decompress_mbps > 0 for r in others)
+    if not cache:
+        return
+
+    # the cache keeps each record's last form, a ladder end's with its decode
+    # timing, so a second campaign is served every record from it and
+    # reaches no codec
+    last = {r.record_id: replace(r, cached=True) for r in records}
+
+    def no_decode(art, names=None):
+        raise AssertionError("decoded a cached record")
+
+    monkeypatch.setattr(campaign, "decompress", no_decode)
+    calls.clear()
+    replay = run_campaign(pair, [ridge_app()], methods, spec, cache_dir=cache_dir)
+    assert calls == []
+    assert replay == [last[r.record_id] for r in records]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -412,6 +413,14 @@ def test_speedup_from_csv(tmp_path, capsys):
     assert first[-3:] == ["3", "1", "1"]
 
 
+def test_speedup_csv_header_is_the_first_non_blank_line(tmp_path, capsys):
+    table = tmp_path / "inputs.csv"
+    table.write_text("\n  \nlabel,ratio,decompress_gbps\na,10,1\n")
+    out = tmp_path / "cores.csv"
+    assert main(["speedup", "--csv", str(table), "--bandwidths", "1", "--out", str(out)]) == 0
+    assert out.read_text() == "label,psnr_db,ratio,decompress_gbps,cores_at_1GBps\na,,10,1,2\n"
+
+
 def test_speedup_rejects_bad_bandwidths(tmp_path):
     table = tmp_path / "inputs.csv"
     table.write_text("label,ratio,decompress_gbps\nx,2.0,1.0\n")
@@ -439,6 +448,29 @@ def test_speedup_from_store_labels_rows_by_configuration(tmp_path, capsys):
         for m, mode, bound, _, _ in GOLDEN_POINTS
     ]
     assert rows[1]["label"] == "eblc_pred:rel:0.001:by_column"
+
+
+def test_speedup_from_store_gives_each_configuration_one_row(tmp_path):
+    # the first golden configuration scored three times (say by search, then
+    # by eval, then for a second application), and once more on the
+    # training part alone
+    store = write_golden_store(tmp_path / "records.jsonl")
+    first = RecordStore(store).load()[0]
+    for mbps, target in ((1000.0, "both"), (9000.0, "both"), (500.0, "train")):
+        RecordStore(store).append(replace(first, decompress_mbps=mbps, compress_target=target,
+                                          ratio=2.0 if target == "train" else first.ratio))
+    out = tmp_path / "cores.csv"
+    assert main(["speedup", "--store", str(store), "--bandwidths", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out)))
+    labels = [r["label"] for r in rows]
+    assert labels[:5] == [
+        ReducerConfig(Method(m), Mode(mode), (bound,)).label()
+        for m, mode, bound, _, _ in GOLDEN_POINTS
+    ]
+    assert labels[5:] == [labels[0]]  # another compress target is another row
+    # the median of 250, 1000 and 9000 MB/s; the ratio and PSNR are shared
+    assert (rows[0]["decompress_gbps"], rows[0]["ratio"], rows[0]["psnr_db"]) == ("1", "3.5", "90.00")
+    assert (rows[5]["decompress_gbps"], rows[5]["ratio"]) == ("0.5", "2")
 
 
 def test_report_sections_and_determinism(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ppress.perfmodel import (
     time_compressed,
     time_uncompressed,
 )
-from ppress.reducers import Method, Mode, ReducerConfig
+from ppress.reducers import Method, Mode, ReducerConfig, ReducerKnobs
 
 
 def scenario(size=4e9, b_n=1e9, b_c=0.2e9, s_p=4, ratio=10.0):
@@ -175,6 +176,8 @@ def test_cores_table_validation():
 def test_cores_table_accepts_records():
     class FakeRecord:
         config = ReducerConfig(Method.EBLC_PRED, Mode.REL, (1e-4,)).to_dict()
+        dataset_id = "d"
+        compress_target = "both"
         ratio = 100.0
         decompress_mbps = 1440.0
         report = {"train": {"psnr_db": 80.0}, "validation": {"psnr_db": 75.5}}
@@ -185,6 +188,42 @@ def test_cores_table_accepts_records():
     assert row.decompress_gbps == pytest.approx(1.44)
     assert row.psnr_db == 75.5  # worst part governs
     assert row.cores[0] == min_cores(100.0, 1.44e9, 3.75e9)
+
+
+def test_cores_table_gives_a_configuration_scored_twice_one_row():
+    def record(bound, mbps, dataset_id="d", target="both"):
+        return SimpleNamespace(
+            config=ReducerConfig(Method.EBLC_PRED, Mode.REL, (bound,)).to_dict(),
+            dataset_id=dataset_id, compress_target=target, ratio=10.0 * bound / 1e-4,
+            decompress_mbps=mbps, report={"train": {"psnr_db": 60.0}},
+        )
+
+    table = cores_table(
+        [record(1e-4, 1000.0), record(1e-3, 50.0), record(1e-4, 3000.0), record(1e-4, 1200.0),
+         record(1e-4, 7.0, dataset_id="e"), record(1e-4, 9.0, target="train")],
+        [1.0],
+    )
+    label = "eblc_pred:rel:0.0001:by_column"
+    assert [(row.label, row.decompress_gbps) for row in table.rows] == [
+        (label, 1.2), ("eblc_pred:rel:0.001:by_column", 0.05), (label, 0.007), (label, 0.009)
+    ]
+    assert table.rows[0].ratio == 10.0 and table.rows[0].psnr_db == 60.0
+    assert table.rows[0].cores == (min_cores(10.0, 1.2e9, 1e9),)
+    with pytest.raises(ConfigError, match="no ratio or bandwidth"):
+        cores_table([record(1e-4, 1000.0), record(1e-4, None)], [1.0])
+
+    # configurations that differ only in a knob are rows of their own
+    def lossless(order, ratio, mbps):
+        config = ReducerConfig(Method.LOSSLESS, knobs=ReducerKnobs(delta_order=order))
+        return SimpleNamespace(config=config.to_dict(), dataset_id="d", compress_target="both",
+                               ratio=ratio, decompress_mbps=mbps, report=None)
+
+    table = cores_table(
+        [lossless(0, 1.5, 400.0), lossless(1, 2.5, 100.0), lossless(0, 1.5, 600.0)], [1.0]
+    )
+    assert [(row.label, row.ratio, row.decompress_gbps) for row in table.rows] == [
+        ("lossless:by_column", 1.5, 0.5), ("lossless:by_column:delta_order=1", 2.5, 0.1)
+    ]
 
 
 def test_cores_table_csv_and_text_shape():
