@@ -17,7 +17,11 @@ A campaign runs each distinct evaluation once: evaluation is deterministic in
 its cache key, so a configuration it has already scored (a ladder end point
 that was a boundary probe, a configuration two domains share) comes back from
 an in-memory table of its ``ok`` records, marked cached like a hit in the
-cache directory, whether or not there is one.
+cache directory, whether or not there is one.  It also runs the application
+once per set of decoded tables: an evaluation whose compressed parts decode
+alike to an earlier one's (bit-plane ``acc`` bounds in one binary octave
+usually write one stream) takes that one's quality, with ``t_app`` 0, and
+keeps a record of its own.
 
 Search probes score the predictive and bit-plane codecs on the
 reconstruction their encoders return, which the decoders rebuild byte for
@@ -68,6 +72,7 @@ from .reducers import (
     compress,
     compression_ratio,
     container,
+    decoder_bound,
     decompress,
     error_report,
     reconstruction,
@@ -209,7 +214,8 @@ class EvaluationRecord:
         return json.dumps(d, sort_keys=True)
 
 
-# cache key -> the first ok record of that evaluation in one campaign
+# cache key -> the first ok record of that evaluation in one campaign, and
+# _alike_key -> the first ok record whose parts decode to those tables
 Memo = dict[str, EvaluationRecord]
 # cache key of an ok record scored without decoding -> its parts' artifacts
 Undecoded = dict[str, dict[str, container.Artifact]]
@@ -288,30 +294,59 @@ def _end_last_line(fh) -> None:
         fh.write(b"\n")
 
 
+def _app_definition(app: Application) -> str:
+    """The application as canonical JSON: its whole definition but its
+    timeout, which can only turn a result into a failure, and failures are
+    not kept."""
+    return canonical_json({
+        "id": app.id, "kind": app.kind.value,
+        "metric": {"name": app.metric.name.value, "params": app.metric.params},
+        "target": app.target, "command": app.command, "seed": app.seed, "params": app.params,
+    })
+
+
 def cache_key(
     pair: DatasetPair, app: Application, config: ReducerConfig | dict, compress_target: str
 ) -> str:
     """Content address of one evaluation; config may be given as its to_dict().
 
-    The application enters as its whole definition but its timeout: a
-    timeout can only turn a result into a failure, and failures are not kept.
+    The application enters as its whole definition but its timeout
+    (_app_definition).
     """
     if isinstance(config, ReducerConfig):
         config = config.to_dict()
-    app_def = {
-        "id": app.id, "kind": app.kind.value,
-        "metric": {"name": app.metric.name.value, "params": app.metric.params},
-        "target": app.target, "command": app.command, "seed": app.seed, "params": app.params,
-    }
+    return _cache_key(pair, _app_definition(app), config, compress_target)
+
+
+def _cache_key(pair: DatasetPair, app_def: str, config: dict, compress_target: str) -> str:
     h = hashlib.sha256()
     parts = (
-        f"v{container.VERSION}", pair.id, canonical_json(app_def),
-        canonical_json(config), compress_target,
+        f"v{container.VERSION}", pair.id, app_def, canonical_json(config), compress_target,
     )
     for part in parts:
         h.update(part.encode())
         h.update(b"\x00")
     return h.hexdigest()[:32]
+
+
+def _alike_key(
+    pair: DatasetPair, app_def: str, config: ReducerConfig, compress_target: str,
+    artifacts: dict[str, container.Artifact],
+) -> str:
+    """Memo key shared by the evaluations whose compressed parts decode to
+    the same tables for the same application: the pair, the application
+    (as _app_definition), the configuration with its bound replaced by
+    what the decoder reads of it (decoder_bound), the compress target, and
+    every part's stream.  Its prefix keeps it apart from the cache keys in
+    the memo."""
+    bound = decoder_bound(config.method, config.mode, config.c)
+    head = (pair.id, app_def, config.method.value, config.mode.value,
+            config.layout.value, repr(config.knobs), repr(bound), compress_target)
+    h = hashlib.sha256("\x00".join(head).encode())
+    for name, art in artifacts.items():
+        h.update(f"\x00{name}:{len(art.stream)}\x00".encode())
+        h.update(art.stream)
+    return "alike:" + h.hexdigest()[:32]
 
 
 def _cache_path(cache_dir: str | Path, key: str) -> Path:
@@ -352,7 +387,11 @@ def eval_config(
     Codec and application failures come back as a failed record instead of
     raising, so a campaign can keep going.  ``memo`` maps cache keys to the
     ``ok`` records already computed or loaded; it is read before the cache
-    directory and filled from both.
+    directory and filled from both.  It also keys the first ok record it
+    computed by what its parts decode to (_alike_key): an evaluation that
+    compresses to parts that decode alike takes that record's ``psi`` and
+    does not run the application, so its ``t_app`` is 0; its other fields,
+    codec timings included, are its own, and it is not marked cached.
 
     With ``decode=False`` a part whose encoder kept its reconstruction (the
     predictive and bit-plane codecs) is scored on that, which decompress
@@ -368,7 +407,8 @@ def eval_config(
     if compress_target not in ("train", "validation", "both"):
         raise ConfigError(f"bad compress_target {compress_target!r}")
     config_dict = config.to_dict()
-    key = cache_key(pair, app, config_dict, compress_target)
+    app_def = _app_definition(app)
+    key = _cache_key(pair, app_def, config_dict, compress_target)
     hit = memo.get(key) if memo is not None else None
     if hit is None and cache_dir is not None:
         path = _cache_path(cache_dir, key)
@@ -399,6 +439,7 @@ def eval_config(
     ok = True
     decoded = False
     err_msg = None
+    alike = scored = None
     try:
         if hit is not None:  # only the decode timing is missing
             kept = undecoded.pop(key, None) if undecoded is not None else None
@@ -432,7 +473,13 @@ def eval_config(
         c_mbps = total_bytes / 1e6 / max(t_comp, 1e-12)
         if decoded:
             d_mbps = total_bytes / 1e6 / max(t_dec, 1e-12)
-        psi, t_app = run_application(restored["train"], restored["validation"], app)
+        if memo is not None:
+            alike = _alike_key(pair, app_def, config, compress_target, artifacts)
+            scored = memo.get(alike)
+        if scored is not None:  # these tables have been scored: reuse psi
+            psi = scored.psi
+        else:
+            psi, t_app = run_application(restored["train"], restored["validation"], app)
     except PpressError as exc:
         ok = False
         err_msg = f"{type(exc).__name__}: {exc}"
@@ -461,6 +508,7 @@ def eval_config(
     )
     if ok and memo is not None:
         memo[key] = rec
+        memo.setdefault(alike, rec)
     if ok and not decoded and undecoded is not None:
         undecoded[key] = artifacts
     if ok and cache_dir is not None:
@@ -753,7 +801,8 @@ def run_campaign(
     configuration the campaign has already evaluated comes back as a cached
     copy of its first record; a ladder point that was a search probe, which
     the search scored without decoding, decodes that probe's stream for its
-    timing.
+    timing.  An evaluation whose parts decode alike to an earlier one's
+    reuses its quality instead of running the application (see eval_config).
     """
     if not apps or not methods:
         raise ConfigError("campaign needs at least one application and one method")

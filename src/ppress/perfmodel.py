@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -131,16 +132,21 @@ def _record_rows(records) -> list[tuple]:
     """(label, ratio, GB/s, PSNR) of each configuration, knobs included, that
     the records score on one dataset pair and compress target.  A
     deterministic codec gives all of them one ratio and error report; the
-    bandwidth is their median."""
+    bandwidth is their median.  A label that two rows would share gains
+    @<compress target>:<first 8 hex digits of the dataset id>."""
     groups: dict[tuple[ReducerConfig, str, str], list] = {}
     for rec in records:
         key = (ReducerConfig.from_dict(rec.config), rec.dataset_id, rec.compress_target)
         groups.setdefault(key, []).append(rec)
+    labels = Counter(config.label() for config, _, _ in groups)
     rows = []
-    for (config, _, _), recs in groups.items():
+    for (config, dataset_id, target), recs in groups.items():
         mbps = [rec.decompress_mbps for rec in recs]
         gbps = None if None in mbps else statistics.median(mbps) / 1000.0
-        rows.append((config.label(), recs[0].ratio, gbps, _row_psnr(recs[0].report)))
+        label = config.label()
+        if labels[label] > 1:
+            label += f"@{target}:{dataset_id[:8]}"
+        rows.append((label, recs[0].ratio, gbps, _row_psnr(recs[0].report)))
     return rows
 
 

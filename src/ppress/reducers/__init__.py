@@ -4,6 +4,7 @@ from .api import (
     ErrorReport,
     compress,
     compression_ratio,
+    decoder_bound,
     decompress,
     error_report,
     reconstruction,
@@ -20,6 +21,7 @@ __all__ = [
     "ErrorReport",
     "compress",
     "compression_ratio",
+    "decoder_bound",
     "decompress",
     "error_report",
     "reconstruction",

@@ -27,6 +27,7 @@ __all__ = [
     "compress",
     "decompress",
     "reconstruction",
+    "decoder_bound",
     "error_report",
     "compression_ratio",
 ]
@@ -121,6 +122,19 @@ def _values(buf: bytes, dtype: np.dtype, count: int | None) -> np.ndarray:
     return np.frombuffer(buf, dtype)
 
 
+def decoder_bound(method: Method, mode: Mode, c: tuple[float, ...]) -> int | None:
+    """All that decoding a stream of `method` reads of the bound c: a
+    bit-plane stream's bitplane.plane_bound, a truncation's width, and
+    nothing (None) for the other methods, whose streams hold what decoding
+    needs (the predictive steps, the delta order, the kept rows).  Two
+    bounds with one decoder_bound decode one stream to one table."""
+    if method is Method.EBLC_BITPLANE:
+        return bitplane.plane_bound(mode.value, c[0])
+    if method is Method.TRUNC:
+        return int(c[0])
+    return None
+
+
 def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.ndarray:
     method = artifact.method
     count = artifact.n_obs * artifact.n_feat  # values of a method that keeps every row
@@ -136,7 +150,8 @@ def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.nd
         return delta.inverse_delta(arr, order) if order else arr
     if method is Method.TRUNC:
         with np.errstate(invalid="ignore"):  # a signalling NaN widens like any value
-            return _values(blob, truncation.NARROW[int(artifact.c[0])], count).astype(np_dtype)
+            narrow = truncation.NARROW[decoder_bound(method, artifact.mode, artifact.c)]
+            return _values(blob, narrow, count).astype(np_dtype)
     if method is Method.EBLC_PRED:
         return predictive.decode(blob, artifact.value_width, count).astype(np_dtype, copy=False)
     if method is Method.EBLC_BITPLANE:

@@ -125,28 +125,39 @@ def _check(mode: str, c: float, width: int) -> None:
         raise CodecError(f"unknown bit-plane mode {mode!r}")
 
 
-def _keep(mode: str, c: float, exps: np.ndarray) -> np.ndarray:
-    """Magnitude planes each block keeps, from the bound and the block
+def plane_bound(mode: str, c: float) -> int:
+    """All the coder reads of a bound c that passed _check: prec keeps
+    min(c, TOTAL_PLANES) planes, acc derives plane counts from c's binary
+    exponent p (2^(p-1) <= c < 2^p), and rate spends round(4c) bits a block.
+    Bounds with one plane_bound decode a stream alike."""
+    if mode == "prec":
+        return min(int(c), TOTAL_PLANES)
+    if mode == "acc":
+        return math.frexp(c)[1]
+    return round(_BLOCK * c)
+
+
+def _keep(mode: str, bound: int, exps: np.ndarray) -> np.ndarray:
+    """Magnitude planes each block keeps, from the plane_bound and the block
     exponents alone: the encoder and the decoder both call this."""
     if mode == "prec":
-        return np.full(exps.size, min(int(c), TOTAL_PLANES), dtype=np.int64)
+        return np.full(exps.size, bound, dtype=np.int64)
     if mode == "rate":
         return np.full(exps.size, TOTAL_PLANES, dtype=np.int64)
     # acc: dropping the planes below the top k costs about 2^(e - k + 4),
     # and k = e - p + 5 makes that 2^(p - 1) <= c.  Integer arithmetic, so
     # no two machines disagree; np.minimum/np.maximum beat np.clip here
-    p = math.frexp(c)[1]
-    k = exps.astype(np.int64) - (p - 5)
+    k = exps.astype(np.int64) - (bound - 5)
     return np.minimum(np.maximum(k, 0), TOTAL_PLANES)
 
 
-def _budget(mode: str, c: float, exps: np.ndarray, keep: np.ndarray,
+def _budget(mode: str, bound: int, exps: np.ndarray, keep: np.ndarray,
             raw_mask: np.ndarray) -> np.ndarray:
-    """Payload bits of each block: rate spends round(4c) everywhere; prec and
-    acc send the sign and every kept plane, and nothing for all-zero or raw
-    blocks."""
+    """Payload bits of each block: rate spends its plane_bound, round(4c),
+    everywhere; prec and acc send the sign and every kept plane, and nothing
+    for all-zero or raw blocks."""
     if mode == "rate":
-        return np.full(exps.size, round(_BLOCK * c), dtype=np.int64)
+        return np.full(exps.size, bound, dtype=np.int64)
     return np.where((exps == _ZERO_EXP) | raw_mask, 0, _BLOCK * (1 + keep))
 
 
@@ -255,12 +266,13 @@ def _rebuild_finite(coeffs: np.ndarray, exps: np.ndarray, width: int) -> np.ndar
 def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.ndarray]:
     """Encode one stream; returns (bytes, reconstruction)."""
     _check(mode, c, width)
+    bound = plane_bound(mode, c)
     x64 = np.asarray(x, dtype=np.float64)
     n = x64.size
     fdt = WIDTH_DTYPES[width]
     blocks = _to_blocks(x64)
     coeffs, exps = _forward(blocks)
-    keep = _keep(mode, c, exps)
+    keep = _keep(mode, bound, exps)
     trunc = _truncate_coeffs(coeffs, keep)
     raw_mask = np.zeros(exps.size, dtype=bool)
     parts = [bytes([_CODED]), exps.astype("<i2").tobytes()]
@@ -275,7 +287,7 @@ def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.nd
         recon_blocks[raw_mask] = blocks[raw_mask]  # raw blocks replay exactly
         parts.append(np.packbits(raw_mask).tobytes())
         parts.append(blocks[raw_mask].astype(fdt).tobytes())
-    budget = _budget(mode, c, exps, keep, raw_mask)
+    budget = _budget(mode, bound, exps, keep, raw_mask)
 
     coded = sum(map(len, parts)) + (int(budget.sum()) + 7) // 8
     if coded > 1 + n * width:
@@ -312,6 +324,7 @@ def decode(buf: bytes, mode: str, c: float, n: int, width: int) -> np.ndarray:
     its payload does; anything else raises CodecError.
     """
     _check(mode, c, width)
+    bound = plane_bound(mode, c)
     fdt = WIDTH_DTYPES[width]
     kind, off = section(buf, 0, 1, "kind byte")
     if kind[0] == _STORED:
@@ -322,7 +335,7 @@ def decode(buf: bytes, mode: str, c: float, n: int, width: int) -> np.ndarray:
     n_blocks = -(-n // _BLOCK)
     exps, off = section(buf, off, 2 * n_blocks, "exponents")
     exps = np.frombuffer(exps, "<i2").astype(np.int64)
-    keep = _keep(mode, c, exps)
+    keep = _keep(mode, bound, exps)
 
     raw_mask = np.zeros(n_blocks, dtype=bool)
     if mode == "acc":
@@ -331,7 +344,7 @@ def decode(buf: bytes, mode: str, c: float, n: int, width: int) -> np.ndarray:
         n_raw = int(raw_mask.sum())
         raw, off = section(buf, off, n_raw * _BLOCK * width, "raw blocks")
         raw_vals = _finite(np.frombuffer(raw, fdt).astype(np.float64), "a raw bit-plane block")
-    budget = _budget(mode, c, exps, keep, raw_mask)
+    budget = _budget(mode, bound, exps, keep, raw_mask)
     packed, _ = section(buf, off, (int(budget.sum()) + 7) // 8, "payload", last=True)
     coeffs = _absorb(np.frombuffer(packed, np.uint8), keep, budget)
     # the encoder writes only finite reconstructions, so overflow means damage

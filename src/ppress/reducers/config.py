@@ -51,6 +51,37 @@ SAMPLING_METHODS = {Method.SAMPLE_NAIVE, Method.SAMPLE_WR, Method.SAMPLE_WOR}
 BOUNDED_METHODS = {Method.EBLC_PRED, Method.EBLC_BITPLANE}
 
 
+def check_fields(method: Method, mode: Mode, c: tuple[float, ...]) -> None:
+    """ConfigError unless mode suits method and c is a bound that method
+    takes under it.  Every ReducerConfig passes these checks, and
+    container.unpack applies them to a header without building one."""
+    if mode not in _MODES_FOR[method]:
+        raise ConfigError(f"mode {mode.value} not valid for method {method.value}")
+    if method in BOUNDED_METHODS or method in SAMPLING_METHODS:
+        if len(c) != 1:
+            raise ConfigError(
+                f"method {method.value} takes exactly one bound value, got {c}"
+            )
+        if not c[0] > 0:
+            raise ConfigError(f"bound must be positive, got {c[0]}")
+        if mode is Mode.PW_REL and not c[0] < 1:
+            raise ConfigError(f"pw_rel bound must be in (0, 1), got {c[0]}")
+        if mode is Mode.PREC and not c[0].is_integer():
+            raise ConfigError(f"prec takes a whole number of planes, got {c[0]}")
+    if method is Method.TRUNC:
+        if len(c) != 1 or c[0] not in (32.0, 16.0):
+            raise ConfigError("trunc takes a single target width of 32 or 16")
+    if method in (Method.LOSSLESS, Method.NONE) and c:
+        raise ConfigError(f"method {method.value} takes no bound values")
+    if method is Method.SAMPLE_NAIVE:
+        stride = c[0]
+        if not (stride >= 1 and stride.is_integer()):
+            raise ConfigError(f"naive sampling stride must be an integer >= 1, got {stride}")
+    elif method in (Method.SAMPLE_WR, Method.SAMPLE_WOR):
+        if not 0 < c[0] <= 1:
+            raise ConfigError(f"sampling fraction must be in (0, 1], got {c[0]}")
+
+
 @dataclass(frozen=True)
 class ReducerKnobs:
     """Fixed parameters, held constant while the bound is searched."""
@@ -88,31 +119,7 @@ class ReducerConfig:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "layout", Layout(self.layout))
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
-        if mode not in _MODES_FOR[method]:
-            raise ConfigError(f"mode {mode.value} not valid for method {method.value}")
-        if method in BOUNDED_METHODS or method in SAMPLING_METHODS:
-            if len(self.c) != 1:
-                raise ConfigError(
-                    f"method {method.value} takes exactly one bound value, got {self.c}"
-                )
-            if not self.c[0] > 0:
-                raise ConfigError(f"bound must be positive, got {self.c[0]}")
-            if mode is Mode.PW_REL and not self.c[0] < 1:
-                raise ConfigError(f"pw_rel bound must be in (0, 1), got {self.c[0]}")
-            if mode is Mode.PREC and not self.c[0].is_integer():
-                raise ConfigError(f"prec takes a whole number of planes, got {self.c[0]}")
-        if method is Method.TRUNC:
-            if len(self.c) != 1 or self.c[0] not in (32.0, 16.0):
-                raise ConfigError("trunc takes a single target width of 32 or 16")
-        if method in (Method.LOSSLESS, Method.NONE) and self.c:
-            raise ConfigError(f"method {method.value} takes no bound values")
-        if method is Method.SAMPLE_NAIVE:
-            stride = self.c[0]
-            if not (stride >= 1 and stride.is_integer()):
-                raise ConfigError(f"naive sampling stride must be an integer >= 1, got {stride}")
-        elif method in (Method.SAMPLE_WR, Method.SAMPLE_WOR):
-            if not 0 < self.c[0] <= 1:
-                raise ConfigError(f"sampling fraction must be in (0, 1], got {self.c[0]}")
+        check_fields(method, mode, self.c)
 
     @property
     def bound(self) -> float:

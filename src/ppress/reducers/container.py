@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataFormatError
 from ..tabular import DTYPES
-from .config import Layout, Method, Mode, ReducerConfig
+from .config import Layout, Method, Mode, check_fields
 
 MAGIC = b"PPRS"
 VERSION = 9
@@ -144,7 +144,7 @@ def unpack(buf: bytes) -> Artifact:
     if n_feat == 0:
         raise DataFormatError("container declares no columns")
     try:  # the decoders take the bound as the method accepts it
-        ReducerConfig(method, mode, c, layout)
+        check_fields(method, mode, c)
     except ConfigError as exc:
         raise DataFormatError(f"container header: {exc}") from None
 

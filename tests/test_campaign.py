@@ -1019,6 +1019,42 @@ def test_parallel_ladder_shares_the_memo_safely(monkeypatch):
     assert ends and all(r.decompress_mbps > 0 for r in ends)
 
 
+def test_run_campaign_scores_each_decoded_table_once(monkeypatch):
+    # acc bounds in one octave keep the same planes, so the ladder between
+    # the boundaries, and bisection probes near them, write streams that
+    # decode alike to ones already scored
+    pair = linear_pair(n=120)
+    spec = SearchSpec(tau=0.5, n_candidates=8, eta=5e-3, max_iters=8, replicates=2)
+    methods = [SearchDomain(Method.EBLC_BITPLANE, Mode.ACC, 1e-3, 64.0)]
+    keys = []
+    real_key = campaign._alike_key
+
+    def spy_key(*args):
+        keys.append(real_key(*args))
+        return keys[-1]
+
+    monkeypatch.setattr(campaign, "_alike_key", spy_key)
+    runs = spy_application(monkeypatch)
+    records = run_campaign(pair, [ridge_app()], methods, spec)
+    assert all(r.ok for r in records)
+    # one application run per decoded table; each other evaluation of it
+    # copies its quality and is neither cached nor timed
+    assert len(runs) == len(set(keys)) < len(keys)
+    fresh = [r for r in records if not r.cached]
+    reused = [r for r in fresh if r.t_app == 0]
+    assert len(reused) == len(keys) - len(set(keys))
+    assert len(fresh) == len(keys)
+
+    # the same campaign with no two evaluations alike
+    unique = iter(range(10**6))
+    monkeypatch.setattr(campaign, "_alike_key", lambda *args: f"alike:{next(unique)}")
+    runs.clear()
+    plain = run_campaign(pair, [ridge_app()], methods, spec)
+    assert [r.content_key() for r in plain] == [r.content_key() for r in records]
+    assert [r.cached for r in plain] == [r.cached for r in records]
+    assert len(runs) == len(fresh) and all(r.t_app > 0 for r in plain if not r.cached)
+
+
 # (method, mode, bound) a search may probe without decoding; a rate bound of
 # None is the value width, where the bit-plane stream is stored raw
 UNDECODED = [

@@ -452,25 +452,35 @@ def test_speedup_from_store_labels_rows_by_configuration(tmp_path, capsys):
 
 def test_speedup_from_store_gives_each_configuration_one_row(tmp_path):
     # the first golden configuration scored three times (say by search, then
-    # by eval, then for a second application), and once more on the
-    # training part alone
+    # by eval, then for a second application), once more on the training
+    # part alone, and once on another dataset pair
     store = write_golden_store(tmp_path / "records.jsonl")
     first = RecordStore(store).load()[0]
-    for mbps, target in ((1000.0, "both"), (9000.0, "both"), (500.0, "train")):
+    for mbps, target, dataset in ((1000.0, "both", first.dataset_id),
+                                  (9000.0, "both", first.dataset_id),
+                                  (500.0, "train", first.dataset_id),
+                                  (800.0, "both", "e" * 64)):
         RecordStore(store).append(replace(first, decompress_mbps=mbps, compress_target=target,
+                                          dataset_id=dataset,
                                           ratio=2.0 if target == "train" else first.ratio))
     out = tmp_path / "cores.csv"
     assert main(["speedup", "--store", str(store), "--bandwidths", "1", "--out", str(out)]) == 0
     rows = list(csv.DictReader(open(out)))
     labels = [r["label"] for r in rows]
-    assert labels[:5] == [
+    plain = [
         ReducerConfig(Method(m), Mode(mode), (bound,)).label()
         for m, mode, bound, _, _ in GOLDEN_POINTS
     ]
-    assert labels[5:] == [labels[0]]  # another compress target is another row
+    assert labels[1:5] == plain[1:]
+    # another compress target or dataset pair is another row, and the label
+    # that the three rows would share names both
+    assert labels[:1] + labels[5:] == [
+        f"{plain[0]}@both:dddddddd", f"{plain[0]}@train:dddddddd", f"{plain[0]}@both:eeeeeeee"
+    ]
     # the median of 250, 1000 and 9000 MB/s; the ratio and PSNR are shared
     assert (rows[0]["decompress_gbps"], rows[0]["ratio"], rows[0]["psnr_db"]) == ("1", "3.5", "90.00")
     assert (rows[5]["decompress_gbps"], rows[5]["ratio"]) == ("0.5", "2")
+    assert rows[6]["decompress_gbps"] == "0.8"
 
 
 def test_report_sections_and_determinism(tmp_path, capsys):

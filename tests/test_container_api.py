@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ppress
@@ -28,6 +28,7 @@ from ppress.reducers import (
     ReducerKnobs,
     compress,
     compression_ratio,
+    decoder_bound,
     decompress,
     error_report,
     pack,
@@ -36,6 +37,7 @@ from ppress.reducers import (
 )
 from ppress.reducers import bitplane, container, lossless, predictive
 from ppress.reducers.api import _abs_bounds
+from ppress.reducers.config import _MODES_FOR
 from ppress.tabular import from_array
 
 
@@ -645,6 +647,81 @@ def test_api_round_trip_property(seed, method):
     assert unpack(buf) == art
     if m is Method.LOSSLESS:
         assert out.values.tobytes() == ds.values.tobytes()
+
+
+# bounds each predictive mode takes, as (low, high)
+PRED_BOUNDS = {Mode.ABS: (1e-6, 1.0), Mode.REL: (1e-7, 0.5), Mode.PW_REL: (1e-5, 0.5),
+               Mode.PSNR: (20.0, 160.0)}
+
+
+@st.composite
+def nearby_bounds(draw, method, mode, width):
+    """Two bounds of method and mode, often ones decoder_bound cannot tell
+    apart: acc bounds in one binary octave or the next, prec plane counts
+    one apart (past TOTAL_PLANES, any two), int beside float, rate bounds
+    near the same or the next quarter, one truncation width, and any two
+    bounds of the other methods."""
+    if method in (Method.NONE, Method.LOSSLESS):
+        return (), ()
+    if method is Method.TRUNC:
+        c = draw(st.sampled_from([16, 32] if width == 8 else [16]))
+        return (c,), (float(c),)
+    if method is Method.SAMPLE_NAIVE:
+        return tuple((float(draw(st.integers(1, 9))),) for _ in "ab")
+    if method in (Method.SAMPLE_WR, Method.SAMPLE_WOR):
+        return tuple((draw(st.floats(0.05, 1.0)),) for _ in "ab")
+    if method is Method.EBLC_PRED:
+        lo, hi = PRED_BOUNDS[mode]
+        return tuple((draw(st.floats(lo, hi)),) for _ in "ab")
+    step = draw(st.sampled_from([0, 0, -1, 1]))
+    if mode is Mode.ACC:
+        e = draw(st.integers(-30, 8))
+        mantissas = (draw(st.floats(0.5, 1.0, exclude_max=True)) for _ in "ab")
+        return tuple((math.ldexp(m, e + d),) for m, d in zip(mantissas, (0, step)))
+    if mode is Mode.PREC:
+        k = draw(st.integers(2, 70))
+        other = draw(st.integers(56, 90)) if k >= bitplane.TOTAL_PLANES else k + step
+        return (k,), (float(other),)
+    k = draw(st.integers(2, 32 * width - 2))  # rate: c near k/4
+    return tuple(((q + draw(st.floats(-0.1, 0.1))) / 4,) for q in (k, k + step))
+
+
+METHOD_MODES = [(m, mode) for m, modes in _MODES_FOR.items() for mode in sorted(modes)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    method_mode=st.sampled_from(METHOD_MODES),
+    dtype=st.sampled_from(["f32", "f64"]),
+    layout=st.sampled_from(list(Layout)),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_bounds_with_one_decoder_bound_decode_a_stream_alike(method_mode, dtype, layout,
+                                                             seed, data):
+    method, mode = method_mode
+    width = 8 if dtype == "f64" else 4
+    c, other = data.draw(nearby_bounds(method, mode, width))
+    first = ReducerConfig(method, mode, c, layout)
+    second = ReducerConfig(method, mode, other, layout)
+    assume(decoder_bound(method, mode, first.c) == decoder_bound(method, mode, second.c))
+    rng = np.random.default_rng(seed)
+    n, k = rng.integers(20, 60), rng.integers(1, 5)  # a sample keeps at least one row
+    ds = from_array(rng.normal(size=(n, k)) * 10.0 ** rng.integers(-4, 5, size=k), dtype=dtype)
+    art = compress(ds, first)[0]
+    # the container of the same stream under the other bound
+    moved = unpack(pack(replace(art, c=second.c)))
+    assert decompress(moved)[0].values.tobytes() == decompress(art)[0].values.tobytes()
+
+
+def test_decoder_bound_of_acc_is_the_binary_octave():
+    acc = [decoder_bound(Method.EBLC_BITPLANE, Mode.ACC, (c,)) for c in (4.02, 4.59, 5.31, 3.99)]
+    assert acc[0] == acc[1] == acc[2] != acc[3]
+    assert decoder_bound(Method.EBLC_BITPLANE, Mode.PREC, (60.0,)) == bitplane.TOTAL_PLANES
+    assert decoder_bound(Method.EBLC_BITPLANE, Mode.RATE, (6.1,)) == 24
+    assert decoder_bound(Method.TRUNC, Mode.NONE, (16.0,)) == 16
+    assert decoder_bound(Method.EBLC_PRED, Mode.REL, (1e-3,)) is None
+    assert decoder_bound(Method.SAMPLE_WOR, Mode.NONE, (0.5,)) is None
 
 
 def walk_ds(n=4000, k=1, dtype="f64"):

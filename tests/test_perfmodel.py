@@ -203,9 +203,11 @@ def test_cores_table_gives_a_configuration_scored_twice_one_row():
          record(1e-4, 7.0, dataset_id="e"), record(1e-4, 9.0, target="train")],
         [1.0],
     )
+    # the label the three 1e-4 rows would share names their pair and target
     label = "eblc_pred:rel:0.0001:by_column"
     assert [(row.label, row.decompress_gbps) for row in table.rows] == [
-        (label, 1.2), ("eblc_pred:rel:0.001:by_column", 0.05), (label, 0.007), (label, 0.009)
+        (f"{label}@both:d", 1.2), ("eblc_pred:rel:0.001:by_column", 0.05),
+        (f"{label}@both:e", 0.007), (f"{label}@train:d", 0.009),
     ]
     assert table.rows[0].ratio == 10.0 and table.rows[0].psnr_db == 60.0
     assert table.rows[0].cores == (min_cores(10.0, 1.2e9, 1e9),)
