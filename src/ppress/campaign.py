@@ -5,7 +5,11 @@ two boundary configurations per method (the largest bound that is still
 quality-neutral within a tolerance, and the largest bound whose quality stays
 above the acceptance threshold), then evaluates an arithmetic ladder of
 candidate bounds between them.  Every evaluation lands in an append-only
-line-delimited store and an optional content-addressed cache.
+line-delimited store, and every ok one in an optional evaluation cache: one
+append-only log of records in the same format, ``CACHE_DIR/evaluations.jsonl``,
+keyed by each record's content address.  A campaign reads the log once, when
+it starts, and holds the store and the log open until it ends, so it writes
+each record as one appended line and creates no file per evaluation.
 
 Boundary searches read quality only through a probe, a function from bound
 to quality.  The campaign gives both searches of a domain one probe, which
@@ -15,13 +19,13 @@ search tried without evaluating or recording them again.
 
 A campaign runs each distinct evaluation once: evaluation is deterministic in
 its cache key, so a configuration it has already scored (a ladder end point
-that was a boundary probe, a configuration two domains share) comes back from
-an in-memory table of its ``ok`` records, marked cached like a hit in the
-cache directory, whether or not there is one.  It also runs the application
-once per set of decoded tables: an evaluation whose compressed parts decode
-alike to an earlier one's (bit-plane ``acc`` bounds in one binary octave
-usually write one stream) takes that one's quality, with ``t_app`` 0, and
-keeps a record of its own.
+that was a boundary probe, a configuration two domains share) comes back,
+marked cached, from an in-memory table of ``ok`` records that starts as the
+pair's records in the cache log, or empty without one.  It also runs the
+application once per set of decoded tables: an evaluation whose compressed
+parts decode alike to an earlier one's (bit-plane ``acc`` bounds in one
+binary octave usually write one stream) takes that one's quality, with
+``t_app`` 0, and keeps a record of its own.
 
 Search probes score the predictive and bit-plane codecs on the
 reconstruction their encoders return, which the decoders rebuild byte for
@@ -45,13 +49,13 @@ selection accounts for that inversion.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import math
 import os
 import statistics
-import tempfile
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -225,73 +229,133 @@ class RecordStore:
     """Append-only JSON-lines record log.
 
     A crash mid-append can leave a torn final line with no newline.  Loading
-    skips it with a warning and the next append cuts it off, so the store
-    stays readable; a corrupt line anywhere else is a data error.
+    skips it with a warning and opening the store for appending cuts it off,
+    so the store stays readable; a corrupt line anywhere else is a data
+    error.
+
+    As a context manager the store holds one unbuffered append handle until
+    the outermost ``with`` exits, cutting a torn tail once when it opens;
+    ``append`` writes each record through it as one write of its whole
+    line.  Outside one, each ``append`` opens the store for its record.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._fh = None
+        self._depth = 0
+
+    def __enter__(self) -> "RecordStore":
+        if self._depth == 0:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(self.path, "a+b", buffering=0)
+            try:
+                self._end_last_line(fh)
+            except BaseException:
+                fh.close()
+                raise
+            self._fh = fh
+        self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._depth -= 1
+        if self._depth == 0:
+            self._fh.close()
+            self._fh = None
 
     def append(self, record: EvaluationRecord) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
-        with open(self.path, "a+b") as fh:
-            _end_last_line(fh)
-            fh.write(line.encode("utf-8"))
+        line = memoryview((json.dumps(record.to_dict(), sort_keys=True) + "\n").encode("utf-8"))
+        with self if self._fh is None else contextlib.nullcontext():
+            while line:  # a regular file takes the whole line in one write
+                line = line[self._fh.write(line):]
 
     def load(self) -> list[EvaluationRecord]:
         if not self.path.exists():
             return []
         out = []
-        with open(self.path, encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 try:
                     out.append(EvaluationRecord.from_dict(json.loads(line)))
                 except (ValueError, TypeError) as exc:
-                    if not line.endswith("\n"):  # only the final line lacks one
-                        warnings.warn(
-                            f"{self.path}:{lineno}: skipped a torn final line ({exc})",
-                            stacklevel=2,
-                        )
+                    if self._skip_damaged(lineno, line, exc):
                         break
-                    raise DataFormatError(
-                        f"{self.path}:{lineno}: corrupt record line: {exc}"
-                    ) from exc
         return out
 
+    def _skip_damaged(self, lineno: int, line: bytes, exc: Exception) -> bool:
+        """Warn about a torn final line, which ends the load; raise on any
+        other line that is not a record."""
+        if not line.endswith(b"\n"):  # only the final line lacks one
+            warnings.warn(f"{self.path}:{lineno}: skipped a torn final line ({exc})",
+                          stacklevel=3)
+            return True
+        raise DataFormatError(f"{self.path}:{lineno}: corrupt record line: {exc}") from exc
 
-def _end_last_line(fh) -> None:
-    """Make an append-mode store end in a newline before the next record.
+    @staticmethod
+    def _end_last_line(fh) -> None:
+        """Make the store end in a newline before the next record.
 
-    An unterminated final line that holds a record gets its newline; one
-    that does not is a torn append and is cut off.
+        An unterminated final line that holds a record gets its newline; one
+        that does not is a torn append and is cut off.
+        """
+        end = fh.seek(0, os.SEEK_END)
+        if end == 0:
+            return
+        fh.seek(end - 1)
+        if fh.read(1) == b"\n":
+            return
+        start = end
+        while start > 0:  # back to the byte after the previous newline
+            block = max(0, start - 4096)
+            fh.seek(block)
+            cut = fh.read(start - block).rfind(b"\n")
+            if cut >= 0:
+                start = block + cut + 1
+                break
+            start = block
+        fh.seek(start)
+        tail = fh.read()
+        try:
+            EvaluationRecord.from_dict(json.loads(tail))
+        except (ValueError, TypeError):
+            warnings.warn(f"{fh.name}: cut off a torn final line", stacklevel=3)
+            fh.truncate(start)
+        else:
+            fh.write(b"\n")
+
+
+class EvaluationCache(RecordStore):
+    """The evaluation cache: one append-only log, ``CACHE_DIR/evaluations.jsonl``,
+    of ok records in the store's line format, keyed by their ``record_id``.
+
+    Campaigns in other processes may append to the same log, so opening it
+    never cuts a line off: an unterminated final line only gets its newline.
+    A line that does not hold a record is a miss, skipped with a warning.
     """
-    end = fh.seek(0, os.SEEK_END)
-    if end == 0:
-        return
-    fh.seek(end - 1)
-    if fh.read(1) == b"\n":
-        return
-    start = end
-    while start > 0:  # back to the byte after the previous newline
-        block = max(0, start - 4096)
-        fh.seek(block)
-        cut = fh.read(start - block).rfind(b"\n")
-        if cut >= 0:
-            start = block + cut + 1
-            break
-        start = block
-    fh.seek(start)
-    tail = fh.read()
-    try:
-        EvaluationRecord.from_dict(json.loads(tail))
-    except (ValueError, TypeError):
-        warnings.warn(f"{fh.name}: cut off a torn final line", stacklevel=3)
-        fh.truncate(start)
-    else:
-        fh.write(b"\n")
+
+    def __init__(self, cache_dir: str | Path):
+        super().__init__(Path(cache_dir) / "evaluations.jsonl")
+
+    @staticmethod
+    def _end_last_line(fh) -> None:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
+
+    def _skip_damaged(self, lineno: int, line: bytes, exc: Exception) -> bool:
+        warnings.warn(f"{self.path}:{lineno}: unreadable cache entry, skipped ({exc})",
+                      stacklevel=3)
+        return False
+
+    def memo(self, pair: DatasetPair) -> Memo:
+        """The pair's ok records by cache key; a key's last line wins, so a
+        ladder end's timed copy replaces its probe's record."""
+        return {rec.record_id: rec for rec in self.load()
+                if rec.ok and rec.dataset_id == pair.id}
 
 
 def _app_definition(app: Application) -> str:
@@ -349,34 +413,12 @@ def _alike_key(
     return "alike:" + h.hexdigest()[:32]
 
 
-def _cache_path(cache_dir: str | Path, key: str) -> Path:
-    return Path(cache_dir) / f"{key}.json"
-
-
-def _write_cache_entry(cache_dir: str | Path, key: str, rec: EvaluationRecord) -> None:
-    _write_atomic(_cache_path(cache_dir, key), json.dumps(rec.to_dict(), sort_keys=True))
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temp file in the same directory, then rename over path,
-    so a crash leaves the old entry or the new one, never a torn file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def eval_config(
     pair: DatasetPair,
     app: Application,
     config: ReducerConfig,
     compress_target: str = "both",
-    cache_dir: str | Path | None = None,
+    cache: EvaluationCache | None = None,
     memo: Memo | None = None,
     *,
     decode: bool = True,
@@ -386,8 +428,10 @@ def eval_config(
 
     Codec and application failures come back as a failed record instead of
     raising, so a campaign can keep going.  ``memo`` maps cache keys to the
-    ``ok`` records already computed or loaded; it is read before the cache
-    directory and filled from both.  It also keys the first ok record it
+    ``ok`` records already computed or loaded from the cache log
+    (EvaluationCache.memo), and is the only place a result is looked up;
+    every ok record computed goes into it and, given an open cache log
+    ``cache``, is appended there.  The memo also keys the first ok record it
     computed by what its parts decode to (_alike_key): an evaluation that
     compresses to parts that decode alike takes that record's ``psi`` and
     does not run the application, so its ``t_app`` is 0; its other fields,
@@ -399,7 +443,7 @@ def eval_config(
     ``decompress_mbps`` None and ``t_decompress`` 0; ``undecoded``, when
     given, keeps such a record's artifacts.  With ``decode=True`` a hit on
     such a record is served as a cached copy of it with a decode timing of
-    its own, which replaces it in the memo and the cache directory: its
+    its own, which replaces it in the memo and the cache log: its
     artifacts in ``undecoded`` are decoded and dropped, or, when it has
     none there, its parts are compressed and decoded again.  The
     application does not run again.
@@ -410,17 +454,6 @@ def eval_config(
     app_def = _app_definition(app)
     key = _cache_key(pair, app_def, config_dict, compress_target)
     hit = memo.get(key) if memo is not None else None
-    if hit is None and cache_dir is not None:
-        path = _cache_path(cache_dir, key)
-        if path.exists():
-            try:
-                hit = EvaluationRecord.from_dict(json.loads(path.read_text()))
-            except (ValueError, TypeError):
-                # a torn entry is a miss; the fresh result below replaces it
-                warnings.warn(f"{path}: unreadable cache entry, recomputing", stacklevel=2)
-            else:
-                if memo is not None:
-                    memo[key] = hit
     if hit is not None and (hit.decompress_mbps is not None or not decode):
         return replace(hit, cached=True)
 
@@ -450,8 +483,8 @@ def eval_config(
                           t_decompress=t_dec)
             if memo is not None:
                 memo[key] = rec
-            if cache_dir is not None:
-                _write_cache_entry(cache_dir, key, rec)
+            if cache is not None:
+                cache.append(rec)
             return replace(rec, cached=True)
         restored = {"train": pair.train, "validation": pair.validation}
         artifacts = {}
@@ -511,8 +544,8 @@ def eval_config(
         memo.setdefault(alike, rec)
     if ok and not decoded and undecoded is not None:
         undecoded[key] = artifacts
-    if ok and cache_dir is not None:
-        _write_cache_entry(cache_dir, key, rec)
+    if ok and cache is not None:
+        cache.append(rec)
     return rec
 
 
@@ -803,6 +836,9 @@ def run_campaign(
     the search scored without decoding, decodes that probe's stream for its
     timing.  An evaluation whose parts decode alike to an earlier one's
     reuses its quality instead of running the application (see eval_config).
+    ``store`` and the cache log in ``cache_dir`` (EvaluationCache) stay open
+    until the campaign ends; the log is read once, as it starts, for the
+    pair's ok records.
     """
     if not apps or not methods:
         raise ConfigError("campaign needs at least one application and one method")
@@ -815,6 +851,7 @@ def run_campaign(
                 "values of the dataset"
             )
     records: list[EvaluationRecord] = []
+    cache = EvaluationCache(cache_dir) if cache_dir is not None else None
     memo: Memo = {}
     # the current domain's undecoded probes, for its ladder ends to decode
     undecoded: Undecoded = {}
@@ -839,7 +876,7 @@ def run_campaign(
         its reconstruction is scored on it, not decoded (see eval_config)."""
         recs = emit(
             eval_config(pair, replace(app, seed=app.seed + i), config, compress_target,
-                        cache_dir, memo, decode=False,
+                        cache, memo, decode=False,
                         # the ladder evaluates the first replicate's seed
                         undecoded=undecoded if i == 0 else None)
             for i in range(spec.replicates)
@@ -863,7 +900,7 @@ def run_campaign(
 
     def evaluate_ladder(app: Application, configs: Sequence[ReducerConfig]):
         def one(config: ReducerConfig) -> EvaluationRecord:
-            return eval_config(pair, app, config, compress_target, cache_dir, memo,
+            return eval_config(pair, app, config, compress_target, cache, memo,
                                undecoded=undecoded)
 
         if parallelism > 1:
@@ -871,46 +908,50 @@ def run_campaign(
                 return emit(pool.map(one, configs))
         return emit(map(one, configs))
 
-    for app in apps:
-        start = len(records)
-        try:
-            phi, spread, base = score(
-                app, ReducerConfig(Method.NONE), "baseline evaluation failed for every replicate"
-            )
-            failed = None
-        except InfeasibleSearchError as exc:
-            phi = spread = None
-            base, failed = tuple(records[start:]), str(exc)
-        notify(BaselineMeasured(app, phi, spread, base, failed))
-        for index, entry in enumerate(methods):
-            if isinstance(entry, ReducerConfig):
-                if entry.method is Method.NONE:
-                    continue  # already measured as the baseline
-                rec = eval_config(pair, app, entry, compress_target, cache_dir, memo)
-                notify(FixedEvaluated(app, entry, emit([rec])))
-                continue
-            if failed is not None:  # no baseline to search against
-                notify(DomainSearched(app, index, entry, (), reason=failed))
-                continue
+    # the store and the cache log stay open for the whole campaign
+    with store or contextlib.nullcontext(), cache or contextlib.nullcontext():
+        if cache is not None:
+            memo.update(cache.memo(pair))
+        for app in apps:
             start = len(records)
-            undecoded.clear()
-            probe, ratios = domain_probe(app, entry)
-            upper = None
             try:
-                upper = find_upper(entry, spec, phi, probe, ratio_at=ratios.__getitem__)
-                lower = find_lower(entry, spec, phi, probe, ratio_at=ratios.__getitem__)
-                if not entry.noisy and lower.bound == upper.bound:
-                    # both bisections walk one bracket until their edges part,
-                    # so a ratio stop there gives them one bound; the rest of
-                    # the budget, over the probes already scored, may split it
-                    lower = find_lower(entry, spec, phi, probe)
+                phi, spread, base = score(app, ReducerConfig(Method.NONE),
+                                          "baseline evaluation failed for every replicate")
+                failed = None
             except InfeasibleSearchError as exc:
-                done = tuple(records[start:])
-                notify(DomainSearched(app, index, entry, done, upper, reason=str(exc),
-                                      ratios=ratios))
-                continue
-            ladder = candidate_points(lower.config, upper.config, spec.n_candidates)
-            evaluate_ladder(app, ladder.points)
-            notify(DomainSearched(app, index, entry, tuple(records[start:]), upper, lower, ladder,
-                                  ratios=ratios))
+                phi = spread = None
+                base, failed = tuple(records[start:]), str(exc)
+            notify(BaselineMeasured(app, phi, spread, base, failed))
+            for index, entry in enumerate(methods):
+                if isinstance(entry, ReducerConfig):
+                    if entry.method is Method.NONE:
+                        continue  # already measured as the baseline
+                    rec = eval_config(pair, app, entry, compress_target, cache, memo)
+                    notify(FixedEvaluated(app, entry, emit([rec])))
+                    continue
+                if failed is not None:  # no baseline to search against
+                    notify(DomainSearched(app, index, entry, (), reason=failed))
+                    continue
+                start = len(records)
+                undecoded.clear()
+                probe, ratios = domain_probe(app, entry)
+                upper = None
+                try:
+                    upper = find_upper(entry, spec, phi, probe, ratio_at=ratios.__getitem__)
+                    lower = find_lower(entry, spec, phi, probe, ratio_at=ratios.__getitem__)
+                    if not entry.noisy and lower.bound == upper.bound:
+                        # both bisections walk one bracket until their edges
+                        # part, so a ratio stop there gives them one bound; the
+                        # rest of the budget, over the probes already scored,
+                        # may split it
+                        lower = find_lower(entry, spec, phi, probe)
+                except InfeasibleSearchError as exc:
+                    done = tuple(records[start:])
+                    notify(DomainSearched(app, index, entry, done, upper, reason=str(exc),
+                                          ratios=ratios))
+                    continue
+                ladder = candidate_points(lower.config, upper.config, spec.n_candidates)
+                evaluate_ladder(app, ladder.points)
+                notify(DomainSearched(app, index, entry, tuple(records[start:]), upper, lower,
+                                      ladder, ratios=ratios))
     return records

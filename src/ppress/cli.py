@@ -9,6 +9,7 @@ override both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from .campaign import (
     BaselineMeasured,
+    EvaluationCache,
     FixedEvaluated,
     RecordStore,
     SearchDomain,
@@ -144,7 +146,7 @@ def cmd_stats(args) -> int:
 # -- eval ---------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    plan, store, cache = _campaign(args)
+    plan, store, cache_dir = _campaign(args)
     explicit = [m for m in plan.methods if isinstance(m, ReducerConfig)]
     skipped = len(plan.methods) - len(explicit)
     if skipped:
@@ -153,19 +155,22 @@ def cmd_eval(args) -> int:
         _say("nothing to evaluate: no explicit configurations in the campaign")
         return 0
     total = failed = 0
-    for app in plan.apps:
-        for config in explicit:
-            rec = eval_config(plan.pair, app, config, plan.compress_target, cache)
-            store.append(rec)
-            total += 1
-            tag = " (cached)" if rec.cached else ""
-            if rec.ok:
-                ratio = f"{rec.ratio:.3g}" if rec.ratio else "-"
-                _say(f"{app.id} {config.label()}: ratio={ratio} "
-                     f"{rec.metric}={rec.psi:.6g}{tag}")
-            else:
-                failed += 1
-                _warn(f"{app.id} {config.label()}: FAILED {rec.error}")
+    cache = EvaluationCache(cache_dir) if cache_dir is not None else None
+    with store, cache or contextlib.nullcontext():
+        memo = cache.memo(plan.pair) if cache is not None else {}
+        for app in plan.apps:
+            for config in explicit:
+                rec = eval_config(plan.pair, app, config, plan.compress_target, cache, memo)
+                store.append(rec)
+                total += 1
+                tag = " (cached)" if rec.cached else ""
+                if rec.ok:
+                    ratio = f"{rec.ratio:.3g}" if rec.ratio else "-"
+                    _say(f"{app.id} {config.label()}: ratio={ratio} "
+                         f"{rec.metric}={rec.psi:.6g}{tag}")
+                else:
+                    failed += 1
+                    _warn(f"{app.id} {config.label()}: FAILED {rec.error}")
     _say(f"{total} records appended, {failed} failed")
     return 1 if failed == total else 0
 
@@ -187,7 +192,7 @@ def _boundary_keys(methods) -> dict[int, str]:
 
 
 def cmd_search(args) -> int:
-    plan, store, cache = _campaign(args)
+    plan, store, cache_dir = _campaign(args)
     keys = _boundary_keys(plan.methods)
     boundaries: dict[str, dict] = {}
 
@@ -226,7 +231,7 @@ def cmd_search(args) -> int:
              f"candidates=[{bounds_text}]")
 
     run_campaign(plan.pair, plan.apps, plan.methods, plan.spec, store,
-                 plan.compress_target, cache, observer=show)
+                 plan.compress_target, cache_dir, observer=show)
     plan.report_dir.mkdir(parents=True, exist_ok=True)
     bpath = plan.report_dir / "boundaries.json"
     bpath.write_text(json.dumps(boundaries, indent=2, sort_keys=True) + "\n")

@@ -1,9 +1,12 @@
 import json
 import math
+import os
 import statistics
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from ppress.campaign import (
     BaselineMeasured,
     DatasetPair,
     DomainSearched,
+    EvaluationCache,
     EvaluationRecord,
     FixedEvaluated,
     RecordStore,
@@ -180,18 +184,25 @@ def test_eval_failure_becomes_failed_record():
     assert "exit 3" in rec.error
 
 
+def cached_eval(pair, app, config, cache_dir):
+    """One evaluation against the cache log in cache_dir, which it reads and
+    appends to as a campaign does."""
+    with EvaluationCache(cache_dir) as cache:
+        return eval_config(pair, app, config, cache=cache, memo=cache.memo(pair))
+
+
 def test_eval_cache_hit_and_key_sensitivity(tmp_path):
     pair = linear_pair(n=80)
     app = ridge_app()
     config = ReducerConfig(Method.EBLC_PRED, Mode.ABS, (1e-4,))
-    first = eval_config(pair, app, config, cache_dir=tmp_path)
-    second = eval_config(pair, app, config, cache_dir=tmp_path)
+    first = cached_eval(pair, app, config, tmp_path)
+    second = cached_eval(pair, app, config, tmp_path)
     assert not first.cached
     assert second.cached
     assert first.content_key() == second.content_key()
     assert first.record_id == second.record_id
 
-    other = eval_config(pair, replace(app, seed=1), config, cache_dir=tmp_path)
+    other = cached_eval(pair, replace(app, seed=1), config, tmp_path)
     assert not other.cached
     assert other.record_id != first.record_id
     assert cache_key(pair, app, config, "both") != cache_key(pair, app, config, "train")
@@ -200,18 +211,25 @@ def test_eval_cache_hit_and_key_sensitivity(tmp_path):
 def test_eval_cache_torn_entry_is_a_miss(tmp_path):
     pair = linear_pair(n=80)
     app = ridge_app()
-    config = ReducerConfig(Method.EBLC_PRED, Mode.ABS, (1e-4,))
-    first = eval_config(pair, app, config, cache_dir=tmp_path)
-    (entry,) = tmp_path.iterdir()
-    whole = entry.read_text()
-    entry.write_text(whole[: len(whole) // 2])  # as a crash mid-write would leave it
+    configs = [ReducerConfig(Method.EBLC_PRED, Mode.ABS, (b,)) for b in (1e-4, 1e-3, 1e-2)]
+    first = [cached_eval(pair, app, c, tmp_path) for c in configs]
+    (log,) = tmp_path.iterdir()
+    lines = log.read_bytes().splitlines(keepends=True)
+    assert [json.loads(line)["record_id"] for line in lines] == [r.record_id for r in first]
+    # a damaged middle line, and a last line torn as a crash mid-append leaves it
+    damaged = lines[0] + lines[1][:40] + b"\x80\n" + lines[2][: len(lines[2]) // 2]
+    log.write_bytes(damaged)
+    with pytest.warns(UserWarning, match="unreadable cache entry") as caught:
+        again = [cached_eval(pair, app, c, tmp_path) for c in configs]
+    assert {str(w.message).split(": ")[0].rsplit(":", 1)[1] for w in caught} == {"2", "3"}
+    # each damaged line is a miss that runs again; the entries before them stay
+    assert [r.cached for r in again] == [True, False, False]
+    assert [r.content_key() for r in again] == [r.content_key() for r in first]
+    # opening the log ended the torn line and cut nothing off
+    assert log.read_bytes().startswith(damaged + b"\n")
     with pytest.warns(UserWarning, match="unreadable cache entry"):
-        again = eval_config(pair, app, config, cache_dir=tmp_path)
-    assert not again.cached
-    assert again.content_key() == first.content_key()
-    assert json.loads(entry.read_text())["record_id"] == first.record_id
-    assert eval_config(pair, app, config, cache_dir=tmp_path).cached
-    assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # no temp files left
+        assert all(cached_eval(pair, app, c, tmp_path).cached for c in configs)
+    assert [p.name for p in tmp_path.iterdir()] == [log.name]
 
 
 def test_cache_key_covers_container_version(monkeypatch):
@@ -240,12 +258,12 @@ def test_an_app_with_another_target_is_not_served_the_cached_result(tmp_path):
     config = ReducerConfig(Method.EBLC_PRED, Mode.REL, (1e-3,))
     c2 = Application("ridge", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2), target="c2")
     c9 = replace(c2, target="c9")
-    first = eval_config(pair, c2, config, cache_dir=tmp_path)
+    first = cached_eval(pair, c2, config, tmp_path)
     fresh = eval_config(pair, c9, config)
-    served = eval_config(pair, c9, config, cache_dir=tmp_path)
+    served = cached_eval(pair, c9, config, tmp_path)
     assert first.psi != fresh.psi
     assert not served.cached and served.psi == fresh.psi
-    assert eval_config(pair, c9, config, cache_dir=tmp_path).cached
+    assert cached_eval(pair, c9, config, tmp_path).cached
 
 
 def test_cache_key_hashes_the_whole_application():
@@ -312,10 +330,11 @@ def test_failed_evaluations_are_not_cached(tmp_path):
         MetricSpec(MetricName.R2),
         command=f"{sys.executable} -c 'import sys; sys.exit(1)' {{train}} {{validation}} {{seed}}",
     )
-    first = eval_config(pair, bad, ReducerConfig(Method.NONE), cache_dir=tmp_path)
-    second = eval_config(pair, bad, ReducerConfig(Method.NONE), cache_dir=tmp_path)
+    first = cached_eval(pair, bad, ReducerConfig(Method.NONE), tmp_path)
+    second = cached_eval(pair, bad, ReducerConfig(Method.NONE), tmp_path)
     assert not first.ok and not second.ok
     assert not second.cached
+    assert EvaluationCache(tmp_path).load() == []
 
 
 def test_record_store_appends_and_loads(tmp_path):
@@ -670,6 +689,90 @@ def test_run_campaign_end_to_end(tmp_path):
     assert [r.content_key() for r in again] == [r.content_key() for r in records]
 
 
+def test_a_campaign_appends_to_one_cache_log_through_held_handles(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a campaign writes no file per evaluation")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    monkeypatch.setattr(os, "replace", refuse)
+    opened = Counter()
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        opened[Path(file).name, mode] += 1
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "open", counting_open, raising=False)
+    pair = linear_pair(n=120)
+    spec = SearchSpec(tau=0.5, n_candidates=3, eta=5e-3, max_iters=6)
+    methods = [ReducerConfig(Method.LOSSLESS), pred_domain(1e-8, 1.0)]
+    store = RecordStore(tmp_path / "records.jsonl")
+    cache = tmp_path / "cache"
+    records = run_campaign(pair, [ridge_app()], methods, spec, store=store, cache_dir=cache)
+    assert any(r.cached for r in records)
+    assert [p.name for p in cache.iterdir()] == ["evaluations.jsonl"]
+    # one append handle each, held for the whole campaign
+    assert opened["records.jsonl", "a+b"] == opened["evaluations.jsonl", "a+b"] == 1
+    assert store.load() == records
+    # the log holds every ok evaluation; a key's last line wins, so a ladder
+    # end's timed copy has replaced its probe's record
+    assert EvaluationCache(cache).memo(pair) == {
+        r.record_id: replace(r, cached=False) for r in records if r.ok
+    }
+    # a store the caller holds open stays open through a campaign
+    with store:
+        again = run_campaign(pair, [ridge_app()], methods, spec, store=store, cache_dir=cache)
+        store.append(again[0])
+    assert opened["records.jsonl", "a+b"] == 2
+    assert store.load() == records + again + again[:1]
+
+
+def test_campaigns_on_two_pairs_share_one_cache_log(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    spec = SearchSpec(tau=0.5, n_candidates=3, eta=5e-3, max_iters=5)
+    methods = [ReducerConfig(Method.LOSSLESS), pred_domain(1e-8, 1.0)]
+    pairs = [linear_pair(n=100, seed=5), linear_pair(n=100, seed=6)]
+    first = [run_campaign(pair, [ridge_app()], methods, spec, cache_dir=cache) for pair in pairs]
+    loaded = []
+    real_memo = EvaluationCache.memo
+
+    def spy_memo(self, pair):
+        loaded.append(real_memo(self, pair))
+        return loaded[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replayed campaign calls no codec")
+
+    monkeypatch.setattr(EvaluationCache, "memo", spy_memo)
+    monkeypatch.setattr(campaign, "compress", refuse)
+    monkeypatch.setattr(campaign, "decompress", refuse)
+    runs = spy_application(monkeypatch)
+    for pair, records in zip(pairs, first):
+        again = run_campaign(pair, [ridge_app()], methods, spec, cache_dir=cache)
+        assert all(r.cached for r in again)
+        assert [r.content_key() for r in again] == [r.content_key() for r in records]
+        # the campaign keeps only its own pair's entries
+        assert loaded[-1].keys() == {r.record_id for r in records if r.ok}
+        assert {r.dataset_id for r in loaded[-1].values()} == {pair.id}
+    assert runs == []
+    assert [p.name for p in cache.iterdir()] == ["evaluations.jsonl"]
+
+
+def test_a_campaign_cuts_a_torn_store_tail_once_and_follows_it(tmp_path):
+    path = tmp_path / "records.jsonl"
+    pair = linear_pair(n=80)
+    kept = eval_config(pair, ridge_app(), ReducerConfig(Method.NONE))
+    RecordStore(path).append(kept)
+    with open(path, "ab") as fh:
+        fh.write(b'{"record_id": "' + b"a" * 5000)  # a crash mid-append
+    store = RecordStore(path)
+    spec = SearchSpec(tau=0.5, n_candidates=3, eta=5e-3, max_iters=5)
+    with pytest.warns(UserWarning, match="torn final line") as caught:
+        records = run_campaign(pair, [ridge_app()], [pred_domain(1e-8, 1.0)], spec, store=store)
+    assert [str(w.message) for w in caught] == [f"{path}: cut off a torn final line"]
+    assert store.load() == [kept] + records
+    assert path.read_bytes().count(b"\n") == 1 + len(records)
+
+
 def test_run_campaign_parallel_matches_sequential(tmp_path):
     pair = linear_pair(n=100)
     app = ridge_app()
@@ -905,9 +1008,9 @@ def without_memo(monkeypatch):
     artifacts it keeps for the ladder."""
     real = campaign.eval_config
 
-    def plain(pair, app, config, compress_target="both", cache_dir=None, memo=None, *,
+    def plain(pair, app, config, compress_target="both", cache=None, memo=None, *,
               decode=True, undecoded=None):
-        return real(pair, app, config, compress_target, cache_dir, decode=decode)
+        return real(pair, app, config, compress_target, cache, decode=decode)
 
     monkeypatch.setattr(campaign, "eval_config", plain)
 
