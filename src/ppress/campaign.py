@@ -1,9 +1,9 @@
 """Boundary search and candidate sweeps over reducer configurations.
 
 A campaign measures the lossless baseline quality of each application, finds
-two boundary configurations per method (the largest bound that is still
-quality-neutral within a tolerance, and the largest bound whose quality stays
-above the acceptance threshold), then evaluates an arithmetic ladder of
+two boundary configurations per method (the most-compressing bound that is
+still quality-neutral within a tolerance, and the most-compressing bound whose
+quality stays above the acceptance threshold), then evaluates a ladder of
 candidate bounds between them.  Every evaluation lands in an append-only
 line-delimited store, and every ok one in an optional evaluation cache: one
 append-only log of records in the same format, ``CACHE_DIR/evaluations.jsonl``,
@@ -21,11 +21,7 @@ A campaign runs each distinct evaluation once: evaluation is deterministic in
 its cache key, so a configuration it has already scored (a ladder end point
 that was a boundary probe, a configuration two domains share) comes back,
 marked cached, from an in-memory table of ``ok`` records that starts as the
-pair's records in the cache log, or empty without one.  It also runs the
-application once per set of decoded tables: an evaluation whose compressed
-parts decode alike to an earlier one's (bit-plane ``acc`` bounds in one
-binary octave usually write one stream) takes that one's quality, with
-``t_app`` 0, and keeps a record of its own.
+pair's records in the cache log, or empty without one.
 
 Search probes score the predictive and bit-plane codecs on the
 reconstruction their encoders return, which the decoders rebuild byte for
@@ -35,16 +31,25 @@ probes, so the campaign keeps the streams of its current domain's undecoded
 probes and a ladder end decodes its probe's stream; the application does not
 run again.
 
-Codec quality degrades monotonically as the bound grows, so boundary
-searches bisect.  A bisection stops early once the compression ratios at the
+Codec quality degrades monotonically as compression grows, so boundary
+searches bisect.  A bit-plane or truncation stream depends on its bound only
+through what its decoder reads of it (``decoder_bound``): the ``acc``
+exponent, the ``prec`` plane count, the ``rate`` quarter-bits, the
+truncation width.  Those domains are searched in these units: each unit has
+one representative bound (``unit_bounds``), a bisection halves the run of
+units and stops at two adjacent ones, and the ladder holds the distinct
+units between the boundaries, so no campaign compresses one decoder bound
+twice.  Predictive domains bisect the bound itself and space their ladder
+arithmetically.  A bisection stops early once the compression ratios at the
 two ends of its bracket agree within 1% (``_RATIO_TOL``): it returns the
 passing end, whose ratio then falls short of the full-budget answer's by at
 most that much, and its probes are a prefix of the full-budget ones.  The
 campaign's probe keeps each bound's ratio for this; a search given no ratio
-lookup spends its whole budget.  Sampling is noisy and non-monotone;
-those domains are probed on a uniform grid instead.  For fraction-based
-sampling a *smaller* bound value means more compression, and boundary
-selection accounts for that inversion.
+lookup spends its whole budget.  Sampling is noisy and non-monotone; those
+domains are probed on a uniform grid instead.  Whether a larger bound
+compresses more depends on the method: a larger ``acc`` or predictive bound
+or sampling stride does, a larger sampling fraction, plane count, rate or
+width does not, and each search returns the most-compressing passing bound.
 """
 
 from __future__ import annotations
@@ -76,10 +81,10 @@ from .reducers import (
     compress,
     compression_ratio,
     container,
-    decoder_bound,
     decompress,
     error_report,
     reconstruction,
+    unit_bounds,
 )
 from .reducers.config import SAMPLING_METHODS, canonical_json
 from .tabular import Dataset
@@ -132,9 +137,6 @@ class SearchDomain:
         # validates the method/mode pairing and both ends' ranges
         self.config(self.bound_min)
         self.config(self.bound_max)
-        if self.mode is Mode.PREC:
-            raise ConfigError("prec takes whole plane counts, which bisection cannot "
-                              "probe; list each as a fixed bound")
 
     def config(self, bound: float) -> ReducerConfig:
         return ReducerConfig(self.method, self.mode, (bound,), self.layout, self.knobs)
@@ -145,9 +147,24 @@ class SearchDomain:
         return self.method in SAMPLING_METHODS
 
     @property
+    def units(self) -> tuple[float, ...] | None:
+        """One bound per decoder bound in the domain, least to most
+        compressing (unit_bounds); None when the bound itself is searched."""
+        return unit_bounds(self.method, self.mode, self.bound_min, self.bound_max)
+
+    @property
     def bound_compresses_upward(self) -> bool:
-        """True when a larger bound value means more compression."""
-        return self.method not in _FRACTION_METHODS
+        """True when a larger bound value means more compression: not for a
+        sampling fraction, a plane count, a rate or a truncation width."""
+        return not (self.method in _FRACTION_METHODS or self.method is Method.TRUNC
+                    or self.mode in (Mode.PREC, Mode.RATE))
+
+    @property
+    def least_compressing(self) -> float:
+        """The domain's bound that compresses least."""
+        if self.units is not None:
+            return self.units[0]
+        return self.bound_min if self.bound_compresses_upward else self.bound_max
 
 
 @dataclass(frozen=True)
@@ -218,8 +235,7 @@ class EvaluationRecord:
         return json.dumps(d, sort_keys=True)
 
 
-# cache key -> the first ok record of that evaluation in one campaign, and
-# _alike_key -> the first ok record whose parts decode to those tables
+# cache key -> the first ok record of that evaluation in one campaign
 Memo = dict[str, EvaluationRecord]
 # cache key of an ok record scored without decoding -> its parts' artifacts
 Undecoded = dict[str, dict[str, container.Artifact]]
@@ -358,59 +374,30 @@ class EvaluationCache(RecordStore):
                 if rec.ok and rec.dataset_id == pair.id}
 
 
-def _app_definition(app: Application) -> str:
-    """The application as canonical JSON: its whole definition but its
-    timeout, which can only turn a result into a failure, and failures are
-    not kept."""
-    return canonical_json({
-        "id": app.id, "kind": app.kind.value,
-        "metric": {"name": app.metric.name.value, "params": app.metric.params},
-        "target": app.target, "command": app.command, "seed": app.seed, "params": app.params,
-    })
-
-
 def cache_key(
     pair: DatasetPair, app: Application, config: ReducerConfig | dict, compress_target: str
 ) -> str:
     """Content address of one evaluation; config may be given as its to_dict().
 
-    The application enters as its whole definition but its timeout
-    (_app_definition).
+    The application enters as its whole definition but its timeout: a
+    timeout can only turn a result into a failure, and failures are not kept.
     """
     if isinstance(config, ReducerConfig):
         config = config.to_dict()
-    return _cache_key(pair, _app_definition(app), config, compress_target)
-
-
-def _cache_key(pair: DatasetPair, app_def: str, config: dict, compress_target: str) -> str:
+    app_def = {
+        "id": app.id, "kind": app.kind.value,
+        "metric": {"name": app.metric.name.value, "params": app.metric.params},
+        "target": app.target, "command": app.command, "seed": app.seed, "params": app.params,
+    }
     h = hashlib.sha256()
     parts = (
-        f"v{container.VERSION}", pair.id, app_def, canonical_json(config), compress_target,
+        f"v{container.VERSION}", pair.id, canonical_json(app_def),
+        canonical_json(config), compress_target,
     )
     for part in parts:
         h.update(part.encode())
         h.update(b"\x00")
     return h.hexdigest()[:32]
-
-
-def _alike_key(
-    pair: DatasetPair, app_def: str, config: ReducerConfig, compress_target: str,
-    artifacts: dict[str, container.Artifact],
-) -> str:
-    """Memo key shared by the evaluations whose compressed parts decode to
-    the same tables for the same application: the pair, the application
-    (as _app_definition), the configuration with its bound replaced by
-    what the decoder reads of it (decoder_bound), the compress target, and
-    every part's stream.  Its prefix keeps it apart from the cache keys in
-    the memo."""
-    bound = decoder_bound(config.method, config.mode, config.c)
-    head = (pair.id, app_def, config.method.value, config.mode.value,
-            config.layout.value, repr(config.knobs), repr(bound), compress_target)
-    h = hashlib.sha256("\x00".join(head).encode())
-    for name, art in artifacts.items():
-        h.update(f"\x00{name}:{len(art.stream)}\x00".encode())
-        h.update(art.stream)
-    return "alike:" + h.hexdigest()[:32]
 
 
 def eval_config(
@@ -431,11 +418,7 @@ def eval_config(
     ``ok`` records already computed or loaded from the cache log
     (EvaluationCache.memo), and is the only place a result is looked up;
     every ok record computed goes into it and, given an open cache log
-    ``cache``, is appended there.  The memo also keys the first ok record it
-    computed by what its parts decode to (_alike_key): an evaluation that
-    compresses to parts that decode alike takes that record's ``psi`` and
-    does not run the application, so its ``t_app`` is 0; its other fields,
-    codec timings included, are its own, and it is not marked cached.
+    ``cache``, is appended there.
 
     With ``decode=False`` a part whose encoder kept its reconstruction (the
     predictive and bit-plane codecs) is scored on that, which decompress
@@ -451,8 +434,7 @@ def eval_config(
     if compress_target not in ("train", "validation", "both"):
         raise ConfigError(f"bad compress_target {compress_target!r}")
     config_dict = config.to_dict()
-    app_def = _app_definition(app)
-    key = _cache_key(pair, app_def, config_dict, compress_target)
+    key = cache_key(pair, app, config_dict, compress_target)
     hit = memo.get(key) if memo is not None else None
     if hit is not None and (hit.decompress_mbps is not None or not decode):
         return replace(hit, cached=True)
@@ -472,7 +454,6 @@ def eval_config(
     ok = True
     decoded = False
     err_msg = None
-    alike = scored = None
     try:
         if hit is not None:  # only the decode timing is missing
             kept = undecoded.pop(key, None) if undecoded is not None else None
@@ -506,13 +487,7 @@ def eval_config(
         c_mbps = total_bytes / 1e6 / max(t_comp, 1e-12)
         if decoded:
             d_mbps = total_bytes / 1e6 / max(t_dec, 1e-12)
-        if memo is not None:
-            alike = _alike_key(pair, app_def, config, compress_target, artifacts)
-            scored = memo.get(alike)
-        if scored is not None:  # these tables have been scored: reuse psi
-            psi = scored.psi
-        else:
-            psi, t_app = run_application(restored["train"], restored["validation"], app)
+        psi, t_app = run_application(restored["train"], restored["validation"], app)
     except PpressError as exc:
         ok = False
         err_msg = f"{type(exc).__name__}: {exc}"
@@ -541,7 +516,6 @@ def eval_config(
     )
     if ok and memo is not None:
         memo[key] = rec
-        memo.setdefault(alike, rec)
     if ok and not decoded and undecoded is not None:
         undecoded[key] = artifacts
     if ok and cache is not None:
@@ -596,25 +570,26 @@ def _bisect_largest(
     lo: float,
     hi: float,
     ok_at: Callable[[float], bool],
-    scale: str,
+    midpoint: Callable[[float, float], float],
     budget: int,
     ratio_at: RatioFn | None,
 ) -> float:
-    """Largest x in [lo, hi] passing ok_at, assuming a single pass/fail edge.
+    """Largest x in [lo, hi] passing ok_at, assuming a single pass/fail edge;
+    x grows with compression.
 
     Caller guarantees ok_at(lo) is true and ok_at(hi) false, both already
-    probed; budget counts further probes.  Given ratio_at, it stops as soon
-    as ratio_at(hi) / ratio_at(lo) - 1 <= _RATIO_TOL: every bound left in the
-    bracket compresses at most that much better than lo (for a ratio that
-    grows with the bound), so returning lo gives up at most _RATIO_TOL
-    against the full budget's answer.
+    probed; budget counts further probes.  It stops when ``midpoint`` finds
+    nothing strictly inside the bracket.  Given ratio_at, it stops as soon
+    as ratio_at(hi) / ratio_at(lo) - 1 <= _RATIO_TOL: every x left in the
+    bracket compresses at most that much better than lo, so returning lo
+    gives up at most _RATIO_TOL against the full budget's answer.
     """
     for _ in range(budget):
         if ratio_at is not None and ratio_at(hi) / ratio_at(lo) - 1 <= _RATIO_TOL:
             break  # the ratio no longer moves across the bracket
-        mid = _midpoint(lo, hi, scale)
+        mid = midpoint(lo, hi)
         if mid <= lo or mid >= hi:
-            break  # interval exhausted at float resolution
+            break  # interval exhausted: adjacent units, or float resolution
         if ok_at(mid):
             lo = mid
         else:
@@ -633,9 +608,11 @@ def _edge_search(
     (bound, quality) probes it took.
 
     Noisy domains are scanned on a grid of 2 * max_iters bounds.  The others
-    probe bound_max, then bound_min, then bisect the single pass/fail edge
-    between them, until the budget is spent or, given ratio_at, the bracket's
-    ratios agree.
+    probe their most-compressing end, then their least, then bisect the
+    single pass/fail edge between them, until the budget is spent or, given
+    ratio_at, the bracket's ratios agree.  A domain with units (see
+    SearchDomain.units) bisects the index of its units and stops at two
+    adjacent ones; the others bisect the bound.
     """
     probes: list[tuple[float, float]] = []
 
@@ -648,15 +625,28 @@ def _edge_search(
         grid = _scan_bounds(domain, 2 * spec.max_iters).tolist()
         passing = [b for b in grid if ok_at(b)]
         found = (max if domain.bound_compresses_upward else min)(passing, default=None)
-    elif ok_at(domain.bound_max):
-        found = domain.bound_max
-    elif not ok_at(domain.bound_min):
+        return found, tuple(probes)
+    units = domain.units
+    if units is None:
+        def at(x: float) -> float:
+            return x
+        least, most = domain.bound_min, domain.bound_max
+        midpoint = functools.partial(_midpoint, scale=domain.scale)
+    else:
+        at = units.__getitem__
+        least, most = 0, len(units) - 1
+
+        def midpoint(lo: int, hi: int) -> int:
+            return (lo + hi) // 2
+    if ok_at(at(most)):
+        found = at(most)
+    elif least == most or not ok_at(at(least)):
         found = None
     else:
-        found = _bisect_largest(
-            domain.bound_min, domain.bound_max, ok_at, domain.scale, spec.max_iters - 2,
-            ratio_at,
-        )
+        found = at(_bisect_largest(
+            least, most, lambda x: ok_at(at(x)), midpoint, spec.max_iters - 2,
+            None if ratio_at is None else lambda x: ratio_at(at(x)),
+        ))
     return found, tuple(probes)
 
 
@@ -678,7 +668,7 @@ def find_upper(
     )
     satisfied = found is not None
     if not satisfied:
-        found = domain.bound_min if domain.bound_compresses_upward else domain.bound_max
+        found = domain.least_compressing
     return SearchResult(domain.config(found), found, satisfied, probes)
 
 
@@ -697,7 +687,7 @@ def find_lower(
         )
     found, probes = _edge_search(domain, spec, probe, lambda psi: psi > spec.tau, ratio_at)
     if found is None:
-        where = "everywhere" if domain.noisy else f"even at bound {domain.bound_min:g}"
+        where = "everywhere" if domain.noisy else f"even at bound {domain.least_compressing:g}"
         raise InfeasibleSearchError(
             f"no acceptable configuration: quality at or below tau {where}"
         )
@@ -717,11 +707,14 @@ class CandidateSet:
 def candidate_points(
     lower: ReducerConfig, upper: ReducerConfig, n_candidates: int
 ) -> CandidateSet:
-    """Arithmetic ladder of bounds from the lower boundary to the upper.
+    """Ladder of bounds from the lower boundary to the upper.
 
-    The lower boundary carries the larger bound value, so the ladder runs
-    from most compression to least.  Coinciding boundaries collapse to a
-    single point flagged degenerate.
+    The lower boundary compresses more, so the ladder runs from most
+    compression to least.  A method with decoder bounds (unit_bounds) gets
+    one point per unit from the lower boundary's to the upper's, thinned
+    evenly to at most n_candidates and ending on the two boundaries
+    themselves; any other method gets n_candidates bounds spaced
+    arithmetically.  A ladder of one point is flagged degenerate.
     """
     if n_candidates < 2:
         raise ConfigError(f"need at least 2 candidates, got {n_candidates}")
@@ -736,7 +729,17 @@ def candidate_points(
     up_b = upper.bound
     if lo_b == up_b:
         return CandidateSet(lower, upper, (lower,), degenerate=True)
-    bounds = np.linspace(lo_b, up_b, n_candidates)
+    units = unit_bounds(lower.method, lower.mode, min(lo_b, up_b), max(lo_b, up_b))
+    if units is None:
+        bounds = np.linspace(lo_b, up_b, n_candidates).tolist()
+    else:
+        # units run from least compression to most; the ladder from the lower end
+        if (units[-1] > units[0]) == (lo_b > up_b):
+            units = units[::-1]
+        count = min(n_candidates, len(units))
+        bounds = [units[round(i * (len(units) - 1) / max(count - 1, 1))] for i in range(count)]
+    if len(bounds) == 1:
+        return CandidateSet(lower, upper, (lower,), degenerate=True)
     bounds[0] = lo_b
     bounds[-1] = up_b
     points = tuple(
@@ -834,9 +837,7 @@ def run_campaign(
     configuration the campaign has already evaluated comes back as a cached
     copy of its first record; a ladder point that was a search probe, which
     the search scored without decoding, decodes that probe's stream for its
-    timing.  An evaluation whose parts decode alike to an earlier one's
-    reuses its quality instead of running the application (see eval_config).
-    ``store`` and the cache log in ``cache_dir`` (EvaluationCache) stay open
+    timing.  ``store`` and the cache log in ``cache_dir`` (EvaluationCache) stay open
     until the campaign ends; the log is read once, as it starts, for the
     pair's ok records.
     """

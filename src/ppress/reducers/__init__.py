@@ -9,6 +9,7 @@ from .api import (
     error_report,
     reconstruction,
     retained_rows,
+    unit_bounds,
 )
 from .config import Layout, Method, Mode, ReducerConfig, ReducerKnobs
 from .container import Artifact, pack, unpack
@@ -26,6 +27,7 @@ __all__ = [
     "error_report",
     "reconstruction",
     "retained_rows",
+    "unit_bounds",
     "Layout",
     "Method",
     "Mode",

@@ -28,6 +28,7 @@ __all__ = [
     "decompress",
     "reconstruction",
     "decoder_bound",
+    "unit_bounds",
     "error_report",
     "compression_ratio",
 ]
@@ -133,6 +134,36 @@ def decoder_bound(method: Method, mode: Mode, c: tuple[float, ...]) -> int | Non
     if method is Method.TRUNC:
         return int(c[0])
     return None
+
+
+def unit_bounds(
+    method: Method, mode: Mode, bound_min: float, bound_max: float
+) -> tuple[float, ...] | None:
+    """The inverse of decoder_bound over [bound_min, bound_max]: one bound
+    for each decoder bound (unit) the interval holds, ordered from least to
+    most compressing; None for a method without decoder bounds.
+
+    Each representative lies in the interval and has its unit's decoder
+    bound.  An acc unit p (2^(p-1) <= c < 2^p) is represented by the
+    tightest bound of its octave there, max(bound_min, 2^(p-1)): the encoder
+    stores raw each block that breaks the bound c itself, so that bound's
+    stream meets every bound of the octave.  A prec, rate or truncation unit
+    is represented by what the decoder reads, a plane count, k/4 bits a
+    value or a width, moved into the interval at its ends.
+    """
+    if method is Method.TRUNC:
+        return tuple(float(w) for w in sorted(truncation.NARROW, reverse=True)
+                     if bound_min <= w <= bound_max)
+    if method is not Method.EBLC_BITPLANE:
+        return None
+    first, last = (bitplane.plane_bound(mode.value, c) for c in (bound_min, bound_max))
+    if mode is Mode.ACC:
+        return tuple(float(max(bound_min, math.ldexp(1.0, p - 1)))
+                     for p in range(first, last + 1))
+    # more planes, or more bits, compress less
+    per_unit = bitplane._BLOCK if mode is Mode.RATE else 1
+    return tuple(float(min(max(k / per_unit, bound_min), bound_max))
+                 for k in range(last, first - 1, -1))
 
 
 def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.ndarray:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppress.campaign as campaign
+from ppress import synth
 from ppress.campaign import (
     BaselineMeasured,
     DatasetPair,
@@ -41,11 +42,12 @@ from ppress.reducers import (
     ReducerKnobs,
     bitplane,
     compress,
+    decoder_bound,
     decompress,
     error_report,
 )
 from ppress.reducers.config import _MODES_FOR, canonical_json
-from ppress.tabular import DTYPES, Dataset, from_array
+from ppress.tabular import DTYPES, Dataset, SplitSpec, from_array, split
 
 
 def linear_pair(n=160, seed=5):
@@ -542,6 +544,123 @@ def test_sampling_upper_flagged_when_scan_finds_nothing():
     res = find_upper(domain, spec, 0.95, lambda f: 0.1)
     assert not res.satisfied
     assert res.bound == 0.9  # least aggressive fraction
+
+
+@st.composite
+def unit_domains(draw):
+    """An acc, prec, rate or truncation domain: one searched in units."""
+    kind = draw(st.sampled_from([Mode.ACC, Mode.PREC, Mode.RATE, Method.TRUNC]))
+    if kind is Method.TRUNC:
+        return SearchDomain(Method.TRUNC, Mode.NONE, 16, 32)
+    if kind is Mode.PREC:
+        lo = draw(st.integers(1, 70))
+        return SearchDomain(Method.EBLC_BITPLANE, kind, lo, draw(st.integers(lo + 1, 80)))
+    if kind is Mode.RATE:
+        lo = draw(st.floats(0.05, 63.0))
+        hi = draw(st.floats(lo, 64.0).filter(lambda hi: hi > lo))
+        return SearchDomain(Method.EBLC_BITPLANE, kind, lo, hi)
+    lo = draw(st.floats(1e-12, 1e3))
+    return SearchDomain(Method.EBLC_BITPLANE, kind, lo, lo * draw(st.floats(1.001, 1e9)))
+
+
+@given(domain=unit_domains(), edges=st.data(), n=st.integers(2, 12))
+@settings(max_examples=200, deadline=None)
+def test_unit_domains_probe_and_ladder_each_decoder_bound_once(domain, edges, n):
+    units = domain.units
+
+    def unit(bound):
+        return decoder_bound(domain.method, domain.mode, (bound,))
+
+    # every unit between the ends' decoder bounds, each represented by a
+    # bound in the domain, least compressing first: the acc exponent grows,
+    # plane counts, rates and widths shrink
+    assert all(domain.bound_min <= b <= domain.bound_max for b in units)
+    ids = [unit(b) for b in units]
+    if domain.method is Method.TRUNC:
+        assert ids == [32, 16]
+    else:
+        assert sorted(ids) == list(range(min(ids), max(ids) + 1))
+    assert {ids[0], ids[-1]} == {unit(domain.bound_min), unit(domain.bound_max)}
+    assert ids == sorted(ids, reverse=domain.mode is not Mode.ACC)
+    assert domain.least_compressing == units[0]
+
+    # quality steps down twice along the units: neutral up to unit k (none
+    # when k is -1), above tau up to unit j
+    k = edges.draw(st.integers(-1, len(units) - 1))
+    j = edges.draw(st.integers(max(k, 0), len(units) - 1))
+    index = {b: i for i, b in enumerate(units)}
+    asked = []
+
+    def probe(bound):
+        asked.append(bound)
+        i = index[bound]  # only representatives are probed
+        return 0.9 if i <= k else 0.6 if i <= j else 0.1
+
+    spec = SearchSpec(tau=0.5, n_candidates=n, eta=1e-3, max_iters=12)
+    ratio = {b: 1.05 ** i for b, i in index.items()}  # no early stop
+    upper = find_upper(domain, spec, 0.9, probe, ratio_at=ratio.__getitem__)
+    lower = find_lower(domain, spec, 0.9, probe, ratio_at=ratio.__getitem__)
+    for search in (upper, lower):
+        probed = [b for b, _ in search.probes]
+        assert len(probed) == len(set(probed)) <= spec.max_iters
+    # both searches ask each unit at one bound, and end on the
+    # most-compressing unit that passes
+    assert len({unit(b) for b in asked}) == len(set(asked))
+    assert (upper.satisfied, upper.bound) == ((True, units[k]) if k >= 0 else (False, units[0]))
+    assert lower.bound == units[j]
+
+    ladder = candidate_points(lower.config, upper.config, n)
+    bounds = [p.bound for p in ladder.points]
+    steps = [index[b] for b in bounds]
+    assert bounds[0] == lower.bound and bounds[-1] == upper.bound
+    assert steps == sorted(set(steps), reverse=True)
+    assert len(steps) == min(n, j - max(k, 0) + 1)
+    assert ladder.degenerate == (len(steps) == 1)
+    # thinned evenly: the gaps between rungs differ by at most one unit
+    gaps = np.diff(steps)
+    assert len(gaps) == 0 or gaps.max() - gaps.min() <= 1
+    # boundaries given the other way round still give a ladder between them
+    back = [index[p.bound] for p in candidate_points(upper.config, lower.config, n).points]
+    assert (back[0], back[-1], len(back)) == (steps[-1], steps[0], len(steps))
+    assert back == sorted(set(back))
+
+
+def latent_ridge():
+    """Ridge on c1 of a seed-3 low-rank table whose rows carry time structure."""
+    full = synth.make_latent_tabular(
+        n_obs=400, n_feat=8, rank=5, noise=0.05, scale_decades=4.0, seed=3, row_corr=0.9
+    )
+    pair = DatasetPair(*split(full, SplitSpec(0.5, seed=3, shuffled=False)))
+    app = Application("ridge", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2),
+                      target="c1", seed=3)
+    return pair, app
+
+
+@pytest.mark.parametrize("domain", [
+    SearchDomain(Method.EBLC_BITPLANE, Mode.RATE, 1, 32, scale="linear"),
+    SearchDomain(Method.EBLC_BITPLANE, Mode.PREC, 1, 56, scale="linear"),
+    SearchDomain(Method.TRUNC, Mode.NONE, 16, 32, scale="linear"),
+    SearchDomain(Method.EBLC_BITPLANE, Mode.ACC, 1e-6, 10.0),
+], ids=["rate", "prec", "trunc", "acc"])
+def test_unit_domains_run_end_to_end_to_the_most_compressing_passing_unit(tmp_path, domain):
+    pair, app = latent_ridge()
+    spec = SearchSpec(tau=0.5, n_candidates=6, eta=0.01, max_iters=10)
+    store = RecordStore(tmp_path / "records.jsonl")
+    steps = []
+    records = run_campaign(pair, [app], [domain], spec, store=store, observer=steps.append)
+    assert all(r.ok for r in records) and store.load() == records
+    base, step = steps
+    phi = base.phi
+    # each unit's quality, scored apart from the campaign
+    psi = [eval_config(pair, app, domain.config(b)).psi for b in domain.units]
+    neutral = [i for i, q in enumerate(psi) if abs(phi - q) <= spec.eta * abs(phi)]
+    useful = [i for i, q in enumerate(psi) if q > spec.tau]
+    assert step.upper.satisfied
+    assert step.upper.bound == domain.units[max(neutral)]
+    assert step.lower.bound == domain.units[max(useful)]
+    ladder = step.records[len(step.records) - len(step.ladder.points):]
+    assert [r.config["c"][0] for r in ladder] == [p.bound for p in step.ladder.points]
+    assert all(r.decompress_mbps > 0 for r in ladder)
 
 
 def test_candidate_points_arithmetic_ladder():
@@ -1122,40 +1241,24 @@ def test_parallel_ladder_shares_the_memo_safely(monkeypatch):
     assert ends and all(r.decompress_mbps > 0 for r in ends)
 
 
-def test_run_campaign_scores_each_decoded_table_once(monkeypatch):
-    # acc bounds in one octave keep the same planes, so the ladder between
-    # the boundaries, and bisection probes near them, write streams that
-    # decode alike to ones already scored
+def test_an_acc_campaign_compresses_each_decoder_bound_once(monkeypatch):
     pair = linear_pair(n=120)
-    spec = SearchSpec(tau=0.5, n_candidates=8, eta=5e-3, max_iters=8, replicates=2)
-    methods = [SearchDomain(Method.EBLC_BITPLANE, Mode.ACC, 1e-3, 64.0)]
-    keys = []
-    real_key = campaign._alike_key
-
-    def spy_key(*args):
-        keys.append(real_key(*args))
-        return keys[-1]
-
-    monkeypatch.setattr(campaign, "_alike_key", spy_key)
-    runs = spy_application(monkeypatch)
-    records = run_campaign(pair, [ridge_app()], methods, spec)
+    spec = SearchSpec(tau=0.5, n_candidates=8, eta=5e-3, max_iters=8)
+    domain = SearchDomain(Method.EBLC_BITPLANE, Mode.ACC, 1e-3, 64.0)
+    calls = spy_compress(monkeypatch)
+    steps = []
+    records = run_campaign(pair, [ridge_app()], [domain], spec, observer=steps.append)
     assert all(r.ok for r in records)
-    # one application run per decoded table; each other evaluation of it
-    # copies its quality and is neither cached nor timed
-    assert len(runs) == len(set(keys)) < len(keys)
-    fresh = [r for r in records if not r.cached]
-    reused = [r for r in fresh if r.t_app == 0]
-    assert len(reused) == len(keys) - len(set(keys))
-    assert len(fresh) == len(keys)
-
-    # the same campaign with no two evaluations alike
-    unique = iter(range(10**6))
-    monkeypatch.setattr(campaign, "_alike_key", lambda *args: f"alike:{next(unique)}")
-    runs.clear()
-    plain = run_campaign(pair, [ridge_app()], methods, spec)
-    assert [r.content_key() for r in plain] == [r.content_key() for r in records]
-    assert [r.cached for r in plain] == [r.cached for r in records]
-    assert len(runs) == len(fresh) and all(r.t_app > 0 for r in plain if not r.cached)
+    _, step = steps
+    touched = [b for b, _ in step.upper.probes + step.lower.probes]
+    touched += [p.bound for p in step.ladder.points]
+    units = {decoder_bound(domain.method, domain.mode, (b,)) for b in touched}
+    assert len(units) == len(set(touched)) > spec.n_candidates
+    # each part is compressed once per decoder bound the searches and the
+    # ladder reached, and never at a second bound of one unit
+    coded = Counter(decoder_bound(config.method, config.mode, config.c)
+                    for _, config in calls if config.method is Method.EBLC_BITPLANE)
+    assert coded == {unit: 2 for unit in units}
 
 
 # (method, mode, bound) a search may probe without decoding; a rate bound of

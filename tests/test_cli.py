@@ -67,7 +67,8 @@ def test_stats_writes_tables(tmp_path, capsys):
     assert main(["stats", str(data), "--out-dir", str(out)]) == 0
     stats_rows = (out / "stats.csv").read_text().strip().splitlines()
     assert len(stats_rows) == 4  # header + 3 columns
-    hist_rows = list(csv.DictReader(open(out / "range_histogram.csv")))
+    with open(out / "range_histogram.csv") as fh:
+        hist_rows = list(csv.DictReader(fh))
     total = sum(int(r["count"]) for r in hist_rows)
     assert total == 3
     assert hist_rows[0]["bin"] == "zero" and hist_rows[0]["count"] == "1"
@@ -250,12 +251,12 @@ def test_search_keeps_domains_with_the_same_method_apart(tmp_path, capsys):
             {"method": "eblc_bitplane", "mode": "prec", "bound": 2.5}
         ),
         lambda doc: doc["methods"].append(
-            {"method": "eblc_bitplane", "mode": "prec", "bound_min": 4, "bound_max": 32}
+            {"method": "eblc_bitplane", "mode": "prec", "bound_min": 4.5, "bound_max": 32}
         ),
         lambda doc: doc["methods"].append({"method": "sample_naive", "bound": math.inf}),
     ],
     ids=["method", "mode", "layout", "app_kind", "tau", "app_entry", "output", "split",
-         "pw_rel_max", "prec_fraction", "prec_domain", "naive_stride_inf"],
+         "pw_rel_max", "prec_fraction", "prec_domain_fraction", "naive_stride_inf"],
 )
 def test_search_bad_campaign_value_is_config_error(tmp_path, capsys, edit):
     campaign = write_campaign(
@@ -442,7 +443,8 @@ def test_speedup_from_store_labels_rows_by_configuration(tmp_path, capsys):
     # eblc_pred rel 1e-3 and eblc_bitplane acc 1e-3 share a bound, not a row label
     store = write_golden_store(tmp_path / "records.jsonl")
     assert main(["speedup", "--store", str(store), "--out", str(tmp_path / "cores.csv")]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "cores.csv")))
+    with open(tmp_path / "cores.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["label"] for r in rows] == [
         ReducerConfig(Method(m), Mode(mode), (bound,)).label()
         for m, mode, bound, _, _ in GOLDEN_POINTS
@@ -465,7 +467,8 @@ def test_speedup_from_store_gives_each_configuration_one_row(tmp_path):
                                           ratio=2.0 if target == "train" else first.ratio))
     out = tmp_path / "cores.csv"
     assert main(["speedup", "--store", str(store), "--bandwidths", "1", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
     labels = [r["label"] for r in rows]
     plain = [
         ReducerConfig(Method(m), Mode(mode), (bound,)).label()
