@@ -6,10 +6,11 @@ still quality-neutral within a tolerance, and the most-compressing bound whose
 quality stays above the acceptance threshold), then evaluates a ladder of
 candidate bounds between them.  Every evaluation lands in an append-only
 line-delimited store, and every ok one in an optional evaluation cache: one
-append-only log of records in the same format, ``CACHE_DIR/evaluations.jsonl``,
-keyed by each record's content address.  A campaign reads the log once, when
-it starts, and holds the store and the log open until it ends, so it writes
-each record as one appended line and creates no file per evaluation.
+append-only log of records in the same format per dataset pair,
+``CACHE_DIR/<pair id>.jsonl``, keyed by each record's content address.  A
+campaign reads its pair's log once, when it starts, and holds the store and
+the log open until it ends, so it writes each record as one appended line
+and creates no file per evaluation.
 
 Boundary searches read quality only through a probe, a function from bound
 to quality.  The campaign gives both searches of a domain one probe, which
@@ -21,7 +22,7 @@ A campaign runs each distinct evaluation once: evaluation is deterministic in
 its cache key, so a configuration it has already scored (a ladder end point
 that was a boundary probe, a configuration two domains share) comes back,
 marked cached, from an in-memory table of ``ok`` records that starts as the
-pair's records in the cache log, or empty without one.
+records in the pair's cache log, or empty without one.
 
 Search probes score the predictive and bit-plane codecs on the
 reconstruction their encoders return, which the decoders rebuild byte for
@@ -343,16 +344,17 @@ class RecordStore:
 
 
 class EvaluationCache(RecordStore):
-    """The evaluation cache: one append-only log, ``CACHE_DIR/evaluations.jsonl``,
-    of ok records in the store's line format, keyed by their ``record_id``.
+    """The evaluation cache of one dataset pair: one append-only log,
+    ``CACHE_DIR/<pair id>.jsonl``, of ok records in the store's line format,
+    keyed by their ``record_id``.  Other pairs' logs are never read.
 
     Campaigns in other processes may append to the same log, so opening it
     never cuts a line off: an unterminated final line only gets its newline.
     A line that does not hold a record is a miss, skipped with a warning.
     """
 
-    def __init__(self, cache_dir: str | Path):
-        super().__init__(Path(cache_dir) / "evaluations.jsonl")
+    def __init__(self, cache_dir: str | Path, pair: DatasetPair):
+        super().__init__(Path(cache_dir) / f"{pair.id}.jsonl")
 
     @staticmethod
     def _end_last_line(fh) -> None:
@@ -367,11 +369,10 @@ class EvaluationCache(RecordStore):
                       stacklevel=3)
         return False
 
-    def memo(self, pair: DatasetPair) -> Memo:
-        """The pair's ok records by cache key; a key's last line wins, so a
+    def memo(self) -> Memo:
+        """The log's records by cache key; a key's last line wins, so a
         ladder end's timed copy replaces its probe's record."""
-        return {rec.record_id: rec for rec in self.load()
-                if rec.ok and rec.dataset_id == pair.id}
+        return {rec.record_id: rec for rec in self.load()}
 
 
 def cache_key(
@@ -837,9 +838,9 @@ def run_campaign(
     configuration the campaign has already evaluated comes back as a cached
     copy of its first record; a ladder point that was a search probe, which
     the search scored without decoding, decodes that probe's stream for its
-    timing.  ``store`` and the cache log in ``cache_dir`` (EvaluationCache) stay open
-    until the campaign ends; the log is read once, as it starts, for the
-    pair's ok records.
+    timing.  ``store`` and the pair's cache log in ``cache_dir``
+    (EvaluationCache) stay open until the campaign ends; the log is read
+    once, as it starts.
     """
     if not apps or not methods:
         raise ConfigError("campaign needs at least one application and one method")
@@ -852,7 +853,7 @@ def run_campaign(
                 "values of the dataset"
             )
     records: list[EvaluationRecord] = []
-    cache = EvaluationCache(cache_dir) if cache_dir is not None else None
+    cache = EvaluationCache(cache_dir, pair) if cache_dir is not None else None
     memo: Memo = {}
     # the current domain's undecoded probes, for its ladder ends to decode
     undecoded: Undecoded = {}
@@ -912,7 +913,7 @@ def run_campaign(
     # the store and the cache log stay open for the whole campaign
     with store or contextlib.nullcontext(), cache or contextlib.nullcontext():
         if cache is not None:
-            memo.update(cache.memo(pair))
+            memo.update(cache.memo())
         for app in apps:
             start = len(records)
             try:

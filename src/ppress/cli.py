@@ -155,9 +155,9 @@ def cmd_eval(args) -> int:
         _say("nothing to evaluate: no explicit configurations in the campaign")
         return 0
     total = failed = 0
-    cache = EvaluationCache(cache_dir) if cache_dir is not None else None
+    cache = EvaluationCache(cache_dir, plan.pair) if cache_dir is not None else None
     with store, cache or contextlib.nullcontext():
-        memo = cache.memo(plan.pair) if cache is not None else {}
+        memo = cache.memo() if cache is not None else {}
         for app in plan.apps:
             for config in explicit:
                 rec = eval_config(plan.pair, app, config, plan.compress_target, cache, memo)

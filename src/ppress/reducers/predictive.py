@@ -10,12 +10,14 @@ values whose rebuilt form breaks the bound after rounding are literals,
 stored exactly, so the error contract holds by construction.  Each value
 becomes a code (0 a literal, 2q+1 a jump q >= 0, -2q a jump q < 0), so
 every code fits four byte planes.  All coded columns share one code
-section: the codes as the fewest little-endian byte planes that hold the
-largest, in one zlib frame; one-byte codes keep the smaller of the default
-and the Huffman-only deflate strategy.  A column whose literals cost at
-least its raw values, as any column under a zero bound, is stored raw, and
-so is a block whose coding does not pay: a stream never exceeds the raw
-values plus its 9-byte header.
+section, one zlib frame.  Codes below 16 are packed 8, 4 or 2 to a byte
+(1, 2 or 4 bits each) or kept one to a byte, whichever frame is shortest;
+larger codes take the fewest little-endian byte planes that hold the
+largest, and one-byte codes keep the smaller of the default and the
+Huffman-only deflate strategy.  A column whose literals cost at least its
+raw values, as any column under a zero bound, is stored raw, and so is a
+block whose coding does not pay: a stream never exceeds the raw values
+plus its 9-byte header.
 
 Pointwise-relative mode runs the same machinery on log-magnitudes with step
 2*log1p(pw), so a value rebuilds within a factor (1+pw) of itself.  Signs
@@ -45,6 +47,9 @@ _FLAG_VERBATIM = 1  # the whole block, raw
 _FLAG_SIGNS = 2
 _FLAG_DEFLATED = 4
 _FLAG_ZEROS = 8  # pw_rel, with _FLAG_SIGNS: the block codes zeros as ZERO
+# bits 4-5, with _FLAG_DEFLATED: 0 for byte planes, p for codes packed 8 >> p bits each
+_PACK_SHIFT = 4
+_PACK_FLAGS = 3 << _PACK_SHIFT
 
 _HEAD = struct.Struct("<BII")  # flags, n_rows, n_cols
 _COLUMN = np.dtype([("step", "<f8"), ("n_lit", "<u4")])  # per column; step 0: verbatim
@@ -149,28 +154,73 @@ def _signed_exp(recon_t: np.ndarray, nz: np.ndarray, neg: np.ndarray, width: int
     return round_to_width(recon, width)
 
 
-def _planes(codes: np.ndarray) -> bytes:
-    """Codes split into as few little-endian byte planes as the largest needs."""
-    n_planes = max(1, (int(codes.max()).bit_length() + 7) // 8)
+def _planes(codes: np.ndarray, top: int) -> bytes:
+    """Codes split into as few little-endian byte planes as the largest, top, needs."""
+    n_planes = max(1, (top.bit_length() + 7) // 8)
     return codes.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :n_planes].T.tobytes()
+
+
+def _shifts(bits: int) -> np.ndarray:
+    """Where each of a byte's 8 // bits packed codes sits, the first highest."""
+    return np.arange(8 - bits, -1, -bits, dtype=np.uint8)
+
+
+def _pack(codes: np.ndarray, bits: int) -> bytes:
+    """Codes below 2^bits (bits 1, 2 or 4), 8 // bits to a byte, the first in
+    the high bits; the last byte is zero-padded."""
+    per = 8 // bits
+    padded = np.zeros(-(-codes.size // per) * per, np.uint8)
+    padded[: codes.size] = codes
+    slots = padded.reshape(-1, per)
+    out = slots[:, 0] << (8 - bits)
+    for k, shift in enumerate(_shifts(bits)[1:], 1):
+        out |= slots[:, k] << shift
+    return out.tobytes()
+
+
+def _unpack(data: bytes, bits: int, count: int) -> np.ndarray:
+    """Inverse of _pack: count int64 codes; CodecError on a length other than
+    ceil(count * bits / 8) or a set pad bit."""
+    if len(data) != -(-count * bits // 8):
+        raise CodecError(f"packed codes hold {len(data)} bytes, not {count} codes of {bits} bits")
+    packed = np.frombuffer(data, np.uint8)
+    slots = np.empty((packed.size, 8 // bits), np.uint8)
+    for k, shift in enumerate(_shifts(bits)):
+        np.right_shift(packed, shift, out=slots[:, k])
+    codes = (slots & (1 << bits) - 1).ravel()
+    if codes[count:].any():
+        raise CodecError("a pad bit after the last packed code is set")
+    return codes[:count].astype(np.int64)
 
 
 def _code(codes: np.ndarray, lit_bits: np.ndarray, raw_bits: int):
     """Deflate the codes of the columns of codes (one per row) whose literal
     (and sign) bits stay below raw_bits.  The codes are not costed per
     column: deflate codes the columns together, and _write's check on the
-    whole stream bounds them.  Returns (flag, section bytes, mask of the
-    coded columns).
+    whole stream bounds them.  Codes below 16 pack at the narrowest of 1, 2
+    or 4 bits, and the shortest of three frames wins, the first on a tie:
+    the packed bytes deflated, the packed bytes Huffman-only, and one byte
+    plane Huffman-only.  Larger codes take byte planes, deflated, and
+    one-byte codes also try Huffman-only, where order-0 coding may beat LZ
+    matching.  Returns (flags, section bytes, mask of the coded columns).
     """
     keep = lit_bits < raw_bits
     if not keep.any():
         return 0, b"", keep
     coded = codes[keep].ravel()
-    planes = _planes(coded)
-    frame = lossless.lossless_encode(planes)
-    if len(planes) == coded.size:  # one-byte codes: order-0 coding may beat LZ matching
-        frame = min(frame, lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY), key=len)
-    return _FLAG_DEFLATED, frame, keep
+    top = int(coded.max())
+    planes = _planes(coded, top)
+    if top < 16:  # (frame, pack field) candidates, in order of preference
+        pack = 3 if top < 2 else 2 if top < 4 else 1
+        packed = _pack(coded, 8 >> pack)
+        frames = [(lossless.lossless_encode(packed), pack),
+                  (lossless.lossless_encode(packed, zlib.Z_HUFFMAN_ONLY), pack)]
+    else:
+        frames = [(lossless.lossless_encode(planes), 0)]
+    if top < 256:
+        frames.append((lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY), 0))
+    frame, pack = min(frames, key=lambda f: len(f[0]))
+    return _FLAG_DEFLATED | pack << _PACK_SHIFT, frame, keep
 
 
 def _write(cols, step, codes, recon, width: int, neg=None, flags=0) -> tuple[bytes, np.ndarray]:
@@ -258,7 +308,8 @@ def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
     flags, n, n_cols = _HEAD.unpack(head)
     if n * n_cols != n_values:
         raise CodecError(f"predictive stream declares {n}x{n_cols} values, not {n_values}")
-    known = _FLAG_SIGNS | _FLAG_DEFLATED | (_FLAG_ZEROS if flags & _FLAG_SIGNS else 0)
+    known = (_FLAG_SIGNS | _FLAG_DEFLATED | (_FLAG_ZEROS if flags & _FLAG_SIGNS else 0)
+             | (_PACK_FLAGS if flags & _FLAG_DEFLATED else 0))
     if flags == _FLAG_VERBATIM:
         count = 0
         vals, off = section(buf, off, n * n_cols * width, "values", last=True)
@@ -285,12 +336,16 @@ def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
     if not flags & _FLAG_DEFLATED:
         raise CodecError("a block that codes a column does not deflate its codes")
     planes = lossless.lossless_decode(buf[off:])  # runs to the end of the stream
-    n_planes, rest = divmod(len(planes), count)
-    if rest or not 1 <= n_planes <= 4:
-        raise CodecError(f"deflated codes hold {len(planes)} bytes, not 1-4 per {count} codes")
-    codes = 0  # int64 codes from their byte planes, the most significant first
-    for plane in np.frombuffer(planes, np.uint8).reshape(n_planes, count)[::-1]:
-        codes = codes << 8 | plane.astype(np.int64)
+    pack = (flags & _PACK_FLAGS) >> _PACK_SHIFT
+    if pack:
+        codes = _unpack(planes, 8 >> pack, count)
+    else:
+        n_planes, rest = divmod(len(planes), count)
+        if rest or not 1 <= n_planes <= 4:
+            raise CodecError(f"deflated codes hold {len(planes)} bytes, not 1-4 per {count} codes")
+        codes = 0  # int64 codes from their byte planes, the most significant first
+        for plane in np.frombuffer(planes, np.uint8).reshape(n_planes, count)[::-1]:
+            codes = codes << 8 | plane.astype(np.int64)
     # the longest jump codes as 2*JUMP_LIMIT - 1, one higher with zeros
     shift = 1 if flags & _FLAG_ZEROS else 0
     top = 2 * JUMP_LIMIT - 1 + shift

@@ -4,6 +4,7 @@ import os
 import statistics
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -187,10 +188,10 @@ def test_eval_failure_becomes_failed_record():
 
 
 def cached_eval(pair, app, config, cache_dir):
-    """One evaluation against the cache log in cache_dir, which it reads and
-    appends to as a campaign does."""
-    with EvaluationCache(cache_dir) as cache:
-        return eval_config(pair, app, config, cache=cache, memo=cache.memo(pair))
+    """One evaluation against the pair's cache log in cache_dir, which it
+    reads and appends to as a campaign does."""
+    with EvaluationCache(cache_dir, pair) as cache:
+        return eval_config(pair, app, config, cache=cache, memo=cache.memo())
 
 
 def test_eval_cache_hit_and_key_sensitivity(tmp_path):
@@ -336,7 +337,7 @@ def test_failed_evaluations_are_not_cached(tmp_path):
     second = cached_eval(pair, bad, ReducerConfig(Method.NONE), tmp_path)
     assert not first.ok and not second.ok
     assert not second.cached
-    assert EvaluationCache(tmp_path).load() == []
+    assert EvaluationCache(tmp_path, pair).load() == []
 
 
 def test_record_store_appends_and_loads(tmp_path):
@@ -828,13 +829,14 @@ def test_a_campaign_appends_to_one_cache_log_through_held_handles(tmp_path, monk
     cache = tmp_path / "cache"
     records = run_campaign(pair, [ridge_app()], methods, spec, store=store, cache_dir=cache)
     assert any(r.cached for r in records)
-    assert [p.name for p in cache.iterdir()] == ["evaluations.jsonl"]
+    log = f"{pair.id}.jsonl"
+    assert [p.name for p in cache.iterdir()] == [log]
     # one append handle each, held for the whole campaign
-    assert opened["records.jsonl", "a+b"] == opened["evaluations.jsonl", "a+b"] == 1
+    assert opened["records.jsonl", "a+b"] == opened[log, "a+b"] == 1
     assert store.load() == records
     # the log holds every ok evaluation; a key's last line wins, so a ladder
     # end's timed copy has replaced its probe's record
-    assert EvaluationCache(cache).memo(pair) == {
+    assert EvaluationCache(cache, pair).memo() == {
         r.record_id: replace(r, cached=False) for r in records if r.ok
     }
     # a store the caller holds open stays open through a campaign
@@ -845,23 +847,24 @@ def test_a_campaign_appends_to_one_cache_log_through_held_handles(tmp_path, monk
     assert store.load() == records + again + again[:1]
 
 
-def test_campaigns_on_two_pairs_share_one_cache_log(tmp_path, monkeypatch):
+def test_campaigns_on_two_pairs_replay_each_from_its_own_log(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     spec = SearchSpec(tau=0.5, n_candidates=3, eta=5e-3, max_iters=5)
     methods = [ReducerConfig(Method.LOSSLESS), pred_domain(1e-8, 1.0)]
     pairs = [linear_pair(n=100, seed=5), linear_pair(n=100, seed=6)]
     first = [run_campaign(pair, [ridge_app()], methods, spec, cache_dir=cache) for pair in pairs]
+    assert sorted(p.name for p in cache.iterdir()) == sorted(f"{p.id}.jsonl" for p in pairs)
     loaded = []
-    real_memo = EvaluationCache.memo
+    real_load = EvaluationCache.load
 
-    def spy_memo(self, pair):
-        loaded.append(real_memo(self, pair))
-        return loaded[-1]
+    def spy_load(self):
+        loaded.append((self.path.name, real_load(self)))
+        return loaded[-1][1]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a replayed campaign calls no codec")
 
-    monkeypatch.setattr(EvaluationCache, "memo", spy_memo)
+    monkeypatch.setattr(EvaluationCache, "load", spy_load)
     monkeypatch.setattr(campaign, "compress", refuse)
     monkeypatch.setattr(campaign, "decompress", refuse)
     runs = spy_application(monkeypatch)
@@ -869,11 +872,48 @@ def test_campaigns_on_two_pairs_share_one_cache_log(tmp_path, monkeypatch):
         again = run_campaign(pair, [ridge_app()], methods, spec, cache_dir=cache)
         assert all(r.cached for r in again)
         assert [r.content_key() for r in again] == [r.content_key() for r in records]
-        # the campaign keeps only its own pair's entries
-        assert loaded[-1].keys() == {r.record_id for r in records if r.ok}
-        assert {r.dataset_id for r in loaded[-1].values()} == {pair.id}
+        # the campaign reads its own pair's log, once, and nothing else
+        [(name, logged)] = loaded
+        loaded.clear()
+        assert name == f"{pair.id}.jsonl"
+        assert {r.record_id for r in logged} == {r.record_id for r in records if r.ok}
+        assert {r.dataset_id for r in logged} == {pair.id}
     assert runs == []
-    assert [p.name for p in cache.iterdir()] == ["evaluations.jsonl"]
+
+
+def test_a_campaign_reads_nothing_of_another_pairs_damaged_log(tmp_path, monkeypatch):
+    # a large log of another pair, with a torn middle line and a torn tail,
+    # sits beside the campaign's own, and so does a stale one-log-for-all
+    # cache of the same lines: the campaign neither parses nor touches
+    # them, so it warns about nothing
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    other = linear_pair(n=100, seed=6)
+    line = json.dumps(eval_config(other, ridge_app(), ReducerConfig(Method.NONE)).to_dict())
+    damaged = (line + "\n") * 2000 + line[:50] + "\n" + (line + "\n") * 2000 + line[:70]
+    other_log = cache / f"{other.id}.jsonl"
+    other_log.write_text(damaged)
+    (cache / "evaluations.jsonl").write_text(damaged)
+    pair = linear_pair(n=100, seed=5)
+    parsed = []
+    real_from_dict = EvaluationRecord.from_dict
+    monkeypatch.setattr(EvaluationRecord, "from_dict",
+                        staticmethod(lambda d: parsed.append(d) or real_from_dict(d)))
+    spec = SearchSpec(tau=0.5, n_candidates=3, eta=5e-3, max_iters=5)
+    methods = [ReducerConfig(Method.LOSSLESS), pred_domain(1e-8, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_campaign(pair, [ridge_app()], methods, spec, cache_dir=cache)
+    assert not records[0].cached
+    assert parsed == []  # its own log started empty, and the other was never read
+    assert other_log.read_text() == (cache / "evaluations.jsonl").read_text() == damaged
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        ["evaluations.jsonl"] + [f"{p.id}.jsonl" for p in (pair, other)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = run_campaign(pair, [ridge_app()], methods, spec, cache_dir=cache)
+    assert all(r.cached for r in again)
+    assert {d["dataset_id"] for d in parsed} == {pair.id}
 
 
 def test_a_campaign_cuts_a_torn_store_tail_once_and_follows_it(tmp_path):

@@ -92,7 +92,7 @@ def api_digests():
 
 # sha256 of the predictive stream compress writes per case: pins how the
 # mode's bound becomes each column's absolute bound, from the
-# container-version-9 format
+# container-version-10 format
 API_DIGESTS = {
     "f64 abs by_column 0.0001": "11ac7902e01678e8",
     "f64 abs by_column 0.01": "725f6765293b8e66",
@@ -100,14 +100,14 @@ API_DIGESTS = {
     "f64 abs matrix 0.01": "6e79a390d9d0bcf5",
     "f64 rel by_column 1e-06": "12995fed9405f49c",
     "f64 rel by_column 0.001": "14fb9061905c3528",
-    "f64 rel by_column 0.1": "9725f4477f0eb2d7",
+    "f64 rel by_column 0.1": "585438e528e73de4",
     "f64 rel matrix 1e-06": "b7fc7cb974cfcb4d",
     "f64 rel matrix 0.001": "808bcab7ad1560d4",
-    "f64 rel matrix 0.1": "a6da19d7859db862",
-    "f64 psnr by_column 30": "0f90f9fbe6faf140",
+    "f64 rel matrix 0.1": "2f52cc6b135218eb",
+    "f64 psnr by_column 30": "4dd3631bf62f9987",
     "f64 psnr by_column 80": "e6abf5454bcbd7bb",
     "f64 psnr by_column 140": "af0f3b77956d13a4",
-    "f64 psnr matrix 30": "646364c45503747f",
+    "f64 psnr matrix 30": "2d506e2fe8b8fbba",
     "f64 psnr matrix 80": "61a5be8b3b002183",
     "f64 psnr matrix 140": "53900ce0aec7baa6",
     "f32 abs by_column 0.0001": "bb80a5a68fb57173",
@@ -116,14 +116,14 @@ API_DIGESTS = {
     "f32 abs matrix 0.01": "88af9a4a8dde157f",
     "f32 rel by_column 1e-06": "ff84567eb34cf6fc",
     "f32 rel by_column 0.001": "d617598f0400fd51",
-    "f32 rel by_column 0.1": "84b80e39ed0f7911",
+    "f32 rel by_column 0.1": "4a6c7c6474c1f599",
     "f32 rel matrix 1e-06": "784653db43e29b25",
     "f32 rel matrix 0.001": "b81931436c23c60a",
-    "f32 rel matrix 0.1": "47b139dbaf2d389e",
-    "f32 psnr by_column 30": "7fc32bc2739d8c26",
+    "f32 rel matrix 0.1": "d8acc6d5f4180897",
+    "f32 psnr by_column 30": "1e1bb11d4ff83b59",
     "f32 psnr by_column 80": "9fb33f317460febb",
     "f32 psnr by_column 140": "cc099c127e8c6f2e",
-    "f32 psnr matrix 30": "7e3914b8dc161ee6",
+    "f32 psnr matrix 30": "91c6c1d930b77a2a",
     "f32 psnr matrix 80": "fa533357b604632e",
     "f32 psnr matrix 140": "86dce758f89f5d95",
     "nonfinite abs by_column 0.0001": "fe79ed402c38e415",
@@ -132,14 +132,14 @@ API_DIGESTS = {
     "nonfinite abs matrix 0.01": "4efc938d6f8609ef",
     "nonfinite rel by_column 1e-06": "0e4503d6a1fd254b",
     "nonfinite rel by_column 0.001": "7cf1a4954a11370e",
-    "nonfinite rel by_column 0.1": "65612c7e330d797e",
+    "nonfinite rel by_column 0.1": "173cd7b8621450f1",
     "nonfinite rel matrix 1e-06": "119172e747758271",
     "nonfinite rel matrix 0.001": "5e5cde2aaa774e70",
-    "nonfinite rel matrix 0.1": "75f654e60e41297c",
-    "nonfinite psnr by_column 30": "adf0de6f76037653",
+    "nonfinite rel matrix 0.1": "41b53e02ddbd8b22",
+    "nonfinite psnr by_column 30": "cc91c340efd64b99",
     "nonfinite psnr by_column 80": "cc4ba5a013d476ed",
     "nonfinite psnr by_column 140": "bb4bd2049ae1f4d6",
-    "nonfinite psnr matrix 30": "769ce018d9a1ce0a",
+    "nonfinite psnr matrix 30": "47938829d7fb0fef",
     "nonfinite psnr matrix 80": "ab45405c954652ac",
     "nonfinite psnr matrix 140": "3ad858fd3975cb6d",
 }

@@ -504,25 +504,64 @@ def coded_codes(encode, *args):
     return buf, recon, codes
 
 
+def reference_pack(codes, bits):
+    """Codes `bits` wide, 8 // bits to a byte, the first in the high bits;
+    the last byte is zero-padded."""
+    per = 8 // bits
+    out = bytearray(-(-len(codes) // per))
+    for i, c in enumerate(codes):
+        out[i // per] |= c << 8 - bits * (i % per + 1)
+    return bytes(out)
+
+
+PACK_FIELD = {4: 1, 2: 2, 1: 3}  # flag bits 4-5 of codes packed this many bits each
+
+
+def pack_field(flags):
+    return (flags & 0x30) >> 4
+
+
+def reference_code_frame(codes):
+    """(frame, flag bits 4-5) of the code section the encoder writes for
+    codes: below 16, the shortest of the packed bytes deflated, the packed
+    bytes Huffman-only and one byte plane Huffman-only; otherwise byte
+    planes deflated, or Huffman-only when that is shorter and they fit one
+    byte.  The first shortest wins."""
+    top = max(codes)
+    planes = reference_planes(codes)
+    huffman = lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY)
+    if top >= 16:
+        frames = [(lossless.lossless_encode(planes), 0)] + [(huffman, 0)] * (top < 256)
+    else:
+        bits = 1 if top < 2 else 2 if top < 4 else 4
+        packed = reference_pack(codes, bits)
+        frames = [
+            (lossless.lossless_encode(packed), PACK_FIELD[bits]),
+            (lossless.lossless_encode(packed, zlib.Z_HUFFMAN_ONLY), PACK_FIELD[bits]),
+            (huffman, 0),
+        ]
+    return min(frames, key=lambda f: len(f[0]))
+
+
 def assert_form_and_round_trip(encode, *args):
-    # a coded one-column stream deflates its codes in as few byte planes as
-    # the largest needs; one-byte codes keep the smaller of the default and
-    # the Huffman-only frame, the default on a tie
+    # a coded stream's code section is the frame reference_code_frame picks,
+    # and flag bits 4-5 say how its codes are laid out; returns the decode
+    # and the codes offered to the code section
     width = args[2]
     buf, recon, codes = coded_codes(encode, *args)
     out = predictive.decode(buf, width, np.size(args[0]))
     assert out.tobytes() == recon.tobytes()
     if buf[0] & predictive._FLAG_VERBATIM:
-        return out
-    flags, _, off = sections(buf, width)
+        return out, codes
+    flags, count, off = sections(buf, width)
     assert flags & predictive._FLAG_DEFLATED
-    planes = reference_planes(codes.tolist())
-    assert predictive._planes(codes) == planes
-    frame = lossless.lossless_encode(planes)
-    if len(planes) == codes.size:
-        frame = min(frame, lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY), key=len)
+    assert predictive._planes(codes, int(codes.max())) == reference_planes(codes.tolist())
+    frame, field = reference_code_frame(codes.tolist())
+    assert pack_field(flags) == field
     assert buf[off:] == frame
-    return out
+    data = lossless.lossless_decode(frame)
+    assert len(data) == (-(-count * (8 >> field) // 8) if field else len(reference_planes(codes.tolist())))
+    return out, codes
 
 
 @settings(max_examples=80, deadline=None)
@@ -543,12 +582,13 @@ def test_round_trip_on_both_sides_of_the_huffman_line(alphabet, picks, zeros, wi
     # the literal (and, for pw_rel, the zero code 1).  Jumps 127 and -128
     # have the codes 255 and 256 (256 and 257 under pw_rel), so the codes
     # straddle the line between one byte plane (where Huffman-only deflate
-    # is tried) and two
+    # is tried) and two; jumps 7 and -8 have the codes 15 and 16, so they
+    # straddle the line below which codes are packed
     jumps = np.array(alphabet + [alphabet[p % len(alphabet)] for p in picks], dtype=np.float64)
     x = np.cumsum(jumps)
     if width == 4:
         x = x.astype(np.float32)
-    out = assert_form_and_round_trip(predictive.encode_abs, x, 0.5, width)
+    out, _ = assert_form_and_round_trip(predictive.encode_abs, x, 0.5, width)
     assert np.all(np.abs(x.astype(np.float64) - out) <= 0.5)
 
     pw = 1e-3
@@ -556,7 +596,7 @@ def test_round_trip_on_both_sides_of_the_huffman_line(alphabet, picks, zeros, wi
     y[[z % y.size for z in zeros]] = 0.0
     if width == 4:
         y = y.astype(np.float32)
-    out = assert_form_and_round_trip(predictive.encode_pwrel, y, pw, width)
+    out, _ = assert_form_and_round_trip(predictive.encode_pwrel, y, pw, width)
     y = y.astype(np.float64)
     assert np.all(np.abs(y - out) <= pw * np.abs(y))
 
@@ -568,24 +608,141 @@ def deflated_section(buf, width=8):
     return count, off
 
 
-def test_pwrel_zeros_beside_short_jumps_take_one_byte_plane():
+def test_pwrel_zeros_beside_short_jumps_pack_four_bits_a_code():
     # a pw_rel block with zeros (flag 8) codes a zero as 1 and its jumps
-    # one higher, so zeros among jumps of a few steps keep every code below
-    # 256; without zeros its codes are the jumps' codes under abs
+    # one higher, so zeros put among jumps of a few steps keep every code
+    # below 16, and the codes pack two to a byte; without zeros its codes
+    # are the jumps' codes under abs
     pw = 1e-3
     x = np.exp(np.cumsum(np.tile([1, -2, 3, 5], 100)) * 2 * np.log1p(pw))
     buf, _, plain = coded_codes(predictive.encode_pwrel, x, pw, 8)
-    assert buf[0] == predictive._FLAG_SIGNS | predictive._FLAG_DEFLATED
+    assert buf[0] & 0xF == predictive._FLAG_SIGNS | predictive._FLAG_DEFLATED
     assert plain.tolist() == reference_codes([None] + ([1, -2, 3, 5] * 100)[1:])
-    x[::7] = 0.0
+    x = np.insert(x, np.arange(3, x.size, 7), 0.0)
     buf, recon, codes = coded_codes(predictive.encode_pwrel, x, pw, 8)
     assert buf[0] & predictive._FLAG_ZEROS
     assert np.array_equal(codes == predictive.ZERO, x == 0.0)
+    assert codes.max() == 12  # the jump 5 codes as 11, one higher beside zeros
     n, off = deflated_section(buf)
-    assert len(lossless.lossless_decode(buf[off:])) == n
+    assert pack_field(buf[0]) == PACK_FIELD[4]
+    assert lossless.lossless_decode(buf[off:]) == reference_pack(codes.tolist(), 4)
+    assert len(lossless.lossless_decode(buf[off:])) == -(-n // 2)
     out = predictive.decode(buf, 8, x.size)
     assert out.tobytes() == recon.tobytes()
     assert np.array_equal(out == 0.0, x == 0.0)
+
+
+def code_jumps(codes):
+    """The jump each nonzero code stands for (the inverse of reference_codes)."""
+    return [(c - 1) // 2 if c % 2 else -(c // 2) for c in codes]
+
+
+@st.composite
+def narrow_walks(draw, tops=(1, 2, 3, 4, 5, 15, 16, 17, 255, 256, 257)):
+    """(jump codes, width, zero positions): one-column integer walks whose
+    largest jump code lies on either side of 2, 4, 16 and 256, of every
+    code count mod 8."""
+    top = draw(st.sampled_from(tops))
+    n = 8 * draw(st.integers(0, 12)) + draw(st.integers(0, 7))
+    codes = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    codes.insert(draw(st.integers(0, n)), top)
+    zeros = draw(st.lists(st.integers(0, n + 1), max_size=5))
+    return codes, draw(st.sampled_from([4, 8])), zeros
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=narrow_walks())
+def test_round_trip_of_codes_around_every_packing_width(case):
+    # abs: a unit walk at step 1 codes exactly the drawn codes after its
+    # opening literal.  pw_rel: the same walk in log-magnitude steps, with
+    # zeros put between its values, codes a zero as 1 and every jump one
+    # higher (flag 8); without zeros its codes are the abs ones
+    jump_codes, width, zeros = case
+    dtype = np.float32 if width == 4 else np.float64
+    x = np.cumsum([0.0] + code_jumps(jump_codes)).astype(dtype)
+    out, codes = assert_form_and_round_trip(predictive.encode_abs, x, 0.5, width)
+    assert codes.tolist() == [0] + jump_codes
+    assert out.tolist() == x.tolist()
+
+    pw = 1e-3
+    y = np.exp(np.cumsum([0.0] + code_jumps(jump_codes)) * 2 * np.log1p(pw))
+    y *= np.where(np.arange(y.size) % 3, 1.0, -1.0)
+    y = np.insert(y, sorted(z % (y.size + 1) for z in zeros), 0.0).astype(dtype)
+    buf, _ = predictive.encode_pwrel(y, pw, width)
+    out, codes = assert_form_and_round_trip(predictive.encode_pwrel, y, pw, width)
+    shift = int(bool(zeros))
+    if not buf[0] & predictive._FLAG_VERBATIM:
+        assert bool(buf[0] & predictive._FLAG_ZEROS) == bool(zeros)
+    assert codes[y != 0].tolist() == [0] + [c + shift for c in jump_codes]
+    assert (codes[y == 0] == predictive.ZERO).all()
+    y = y.astype(np.float64)
+    assert np.all(np.abs(y - out) <= pw * np.abs(y))
+    assert np.array_equal(out == 0.0, y == 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=narrow_walks(tops=(1, 2, 3, 4, 5, 9, 15, 16, 17, 100, 255)))
+def test_code_frame_is_never_longer_than_one_byte_plane_huffman_only(case):
+    jump_codes, width, _ = case
+    x = np.cumsum([0.0] + code_jumps(jump_codes))
+    buf, _ = predictive.encode_abs(x, 0.5, width)
+    if buf[0] & predictive._FLAG_VERBATIM:
+        return
+    _, off = deflated_section(buf, width)
+    plane = lossless.lossless_encode(reference_planes([0] + jump_codes), zlib.Z_HUFFMAN_ONLY)
+    assert len(buf) - off <= len(plane)
+
+
+def packed_stream(codes, bits, flags=predictive._FLAG_DEFLATED, data=None):
+    """An f64 one-column abs stream on a unit grid from 0, whose codes (a
+    literal first) are packed `bits` wide, or given as the frame's data."""
+    data = reference_pack(codes, bits) if data is None else data
+    return b"".join((
+        predictive._HEAD.pack(flags | PACK_FIELD[bits] << 4, len(codes), 1),
+        np.array([(1.0, 1)], predictive._COLUMN).tobytes(),
+        np.zeros(1, "<f8").tobytes(),
+        lossless.lossless_encode(data),
+    ))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4])
+def test_hand_packed_codes_decode_high_bits_first(bits):
+    # codes 1 (a jump of 0) and 2**bits - 1, after the literal 0: a count
+    # that leaves pad slots in the last byte, which hold zeros
+    codes = [0] + [1, (1 << bits) - 1] * 4 + [1]
+    out = predictive.decode(packed_stream(codes, bits), 8, len(codes))
+    assert out.tolist() == np.cumsum([0.0] + code_jumps(codes[1:])).tolist()
+    assert reference_pack([1] + [0] * (8 // bits - 1), bits) == bytes([1 << 8 - bits])
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4])
+@pytest.mark.parametrize(
+    "damage", ["short", "long", "pad-bit", "no-flag-4", "no-flag-4-no-codes", "verbatim"]
+)
+def test_damaged_packed_codes_raise_codec_error(bits, damage):
+    codes = [0] + [1] * 10  # 11 codes: the last byte has pad slots at every width
+    packed = reference_pack(codes, bits)
+    assert predictive.decode(packed_stream(codes, bits), 8, len(codes)).tolist() == [0.0] * 11
+    if damage == "short":
+        bad = packed_stream(codes, bits, data=packed[:-1])
+    elif damage == "long":
+        bad = packed_stream(codes, bits, data=packed + b"\0")
+    elif damage == "pad-bit":
+        bad = packed_stream(codes, bits, data=packed[:-1] + bytes([packed[-1] | 1]))
+    elif damage == "no-flag-4":
+        bad = packed_stream(codes, bits, flags=0)
+    elif damage == "no-flag-4-no-codes":  # the one column stored raw: no code section
+        bad = b"".join((
+            predictive._HEAD.pack(PACK_FIELD[bits] << 4, len(codes), 1),
+            np.array([(0.0, len(codes))], predictive._COLUMN).tobytes(),
+            np.zeros(len(codes), "<f8").tobytes(),
+        ))
+        assert predictive.decode(bytes([0]) + bad[1:], 8, len(codes)).tolist() == [0.0] * 11
+    else:  # pack bits on a block stored raw
+        raw = predictive.encode_verbatim(np.arange(11.0), 8)
+        bad = bytes([raw[0] | PACK_FIELD[bits] << 4]) + raw[1:]
+    with pytest.raises(CodecError):
+        predictive.decode(bad, 8, len(codes))
 
 
 def refit_frame(buf, frame):
@@ -966,12 +1123,14 @@ def golden_inputs():
     mags[[7, 11, 19], [0, 1, 2]] = [np.nan, np.inf, -np.inf]  # column 3 has no zero
     tame = np.cumsum(np.abs(rng.normal(size=2000))) + 1.0
     tame[::17] = -tame[::17]
+    slow = np.cumsum(rng.normal(size=2000)) * 1e-3  # codes below 16, 4 and 2 at 1e-3..1e-1
     return [
         ("abs-one-column", predictive.encode_abs, walk, 1.0),
         ("abs-16-columns", predictive.encode_abs, block, scale),
         ("abs-verbatim-block", predictive.encode_abs, noise, 1.0),
         ("pwrel-ragged-block", predictive.encode_pwrel, mags, None),
         ("pwrel-one-column", predictive.encode_pwrel, tame, None),
+        ("abs-narrow-codes", predictive.encode_abs, slow, 1.0),
     ]
 
 
@@ -990,7 +1149,7 @@ def predictive_digests():
 
 
 # sha256 of (stream, encoder reconstruction, decode) per case, from the
-# container-version-9 predictive format
+# container-version-10 predictive format
 PREDICTIVE_DIGESTS = {
     "abs-one-column f32 1e-07": "2d98038bb03666c7",
     "abs-one-column f32 1e-06": "650e6c92ab66ed39",
@@ -1054,19 +1213,43 @@ PREDICTIVE_DIGESTS = {
     "pwrel-one-column f32 0.0001": "17539be656cc643f",
     "pwrel-one-column f32 0.001": "3f8accbb298459dc",
     "pwrel-one-column f32 0.01": "e94178f2ab389dfa",
-    "pwrel-one-column f32 0.1": "e88da894a1f93ede",
+    "pwrel-one-column f32 0.1": "033ac8947eb06907",
     "pwrel-one-column f64 1e-07": "e8770923bc8f8cf9",
     "pwrel-one-column f64 1e-06": "3a2c7c0fb123be05",
     "pwrel-one-column f64 1e-05": "46f35f401547074a",
     "pwrel-one-column f64 0.0001": "9df33d5ef557253f",
     "pwrel-one-column f64 0.001": "cd41fd0a58ef49a0",
     "pwrel-one-column f64 0.01": "1a71821251b6cb32",
-    "pwrel-one-column f64 0.1": "ec6868d44cb758ac",
+    "pwrel-one-column f64 0.1": "c5bd3ab4ee3b5c39",
+    "abs-narrow-codes f32 1e-07": "9b1926c2c60a36d0",
+    "abs-narrow-codes f32 1e-06": "cd2efe958ee4c4c6",
+    "abs-narrow-codes f32 1e-05": "c2a7a6de85b697fb",
+    "abs-narrow-codes f32 0.0001": "d248994ee657620f",
+    "abs-narrow-codes f32 0.001": "ae6a563b1a2f3169",
+    "abs-narrow-codes f32 0.01": "1441254c09f001c2",
+    "abs-narrow-codes f32 0.1": "086bf4267604e19f",
+    "abs-narrow-codes f64 1e-07": "02da97f0c3417511",
+    "abs-narrow-codes f64 1e-06": "f591873fcf70adc5",
+    "abs-narrow-codes f64 1e-05": "d7b6ca407c24c342",
+    "abs-narrow-codes f64 0.0001": "21ef7787617147cb",
+    "abs-narrow-codes f64 0.001": "c255ce13c715e27b",
+    "abs-narrow-codes f64 0.01": "e9bc2c4e700bea95",
+    "abs-narrow-codes f64 0.1": "884c221c4d2a73fa",
 }
 
 
 def test_predictive_streams_match_golden_digests():
     assert predictive_digests() == PREDICTIVE_DIGESTS
+
+
+def test_golden_narrow_codes_reach_every_packing():
+    # the narrow-codes case packs its codes 4, 2 and 1 bits each at 1e-3,
+    # 1e-2 and 1e-1, so the digests pin each packed form
+    (x,) = [x for name, _, x, _ in golden_inputs() if name == "abs-narrow-codes"]
+    for c, field in ((1e-3, PACK_FIELD[4]), (1e-2, PACK_FIELD[2]), (1e-1, PACK_FIELD[1])):
+        for width in (4, 8):
+            buf, _ = predictive.encode_abs(x, c, width)
+            assert buf[0] & predictive._FLAG_DEFLATED and pack_field(buf[0]) == field
 
 
 def test_golden_inputs_reach_the_verbatim_paths():
