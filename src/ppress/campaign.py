@@ -22,15 +22,16 @@ A campaign runs each distinct evaluation once: evaluation is deterministic in
 its cache key, so a configuration it has already scored (a ladder end point
 that was a boundary probe, a configuration two domains share) comes back,
 marked cached, from an in-memory table of ``ok`` records that starts as the
-records in the pair's cache log, or empty without one.
+records in the pair's cache log, or empty without one.  The codecs are
+deterministic too, so the replicate seeds of a bound share one codec run.
 
 Search probes score the predictive and bit-plane codecs on the
 reconstruction their encoders return, which the decoders rebuild byte for
 byte, and skip decoding; their records carry no decode timing.  The ladder,
 whose records feed the core-count model, decodes every point.  Its ends were
-probes, so the campaign keeps the streams of its current domain's undecoded
-probes and a ladder end decodes its probe's stream; the application does not
-run again.
+probes, so the campaign keeps the codec runs of its current domain's
+undecoded probes and a ladder end decodes its probe's streams; the
+application does not run again.
 
 Codec quality degrades monotonically as compression grows, so boundary
 searches bisect.  A bit-plane or truncation stream depends on its bound only
@@ -238,8 +239,8 @@ class EvaluationRecord:
 
 # cache key -> the first ok record of that evaluation in one campaign
 Memo = dict[str, EvaluationRecord]
-# cache key of an ok record scored without decoding -> its parts' artifacts
-Undecoded = dict[str, dict[str, container.Artifact]]
+# configuration -> its codec run: each compressed part's artifact and compress seconds
+Runs = dict[ReducerConfig, dict[str, tuple[container.Artifact, float]]]
 
 
 class RecordStore:
@@ -410,7 +411,7 @@ def eval_config(
     memo: Memo | None = None,
     *,
     decode: bool = True,
-    undecoded: Undecoded | None = None,
+    runs: Runs | None = None,
 ) -> EvaluationRecord:
     """Compress, restore, run the application, and summarize the point.
 
@@ -421,15 +422,17 @@ def eval_config(
     every ok record computed goes into it and, given an open cache log
     ``cache``, is appended there.
 
-    With ``decode=False`` a part whose encoder kept its reconstruction (the
+    ``runs`` holds codec runs of this pair and target by configuration.
+    The codecs are deterministic, so a run found there stands in for
+    compressing, and the record carries its compress timing.  With
+    ``decode=False`` a part whose encoder kept its reconstruction (the
     predictive and bit-plane codecs) is scored on that, which decompress
     rebuilds byte for byte, so the record has no decode timing:
-    ``decompress_mbps`` None and ``t_decompress`` 0; ``undecoded``, when
-    given, keeps such a record's artifacts.  With ``decode=True`` a hit on
-    such a record is served as a cached copy of it with a decode timing of
-    its own, which replaces it in the memo and the cache log: its
-    artifacts in ``undecoded`` are decoded and dropped, or, when it has
-    none there, its parts are compressed and decoded again.  The
+    ``decompress_mbps`` None and ``t_decompress`` 0; such a call stores the
+    run it compressed in ``runs``.  With ``decode=True`` a hit on such a
+    record is served as a cached copy of it with a decode timing of its
+    own, which replaces it in the memo and the cache log: its parts are
+    decoded from their run, or compressed and decoded without one.  The
     application does not run again.
     """
     if compress_target not in ("train", "validation", "both"):
@@ -453,75 +456,64 @@ def eval_config(
     psi = None
     report: dict | None = None
     ok = True
-    decoded = False
     err_msg = None
     try:
-        if hit is not None:  # only the decode timing is missing
-            kept = undecoded.pop(key, None) if undecoded is not None else None
-            for name, ds in parts.items():
-                art = kept[name] if kept is not None else compress(ds, config)[0]
-                t_dec += decompress(art, names=ds.names)[1]
-            rec = replace(hit, decompress_mbps=total_bytes / 1e6 / max(t_dec, 1e-12),
-                          t_decompress=t_dec)
-            if memo is not None:
-                memo[key] = rec
-            if cache is not None:
-                cache.append(rec)
-            return replace(rec, cached=True)
+        run = runs.get(config) if runs is not None else None
+        if run is None:
+            run = {name: compress(ds, config)[:2] for name, ds in parts.items()}
+            if runs is not None and not decode:
+                runs[config] = run
         restored = {"train": pair.train, "validation": pair.validation}
-        artifacts = {}
         for name, ds in parts.items():
-            art, dt, _ = compress(ds, config)
+            art, dt = run[name]
             t_comp += dt
             out = None if decode else reconstruction(art, ds.names)
-            # the artifact outlives this loop without the encoder's values
-            artifacts[name] = art = replace(art, restored=None)
             if out is None:
                 out, dt, _ = decompress(art, names=ds.names)
                 t_dec += dt
-                decoded = True
+                d_mbps = total_bytes / 1e6 / max(t_dec, 1e-12)
             restored[name] = out
-        ratio = compression_ratio(*artifacts.values())
-        if config.method not in SAMPLING_METHODS:
-            report = {name: dict(vars(error_report(ds, restored[name])))
-                      for name, ds in parts.items()}
-        c_mbps = total_bytes / 1e6 / max(t_comp, 1e-12)
-        if decoded:
-            d_mbps = total_bytes / 1e6 / max(t_dec, 1e-12)
-        psi, t_app = run_application(restored["train"], restored["validation"], app)
+        if hit is None:  # else only the decode timing was missing
+            ratio = compression_ratio(*(art for art, _ in run.values()))
+            if config.method not in SAMPLING_METHODS:
+                report = {name: dict(vars(error_report(ds, restored[name])))
+                          for name, ds in parts.items()}
+            c_mbps = total_bytes / 1e6 / max(t_comp, 1e-12)
+            psi, t_app = run_application(restored["train"], restored["validation"], app)
     except PpressError as exc:
-        ok = False
+        ok, hit = False, None  # a failed decode gives a failed record, not a timed copy
         err_msg = f"{type(exc).__name__}: {exc}"
 
-    rec = EvaluationRecord(
-        record_id=key,
-        dataset_id=pair.id,
-        app_id=app.id,
-        config=config_dict,
-        compress_target=compress_target,
-        seed=app.seed,
-        ok=ok,
-        error=err_msg,
-        ratio=ratio,
-        compress_mbps=c_mbps,
-        decompress_mbps=d_mbps,
-        psi=psi,
-        metric=app.metric.name.value,
-        direction=app.metric.direction,
-        report=report,
-        t_compress=t_comp,
-        t_decompress=t_dec,
-        t_app=t_app,
-        timestamp=time.time(),
-        cached=False,
-    )
+    if hit is not None:
+        rec = replace(hit, decompress_mbps=d_mbps, t_decompress=t_dec)
+    else:
+        rec = EvaluationRecord(
+            record_id=key,
+            dataset_id=pair.id,
+            app_id=app.id,
+            config=config_dict,
+            compress_target=compress_target,
+            seed=app.seed,
+            ok=ok,
+            error=err_msg,
+            ratio=ratio,
+            compress_mbps=c_mbps,
+            decompress_mbps=d_mbps,
+            psi=psi,
+            metric=app.metric.name.value,
+            direction=app.metric.direction,
+            report=report,
+            t_compress=t_comp,
+            t_decompress=t_dec,
+            t_app=t_app,
+            timestamp=time.time(),
+            cached=False,
+        )
     if ok and memo is not None:
         memo[key] = rec
-    if ok and not decoded and undecoded is not None:
-        undecoded[key] = artifacts
     if ok and cache is not None:
         cache.append(rec)
-    return rec
+    return rec if hit is None else replace(rec, cached=True)
 
 
 @dataclass(frozen=True)
@@ -837,8 +829,10 @@ def run_campaign(
     stored; the records of all steps, in order, are the return value.  A
     configuration the campaign has already evaluated comes back as a cached
     copy of its first record; a ladder point that was a search probe, which
-    the search scored without decoding, decodes that probe's stream for its
-    timing.  ``store`` and the pair's cache log in ``cache_dir``
+    the search scored without decoding, decodes that probe's streams for its
+    timing.  The codec runs once per configuration: every replicate seed of
+    a bound is scored on one run's streams and carries its compress timing.
+    ``store`` and the pair's cache log in ``cache_dir``
     (EvaluationCache) stay open until the campaign ends; the log is read
     once, as it starts.
     """
@@ -855,8 +849,9 @@ def run_campaign(
     records: list[EvaluationRecord] = []
     cache = EvaluationCache(cache_dir, pair) if cache_dir is not None else None
     memo: Memo = {}
-    # the current domain's undecoded probes, for its ladder ends to decode
-    undecoded: Undecoded = {}
+    # the codec runs of the bound being scored and of the current domain's
+    # undecoded probes, for its ladder ends to decode
+    runs: Runs = {}
 
     def emit(recs) -> tuple[EvaluationRecord, ...]:
         start = len(records)
@@ -874,15 +869,19 @@ def run_campaign(
         app: Application, config: ReducerConfig, failure: str
     ) -> tuple[float, float, tuple[EvaluationRecord, ...]]:
         """(median, spread, records) of config over the replicate seeds; the
-        records are stored before a failure is raised.  A codec that keeps
-        its reconstruction is scored on it, not decoded (see eval_config)."""
+        records are stored before a failure is raised.  The replicates share
+        one codec run, and a codec that keeps its reconstruction is scored
+        on it, not decoded (see eval_config); only such a run is kept, for
+        the ladder, and without the reconstruction."""
         recs = emit(
             eval_config(pair, replace(app, seed=app.seed + i), config, compress_target,
-                        cache, memo, decode=False,
-                        # the ladder evaluates the first replicate's seed
-                        undecoded=undecoded if i == 0 else None)
+                        cache, memo, decode=False, runs=runs)
             for i in range(spec.replicates)
         )
+        run = runs.pop(config, None)
+        if run is not None and all(art.restored is not None for art, _ in run.values()):
+            runs[config] = {name: (replace(art, restored=None), dt)
+                            for name, (art, dt) in run.items()}
         return *_replicate_median(recs, failure), recs
 
     def domain_probe(app: Application, domain: SearchDomain) -> tuple[ProbeFn, dict[float, float]]:
@@ -902,8 +901,7 @@ def run_campaign(
 
     def evaluate_ladder(app: Application, configs: Sequence[ReducerConfig]):
         def one(config: ReducerConfig) -> EvaluationRecord:
-            return eval_config(pair, app, config, compress_target, cache, memo,
-                               undecoded=undecoded)
+            return eval_config(pair, app, config, compress_target, cache, memo, runs=runs)
 
         if parallelism > 1:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
@@ -935,7 +933,7 @@ def run_campaign(
                     notify(DomainSearched(app, index, entry, (), reason=failed))
                     continue
                 start = len(records)
-                undecoded.clear()
+                runs.clear()
                 probe, ratios = domain_probe(app, entry)
                 upper = None
                 try:

@@ -327,14 +327,14 @@ def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
         vals, off = section(buf, off, int(n_lit.sum()) * width, "literals", last=count == 0)
     with np.errstate(invalid="ignore"):  # a signalling NaN is a value like any other
         vals = np.frombuffer(vals, WIDTH_DTYPES[width]).astype(np.float64)
+    if bool(flags & _FLAG_DEFLATED) != (count > 0):
+        raise CodecError("flag 4 (deflated codes) is set unless the block codes no column")
     if count == 0:
         return vals
     neg = None
     if flags & _FLAG_SIGNS:
         mask, off = section(buf, off, (count + 7) // 8, "sign mask")
         neg = np.unpackbits(np.frombuffer(mask, np.uint8), count=count).astype(bool)
-    if not flags & _FLAG_DEFLATED:
-        raise CodecError("a block that codes a column does not deflate its codes")
     planes = lossless.lossless_decode(buf[off:])  # runs to the end of the stream
     pack = (flags & _PACK_FLAGS) >> _PACK_SHIFT
     if pack:

@@ -1078,7 +1078,7 @@ def test_boundaries_that_stop_on_one_bracket_are_split_by_the_whole_budget(monke
     pair = linear_pair(n=40)
     real = eval_config(pair, ridge_app(), ReducerConfig(Method.NONE))
 
-    def synthetic(pair, app, config, *args, decode=True, undecoded=None):
+    def synthetic(pair, app, config, *args, decode=True, runs=None):
         bound = config.bound if config.c else 0.0
         return replace(real, record_id=config.label(), config=config.to_dict(),
                        psi=quality(bound), ratio=ratio(bound) if bound else 1.0)
@@ -1163,12 +1163,12 @@ def spy_application(monkeypatch):
 
 
 def without_memo(monkeypatch):
-    """Make the campaign's evaluations ignore its in-run memo and the
-    artifacts it keeps for the ladder."""
+    """Make the campaign's evaluations ignore its in-run memo and the codec
+    runs it shares among replicates and keeps for the ladder."""
     real = campaign.eval_config
 
     def plain(pair, app, config, compress_target="both", cache=None, memo=None, *,
-              decode=True, undecoded=None):
+              decode=True, runs=None):
         return real(pair, app, config, compress_target, cache, decode=decode)
 
     monkeypatch.setattr(campaign, "eval_config", plain)
@@ -1182,7 +1182,7 @@ def searched(steps):
     ]
 
 
-@pytest.mark.parametrize("replicates", [1, 2])
+@pytest.mark.parametrize("replicates", [1, 2, 3])
 def test_run_campaign_evaluates_each_configuration_once(monkeypatch, replicates):
     pair = linear_pair(n=100)
     app = ridge_app()
@@ -1193,13 +1193,16 @@ def test_run_campaign_evaluates_each_configuration_once(monkeypatch, replicates)
     runs = spy_application(monkeypatch)
     steps = []
     records = run_campaign(pair, [app], methods, spec, observer=steps.append)
-    # one evaluation, of both parts, per distinct record; each seed its own.
-    # A ladder end decodes its probe's stream rather than compressing again.
-    distinct = {r.record_id: r for r in records}.values()
+    # one codec run, of both parts, per distinct configuration, which its
+    # replicate seeds share; a ladder end decodes its probe's stream rather
+    # than compressing again
+    configs = {ReducerConfig.from_dict(r.config) for r in records}
     assert Counter(calls) == Counter(
-        (part.id, ReducerConfig.from_dict(r.config))
-        for r in distinct for part in (pair.train, pair.validation)
+        (part.id, config) for config in configs for part in (pair.train, pair.validation)
     )
+    # so every record of a configuration carries its run's compress timing
+    timings = {(json.dumps(r.config, sort_keys=True), r.t_compress) for r in records}
+    assert len(timings) == len(configs)
     # one application run per distinct record, in the order of their first
     # records
     fresh = [r for r in records if not r.cached]
@@ -1232,6 +1235,38 @@ def test_run_campaign_evaluates_each_configuration_once(monkeypatch, replicates)
     assert [r.content_key() for r in plain] == [r.content_key() for r in records]
     assert not any(r.cached for r in plain)
     assert searched(plain_steps) == searched(steps)
+
+
+def test_a_campaign_holds_one_configurations_reconstructions_at_a_time(monkeypatch):
+    pair = linear_pair(n=100)
+    spec = SearchSpec(tau=0.5, n_candidates=4, eta=5e-3, max_iters=6, replicates=3)
+    methods = [
+        pred_domain(1e-8, 1.0),
+        SearchDomain(Method.EBLC_BITPLANE, Mode.ACC, 1e-6, 10.0),
+        SearchDomain(Method.SAMPLE_WOR, Mode.NONE, 0.2, 1.0, scale="linear"),
+        ReducerConfig(Method.LOSSLESS),
+    ]
+    real = campaign.eval_config
+    seen = []  # (decode, configurations holding reconstructions, methods kept)
+
+    def spy(*args, decode=True, runs=None):
+        if runs is not None:
+            holding = [c for c, run in runs.items()
+                       if any(art.restored is not None for art, _ in run.values())]
+            seen.append((decode, holding, {c.method for c in runs}))
+        return real(*args, decode=decode, runs=runs)
+
+    monkeypatch.setattr(campaign, "eval_config", spy)
+    records = run_campaign(pair, [ridge_app()], methods, spec)
+    assert all(r.ok for r in records)
+    assert all(len(holding) <= 1 for _, holding, _ in seen)
+    # a bound's later replicates score the reconstructions its first one kept
+    assert any(holding for decode, holding, _ in seen if not decode)
+    # the ladder sees no reconstruction, only the streams of probes that
+    # were scored on theirs
+    ladder = [(holding, methods) for decode, holding, methods in seen if decode]
+    assert ladder and all(not holding for holding, _ in ladder)
+    assert set().union(*(m for _, m in ladder)) <= {Method.EBLC_PRED, Method.EBLC_BITPLANE}
 
 
 def test_run_campaign_retries_failed_configurations(monkeypatch):
@@ -1412,10 +1447,15 @@ def undecoded(rec):
     return rec.config["method"] in ("eblc_pred", "eblc_bitplane")
 
 
-@pytest.mark.parametrize("cache", [False, True])
-def test_probes_skip_decoding_and_the_ladder_decodes_every_point(tmp_path, monkeypatch, cache):
+@pytest.mark.parametrize(
+    "cache, replicates", [(False, 1), (True, 1), (False, 3), (True, 3)],
+    ids=["False", "True", "False-3", "True-3"],
+)
+def test_probes_skip_decoding_and_the_ladder_decodes_every_point(
+    tmp_path, monkeypatch, cache, replicates
+):
     pair = linear_pair(n=100)
-    spec = SearchSpec(tau=0.5, n_candidates=4, eta=5e-3, max_iters=6)
+    spec = SearchSpec(tau=0.5, n_candidates=4, eta=5e-3, max_iters=6, replicates=replicates)
     methods = [
         pred_domain(1e-8, 1.0),
         SearchDomain(Method.EBLC_BITPLANE, Mode.ACC, 1e-6, 10.0),
@@ -1428,8 +1468,10 @@ def test_probes_skip_decoding_and_the_ladder_decodes_every_point(tmp_path, monke
     records = run_campaign(pair, [ridge_app()], methods, spec, cache_dir=cache_dir,
                            observer=steps.append)
     assert all(r.ok for r in records)
-    # each ladder end decodes its probe's stream: no part is compressed twice
-    assert len(calls) == len(set(calls)) == 2 * len({r.record_id for r in records})
+    # the replicates of a bound share its streams, and each ladder end
+    # decodes them: no part is compressed twice
+    configs = {ReducerConfig.from_dict(r.config) for r in records}
+    assert len(calls) == len(set(calls)) == 2 * len(configs)
     domains = [s for s in steps if isinstance(s, DomainSearched)]
     assert len(domains) == 3 and all(s.ladder is not None for s in domains)
     for step in domains:
@@ -1450,7 +1492,7 @@ def test_probes_skip_decoding_and_the_ladder_decodes_every_point(tmp_path, monke
             assert end.content_key() == probe.content_key()
             assert (end.t_app, end.timestamp) == (probe.t_app, probe.timestamp)
     others = [r for r in records if r.config["method"] in ("none", "lossless")]
-    assert len(others) == 2 and all(r.decompress_mbps > 0 for r in others)
+    assert len(others) == replicates + 1 and all(r.decompress_mbps > 0 for r in others)
     if not cache:
         return
 

@@ -717,7 +717,9 @@ def test_hand_packed_codes_decode_high_bits_first(bits):
 
 @pytest.mark.parametrize("bits", [1, 2, 4])
 @pytest.mark.parametrize(
-    "damage", ["short", "long", "pad-bit", "no-flag-4", "no-flag-4-no-codes", "verbatim"]
+    "damage",
+    ["short", "long", "pad-bit", "no-flag-4", "no-flag-4-no-codes", "flag-4-no-codes",
+     "flag-4-pack-no-codes", "verbatim"],
 )
 def test_damaged_packed_codes_raise_codec_error(bits, damage):
     codes = [0] + [1] * 10  # 11 codes: the last byte has pad slots at every width
@@ -731,9 +733,11 @@ def test_damaged_packed_codes_raise_codec_error(bits, damage):
         bad = packed_stream(codes, bits, data=packed[:-1] + bytes([packed[-1] | 1]))
     elif damage == "no-flag-4":
         bad = packed_stream(codes, bits, flags=0)
-    elif damage == "no-flag-4-no-codes":  # the one column stored raw: no code section
+    elif damage.endswith("no-codes"):  # the one column stored raw: no code section
+        flags = {"no-flag-4-no-codes": PACK_FIELD[bits] << 4, "flag-4-no-codes": 4,
+                 "flag-4-pack-no-codes": 4 | PACK_FIELD[bits] << 4}[damage]
         bad = b"".join((
-            predictive._HEAD.pack(PACK_FIELD[bits] << 4, len(codes), 1),
+            predictive._HEAD.pack(flags, len(codes), 1),
             np.array([(0.0, len(codes))], predictive._COLUMN).tobytes(),
             np.zeros(len(codes), "<f8").tobytes(),
         ))
