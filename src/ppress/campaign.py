@@ -65,10 +65,9 @@ import os
 import statistics
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -239,8 +238,19 @@ class EvaluationRecord:
 
 # cache key -> the first ok record of that evaluation in one campaign
 Memo = dict[str, EvaluationRecord]
-# configuration -> its codec run: each compressed part's artifact and compress seconds
-Runs = dict[ReducerConfig, dict[str, tuple[container.Artifact, float]]]
+
+
+class PartRun(NamedTuple):
+    """One compressed part of a codec run: its artifact and compress
+    seconds, and, once a replicate has decoded it, the restored table and
+    the decode seconds, for the bound's later replicates."""
+    artifact: container.Artifact
+    t_compress: float
+    decoded: tuple[Dataset, float] | None = None
+
+
+# configuration -> its codec run, by compressed part
+Runs = dict[ReducerConfig, dict[str, PartRun]]
 
 
 class RecordStore:
@@ -429,11 +439,14 @@ def eval_config(
     predictive and bit-plane codecs) is scored on that, which decompress
     rebuilds byte for byte, so the record has no decode timing:
     ``decompress_mbps`` None and ``t_decompress`` 0; such a call stores the
-    run it compressed in ``runs``.  With ``decode=True`` a hit on such a
-    record is served as a cached copy of it with a decode timing of its
-    own, which replaces it in the memo and the cache log: its parts are
-    decoded from their run, or compressed and decoded without one.  The
-    application does not run again.
+    run it compressed in ``runs``.  A part of a codec that keeps no
+    reconstruction (the baseline, sampling, truncation) is decoded once:
+    the table is kept with the part's run, and the bound's later
+    replicates score it and carry its decode timing.  With ``decode=True``
+    a hit on such a record is served as a cached copy of it with a decode
+    timing of its own, which replaces it in the memo and the cache log: its
+    parts are decoded from their run, or compressed and decoded without
+    one.  The application does not run again.
     """
     if compress_target not in ("train", "validation", "both"):
         raise ConfigError(f"bad compress_target {compress_target!r}")
@@ -459,22 +472,27 @@ def eval_config(
     err_msg = None
     try:
         run = runs.get(config) if runs is not None else None
+        keep = runs is not None and not decode
         if run is None:
-            run = {name: compress(ds, config)[:2] for name, ds in parts.items()}
-            if runs is not None and not decode:
+            run = {name: PartRun(*compress(ds, config)[:2]) for name, ds in parts.items()}
+            if keep:
                 runs[config] = run
         restored = {"train": pair.train, "validation": pair.validation}
         for name, ds in parts.items():
-            art, dt = run[name]
+            art, dt, decoded = run[name]
             t_comp += dt
             out = None if decode else reconstruction(art, ds.names)
             if out is None:
-                out, dt, _ = decompress(art, names=ds.names)
+                if decoded is None:
+                    decoded = decompress(art, names=ds.names)[:2]
+                    if keep:
+                        run[name] = PartRun(art, dt, decoded)
+                out, dt = decoded
                 t_dec += dt
                 d_mbps = total_bytes / 1e6 / max(t_dec, 1e-12)
             restored[name] = out
         if hit is None:  # else only the decode timing was missing
-            ratio = compression_ratio(*(art for art, _ in run.values()))
+            ratio = compression_ratio(*(part.artifact for part in run.values()))
             if config.method not in SAMPLING_METHODS:
                 report = {name: dict(vars(error_report(ds, restored[name])))
                           for name, ds in parts.items()}
@@ -879,9 +897,9 @@ def run_campaign(
             for i in range(spec.replicates)
         )
         run = runs.pop(config, None)
-        if run is not None and all(art.restored is not None for art, _ in run.values()):
-            runs[config] = {name: (replace(art, restored=None), dt)
-                            for name, (art, dt) in run.items()}
+        if run is not None and all(part.artifact.restored is not None for part in run.values()):
+            runs[config] = {name: PartRun(replace(art, restored=None), dt)
+                            for name, (art, dt, _) in run.items()}
         return *_replicate_median(recs, failure), recs
 
     def domain_probe(app: Application, domain: SearchDomain) -> tuple[ProbeFn, dict[float, float]]:
@@ -904,6 +922,8 @@ def run_campaign(
             return eval_config(pair, app, config, compress_target, cache, memo, runs=runs)
 
         if parallelism > 1:
+            from concurrent.futures import ThreadPoolExecutor  # a serial run skips its import
+
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
                 return emit(pool.map(one, configs))
         return emit(map(one, configs))

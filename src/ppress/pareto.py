@@ -8,7 +8,6 @@ along the front and turns hypervolume into a single left-to-right sweep.
 
 from __future__ import annotations
 
-import xml.sax.saxutils as saxutils
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -180,6 +179,12 @@ def _scales(points, width, height, margin):
     return sx, sy
 
 
+def _escape(text: str) -> str:
+    """Escape &, < and > in SVG text, as xml.sax.saxutils.escape does,
+    without importing the XML package and the network modules it pulls in."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def front_svg(
     points: Sequence[ObjectivePoint],
     fronts: Sequence[Front] = (),
@@ -225,7 +230,7 @@ def front_svg(
         parts.append(
             f'<circle cx="{sx(p.cr):.2f}" cy="{sy(p.q):.2f}" r="3.5" '
             f'fill="{color[p.method]}" fill-opacity="0.8">'
-            f"<title>{saxutils.escape(p.method)} cr={p.cr:.4g} q={p.q:.4g}</title>"
+            f"<title>{_escape(p.method)} cr={p.cr:.4g} q={p.q:.4g}</title>"
             f"</circle>"
         )
     for i, m in enumerate(methods):
@@ -235,7 +240,7 @@ def front_svg(
         )
         parts.append(
             f'<text x="{width - margin - 100}" y="{y + 4}" font-size="11">'
-            f"{saxutils.escape(m)}</text>"
+            f"{_escape(m)}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

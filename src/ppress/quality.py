@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-import shlex
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -430,6 +427,12 @@ _METRIC_LINE = re.compile(r"^metric:\s*(\w+)\s*=\s*([-+0-9.eEinfna]+)\s*$")
 
 
 def _run_external(train: Dataset, validation: Dataset, app: Application) -> float:
+    # imported here: only external applications need them, and they would
+    # slow every import of this module
+    import shlex
+    import subprocess
+    import tempfile
+
     with tempfile.TemporaryDirectory(prefix="ppress-app-") as tmp:
         train_path = str(Path(tmp) / "train.bin")
         val_path = str(Path(tmp) / "validation.bin")

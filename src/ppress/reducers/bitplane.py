@@ -18,6 +18,15 @@ the value count come from the container, and every block's plane count and
 bit budget follow from them and the block exponents.  All-zero blocks carry
 a sentinel exponent and, outside rate mode, no plane bits at all.  A stream
 whose coding would be larger than the raw values stores the values instead.
+
+A block's payload is a row of 4-bit cells (nibbles), one bit per value in
+each: the sign nibble, then one nibble per magnitude plane from plane 55
+down.  prec and acc blocks send whole nibbles, 1 + keep of them; a rate
+budget, round(4c) bits, may end inside a nibble or run past plane 0 into
+zero nibbles.  Two 256-entry lookup tables transpose between the values'
+magnitude bytes and the plane nibbles (_SPREAD one way, _GATHER back), so
+no step of the packing expands a block to one byte per bit unless a budget
+ends inside a nibble.
 """
 
 from __future__ import annotations
@@ -46,51 +55,48 @@ def _to_blocks(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, _BLOCK)
 
 
+def _block_max(a: np.ndarray) -> np.ndarray:
+    """Each block's largest entry.  Rows of four are too short for
+    .max(axis=1), which costs about ten times as much here."""
+    return np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3]))
+
+
 def _lift(ints: np.ndarray) -> np.ndarray:
-    """Reversible integer Haar cascade across each block, widest span last."""
+    """Reversible integer Haar cascade across each block, widest span last.
+    The block width must be a power of two."""
     out = ints.copy()
-    block = ints.shape[1]
     span = 1
-    while span < block:
-        idx_a = np.arange(0, block, 2 * span)
-        idx_b = idx_a + span
-        a = out[:, idx_a]
-        b = out[:, idx_b]
-        d = b - a
-        out[:, idx_a] = a + (d >> 1)
-        out[:, idx_b] = d
+    while span < out.shape[1]:
+        a, b = out[:, :: 2 * span], out[:, span :: 2 * span]  # views into out
+        b -= a
+        a += b >> 1
         span *= 2
     return out
 
 
 def _unlift(coeffs: np.ndarray) -> np.ndarray:
     out = coeffs.copy()
-    block = coeffs.shape[1]
-    span = block // 2
+    span = out.shape[1] // 2
     while span >= 1:
-        idx_a = np.arange(0, block, 2 * span)
-        idx_b = idx_a + span
-        s = out[:, idx_a]
-        d = out[:, idx_b]
-        a = s - (d >> 1)
-        out[:, idx_a] = a
-        out[:, idx_b] = d + a
+        s, d = out[:, :: 2 * span], out[:, span :: 2 * span]
+        s -= d >> 1
+        d += s
         span //= 2
     return out
 
 
 def _forward(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Align to the block exponent and lift; returns (coeffs, exponents)."""
-    if not np.isfinite(blocks).all():
+    peak = _block_max(np.abs(blocks))
+    if not np.isfinite(peak).all():
         raise CodecError("bit-plane codec requires finite values")
-    _, exps = np.frexp(blocks)
-    exps = np.where(blocks == 0.0, np.iinfo(np.int32).min, exps)
-    zero_blocks = np.abs(blocks).max(axis=1) == 0.0
-    e = np.where(zero_blocks, 0, exps.max(axis=1)).astype(np.int32)
+    # frexp's exponent never falls as |x| grows, so the peak's is the
+    # block's largest; frexp(0) gives 0, which zero blocks keep
+    e = np.frexp(peak)[1].astype(np.int32)
     scaled = np.ldexp(blocks, (_ALIGN_BITS - e)[:, None])
     ints = np.rint(scaled).astype(np.int64)
     coeffs = _lift(ints)
-    exps_out = np.where(zero_blocks, _ZERO_EXP, e).astype(np.int16)
+    exps_out = np.where(peak == 0.0, _ZERO_EXP, e).astype(np.int16)
     return coeffs, exps_out
 
 
@@ -104,9 +110,8 @@ def _reconstruct(coeffs: np.ndarray, exps: np.ndarray) -> np.ndarray:
 
 
 def _truncate_coeffs(coeffs: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    out = _clear_below(np.abs(coeffs).astype(np.uint64), keep).astype(np.int64)
-    out[coeffs < 0] *= -1
-    return out
+    mags = _clear_below(np.abs(coeffs).astype(np.uint64), keep).astype(np.int64)
+    return np.where(coeffs < 0, -mags, mags)
 
 
 def _check(mode: str, c: float, width: int) -> None:
@@ -161,24 +166,56 @@ def _budget(mode: str, bound: int, exps: np.ndarray, keep: np.ndarray,
     return np.where((exps == _ZERO_EXP) | raw_mask, 0, _BLOCK * (1 + keep))
 
 
-# payload cells handled per pass: bounds the coder's working memory
+# payload nibbles handled per pass: bounds the coder's per-pass grids (the
+# whole stream is held at one byte per nibble, or per bit)
 _CHUNK = 1 << 18
-# 2^(7-k): weights that pack eight 0/1 bytes, one per plane, into one byte
-_BYTE_WEIGHTS = 1 << np.arange(7, -1, -1)
 
 
-def _layout(budget: np.ndarray) -> tuple[int, int]:
-    """Each block's payload as rows of _BLOCK cells: the sign row, then one
-    row per magnitude plane from plane 55 down, then zero rows.  A block
-    sends its first `budget` cells.
+def _transpose_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The two lookup tables that turn a block's magnitude bytes into plane
+    nibbles and back.
 
-    Returns the rows that hold every budget, a sign row and 8 per byte, and
-    how many bytes of each magnitude they show, starting at the big-endian
-    byte that opens with plane 55.
+    _SPREAD[x] puts bit k of byte x, counting from its top bit, at bit
+    31 - 4k of a word.  Shifting a block's four spreads right by 0..3 and
+    or-ing them gives one big-endian word of 8 nibbles, one per plane of
+    the byte, each holding value 0's bit at its top.  _GATHER[p][x] undoes
+    that for byte p of such a word: it puts the planes of that byte's two
+    nibbles back into their values' magnitude bytes, value j in byte lane j
+    (bits 8j..8j+7) of the result.
     """
-    plane_rows = -(-int(budget.max()) // _BLOCK) - 1
-    n_bytes = -(-plane_rows // 8)
-    return 1 + 8 * n_bytes, min(n_bytes, 7)
+    x = np.arange(256, dtype=np.uint32)[:, None]
+    k = np.arange(8, dtype=np.uint32)
+    bits = (x >> (7 - k)) & 1  # bits[x, k]: bit k of x from the top
+    spread = (bits << (31 - 4 * k)).sum(axis=1, dtype=np.uint32)
+    # in byte p of a word, bit k from the top belongs to value k mod 4 and
+    # to plane 2p + k // 4 of the word
+    p = np.arange(4, dtype=np.uint32)[:, None]
+    shift = 8 * (k % 4) + 7 - (2 * p + k // 4)
+    gather = (bits[None] << shift[:, None, :]).sum(axis=2, dtype=np.uint32)
+    return spread, gather
+
+
+_SPREAD, _GATHER = _transpose_tables()
+_LANES = np.arange(_BLOCK)
+
+
+def _layout(budget: np.ndarray) -> tuple[int, int, bool, np.ndarray]:
+    """Each block's payload as a row of 4-bit cells: the sign nibble, then
+    one nibble per magnitude plane from plane 55 down, then zero nibbles.
+    A nibble holds one bit per value, value 0's at its top.  A block sends
+    the first `budget` bits of its row.
+
+    Returns the nibbles of a row that holds every budget, a sign nibble and
+    8 per magnitude byte; how many bytes of each magnitude it shows,
+    starting at the big-endian byte that opens with plane 55; whether every
+    budget is whole nibbles; and where each block starts in the stream, in
+    nibbles if so and in bits if not.
+    """
+    plane_nibbles = -(-int(budget.max()) // 4) - 1
+    n_bytes = -(-plane_nibbles // 8)
+    whole = not (budget & 3).any()
+    starts = np.concatenate(([0], np.cumsum(budget) // (4 if whole else 1)))
+    return 1 + 8 * n_bytes, min(n_bytes, 7), whole, starts
 
 
 def _clear_below(mags: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -187,70 +224,103 @@ def _clear_below(mags: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return (mags >> shift) << shift
 
 
+def _cells(budget: np.ndarray, width: int,
+           whole: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The nibbles of each row that its budget reaches, as a mask over the
+    rows, and, unless the stream's budgets are all whole nibbles, how many
+    bits of each of those nibbles it sends."""
+    cols = np.arange(width)
+    # row q of `first` marks a row's first q nibbles; taking rows of it
+    # beats a broadcast compare, which pays per row for rows this short
+    first = cols < np.arange(width + 1)[:, None]
+    sent = first.take((budget + 3) >> 2, axis=0)
+    if whole:
+        return sent, None
+    return sent, np.minimum(budget[:, None] - 4 * cols, 4)[sent]
+
+
 def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> bytes:
     """Pack sign plane + top `keep` planes per block into its bit budget.
 
-    Blocks follow each other in order; a block's bits are its cells read
-    row by row, cut at its budget.  Whole chunks of blocks are laid out at
-    once, and the bits past the last whole byte carry into the next chunk.
+    Blocks follow each other in order, each sending the first `budget` bits
+    of its nibble row (see _layout).  A chunk of blocks builds its rows at
+    once: the _SPREAD table turns each magnitude byte into 8 plane nibbles,
+    one bit per value.  When every budget is whole nibbles the rows' sent
+    nibbles are the stream, two to a byte; otherwise each sent nibble is cut
+    to its budget's bits and the bits are the stream.
     """
     n_blocks = coeffs.shape[0]
     if not budget.any():
         return b""
-    rows, n_bytes = _layout(budget)
-    width = rows * _BLOCK
-    cells = np.arange(width)
+    width, n_bytes, whole, starts = _layout(budget)
+    # one nibble or one bit per byte, up to the end of the last byte
+    stream = np.zeros(-(-int(budget.sum()) // 8) * (2 if whole else 8), np.uint8)
     step = max(1, _CHUNK // width)
-    out = []
-    carry = np.empty(0, np.uint8)
     for r0 in range(0, n_blocks, step):
         part = coeffs[r0 : r0 + step]
         mags = _clear_below(np.abs(part).astype(np.uint64), keep[r0 : r0 + step])
-        # per block: a sign byte (0 or 1), then the magnitudes' bytes from
-        # the one that opens with plane 55, each byte spread over the block's
-        # values; unpacking down the byte axis turns bytes into plane rows
-        # and leaves the sign in the eighth row, just above plane 55
-        spread = np.zeros((part.shape[0], rows // 8 + 1, _BLOCK), np.uint8)
-        spread[:, 0] = part < 0
-        spread[:, 1 : 1 + n_bytes] = (
-            mags.astype(">u8").view(np.uint8).reshape(*part.shape, 8)[..., 1 : 1 + n_bytes]
-        ).transpose(0, 2, 1)
-        grid = np.unpackbits(spread, axis=1)[:, 7:].reshape(-1, width)
-        bits = np.concatenate((carry, grid[cells < budget[r0 : r0 + step, None]]))
-        whole = bits.size & ~7
-        out.append(np.packbits(bits[:whole]).tobytes())
-        carry = bits[whole:]
-    out.append(np.packbits(carry).tobytes())
-    return b"".join(out)
+        # byte t of every value's magnitude, counted from the one that opens
+        # with plane 55 (little-endian byte 6), spread and merged into the
+        # word of planes 55-8t..48-8t
+        le = mags.astype("<u8", copy=False).view(np.uint8).reshape(*part.shape, 8)
+        spread = _SPREAD.take(le[..., 7 - n_bytes : 7][..., ::-1])
+        words = spread[:, 0]
+        for j in range(1, _BLOCK):
+            words |= spread[:, j] >> j
+        rows = np.zeros((part.shape[0], width), np.uint8)
+        rows[:, 0] = (part < 0) @ (8 >> _LANES)  # the sign nibble
+        planes = words.astype(">u4").view(np.uint8)
+        rows[:, 1 : 1 + 8 * n_bytes : 2] = planes >> 4
+        rows[:, 2 : 2 + 8 * n_bytes : 2] = planes & 15
+        sent, bits = _cells(budget[r0 : r0 + step], width, whole)
+        cells = rows[sent]
+        if bits is not None:
+            # a nibble's top `bits` bits
+            cells = np.unpackbits(cells[:, None], axis=1)[:, 4:][_LANES < bits[:, None]]
+        stream[starts[r0] : starts[r0 + part.shape[0]]] = cells
+    if whole:
+        return ((stream[0::2] << 4) | stream[1::2]).tobytes()
+    return np.packbits(stream).tobytes()
 
 
 def _absorb(payload: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """Inverse of _emit: rebuild truncated coefficients from packed bytes."""
+    """Inverse of _emit: rebuild truncated coefficients from packed bytes.
+    The _GATHER tables turn each 8-plane word of nibbles back into the
+    four values' magnitude bytes."""
     n_blocks = keep.size
     coeffs = np.zeros((n_blocks, _BLOCK), dtype=np.int64)
     if n_blocks == 0 or not budget.any():
         return coeffs
-    rows, n_bytes = _layout(budget)
-    width = rows * _BLOCK
-    cells = np.arange(width)
-    # a row's four cells read as one word; one 0/1 byte per value
-    weights = _BYTE_WEIGHTS.astype(np.uint32)
+    width, n_bytes, whole, starts = _layout(budget)
+    if whole:
+        stream = np.empty(2 * payload.size, np.uint8)
+        stream[0::2], stream[1::2] = payload >> 4, payload & 15
+    else:
+        stream = np.unpackbits(payload)
     step = max(1, _CHUNK // width)
-    offs = np.concatenate(([0], np.cumsum(budget)))
     for r0 in range(0, n_blocks, step):
         r1 = min(n_blocks, r0 + step)
-        lo, hi = int(offs[r0]), int(offs[r1])
-        grid = np.zeros((r1 - r0, rows, _BLOCK), np.uint8)
-        grid.reshape(-1, width)[cells < budget[r0:r1, None]] = np.unpackbits(
-            payload[lo >> 3 : (hi + 7) >> 3]
-        )[lo & 7 : hi - (lo & ~7)]
-        # eight plane rows of 0/1 bytes weighted and summed give the
-        # magnitude byte holding those planes, for every value at once
-        planes = grid[:, 1 : 1 + 8 * n_bytes].view(np.uint32).reshape(r1 - r0, n_bytes, 8, 1)
-        be = np.zeros((r1 - r0, _BLOCK, 8), np.uint8)
-        be[..., 1 : 1 + n_bytes] = (weights @ planes).view(np.uint8).transpose(0, 2, 1)
-        mags = _clear_below(be.view(">u8")[..., 0], keep[r0:r1]).astype(np.int64)
-        coeffs[r0:r1] = np.where(grid[:, 0].astype(bool), -mags, mags)
+        sent, bits = _cells(budget[r0:r1], width, whole)
+        cells = stream[starts[r0] : starts[r1]]
+        if bits is not None:
+            cut = np.zeros((bits.size, 4), np.uint8)
+            cut[_LANES < bits[:, None]] = cells
+            cells = np.packbits(cut, axis=1)[:, 0] >> 4
+        rows = np.zeros((r1 - r0, width), np.uint8)
+        rows[sent] = cells
+        # bytes of the plane nibbles, four to a word; each word's bytes
+        # gathered back give the values' bytes, value j in lane j
+        planes = (rows[:, 1 : 1 + 8 * n_bytes : 2] << 4) | rows[:, 2 : 2 + 8 * n_bytes : 2]
+        planes = planes.reshape(r1 - r0, n_bytes, 4)
+        words = _GATHER[0].take(planes[..., 0])
+        for p in range(1, 4):
+            words |= _GATHER[p].take(planes[..., p])
+        le = np.zeros((r1 - r0, _BLOCK, 8), np.uint8)
+        le[..., 7 - n_bytes : 7] = words.astype("<u4", copy=False).view(np.uint8).reshape(
+            r1 - r0, n_bytes, _BLOCK).transpose(0, 2, 1)[..., ::-1]
+        mags = _clear_below(le.view("<u8")[..., 0], keep[r0:r1]).astype(np.int64)
+        negative = np.unpackbits(rows[:, :1], axis=1)[:, 4:].view(bool)
+        coeffs[r0:r1] = np.where(negative, -mags, mags)
     return coeffs
 
 
@@ -282,7 +352,7 @@ def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.nd
         # plane count is stored raw
         with np.errstate(over="ignore"):  # an overflowing block breaks the bound
             recon_blocks = round_to_width(_reconstruct(trunc, exps), width)
-        raw_mask = np.abs(blocks - recon_blocks).max(axis=1) > c
+        raw_mask = _block_max(np.abs(blocks - recon_blocks)) > c
         trunc[raw_mask] = 0
         recon_blocks[raw_mask] = blocks[raw_mask]  # raw blocks replay exactly
         parts.append(np.packbits(raw_mask).tobytes())

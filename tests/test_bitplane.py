@@ -360,6 +360,88 @@ def test_packing_matches_reference(case, chunk, seed):
             )
 
 
+def test_transpose_tables_match_a_scalar_loop():
+    # _SPREAD[x]: nibble n of the word, from the top, holds bit n of x,
+    # counted from the top, in its top bit (value 0's place)
+    for x in range(256):
+        want = 0
+        for n in range(8):
+            want |= ((x >> (7 - n)) & 1) << (31 - 4 * n)
+        assert int(bitplane._SPREAD[x]) == want
+    # _GATHER[p][x]: byte p of a word of plane nibbles, back in the values'
+    # magnitude bytes, value j in bits 8j..8j+7 and plane n at bit 7 - n
+    for p in range(4):
+        for x in range(256):
+            word = x << (8 * (3 - p))
+            want = 0
+            for n in range(8):
+                nibble = (word >> (28 - 4 * n)) & 15
+                for j in range(4):
+                    want |= ((nibble >> (3 - j)) & 1) << (8 * j + 7 - n)
+            assert int(bitplane._GATHER[p][x]) == want
+
+
+def test_block_exponents_are_the_largest_per_value_exponent():
+    top = np.finfo(np.float64).max
+    tiny = np.finfo(np.float64).smallest_subnormal
+    blocks = np.array([
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, -0.0, -0.0, 0.0],
+        [tiny, -tiny, 0.0, -0.0],
+        [tiny, 3 * tiny, 2.0**-1030, -(2.0**-1040)],
+        [2.0**-1022, -(2.0**-1023), 0.0, tiny],
+        [1.0, 2.0, -4.0, 0.5],
+        [-8.0, 7.999999999999999, 0.25, 0.0],
+        [2.0**-1074, 2.0**-1073, 2.0**-1072, -(2.0**-1071)],
+        [top, -top, 0.0, 1.0],
+        [np.nextafter(top, 0), 2.0**1023, -(2.0**1023), 1e308],
+        [-1.5, 1.5, -0.0, 3.0],
+    ])
+    rng = np.random.default_rng(40)
+    mixed = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-300, 300, size=(200, 4))
+    mixed[rng.random(size=mixed.shape) < 0.2] = 0.0
+    blocks = np.concatenate([blocks, mixed, -blocks])
+    _, exps = bitplane._forward(blocks)
+    per_value = np.where(blocks == 0.0, np.iinfo(np.int32).min, np.frexp(blocks)[1])
+    zero = (blocks == 0.0).all(axis=1)
+    want = np.where(zero, bitplane._ZERO_EXP, per_value.max(axis=1))
+    assert exps.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("width", [4, 8])
+@pytest.mark.parametrize("c, bits", [(10.25, 41), (58.25, 233), (60.25, 241)])
+def test_rates_that_end_inside_a_nibble_round_trip(width, c, bits):
+    # 41 bits a block end one bit into the tenth plane nibble; 233 and 241
+    # run past plane 0 into zero nibbles
+    x = raw_size_inputs(width)[1]
+    n_blocks = -(-x.size // 4)
+    if c > 8 * width:
+        with pytest.raises(CodecError, match="rate"):
+            bitplane.encode(x, "rate", c, width)
+        return
+    buf, out = enc_dec(x, "rate", c, width)
+    assert bitplane.plane_bound("rate", c) == bits
+    if 1 + 2 * n_blocks + -(-n_blocks * bits // 8) > 1 + x.size * width:
+        # a coding larger than the values stores them
+        assert buf[0] == bitplane._STORED and out.tobytes() == x.tobytes()
+    else:
+        assert buf[0] == bitplane._CODED
+        assert len(buf) == 1 + 2 * n_blocks + -(-n_blocks * bits // 8)
+
+
+@pytest.mark.parametrize("bits", [41, 233, 241])
+def test_budgets_that_end_inside_a_nibble_pack_as_the_reference(bits):
+    rng = np.random.default_rng(bits)
+    coeffs = rng.integers(-(2**56) + 1, 2**56, size=(300, 4))
+    keep = np.full(300, bitplane.TOTAL_PLANES)
+    budget = np.full(300, bits)
+    payload, n_bits = reference_emit(coeffs, keep, budget)
+    assert bitplane._emit(coeffs, keep, budget) == payload
+    packed = np.frombuffer(payload, np.uint8)
+    assert np.array_equal(bitplane._absorb(packed, keep, budget),
+                          reference_absorb(np.unpackbits(packed, count=n_bits), keep, budget))
+
+
 def hash_inputs():
     rng = np.random.default_rng(2024)
     walk = np.cumsum(rng.normal(size=60_000))  # 15 000 blocks: several chunks

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -1252,7 +1253,7 @@ def test_a_campaign_holds_one_configurations_reconstructions_at_a_time(monkeypat
     def spy(*args, decode=True, runs=None):
         if runs is not None:
             holding = [c for c, run in runs.items()
-                       if any(art.restored is not None for art, _ in run.values())]
+                       if any(art.restored is not None for art, *_ in run.values())]
             seen.append((decode, holding, {c.method for c in runs}))
         return real(*args, decode=decode, runs=runs)
 
@@ -1447,6 +1448,37 @@ def undecoded(rec):
     return rec.config["method"] in ("eblc_pred", "eblc_bitplane")
 
 
+def test_a_bounds_replicates_decode_each_part_once(monkeypatch):
+    # the baseline and sampling keep no reconstruction, so their probes
+    # decode; the first replicate of a bound decodes each part and the
+    # later ones score its tables and carry its decode timing
+    pair = linear_pair(n=100)
+    spec = SearchSpec(tau=0.5, n_candidates=4, eta=5e-3, max_iters=6, replicates=3)
+    methods = [SearchDomain(Method.SAMPLE_WOR, Mode.NONE, 0.2, 1.0, scale="linear")]
+    decodes = []
+    real = campaign.decompress
+
+    def spy(art, names=None):
+        decodes.append((art.method, art.c, art.stream))
+        return real(art, names=names)
+
+    monkeypatch.setattr(campaign, "decompress", spy)
+    records = run_campaign(pair, [ridge_app()], methods, spec)
+    assert all(r.ok for r in records)
+    configs = {ReducerConfig.from_dict(r.config) for r in records}
+    assert {c.method for c in configs} == {Method.NONE, Method.SAMPLE_WOR}
+    assert len(decodes) == len(set(decodes)) == 2 * len(configs)
+    timings = {(json.dumps(r.config, sort_keys=True), r.t_decompress) for r in records}
+    assert len(timings) == len(configs) and all(t > 0 for _, t in timings)
+
+    # the records are the ones evaluating every replicate afresh gives
+    without_memo(monkeypatch)
+    plain = run_campaign(pair, [ridge_app()], methods, spec)
+    assert [r.content_key() for r in plain] == [r.content_key() for r in records]
+    # which decodes both parts for every record
+    assert len(decodes) == 2 * len(configs) + 2 * len(plain)
+
+
 @pytest.mark.parametrize(
     "cache, replicates", [(False, 1), (True, 1), (False, 3), (True, 3)],
     ids=["False", "True", "False-3", "True-3"],
@@ -1509,3 +1541,18 @@ def test_probes_skip_decoding_and_the_ladder_decodes_every_point(
     replay = run_campaign(pair, [ridge_app()], methods, spec, cache_dir=cache_dir)
     assert calls == []
     assert replay == [last[r.record_id] for r in records]
+
+
+def test_importing_the_library_loads_no_network_xml_process_or_thread_modules():
+    # the import the benchmark times, in a fresh interpreter: what only an
+    # external application or a parallel ladder needs is imported where they
+    # run.  Modules the interpreter or numpy loaded first do not count
+    probe = ("import sys, numpy; before = set(sys.modules); "
+             "import ppress.campaign, ppress.pareto, ppress.reducers, ppress.synth; "
+             "print(*set(sys.modules) - before)")
+    env = {**os.environ, "PYTHONPATH": str(Path(campaign.__file__).parents[1])}
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "ppress.campaign" in loaded
+    banned = {"urllib", "http", "email", "ssl", "xml", "subprocess", "concurrent"}
+    assert sorted(m for m in loaded if m.split(".")[0] in banned) == []
