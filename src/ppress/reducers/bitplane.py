@@ -14,14 +14,15 @@ Three truncation policies:
         that count is stored raw.
 
 A stream holds only what the decoder cannot derive: the mode, the bound and
-the value count come from the container, and every block's plane count and
-bit budget follow from them and the block exponents.  All-zero blocks carry
-a sentinel exponent and, outside rate mode, no plane bits at all.  A stream
+the value count come from the container, and every block's bit budget
+follows from them and the block exponents.  All-zero blocks carry a
+sentinel exponent and, outside rate mode, no plane bits at all.  A stream
 whose coding would be larger than the raw values stores the values instead.
 
 A block's payload is a row of 4-bit cells (nibbles), one bit per value in
 each: the sign nibble, then one nibble per magnitude plane from plane 55
-down.  prec and acc blocks send whole nibbles, 1 + keep of them; a rate
+down.  A block sends the first `budget` bits of its row, which alone say
+the planes each value keeps: prec and acc send whole nibbles; a rate
 budget, round(4c) bits, may end inside a nibble or run past plane 0 into
 zero nibbles.  Two 256-entry lookup tables transpose between the values'
 magnitude bytes and the plane nibbles (_SPREAD one way, _GATHER back), so
@@ -43,6 +44,7 @@ _ALIGN_BITS = 54  # aligned integers fit |i| <= 2^54
 TOTAL_PLANES = 56  # two extra planes absorb lifting growth
 _ZERO_EXP = -(1 << 15)  # sentinel exponent for all-zero blocks
 _BLOCK = 4  # values per block
+_LANES = np.arange(_BLOCK)
 
 _CODED, _STORED = 0, 1  # the stream's kind byte
 
@@ -109,8 +111,13 @@ def _reconstruct(coeffs: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _truncate_coeffs(coeffs: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    mags = _clear_below(np.abs(coeffs).astype(np.uint64), keep).astype(np.int64)
+def _truncate_coeffs(coeffs: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """What a decoder rebuilds from each block's first `budget` bits: value
+    j's bit of plane nibble i (the sign nibble is 0) is bit 4i + j of its
+    row, so it keeps clip((budget - 1 - j) >> 2, 0, 56) planes."""
+    kept = np.minimum(np.maximum((budget[:, None] - 1 - _LANES) >> 2, 0), TOTAL_PLANES)
+    shift = (TOTAL_PLANES - kept).astype(np.uint64)
+    mags = ((np.abs(coeffs).astype(np.uint64) >> shift) << shift).astype(np.int64)
     return np.where(coeffs < 0, -mags, mags)
 
 
@@ -142,28 +149,22 @@ def plane_bound(mode: str, c: float) -> int:
     return round(_BLOCK * c)
 
 
-def _keep(mode: str, bound: int, exps: np.ndarray) -> np.ndarray:
-    """Magnitude planes each block keeps, from the plane_bound and the block
-    exponents alone: the encoder and the decoder both call this."""
-    if mode == "prec":
-        return np.full(exps.size, bound, dtype=np.int64)
-    if mode == "rate":
-        return np.full(exps.size, TOTAL_PLANES, dtype=np.int64)
-    # acc: dropping the planes below the top k costs about 2^(e - k + 4),
-    # and k = e - p + 5 makes that 2^(p - 1) <= c.  Integer arithmetic, so
-    # no two machines disagree; np.minimum/np.maximum beat np.clip here
-    k = exps.astype(np.int64) - (bound - 5)
-    return np.minimum(np.maximum(k, 0), TOTAL_PLANES)
-
-
-def _budget(mode: str, bound: int, exps: np.ndarray, keep: np.ndarray,
-            raw_mask: np.ndarray) -> np.ndarray:
-    """Payload bits of each block: rate spends its plane_bound, round(4c),
-    everywhere; prec and acc send the sign and every kept plane, and nothing
-    for all-zero or raw blocks."""
+def _budget(mode: str, bound: int, exps: np.ndarray) -> np.ndarray:
+    """Payload bits of each block, from the plane_bound and the block
+    exponents alone: the encoder and the decoder both call this.  rate
+    spends round(4c) everywhere; prec and acc send the sign nibble and a
+    nibble per kept plane, and nothing for an all-zero block (nor, the
+    caller sees to it, for an acc raw block)."""
     if mode == "rate":
         return np.full(exps.size, bound, dtype=np.int64)
-    return np.where((exps == _ZERO_EXP) | raw_mask, 0, _BLOCK * (1 + keep))
+    keep = bound
+    if mode == "acc":
+        # dropping the planes below the top k costs about 2^(e - k + 4), and
+        # k = e - p + 5 makes that 2^(p - 1) <= c.  Integer arithmetic, so
+        # no two machines disagree; np.minimum/np.maximum beat np.clip here
+        k = exps.astype(np.int64) - (bound - 5)
+        keep = np.minimum(np.maximum(k, 0), TOTAL_PLANES)
+    return np.where(exps == _ZERO_EXP, 0, _BLOCK * (1 + keep))
 
 
 # payload nibbles handled per pass: bounds the coder's per-pass grids (the
@@ -196,7 +197,6 @@ def _transpose_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _SPREAD, _GATHER = _transpose_tables()
-_LANES = np.arange(_BLOCK)
 
 
 def _layout(budget: np.ndarray) -> tuple[int, int, bool, np.ndarray]:
@@ -218,12 +218,6 @@ def _layout(budget: np.ndarray) -> tuple[int, int, bool, np.ndarray]:
     return 1 + 8 * n_bytes, min(n_bytes, 7), whole, starts
 
 
-def _clear_below(mags: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Zero every magnitude plane below the top `keep` of each block."""
-    shift = (np.uint64(TOTAL_PLANES) - keep.astype(np.uint64))[:, None]
-    return (mags >> shift) << shift
-
-
 def _cells(budget: np.ndarray, width: int,
            whole: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The nibbles of each row that its budget reaches, as a mask over the
@@ -239,8 +233,9 @@ def _cells(budget: np.ndarray, width: int,
     return sent, np.minimum(budget[:, None] - 4 * cols, 4)[sent]
 
 
-def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> bytes:
-    """Pack sign plane + top `keep` planes per block into its bit budget.
+def _emit(coeffs: np.ndarray, budget: np.ndarray) -> bytes:
+    """Pack each block's first `budget` bits, its sign nibble and then its
+    planes from plane 55 down, as far as the budget reaches.
 
     Blocks follow each other in order, each sending the first `budget` bits
     of its nibble row (see _layout).  A chunk of blocks builds its rows at
@@ -258,7 +253,7 @@ def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> bytes:
     step = max(1, _CHUNK // width)
     for r0 in range(0, n_blocks, step):
         part = coeffs[r0 : r0 + step]
-        mags = _clear_below(np.abs(part).astype(np.uint64), keep[r0 : r0 + step])
+        mags = np.abs(part).astype(np.uint64)
         # byte t of every value's magnitude, counted from the one that opens
         # with plane 55 (little-endian byte 6), spread and merged into the
         # word of planes 55-8t..48-8t
@@ -283,11 +278,12 @@ def _emit(coeffs: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> bytes:
     return np.packbits(stream).tobytes()
 
 
-def _absorb(payload: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """Inverse of _emit: rebuild truncated coefficients from packed bytes.
-    The _GATHER tables turn each 8-plane word of nibbles back into the
-    four values' magnitude bytes."""
-    n_blocks = keep.size
+def _absorb(payload: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """Inverse of _emit: each block's coefficients from its first `budget`
+    bits, every plane past them 0, as _truncate_coeffs cuts them.  The
+    _GATHER tables turn each 8-plane word of nibbles back into the four
+    values' magnitude bytes."""
+    n_blocks = budget.size
     coeffs = np.zeros((n_blocks, _BLOCK), dtype=np.int64)
     if n_blocks == 0 or not budget.any():
         return coeffs
@@ -318,7 +314,7 @@ def _absorb(payload: np.ndarray, keep: np.ndarray, budget: np.ndarray) -> np.nda
         le = np.zeros((r1 - r0, _BLOCK, 8), np.uint8)
         le[..., 7 - n_bytes : 7] = words.astype("<u4", copy=False).view(np.uint8).reshape(
             r1 - r0, n_bytes, _BLOCK).transpose(0, 2, 1)[..., ::-1]
-        mags = _clear_below(le.view("<u8")[..., 0], keep[r0:r1]).astype(np.int64)
+        mags = le.view("<u8")[..., 0].astype(np.int64)
         negative = np.unpackbits(rows[:, :1], axis=1)[:, 4:].view(bool)
         coeffs[r0:r1] = np.where(negative, -mags, mags)
     return coeffs
@@ -342,9 +338,9 @@ def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.nd
     fdt = WIDTH_DTYPES[width]
     blocks = _to_blocks(x64)
     coeffs, exps = _forward(blocks)
-    keep = _keep(mode, bound, exps)
-    trunc = _truncate_coeffs(coeffs, keep)
-    raw_mask = np.zeros(exps.size, dtype=bool)
+    budget = _budget(mode, bound, exps)
+    # what the decoder rebuilds, in every mode
+    trunc = _truncate_coeffs(coeffs, budget)
     parts = [bytes([_CODED]), exps.astype("<i2").tobytes()]
     recon_blocks = None
     if mode == "acc":
@@ -353,11 +349,10 @@ def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.nd
         with np.errstate(over="ignore"):  # an overflowing block breaks the bound
             recon_blocks = round_to_width(_reconstruct(trunc, exps), width)
         raw_mask = _block_max(np.abs(blocks - recon_blocks)) > c
-        trunc[raw_mask] = 0
+        budget[raw_mask] = 0
         recon_blocks[raw_mask] = blocks[raw_mask]  # raw blocks replay exactly
         parts.append(np.packbits(raw_mask).tobytes())
         parts.append(blocks[raw_mask].astype(fdt).tobytes())
-    budget = _budget(mode, bound, exps, keep, raw_mask)
 
     coded = sum(map(len, parts)) + (int(budget.sum()) + 7) // 8
     if coded > 1 + n * width:
@@ -366,14 +361,10 @@ def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.nd
         stored = x64.astype(fdt).tobytes()
         return bytes([_STORED]) + stored, np.frombuffer(stored, fdt).astype(np.float64)
 
-    payload = _emit(trunc, keep, budget)
-    if mode == "rate":
-        # the budget cut can split a plane mid-block: reconstruct from the
-        # emitted bits so it lands exactly where the decoder will see it
-        trunc = _absorb(np.frombuffer(payload, np.uint8), keep, budget)
-    # a prec budget holds every kept plane, so trunc is what the decoder
-    # rebuilds; acc reconstructed it already, in its verify pass
-    if recon_blocks is None:
+    # rate writes the lifted values' signs, also of a value its cut leaves
+    # no planes; prec and acc write the truncated values' signs
+    payload = _emit(coeffs if mode == "rate" else trunc, budget)
+    if recon_blocks is None:  # acc reconstructed already, in its verify pass
         # values within a truncation step of the float maximum can round up
         # past it; refuse them, since the decoder treats overflow as damage
         recon_blocks = _rebuild_finite(trunc, exps, width)
@@ -405,8 +396,7 @@ def decode(buf: bytes, mode: str, c: float, n: int, width: int) -> np.ndarray:
     n_blocks = -(-n // _BLOCK)
     exps, off = section(buf, off, 2 * n_blocks, "exponents")
     exps = np.frombuffer(exps, "<i2").astype(np.int64)
-    keep = _keep(mode, bound, exps)
-
+    budget = _budget(mode, bound, exps)
     raw_mask = np.zeros(n_blocks, dtype=bool)
     if mode == "acc":
         mask, off = section(buf, off, (n_blocks + 7) // 8, "raw-block mask")
@@ -414,9 +404,9 @@ def decode(buf: bytes, mode: str, c: float, n: int, width: int) -> np.ndarray:
         n_raw = int(raw_mask.sum())
         raw, off = section(buf, off, n_raw * _BLOCK * width, "raw blocks")
         raw_vals = _finite(np.frombuffer(raw, fdt).astype(np.float64), "a raw bit-plane block")
-    budget = _budget(mode, bound, exps, keep, raw_mask)
+        budget[raw_mask] = 0
     packed, _ = section(buf, off, (int(budget.sum()) + 7) // 8, "payload", last=True)
-    coeffs = _absorb(np.frombuffer(packed, np.uint8), keep, budget)
+    coeffs = _absorb(np.frombuffer(packed, np.uint8), budget)
     # the encoder writes only finite reconstructions, so overflow means damage
     recon = _rebuild_finite(coeffs, exps, width)
     if raw_mask.any():

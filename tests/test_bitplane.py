@@ -266,52 +266,50 @@ def test_unknown_stream_kind_raises_codec_error(mode):
         walk_decode(b"\x02" + buf[1:], mode)
 
 
-def reference_groups(keep, budget):
-    """Blocks grouped by (planes kept, bit budget)."""
-    key = keep * (1 << 20) + budget
-    for k in np.unique(key):
-        rows = np.flatnonzero(key == k)
-        yield int(keep[rows[0]]), int(budget[rows[0]]), rows
+def reference_groups(budget):
+    """Blocks grouped by bit budget."""
+    for b in np.unique(budget):
+        yield int(b), np.flatnonzero(budget == b)
 
 
-def reference_emit(coeffs, keep, budget):
-    """The packing one (planes kept, budget) group and one plane at a time."""
+def reference_emit(coeffs, budget):
+    """The packing one budget group and one plane at a time: each block's
+    sign bits, then its planes from 55 down, then zeros, cut to its budget."""
     block = coeffs.shape[1]
     signs = (coeffs < 0).astype(np.uint8)
     mags = np.abs(coeffs).astype(np.uint64)
     total = int(budget.sum())
     bits = np.zeros(total, dtype=np.uint8)
     offs = np.concatenate([[0], np.cumsum(budget)[:-1]])
-    for k, b, rows in reference_groups(keep, budget):
+    for b, rows in reference_groups(budget):
         if b == 0:
             continue
-        want = block + block * k
         planes = [signs[rows]]
-        for p in range(bitplane.TOTAL_PLANES - 1, bitplane.TOTAL_PLANES - 1 - k, -1):
+        for p in range(bitplane.TOTAL_PLANES - 1, -1, -1):
             planes.append(((mags[rows] >> np.uint64(p)) & np.uint64(1)).astype(np.uint8))
+        planes.append(np.zeros((rows.size, b), dtype=np.uint8))
         chunk = np.concatenate(planes, axis=1)
-        use = min(b, want)
-        pos = offs[rows][:, None] + np.arange(use)[None, :]
-        bits[pos.ravel()] = chunk[:, :use].ravel()
+        pos = offs[rows][:, None] + np.arange(b)[None, :]
+        bits[pos.ravel()] = chunk[:, :b].ravel()
     return np.packbits(bits).tobytes(), total
 
 
-def reference_absorb(bits, keep, budget):
+def reference_absorb(bits, budget):
     """Inverse of reference_emit, from the unpacked bits."""
     block = bitplane._BLOCK
-    coeffs = np.zeros((keep.size, block), dtype=np.int64)
+    full = block * (1 + bitplane.TOTAL_PLANES)
+    coeffs = np.zeros((budget.size, block), dtype=np.int64)
     offs = np.concatenate([[0], np.cumsum(budget)[:-1]])
-    for k, b, rows in reference_groups(keep, budget):
+    for b, rows in reference_groups(budget):
         if b == 0:
             continue
-        want = block + block * k
-        use = min(b, want)
+        use = min(b, full)
         pos = offs[rows][:, None] + np.arange(use)[None, :]
-        chunk = np.zeros((rows.size, want), dtype=np.uint8)
+        chunk = np.zeros((rows.size, full), dtype=np.uint8)
         chunk[:, :use] = bits[pos.ravel()].reshape(rows.size, use)
         signs = chunk[:, :block].astype(bool)
         mags = np.zeros((rows.size, block), dtype=np.uint64)
-        for i, p in enumerate(range(bitplane.TOTAL_PLANES - 1, bitplane.TOTAL_PLANES - 1 - k, -1)):
+        for i, p in enumerate(range(bitplane.TOTAL_PLANES - 1, -1, -1)):
             plane = chunk[:, block * (i + 1) : block * (i + 2)].astype(np.uint64)
             mags |= plane << np.uint64(p)
         vals = mags.astype(np.int64)
@@ -327,16 +325,17 @@ def packing_cases(draw):
     coeffs = draw(
         hnp.arrays(np.int64, (n_blocks, block), elements=st.integers(-(2**56) + 1, 2**56 - 1))
     )
-    keep = draw(hnp.arrays(np.int64, n_blocks, elements=st.integers(0, bitplane.TOTAL_PLANES)))
-    want = block * (1 + keep)
-    # per block: nothing, a cut inside its planes, exactly its planes, or
-    # more than its planes (zeros past them, as rate mode can ask for)
+    planes = draw(hnp.arrays(np.int64, n_blocks, elements=st.integers(0, bitplane.TOTAL_PLANES)))
+    whole = block * (1 + planes)
+    # per block: nothing, whole nibbles (prec and acc), a cut inside a
+    # nibble, or a run past plane 0 into zeros (rate can ask for both)
     kind = draw(hnp.arrays(np.int64, n_blocks, elements=st.integers(0, 3)))
     frac = draw(hnp.arrays(np.float64, n_blocks, elements=st.floats(0.0, 1.0)))
-    cut = (frac * want).astype(np.int64)
-    over = want + (frac * 3 * block * bitplane.TOTAL_PLANES).astype(np.int64)
-    budget = np.choose(kind, [np.zeros_like(want), cut, want, over])
-    return coeffs, keep, budget
+    cut = (frac * whole).astype(np.int64)
+    full = block * (1 + bitplane.TOTAL_PLANES)
+    over = full + (frac * 3 * full).astype(np.int64)
+    budget = np.choose(kind, [np.zeros_like(whole), whole, cut, over])
+    return coeffs, budget
 
 
 @settings(max_examples=300, deadline=None)
@@ -346,18 +345,40 @@ def packing_cases(draw):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_packing_matches_reference(case, chunk, seed):
-    coeffs, keep, budget = case
-    payload, n_bits = reference_emit(coeffs, keep, budget)
-    # random bits, also where a block's budget runs past its kept planes
+    coeffs, budget = case
+    payload, n_bits = reference_emit(coeffs, budget)
+    # random bits, also where a block's budget runs past plane 0
     noise = np.random.default_rng(seed).integers(0, 256, len(payload), dtype=np.uint8)
     with patch.object(bitplane, "_CHUNK", chunk):
-        assert bitplane._emit(coeffs, keep, budget) == payload
+        assert bitplane._emit(coeffs, budget) == payload
         for packed in (np.frombuffer(payload, np.uint8), noise):
             bits = np.unpackbits(packed, count=n_bits)
             assert np.array_equal(
-                bitplane._absorb(packed, keep, budget),
-                reference_absorb(bits, keep, budget),
+                bitplane._absorb(packed, budget),
+                reference_absorb(bits, budget),
             )
+
+
+def test_a_budget_rebuilds_as_its_truncation():
+    # the encoder's reconstruction is _truncate_coeffs, with no decode: a
+    # block's first B bits must rebuild exactly that, for every budget a
+    # rate can ask for (up to 256 bits) and past it, uniform or mixed
+    rng = np.random.default_rng(30)
+    budgets = np.arange(261)
+
+    def check(budget):
+        coeffs = rng.integers(-(2**56) + 1, 2**56, size=(budget.size, 4))
+        coeffs[rng.random(coeffs.shape) < 0.1] = 0
+        payload = np.frombuffer(bitplane._emit(coeffs, budget), np.uint8)
+        assert np.array_equal(bitplane._absorb(payload, budget),
+                              bitplane._truncate_coeffs(coeffs, budget))
+
+    for b in budgets:
+        check(np.full(20, b))
+    check(budgets)
+    check(rng.permutation(budgets))
+    check(rng.choice(budgets, 500))
+    check(4 * rng.integers(1, 1 + bitplane.TOTAL_PLANES, 500))
 
 
 def test_transpose_tables_match_a_scalar_loop():
@@ -433,13 +454,12 @@ def test_rates_that_end_inside_a_nibble_round_trip(width, c, bits):
 def test_budgets_that_end_inside_a_nibble_pack_as_the_reference(bits):
     rng = np.random.default_rng(bits)
     coeffs = rng.integers(-(2**56) + 1, 2**56, size=(300, 4))
-    keep = np.full(300, bitplane.TOTAL_PLANES)
     budget = np.full(300, bits)
-    payload, n_bits = reference_emit(coeffs, keep, budget)
-    assert bitplane._emit(coeffs, keep, budget) == payload
+    payload, n_bits = reference_emit(coeffs, budget)
+    assert bitplane._emit(coeffs, budget) == payload
     packed = np.frombuffer(payload, np.uint8)
-    assert np.array_equal(bitplane._absorb(packed, keep, budget),
-                          reference_absorb(np.unpackbits(packed, count=n_bits), keep, budget))
+    assert np.array_equal(bitplane._absorb(packed, budget),
+                          reference_absorb(np.unpackbits(packed, count=n_bits), budget))
 
 
 def hash_inputs():

@@ -1347,6 +1347,9 @@ UNDECODED = [
     (Method.EBLC_BITPLANE, Mode.ACC, 1e-3),
     (Method.EBLC_BITPLANE, Mode.PREC, 12.0),
     (Method.EBLC_BITPLANE, Mode.RATE, 6.0),
+    # 25 bits a block, one into a plane nibble; 2 bits, half the sign nibble
+    (Method.EBLC_BITPLANE, Mode.RATE, 6.25),
+    (Method.EBLC_BITPLANE, Mode.RATE, 0.5),
     (Method.EBLC_BITPLANE, Mode.RATE, None),
 ]
 
@@ -1396,6 +1399,11 @@ def special_pair(seed, dtype, nonfinite, spread, n=60):
 # a bit-plane acc stream that stores a block raw
 @example(seed=1, case=UNDECODED[5], dtype="f32", layout=Layout.BY_COLUMN, nonfinite=False,
          spread=True)
+# rate budgets that end inside a nibble, scored on the encoder's reconstruction
+@example(seed=2, case=(Method.EBLC_BITPLANE, Mode.RATE, 6.25), dtype="f64",
+         layout=Layout.BY_COLUMN, nonfinite=False, spread=False)
+@example(seed=3, case=(Method.EBLC_BITPLANE, Mode.RATE, 0.5), dtype="f32",
+         layout=Layout.MATRIX, nonfinite=False, spread=True)
 def test_an_undecoded_evaluation_scores_the_decoded_table(
     seed, case, dtype, layout, nonfinite, spread
 ):
