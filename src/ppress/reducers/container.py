@@ -23,7 +23,7 @@ from ..tabular import DTYPES
 from .config import Layout, Method, Mode, check_fields
 
 MAGIC = b"PPRS"
-VERSION = 10
+VERSION = 11
 
 _METHOD_CODE = {
     Method.EBLC_PRED: 1,

@@ -10,14 +10,14 @@ values whose rebuilt form breaks the bound after rounding are literals,
 stored exactly, so the error contract holds by construction.  Each value
 becomes a code (0 a literal, 2q+1 a jump q >= 0, -2q a jump q < 0), so
 every code fits four byte planes.  All coded columns share one code
-section, one zlib frame.  Codes below 16 are packed 8, 4 or 2 to a byte
-(1, 2 or 4 bits each) or kept one to a byte, whichever frame is shortest;
-larger codes take the fewest little-endian byte planes that hold the
-largest, and one-byte codes keep the smaller of the default and the
-Huffman-only deflate strategy.  A column whose literals cost at least its
-raw values, as any column under a zero bound, is stored raw, and so is a
-block whose coding does not pay: a stream never exceeds the raw values
-plus its 9-byte header.
+section.  Codes of 256 and up take the fewest little-endian byte planes
+that hold the largest, one zlib frame per plane, at the level that plane
+pays for; smaller codes take one frame: codes below 16 packed 8, 4 or 2 to
+a byte (1, 2 or 4 bits each) or, at 4 bits, kept one to a byte, and codes
+16-255 one to a byte, whichever candidate frame is shortest.  A column
+whose literals cost at least its raw values, as any column under a zero
+bound, is stored raw, and so is a block whose coding does not pay: a
+stream never exceeds the raw values plus its 9-byte header.
 
 Pointwise-relative mode runs the same machinery on log-magnitudes with step
 2*log1p(pw), so a value rebuilds within a factor (1+pw) of itself.  Signs
@@ -50,6 +50,18 @@ _FLAG_ZEROS = 8  # pw_rel, with _FLAG_SIGNS: the block codes zeros as ZERO
 # bits 4-5, with _FLAG_DEFLATED: 0 for byte planes, p for codes packed 8 >> p bits each
 _PACK_SHIFT = 4
 _PACK_FLAGS = 3 << _PACK_SHIFT
+
+_MAX_PLANES = 4  # byte planes of the largest code, JUMP_LIMIT's
+
+# zlib levels of the code section (docs/container_format.md's table): byte
+# plane 0 and the planes above it, for codes of 256 and up; for packed codes
+# below 16, the first deflate, and a second one tried only when the first
+# is shorter than _PROBE_SLACK times the shortest Huffman-only frame
+_LOW_PLANE_LEVEL = 5
+_HIGH_PLANE_LEVEL = 4
+_PROBE_LEVEL = 1
+_PACKED_LEVEL = 6
+_PROBE_SLACK = 1.15
 
 _HEAD = struct.Struct("<BII")  # flags, n_rows, n_cols
 _COLUMN = np.dtype([("step", "<f8"), ("n_lit", "<u4")])  # per column; step 0: verbatim
@@ -197,28 +209,46 @@ def _code(codes: np.ndarray, lit_bits: np.ndarray, raw_bits: int):
     """Deflate the codes of the columns of codes (one per row) whose literal
     (and sign) bits stay below raw_bits.  The codes are not costed per
     column: deflate codes the columns together, and _write's check on the
-    whole stream bounds them.  Codes below 16 pack at the narrowest of 1, 2
-    or 4 bits, and the shortest of three frames wins, the first on a tie:
-    the packed bytes deflated, the packed bytes Huffman-only, and one byte
-    plane Huffman-only.  Larger codes take byte planes, deflated, and
-    one-byte codes also try Huffman-only, where order-0 coding may beat LZ
-    matching.  Returns (flags, section bytes, mask of the coded columns).
+    whole stream bounds them.  Codes of 256 and up take one frame per byte
+    plane, byte 0 at _LOW_PLANE_LEVEL and the rest at _HIGH_PLANE_LEVEL:
+    each plane gets its own Huffman tables, and the upper planes, mostly
+    runs, gain little from long match searches.  Smaller codes keep the
+    shortest of a few one-frame candidates, the first on a tie.  Codes below
+    16 pack at the narrowest of 1, 2 or 4 bits; the packed bytes are
+    deflated at _PROBE_LEVEL and Huffman-only, 4-bit codes also try one byte
+    plane Huffman-only, and the packed bytes are deflated again at
+    _PACKED_LEVEL only when the probe came within _PROBE_SLACK of the
+    shortest Huffman-only frame.  Codes 16-255 take one byte plane, deflated
+    and Huffman-only.  Returns (flags, section bytes, mask of the coded
+    columns).
     """
     keep = lit_bits < raw_bits
     if not keep.any():
         return 0, b"", keep
     coded = codes[keep].ravel()
     top = int(coded.max())
-    planes = _planes(coded, top)
+    if top >= 256:
+        planes, n = memoryview(_planes(coded, top)), coded.size
+        levels = [_LOW_PLANE_LEVEL] + [_HIGH_PLANE_LEVEL] * (len(planes) // n - 1)
+        section = b"".join(
+            lossless.lossless_encode(planes[k * n : (k + 1) * n], level=level)
+            for k, level in enumerate(levels)
+        )
+        return _FLAG_DEFLATED, section, keep
     if top < 16:  # (frame, pack field) candidates, in order of preference
         pack = 3 if top < 2 else 2 if top < 4 else 1
         packed = _pack(coded, 8 >> pack)
-        frames = [(lossless.lossless_encode(packed), pack),
-                  (lossless.lossless_encode(packed, zlib.Z_HUFFMAN_ONLY), pack)]
+        frames = [(lossless.lossless_encode(packed, level=_PROBE_LEVEL), pack)]
+        huffman = [(lossless.lossless_encode(packed, zlib.Z_HUFFMAN_ONLY), pack)]
+        if pack == 1:
+            huffman.append((lossless.lossless_encode(_planes(coded, top), zlib.Z_HUFFMAN_ONLY), 0))
+        if len(frames[0][0]) < _PROBE_SLACK * min(len(f) for f, _ in huffman):
+            frames.append((lossless.lossless_encode(packed, level=_PACKED_LEVEL), pack))
+        frames += huffman
     else:
-        frames = [(lossless.lossless_encode(planes), 0)]
-    if top < 256:
-        frames.append((lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY), 0))
+        planes = _planes(coded, top)
+        frames = [(lossless.lossless_encode(planes), 0),
+                  (lossless.lossless_encode(planes, zlib.Z_HUFFMAN_ONLY), 0)]
     frame, pack = min(frames, key=lambda f: len(f[0]))
     return _FLAG_DEFLATED | pack << _PACK_SHIFT, frame, keep
 
@@ -300,6 +330,19 @@ def encode_verbatim(x: np.ndarray, width: int) -> bytes:
     return _HEAD.pack(_FLAG_VERBATIM, cols.shape[1], cols.shape[0]) + _raw(cols, width)
 
 
+def _read_planes(buf: bytes, off: int, count: int) -> list[bytes]:
+    """The byte planes of count codes, one lossless frame each from off to
+    the end of buf; CodecError unless there are 1 to _MAX_PLANES frames of
+    count bytes each."""
+    planes = []
+    while off < len(buf) or not planes:
+        if len(planes) == _MAX_PLANES:
+            raise CodecError(f"{len(buf) - off} bytes after the {len(planes)} code planes")
+        plane, off = lossless.read_frame(buf, off, count)
+        planes.append(plane)
+    return planes
+
+
 def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
     """The `n_values` values of a block stream, column after column.  A header
     of another shape, a section out of bounds, or bytes after the last
@@ -335,17 +378,13 @@ def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
     if flags & _FLAG_SIGNS:
         mask, off = section(buf, off, (count + 7) // 8, "sign mask")
         neg = np.unpackbits(np.frombuffer(mask, np.uint8), count=count).astype(bool)
-    planes = lossless.lossless_decode(buf[off:])  # runs to the end of the stream
     pack = (flags & _PACK_FLAGS) >> _PACK_SHIFT
     if pack:
-        codes = _unpack(planes, 8 >> pack, count)
+        codes = _unpack(lossless.lossless_decode(buf[off:]), 8 >> pack, count)
     else:
-        n_planes, rest = divmod(len(planes), count)
-        if rest or not 1 <= n_planes <= 4:
-            raise CodecError(f"deflated codes hold {len(planes)} bytes, not 1-4 per {count} codes")
         codes = 0  # int64 codes from their byte planes, the most significant first
-        for plane in np.frombuffer(planes, np.uint8).reshape(n_planes, count)[::-1]:
-            codes = codes << 8 | plane.astype(np.int64)
+        for plane in _read_planes(buf, off, count)[::-1]:
+            codes = codes << 8 | np.frombuffer(plane, np.uint8).astype(np.int64)
     # the longest jump codes as 2*JUMP_LIMIT - 1, one higher with zeros
     shift = 1 if flags & _FLAG_ZEROS else 0
     top = 2 * JUMP_LIMIT - 1 + shift

@@ -224,6 +224,25 @@ def test_lossless_corrupt_stream_rejected():
     assert intact < 8
 
 
+def test_lossless_frames_read_one_after_another():
+    # a frame knows where it ends: read_frame returns each frame's data and
+    # where the next starts, stored and zlib frames alike, and checks a
+    # declared length; lossless_decode takes one frame and nothing after it
+    parts = [b"", b"abc" * 300, bytes(range(256)), b"x"]
+    frames = [lossless.lossless_encode(part) for part in parts]
+    assert [f[0] for f in frames] == [0, 1, 0, 0]
+    buf = b"".join(frames)
+    off = 0
+    for part in parts:
+        data, off = lossless.read_frame(buf, off, len(part))
+        assert data == part
+    assert off == len(buf)
+    with pytest.raises(CodecError, match="9 bytes after the lossless frame"):
+        lossless.lossless_decode(frames[0] + frames[0])
+    with pytest.raises(CodecError, match="declares 900 bytes, not 899"):
+        lossless.read_frame(buf, len(frames[0]), 899)
+
+
 def test_lossless_inflate_stops_at_declared_length():
     # a frame that declares 10 bytes is rejected without inflating the
     # 20 MB its body holds
