@@ -87,7 +87,7 @@ from .reducers import (
     reconstruction,
     unit_bounds,
 )
-from .reducers.config import SAMPLING_METHODS, canonical_json
+from .reducers.config import SAMPLING_METHODS, canonical_json, check_fields
 from .tabular import Dataset
 
 _FRACTION_METHODS = {Method.SAMPLE_WR, Method.SAMPLE_WOR}
@@ -852,18 +852,17 @@ def run_campaign(
     a bound is scored on one run's streams and carries its compress timing.
     ``store`` and the pair's cache log in ``cache_dir``
     (EvaluationCache) stay open until the campaign ends; the log is read
-    once, as it starts.
+    once, as it starts.  Both ends of every search domain must pass
+    check_fields at the pair's value width, or nothing runs (ConfigError).
     """
     if not apps or not methods:
         raise ConfigError("campaign needs at least one application and one method")
     require_distinct_app_ids(apps)
-    bits = 8 * min(pair.train.values.itemsize, pair.validation.values.itemsize)
+    width = min(pair.train.values.itemsize, pair.validation.values.itemsize)
     for entry in methods:
-        if isinstance(entry, SearchDomain) and entry.mode is Mode.RATE and entry.bound_max > bits:
-            raise ConfigError(
-                f"bit-plane rate domain reaches {entry.bound_max:g}, past the {bits}-bit "
-                "values of the dataset"
-            )
+        if isinstance(entry, SearchDomain):
+            for end in (entry.bound_min, entry.bound_max):
+                check_fields(entry.method, entry.mode, (float(end),), width)
     records: list[EvaluationRecord] = []
     cache = EvaluationCache(cache_dir, pair) if cache_dir is not None else None
     memo: Memo = {}

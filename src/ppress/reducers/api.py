@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import CodecError, ConfigError, DataFormatError
 from ..tabular import DTYPES, Dataset, column_stats, default_names, global_stats
 from . import bitplane, delta, lossless, predictive, sampling, truncation
-from .config import SAMPLING_METHODS, Layout, Method, Mode, ReducerConfig
+from .config import SAMPLING_METHODS, Layout, Method, Mode, ReducerConfig, check_fields
 from .container import Artifact, pack, unpack
 
 __all__ = [
@@ -85,14 +85,7 @@ def compress(dataset: Dataset, config: ReducerConfig) -> tuple[Artifact, float, 
     """Reduce a dataset; returns (artifact, seconds, MB/s over input bytes)."""
     t0 = time.perf_counter()
     width = dataset.values.dtype.itemsize
-    if config.method is Method.TRUNC and int(config.c[0]) >= 8 * width:
-        raise ConfigError(
-            f"truncation to {int(config.c[0])} bits needs wider input than {dataset.dtype}"
-        )
-    if config.mode is Mode.RATE and config.c[0] > 8 * width:
-        raise ConfigError(
-            f"bit-plane rate {config.c[0]:g} exceeds the {8 * width}-bit width of {dataset.dtype}"
-        )
+    check_fields(config.method, config.mode, config.c, width)
 
     values = dataset.values
     if config.method in SAMPLING_METHODS:
@@ -140,30 +133,15 @@ def unit_bounds(
     method: Method, mode: Mode, bound_min: float, bound_max: float
 ) -> tuple[float, ...] | None:
     """The inverse of decoder_bound over [bound_min, bound_max]: one bound
-    for each decoder bound (unit) the interval holds, ordered from least to
-    most compressing; None for a method without decoder bounds.
-
-    Each representative lies in the interval and has its unit's decoder
-    bound.  An acc unit p (2^(p-1) <= c < 2^p) is represented by the
-    tightest bound of its octave there, max(bound_min, 2^(p-1)): the encoder
-    stores raw each block that breaks the bound c itself, so that bound's
-    stream meets every bound of the octave.  A prec, rate or truncation unit
-    is represented by what the decoder reads, a plane count, k/4 bits a
-    value or a width, moved into the interval at its ends.
-    """
+    for each decoder bound (unit) the interval holds, least compressing
+    first, each in the interval and of its unit: a truncation width, or what
+    bitplane.unit_bounds picks.  None for a method without decoder bounds."""
     if method is Method.TRUNC:
         return tuple(float(w) for w in sorted(truncation.NARROW, reverse=True)
                      if bound_min <= w <= bound_max)
     if method is not Method.EBLC_BITPLANE:
         return None
-    first, last = (bitplane.plane_bound(mode.value, c) for c in (bound_min, bound_max))
-    if mode is Mode.ACC:
-        return tuple(float(max(bound_min, math.ldexp(1.0, p - 1)))
-                     for p in range(first, last + 1))
-    # more planes, or more bits, compress less
-    per_unit = bitplane._BLOCK if mode is Mode.RATE else 1
-    return tuple(float(min(max(k / per_unit, bound_min), bound_max))
-                 for k in range(last, first - 1, -1))
+    return bitplane.unit_bounds(mode.value, bound_min, bound_max)
 
 
 def _decode_stream(blob: bytes, artifact: Artifact, np_dtype: np.dtype) -> np.ndarray:

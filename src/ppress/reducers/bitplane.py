@@ -121,32 +121,31 @@ def _truncate_coeffs(coeffs: np.ndarray, budget: np.ndarray) -> np.ndarray:
     return np.where(coeffs < 0, -mags, mags)
 
 
-def _check(mode: str, c: float, width: int) -> None:
-    """CodecError unless c is a bound that mode can take at this width."""
-    if mode == "prec":
-        if not (0 <= c < math.inf and float(c).is_integer()):
-            raise CodecError(f"plane count must be a non-negative integer, got {c}")
-    elif mode == "acc":
-        if not 0 < c < math.inf:
-            raise CodecError(f"error bound must be positive and finite, got {c}")
-    elif mode == "rate":
-        # a rate past the value width would always be stored raw
-        if not 0 < c <= 8 * width:
-            raise CodecError(f"rate must be in (0, {8 * width}], got {c}")
-    else:
-        raise CodecError(f"unknown bit-plane mode {mode!r}")
-
-
 def plane_bound(mode: str, c: float) -> int:
-    """All the coder reads of a bound c that passed _check: prec keeps
-    min(c, TOTAL_PLANES) planes, acc derives plane counts from c's binary
-    exponent p (2^(p-1) <= c < 2^p), and rate spends round(4c) bits a block.
-    Bounds with one plane_bound decode a stream alike."""
+    """All the coder reads of a bound c that passed `check_fields`: prec
+    keeps min(c, TOTAL_PLANES) planes, acc derives plane counts from c's
+    binary exponent p (2^(p-1) <= c < 2^p), and rate spends round(4c) bits
+    a block.  Bounds with one plane_bound decode a stream alike."""
     if mode == "prec":
         return min(int(c), TOTAL_PLANES)
     if mode == "acc":
         return math.frexp(c)[1]
     return round(_BLOCK * c)
+
+
+def unit_bounds(mode: str, lo: float, hi: float) -> tuple[float, ...]:
+    """One bound in [lo, hi] for each plane_bound (unit) there, least
+    compressing first.  An acc unit p is represented by the tightest bound
+    of its octave there, max(lo, 2^(p-1)): encode stores raw each block that
+    breaks the bound c itself, so that bound's stream meets every bound of
+    the octave.  A prec or rate unit is represented by what the decoder
+    reads, a plane count or k/4 bits a value, moved into [lo, hi]."""
+    first, last = plane_bound(mode, lo), plane_bound(mode, hi)
+    if mode == "acc":
+        return tuple(float(max(lo, math.ldexp(1.0, p - 1))) for p in range(first, last + 1))
+    # more planes, or more bits, compress less
+    per_unit = _BLOCK if mode == "rate" else 1
+    return tuple(float(min(max(k / per_unit, lo), hi)) for k in range(last, first - 1, -1))
 
 
 def _budget(mode: str, bound: int, exps: np.ndarray) -> np.ndarray:
@@ -331,7 +330,6 @@ def _rebuild_finite(coeffs: np.ndarray, exps: np.ndarray, width: int) -> np.ndar
 
 def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.ndarray]:
     """Encode one stream; returns (bytes, reconstruction)."""
-    _check(mode, c, width)
     bound = plane_bound(mode, c)
     x64 = np.asarray(x, dtype=np.float64)
     n = x64.size
@@ -384,7 +382,6 @@ def decode(buf: bytes, mode: str, c: float, n: int, width: int) -> np.ndarray:
     Every section is bounds-checked and the stream must end exactly where
     its payload does; anything else raises CodecError.
     """
-    _check(mode, c, width)
     bound = plane_bound(mode, c)
     fdt = WIDTH_DTYPES[width]
     kind, off = section(buf, 0, 1, "kind byte")

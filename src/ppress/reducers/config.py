@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from ..errors import ConfigError
+from .truncation import NARROW
 
 
 class Method(str, Enum):
@@ -48,38 +50,48 @@ _MODES_FOR = {
 }
 
 SAMPLING_METHODS = {Method.SAMPLE_NAIVE, Method.SAMPLE_WR, Method.SAMPLE_WOR}
-BOUNDED_METHODS = {Method.EBLC_PRED, Method.EBLC_BITPLANE}
+_NO_BOUND = {Method.LOSSLESS, Method.NONE}
 
 
-def check_fields(method: Method, mode: Mode, c: tuple[float, ...]) -> None:
+def check_fields(
+    method: Method, mode: Mode, c: tuple[float, ...], width: int | None = None
+) -> None:
     """ConfigError unless mode suits method and c is a bound that method
-    takes under it.  Every ReducerConfig passes these checks, and
-    container.unpack applies them to a header without building one."""
+    takes under it, positive and finite; given the values' width in bytes,
+    also unless a truncation is narrower than the values and a rate at most
+    their bits.  The one check of a bound: ReducerConfig applies it without
+    a width; compress, container.unpack and run_campaign (both ends of each
+    search domain) at the data's.  The codecs take the bound as it passed."""
     if mode not in _MODES_FOR[method]:
         raise ConfigError(f"mode {mode.value} not valid for method {method.value}")
-    if method in BOUNDED_METHODS or method in SAMPLING_METHODS:
-        if len(c) != 1:
-            raise ConfigError(
-                f"method {method.value} takes exactly one bound value, got {c}"
-            )
-        if not c[0] > 0:
-            raise ConfigError(f"bound must be positive, got {c[0]}")
-        if mode is Mode.PW_REL and not c[0] < 1:
-            raise ConfigError(f"pw_rel bound must be in (0, 1), got {c[0]}")
-        if mode is Mode.PREC and not c[0].is_integer():
-            raise ConfigError(f"prec takes a whole number of planes, got {c[0]}")
+    if method in _NO_BOUND:
+        if c:
+            raise ConfigError(f"method {method.value} takes no bound values")
+        return
+    if len(c) != 1:
+        raise ConfigError(f"method {method.value} takes exactly one bound value, got {c}")
     if method is Method.TRUNC:
-        if len(c) != 1 or c[0] not in (32.0, 16.0):
-            raise ConfigError("trunc takes a single target width of 32 or 16")
-    if method in (Method.LOSSLESS, Method.NONE) and c:
-        raise ConfigError(f"method {method.value} takes no bound values")
-    if method is Method.SAMPLE_NAIVE:
-        stride = c[0]
-        if not (stride >= 1 and stride.is_integer()):
-            raise ConfigError(f"naive sampling stride must be an integer >= 1, got {stride}")
-    elif method in (Method.SAMPLE_WR, Method.SAMPLE_WOR):
-        if not 0 < c[0] <= 1:
+        if c[0] not in NARROW:
+            raise ConfigError(f"trunc takes a target width in {sorted(NARROW)}, got {c[0]}")
+        if width is not None and c[0] >= 8 * width:
+            raise ConfigError(f"trunc {c[0]:g} is not narrower than the {8 * width}-bit values")
+        return
+    if not 0 < c[0] < math.inf:
+        what = method.value if mode is Mode.NONE else mode.value
+        raise ConfigError(f"{what} bound must be positive and finite, got {c[0]}")
+    if method in SAMPLING_METHODS:
+        if method is Method.SAMPLE_NAIVE:
+            if not c[0].is_integer():
+                raise ConfigError(f"naive sampling stride must be an integer >= 1, got {c[0]}")
+        elif not c[0] <= 1:
             raise ConfigError(f"sampling fraction must be in (0, 1], got {c[0]}")
+        return
+    if mode is Mode.PW_REL and not c[0] < 1:
+        raise ConfigError(f"pw_rel bound must be in (0, 1), got {c[0]}")
+    if mode is Mode.PREC and not c[0].is_integer():
+        raise ConfigError(f"prec takes a whole number of planes, got {c[0]}")
+    if mode is Mode.RATE and width is not None and c[0] > 8 * width:
+        raise ConfigError(f"bit-plane rate {c[0]:g} runs past the {8 * width}-bit values")
 
 
 @dataclass(frozen=True)

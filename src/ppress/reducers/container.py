@@ -143,8 +143,8 @@ def unpack(buf: bytes) -> Artifact:
         raise DataFormatError("container header has unknown enum codes")
     if n_feat == 0:
         raise DataFormatError("container declares no columns")
-    try:  # the decoders take the bound as the method accepts it
-        check_fields(method, mode, c)
+    try:  # the decoders take the bound as the method accepts it at this width
+        check_fields(method, mode, c, width)
     except ConfigError as exc:
         raise DataFormatError(f"container header: {exc}") from None
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ppress.errors import CodecError
-from ppress.reducers import bitplane
+from ppress.errors import CodecError, ConfigError
+from ppress.reducers import Method, Mode, ReducerConfig, bitplane, compress
+from ppress.tabular import from_array
 
 
 def enc_dec(x, mode, c, width=8):
@@ -437,8 +438,10 @@ def test_rates_that_end_inside_a_nibble_round_trip(width, c, bits):
     x = raw_size_inputs(width)[1]
     n_blocks = -(-x.size // 4)
     if c > 8 * width:
-        with pytest.raises(CodecError, match="rate"):
-            bitplane.encode(x, "rate", c, width)
+        # check_fields refuses a rate past the value width before any codec runs
+        ds = from_array(x, dtype=f"f{8 * width}")
+        with pytest.raises(ConfigError, match="rate"):
+            compress(ds, ReducerConfig(Method.EBLC_BITPLANE, Mode.RATE, (c,)))
         return
     buf, out = enc_dec(x, "rate", c, width)
     assert bitplane.plane_bound("rate", c) == bits

@@ -967,6 +967,21 @@ def test_run_campaign_rejects_a_rate_domain_past_the_value_width():
     assert seen == []
 
 
+def test_run_campaign_rejects_a_trunc_domain_as_wide_as_the_values(tmp_path):
+    # truncation to 32 bits of f32 values is refused at campaign start, at
+    # the pair's width, before any record is stored
+    pair = linear_pair(n=80)
+    pair = DatasetPair(*(from_array(ds.values, ds.names, dtype="f32")
+                         for ds in (pair.train, pair.validation)))
+    spec = SearchSpec(tau=0.5, n_candidates=3, max_iters=4)
+    domain = SearchDomain(Method.TRUNC, Mode.NONE, 16, 32, scale="linear")
+    store = RecordStore(tmp_path / "records.jsonl")
+    seen = []
+    with pytest.raises(ConfigError, match="32-bit values"):
+        run_campaign(pair, [ridge_app()], [domain], spec, store=store, observer=seen.append)
+    assert seen == [] and not store.path.exists()
+
+
 def test_run_campaign_searches_a_rate_domain_up_to_the_value_width():
     pair = linear_pair(n=80)
     spec = SearchSpec(tau=0.5, n_candidates=3, max_iters=4)

@@ -282,6 +282,18 @@ def test_search_rate_domain_past_the_value_width_is_config_error(tmp_path, capsy
     assert not (tmp_path / "records.jsonl").exists()
 
 
+def test_search_domain_with_an_infinite_end_is_config_error(tmp_path, capsys):
+    # .inf loads as a float; no bound may be infinite, so the file is refused
+    campaign = write_campaign(
+        tmp_path,
+        [{"method": "eblc_bitplane", "mode": "acc", "bound_min": 1e-3, "bound_max": math.inf}],
+    )
+    assert "bound_max: .inf" in campaign.read_text()
+    assert main(["search", str(campaign)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 def test_pareto_from_store(tmp_path, capsys):
     campaign = write_campaign(
         tmp_path,

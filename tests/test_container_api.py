@@ -35,7 +35,7 @@ from ppress.reducers import (
     retained_rows,
     unpack,
 )
-from ppress.reducers import bitplane, container, lossless, predictive
+from ppress.reducers import bitplane, container, lossless, predictive, sampling, truncation
 from ppress.reducers.api import _abs_bounds
 from ppress.reducers.config import _MODES_FOR
 from ppress.tabular import from_array
@@ -315,6 +315,68 @@ def test_bitplane_rate_above_the_value_width_rejected(dtype, rate):
     width = int(dtype[1:])
     art, out = round_trip(ds, ReducerConfig(Method.EBLC_BITPLANE, Mode.RATE, (width,)))
     assert np.abs(out.values - ds.values).max() < 1e-6
+
+
+# A valid bound of each method and mode, and each rule's case: (method,
+# mode, bound, the value widths in bytes that refuse it).  None marks a rule
+# that holds at every width, which ReducerConfig applies already.
+BASE_BOUND = {Mode.ABS: 1e-3, Mode.REL: 1e-3, Mode.PSNR: 60.0, Mode.PW_REL: 1e-2,
+              Mode.ACC: 1e-3, Mode.PREC: 20.0, Mode.RATE: 8.0, Method.TRUNC: 16.0,
+              Method.SAMPLE_NAIVE: 2.0, Method.SAMPLE_WR: 0.5, Method.SAMPLE_WOR: 0.5}
+BOUND_RULES = [
+    *[(method, mode, bound, None)
+      for method, mode in ((Method.EBLC_BITPLANE, Mode.ACC), (Method.EBLC_PRED, Mode.ABS),
+                           (Method.EBLC_PRED, Mode.REL), (Method.EBLC_PRED, Mode.PSNR))
+      for bound in (math.inf, math.nan)],
+    (Method.EBLC_BITPLANE, Mode.PREC, 2.5, None),
+    (Method.EBLC_PRED, Mode.PW_REL, 1.0, None),
+    (Method.TRUNC, Mode.NONE, 24.0, None),
+    (Method.TRUNC, Mode.NONE, 32.0, (4,)),
+    (Method.EBLC_BITPLANE, Mode.RATE, 32.0, ()),
+    (Method.EBLC_BITPLANE, Mode.RATE, 32.25, (4,)),
+    (Method.EBLC_BITPLANE, Mode.RATE, 64.0, (4,)),
+    (Method.EBLC_BITPLANE, Mode.RATE, 64.25, (4, 8)),
+    (Method.SAMPLE_NAIVE, Mode.NONE, 1.5, None),
+    (Method.SAMPLE_WR, Mode.NONE, 0.0, None),
+    (Method.SAMPLE_WOR, Mode.NONE, 1.5, None),
+]
+
+
+def refused_codec(*args):
+    raise AssertionError("a codec ran on a bound that check_fields refuses")
+
+
+@pytest.mark.parametrize(
+    "method, mode, bound, refused", BOUND_RULES,
+    ids=[f"{m.value}-{mo.value}-{b:g}" for m, mo, b, _ in BOUND_RULES])
+def test_check_fields_owns_every_bound_rule(monkeypatch, method, mode, bound, refused):
+    # one rule set, applied by ReducerConfig, by compress before any codec
+    # runs, and by unpack at the header's value width
+    if refused is None:
+        with pytest.raises(ConfigError):
+            ReducerConfig(method, mode, (bound,))
+    else:
+        ReducerConfig(method, mode, (bound,))
+    valid = ReducerConfig(method, mode, (BASE_BOUND[mode if mode is not Mode.NONE else method],))
+    config = replace(valid)
+    object.__setattr__(config, "c", (bound,))  # past ReducerConfig's own check
+    for width in (4, 8):
+        ds = walk_ds(n=64, k=2, dtype=f"f{8 * width}")
+        header = pack(replace(compress(ds, valid)[0], c=(bound,)))
+        if refused is None or width in refused:
+            with pytest.raises(ConfigError), monkeypatch.context() as m:
+                for module, name in ((bitplane, "encode"), (predictive, "encode_abs"),
+                                     (predictive, "encode_pwrel"),
+                                     (truncation, "narrow_values"),
+                                     (sampling, "sample_indices")):
+                    m.setattr(module, name, refused_codec)
+                compress(ds, config)
+            with pytest.raises(DataFormatError, match="container header"):
+                unpack(header)
+        else:
+            art, _, _ = compress(ds, config)
+            assert unpack(pack(art)) == art
+            assert unpack(header).c == (bound,)
 
 
 def test_sampling_naive_rows_and_ratio():
