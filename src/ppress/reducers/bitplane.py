@@ -25,9 +25,10 @@ down.  A block sends the first `budget` bits of its row, which alone say
 the planes each value keeps: prec and acc send whole nibbles; a rate
 budget, round(4c) bits, may end inside a nibble or run past plane 0 into
 zero nibbles.  Two 256-entry lookup tables transpose between the values'
-magnitude bytes and the plane nibbles (_SPREAD one way, _GATHER back), so
-no step of the packing expands a block to one byte per bit unless a budget
-ends inside a nibble.
+magnitude bytes and the plane nibbles (_SPREAD one way, _GATHER back).
+The packer handles whole nibbles only, each budget rounded up to one; a
+budget that ends inside a nibble is met by one bit mask over the packed
+stream, which drops the bits past it (and, unpacking, zero-fills them).
 """
 
 from __future__ import annotations
@@ -102,11 +103,15 @@ def _forward(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coeffs, exps_out
 
 
-def _reconstruct(coeffs: np.ndarray, exps: np.ndarray) -> np.ndarray:
+def _reconstruct(coeffs: np.ndarray, exps: np.ndarray, width: int) -> np.ndarray:
+    """The blocks `coeffs` rebuild, in the stream's width.  Values within a
+    truncation step of the float maximum can round up past it: they come
+    out inf, and the caller decides what that means."""
     vals = _unlift(coeffs).astype(np.float64)
     e = exps.astype(np.int32)
     zero = e == _ZERO_EXP
-    vals = np.ldexp(vals, np.where(zero, 0, e - _ALIGN_BITS)[:, None])
+    with np.errstate(over="ignore"):
+        vals = round_to_width(np.ldexp(vals, np.where(zero, 0, e - _ALIGN_BITS)[:, None]), width)
     vals[zero] = 0.0
     return vals
 
@@ -167,7 +172,7 @@ def _budget(mode: str, bound: int, exps: np.ndarray) -> np.ndarray:
 
 
 # payload nibbles handled per pass: bounds the coder's per-pass grids (the
-# whole stream is held at one byte per nibble, or per bit)
+# whole stream is held at one byte per nibble)
 _CHUNK = 1 << 18
 
 
@@ -198,38 +203,38 @@ def _transpose_tables() -> tuple[np.ndarray, np.ndarray]:
 _SPREAD, _GATHER = _transpose_tables()
 
 
-def _layout(budget: np.ndarray) -> tuple[int, int, bool, np.ndarray]:
+def _layout(budget: np.ndarray) -> tuple[int, int, np.ndarray]:
     """Each block's payload as a row of 4-bit cells: the sign nibble, then
     one nibble per magnitude plane from plane 55 down, then zero nibbles.
     A nibble holds one bit per value, value 0's at its top.  A block sends
-    the first `budget` bits of its row.
+    the first `budget` bits of its row; the packer handles whole nibbles,
+    each budget rounded up, and _cut drops the bits past a budget.
 
     Returns the nibbles of a row that holds every budget, a sign nibble and
     8 per magnitude byte; how many bytes of each magnitude it shows,
-    starting at the big-endian byte that opens with plane 55; whether every
-    budget is whole nibbles; and where each block starts in the stream, in
-    nibbles if so and in bits if not.
+    starting at the big-endian byte that opens with plane 55; and where each
+    block starts in the stream of whole nibbles.
     """
-    plane_nibbles = -(-int(budget.max()) // 4) - 1
-    n_bytes = -(-plane_nibbles // 8)
-    whole = not (budget & 3).any()
-    starts = np.concatenate(([0], np.cumsum(budget) // (4 if whole else 1)))
-    return 1 + 8 * n_bytes, min(n_bytes, 7), whole, starts
+    nibbles = (budget + 3) >> 2
+    n_bytes = -(-(int(nibbles.max()) - 1) // 8)
+    return 1 + 8 * n_bytes, min(n_bytes, 7), np.concatenate(([0], np.cumsum(nibbles)))
 
 
-def _cells(budget: np.ndarray, width: int,
-           whole: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _cells(budget: np.ndarray, width: int) -> np.ndarray:
     """The nibbles of each row that its budget reaches, as a mask over the
-    rows, and, unless the stream's budgets are all whole nibbles, how many
-    bits of each of those nibbles it sends."""
-    cols = np.arange(width)
+    rows."""
     # row q of `first` marks a row's first q nibbles; taking rows of it
     # beats a broadcast compare, which pays per row for rows this short
-    first = cols < np.arange(width + 1)[:, None]
-    sent = first.take((budget + 3) >> 2, axis=0)
-    if whole:
-        return sent, None
-    return sent, np.minimum(budget[:, None] - 4 * cols, 4)[sent]
+    first = np.arange(width) < np.arange(width + 1)[:, None]
+    return first.take((budget + 3) >> 2, axis=0)
+
+
+def _cut(budget: np.ndarray) -> np.ndarray:
+    """The bits the blocks send, each its first `budget`, as a mask over
+    the stream of rows rounded up to whole nibbles."""
+    whole = (budget + 3) & ~3
+    at = np.arange(int(whole.max()))
+    return (at < budget[:, None])[at < whole[:, None]]
 
 
 def _emit(coeffs: np.ndarray, budget: np.ndarray) -> bytes:
@@ -239,16 +244,16 @@ def _emit(coeffs: np.ndarray, budget: np.ndarray) -> bytes:
     Blocks follow each other in order, each sending the first `budget` bits
     of its nibble row (see _layout).  A chunk of blocks builds its rows at
     once: the _SPREAD table turns each magnitude byte into 8 plane nibbles,
-    one bit per value.  When every budget is whole nibbles the rows' sent
-    nibbles are the stream, two to a byte; otherwise each sent nibble is cut
-    to its budget's bits and the bits are the stream.
+    one bit per value.  The rows' sent nibbles, two to a byte, are the
+    stream; where a budget ends inside a nibble, _cut then drops that
+    nibble's bits past it.
     """
     n_blocks = coeffs.shape[0]
     if not budget.any():
         return b""
-    width, n_bytes, whole, starts = _layout(budget)
-    # one nibble or one bit per byte, up to the end of the last byte
-    stream = np.zeros(-(-int(budget.sum()) // 8) * (2 if whole else 8), np.uint8)
+    width, n_bytes, starts = _layout(budget)
+    # one nibble per byte, up to the end of the last byte
+    stream = np.zeros(-(-int(starts[-1]) // 2) * 2, np.uint8)
     step = max(1, _CHUNK // width)
     for r0 in range(0, n_blocks, step):
         part = coeffs[r0 : r0 + step]
@@ -266,43 +271,37 @@ def _emit(coeffs: np.ndarray, budget: np.ndarray) -> bytes:
         planes = words.astype(">u4").view(np.uint8)
         rows[:, 1 : 1 + 8 * n_bytes : 2] = planes >> 4
         rows[:, 2 : 2 + 8 * n_bytes : 2] = planes & 15
-        sent, bits = _cells(budget[r0 : r0 + step], width, whole)
-        cells = rows[sent]
-        if bits is not None:
-            # a nibble's top `bits` bits
-            cells = np.unpackbits(cells[:, None], axis=1)[:, 4:][_LANES < bits[:, None]]
-        stream[starts[r0] : starts[r0 + part.shape[0]]] = cells
-    if whole:
-        return ((stream[0::2] << 4) | stream[1::2]).tobytes()
-    return np.packbits(stream).tobytes()
+        sent = _cells(budget[r0 : r0 + step], width)
+        stream[starts[r0] : starts[r0 + part.shape[0]]] = rows[sent]
+    packed = (stream[0::2] << 4) | stream[1::2]
+    if (budget & 3).any():  # else the cut keeps every bit
+        packed = np.packbits(np.unpackbits(packed, count=4 * int(starts[-1]))[_cut(budget)])
+    return packed.tobytes()
 
 
 def _absorb(payload: np.ndarray, budget: np.ndarray) -> np.ndarray:
     """Inverse of _emit: each block's coefficients from its first `budget`
-    bits, every plane past them 0, as _truncate_coeffs cuts them.  The
-    _GATHER tables turn each 8-plane word of nibbles back into the four
-    values' magnitude bytes."""
+    bits, every plane past them 0, as _truncate_coeffs cuts them.  Where a
+    budget ends inside a nibble, _cut first zero-fills that nibble's bits
+    past it.  The _GATHER tables turn each 8-plane word of nibbles back into
+    the four values' magnitude bytes."""
     n_blocks = budget.size
     coeffs = np.zeros((n_blocks, _BLOCK), dtype=np.int64)
     if n_blocks == 0 or not budget.any():
         return coeffs
-    width, n_bytes, whole, starts = _layout(budget)
-    if whole:
-        stream = np.empty(2 * payload.size, np.uint8)
-        stream[0::2], stream[1::2] = payload >> 4, payload & 15
-    else:
-        stream = np.unpackbits(payload)
+    width, n_bytes, starts = _layout(budget)
+    if (budget & 3).any():
+        cut = _cut(budget)
+        bits = np.zeros(cut.size, np.uint8)
+        bits[cut] = np.unpackbits(payload, count=int(budget.sum()))
+        payload = np.packbits(bits)
+    stream = np.empty(2 * payload.size, np.uint8)
+    stream[0::2], stream[1::2] = payload >> 4, payload & 15
     step = max(1, _CHUNK // width)
     for r0 in range(0, n_blocks, step):
         r1 = min(n_blocks, r0 + step)
-        sent, bits = _cells(budget[r0:r1], width, whole)
-        cells = stream[starts[r0] : starts[r1]]
-        if bits is not None:
-            cut = np.zeros((bits.size, 4), np.uint8)
-            cut[_LANES < bits[:, None]] = cells
-            cells = np.packbits(cut, axis=1)[:, 0] >> 4
         rows = np.zeros((r1 - r0, width), np.uint8)
-        rows[sent] = cells
+        rows[_cells(budget[r0:r1], width)] = stream[starts[r0] : starts[r1]]
         # bytes of the plane nibbles, four to a word; each word's bytes
         # gathered back give the values' bytes, value j in lane j
         planes = (rows[:, 1 : 1 + 8 * n_bytes : 2] << 4) | rows[:, 2 : 2 + 8 * n_bytes : 2]
@@ -319,15 +318,6 @@ def _absorb(payload: np.ndarray, budget: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _rebuild_finite(coeffs: np.ndarray, exps: np.ndarray, width: int) -> np.ndarray:
-    """Reconstructed blocks in the stream's width; CodecError if any overflows."""
-    try:
-        with np.errstate(over="raise"):
-            return round_to_width(_reconstruct(coeffs, exps), width)
-    except FloatingPointError:
-        raise CodecError("bit-plane reconstruction overflows the float range") from None
-
-
 def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.ndarray]:
     """Encode one stream; returns (bytes, reconstruction)."""
     bound = plane_bound(mode, c)
@@ -337,15 +327,13 @@ def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.nd
     blocks = _to_blocks(x64)
     coeffs, exps = _forward(blocks)
     budget = _budget(mode, bound, exps)
-    # what the decoder rebuilds, in every mode
     trunc = _truncate_coeffs(coeffs, budget)
+    # what the decoder rebuilds, in every mode
+    recon_blocks = _reconstruct(trunc, exps, width)
     parts = [bytes([_CODED]), exps.astype("<i2").tobytes()]
-    recon_blocks = None
     if mode == "acc":
-        # one verify pass: a block that breaks the bound at its derived
-        # plane count is stored raw
-        with np.errstate(over="ignore"):  # an overflowing block breaks the bound
-            recon_blocks = round_to_width(_reconstruct(trunc, exps), width)
+        # a block that breaks the bound at its derived plane count, an
+        # overflowing one included, is stored raw
         raw_mask = _block_max(np.abs(blocks - recon_blocks)) > c
         budget[raw_mask] = 0
         recon_blocks[raw_mask] = blocks[raw_mask]  # raw blocks replay exactly
@@ -359,20 +347,19 @@ def encode(x: np.ndarray, mode: str, c: float, width: int) -> tuple[bytes, np.nd
         stored = x64.astype(fdt).tobytes()
         return bytes([_STORED]) + stored, np.frombuffer(stored, fdt).astype(np.float64)
 
+    # a prec or rate block that overflows is refused (acc stored it raw),
+    # since the decoder treats overflow as damage
+    _finite(recon_blocks, "bit-plane reconstruction overflows the float range")
     # rate writes the lifted values' signs, also of a value its cut leaves
     # no planes; prec and acc write the truncated values' signs
     payload = _emit(coeffs if mode == "rate" else trunc, budget)
-    if recon_blocks is None:  # acc reconstructed already, in its verify pass
-        # values within a truncation step of the float maximum can round up
-        # past it; refuse them, since the decoder treats overflow as damage
-        recon_blocks = _rebuild_finite(trunc, exps, width)
     return b"".join(parts) + payload, recon_blocks.reshape(-1)[:n]
 
 
-def _finite(vals: np.ndarray, what: str) -> np.ndarray:
-    # the encoder takes only finite values
+def _finite(vals: np.ndarray, message: str) -> np.ndarray:
+    # the encoder takes and writes only finite values
     if not np.isfinite(vals).all():
-        raise CodecError(f"non-finite value in {what}")
+        raise CodecError(message)
     return vals
 
 
@@ -387,7 +374,8 @@ def decode(buf: bytes, mode: str, c: float, n: int, width: int) -> np.ndarray:
     kind, off = section(buf, 0, 1, "kind byte")
     if kind[0] == _STORED:
         vals, _ = section(buf, off, n * width, "stored values", last=True)
-        return _finite(np.frombuffer(vals, fdt).astype(np.float64), "a stored bit-plane stream")
+        return _finite(np.frombuffer(vals, fdt).astype(np.float64),
+                       "non-finite value in a stored bit-plane stream")
     if kind[0] != _CODED:
         raise CodecError(f"unknown bit-plane stream kind {kind[0]}")
     n_blocks = -(-n // _BLOCK)
@@ -400,12 +388,13 @@ def decode(buf: bytes, mode: str, c: float, n: int, width: int) -> np.ndarray:
         raw_mask = np.unpackbits(np.frombuffer(mask, np.uint8), count=n_blocks).astype(bool)
         n_raw = int(raw_mask.sum())
         raw, off = section(buf, off, n_raw * _BLOCK * width, "raw blocks")
-        raw_vals = _finite(np.frombuffer(raw, fdt).astype(np.float64), "a raw bit-plane block")
+        raw_vals = _finite(np.frombuffer(raw, fdt).astype(np.float64),
+                           "non-finite value in a raw bit-plane block")
         budget[raw_mask] = 0
     packed, _ = section(buf, off, (int(budget.sum()) + 7) // 8, "payload", last=True)
     coeffs = _absorb(np.frombuffer(packed, np.uint8), budget)
-    # the encoder writes only finite reconstructions, so overflow means damage
-    recon = _rebuild_finite(coeffs, exps, width)
+    recon = _reconstruct(coeffs, exps, width)
     if raw_mask.any():
         recon[raw_mask] = raw_vals.reshape(-1, _BLOCK)  # stored at full width, replay exactly
-    return recon.reshape(-1)[:n]
+    # the encoder writes only finite reconstructions, so overflow means damage
+    return _finite(recon, "bit-plane reconstruction overflows the float range").reshape(-1)[:n]

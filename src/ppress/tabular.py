@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 # the one wire format of each value width in bytes, as codecs store values
@@ -268,7 +268,14 @@ def read_descriptor(path: str | Path) -> dict[str, str]:
 def load_raw_with_descriptor(
     path: str | Path, allow_nonfinite: bool = False
 ) -> Dataset:
-    desc = read_descriptor(str(path) + ".desc")
+    desc_path = str(path) + ".desc"
+    desc = read_descriptor(desc_path)
+    for key in ("n_obs", "n_feat"):
+        # a negative pair can match the file's size and then fail to reshape
+        if not desc[key].isdecimal() or int(desc[key]) < 1:
+            raise DataFormatError(
+                f"{desc_path}: {key} must be a positive integer, got {desc[key]!r}"
+            )
     return load_raw(
         path,
         int(desc["n_obs"]),
@@ -386,9 +393,9 @@ def range_histogram(
     of columns.
     """
     if n_bins < 1:
-        raise DataFormatError("n_bins must be >= 1")
+        raise ConfigError("n_bins must be >= 1")
     if scale not in ("linear", "log10"):
-        raise DataFormatError(f"unknown histogram scale {scale!r}")
+        raise ConfigError(f"unknown histogram scale {scale!r}")
     ranges = np.array([s.range for s in stats], dtype=np.float64)
     zero = int((ranges == 0.0).sum())
     positive = ranges[ranges > 0.0]

@@ -487,6 +487,7 @@ HASH_CONFIGS = [
     ("prec", 20),
     ("prec", 56),
     ("rate", 0.75),
+    ("rate", 10.25),
     ("rate", 12.0),
     ("rate", 58.5),
     ("rate", 60.25),
@@ -521,6 +522,7 @@ STREAM_DIGESTS = {
     "walk-f64 prec 20": "02f41c76d14d7eba",
     "walk-f64 prec 56": "53742d29800d9a58",
     "walk-f64 rate 0.75": "4b192e4087d9c9c9",
+    "walk-f64 rate 10.25": "196c9a3fba8ce736",
     "walk-f64 rate 12.0": "b1921c256f8b58d0",
     "walk-f64 rate 58.5": "f81b869b2ab872a5",
     "walk-f64 rate 60.25": "71e7603ee36d222d",
@@ -532,6 +534,7 @@ STREAM_DIGESTS = {
     "walk-f32 prec 20": "53ac1a4bfa989395",
     "walk-f32 prec 56": "26f114410189277d",
     "walk-f32 rate 0.75": "4b192e4087d9c9c9",
+    "walk-f32 rate 10.25": "196c9a3fba8ce736",
     "walk-f32 rate 12.0": "68e9720538258522",
     "walk-f32 acc 0.001": "64448a31945c5e82",
     "walk-f32 acc 1e-09": "26f114410189277d",
@@ -541,6 +544,7 @@ STREAM_DIGESTS = {
     "mixed-f64 prec 20": "97b244c24c34a5e8",
     "mixed-f64 prec 56": "8a7b28408ee50d26",
     "mixed-f64 rate 0.75": "4accd48bee7d7412",
+    "mixed-f64 rate 10.25": "4fb63c61d1eefd4b",
     "mixed-f64 rate 12.0": "ef0586c980371286",
     "mixed-f64 rate 58.5": "09f72729c4a6cd73",
     "mixed-f64 rate 60.25": "97635f4b86935154",
@@ -552,6 +556,7 @@ STREAM_DIGESTS = {
     "mixed-f32 prec 20": "7c7875c74ccf30ce",
     "mixed-f32 prec 56": "36fcbd02b6a7eade",
     "mixed-f32 rate 0.75": "4accd48bee7d7412",
+    "mixed-f32 rate 10.25": "4fb63c61d1eefd4b",
     "mixed-f32 rate 12.0": "ef0586c980371286",
     "mixed-f32 acc 0.001": "52112b42276a049b",
     "mixed-f32 acc 1e-09": "36fcbd02b6a7eade",
@@ -561,6 +566,7 @@ STREAM_DIGESTS = {
     "spread-f64 prec 20": "98de6531797135a9",
     "spread-f64 prec 56": "d957e29cf2dcba96",
     "spread-f64 rate 0.75": "3d097d3f976fe968",
+    "spread-f64 rate 10.25": "3b4db3b2345fd2c9",
     "spread-f64 rate 12.0": "e855ebb2c87215b8",
     "spread-f64 rate 58.5": "d4d676d9598f9a06",
     "spread-f64 rate 60.25": "45712c4c1c22643d",

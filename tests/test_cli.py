@@ -13,6 +13,8 @@ from ppress.campaign import EvaluationRecord, RecordStore, run_campaign
 from ppress.campaign_file import load_campaign_file
 from ppress.cli import main
 from ppress.reducers import Method, Mode, ReducerConfig
+from ppress.synth import make_latent_tabular
+from ppress.tabular import save_raw_with_descriptor
 
 
 def write_dataset_csv(path, n=240, seed=3):
@@ -77,6 +79,42 @@ def test_stats_writes_tables(tmp_path, capsys):
 
 def test_stats_missing_file_is_data_error(tmp_path):
     assert main(["stats", str(tmp_path / "nope.csv")]) == 3
+
+
+def write_raw_with_bad_shape(tmp_path, n_obs="abc", n_feat="4"):
+    ds = make_latent_tabular(n_obs=60, n_feat=4, rank=2, seed=3)
+    data = tmp_path / "t.bin"
+    save_raw_with_descriptor(ds, data)
+    desc = data.with_name("t.bin.desc")
+    text = desc.read_text().replace("n_obs=60", f"n_obs={n_obs}")
+    desc.write_text(text.replace("n_feat=4", f"n_feat={n_feat}"))
+    return data
+
+
+# -60 by -4 values match the file's size: only the sign check refuses them
+@pytest.mark.parametrize("n_obs, n_feat", [("abc", "4"), ("-60", "-4")])
+def test_stats_malformed_raw_descriptor_is_data_error(tmp_path, capsys, n_obs, n_feat):
+    data = write_raw_with_bad_shape(tmp_path, n_obs, n_feat)
+    assert main(["stats", str(data), "--format", "raw", "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "n_obs" in err and "t.bin.desc" in err
+
+
+def test_eval_campaign_on_a_malformed_raw_descriptor_is_data_error(tmp_path, capsys):
+    write_raw_with_bad_shape(tmp_path)
+    campaign = write_campaign(tmp_path, [{"method": "none"}])
+    doc = yaml.safe_load(campaign.read_text())
+    doc["dataset"] = {"path": "t.bin", "format": "raw"}
+    doc["apps"][0]["target"] = "c3"
+    campaign.write_text(yaml.safe_dump(doc))
+    assert main(["eval", str(campaign)]) == 3
+    assert "n_obs" in capsys.readouterr().err
+
+
+def test_stats_bad_bin_count_is_usage_error(tmp_path):
+    data = tmp_path / "tiny.csv"
+    write_dataset_csv(data, n=20)
+    assert main(["stats", str(data), "--bins", "0", "--out-dir", str(tmp_path)]) == 2
 
 
 def test_usage_error_exits_two():
