@@ -154,6 +154,39 @@ _COMPATIBLE = {
     AppKind.KNN_CLASSIFIER: {MetricName.ACCURACY, MetricName.GMEAN},
     AppKind.LOWRANK_RECONSTRUCTION: {MetricName.MSE, MetricName.PSNR},
 }
+# the params each built-in kind reads; an external app's are free-form
+_PARAMS = {
+    AppKind.RIDGE_REGRESSION: {"lambda_scale"},
+    AppKind.KNN_CLASSIFIER: {"k", "positive"},
+    AppKind.LOWRANK_RECONSTRUCTION: {"rank"},
+}
+
+
+def _check_params(kind: AppKind, params: dict, metric: MetricSpec) -> None:
+    """Raise ConfigError for a param the built-in kind does not read or
+    cannot use."""
+    unknown = sorted(set(params) - _PARAMS[kind])
+    if unknown:
+        raise ConfigError(f"{kind.value} reads no param {unknown[0]!r}")
+    for name in ("k", "rank"):
+        v = params.get(name, 1)
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+    # read as float() reads it, as YAML gives 1e-3 (no dot) as a string
+    lam = params.get("lambda_scale", 0.0)
+    try:
+        ok = not isinstance(lam, bool) and 0 <= float(lam) < math.inf
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"lambda_scale must be finite and >= 0, got {lam!r}")
+    positive = params.get("positive", 1)
+    real = (int, float, np.integer, np.floating)
+    if isinstance(positive, bool) or not isinstance(positive, real):
+        raise ConfigError(f"positive must be a real number, got {positive!r}")
+    definition = metric.params.get("definition", "pearson")
+    if metric.name is MetricName.R2 and definition not in ("pearson", "cod"):
+        raise ConfigError(f"r2 definition must be pearson or cod, got {definition!r}")
 
 
 @dataclass(frozen=True)
@@ -179,6 +212,8 @@ class Application:
             raise ConfigError(
                 f"metric {self.metric.name.value} incompatible with {kind.value}"
             )
+        else:
+            _check_params(kind, self.params, self.metric)
         if kind in (AppKind.RIDGE_REGRESSION, AppKind.KNN_CLASSIFIER) and self.target is None:
             raise ConfigError(f"{kind.value} needs a target column")
 
@@ -209,8 +244,8 @@ def _run_ridge(train: Dataset, validation: Dataset, app: Application) -> float:
     return r_squared(pred, yv, definition)
 
 
-_KNN_BLOCK = 32  # fewest rows per block, and the dense path's chunk of rows
-_SCREEN_CELLS = 1 << 16  # (validation, training) row pairs per screened block
+_KNN_BLOCK = 32  # fewest validation rows per block
+_SCREEN_CELLS = 1 << 16  # row pairs per screened block, cells per dense chunk
 _SCREEN_SHARE = 4  # refine at most 1/_SCREEN_SHARE of a block's pairs
 _SCREEN_MIN_TRAIN = 64  # below this many training rows the dense block is faster
 _SCREEN_REACH = np.finfo(np.float64).max / 16  # largest (|v| + T)^2 screened
@@ -258,13 +293,15 @@ def _dense_nearest(xb: np.ndarray, xu: np.ndarray, inverse: np.ndarray, k: int) 
     The distance is computed once per distinct training row (xu, with
     `inverse` mapping each training row to its own) and gathered: the
     expression depends on the row's values alone, so the bits are the same.
-    Its temporaries grow with rows × distinct rows × features, so the block
-    is worked through _KNN_BLOCK rows at a time.
+    Its temporaries hold rows × distinct rows × features and rows × training
+    rows cells, so the block is worked through chunks of about _SCREEN_CELLS
+    cells of the larger one.
     """
     n_train = inverse.size
+    rows = max(1, _SCREEN_CELLS // max(xu.size, n_train))
     picked = []
-    for lo in range(0, xb.shape[0], _KNN_BLOCK):
-        d2 = ((xb[lo : lo + _KNN_BLOCK, None, :] - xu[None, :, :]) ** 2).sum(axis=2)[:, inverse]
+    for lo in range(0, xb.shape[0], rows):
+        d2 = ((xb[lo : lo + rows, None, :] - xu[None, :, :]) ** 2).sum(axis=2)[:, inverse]
         picked.append(np.flatnonzero(_nearest(d2, k)) + lo * n_train)
     return np.concatenate(picked)
 
@@ -279,8 +316,13 @@ def _screened_nearest(xb, xt, m2xt, nt, margin, k: int) -> np.ndarray | None:
     n_train = xt.shape[0]
     h = xb @ m2xt
     h += nt  # the ranking key |t|^2 - 2 v.t
-    kth = np.partition(h, k - 1, axis=1)[:, k - 1]
-    keep = h <= (kth + margin)[:, None]
+    # tau: the k-th smallest of the elementwise minima of the column groups
+    # [0, w), [w, 2w), [2w, 3w), [3w, 4w) and of the leftover columns; w >= k
+    # as the screen needs n_train >= 4k
+    w = n_train // 4
+    low = np.hstack([h[:, : 4 * w].reshape(-1, 4, w).min(axis=1), h[:, 4 * w :]])
+    low.partition(k - 1, axis=1)
+    keep = h <= (low[:, k - 1] + margin)[:, None]
     if np.count_nonzero(keep) * _SCREEN_SHARE > keep.size:
         return None
     r, c = np.divmod(np.flatnonzero(keep), n_train)
@@ -311,7 +353,8 @@ def _knn_predict(
     and ties come from d alone.  Most pairs cannot be among a row's k
     nearest, so a screen ranks them first by the key h = fl(|t|^2 - 2 v.t),
     one matrix product per block, and d is computed only for the columns
-    whose h lies within a margin m of the row's k-th smallest h.
+    whose h lies within a margin m of a bound tau on the row's k-th
+    smallest h.
 
     Why no other column can be picked or tied.  Let u = 2^-53,
     g_j = j·u/(1 - j·u), n the number of features, D = |v - t|^2 the real
@@ -328,17 +371,26 @@ def _knn_predict(
         |d - D| <= g_{n+2} D + a.
     a is an absolute term for underflow: each product whose result is
     subnormal may be off by up to 2^-1075 (subnormal sums and differences
-    are exact), so a <= 3n·2^-1074 for either quantity.  Let hk be the
-    row's k-th smallest h.  Its k columns with h <= hk have
-    D <= hk + e + V, so the k-th smallest d is at most
-    (1 + g)(hk + e + V) + a with g = g_{n+2}.  A column c has
+    are exact), so a <= 3n·2^-1074 for either quantity.
+
+    tau bounds the row's k-th smallest h from above without ranking the
+    row.  With N training rows and w = floor(N/4), the elementwise minimum
+    of the column slices [0, w), [w, 2w), [2w, 3w) and [3w, 4w), beside
+    the leftover columns [4w, N) on their own, gives N - 3w values, each
+    the h of one column of a group that shares no column with another.
+    tau is the k-th smallest of them (w >= k, as the screen needs N >= 4k).
+    So k distinct columns have h <= tau, tau is at least the row's k-th
+    smallest h, and tau is itself one of the row's h.
+
+    Those k columns have D <= tau + e + V, so the k-th smallest d is at
+    most (1 + g)(tau + e + V) + a with g = g_{n+2}.  A column c has
     d_c >= (1 - g)(h_c - e + V) - a, which exceeds that as soon as
-    h_c - hk > (2g (hk + V) + 2e + 2a) / (1 - g).  As hk + V <= R + e,
+    h_c - tau > (2g (tau + V) + 2e + 2a) / (1 - g).  As tau + V <= R + e,
     the right side is below 5g R + 5a for g < 0.01.  The margin is
     m = 8g R + (n + 2)·2^-1070.  The factor 8 where 5 suffices absorbs the
-    rounding of |v|, T, R and of hk + m; (n + 2)·2^-1070 =
+    rounding of |v|, T, R and of tau + m; (n + 2)·2^-1070 =
     16(n + 2)·2^-1074 covers 5a <= 15n·2^-1074.  So every column with
-    h_c > hk + m has a d strictly above the row's k-th smallest d: it is
+    h_c > tau + m has a d strictly above the row's k-th smallest d: it is
     neither picked nor tied, and the candidates hold every column at or
     below that distance, in their original order.
 
@@ -353,7 +405,8 @@ def _knn_predict(
     (heavy ties, as when every training row quantizes alike).  Calls with
     fewer than _SCREEN_MIN_TRAIN or 4k training rows skip the screen.  The
     dense path computes d once per byte-distinct training row, found once
-    per call, _KNN_BLOCK validation rows at a time.
+    per call, in chunks of validation rows sized to about _SCREEN_CELLS
+    cells (`_dense_nearest`).
     """
     # lay the training rows out in permutation order, so the leftmost of
     # equal distances wins
@@ -395,7 +448,7 @@ def _knn_predict(
 def _run_knn(train: Dataset, validation: Dataset, app: Application) -> float:
     xt, yt = _split_target(train, app.target)
     xv, yv = _split_target(validation, app.target)
-    k = int(app.params.get("k", 5))
+    k = app.params.get("k", 5)
     if not 1 <= k <= xt.shape[0]:
         raise ApplicationError(f"k={k} outside [1, {xt.shape[0]}]")
     pred = _knn_predict(xt, yt, xv, k, app.seed)
@@ -407,7 +460,7 @@ def _run_knn(train: Dataset, validation: Dataset, app: Application) -> float:
 
 
 def _run_lowrank(train: Dataset, validation: Dataset, app: Application) -> float:
-    rank = int(app.params.get("rank", min(3, train.n_feat)))
+    rank = app.params.get("rank", min(3, train.n_feat))
     if not 1 <= rank <= train.n_feat:
         raise ApplicationError(f"rank {rank} outside [1, {train.n_feat}]")
     xt = train.values.astype(np.float64)

@@ -23,7 +23,7 @@ from ..tabular import DTYPES
 from .config import Layout, Method, Mode, check_fields
 
 MAGIC = b"PPRS"
-VERSION = 11
+VERSION = 12
 
 _METHOD_CODE = {
     Method.EBLC_PRED: 1,

@@ -50,8 +50,9 @@ _FLAG_ZEROS = 8  # pw_rel, with _FLAG_SIGNS: the block codes zeros as ZERO
 # bits 4-5, with _FLAG_DEFLATED: 0 for byte planes, p for codes packed 8 >> p bits each
 _PACK_SHIFT = 4
 _PACK_FLAGS = 3 << _PACK_SHIFT
-
-_MAX_PLANES = 4  # byte planes of the largest code, JUMP_LIMIT's
+# bits 6-7, with _FLAG_DEFLATED and pack 0: the number of byte planes less one
+_PLANES_SHIFT = 6
+_PLANES_FLAGS = 3 << _PLANES_SHIFT
 
 # zlib levels of the code section (docs/container_format.md's table): byte
 # plane 0 and the planes above it, for codes of 256 and up; for packed codes
@@ -234,7 +235,7 @@ def _code(codes: np.ndarray, lit_bits: np.ndarray, raw_bits: int):
             lossless.lossless_encode(planes[k * n : (k + 1) * n], level=level)
             for k, level in enumerate(levels)
         )
-        return _FLAG_DEFLATED, section, keep
+        return _FLAG_DEFLATED | (len(levels) - 1) << _PLANES_SHIFT, section, keep
     if top < 16:  # (frame, pack field) candidates, in order of preference
         pack = 3 if top < 2 else 2 if top < 4 else 1
         packed = _pack(coded, 8 >> pack)
@@ -326,16 +327,15 @@ def encode_verbatim(x: np.ndarray, width: int) -> bytes:
     return _HEAD.pack(_FLAG_VERBATIM, cols.shape[1], cols.shape[0]) + _raw(cols, width)
 
 
-def _read_planes(buf: bytes, off: int, count: int) -> list[bytes]:
-    """The byte planes of count codes, one lossless frame each from off to
-    the end of buf; CodecError unless there are 1 to _MAX_PLANES frames of
-    count bytes each."""
+def _read_planes(buf: bytes, off: int, count: int, n_planes: int) -> list[bytes]:
+    """The n_planes byte planes of count codes, one lossless frame each from
+    off, the last ending buf; CodecError unless each holds count bytes."""
     planes = []
-    while off < len(buf) or not planes:
-        if len(planes) == _MAX_PLANES:
-            raise CodecError(f"{len(buf) - off} bytes after the {len(planes)} code planes")
+    for _ in range(n_planes):
         plane, off = lossless.read_frame(buf, off, count)
         planes.append(plane)
+    if off != len(buf):
+        raise CodecError(f"{len(buf) - off} bytes after the {n_planes} code planes")
     return planes
 
 
@@ -349,6 +349,8 @@ def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
         raise CodecError(f"predictive stream declares {n}x{n_cols} values, not {n_values}")
     known = (_FLAG_SIGNS | _FLAG_DEFLATED | (_FLAG_ZEROS if flags & _FLAG_SIGNS else 0)
              | (_PACK_FLAGS if flags & _FLAG_DEFLATED else 0))
+    if flags & _FLAG_DEFLATED and not flags & _PACK_FLAGS:
+        known |= _PLANES_FLAGS
     if flags == _FLAG_VERBATIM:
         count = 0
         vals, off = section(buf, off, n * n_cols * width, "values", last=True)
@@ -379,7 +381,8 @@ def decode(buf: bytes, width: int, n_values: int) -> np.ndarray:
         codes = _unpack(lossless.lossless_decode(buf[off:]), 8 >> pack, count)
     else:
         codes = 0  # int64 codes from their byte planes, the most significant first
-        for plane in _read_planes(buf, off, count)[::-1]:
+        n_planes = 1 + ((flags & _PLANES_FLAGS) >> _PLANES_SHIFT)
+        for plane in _read_planes(buf, off, count, n_planes)[::-1]:
             codes = codes << 8 | np.frombuffer(plane, np.uint8).astype(np.int64)
     # the longest jump codes as 2*JUMP_LIMIT - 1, one higher with zeros
     shift = 1 if flags & _FLAG_ZEROS else 0

@@ -275,7 +275,7 @@ def test_cache_key_hashes_the_whole_application():
     config = ReducerConfig(Method.EBLC_PRED, Mode.ABS, (1e-4,))
     app = Application(
         "app", AppKind.EXTERNAL, MetricSpec(MetricName.R2), target="y",
-        command="run {train} {validation} {seed}", params={"k": 1},
+        command="run {train} {validation} {seed}",
     )
     key = cache_key(pair, app, config, "both")
     variants = [

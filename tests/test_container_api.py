@@ -92,56 +92,56 @@ def api_digests():
 
 # sha256 of the predictive stream compress writes per case: pins how the
 # mode's bound becomes each column's absolute bound, from the
-# container-version-11 format
+# container-version-12 format
 API_DIGESTS = {
-    "f64 abs by_column 0.0001": "f4d5afe3d6cf1007",
-    "f64 abs by_column 0.01": "f57fb92f5966d2a2",
-    "f64 abs matrix 0.0001": "b5d160fa089bd5a3",
-    "f64 abs matrix 0.01": "62f65c19a37525f6",
-    "f64 rel by_column 1e-06": "16ba93edf82faed8",
+    "f64 abs by_column 0.0001": "6c581b140713c191",
+    "f64 abs by_column 0.01": "6ec18e0fc03bd28e",
+    "f64 abs matrix 0.0001": "a6cab64613f97108",
+    "f64 abs matrix 0.01": "46be8c73550ed8f4",
+    "f64 rel by_column 1e-06": "11771b54b28434a0",
     "f64 rel by_column 0.001": "14fb9061905c3528",
     "f64 rel by_column 0.1": "585438e528e73de4",
-    "f64 rel matrix 1e-06": "043cbc6ae2295f25",
-    "f64 rel matrix 0.001": "872a3997c901256d",
+    "f64 rel matrix 1e-06": "f0e269f79709afca",
+    "f64 rel matrix 0.001": "b46a6d7f07dc78a8",
     "f64 rel matrix 0.1": "2f52cc6b135218eb",
     "f64 psnr by_column 30": "4dd3631bf62f9987",
-    "f64 psnr by_column 80": "28a593cd267c6bf9",
-    "f64 psnr by_column 140": "baf7cf520c056f1a",
+    "f64 psnr by_column 80": "5578dde643793454",
+    "f64 psnr by_column 140": "cd6032a13cc13fff",
     "f64 psnr matrix 30": "2d506e2fe8b8fbba",
-    "f64 psnr matrix 80": "45cda12b69e6d6d0",
-    "f64 psnr matrix 140": "a353bf6f7700ce72",
-    "f32 abs by_column 0.0001": "9b577b7bf2417ea8",
-    "f32 abs by_column 0.01": "41560cdb5ff569be",
-    "f32 abs matrix 0.0001": "118732db4df7ecb5",
-    "f32 abs matrix 0.01": "9f56d31d35eed8fd",
-    "f32 rel by_column 1e-06": "4f5f91ae4e758fc3",
+    "f64 psnr matrix 80": "052703ee5d16468a",
+    "f64 psnr matrix 140": "be4a24164e59fa60",
+    "f32 abs by_column 0.0001": "b8942ab144b3a657",
+    "f32 abs by_column 0.01": "f53a38136c18feb8",
+    "f32 abs matrix 0.0001": "2de108bbd3414da7",
+    "f32 abs matrix 0.01": "df834300819c367f",
+    "f32 rel by_column 1e-06": "8586473b7873266e",
     "f32 rel by_column 0.001": "d617598f0400fd51",
     "f32 rel by_column 0.1": "4a6c7c6474c1f599",
-    "f32 rel matrix 1e-06": "72d3cea93f0e20b9",
-    "f32 rel matrix 0.001": "106b1b1ac88a9e6a",
+    "f32 rel matrix 1e-06": "9de7ccde49cbda7f",
+    "f32 rel matrix 0.001": "a442aeac49965714",
     "f32 rel matrix 0.1": "d8acc6d5f4180897",
     "f32 psnr by_column 30": "1e1bb11d4ff83b59",
-    "f32 psnr by_column 80": "98914da689e68c19",
-    "f32 psnr by_column 140": "c4f40f4ca4f9ae1b",
+    "f32 psnr by_column 80": "ae86d1d20f53e5e9",
+    "f32 psnr by_column 140": "cc6b222798550069",
     "f32 psnr matrix 30": "91c6c1d930b77a2a",
-    "f32 psnr matrix 80": "4e79f79740db69a9",
-    "f32 psnr matrix 140": "9e80ac01058e12e5",
-    "nonfinite abs by_column 0.0001": "c9dbfb0d89c55c7d",
-    "nonfinite abs by_column 0.01": "3c71c09f08e26345",
-    "nonfinite abs matrix 0.0001": "ea9f8a76c1461b36",
-    "nonfinite abs matrix 0.01": "87e25c02454bd8ff",
-    "nonfinite rel by_column 1e-06": "2c812c267784c3df",
+    "f32 psnr matrix 80": "cbad32cbead8a384",
+    "f32 psnr matrix 140": "3ae619f0af9f8cc3",
+    "nonfinite abs by_column 0.0001": "f343fca904e24346",
+    "nonfinite abs by_column 0.01": "a2022a457c165df5",
+    "nonfinite abs matrix 0.0001": "672f409b164bcacc",
+    "nonfinite abs matrix 0.01": "aa8ec613ffe6fe77",
+    "nonfinite rel by_column 1e-06": "55ef297e7470bc62",
     "nonfinite rel by_column 0.001": "7cf1a4954a11370e",
     "nonfinite rel by_column 0.1": "173cd7b8621450f1",
-    "nonfinite rel matrix 1e-06": "9cf08441c4650d7e",
-    "nonfinite rel matrix 0.001": "e6286d5322384b57",
+    "nonfinite rel matrix 1e-06": "aa78bc39db61eca9",
+    "nonfinite rel matrix 0.001": "fc9188e5fa0a7d4e",
     "nonfinite rel matrix 0.1": "41b53e02ddbd8b22",
     "nonfinite psnr by_column 30": "cc91c340efd64b99",
-    "nonfinite psnr by_column 80": "d021b0e3f6e8d99b",
-    "nonfinite psnr by_column 140": "ae79900f7aa9b3cc",
+    "nonfinite psnr by_column 80": "e05c797ec9f1fb15",
+    "nonfinite psnr by_column 140": "efab1678f26b4755",
     "nonfinite psnr matrix 30": "47938829d7fb0fef",
-    "nonfinite psnr matrix 80": "4305cd7a822e204f",
-    "nonfinite psnr matrix 140": "0edb8198872c555d",
+    "nonfinite psnr matrix 80": "b9ac7919088a06ab",
+    "nonfinite psnr matrix 140": "1c4664b7783bff5d",
 }
 
 
@@ -878,9 +878,8 @@ def code_frame_starts(art):
 
 
 def test_predictive_stream_cut_at_every_frame_boundary_decodes_or_raises():
-    # a byte-plane code section is one frame per plane, read to the end of
-    # the stream, so a cut between frames leaves a well-formed frame
-    # sequence: the decoder must still raise or decode within the fuzz rules
+    # a cut between the frames of a code section, or before it, must raise
+    # or decode within the fuzz rules (multi-plane cuts raise: see below)
     most = 0
     for i in range(len(FUZZ_CONFIGS)):
         art = fuzz_artifact(i)
@@ -891,6 +890,26 @@ def test_predictive_stream_cut_at_every_frame_boundary_decodes_or_raises():
         for cut in starts[:-1]:
             assert_decodes_or_raises_format_errors(art, art.stream[:cut])
     assert most >= 3  # some stream's codes take three or more byte planes
+
+
+def test_multi_plane_stream_cut_at_a_frame_boundary_raises_codec_error():
+    # the header states how many byte-plane frames follow, so a stream cut
+    # after any of them but the last is damage, not fewer planes
+    multi = []
+    for i in range(len(FUZZ_CONFIGS)):
+        art = fuzz_artifact(i)
+        if art.method is not Method.EBLC_PRED:
+            continue
+        starts = code_frame_starts(art)
+        flags = art.stream[0]
+        if len(starts) < 3 or flags & predictive._PACK_FLAGS:
+            continue
+        assert (flags & predictive._PLANES_FLAGS) >> predictive._PLANES_SHIFT == len(starts) - 2
+        multi.append(len(starts) - 1)
+        for cut in starts[:-1]:
+            with pytest.raises(CodecError):
+                decompress(replace(art, stream=art.stream[:cut]))
+    assert max(multi, default=0) == 4 and len(multi) >= 3
 
 
 def assert_decodes_or_raises_format_errors(art, bad):

@@ -415,8 +415,12 @@ def code_frames(section):
 
 def code_stream(codes, lits, step, width=None, flags=predictive._FLAG_DEFLATED, signs=False):
     """An f64 one-column stream holding exactly the given codes and literals
-    in `width` byte planes (default: as few as fit), one frame each; with
-    signs, a pw_rel stream of positive values."""
+    in `width` byte planes (default: as few as fit), one frame each, with
+    the plane count in the header under flag 4; with signs, a pw_rel stream
+    of positive values."""
+    if flags & predictive._FLAG_DEFLATED:
+        n_planes = width or max(1, (max(codes).bit_length() + 7) // 8)
+        flags |= (n_planes - 1) << predictive._PLANES_SHIFT
     return b"".join((
         predictive._HEAD.pack(flags | (predictive._FLAG_SIGNS if signs else 0), len(codes), 1),
         np.array([(step, len(lits))], predictive._COLUMN).tobytes(),
@@ -838,7 +842,7 @@ def test_hand_packed_codes_decode_high_bits_first(bits):
 @pytest.mark.parametrize(
     "damage",
     ["short", "long", "pad-bit", "no-flag-4", "no-flag-4-no-codes", "flag-4-no-codes",
-     "flag-4-pack-no-codes", "verbatim"],
+     "flag-4-pack-no-codes", "verbatim", "planes-bits", "planes-bits-verbatim"],
 )
 def test_damaged_packed_codes_raise_codec_error(bits, damage):
     codes = [0] + [1] * 10  # 11 codes: the last byte has pad slots at every width
@@ -852,6 +856,11 @@ def test_damaged_packed_codes_raise_codec_error(bits, damage):
         bad = packed_stream(codes, bits, data=packed[:-1] + bytes([packed[-1] | 1]))
     elif damage == "no-flag-4":
         bad = packed_stream(codes, bits, flags=0)
+    elif damage == "planes-bits":  # a plane count beside the pack field
+        bad = packed_stream(codes, bits, flags=predictive._FLAG_DEFLATED | 1 << 6)
+    elif damage == "planes-bits-verbatim":
+        raw = predictive.encode_verbatim(np.arange(11.0), 8)
+        bad = bytes([raw[0] | 1 << 6]) + raw[1:]
     elif damage.endswith("no-codes"):  # the one column stored raw: no code section
         flags = {"no-flag-4-no-codes": PACK_FIELD[bits] << 4, "flag-4-no-codes": 4,
                  "flag-4-pack-no-codes": 4 | PACK_FIELD[bits] << 4}[damage]
@@ -868,8 +877,13 @@ def test_damaged_packed_codes_raise_codec_error(bits, damage):
         predictive.decode(bad, 8, len(codes))
 
 
-def refit_frame(buf, section):
+def refit_frame(buf, section, n_planes=None):
+    """buf with its code section replaced; with n_planes, its header
+    declares that many byte planes."""
     _, off = deflated_section(buf)
+    if n_planes is not None:
+        flags = buf[0] & ~predictive._PLANES_FLAGS | (n_planes - 1) << predictive._PLANES_SHIFT
+        buf = bytes([flags]) + buf[1:]
     return buf[:off] + section
 
 
@@ -911,10 +925,23 @@ def test_code_section_without_a_frame_raises_codec_error():
 def test_fifth_code_plane_raises_codec_error():
     # four planes hold every code; a fifth frame, even of zeros, is damage
     buf, n, planes = two_planes()
-    four = refit_frame(buf, frames_of(planes + [bytes(n)] * 2))
+    four = refit_frame(buf, frames_of(planes + [bytes(n)] * 2), n_planes=4)
     assert predictive.decode(four, 8, WALK).tobytes() == predictive.decode(buf, 8, WALK).tobytes()
     with pytest.raises(CodecError, match="bytes after the 4 code planes"):
-        predictive.decode(refit_frame(buf, frames_of(planes + [bytes(n)] * 3)), 8, WALK)
+        predictive.decode(refit_frame(buf, frames_of(planes + [bytes(n)] * 3), n_planes=4), 8, WALK)
+
+
+def test_code_planes_other_than_declared_raise_codec_error():
+    # the header states the plane count: a frame more or fewer is damage,
+    # even when the frames alone would be well formed
+    buf, n, planes = two_planes()
+    assert (buf[0] & predictive._PLANES_FLAGS) >> predictive._PLANES_SHIFT == 1
+    with pytest.raises(CodecError, match="truncated in its lossless frame header"):
+        predictive.decode(refit_frame(buf, frames_of(planes[:1])), 8, WALK)
+    with pytest.raises(CodecError, match="bytes after the 1 code planes"):
+        predictive.decode(refit_frame(buf, frames_of(planes), n_planes=1), 8, WALK)
+    with pytest.raises(CodecError, match="bytes after the 2 code planes"):
+        predictive.decode(refit_frame(buf, frames_of(planes + [bytes(n)])), 8, WALK)
 
 
 def test_code_plane_of_another_length_raises_codec_error_before_inflating():
@@ -942,7 +969,9 @@ def test_bytes_after_the_last_code_plane_raise_codec_error(tail):
     # whole frame of one byte per code
     buf, n, planes = two_planes()
     with pytest.raises(CodecError, match="1 bytes after the 4 code planes"):
-        predictive.decode(refit_frame(buf, frames_of(planes + [bytes(n)] * 2) + tail[:1]), 8, WALK)
+        predictive.decode(
+            refit_frame(buf, frames_of(planes + [bytes(n)] * 2) + tail[:1], n_planes=4), 8, WALK
+        )
     with pytest.raises(CodecError):
         predictive.decode(refit_frame(buf, frames_of(planes) + tail), 8, WALK)
 
@@ -1207,9 +1236,8 @@ def test_code_width_follows_the_largest_code(jump, code, planes):
 
 
 def test_wider_planes_than_needed_decode_alike():
-    # the decoder takes the plane count from the number of frames, so codes
-    # written wider than they need, with all-zero upper planes, decode to
-    # the same values
+    # codes written wider than they need, with all-zero upper planes and
+    # the header stating as many planes, decode to the same values
     codes = reference_codes([None, 1, -2, 0, None])
     want = predictive.decode(code_stream(codes, [0.5, 9.0], 1.0), 8, len(codes))
     assert want.tolist() == [0.5, 1.5, -0.5, -0.5, 9.0]
@@ -1329,35 +1357,35 @@ def predictive_digests():
 
 
 # sha256 of (stream, encoder reconstruction, decode) per case, from the
-# container-version-11 predictive format
+# container-version-12 predictive format
 PREDICTIVE_DIGESTS = {
-    "abs-one-column f32 1e-07": "e059c9c549576ee8",
-    "abs-one-column f32 1e-06": "45705380d7c8295e",
-    "abs-one-column f32 1e-05": "f7d9f0f95b736c0f",
-    "abs-one-column f32 0.0001": "0291920304fb2c09",
-    "abs-one-column f32 0.001": "3de06fe1a6d59707",
-    "abs-one-column f32 0.01": "d0b105f51ff3a927",
+    "abs-one-column f32 1e-07": "c38597b104c9b10d",
+    "abs-one-column f32 1e-06": "3b5c4593e9fa20ef",
+    "abs-one-column f32 1e-05": "0c0419444a94abe0",
+    "abs-one-column f32 0.0001": "58bf0ed7a5e12b97",
+    "abs-one-column f32 0.001": "077ccee4b1e1c474",
+    "abs-one-column f32 0.01": "1704a20d903d49b5",
     "abs-one-column f32 0.1": "461d7b987fefe502",
-    "abs-one-column f64 1e-07": "65d32df416a55258",
-    "abs-one-column f64 1e-06": "b6d7ee9e7c932ca4",
-    "abs-one-column f64 1e-05": "6f16f6153381a743",
-    "abs-one-column f64 0.0001": "361411878f25b75b",
-    "abs-one-column f64 0.001": "be891806a833dc75",
-    "abs-one-column f64 0.01": "f8cb473a717038fb",
+    "abs-one-column f64 1e-07": "58bc92e3f44f50df",
+    "abs-one-column f64 1e-06": "b5608510c82e7bcc",
+    "abs-one-column f64 1e-05": "e4189addf086340f",
+    "abs-one-column f64 0.0001": "94ba195130a59e99",
+    "abs-one-column f64 0.001": "59637795d14198c4",
+    "abs-one-column f64 0.01": "6e9f919254d5c751",
     "abs-one-column f64 0.1": "4e4c25732f613f78",
-    "abs-16-columns f32 1e-07": "d2a72bb5fec2ec34",
-    "abs-16-columns f32 1e-06": "f00ad4d6079b6681",
-    "abs-16-columns f32 1e-05": "3550e91c497149e8",
-    "abs-16-columns f32 0.0001": "daf8f5a4e57795b0",
-    "abs-16-columns f32 0.001": "1aac782ee7ac0825",
-    "abs-16-columns f32 0.01": "e977cb8e467bf287",
+    "abs-16-columns f32 1e-07": "c5f6f03f4d6664b4",
+    "abs-16-columns f32 1e-06": "4581f42ce9411586",
+    "abs-16-columns f32 1e-05": "89709868baaa5498",
+    "abs-16-columns f32 0.0001": "62e3c490d51357aa",
+    "abs-16-columns f32 0.001": "49b223f8777c76f3",
+    "abs-16-columns f32 0.01": "a525dcc9041a5a63",
     "abs-16-columns f32 0.1": "ed05c5b3b69b49f4",
-    "abs-16-columns f64 1e-07": "2daee799dbf2a533",
-    "abs-16-columns f64 1e-06": "d80244da2b345458",
-    "abs-16-columns f64 1e-05": "a7d81c932b0df625",
-    "abs-16-columns f64 0.0001": "5cb7bfa97676457e",
-    "abs-16-columns f64 0.001": "3569398a818d8626",
-    "abs-16-columns f64 0.01": "37c56de61eb58a52",
+    "abs-16-columns f64 1e-07": "752505f51a4af096",
+    "abs-16-columns f64 1e-06": "6c3c5eb202b4662a",
+    "abs-16-columns f64 1e-05": "ab16013ed063ab4c",
+    "abs-16-columns f64 0.0001": "70dbc092ee6045fe",
+    "abs-16-columns f64 0.001": "eb2f06885596fa0e",
+    "abs-16-columns f64 0.01": "c272946b664267d6",
     "abs-16-columns f64 0.1": "a7f44e8ab68598d8",
     "abs-verbatim-block f32 1e-07": "58b92a1caf22ff30",
     "abs-verbatim-block f32 1e-06": "58b92a1caf22ff30",
@@ -1374,43 +1402,43 @@ PREDICTIVE_DIGESTS = {
     "abs-verbatim-block f64 0.01": "54c3de7c406301c7",
     "abs-verbatim-block f64 0.1": "54c3de7c406301c7",
     "pwrel-ragged-block f32 1e-07": "a15f53d65d357d40",
-    "pwrel-ragged-block f32 1e-06": "5c6de9b2b6c06993",
-    "pwrel-ragged-block f32 1e-05": "ddd380ad3fb2b45e",
-    "pwrel-ragged-block f32 0.0001": "84bf1efaa5585309",
-    "pwrel-ragged-block f32 0.001": "a9f98ec76cbec04f",
-    "pwrel-ragged-block f32 0.01": "095f7a5a4be3294d",
+    "pwrel-ragged-block f32 1e-06": "5865094a8dbdcf6f",
+    "pwrel-ragged-block f32 1e-05": "01b86fcbce065a51",
+    "pwrel-ragged-block f32 0.0001": "b948f0d8fc521f32",
+    "pwrel-ragged-block f32 0.001": "6147900e31419a7d",
+    "pwrel-ragged-block f32 0.01": "2c7a98eb53a06089",
     "pwrel-ragged-block f32 0.1": "3d0a1ce53c3f6910",
-    "pwrel-ragged-block f64 1e-07": "8bc00295e7e0b19b",
-    "pwrel-ragged-block f64 1e-06": "0f2c99f301c71ecc",
-    "pwrel-ragged-block f64 1e-05": "0a0f7c455c4c4d63",
-    "pwrel-ragged-block f64 0.0001": "0f4f2fb6088f48f7",
-    "pwrel-ragged-block f64 0.001": "d93309edf8d8622e",
-    "pwrel-ragged-block f64 0.01": "877ec3c0f59268e1",
+    "pwrel-ragged-block f64 1e-07": "141129223d93e92c",
+    "pwrel-ragged-block f64 1e-06": "345650c1938cac27",
+    "pwrel-ragged-block f64 1e-05": "383bb7f69cac3e34",
+    "pwrel-ragged-block f64 0.0001": "8cf1700301e77c90",
+    "pwrel-ragged-block f64 0.001": "0491235adf8248c6",
+    "pwrel-ragged-block f64 0.01": "a0afccfa0a7e6e56",
     "pwrel-ragged-block f64 0.1": "681844b023a816b2",
-    "pwrel-one-column f32 1e-07": "ec5138b7355ca488",
-    "pwrel-one-column f32 1e-06": "bb2d6b5bb107a6fb",
-    "pwrel-one-column f32 1e-05": "459f946e9ec6834b",
-    "pwrel-one-column f32 0.0001": "695478fcc5739e8a",
-    "pwrel-one-column f32 0.001": "15e76b7864c8c2b9",
+    "pwrel-one-column f32 1e-07": "a880c618b4b842ae",
+    "pwrel-one-column f32 1e-06": "401c6f88dad17401",
+    "pwrel-one-column f32 1e-05": "ac062ae43216a66f",
+    "pwrel-one-column f32 0.0001": "853d4a07b2b58fcf",
+    "pwrel-one-column f32 0.001": "53ff85b8166f1774",
     "pwrel-one-column f32 0.01": "e94178f2ab389dfa",
     "pwrel-one-column f32 0.1": "033ac8947eb06907",
-    "pwrel-one-column f64 1e-07": "aa206bd7a47b10ba",
-    "pwrel-one-column f64 1e-06": "cc5386754d7b0fcf",
-    "pwrel-one-column f64 1e-05": "01c196838448d18c",
-    "pwrel-one-column f64 0.0001": "cd2d0ac8f10c3fc0",
-    "pwrel-one-column f64 0.001": "dcca88fe451f112b",
+    "pwrel-one-column f64 1e-07": "e37da8b199d1415f",
+    "pwrel-one-column f64 1e-06": "6032d10d2a09f9ed",
+    "pwrel-one-column f64 1e-05": "e2fe64acdc4b989f",
+    "pwrel-one-column f64 0.0001": "375148dbace3185f",
+    "pwrel-one-column f64 0.001": "66ee24b544ae3b1d",
     "pwrel-one-column f64 0.01": "1a71821251b6cb32",
     "pwrel-one-column f64 0.1": "c5bd3ab4ee3b5c39",
-    "abs-narrow-codes f32 1e-07": "b325fed7ad12d60d",
-    "abs-narrow-codes f32 1e-06": "1550afe1dc6b2f5e",
-    "abs-narrow-codes f32 1e-05": "8442884a6715d509",
+    "abs-narrow-codes f32 1e-07": "b6696555a599aace",
+    "abs-narrow-codes f32 1e-06": "aee31155b64957c2",
+    "abs-narrow-codes f32 1e-05": "b70c254b0b46c9e8",
     "abs-narrow-codes f32 0.0001": "d248994ee657620f",
     "abs-narrow-codes f32 0.001": "ae6a563b1a2f3169",
     "abs-narrow-codes f32 0.01": "1441254c09f001c2",
     "abs-narrow-codes f32 0.1": "3ae865ac729b4fc6",
-    "abs-narrow-codes f64 1e-07": "e766d4db1592b232",
-    "abs-narrow-codes f64 1e-06": "7955ef464fed35d9",
-    "abs-narrow-codes f64 1e-05": "89ec3832acbb1cef",
+    "abs-narrow-codes f64 1e-07": "64d5d61dfb79193f",
+    "abs-narrow-codes f64 1e-06": "3d932ca9e7ce9677",
+    "abs-narrow-codes f64 1e-05": "24a928dc9efb50b4",
     "abs-narrow-codes f64 0.0001": "21ef7787617147cb",
     "abs-narrow-codes f64 0.001": "c255ce13c715e27b",
     "abs-narrow-codes f64 0.01": "e9bc2c4e700bea95",

@@ -132,6 +132,72 @@ def test_application_validates_metric_compat():
         Application("c", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2))
 
 
+def knn_app(**params):
+    return Application(
+        "k", AppKind.KNN_CLASSIFIER, MetricSpec(MetricName.GMEAN), target=0, params=params
+    )
+
+
+@pytest.mark.parametrize("bad", ["five", 2.7, 2.0, True, False, 0, -1, None])
+def test_application_refuses_k_or_rank_not_a_positive_integer(bad):
+    with pytest.raises(ConfigError, match="k must be a positive integer"):
+        knn_app(k=bad)
+    with pytest.raises(ConfigError, match="rank must be a positive integer"):
+        Application(
+            "l", AppKind.LOWRANK_RECONSTRUCTION, MetricSpec(MetricName.MSE), params={"rank": bad}
+        )
+    assert knn_app(k=np.int64(3)).params["k"] == 3
+
+
+@pytest.mark.parametrize("bad", ["x", "-1", "inf", -1, -1e-300, math.inf, math.nan, True, None])
+def test_application_refuses_a_negative_or_non_finite_lambda_scale(bad):
+    with pytest.raises(ConfigError, match="lambda_scale must be finite and >= 0"):
+        Application(
+            "r", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2), target=0,
+            params={"lambda_scale": bad},
+        )
+    # YAML reads 1e-3, without a dot, as a string; float() reads it as before
+    for good in (0, 0.0, 2, "1e-3"):
+        Application(
+            "r", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2), target=0,
+            params={"lambda_scale": good},
+        )
+
+
+@pytest.mark.parametrize("bad", ["1", None, True, [1], 1j])
+def test_application_refuses_a_positive_label_that_is_not_a_real_number(bad):
+    with pytest.raises(ConfigError, match="positive must be a real number"):
+        knn_app(positive=bad)
+    for good in (0, 2.5, np.float64(-1.0)):
+        knn_app(positive=good)
+
+
+def test_application_refuses_an_unknown_r2_definition():
+    with pytest.raises(ConfigError, match="r2 definition must be pearson or cod"):
+        Application(
+            "r", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2, {"definition": "adjusted"}),
+            target=0,
+        )
+    for good in ("pearson", "cod"):
+        Application(
+            "r", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2, {"definition": good}),
+            target=0,
+        )
+
+
+def test_application_refuses_a_param_its_kind_does_not_read():
+    with pytest.raises(ConfigError, match="reads no param 'kk'"):
+        knn_app(kk=3)
+    with pytest.raises(ConfigError, match="reads no param 'k'"):
+        Application(
+            "r", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2), target=0, params={"k": 3}
+        )
+    # an external application's params are its own
+    Application(
+        "e", AppKind.EXTERNAL, MetricSpec(MetricName.R2), command="run", params={"anything": "x"}
+    )
+
+
 def linear_ds(n=200, seed=0, noise=0.0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 3))
@@ -348,6 +414,48 @@ def test_knn_screen_matches_reference():
     assert taken >= 20, f"the screen ran on {taken} blocks only"
 
 
+def test_knn_screen_with_the_nearest_rows_in_one_column_group():
+    # the screen bounds a row's k-th smallest key by the k-th smallest of
+    # the minima of the column slices [0, w), [w, 2w), [2w, 3w), [3w, 4w):
+    # put one validation row's 4 nearest training rows, in permutation
+    # order, at columns j, w + j, 2w + j and 3w + j, so they share one
+    # minimum and the bound reaches past them
+    n_train, k, seed, j = 100, 4, 12, 7
+    w = n_train // 4
+    rng = np.random.default_rng(9)
+    xt = rng.normal(size=(n_train, 3)) * 10.0
+    xv = rng.normal(size=(quality._block_rows(n_train), 3)) * 10.0
+    order = np.argsort(np.random.default_rng(seed).permutation(n_train))
+    group = order[[j, w + j, 2 * w + j, 3 * w + j]]
+    xt[group] = xv[0] + np.array([[0.01, 0, 0], [0, 0.02, 0], [0, 0, 0.03], [0.04, 0, 0]])
+    yt = rng.permutation(n_train).astype(float)  # the vote names the nearest rows
+    d2 = ((xv[0] - xt[order]) ** 2).sum(axis=1)
+    assert set(np.argsort(d2)[:k] % w) == {j}
+    with spy("_screened_nearest") as screened:
+        got = quality._knn_predict(xt, yt, xv, k, seed)
+    assert len(screened) == 1 and screened[0] is not None
+    assert np.array_equal(got, reference_knn(xt, yt, xv, k, seed))
+
+
+@pytest.mark.parametrize("n_train", [101, 102, 103])
+def test_knn_screen_with_leftover_columns(n_train):
+    # n_train % 4 columns sit outside the four column slices; validation
+    # rows on the training rows there have their nearest row among them
+    rng = np.random.default_rng(n_train)
+    xt = rng.normal(size=(n_train, 4))
+    xv = rng.normal(size=(2 * quality._block_rows(n_train), 4))
+    yt = rng.integers(0, 3, size=n_train).astype(float)
+    for seed in (0, 1):
+        order = np.argsort(np.random.default_rng(seed).permutation(n_train))
+        leftover = order[4 * (n_train // 4) :]
+        xv[: 3 * leftover.size] = np.tile(xt[leftover], (3, 1))
+        for k in (1, 5, 15):
+            with spy("_screened_nearest") as screened:
+                got = quality._knn_predict(xt, yt, xv, k, seed)
+            assert len(screened) == 2 and all(p is not None for p in screened)
+            assert np.array_equal(got, reference_knn(xt, yt, xv, k, seed))
+
+
 def test_knn_screen_falls_back_on_a_non_finite_row():
     rng = np.random.default_rng(4)
     xt = rng.normal(size=(100, 3))
@@ -398,12 +506,14 @@ def test_knn_screen_falls_back_on_an_all_tied_table():
 def test_knn_screen_falls_back_mid_call_to_dense_chunks():
     # 60 of 100 training rows alike: the first block, away from them, is
     # screened; the second, on them, keeps too many pairs, so it and the
-    # third go dense, _KNN_BLOCK rows at a time
+    # third go dense, in chunks of _SCREEN_CELLS cells of the larger of
+    # (41 distinct rows × 3 features) and 100 training rows
     rng = np.random.default_rng(7)
     xt = np.vstack([rng.normal(size=(40, 3)), np.full((60, 3), 50.0)])
     yt = rng.integers(0, 3, size=100).astype(float)
     rows = quality._block_rows(100)
-    assert rows > quality._KNN_BLOCK
+    chunk = quality._SCREEN_CELLS // (41 * 3)
+    assert rows > chunk
     xv = rng.normal(size=(3 * rows, 3))
     xv[rows : 2 * rows] = 50.0
     shapes = []
@@ -421,7 +531,7 @@ def test_knn_screen_falls_back_mid_call_to_dense_chunks():
         got = quality._knn_predict(xt, yt, xv, 5, 3)
     assert len(screened) == 2 and screened[0] is not None and screened[1] is None
     assert len(dense) == 2
-    chunks = [min(quality._KNN_BLOCK, rows - lo) for lo in range(0, rows, quality._KNN_BLOCK)]
+    chunks = [min(chunk, rows - lo) for lo in range(0, rows, chunk)]
     assert shapes == [rows] + 2 * chunks
     assert np.array_equal(got, reference_knn(xt, yt, xv, 5, 3))
 
