@@ -48,10 +48,11 @@ passing end, whose ratio then falls short of the full-budget answer's by at
 most that much, and its probes are a prefix of the full-budget ones.  The
 campaign's probe keeps each bound's ratio for this; a search given no ratio
 lookup spends its whole budget.  Sampling is noisy and non-monotone; those
-domains are probed on a uniform grid instead.  Whether a larger bound
-compresses more depends on the method: a larger ``acc`` or predictive bound
-or sampling stride does, a larger sampling fraction, plane count, rate or
-width does not, and each search returns the most-compressing passing bound.
+domains are probed on a uniform grid instead.  Which end of a domain
+compresses more is ``SearchDomain.ends``: a larger ``acc``, ``abs``, ``rel``
+or ``pw_rel`` bound does, a larger sampling fraction, ``psnr`` target, plane
+count, rate or width does not.  Each search runs from the least-compressing
+end toward the most and returns the most-compressing passing bound.
 """
 
 from __future__ import annotations
@@ -89,8 +90,6 @@ from .reducers import (
 )
 from .reducers.config import SAMPLING_METHODS, canonical_json, check_fields
 from .tabular import Dataset
-
-_FRACTION_METHODS = {Method.SAMPLE_WR, Method.SAMPLE_WOR}
 
 # a bisection whose bracket ends' ratios agree this closely stops
 _RATIO_TOL = 0.01
@@ -135,6 +134,9 @@ class SearchDomain:
             )
         if self.scale not in ("linear", "log10"):
             raise ConfigError(f"scale must be linear or log10, got {self.scale!r}")
+        if self.method is Method.SAMPLE_NAIVE:
+            # neither the scan grid nor the ladder gives whole strides
+            raise ConfigError("sample_naive takes fixed strides only, not a search domain")
         # validates the method/mode pairing and both ends' ranges
         self.config(self.bound_min)
         self.config(self.bound_max)
@@ -154,18 +156,16 @@ class SearchDomain:
         return unit_bounds(self.method, self.mode, self.bound_min, self.bound_max)
 
     @property
-    def bound_compresses_upward(self) -> bool:
-        """True when a larger bound value means more compression: not for a
-        sampling fraction, a plane count, a rate or a truncation width."""
-        return not (self.method in _FRACTION_METHODS or self.method is Method.TRUNC
-                    or self.mode in (Mode.PREC, Mode.RATE))
-
-    @property
-    def least_compressing(self) -> float:
-        """The domain's bound that compresses least."""
+    def ends(self) -> tuple[float, float]:
+        """(least, most compressing) bound of the domain: its first and last
+        unit; (bound_max, bound_min) for a sampling fraction (every noisy
+        domain, sample_naive being refused) or a psnr target, where a larger
+        bound keeps more; else (bound_min, bound_max)."""
         if self.units is not None:
-            return self.units[0]
-        return self.bound_min if self.bound_compresses_upward else self.bound_max
+            return self.units[0], self.units[-1]
+        if self.noisy or self.mode is Mode.PSNR:
+            return self.bound_max, self.bound_min
+        return self.bound_min, self.bound_max
 
 
 @dataclass(frozen=True)
@@ -585,8 +585,9 @@ def _bisect_largest(
     budget: int,
     ratio_at: RatioFn | None,
 ) -> float:
-    """Largest x in [lo, hi] passing ok_at, assuming a single pass/fail edge;
-    x grows with compression.
+    """The x nearest hi, between lo and hi, passing ok_at, assuming a single
+    pass/fail edge; compression grows from lo toward hi, which may lie
+    either side of lo.
 
     Caller guarantees ok_at(lo) is true and ok_at(hi) false, both already
     probed; budget counts further probes.  It stops when ``midpoint`` finds
@@ -599,7 +600,7 @@ def _bisect_largest(
         if ratio_at is not None and ratio_at(hi) / ratio_at(lo) - 1 <= _RATIO_TOL:
             break  # the ratio no longer moves across the bracket
         mid = midpoint(lo, hi)
-        if mid <= lo or mid >= hi:
+        if not min(lo, hi) < mid < max(lo, hi):
             break  # interval exhausted: adjacent units, or float resolution
         if ok_at(mid):
             lo = mid
@@ -619,11 +620,11 @@ def _edge_search(
     (bound, quality) probes it took.
 
     Noisy domains are scanned on a grid of 2 * max_iters bounds.  The others
-    probe their most-compressing end, then their least, then bisect the
-    single pass/fail edge between them, until the budget is spent or, given
-    ratio_at, the bracket's ratios agree.  A domain with units (see
-    SearchDomain.units) bisects the index of its units and stops at two
-    adjacent ones; the others bisect the bound.
+    probe their most-compressing end, then their least (SearchDomain.ends),
+    then bisect the single pass/fail edge between them, until the budget is
+    spent or, given ratio_at, the bracket's ratios agree.  A domain with
+    units (see SearchDomain.units) bisects the index of its units and stops
+    at two adjacent ones; the others bisect the bound.
     """
     probes: list[tuple[float, float]] = []
 
@@ -635,13 +636,13 @@ def _edge_search(
     if domain.noisy:
         grid = _scan_bounds(domain, 2 * spec.max_iters).tolist()
         passing = [b for b in grid if ok_at(b)]
-        found = (max if domain.bound_compresses_upward else min)(passing, default=None)
+        found = min(passing, key=lambda b: abs(b - domain.ends[1]), default=None)
         return found, tuple(probes)
     units = domain.units
     if units is None:
         def at(x: float) -> float:
             return x
-        least, most = domain.bound_min, domain.bound_max
+        least, most = domain.ends
         midpoint = functools.partial(_midpoint, scale=domain.scale)
     else:
         at = units.__getitem__
@@ -679,7 +680,7 @@ def find_upper(
     )
     satisfied = found is not None
     if not satisfied:
-        found = domain.least_compressing
+        found = domain.ends[0]
     return SearchResult(domain.config(found), found, satisfied, probes)
 
 
@@ -698,7 +699,7 @@ def find_lower(
         )
     found, probes = _edge_search(domain, spec, probe, lambda psi: psi > spec.tau, ratio_at)
     if found is None:
-        where = "everywhere" if domain.noisy else f"even at bound {domain.least_compressing:g}"
+        where = "everywhere" if domain.noisy else f"even at bound {domain.ends[0]:g}"
         raise InfeasibleSearchError(
             f"no acceptable configuration: quality at or below tau {where}"
         )

@@ -160,14 +160,19 @@ _PARAMS = {
     AppKind.KNN_CLASSIFIER: {"k", "positive"},
     AppKind.LOWRANK_RECONSTRUCTION: {"rank"},
 }
+# the params each metric reads in an app of a built-in kind; a metric not
+# listed reads none
+_METRIC_PARAMS = {MetricName.R2: {"definition"}}
 
 
 def _check_params(kind: AppKind, params: dict, metric: MetricSpec) -> None:
-    """Raise ConfigError for a param the built-in kind does not read or
-    cannot use."""
-    unknown = sorted(set(params) - _PARAMS[kind])
-    if unknown:
-        raise ConfigError(f"{kind.value} reads no param {unknown[0]!r}")
+    """Raise ConfigError for a param the built-in kind or its metric does
+    not read or cannot use."""
+    for owner, given, read in ((kind, params, _PARAMS[kind]),
+                               (metric.name, metric.params, _METRIC_PARAMS.get(metric.name, ()))):
+        unknown = sorted(set(given).difference(read))
+        if unknown:
+            raise ConfigError(f"{owner.value} reads no param {unknown[0]!r}")
     for name in ("k", "rank"):
         v = params.get(name, 1)
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
@@ -184,8 +189,9 @@ def _check_params(kind: AppKind, params: dict, metric: MetricSpec) -> None:
     real = (int, float, np.integer, np.floating)
     if isinstance(positive, bool) or not isinstance(positive, real):
         raise ConfigError(f"positive must be a real number, got {positive!r}")
+    # only r2 reads a definition (checked above)
     definition = metric.params.get("definition", "pearson")
-    if metric.name is MetricName.R2 and definition not in ("pearson", "cod"):
+    if definition not in ("pearson", "cod"):
         raise ConfigError(f"r2 definition must be pearson or cod, got {definition!r}")
 
 

@@ -17,13 +17,11 @@ from ..errors import CodecError, ConfigError, DataFormatError
 from ..tabular import DTYPES, Dataset, column_stats, default_names, global_stats
 from . import bitplane, delta, lossless, predictive, sampling, truncation
 from .config import SAMPLING_METHODS, Layout, Method, Mode, ReducerConfig, check_fields
-from .container import Artifact, pack, unpack
+from .container import Artifact
 
 __all__ = [
     "ErrorReport",
     "Artifact",
-    "pack",
-    "unpack",
     "compress",
     "decompress",
     "reconstruction",

@@ -321,19 +321,26 @@ def column_stats(ds: Dataset) -> tuple[ColumnStats, ...]:
 
 
 def _compute_column_stats(ds: Dataset) -> tuple[ColumnStats, ...]:
-    cols = np.ascontiguousarray(ds.values.T)
-    if not ds.allow_nonfinite or np.isfinite(cols).all():
+    return _row_stats(ds.names, ds.values.T, ds.allow_nonfinite)
+
+
+def _row_stats(names: Sequence[str], rows: np.ndarray, nonfinite: bool) -> tuple[ColumnStats, ...]:
+    """One summary per row of the 2-D `rows`, named by `names`: a column of
+    the table, or (global_stats) one row holding every value; `nonfinite`
+    says whether a value may be non-finite."""
+    rows = np.ascontiguousarray(rows)
+    if not nonfinite or np.isfinite(rows).all():
         parts = zip(
-            cols.min(axis=1),
-            cols.max(axis=1),
-            cols.mean(axis=1, dtype=np.float64),
-            cols.var(axis=1, dtype=np.float64),
+            rows.min(axis=1),
+            rows.max(axis=1),
+            rows.mean(axis=1, dtype=np.float64),
+            rows.var(axis=1, dtype=np.float64),
         )
     else:
-        parts = (_finite_stats(col[np.isfinite(col)]) for col in cols)
+        parts = (_finite_stats(row[np.isfinite(row)]) for row in rows)
     return tuple(
         ColumnStats(name, float(lo), float(hi), float(hi - lo), float(mean), float(var))
-        for name, (lo, hi, mean, var) in zip(ds.names, parts)
+        for name, (lo, hi, mean, var) in zip(names, parts)
     )
 
 
@@ -349,8 +356,9 @@ def _finite_stats(finite: np.ndarray) -> tuple:
 
 
 def global_stats(ds: Dataset) -> ColumnStats:
-    """Stats over the whole matrix, used by the matrix reducer layout;
-    computed on the first call for a dataset."""
+    """Stats over the whole matrix, used by the matrix reducer layout: the
+    column summary of one column holding every value, so NaN throughout
+    when no value is finite.  Computed on the first call for a dataset."""
     return ds._global_stats
 
 
@@ -361,18 +369,7 @@ def _compute_error_reference(ds: Dataset) -> tuple[np.ndarray, np.ndarray, float
 
 
 def _compute_global_stats(ds: Dataset) -> ColumnStats:
-    v = ds.values
-    finite = v[np.isfinite(v)] if ds.allow_nonfinite else v.ravel()
-    lo = finite.min()
-    hi = finite.max()
-    return ColumnStats(
-        "*",
-        float(lo),
-        float(hi),
-        float((hi - lo).astype(finite.dtype)),
-        float(finite.mean(dtype=np.float64)),
-        float(finite.var(dtype=np.float64)),
-    )
+    return _row_stats(("*",), ds.values.reshape(1, -1), ds.allow_nonfinite)[0]
 
 
 @dataclass(frozen=True)

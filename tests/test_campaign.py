@@ -108,6 +108,9 @@ def test_domain_validation():
         SearchDomain(Method.EBLC_PRED, Mode.ABS, 1e-6, 1.0, scale="log2")
     with pytest.raises(ConfigError):
         SearchDomain(Method.EBLC_PRED, Mode.PREC, 1e-6, 1.0)
+    # naive strides are whole numbers, which neither a scan grid nor a ladder gives
+    with pytest.raises(ConfigError, match="sample_naive"):
+        SearchDomain(Method.SAMPLE_NAIVE, Mode.NONE, 1, 10, scale="linear")
     d = pred_domain()
     assert d.config(1e-3).bound == 1e-3
     assert not d.noisy
@@ -396,19 +399,29 @@ def test_record_dict_round_trip():
 
 
 def test_find_upper_locates_quality_edge():
-    domain = pred_domain(1e-6, 1.0)
     spec = SearchSpec(tau=0.5, n_candidates=4, eta=1e-3, max_iters=30)
-    phi, edge, drop = 0.95, 1e-3, 0.4
-    probe = curve(edge, phi, drop)
-    res = find_upper(domain, spec, phi, probe)
-    assert res.satisfied
-    assert abs(phi - probe(res.bound)) <= spec.eta * phi
-    # true tolerance crossing in log10 space, bracketed to bisection resolution
-    crossing = math.log10(edge) + spec.eta * phi / drop
-    width = (math.log10(1.0) - math.log10(1e-6)) / 2 ** (spec.max_iters - 2)
-    assert math.log10(res.bound) <= crossing
-    assert crossing - math.log10(res.bound) <= 2 * width
-    assert len(res.probes) <= spec.max_iters
+    phi, drop = 0.95, 0.4
+
+    def check(domain, position, edge):
+        # position: the bound in the domain's scale, growing with compression;
+        # quality is flat at phi up to the edge, then decays linearly in position
+        def probe(bound):
+            return phi - drop * max(position(bound) - position(edge), 0.0)
+
+        res = find_upper(domain, spec, phi, probe)
+        assert res.satisfied
+        assert abs(phi - probe(res.bound)) <= spec.eta * phi
+        # true tolerance crossing in position, bracketed to bisection resolution
+        crossing = position(edge) + spec.eta * phi / drop
+        span = abs(position(domain.bound_max) - position(domain.bound_min))
+        assert position(res.bound) <= crossing
+        assert crossing - position(res.bound) <= 2 * span / 2 ** (spec.max_iters - 2)
+        assert len(res.probes) <= spec.max_iters
+
+    check(pred_domain(1e-6, 1.0), math.log10, 1e-3)
+    check(pred_domain(1e-6, 1.0, scale="linear"), float, 1e-3)
+    # a larger psnr target compresses less: quality passes at 40 dB and above
+    check(SearchDomain(Method.EBLC_PRED, Mode.PSNR, 10.0, 120.0), lambda db: -math.log10(db), 40.0)
 
 
 def test_find_upper_whole_domain_tolerant():
@@ -521,23 +534,24 @@ def test_find_lower_infeasible_baseline():
 
 
 def test_sampling_searches_scan_instead_of_bisecting():
-    domain = SearchDomain(Method.SAMPLE_WOR, Mode.NONE, 0.1, 0.9, scale="linear")
     spec = SearchSpec(tau=0.7, n_candidates=4, max_iters=10)
     phi = 0.95
 
     def probe(fraction):
         return phi if fraction >= 0.5 else 0.6
 
-    res = find_upper(domain, spec, phi, probe)
-    grid = np.linspace(0.1, 0.9, 2 * spec.max_iters)
-    expected = min(g for g in grid if g >= 0.5)
-    # smaller fraction = more compression, so the scan keeps the smallest pass
-    assert res.bound == pytest.approx(float(expected))
-    assert len(res.probes) == 2 * spec.max_iters
+    for scale, spaced in (("linear", np.linspace), ("log10", np.geomspace)):
+        domain = SearchDomain(Method.SAMPLE_WOR, Mode.NONE, 0.1, 0.9, scale=scale)
+        res = find_upper(domain, spec, phi, probe)
+        grid = spaced(0.1, 0.9, 2 * spec.max_iters)
+        expected = min(g for g in grid if g >= 0.5)
+        # smaller fraction = more compression, so the scan keeps the smallest pass
+        assert res.bound == pytest.approx(float(expected))
+        assert len(res.probes) == 2 * spec.max_iters
 
-    lower = find_lower(domain, spec, phi, lambda f: 0.5 + 0.5 * f)
-    expected_low = min(g for g in grid if 0.5 + 0.5 * g > spec.tau)
-    assert lower.bound == pytest.approx(float(expected_low))
+        lower = find_lower(domain, spec, phi, lambda f: 0.5 + 0.5 * f)
+        expected_low = min(g for g in grid if 0.5 + 0.5 * g > spec.tau)
+        assert lower.bound == pytest.approx(float(expected_low))
 
 
 def test_sampling_upper_flagged_when_scan_finds_nothing():
@@ -584,7 +598,7 @@ def test_unit_domains_probe_and_ladder_each_decoder_bound_once(domain, edges, n)
         assert sorted(ids) == list(range(min(ids), max(ids) + 1))
     assert {ids[0], ids[-1]} == {unit(domain.bound_min), unit(domain.bound_max)}
     assert ids == sorted(ids, reverse=domain.mode is not Mode.ACC)
-    assert domain.least_compressing == units[0]
+    assert domain.ends == (units[0], units[-1])
 
     # quality steps down twice along the units: neutral up to unit k (none
     # when k is -1), above tau up to unit j
@@ -665,6 +679,26 @@ def test_unit_domains_run_end_to_end_to_the_most_compressing_passing_unit(tmp_pa
     assert all(r.decompress_mbps > 0 for r in ladder)
 
 
+def test_a_psnr_domain_searches_down_from_its_highest_target():
+    # a larger psnr target compresses less, so the searches run from
+    # bound_max toward bound_min and stop inside the domain
+    pair, app = latent_ridge()
+    domain = SearchDomain(Method.EBLC_PRED, Mode.PSNR, 10.0, 120.0)
+    spec = SearchSpec(tau=0.5, n_candidates=4, eta=0.01, max_iters=12)
+    steps = []
+    run_campaign(pair, [app], [domain], spec, observer=steps.append)
+    base, step = steps
+    assert domain.ends == (120.0, 10.0)
+    upper = step.upper
+    assert upper.satisfied and 10.0 < upper.bound < 120.0 and len(upper.probes) > 2
+    assert [b for b, _ in upper.probes[:2]] == [10.0, 120.0]
+    # the smallest passing target: every probe below it missed the tolerance
+    assert all(abs(base.phi - q) > spec.eta * abs(base.phi)
+               for b, q in upper.probes if b < upper.bound)
+    assert step.ratios[upper.bound] > step.ratios[120.0]
+    assert step.lower.bound <= upper.bound
+
+
 def test_candidate_points_arithmetic_ladder():
     lower = ReducerConfig(Method.EBLC_PRED, Mode.ABS, (0.1,))
     upper = ReducerConfig(Method.EBLC_PRED, Mode.ABS, (0.001,))
@@ -689,6 +723,11 @@ def test_candidate_points_degenerate_and_mismatch():
         candidate_points(a, ReducerConfig(Method.EBLC_PRED, Mode.REL, (0.01,)), 5)
     with pytest.raises(ConfigError):
         candidate_points(a, ReducerConfig(Method.EBLC_PRED, Mode.ABS, (0.001,)), 1)
+    # two acc bounds of one octave are one decoder bound: a one-point ladder
+    lower = ReducerConfig(Method.EBLC_BITPLANE, Mode.ACC, (0.7,))
+    cs = candidate_points(lower, ReducerConfig(Method.EBLC_BITPLANE, Mode.ACC, (0.6,)), 5)
+    assert cs.degenerate
+    assert cs.points == (lower,)
 
 
 @given(

@@ -292,9 +292,11 @@ def test_search_keeps_domains_with_the_same_method_apart(tmp_path, capsys):
             {"method": "eblc_bitplane", "mode": "prec", "bound_min": 4.5, "bound_max": 32}
         ),
         lambda doc: doc["methods"].append({"method": "sample_naive", "bound": math.inf}),
+        lambda doc: doc["methods"].append({"method": "sample_naive", "bound_min": 1, "bound_max": 10}),
     ],
     ids=["method", "mode", "layout", "app_kind", "tau", "app_entry", "output", "split",
-         "pw_rel_max", "prec_fraction", "prec_domain_fraction", "naive_stride_inf"],
+         "pw_rel_max", "prec_fraction", "prec_domain_fraction", "naive_stride_inf",
+         "naive_domain"],
 )
 def test_search_bad_campaign_value_is_config_error(tmp_path, capsys, edit):
     campaign = write_campaign(

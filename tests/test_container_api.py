@@ -164,6 +164,21 @@ def test_abs_bounds(mode, c, ranges, want, rtol):
     np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
 
+@pytest.mark.parametrize("mode, c", [(Mode.REL, 1e-2), (Mode.PSNR, 40.0), (Mode.ABS, 0.1)])
+def test_a_table_with_no_finite_value_is_stored_verbatim_in_either_layout(mode, c):
+    # its range is NaN in the matrix layout as in each column, and either
+    # layout stores the values raw behind the 9-byte header
+    arr = np.full((8, 3), np.nan)
+    arr[2, 1], arr[5, 0] = np.inf, -np.inf
+    ds = from_array(arr, allow_nonfinite=True)
+    for layout in Layout:
+        art = compress(ds, ReducerConfig(Method.EBLC_PRED, mode, (c,), layout))[0]
+        assert len(art.stream) == predictive._HEAD.size + arr.nbytes == 201
+        assert predictive._HEAD.unpack_from(art.stream)[0] == predictive._FLAG_VERBATIM
+        restored = decompress(unpack(pack(art)))[0]
+        assert restored.values.tobytes() == ds.values.tobytes()
+
+
 def test_every_exported_name_resolves():
     for info in pkgutil.walk_packages(ppress.__path__, "ppress."):
         module = importlib.import_module(info.name)

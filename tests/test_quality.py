@@ -192,6 +192,15 @@ def test_application_refuses_a_param_its_kind_does_not_read():
         Application(
             "r", AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2), target=0, params={"k": 3}
         )
+    # a metric param its metric does not read: r2 reads only definition, the
+    # other metrics none
+    for kind, metric in (
+        (AppKind.RIDGE_REGRESSION, MetricSpec(MetricName.R2, {"defn": "cod"})),
+        (AppKind.KNN_CLASSIFIER, MetricSpec(MetricName.ACCURACY, {"definition": "cod"})),
+        (AppKind.LOWRANK_RECONSTRUCTION, MetricSpec(MetricName.MSE, {"x": 1})),
+    ):
+        with pytest.raises(ConfigError, match=f"{metric.name.value} reads no param"):
+            Application("m", kind, metric, target=0)
     # an external application's params are its own
     Application(
         "e", AppKind.EXTERNAL, MetricSpec(MetricName.R2), command="run", params={"anything": "x"}

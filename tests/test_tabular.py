@@ -263,7 +263,7 @@ def stats_bits(stats):
     k=st.integers(1, 12),
     dtype=st.sampled_from(["f32", "f64"]),
     seed=st.integers(0, 2**32 - 1),
-    holes=st.sampled_from(["none", "some", "all-nan-column"]),
+    holes=st.sampled_from(["none", "some", "all-nan-column", "no-finite-value"]),
 )
 def test_column_stats_match_the_per_column_loop_bit_for_bit(n, k, dtype, seed, holes):
     rng = np.random.default_rng(seed)
@@ -273,9 +273,16 @@ def test_column_stats_match_the_per_column_loop_bit_for_bit(n, k, dtype, seed, h
         arr[hit] = rng.choice([np.nan, np.inf, -np.inf], size=int(hit.sum()))
         if holes == "all-nan-column":
             arr[:, rng.integers(k)] = np.nan
+        if holes == "no-finite-value":
+            arr[np.isfinite(arr)] = np.nan
     ds = tabular.from_array(arr, dtype=dtype, allow_nonfinite=holes != "none")
     want = [np.array(row).tobytes() for row in loop_column_stats(ds)]
     assert stats_bits(tabular.column_stats(ds)) == want
+    # the matrix layout's stats are those of one column holding every value
+    whole = tabular.from_array(ds.values.reshape(-1, 1), dtype=dtype, allow_nonfinite=True)
+    assert stats_bits([tabular.global_stats(ds)]) == [
+        np.array(row).tobytes() for row in loop_column_stats(whole)
+    ]
 
 
 def test_stats_are_computed_once_per_dataset(monkeypatch):
